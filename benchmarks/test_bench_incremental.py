@@ -61,6 +61,9 @@ def _edit_prog_master(src):
 
 
 def _run_batch(src, cfg_dir, workdir, cache_dir, metrics):
+    """One batch; returns its metrics, wall seconds and the seconds its
+    ``impact.index`` span (the ``ImpactIndex`` build) took."""
+    trace = str(metrics) + ".trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = src
     env.pop("REPRO_CACHE_DIR", None)
@@ -70,12 +73,17 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics):
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--incremental", "--metrics-out", str(metrics)],
+         "--incremental", "--metrics-out", str(metrics),
+         "--trace-out", trace],
         capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start
     assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    with open(trace, "r", encoding="utf-8") as handle:
+        events = json.load(handle)["traceEvents"]
+    index_s = sum(event["dur"] for event in events
+                  if event.get("name") == "impact.index") / 1e6
     with open(metrics, "r", encoding="utf-8") as handle:
-        return json.load(handle)["batch"], wall
+        return json.load(handle)["batch"], wall, index_s
 
 
 def test_incremental_rerun_fraction(tmp_path):
@@ -86,14 +94,16 @@ def test_incremental_rerun_fraction(tmp_path):
     cfg_dir = tmp_path / "cfg"
     save_config_dir(_configs(), str(cfg_dir))
 
-    cold, cold_s = _run_batch(src, cfg_dir, tmp_path / "cold",
-                              tmp_path / "cache", tmp_path / "cold.json")
+    cold, cold_s, cold_index_s = _run_batch(
+        src, cfg_dir, tmp_path / "cold", tmp_path / "cache",
+        tmp_path / "cold.json")
     n_runs = sum(cold["cache"][name] for name in ("hits", "misses"))
     assert cold["cache"]["misses"] == n_runs  # nothing pre-warmed
 
     _edit_prog_master(src)
-    warm, warm_s = _run_batch(src, cfg_dir, tmp_path / "warm",
-                              tmp_path / "cache", tmp_path / "warm.json")
+    warm, warm_s, warm_index_s = _run_batch(
+        src, cfg_dir, tmp_path / "warm", tmp_path / "cache",
+        tmp_path / "warm.json")
     rerun = warm["cache"]["misses"]
     fraction = rerun / n_runs
 
@@ -112,6 +122,8 @@ def test_incremental_rerun_fraction(tmp_path):
             "floor": MAX_RERUN_FRACTION,
             "cold_seconds": round(cold_s, 6),
             "warm_seconds": round(warm_s, 6),
+            "cold_index_seconds": round(cold_index_s, 6),
+            "warm_index_seconds": round(warm_index_s, 6),
             "impact_counters": cold["impact"],
         },
     }
@@ -120,7 +132,8 @@ def test_incremental_rerun_fraction(tmp_path):
                     encoding="utf-8")
     print()
     print(f"[incremental] edit re-ran {rerun}/{n_runs} jobs "
-          f"({fraction:.0%}); cold {cold_s:.3f}s warm {warm_s:.3f}s")
+          f"({fraction:.0%}); cold {cold_s:.3f}s warm {warm_s:.3f}s "
+          f"(index {warm_index_s:.3f}s)")
     # Only the programming-port configuration's two views may re-run.
     assert rerun == 2, warm["cache"]
     assert fraction < MAX_RERUN_FRACTION, (

@@ -7,25 +7,23 @@ matrix.  This module makes re-verification cost proportional to the
 
 * **Per-process semantic fingerprints.**  Each registered process is
   hashed over a normalized form of its body — comments, docstrings and
-  formatting stripped; constants substituted by value exactly the way
-  the symbolic lifter does — together with its declared read/write
-  sets, sensitivity list and clock domain.  A comment-only edit, a
-  docstring edit, a reformat or a constant rename leaves the
-  fingerprint unchanged; a real body edit, a read/write-set change or
-  a sensitivity change produces a new one.
+  formatting stripped — together with its declared read/write sets,
+  sensitivity list and clock domain.  A comment-only edit, a docstring
+  edit or a reformat leaves the fingerprint unchanged; a real body edit
+  (a renamed constant included), a read/write-set change or a
+  sensitivity change produces a new one.
 
 * **The conservatism ladder.**  Normalization degrades honestly, and
   every fallback can only cause extra re-runs, never a stale hit:
 
-  1. ``semantic-ir`` — the body lifts clean through
-     :mod:`repro.analysis.symbolic`; the fingerprint hashes the sorted
-     IR assignments (constants substituted, comments/formatting gone).
-  2. ``semantic-ast`` — the lift was partial/opaque but the source
-     parses; the fingerprint hashes the docstring-stripped AST dump
-     (comment/format-insensitive, but constant renames re-run).
-  3. ``raw-source`` — the source was recovered but not normalizable;
-     the fingerprint hashes the raw source text (any edit re-runs).
-  4. ``opaque`` — the source is unrecoverable; the *whole design* falls
+  1. ``semantic-ast`` — the def or lambda node of the process is found
+     unambiguously in its source file (parsed once per index build:
+     :class:`_SourceTrees`); the fingerprint hashes its
+     docstring-stripped, position-free AST dump.
+  2. ``raw-source`` — no unique node (say, two lambdas on one line) but
+     the source text is recovered; the fingerprint hashes the raw text
+     (any edit re-runs).
+  3. ``opaque`` — the source is unrecoverable; the *whole design* falls
      back to the monolithic design hash, with a structured diagnostic.
 
   Non-process code (constructors, sequence generation, checker logic,
@@ -33,7 +31,8 @@ matrix.  This module makes re-verification cost proportional to the
   every design-root module's AST with registered process bodies elided
   and docstrings stripped.  Any non-process change flips it — and with
   it every cone-scoped key — so orchestration edits behave exactly like
-  the monolithic hash.  A module that fails to parse is hashed raw.
+  the monolithic hash, and so do constant edits outside a body.  A
+  module that fails to parse is hashed raw.
 
 * **The design fingerprint manifest** (schema-versioned, one record per
   (config, view)) snapshots the fingerprints so two checkouts can be
@@ -60,7 +59,6 @@ matrix.  This module makes re-verification cost proportional to the
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
 import json
 import os
@@ -85,7 +83,6 @@ MANIFEST_SCHEMA = "repro.analysis/impact-manifest/v1"
 
 #: Fingerprint normalization modes, strongest first (the conservatism
 #: ladder of the module docstring).
-MODE_SEMANTIC_IR = "semantic-ir"
 MODE_SEMANTIC_AST = "semantic-ast"
 MODE_RAW_SOURCE = "raw-source"
 MODE_OPAQUE = "opaque"
@@ -161,42 +158,120 @@ class _StripDocstrings(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def _normalized_ast_dump(node: ast.AST) -> str:
-    """Docstring-stripped, position-free dump of a process body."""
-    cleaned = _StripDocstrings().visit(copy.deepcopy(node))
-    return ast.dump(cleaned)
+def _normalize_newlines(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _normalized_body(info) -> Tuple[str, Optional[str], Optional[str]]:
-    """``(mode, body text, reason)`` for one process, per the ladder."""
-    try:
-        from .symbolic.lift import lift_process
+def _span_keys(node: ast.AST) -> List[Tuple[int, str]]:
+    """The ``(first line, name)`` pairs a code object compiled from
+    ``node`` can carry: a lambda's line, a def's line, and a decorated
+    def's first decorator line.  Empty for every other node."""
+    if isinstance(node, ast.Lambda):
+        return [(node.lineno, "<lambda>")]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(n.lineno, node.name)
+                for n in [node] + node.decorator_list[:1]]
+    return []
 
-        lifted = lift_process(info)
-    except Exception as exc:  # lifter crash: degrade, never guess
-        lifted = None
-        lift_reason = f"lifter failed: {type(exc).__name__}: {exc}"
-    else:
-        lift_reason = None
-    if lifted is not None and lifted.status == "clean":
-        body = "\n".join(sorted(a.render() for a in lifted.assigns))
-        return MODE_SEMANTIC_IR, body, None
-    node = info.source_ast()
-    if node is not None:
-        try:
-            return MODE_SEMANTIC_AST, _normalized_ast_dump(node), None
-        except Exception as exc:
-            lift_reason = (
-                f"AST normalization failed: {type(exc).__name__}: {exc}"
-            )
+
+def _process_code(info) -> Tuple[Optional[object], str]:
+    """``(code object or None, name)`` of a process callable; a
+    ``functools.partial`` or a builtin has no code object."""
+    func = getattr(info.process, "__func__", info.process)
+    return (getattr(func, "__code__", None),
+            getattr(func, "__name__", "<unknown>"))
+
+
+class _SourceTrees:
+    """Source files parsed once each, for one index build.
+
+    Every tree comes from newline-normalized bytes with docstrings
+    stripped in place.  Process bodies are dumped straight from these
+    trees, memoized per code object; :meth:`residual` then elides the
+    same bodies in place for the environment residual and drops the tree.
+    """
+
+    def __init__(self) -> None:
+        self._parsed: Dict[str, tuple] = {}  # path -> parse() result
+        #: path -> (first line, name) -> every def/lambda node with it
+        self._nodes: Dict[str, Dict[Tuple[int, str], List[ast.AST]]] = {}
+        #: (code object, name) -> body() result
+        self._bodies: Dict[Tuple[object, str], tuple] = {}
+
+    def parse(self, path: str) -> tuple:
+        """``(raw bytes, tree or None, parse error or None)``."""
+        if path not in self._parsed:
+            with open(path, "rb") as handle:
+                raw = _normalize_newlines(handle.read())
+            try:
+                tree, error = _StripDocstrings().visit(
+                    ast.parse(raw.decode("utf-8"))), None
+            except (SyntaxError, UnicodeDecodeError) as exc:
+                tree, error = None, exc
+            self._parsed[path] = (raw, tree, error)
+        return self._parsed[path]
+
+    def nodes(self, path: str) -> Dict[Tuple[int, str], List[ast.AST]]:
+        if path not in self._nodes:
+            tree = self.parse(path)[1]
+            index = self._nodes[path] = {}
+            for node in ast.walk(tree) if tree is not None else ():
+                for key in _span_keys(node):
+                    index.setdefault(key, []).append(node)
+        return self._nodes[path]
+
+    def body(self, info) -> Tuple[str, Optional[str], Optional[str]]:
+        """``(mode, body text, reason)`` for one process, per the ladder."""
+        code, name = _process_code(info)
+        if code is None:
+            return _unlocated_body(info, "process has no code object")
+        memo = self._bodies.get((code, name))
+        if memo is None:
+            path = os.path.abspath(code.co_filename)
+            try:
+                found = self.nodes(path).get(
+                    (code.co_firstlineno, name), [])
+            except OSError:
+                found = []
+            if len(found) == 1:
+                memo = (MODE_SEMANTIC_AST, ast.dump(found[0]), None)
+            else:
+                memo = _unlocated_body(
+                    info, f"{len(found)} AST nodes match {name} at "
+                    f"{os.path.basename(path)}:{code.co_firstlineno}")
+            self._bodies[(code, name)] = memo
+        return memo
+
+    def residual(self, path: str, spans: Set[Tuple[int, str]]) -> tuple:
+        """``(body bytes, number elided, parse error or None)``: the dump
+        of ``path`` with the bodies of the processes at ``spans``
+        replaced by placeholders, or the raw bytes if it does not parse.
+        A span that matches several nodes (two lambdas on one line) is
+        kept: conservative.  The elided tree is dropped."""
+        raw, tree, error = self.parse(path)
+        index = self.nodes(path) if spans else {}
+        del self._parsed[path]
+        self._nodes.pop(path, None)
+        if tree is None:
+            return raw, 0, error
+        targets = {}
+        for key in spans:
+            found = index.get(key, ())
+            if len(found) == 1:
+                targets[id(found[0])] = found[0]
+        for node in targets.values():
+            node.body = (ast.Constant(value=0)
+                         if isinstance(node, ast.Lambda) else [ast.Pass()])
+        return ast.dump(tree).encode("utf-8"), len(targets), None
+
+
+def _unlocated_body(info, reason: str
+                    ) -> Tuple[str, Optional[str], Optional[str]]:
+    """The lower rungs: the raw source text, else opaque."""
     text = info.source()
     if text is not None:
-        return MODE_RAW_SOURCE, text, (
-            lift_reason or "source recovered but not normalizable"
-        )
-    return MODE_OPAQUE, None, (
-        "source unavailable (inspect.getsource failed)"
-    )
+        return MODE_RAW_SOURCE, text, reason
+    return MODE_OPAQUE, None, "source unavailable (inspect.getsource failed)"
 
 
 def _dataflow_sets(info) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -213,10 +288,12 @@ def _dataflow_sets(info) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(sorted(reads)), tuple(sorted(writes))
 
 
-def process_fingerprint(info) -> ProcessFingerprint:
-    """Semantic fingerprint of one :class:`~repro.kernel.ProcessInfo`."""
+def process_fingerprint(info, sources: Optional[_SourceTrees] = None
+                        ) -> ProcessFingerprint:
+    """Semantic fingerprint of one :class:`~repro.kernel.ProcessInfo`;
+    ``sources`` shares parsed files across calls."""
     reads, writes = _dataflow_sets(info)
-    mode, body, reason = _normalized_body(info)
+    mode, body, reason = (sources or _SourceTrees()).body(info)
     if mode == MODE_OPAQUE:
         return ProcessFingerprint(
             name=info.name, kind=info.kind, mode=mode, digest=None,
@@ -293,72 +370,23 @@ def process_spans(infos: Iterable) -> Set[Tuple[str, int, str]]:
     """
     spans: Set[Tuple[str, int, str]] = set()
     for info in infos:
-        func = getattr(info.process, "__func__", info.process)
-        code = getattr(func, "__code__", None)
-        if code is None:
-            continue
-        try:
-            filename = os.path.abspath(code.co_filename)
-        except (TypeError, ValueError):  # pragma: no cover - exotic code
-            continue
-        spans.add((filename, code.co_firstlineno,
-                   getattr(func, "__name__", "<unknown>")))
+        code, name = _process_code(info)
+        if code is not None:
+            spans.add((os.path.abspath(code.co_filename),
+                       code.co_firstlineno, name))
     return spans
-
-
-class _ElideProcessBodies(_StripDocstrings):
-    """Strip docstrings and replace registered process bodies with
-    placeholders, so the residual dump captures exactly the
-    non-process content of a module."""
-
-    def __init__(self, spans: Set[Tuple[int, str]],
-                 lambda_lines: Dict[int, int]) -> None:
-        #: (lineno, name) pairs to elide; lambdas use name "<lambda>".
-        self.spans = spans
-        #: lineno -> number of lambdas on that line; an ambiguous line
-        #: (several lambdas) is never elided — conservative.
-        self.lambda_lines = lambda_lines
-        self.n_elided = 0
-
-    def _matches(self, node, name: str) -> bool:
-        if (node.lineno, name) in self.spans:
-            return True
-        decorators = getattr(node, "decorator_list", None)
-        if decorators:
-            return (decorators[0].lineno, name) in self.spans
-        return False
-
-    def _visit_def(self, node):
-        node = self.generic_visit(node)
-        if self._matches(node, node.name):
-            self.n_elided += 1
-            node.body = [ast.Pass()]
-        return node
-
-    def visit_FunctionDef(self, node):  # noqa: N802 (ast API)
-        return self._visit_def(node)
-
-    def visit_AsyncFunctionDef(self, node):  # noqa: N802 (ast API)
-        return self._visit_def(node)
-
-    def visit_Lambda(self, node):  # noqa: N802 (ast API)
-        node = self.generic_visit(node)
-        if self._matches(node, "<lambda>") \
-                and self.lambda_lines.get(node.lineno, 0) == 1:
-            self.n_elided += 1
-            node.body = ast.Constant(value=0)
-        return node
-
-
-def _normalize_newlines(data: bytes) -> bytes:
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def environment_digest(
     spans: Set[Tuple[str, int, str]],
     roots: Sequence[str] = DESIGN_ROOTS,
+    sources: Optional[_SourceTrees] = None,
 ) -> EnvironmentDigest:
-    """Residual hash of the design roots with process bodies elided."""
+    """Residual hash of the design roots with process bodies elided.
+
+    Elision rewrites the trees of ``sources`` in place, so each file's
+    tree is dropped from it once hashed."""
+    sources = sources or _SourceTrees()
     package_dir = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     by_file: Dict[str, Set[Tuple[int, str]]] = {}
@@ -376,28 +404,15 @@ def environment_digest(
             for name in sorted(filenames):
                 if not name.endswith(".py"):
                     continue
-                full = os.path.join(dirpath, name)
+                full = os.path.abspath(os.path.join(dirpath, name))
                 rel = os.path.relpath(full, package_dir)
-                with open(full, "rb") as handle:
-                    raw = _normalize_newlines(handle.read())
-                try:
-                    tree = ast.parse(raw.decode("utf-8"))
-                    lambda_lines: Dict[int, int] = {}
-                    for node in ast.walk(tree):
-                        if isinstance(node, ast.Lambda):
-                            lambda_lines[node.lineno] = (
-                                lambda_lines.get(node.lineno, 0) + 1)
-                    eliding = _ElideProcessBodies(
-                        by_file.get(os.path.abspath(full), set()),
-                        lambda_lines,
-                    )
-                    body = ast.dump(eliding.visit(tree)).encode("utf-8")
-                    n_elided += eliding.n_elided
-                except (SyntaxError, UnicodeDecodeError) as exc:
-                    # Unparsable file: hash it raw (comment edits in it
+                body, elided, error = sources.residual(
+                    full, by_file.get(full, set()))
+                n_elided += elided
+                if error is not None:
+                    # Unparsable file: hashed raw (comment edits in it
                     # will over-invalidate; never under-invalidate).
-                    body = raw
-                    diagnostics.append(f"{rel}: hashed raw ({exc})")
+                    diagnostics.append(f"{rel}: hashed raw ({error})")
                 digest.update(rel.encode("utf-8"))
                 digest.update(b"\0")
                 digest.update(body)
@@ -424,16 +439,10 @@ class DesignFingerprints:
     processes: Dict[str, ProcessFingerprint] = field(default_factory=dict)
 
     @property
-    def opaque_processes(self) -> Tuple[str, ...]:
-        return tuple(sorted(
-            name for name, fp in self.processes.items()
-            if fp.mode == MODE_OPAQUE
-        ))
-
-    @property
     def fallback_reason(self) -> Optional[str]:
         """Why this design cannot use a cone-scoped key (or ``None``)."""
-        opaque = self.opaque_processes
+        opaque = sorted(name for name, fp in self.processes.items()
+                        if fp.mode == MODE_OPAQUE)
         if opaque:
             return ("opaque-process: unrecoverable source for "
                     + ", ".join(opaque))
@@ -497,7 +506,8 @@ def _config_digest(config) -> str:
     return hashlib.sha256(config.to_text().encode("utf-8")).hexdigest()
 
 
-def design_fingerprints(config, view: str):
+def design_fingerprints(config, view: str,
+                        sources: Optional[_SourceTrees] = None):
     """Build one design and fingerprint it.
 
     Returns ``(DesignFingerprints, DesignGraph)`` — the graph is kept so
@@ -514,7 +524,7 @@ def design_fingerprints(config, view: str):
     )
     names_seen: Dict[str, int] = {}
     for info in list(graph.comb) + list(graph.clocked):
-        fp = process_fingerprint(info)
+        fp = process_fingerprint(info, sources)
         name = fp.name
         # Registration names are unique in practice; if a design ever
         # reuses one, disambiguate deterministically by occurrence.
@@ -611,55 +621,50 @@ class ImpactIndex:
         self.designs: Dict[str, DesignFingerprints] = {}
         self.graphs: Dict[str, object] = {}
         self.whole_design = design_source_hash()
+        sources = _SourceTrees()  # shared by all designs, dropped on return
         infos: List[object] = []
         for config in configs:
             for view in self.views:
                 label = _design_label(config.name, view)
                 if label in self.designs:
                     continue
-                fingerprints, graph = design_fingerprints(config, view)
+                fingerprints, graph = design_fingerprints(
+                    config, view, sources)
                 self.designs[label] = fingerprints
                 self.graphs[label] = graph
                 infos.extend(list(graph.comb) + list(graph.clocked))
-        self.environment = environment_digest(process_spans(infos))
+        self.environment = environment_digest(
+            process_spans(infos), sources=sources)
         self._keys: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []
         self._counters: Dict[str, int] = {
             "impact.designs": len(self.designs),
             "impact.processes": 0,
-            "impact.semantic_ir": 0,
             "impact.semantic_ast": 0,
             "impact.raw_source": 0,
             "impact.opaque": 0,
             "impact.cone_keys": 0,
             "impact.design_fallbacks": 0,
         }
-        mode_counter = {
-            MODE_SEMANTIC_IR: "impact.semantic_ir",
-            MODE_SEMANTIC_AST: "impact.semantic_ast",
-            MODE_RAW_SOURCE: "impact.raw_source",
-            MODE_OPAQUE: "impact.opaque",
-        }
         for label, design in sorted(self.designs.items()):
-            for fp in design.processes.values():
+            degraded = []
+            for name, fp in sorted(design.processes.items()):
                 self._counters["impact.processes"] += 1
-                self._counters[mode_counter[fp.mode]] += 1
+                self._counters["impact." + fp.mode.replace("-", "_")] += 1
+                if fp.mode != MODE_SEMANTIC_AST:
+                    degraded.append({"process": name, "mode": fp.mode,
+                                     "reason": fp.reason})
             key = design.design_key(self.environment, self.whole_design)
             self._keys[label] = key
             fallback = design.fallback_reason
+            event = {"event": "impact.design-key", "design": label,
+                     "mode": "cone", "key": key, "degraded": degraded}
             if fallback is None:
                 self._counters["impact.cone_keys"] += 1
-                self.events.append({
-                    "event": "impact.design-key", "design": label,
-                    "mode": "cone", "key": key,
-                })
             else:
                 self._counters["impact.design_fallbacks"] += 1
-                self.events.append({
-                    "event": "impact.design-key", "design": label,
-                    "mode": "whole-design", "key": key,
-                    "reason": fallback,
-                })
+                event.update(mode="whole-design", reason=fallback)
+            self.events.append(event)
 
     def counters(self) -> Dict[str, int]:
         return dict(self._counters)
@@ -863,32 +868,11 @@ def diff_manifests(
         base = baseline.designs.get(label)
         cur = current.designs.get(label)
         anchor = cur if cur is not None else base
-        config_name, view = anchor.config_name, anchor.view
-        if base is None or cur is None:
-            report.designs.append(DesignImpact(
-                config_name=config_name, view=view, affected=True,
-                reason=("design added since baseline" if base is None
-                        else "design removed since baseline"),
-            ))
-            continue
-        if env_changed:
-            report.designs.append(DesignImpact(
-                config_name=config_name, view=view, affected=True,
-                reason="environment changed (non-process design code)",
-            ))
-            continue
-        fallback = base.fallback_reason or cur.fallback_reason
-        if fallback is not None:
-            report.designs.append(DesignImpact(
-                config_name=config_name, view=view, affected=True,
-                reason=f"conservative fallback ({fallback})",
-            ))
-            continue
-        if base.config_digest != cur.config_digest:
-            report.designs.append(DesignImpact(
-                config_name=config_name, view=view, affected=True,
-                reason="configuration text changed",
-            ))
+        design = dict(config_name=anchor.config_name, view=anchor.view)
+        reason = _forced_rerun_reason(base, cur, env_changed)
+        if reason is not None:
+            report.designs.append(
+                DesignImpact(**design, affected=True, reason=reason))
             continue
         changed = sorted(
             set(base.processes) ^ set(cur.processes)
@@ -898,19 +882,33 @@ def diff_manifests(
             }
         )
         if not changed:
-            report.designs.append(DesignImpact(
-                config_name=config_name, view=view, affected=False,
-                reason="unchanged",
-            ))
+            report.designs.append(
+                DesignImpact(**design, affected=False, reason="unchanged"))
             continue
-        signals: Tuple[str, ...] = ()
         graph = (graphs or {}).get(label)
-        if graph is not None:
-            signals = affected_signal_cone(graph, changed)
         report.designs.append(DesignImpact(
-            config_name=config_name, view=view, affected=True,
+            **design, affected=True,
             reason=f"{len(changed)} semantically-changed process(es)",
             changed_processes=tuple(changed),
-            affected_signals=signals,
+            affected_signals=(affected_signal_cone(graph, changed)
+                              if graph is not None else ()),
         ))
     return report
+
+
+def _forced_rerun_reason(base: Optional[DesignFingerprints],
+                         cur: Optional[DesignFingerprints],
+                         env_changed: bool) -> Optional[str]:
+    """Why a design re-runs whatever its process digests say, if so."""
+    if base is None:
+        return "design added since baseline"
+    if cur is None:
+        return "design removed since baseline"
+    if env_changed:
+        return "environment changed (non-process design code)"
+    fallback = base.fallback_reason or cur.fallback_reason
+    if fallback is not None:
+        return f"conservative fallback ({fallback})"
+    if base.config_digest != cur.config_digest:
+        return "configuration text changed"
+    return None

@@ -92,6 +92,29 @@ def test_env_digest_catches_non_process_function_edit(tmp_path):
     assert base.digest != edited.digest
 
 
+ENV_CLOSURE = '''\
+class Node:
+    def __init__(self, sim):
+        MASK = 7
+
+        def _proc():
+            self.q.drive(self.a.value & MASK)
+
+        sim.comb(_proc)
+'''
+
+
+def test_env_digest_catches_constant_value_edit_outside_the_body(
+        tmp_path):
+    """A process fingerprint does not see a closure constant's value;
+    the residual around the elided body does."""
+    base = _env_digest(tmp_path, ENV_CLOSURE, ("_proc",))
+    assert base.n_elided == 1
+    edited = _env_digest(
+        tmp_path, ENV_CLOSURE.replace("MASK = 7", "MASK = 3"), ("_proc",))
+    assert base.digest != edited.digest
+
+
 def test_env_digest_without_elision_sees_process_edits(tmp_path):
     """An unregistered (never-manifested) process body counts as
     environment code — edits to it invalidate, conservatively."""
@@ -285,11 +308,12 @@ def test_index_resolver_and_counters(stock_index):
     assert counters["impact.design_fallbacks"] == 0
     assert counters["impact.processes"] == sum(
         counters[f"impact.{mode}"]
-        for mode in ("semantic_ir", "semantic_ast", "raw_source",
-                     "opaque"))
+        for mode in ("semantic_ast", "raw_source", "opaque"))
     assert {e["event"] for e in stock_index.events} == {
         "impact.design-key"}
     assert all(e["mode"] == "cone" for e in stock_index.events)
+    # Every shipped process fingerprints on the top rung.
+    assert all(e["degraded"] == [] for e in stock_index.events)
 
 
 def test_build_manifest_convenience():

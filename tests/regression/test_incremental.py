@@ -161,8 +161,8 @@ def test_opaque_process_degrades_to_whole_design(monkeypatch):
     monolithic source hash and leaves a structured diagnostic."""
     real = impact_mod.design_fingerprints
 
-    def doctored(config, view):
-        fingerprints, graph = real(config, view)
+    def doctored(config, view, *args):
+        fingerprints, graph = real(config, view, *args)
         if view == "bca":
             name = sorted(fingerprints.processes)[0]
             fingerprints.processes[name] = dataclasses.replace(
@@ -183,6 +183,9 @@ def test_opaque_process_degrades_to_whole_design(monkeypatch):
     assert len(fallbacks) == 1
     assert fallbacks[0]["design"] == "incr_cfg::bca"
     assert "opaque-process" in fallbacks[0]["reason"]
+    # The event names the process that left the top rung, and why.
+    assert [(d["mode"], d["reason"]) for d in fallbacks[0]["degraded"]] \
+        == [(MODE_OPAQUE, "source unavailable")]
 
 
 def test_runner_rejects_incremental_without_cache(tmp_path):
