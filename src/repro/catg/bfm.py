@@ -10,6 +10,12 @@ Determinism: the BFM's behaviour is a pure function of its transaction
 list, gap list and the DUT's grant timing — the same seeded sequence run
 against the RTL and BCA views produces identical stimulus, which is what
 makes the paper's cycle-alignment comparison meaningful.
+
+The request pins are registered outputs the BFM alone drives, and a
+signal keeps its committed value until its next drive.  So the BFM drives
+the bundle only when the presented cell changes (a new cell, or the move
+to or from idle) and holds it otherwise; the pins read the same on every
+cycle as if it re-drove them.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from ..stbus import (
     Transaction,
     build_request_cells,
 )
+
+#: ``_presented`` before the first activation: nothing driven yet.
+_UNDRIVEN = object()
 
 
 class InitiatorBfm(Module):
@@ -57,6 +66,8 @@ class InitiatorBfm(Module):
         self._gap_left = 0
         self._gap_primed = False
         self._tid_counter = 0
+        #: The cell on the request pins (None: idle), or _UNDRIVEN.
+        self._presented: object = _UNDRIVEN
         self.sent: List[Transaction] = []
         self.response_packets: List[List] = []
         self._resp_assembly: List = []
@@ -64,9 +75,9 @@ class InitiatorBfm(Module):
             self._clk,
             reads=[port.req, port.gnt, port.r_gnt] + port.response_signals(),
             writes=port.request_signals() + [port.r_gnt],
-            # src/r_gnt get the same constant on every activation (the
-            # final unconditional drives in _clk); declaring the tie-off
-            # lets the static analysis treat them as proven constants.
+            # src/r_gnt are driven once, on the first activation, and
+            # held at that constant; declaring the tie-off lets the
+            # static analysis treat them as proven constants.
             tie_offs={port.src: 0, port.r_gnt: 1},
         )
 
@@ -103,14 +114,14 @@ class InitiatorBfm(Module):
         port = self.port
         # Record response cells (the scoreboard uses monitors; keeping a
         # local copy makes the BFM usable standalone in unit tests).
-        if port.response_fired:
+        if port.r_req._value and port.r_gnt._value:
             cell = port.response_cell()
             self._resp_assembly.append(cell)
             if cell.r_eop:
                 self.response_packets.append(self._resp_assembly)
                 self._resp_assembly = []
         # Consume the grant observed during the previous cycle.
-        if self._cells and port.request_fired:
+        if self._cells and port.req._value and port.gnt._value:
             if self._cells[self._cell_idx].eop:
                 self._cells = []
                 self._cell_idx = 0
@@ -118,10 +129,20 @@ class InitiatorBfm(Module):
                 self._cell_idx += 1
         if not self._cells:
             self._begin_next()
-        # Drive the current cell (registered outputs).
-        if self._cells:
-            port.drive_request(self._cells[self._cell_idx])
-        else:
+        # Present the current cell (registered outputs, held between
+        # changes).
+        cell = self._cells[self._cell_idx] if self._cells else None
+        if cell is not self._presented:
+            self._drive_request(cell)
+            if self._presented is _UNDRIVEN:
+                port.src.drive(0)  # meaningful only on the node's target side
+                port.r_gnt.drive(1)  # the BFM always absorbs response cells
+            self._presented = cell
+
+    def _drive_request(self, cell: Optional[Cell]) -> None:
+        """Drive every request pin but ``src`` with ``cell`` (None: idle)."""
+        port = self.port
+        if cell is None:
             port.idle_request()
             port.add.drive(0)
             port.opc.drive(0)
@@ -129,5 +150,13 @@ class InitiatorBfm(Module):
             port.be.drive(0)
             port.tid.drive(0)
             port.pri.drive(0)
-        port.src.drive(0)  # src is meaningful only on the node's target side
-        port.r_gnt.drive(1)  # the BFM always absorbs response cells
+            return
+        port.req.drive(1)
+        port.add.drive(cell.add)
+        port.opc.drive(cell.opc)
+        port.data.drive(cell.data)
+        port.be.drive(cell.be)
+        port.eop.drive(cell.eop)
+        port.lck.drive(cell.lck)
+        port.tid.drive(cell.tid)
+        port.pri.drive(cell.pri)

@@ -71,6 +71,22 @@ class _PendingResponse:
     src: int
 
 
+def _request_fields(port: StbusPort) -> tuple:
+    """The request fields ``REQ_UNSTABLE`` compares (all but ``src``)."""
+    return (
+        port.add._value, port.opc._value, port.data._value, port.be._value,
+        port.eop._value, port.lck._value, port.tid._value, port.pri._value,
+    )
+
+
+def _response_fields(port: StbusPort) -> tuple:
+    """The response fields ``RESP_UNSTABLE`` compares."""
+    return (
+        port.r_opc._value, port.r_data._value, port.r_eop._value,
+        port.r_src._value, port.r_tid._value,
+    )
+
+
 class ProtocolChecker(Module):
     """STBus Type II/III interface rule checker for one port."""
 
@@ -93,8 +109,10 @@ class ProtocolChecker(Module):
         self.index = index
         self.protocol = protocol
         self.report = report
-        self._prev_req: Optional[tuple] = None  # (req, gnt, fields)
-        self._prev_resp: Optional[tuple] = None
+        # Field snapshot of the previous cycle when its req (r_req) was
+        # high and ungranted, else None: only such a cycle binds the next.
+        self._held_req: Optional[tuple] = None
+        self._held_resp: Optional[tuple] = None
         self._open: Optional[_OpenRequest] = None
         self._pending: List[_PendingResponse] = []
         self._resp_cells_seen = 0
@@ -111,55 +129,45 @@ class ProtocolChecker(Module):
 
     def _clk(self) -> None:
         port = self.port
-        req = port.req.value
-        gnt = port.gnt.value
-        fields = (
-            port.add.value, port.opc.value, port.data.value, port.be.value,
-            port.eop.value, port.lck.value, port.tid.value, port.pri.value,
-        )
-        if self._prev_req is not None:
-            prev_req, prev_gnt, prev_fields = self._prev_req
-            if prev_req and not prev_gnt:
-                if not req:
-                    self._fail("REQ_DROPPED",
-                               "req deasserted before grant")
-                elif fields != prev_fields:
-                    self._fail("REQ_UNSTABLE",
-                               "request fields changed while ungranted")
+        req = port.req._value
+        gnt = port.gnt._value
+        if self._held_req is not None:
+            if not req:
+                self._fail("REQ_DROPPED",
+                           "req deasserted before grant")
+            elif _request_fields(port) != self._held_req:
+                self._fail("REQ_UNSTABLE",
+                           "request fields changed while ungranted")
         if req and gnt:
             self._check_request_cell(port)
-        self._prev_req = (req, gnt, fields)
+        self._held_req = _request_fields(port) if req and not gnt else None
 
-        r_req = port.r_req.value
-        r_gnt = port.r_gnt.value
-        r_fields = (
-            port.r_opc.value, port.r_data.value, port.r_eop.value,
-            port.r_src.value, port.r_tid.value,
-        )
-        if self._prev_resp is not None:
-            prev_r, prev_g, prev_f = self._prev_resp
-            if prev_r and not prev_g:
-                if not r_req:
-                    self._fail("RESP_DROPPED",
-                               "r_req deasserted before grant")
-                elif r_fields != prev_f:
-                    self._fail("RESP_UNSTABLE",
-                               "response fields changed while ungranted")
+        r_req = port.r_req._value
+        r_gnt = port.r_gnt._value
+        if self._held_resp is not None:
+            if not r_req:
+                self._fail("RESP_DROPPED",
+                           "r_req deasserted before grant")
+            elif _response_fields(port) != self._held_resp:
+                self._fail("RESP_UNSTABLE",
+                           "response fields changed while ungranted")
         if r_req and r_gnt:
             self._check_response_cell(port)
-        self._prev_resp = (r_req, r_gnt, r_fields)
+        self._held_resp = (
+            _response_fields(port) if r_req and not r_gnt else None
+        )
 
     # -- request packet rules ---------------------------------------------------
 
     def _check_request_cell(self, port: StbusPort) -> None:
-        add = port.add.value
-        opc = port.opc.value
-        eop = port.eop.value
-        lck = port.lck.value
-        tid = port.tid.value
-        pri = port.pri.value
-        src = port.src.value
-        be = port.be.value
+        add = port.add._value
+        opc = port.opc._value
+        eop = port.eop._value
+        lck = port.lck._value
+        tid = port.tid._value
+        pri = port.pri._value
+        src = port.src._value
+        be = port.be._value
         bus_bytes = port.bus_bytes
 
         if self._open is None:
@@ -237,9 +245,9 @@ class ProtocolChecker(Module):
     # -- response packet rules -----------------------------------------------
 
     def _check_response_cell(self, port: StbusPort) -> None:
-        r_src = port.r_src.value
-        r_tid = port.r_tid.value
-        r_eop = port.r_eop.value
+        r_src = port.r_src._value
+        r_tid = port.r_tid._value
+        r_eop = port.r_eop._value
         if self._resp_cells_seen == 0:
             self._resp_first = (r_src, r_tid)
         else:

@@ -102,9 +102,6 @@ class PortMonitor(Module):
         self._resp_subs: List[ResponseCallback] = []
         self.requests: List[ObservedRequest] = []
         self.responses: List[ObservedResponse] = []
-        #: Keep full packet lists (tests/scoreboard) — disable for very
-        #: long soak runs to bound memory.
-        self.keep_history = True
         self.clocked(self._clk, reads=port.signals(), writes=())
 
     def on_request(self, callback: RequestCallback) -> None:
@@ -116,7 +113,7 @@ class PortMonitor(Module):
     def _clk(self) -> None:
         cycle = self.sim.now - 1  # the cycle whose values we sampled
         port = self.port
-        if port.request_fired:
+        if port.req._value and port.gnt._value:
             if not self._req_cells:
                 self._req_start = cycle
             cell = port.request_cell()
@@ -127,11 +124,10 @@ class PortMonitor(Module):
                     self._req_cells, self._req_start, cycle,
                 )
                 self._req_cells = []
-                if self.keep_history:
-                    self.requests.append(obs)
+                self.requests.append(obs)
                 for callback in self._req_subs:
                     callback(obs)
-        if port.response_fired:
+        if port.r_req._value and port.r_gnt._value:
             if not self._resp_cells:
                 self._resp_start = cycle
             cell = port.response_cell()
@@ -142,7 +138,6 @@ class PortMonitor(Module):
                     self._resp_cells, self._resp_start, cycle,
                 )
                 self._resp_cells = []
-                if self.keep_history:
-                    self.responses.append(obs)
+                self.responses.append(obs)
                 for callback in self._resp_subs:
                     callback(obs)

@@ -106,13 +106,17 @@ class ArbitrationChecker(Module):
             return ERROR_TARGET
         return target
 
-    def _destination(self, initiator: int) -> Optional[int]:
-        port = self.init_ports[initiator]
-        if not port.req.value:
-            return None
-        if self._route[initiator] is not None:
-            return self._route[initiator]
-        return self._decode(initiator, port.add.value)
+    def _destinations(self) -> List[Optional[int]]:
+        """Each initiator's requested target this cycle (None: no req)."""
+        dests: List[Optional[int]] = []
+        for i, port in enumerate(self.init_ports):
+            if not port.req._value:
+                dests.append(None)
+            elif self._route[i] is not None:
+                dests.append(self._route[i])
+            else:
+                dests.append(self._decode(i, port.add._value))
+        return dests
 
     def _may_open(self, initiator: int, target: int) -> bool:
         flights = self._flights[initiator]
@@ -125,22 +129,22 @@ class ArbitrationChecker(Module):
     def _domain_fired(self, domain: int) -> bool:
         if self.shared:
             return any(
-                port.req.value and port.gnt.value for port in self.targ_ports
+                port.req._value and port.gnt._value for port in self.targ_ports
             )
         port = self.targ_ports[domain]
-        return bool(port.req.value and port.gnt.value)
+        return bool(port.req._value and port.gnt._value)
 
     # -- the reference grant function -----------------------------------------
 
     def _expected_grants(self) -> List[int]:
         grants = [0] * self.config.n_initiators
+        dests = self._destinations()
         for domain in range(len(self._arb)):
             fired = self._domain_fired(domain)
             if not (fired or self._occupancy[domain] < self.config.pipe_depth):
                 continue
             candidates = []
-            for i in range(self.config.n_initiators):
-                dest = self._destination(i)
+            for i, dest in enumerate(dests):
                 if dest is None or dest == ERROR_TARGET:
                     continue
                 if self._domain(dest) != domain:
@@ -160,8 +164,7 @@ class ArbitrationChecker(Module):
                 winner = self._arb[domain].pick(candidates)
             if winner is not None:
                 grants[winner] = 1
-        for i in range(self.config.n_initiators):
-            dest = self._destination(i)
+        for i, dest in enumerate(dests):
             if dest != ERROR_TARGET:
                 continue
             if self._route[i] is not None or self._may_open(i, ERROR_TARGET):
@@ -174,7 +177,7 @@ class ArbitrationChecker(Module):
         cycle = self.sim.now - 1
         expected = self._expected_grants()
         for i, port in enumerate(self.init_ports):
-            actual = port.gnt.value
+            actual = port.gnt._value
             if actual != expected[i]:
                 kind = "unexpected grant to" if actual else "missing grant for"
                 self.report.error(
@@ -188,40 +191,41 @@ class ArbitrationChecker(Module):
     def _update_state(self) -> None:
         # Cells leaving toward targets free pipe slots.
         for t, port in enumerate(self.targ_ports):
-            if port.req.value and port.gnt.value:
+            if port.req._value and port.gnt._value:
                 self._occupancy[self._domain(t)] -= 1
         # Granted request cells.
         for i, port in enumerate(self.init_ports):
-            if not (port.req.value and port.gnt.value):
+            if not (port.req._value and port.gnt._value):
                 continue
             if self._route[i] is None:
-                self._route[i] = self._decode(i, port.add.value)
+                self._route[i] = self._decode(i, port.add._value)
             target = self._route[i]
-            eop = port.eop.value
+            eop = port.eop._value
             if target != ERROR_TARGET:
                 domain = self._domain(target)
                 self._occupancy[domain] += 1
                 self._arb[domain].on_grant_cycle(i)
                 if eop:
-                    self._flights[i].append(_Flight(target, port.tid.value))
+                    self._flights[i].append(_Flight(target, port.tid._value))
                     self._route[i] = None
                     self._busy[domain] = None
-                    self._chunk[domain] = i if port.lck.value else None
+                    self._chunk[domain] = i if port.lck._value else None
                     self._arb[domain].on_packet_end(i)
                 else:
                     self._busy[domain] = i
             elif eop:
-                self._flights[i].append(_Flight(ERROR_TARGET, port.tid.value))
+                self._flights[i].append(_Flight(ERROR_TARGET, port.tid._value))
                 self._route[i] = None
         # Responses retiring at initiator ports release credit.
         for i, port in enumerate(self.init_ports):
-            if port.r_req.value and port.r_gnt.value and port.r_eop.value:
-                self._retire(i, port.r_tid.value)
-        # Per-cycle arbiter ageing (identical rule to the specification).
+            if port.r_req._value and port.r_gnt._value and port.r_eop._value:
+                self._retire(i, port.r_tid._value)
+        # Per-cycle arbiter ageing (identical rule to the specification),
+        # against the routes the grants above just updated.
+        dests = self._destinations()
         for domain, arbiter in enumerate(self._arb):
             waiting = []
-            for i in range(self.config.n_initiators):
-                dest = self._destination(i)
+            for i, dest in enumerate(dests):
                 if dest is not None and dest != ERROR_TARGET \
                         and self._domain(dest) == domain:
                     waiting.append(i)
@@ -246,14 +250,14 @@ class ArbitrationChecker(Module):
         port = self.prog_port
         if port is None:
             return
-        if not (port.req.value and port.ack.value):
+        if not (port.req._value and port.ack._value):
             return
-        if port.opc.value != T1_WRITE:
+        if port.opc._value != T1_WRITE:
             return
-        idx = (port.add.value >> 2) % max(1, self.config.n_initiators)
+        idx = (port.add._value >> 2) % max(1, self.config.n_initiators)
         if idx >= self.config.n_initiators:
             return
-        value = port.wdata.value
+        value = port.wdata._value
         if self.config.arbitration is ArbitrationPolicy.PROGRAMMABLE_PRIORITY:
             for arbiter in self._arb:
                 assert isinstance(arbiter, ProgrammablePriorityArbiter)

@@ -28,6 +28,10 @@ from ..stbus import (
 )
 
 
+#: ``_presented`` before the first activation: nothing driven yet.
+_UNDRIVEN = object()
+
+
 def default_byte(address: int) -> int:
     """Deterministic background pattern for never-written memory."""
     return (address & 0xFF) ^ 0xA5
@@ -90,6 +94,8 @@ class TargetHarness(Module):
         self._jobs: List[_Job] = []
         self._resp_cells: List[RespCell] = []
         self._resp_idx = 0
+        #: The cell on the response pins (None: idle), or _UNDRIVEN.
+        self._presented: object = _UNDRIVEN
         self.packets_served = 0
         self._tick = self.signal("tick")
         self.clocked(
@@ -125,12 +131,12 @@ class TargetHarness(Module):
         port = self.port
         now = self.sim.now
         # Request side: capture the cell that transferred last cycle.
-        if port.request_fired:
+        if port.req._value and port.gnt._value:
             self._assembly.append(port.request_cell())
             if self._assembly[-1].eop:
                 self._complete_packet(now)
         # Response side: advance past the cell consumed last cycle.
-        if self._resp_cells and port.response_fired:
+        if self._resp_cells and port.r_req._value and port.r_gnt._value:
             self._resp_idx += 1
             if self._resp_idx >= len(self._resp_cells):
                 self._resp_cells = []
@@ -140,15 +146,22 @@ class TargetHarness(Module):
             job = self._jobs.pop(0)
             self._resp_cells = job.cells
             self._resp_idx = 0
-        if self._resp_cells:
-            port.drive_response(self._resp_cells[self._resp_idx])
-        else:
-            port.idle_response()
-            port.r_opc.drive(0)
-            port.r_data.drive(0)
-            port.r_src.drive(0)
-            port.r_tid.drive(0)
-        self._tick.drive(self._tick.value ^ 1)
+        # Present the current response cell (registered outputs, held
+        # between changes like the BFM's request bundle).
+        cell = self._resp_cells[self._resp_idx] if self._resp_cells else None
+        if cell is not self._presented:
+            self._presented = cell
+            if cell is not None:
+                port.drive_response(cell)
+            else:
+                port.idle_response()
+                port.r_opc.drive(0)
+                port.r_data.drive(0)
+                port.r_src.drive(0)
+                port.r_tid.drive(0)
+        # The tick toggles every cycle: it wakes _gnt_comb, and the VCD
+        # records it.
+        self._tick.drive(self._tick._value ^ 1)
 
     # -- packet semantics ---------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .types import MAX_OPERATION_BYTES, ProtocolType
 
@@ -113,14 +113,23 @@ class Opcode:
 
     @staticmethod
     def decode(opc: int) -> "Opcode":
-        """Inverse of :meth:`encode`; raises :class:`OpcodeError` if illegal."""
+        """Inverse of :meth:`encode`; raises :class:`OpcodeError` if illegal.
+
+        Legal encodings are memoized (an :class:`Opcode` is immutable);
+        an illegal one is not cached and raises on every call.
+        """
+        # Only the low byte takes part in decoding, so it bounds the memo.
+        opcode = _DECODED.get(opc & 0xFF)
+        if opcode is not None:
+            return opcode
         kind_bits = (opc >> 4) & 0xF
         size = 1 << (opc & 0xF)
         try:
             kind = OpKind(kind_bits)
         except ValueError:
             raise OpcodeError(f"opc 0x{opc:02x}: unknown kind {kind_bits:#x}")
-        return Opcode(kind, size)
+        opcode = _DECODED[opc & 0xFF] = Opcode(kind, size)
+        return opcode
 
     @staticmethod
     def is_valid_encoding(opc: int) -> bool:
@@ -167,6 +176,10 @@ class Opcode:
 
     def __str__(self) -> str:
         return f"{self.kind.name}{self.size}"
+
+
+#: ``Opcode.decode`` results by ``opc & 0xFF``, legal encodings only.
+_DECODED: Dict[int, Opcode] = {}
 
 
 def all_opcodes() -> Tuple[Opcode, ...]:

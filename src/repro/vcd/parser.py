@@ -9,7 +9,7 @@ the representation the bus analyzer compares across the RTL and BCA runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 import io
 
 
@@ -102,54 +102,55 @@ def parse_vcd(source: Union[str, io.TextIOBase], is_path: Optional[bool] = None)
             is_path = "\n" not in source
         if is_path:
             with open(source, "r", encoding="ascii") as handle:
-                return _parse_stream(handle)
-        return _parse_stream(io.StringIO(source))
-    return _parse_stream(source)
+                source = handle.read()
+    else:
+        source = source.read()
+    return _parse_tokens(source.split())
 
 
-def _tokens(stream) -> Iterator[str]:
-    for line in stream:
-        for token in line.split():
-            yield token
+def _section(tokens: List[str], pos: int) -> Tuple[List[str], int]:
+    """The body of the ``$`` section starting at ``pos``, and the index
+    just past its ``$end``."""
+    try:
+        end = tokens.index("$end", pos)
+    except ValueError:
+        raise VcdParseError("unterminated $ section") from None
+    return tokens[pos:end], end + 1
 
 
-def _parse_stream(stream) -> VcdFile:
-    tokens = _tokens(stream)
+def _parse_tokens(tokens: List[str]) -> VcdFile:
     timescale = 1
     by_ident: Dict[str, List[VcdSignal]] = {}
     scope: List[str] = []
     vcd: Optional[VcdFile] = None
-
-    def skip_to_end() -> List[str]:
-        body = []
-        for token in tokens:
-            if token == "$end":
-                return body
-            body.append(token)
-        raise VcdParseError("unterminated $ section")
+    n_tokens = len(tokens)
+    pos = 0
 
     # -- header ------------------------------------------------------------
-    for token in tokens:
+    while pos < n_tokens:
+        token = tokens[pos]
+        pos += 1
         if token in ("$date", "$version", "$comment"):
-            skip_to_end()
+            _, pos = _section(tokens, pos)
         elif token == "$timescale":
-            body = "".join(skip_to_end())
+            body, pos = _section(tokens, pos)
+            body = "".join(body)
             digits = "".join(ch for ch in body if ch.isdigit())
             if not digits:
                 raise VcdParseError(f"bad timescale {body!r}")
             timescale = int(digits)
         elif token == "$scope":
-            body = skip_to_end()
+            body, pos = _section(tokens, pos)
             if len(body) != 2:
                 raise VcdParseError(f"bad $scope {body!r}")
             scope.append(body[1])
         elif token == "$upscope":
-            skip_to_end()
+            _, pos = _section(tokens, pos)
             if not scope:
                 raise VcdParseError("$upscope with empty scope stack")
             scope.pop()
         elif token == "$var":
-            body = skip_to_end()
+            body, pos = _section(tokens, pos)
             if len(body) < 4:
                 raise VcdParseError(f"bad $var {body!r}")
             width = int(body[1])
@@ -159,7 +160,7 @@ def _parse_stream(stream) -> VcdFile:
             sig = VcdSignal(name, width, ident)
             by_ident.setdefault(ident, []).append(sig)
         elif token == "$enddefinitions":
-            skip_to_end()
+            _, pos = _section(tokens, pos)
             vcd = VcdFile(timescale)
             for ident_signals in by_ident.values():
                 for sig in ident_signals:
@@ -173,39 +174,52 @@ def _parse_stream(stream) -> VcdFile:
         raise VcdParseError("no $enddefinitions in input")
 
     # -- value changes -------------------------------------------------------
+    # Per ident, each signal's pre-bound change-list appender and mask.
+    sinks = {
+        ident: [(sig.changes.append, (1 << sig.width) - 1) for sig in group]
+        for ident, group in by_ident.items()
+    }
     time = 0
-
-    def record(ident: str, value: int) -> None:
-        group = by_ident.get(ident)
-        if group is None:
-            raise VcdParseError(f"value change for undeclared id {ident!r}")
-        for sig in group:
-            sig.changes.append((time, value & ((1 << sig.width) - 1)))
-
-    for token in tokens:
+    end_time = 0
+    while pos < n_tokens:
+        token = tokens[pos]
+        pos += 1
         first = token[0]
         if first == "#":
             time = int(token[1:])
-            if time > vcd.end_time:
-                vcd.end_time = time
-        elif token in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
+            if time > end_time:
+                end_time = time
             continue
-        elif first in "01xXzZ":
-            record(token[1:], 1 if first == "1" else 0)
+        if first in "01xXzZ":
+            ident = token[1:]
+            value = 1 if first == "1" else 0
         elif first in "bB":
-            bits = token[1:]
-            try:
-                ident = next(tokens)
-            except StopIteration:
+            if pos == n_tokens:
                 raise VcdParseError("vector change missing identifier")
-            record(ident, _parse_vector(bits))
+            bits = token[1:]
+            ident = tokens[pos]
+            pos += 1
+            # int() alone would also accept "0b1", "1_0", "+1" and "-1".
+            if bits and not bits.strip("01"):
+                value = int(bits, 2)
+            else:
+                value = _parse_vector(bits)
         elif first in "rR":
-            try:
-                next(tokens)  # real values unsupported; skip id
-            except StopIteration:
+            if pos == n_tokens:
                 raise VcdParseError("real change missing identifier")
+            pos += 1  # real values unsupported; skip id
+            continue
         elif first == "$":
-            skip_to_end()
+            if token not in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff",
+                             "$end"):
+                _, pos = _section(tokens, pos)
+            continue
         else:
             raise VcdParseError(f"unexpected token {token!r} in value section")
+        group = sinks.get(ident)
+        if group is None:
+            raise VcdParseError(f"value change for undeclared id {ident!r}")
+        for append, mask in group:
+            append((time, value & mask))
+    vcd.end_time = end_time
     return vcd

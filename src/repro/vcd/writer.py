@@ -134,9 +134,7 @@ class VcdWriter(Tracer):
             self._sample_from(cycle, self._signals)
             return
         order = self._order
-        subset = sorted(
-            (sig for sig in changed if sig in order), key=order.__getitem__
-        )
+        subset = sorted(order.keys() & changed, key=order.__getitem__)
         self._sample_from(cycle, subset)
 
     def finish(self, cycle: int) -> None:
@@ -158,17 +156,19 @@ class VcdWriter(Tracer):
     def _sample_from(self, cycle: int, candidates: Sequence[Signal]) -> None:
         if not self._header_written:
             self._write_header()
-        changes: List[str] = []
+        # One string per sampled cycle: the timestamp line (filled in
+        # below), then one line per change.
+        lines: List[str] = [""]
         last = self._last
         for sig in candidates:
             value = sig._value
             if last.get(sig) != value:
                 last[sig] = value
-                changes.append(_format_value(value, sig.width, sig.vcd_id))
-        if changes or cycle == 0:
-            self._w(f"#{cycle * self.timescale_ns}\n")
-            for line in changes:
-                self._w(line + "\n")
+                lines.append(_format_value(value, sig.width, sig.vcd_id))
+        if len(lines) > 1 or cycle == 0:
+            lines[0] = f"#{cycle * self.timescale_ns}"
+            lines.append("")
+            self._w("\n".join(lines))
 
     def _w(self, text: str) -> None:
         self._buf.append(text)

@@ -10,6 +10,8 @@ from repro.catg import (
     default_byte,
 )
 from repro.kernel import Module, Simulator
+from repro.kernel.signal import _FastSignal
+from repro.lint import lint_simulator
 from repro.stbus import (
     Opcode,
     ProtocolType,
@@ -135,6 +137,136 @@ def test_target_invalid_opcode_gets_error_response():
     sim.add_clocked(driver)
     sim.elaborate()
     sim.run_until(lambda: state["error_seen"], 50)
+
+
+# -- agents hold their registered outputs ------------------------------------
+
+
+@pytest.fixture
+def drive_log(monkeypatch):
+    """Every post-elaboration drive as ``(signal name, writer process)``."""
+    log = []
+    real_drive = _FastSignal.drive
+
+    def spy(sig, value):
+        log.append((sig.name, sig._sim.active_process))
+        real_drive(sig, value)
+
+    monkeypatch.setattr(_FastSignal, "drive", spy)
+    return log
+
+
+def _drives_by(log, process):
+    return [name for name, writer in log if writer == process]
+
+
+def _request_pins(port):
+    return (port.req.value, port.add.value, port.opc.value, port.data.value,
+            port.be.value, port.eop.value, port.lck.value, port.tid.value,
+            port.src.value, port.pri.value, port.r_gnt.value)
+
+
+def _cell_pins(cell):
+    """What the request pins read while ``cell`` is presented."""
+    return (1, cell.add, cell.opc, cell.data, cell.be, cell.eop, cell.lck,
+            cell.tid, 0, cell.pri, 1)
+
+
+def _grant_from(sim, port, cycle):
+    """A stand-in node: holds ``gnt`` low until ``cycle``."""
+    sim.add_clocked(lambda: port.gnt.drive(int(sim.now >= cycle)))
+
+
+def test_bfm_holds_ungranted_cell_without_drives(drive_log):
+    waited = 5
+    sim = Simulator()
+    top = Module(sim, "rig")
+    port = StbusPort(top, "p", 32)
+    bfm = InitiatorBfm(sim, "bfm", port, ProtocolType.T2, parent=top)
+    bfm.load_program([(Transaction(Opcode.store(4), 0x40, pri=3, lck=1,
+                                   data=b"\x11\x22\x33\x44"), 0)])
+    _grant_from(sim, port, waited + 1)
+    sim.elaborate()
+    sim.step()  # cycle 0: the BFM presents the cell and its tie-offs
+    assert set(_drives_by(drive_log, bfm._clk)) == {
+        sig.name for sig in port.request_signals() + [port.r_gnt]
+    }
+    cell = bfm._cells[0]
+    for _ in range(waited):
+        drive_log.clear()
+        sim.step()
+        assert _drives_by(drive_log, bfm._clk) == []
+        assert _request_pins(port) == _cell_pins(cell)
+    # Once the grant lands the BFM goes idle, driving the change.
+    sim.run(2)
+    assert port.req.value == 0 and port.add.value == 0
+    assert port.r_gnt.value == 1 and bfm.done
+
+
+def test_idle_agents_issue_no_drives(drive_log):
+    rig = LoopRig(latency=1)
+    rig.sim.elaborate()
+    rig.sim.step()
+    for _ in range(4):
+        drive_log.clear()
+        rig.sim.step()
+        assert _drives_by(drive_log, rig.bfm._clk) == []
+        # The target's tick toggles every cycle; nothing else is driven.
+        assert _drives_by(drive_log, rig.target._clk) == [
+            rig.target._tick.name
+        ]
+        assert _request_pins(rig.port)[:-1] == (0,) * 10
+        assert rig.port.r_gnt.value == 1
+        assert rig.port.r_req.value == rig.port.r_opc.value == 0
+
+
+def test_target_holds_ungranted_response_without_drives(drive_log):
+    waited = 5
+    sim = Simulator()
+    top = Module(sim, "rig")
+    port = StbusPort(top, "p", 32)
+    target = TargetHarness(sim, "mem", port, ProtocolType.T2, latency=1,
+                           parent=top)
+    target.write_mem(0x40, b"\x11\x22\x33\x44")
+
+    def initiator():  # one LOAD4 cell at cycle 0; r_gnt low for a while
+        first = sim.now == 0
+        port.req.drive(int(first))
+        port.opc.drive(Opcode.load(4).encode() if first else 0)
+        port.add.drive(0x40 if first else 0)
+        port.be.drive(0xF if first else 0)
+        port.eop.drive(int(first))
+        port.tid.drive(7 if first else 0)
+        port.r_gnt.drive(int(sim.now >= 20))
+
+    sim.add_clocked(initiator)
+    sim.elaborate()
+    sim.run_until(lambda: port.r_req.value, 10)
+    cell = target._resp_cells[0]
+    pins = (port.r_req, port.r_opc, port.r_data, port.r_eop, port.r_src,
+            port.r_tid)
+    expected = (1, cell.r_opc, cell.r_data, cell.r_eop, cell.r_src,
+                cell.r_tid)
+    assert expected == (1, 0, 0x44332211, 1, 0, 7)
+    for _ in range(waited):
+        drive_log.clear()
+        sim.step()
+        assert _drives_by(drive_log, target._clk) == [target._tick.name]
+        assert tuple(sig.value for sig in pins) == expected
+
+
+def test_second_writer_on_bfm_pin_is_a_lint_error():
+    sim = Simulator()
+    top = Module(sim, "rig")
+    port = StbusPort(top, "p", 32)
+    InitiatorBfm(sim, "bfm", port, ProtocolType.T2, parent=top)
+    top.clocked(lambda: port.add.drive(0), name="intruder", reads=(),
+                writes=[port.add])
+    report = lint_simulator(sim, design="two-writers")
+    findings = [f for f in report.findings if f.rule == "multi-driver"]
+    assert [f.signal for f in findings] == ["rig.p.add"]
+    assert "rig.bfm._clk" in findings[0].message
+    assert "rig.intruder" in findings[0].message
 
 
 def test_target_validation():

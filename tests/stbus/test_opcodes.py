@@ -48,6 +48,16 @@ def test_decode_unknown_kind_rejected():
     assert Opcode.is_valid_encoding(Opcode.load(1).encode())
 
 
+def test_decode_memoizes_legal_encodings_only():
+    opc = Opcode.store(8).encode()
+    assert Opcode.decode(opc) is Opcode.decode(opc)
+    # Illegal encodings, unknown kind or illegal size, raise every time.
+    for bad in (0xF0, Opcode.load(1).encode() | 0xF):
+        for _ in range(2):
+            with pytest.raises(OpcodeError):
+                Opcode.decode(bad)
+
+
 def test_data_cells_geometry():
     assert Opcode.load(4).data_cells(bus_bytes=4) == 1
     assert Opcode.load(1).data_cells(bus_bytes=4) == 1
