@@ -1,9 +1,10 @@
 """Content-addressed, integrity-verified result cache.
 
-``repro.cache`` promotes the resume journal's artifact digests into a
-shared result pool: any (design, config, test, seed, view) run that has
-ever executed against the same design sources is a cache hit, verified
-on read and never served when torn or corrupt.  See
+``repro.cache`` is the regression tool's one replay store: any (design,
+config, test, seed, view) run that has ever executed against the same
+design sources is a cache hit, verified on read and never served when
+torn or corrupt.  Every run is stored as it completes, so an
+interrupted batch resumes by rerunning it against the same cache.  See
 :mod:`repro.cache.store` for the storage contract.
 """
 

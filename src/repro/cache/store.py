@@ -15,8 +15,7 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
   arbitration-checker flag.  The ``--kernel`` engine selection is
   deliberately *excluded*: the compiled kernel's contract is
   byte-identical artifacts, so a result produced under either engine
-  answers for both (the same rationale that excludes it from the resume
-  journal's batch signature).
+  answers for both.
 
 * **Integrity verification on every read.**  Each entry carries the
   SHA-256 digest of its own canonical body.  A torn entry (killed

@@ -80,7 +80,7 @@ class RunResult:
 
     @property
     def status(self) -> str:
-        """Entry status for the regression report and journal:
+        """Entry status for the regression report:
         ``PASS``/``FAIL`` for completed runs, ``TIMEOUT`` when the
         simulation hit its cycle budget.  The resilience layer adds
         ``ERROR``/``QUARANTINED`` via

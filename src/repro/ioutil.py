@@ -1,9 +1,9 @@
 """Small filesystem helpers shared across the tool suite.
 
 The fault-tolerance contract of the regression engine is that a killed
-worker never leaves a half-written artifact behind that a later
-``--resume`` would trust: every report, VCD and telemetry export is
-written to a sibling temp file and moved into place with the atomic
+worker never leaves a half-written artifact behind that a later rerun
+would trust: every report, VCD and telemetry export is written to a
+sibling temp file and moved into place with the atomic
 :func:`os.replace`.  A reader therefore either sees the complete old
 file, the complete new file, or no file at all — never a torn one.
 """
@@ -11,7 +11,6 @@ file, the complete new file, or no file at all — never a torn one.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 from typing import IO, Iterator
 
@@ -38,11 +37,3 @@ def atomic_write(path: str, mode: str = "w",
     handle.close()
     os.replace(tmp, path)
 
-
-def file_digest(path: str) -> str:
-    """Hex SHA-256 of a file's content (streamed; works on py3.9)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

@@ -15,13 +15,7 @@ from .flow import (
     FlowState,
 )
 from .parallel import RunJob, default_jobs, execute_run_job
-from .resilience import (
-    BatchFaults,
-    Journal,
-    JournalError,
-    ResilienceConfig,
-    RunFailure,
-)
+from .resilience import BatchFaults, ResilienceConfig, RunFailure
 from .distributed import DistributedBatchExecutor, DistributedConfig
 
 __all__ = [
@@ -42,8 +36,6 @@ __all__ = [
     "default_jobs",
     "execute_run_job",
     "BatchFaults",
-    "Journal",
-    "JournalError",
     "ResilienceConfig",
     "RunFailure",
     "DistributedBatchExecutor",

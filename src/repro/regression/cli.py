@@ -25,7 +25,7 @@ from ..cache import CACHE_DIR_ENV
 from ..stbus import ConfigError
 from ..telemetry import RunLogger, TelemetryConfig
 from .configs import load_config_dir
-from .resilience import JournalError, ResilienceConfig
+from .resilience import ResilienceConfig
 from .runner import RegressionRunner
 from .testcases import TESTCASES
 
@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fault tolerance",
         "Crash isolation is always on: a crashed/hung run becomes an "
         "ERROR/TIMEOUT entry in the report instead of aborting the "
-        "batch.  These flags tune deadlines, retries and the "
-        "checkpoint journal.",
+        "batch.  These flags tune deadlines and retries; to resume an "
+        "interrupted batch, rerun it against the same --cache-dir.",
     )
     resilience.add_argument("--run-timeout", type=float, default=None,
                             metavar="SECONDS",
@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="SECONDS",
                             help="base delay before a retry; doubles per "
                                  "attempt (default: %(default)s)")
-    resilience.add_argument("--journal", metavar="FILE", default=None,
-                            help="append-only JSONL checkpoint journal "
-                                 "recording each completed run with its "
-                                 "artifact digests")
-    resilience.add_argument("--resume", action="store_true",
-                            help="replay completed runs from --journal "
-                                 "and execute only the remainder "
-                                 "(requires --journal)")
     cluster = parser.add_argument_group(
         "distributed execution and result cache",
         "Shard the batch across leased worker processes and/or serve "
@@ -135,8 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="root of the content-addressed result "
                               "cache; verified hits replay runs without "
                               "simulating, corrupt entries are "
-                              "quarantined and re-executed (default: "
-                              "$REPRO_CACHE_DIR if set)")
+                              "quarantined and re-executed; every run is "
+                              "stored as it completes, so rerunning an "
+                              "interrupted batch against the same cache "
+                              "resumes it (default: $REPRO_CACHE_DIR if "
+                              "set)")
     cluster.add_argument("--no-cache", action="store_true",
                          help="disable the result cache even when "
                               "REPRO_CACHE_DIR is set")
@@ -196,9 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 0, got {args.jobs}",
               file=sys.stderr)
         return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal FILE", file=sys.stderr)
-        return 2
     if args.triage and (args.no_compare or not args.workdir):
         print("error: --triage needs the comparison stage "
               "(a --workdir and no --no-compare)", file=sys.stderr)
@@ -206,6 +198,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_retries < 0:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
+        return 2
+    if args.retry_backoff < 0:
+        print("error: --retry-backoff must be >= 0, got "
+              f"{args.retry_backoff:g}", file=sys.stderr)
         return 2
     if args.workers < 0:
         print(f"error: --workers must be >= 0, got {args.workers}",
@@ -272,8 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_timeout=args.run_timeout,
             max_retries=args.max_retries,
             backoff=args.retry_backoff,
-            journal_path=args.journal,
-            resume=args.resume,
         ),
         unr=args.unr,
         kernel=args.kernel,
@@ -283,8 +277,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         incremental=args.incremental,
     )
     # A farm scheduler evicts with SIGTERM, an operator with Ctrl-C;
-    # both deserve the same clean abort: the journal is flushed per
-    # record, so everything completed so far is resumable.
+    # both deserve the same clean abort: the cache stores each run as it
+    # completes, so everything finished so far is resumable.
     previous_term = None
     try:
         previous_term = signal.signal(signal.SIGTERM, _raise_interrupt)
@@ -292,13 +286,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         pass  # not the main thread (embedded use); SIGINT still works
     try:
         report = runner.run()
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         hint = (
-            f"; resume with --journal {args.journal} --resume"
-            if args.journal else ""
+            f"; rerun with --cache-dir {cache_dir} to resume"
+            if cache_dir else ""
         )
         print(f"interrupted: batch aborted{hint}", file=sys.stderr)
         return 130

@@ -12,7 +12,7 @@ alive by heartbeats.  A lease whose heartbeats stop (killed worker,
 network partition) is reclaimed — the job is charged one attempt and
 re-queued under the existing retry/backoff/quarantine policy of
 :class:`~repro.regression.resilience.ResilientBatchExecutor`, of which
-this class is a subclass: every completion, failure, journal append and
+this class is a subclass: every completion, failure, cache store and
 compare/triage hand-off goes through the exact same bookkeeping as the
 serial and pool engines.  That is the whole byte-identity argument —
 the distributed layer only changes *where* a job runs, never what a
@@ -124,7 +124,7 @@ class _Worker:
 class DistributedBatchExecutor(ResilientBatchExecutor):
     """Run a regression batch across leased worker processes.
 
-    Everything the base class owns — results, journal, retry budget,
+    Everything the base class owns — results, retry budget,
     compare/triage scheduling, the result cache — stays with the
     coordinator; workers are stateless executors.
     """
@@ -298,15 +298,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     # -- the scheduling loop ------------------------------------------------
 
     def _execute_distributed(self) -> None:
-        ready: Deque[_Task] = deque()
-        for key, job in self.jobs_by_key.items():
-            if key not in self.results:
-                ready.append(_Task("run", key, job))
-        for entry_key in self._entry_order:
-            for maker in (self._compare_task, self._triage_task):
-                task = maker(entry_key)
-                if task is not None:
-                    ready.append(task)
+        ready: Deque[_Task] = deque(
+            _Task("run", key, job) for key, job in self.jobs_by_key.items())
         backoff: List[Tuple[float, int, _Task]] = []
         while True:
             now = time.monotonic()

@@ -95,9 +95,7 @@ class CommonVerificationFlow:
 
     ``resilience`` (an optional
     :class:`~repro.regression.resilience.ResilienceConfig`) is threaded
-    the same way; a configured checkpoint journal is likewise tagged per
-    iteration (``journal.iter2.jsonl``) so resuming an interrupted
-    iteration never replays a previous one.
+    into every regression unchanged.
 
     ``workers``/``cache_dir`` thread straight into every regression the
     flow runs: with workers the iterations execute on the distributed
@@ -283,13 +281,11 @@ class CommonVerificationFlow:
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry = telemetry.with_tag(f"iter{self._iteration}")
-        resilience = self.resilience
-        if resilience.journal_path:
-            resilience = resilience.with_tag(f"iter{self._iteration}")
         runner = RegressionRunner(
             [self.config], tests=self.tests, seeds=self.seeds,
             workdir=self.workdir, bca_bugs=self.bca_bugs,
-            jobs=self.jobs, telemetry=telemetry, resilience=resilience,
+            jobs=self.jobs, telemetry=telemetry,
+            resilience=self.resilience,
             kernel=self.kernel, triage=self.triage,
             workers=self.workers, cache_dir=self.cache_dir,
             incremental=self.incremental,

@@ -61,9 +61,9 @@ class RunJob:
     #: layer bumps it on retries and the chaos hooks key off it.
     attempt: int = 0
     #: Simulation engine ("delta" | "compiled" | "auto").  Excluded from
-    #: the batch signature: the compiled kernel's contract is
-    #: byte-identical artifacts, so a journaled batch may be resumed
-    #: under a different engine.
+    #: the cache key: the compiled kernel's contract is byte-identical
+    #: artifacts, so a cached batch may be rerun under a different
+    #: engine.
     kernel: str = "delta"
 
 
@@ -107,7 +107,7 @@ def write_run_reports(stem: str, result: RunResult) -> None:
     """Per-(test, seed) artifacts: "a verification report and a
     functional coverage one are generated" (Section 4).  Written
     atomically so a worker killed mid-write never leaves a torn report
-    a later ``--resume`` would trust."""
+    a later rerun would trust."""
     with atomic_write(stem + ".report.txt") as handle:
         handle.write(result.report.render())
     with atomic_write(stem + ".coverage.txt") as handle:

@@ -20,38 +20,31 @@ of protection:
    jobs are retried up to ``max_retries`` times with exponential
    backoff; jobs that fail repeatedly are quarantined (excluded from the
    batch, listed in the report with their failure history).  If the pool
-   itself breaks more than ``max_pool_rebuilds`` times the batch
+   itself breaks more than ``_MAX_POOL_REBUILDS`` times the batch
    degrades to serial execution in kill-able child processes.
-4. **Journaled checkpoint/resume** — an append-only JSONL journal
-   records each completed run with its artifact digests; ``resume``
-   replays completed runs from the journal and only executes the
-   remainder, so an interrupted batch (Ctrl-C, OOM, machine crash)
-   continues instead of restarting.
+4. **Resume from the result cache** — with a cache configured, every
+   run is published to it the moment it completes, so an interrupted
+   batch (Ctrl-C, OOM, machine crash) resumes by rerunning the same
+   command against the same ``--cache-dir``: finished runs are verified
+   hits, only the remainder simulates.
 
 The invariant throughout: a fault-free batch produces byte-identical
 report artifacts to the unguarded engine, for any ``jobs=N``, serial or
-parallel, with or without resume.
+parallel, interrupted and rerun or not.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import heapq
-import json
 import multiprocessing
-import os
-import pickle
 import time
 import traceback
-import zlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from ..ioutil import file_digest
 from . import chaos
 from .parallel import (
     CompareJob,
@@ -69,6 +62,10 @@ _TICK = 0.05
 
 #: Ceiling on a single retry backoff delay.
 _MAX_BACKOFF = 30.0
+
+#: Unexpected pool breaks tolerated before the batch degrades to serial
+#: child-process execution.
+_MAX_POOL_REBUILDS = 3
 
 #: Entry statuses a regression report can now carry.
 STATUSES = ("PASS", "FAIL", "ERROR", "TIMEOUT", "QUARANTINED")
@@ -192,21 +189,6 @@ class ResilienceConfig:
     max_retries: int = 2
     #: Base backoff delay; attempt *k* waits ``backoff * 2**(k-1)``.
     backoff: float = 0.25
-    #: Unexpected pool breaks tolerated before degrading to serial
-    #: child-process execution.
-    max_pool_rebuilds: int = 3
-    #: Append-only JSONL checkpoint journal (``None`` disables it).
-    journal_path: Optional[str] = None
-    #: Replay completed runs from the journal instead of re-executing.
-    resume: bool = False
-
-    def with_tag(self, tag: str) -> "ResilienceConfig":
-        """Derive a config whose journal file carries ``tag`` (for flows
-        that run several regressions, one per iteration)."""
-        if not self.journal_path:
-            return self
-        stem, ext = os.path.splitext(self.journal_path)
-        return dataclasses.replace(self, journal_path=f"{stem}.{tag}{ext}")
 
 
 @dataclass
@@ -220,10 +202,6 @@ class BatchFaults:
     triage_failures: int = 0
     pool_rebuilds: int = 0
     quarantined: List[RunFailure] = field(default_factory=list)
-    resumed_runs: int = 0
-    resumed_compares: int = 0
-    resumed_triages: int = 0
-    stale_journal_entries: int = 0
     degraded_serial: bool = False
     # Distributed-cluster accounting (all zero for local batches).
     lease_reclaims: int = 0
@@ -250,10 +228,6 @@ class BatchFaults:
             "triage_failures": self.triage_failures,
             "pool_rebuilds": self.pool_rebuilds,
             "quarantined": len(self.quarantined),
-            "resumed_runs": self.resumed_runs,
-            "resumed_compares": self.resumed_compares,
-            "resumed_triages": self.resumed_triages,
-            "stale_journal_entries": self.stale_journal_entries,
             "degraded_serial": self.degraded_serial,
             "lease_reclaims": self.lease_reclaims,
             "worker_deaths": self.worker_deaths,
@@ -266,44 +240,11 @@ class BatchFaults:
         return not (self.retries or self.crashes or self.timeouts
                     or self.compare_failures or self.triage_failures
                     or self.pool_rebuilds or self.quarantined
-                    or self.stale_journal_entries or self.lease_reclaims
-                    or self.worker_deaths)
+                    or self.lease_reclaims or self.worker_deaths)
 
 
 # ---------------------------------------------------------------------------
-# Journal
-
-
-JOURNAL_SCHEMA = "repro.regression/journal/v1"
-
-
-class JournalError(Exception):
-    """Journal does not belong to this batch (or is unreadable)."""
-
-
-def _canonical_config_text(config) -> str:
-    """``to_text()`` with the address map resolved first: elaboration
-    materialises the default map onto the config, so an unresolved and a
-    resolved copy of the same configuration must digest identically."""
-    config.resolved_map
-    return config.to_text()
-
-
-def batch_signature(configs, tests, seeds, bugs, compare_waveforms: bool,
-                    with_arbitration_checker: bool) -> str:
-    """Digest of everything that determines the batch's work list.  A
-    journal keyed to a different signature must not be replayed."""
-    import hashlib
-
-    payload = json.dumps({
-        "configs": [_canonical_config_text(config) for config in configs],
-        "tests": list(tests),
-        "seeds": list(seeds),
-        "bugs": sorted(bugs),
-        "compare_waveforms": compare_waveforms,
-        "with_arbitration_checker": with_arbitration_checker,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+# Run artifacts
 
 
 def run_artifact_paths(job: RunJob) -> Dict[str, str]:
@@ -315,231 +256,6 @@ def run_artifact_paths(job: RunJob) -> Dict[str, str]:
         paths["report"] = job.report_stem + ".report.txt"
         paths["coverage"] = job.report_stem + ".coverage.txt"
     return paths
-
-
-def _encode_payload(value) -> str:
-    return base64.b64encode(
-        zlib.compress(pickle.dumps(value, protocol=4))).decode("ascii")
-
-
-def _decode_payload(text: str):
-    return pickle.loads(zlib.decompress(base64.b64decode(text)))
-
-
-class Journal:
-    """Append-only JSONL checkpoint of completed runs and comparisons.
-
-    Every entry is keyed on ``(config, test, seed, view)`` — the full
-    coordinates of one deterministic run — plus the SHA-256 digests of
-    the artifacts it wrote, so replay only trusts entries whose files
-    are still byte-for-byte what the journaled run produced.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-
-    def start(self, signature: str, resume: bool) -> List[dict]:
-        """Open the journal; returns previously journaled entries when
-        resuming (validating the header), else truncates and writes a
-        fresh header."""
-        entries: List[dict] = []
-        if resume and os.path.exists(self.path):
-            entries = self._read(signature)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        else:
-            self._handle = open(self.path, "w", encoding="utf-8")
-            self._write({
-                "kind": "header", "schema": JOURNAL_SCHEMA,
-                "signature": signature,
-            })
-        return entries
-
-    def _read(self, signature: str) -> List[dict]:
-        entries: List[dict] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for index, line in enumerate(handle):
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # A torn trailing line is exactly what an interrupt
-                    # leaves behind; everything before it is still good.
-                    continue
-                if index == 0 or record.get("kind") == "header":
-                    if (record.get("kind") != "header"
-                            or record.get("schema") != JOURNAL_SCHEMA):
-                        raise JournalError(
-                            f"{self.path!r} is not a regression journal")
-                    if record.get("signature") != signature:
-                        raise JournalError(
-                            f"journal {self.path!r} belongs to a different "
-                            "batch (configs/tests/seeds/bugs changed); "
-                            "remove it or drop --resume"
-                        )
-                    continue
-                entries.append(record)
-        if not entries and not os.path.getsize(self.path):
-            raise JournalError(f"journal {self.path!r} is empty")
-        return entries
-
-    def _write(self, record: dict) -> None:
-        if self._handle is None:
-            return
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def record_run(self, job: RunJob, result) -> None:
-        artifacts = {
-            role: file_digest(path)
-            for role, path in run_artifact_paths(job).items()
-        }
-        self._write({
-            "kind": "run",
-            "config": job.config.name, "test": job.test_name,
-            "seed": job.seed, "view": job.view,
-            "status": getattr(result, "status", "PASS"),
-            "attempt": job.attempt,
-            "artifacts": artifacts,
-            "payload": _encode_payload(result),
-        })
-
-    def record_compare(self, *, config_name: str, test_name: str, seed: int,
-                       rtl_vcd: str, bca_vcd: str, report) -> None:
-        self._write({
-            "kind": "compare",
-            "config": config_name, "test": test_name, "seed": seed,
-            "artifacts": {
-                "rtl": file_digest(rtl_vcd),
-                "bca": file_digest(bca_vcd),
-            },
-            "payload": _encode_payload(report),
-        })
-
-    def record_triage(self, job: TriageJob, report) -> None:
-        # An unknown-kind record is silently skipped by older replayers,
-        # so journaling triages needs no schema bump.
-        artifacts = {
-            "rtl": file_digest(job.rtl_vcd),
-            "bca": file_digest(job.bca_vcd),
-        }
-        if job.out_path:
-            artifacts["triage"] = file_digest(job.out_path)
-        self._write({
-            "kind": "triage",
-            "config": job.config.name, "test": job.test_name,
-            "seed": job.seed,
-            "artifacts": artifacts,
-            "payload": _encode_payload(report),
-        })
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def _artifacts_current(recorded: Dict[str, str],
-                       expected_paths: Dict[str, str]) -> bool:
-    if set(recorded) != set(expected_paths):
-        return False
-    for role, digest in recorded.items():
-        path = expected_paths[role]
-        if not os.path.exists(path) or file_digest(path) != digest:
-            return False
-    return True
-
-
-def replay_journal(
-    entries: Sequence[dict],
-    jobs_by_key: Dict[RunKey, RunJob],
-    triage_paths: Optional[Dict[EntryKey, str]] = None,
-) -> Tuple[Dict[RunKey, object], Dict[EntryKey, object],
-           Dict[EntryKey, object], int]:
-    """Validate journal entries against the batch's expected artifacts.
-
-    Returns the replayable run results, the replayable alignment
-    reports, the replayable triage reports, and the number of stale
-    entries (digest mismatch, missing file, undecodable payload) that
-    will be re-executed instead.
-    """
-    key_by_names: Dict[Tuple[str, str, int, str], RunKey] = {
-        (job.config.name, job.test_name, job.seed, job.view): key
-        for key, job in jobs_by_key.items()
-    }
-    latest_runs: Dict[Tuple[str, str, int, str], dict] = {}
-    latest_compares: Dict[Tuple[str, str, int], dict] = {}
-    latest_triages: Dict[Tuple[str, str, int], dict] = {}
-    for record in entries:
-        if record.get("kind") == "run":
-            latest_runs[(record.get("config"), record.get("test"),
-                         record.get("seed"), record.get("view"))] = record
-        elif record.get("kind") == "compare":
-            latest_compares[(record.get("config"), record.get("test"),
-                             record.get("seed"))] = record
-        elif record.get("kind") == "triage":
-            latest_triages[(record.get("config"), record.get("test"),
-                            record.get("seed"))] = record
-    results: Dict[RunKey, object] = {}
-    alignments: Dict[EntryKey, object] = {}
-    triages: Dict[EntryKey, object] = {}
-    stale = 0
-    for names, record in latest_runs.items():
-        key = key_by_names.get(names)
-        if key is None:
-            stale += 1
-            continue
-        job = jobs_by_key[key]
-        if not _artifacts_current(record.get("artifacts", {}),
-                                  run_artifact_paths(job)):
-            stale += 1
-            continue
-        try:
-            results[key] = _decode_payload(record["payload"])
-        except Exception:
-            stale += 1
-    for names, record in latest_compares.items():
-        rtl_key = key_by_names.get(names + ("rtl",))
-        bca_key = key_by_names.get(names + ("bca",))
-        if rtl_key is None or bca_key is None:
-            stale += 1
-            continue
-        rtl_vcd = jobs_by_key[rtl_key].vcd_path
-        bca_vcd = jobs_by_key[bca_key].vcd_path
-        if not rtl_vcd or not bca_vcd or not _artifacts_current(
-            record.get("artifacts", {}), {"rtl": rtl_vcd, "bca": bca_vcd}
-        ):
-            stale += 1
-            continue
-        try:
-            alignments[rtl_key[:3]] = _decode_payload(record["payload"])
-        except Exception:
-            stale += 1
-    for names, record in latest_triages.items():
-        rtl_key = key_by_names.get(names + ("rtl",))
-        bca_key = key_by_names.get(names + ("bca",))
-        if rtl_key is None or bca_key is None:
-            stale += 1
-            continue
-        rtl_vcd = jobs_by_key[rtl_key].vcd_path
-        bca_vcd = jobs_by_key[bca_key].vcd_path
-        if not rtl_vcd or not bca_vcd:
-            stale += 1
-            continue
-        expected = {"rtl": rtl_vcd, "bca": bca_vcd}
-        if "triage" in record.get("artifacts", {}):
-            out = (triage_paths or {}).get(rtl_key[:3])
-            if out is None:
-                stale += 1
-                continue
-            expected["triage"] = out
-        if not _artifacts_current(record.get("artifacts", {}), expected):
-            stale += 1
-            continue
-        try:
-            triages[rtl_key[:3]] = _decode_payload(record["payload"])
-        except Exception:
-            stale += 1
-    return results, alignments, triages, stale
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +342,7 @@ class _Task:
 
 class ResilientBatchExecutor:
     """Schedules a batch's run/compare jobs with crash isolation,
-    deadlines, retry/quarantine and journaling.
+    deadlines, retry/quarantine and the result cache.
 
     ``jobs == 1`` executes inline (or in kill-able child processes when
     a deadline is set); ``jobs > 1`` drives a process pool with a
@@ -642,12 +358,8 @@ class ResilientBatchExecutor:
         compare_waveforms: bool,
         telemetry: bool = False,
         config: Optional[ResilienceConfig] = None,
-        journal: Optional[Journal] = None,
-        resumed_results: Optional[Dict[RunKey, object]] = None,
-        resumed_alignments: Optional[Dict[EntryKey, object]] = None,
         triage: bool = False,
         triage_paths: Optional[Dict[EntryKey, str]] = None,
-        resumed_triages: Optional[Dict[EntryKey, object]] = None,
         tracer=None,
         cache=None,
     ) -> None:
@@ -656,16 +368,14 @@ class ResilientBatchExecutor:
         self.compare_waveforms = compare_waveforms
         self.telemetry = telemetry
         self.config = config if config is not None else ResilienceConfig()
-        self.journal = journal
         self.tracer = tracer
         #: Optional :class:`repro.cache.ResultCache`; when set, run
         #: tasks are satisfied from the store where possible and every
         #: fresh result is published back to it.
         self.cache = cache
         self.faults = BatchFaults()
-        self.results: Dict[RunKey, object] = dict(resumed_results or {})
-        self.alignments: Dict[EntryKey, object] = \
-            dict(resumed_alignments or {})
+        self.results: Dict[RunKey, object] = {}
+        self.alignments: Dict[EntryKey, object] = {}
         self.compare_failures: Dict[EntryKey, RunFailure] = {}
         self.compare_telemetry: Dict[EntryKey, object] = {}
         # Failure triage rides behind the comparisons: entries that
@@ -673,9 +383,9 @@ class ResilientBatchExecutor:
         # else is untouched — a fault-free batch never schedules one.
         self.triage = triage and compare_waveforms
         self.triage_paths = dict(triage_paths or {})
-        self.triages: Dict[EntryKey, object] = dict(resumed_triages or {})
+        self.triages: Dict[EntryKey, object] = {}
         self.triage_telemetry: Dict[EntryKey, object] = {}
-        self._triaged = set(self.triages)
+        self._triaged = set()
         self._entry_order: List[EntryKey] = []
         seen = set()
         for key in jobs_by_key:
@@ -683,7 +393,7 @@ class ResilientBatchExecutor:
             if entry_key not in seen:
                 seen.add(entry_key)
                 self._entry_order.append(entry_key)
-        self._compared = set(self.alignments)
+        self._compared = set()
         self._degraded = False
         self._task_seq = 0
 
@@ -758,8 +468,8 @@ class ResilientBatchExecutor:
         """Try to complete a run task from the result cache.
 
         On a verified hit the artifacts are materialized, the result is
-        journaled and completed exactly as an executed run would be, and
-        (when ``ready`` is a queue) the entry's comparison is scheduled.
+        completed exactly as an executed run would be, and (when
+        ``ready`` is a queue) the entry's comparison is scheduled.
         A miss — including a quarantined corrupt entry — returns False
         and the task executes normally.
         """
@@ -779,8 +489,6 @@ class ResilientBatchExecutor:
                   from_cache: bool = False) -> None:
         if task.kind == "run":
             self.results[task.key] = payload
-            if self.journal is not None:
-                self.journal.record_run(task.job, payload)
             if self.cache is not None and not from_cache:
                 entry_path = self.cache.store(
                     task.job, payload, run_artifact_paths(task.job))
@@ -790,20 +498,11 @@ class ResilientBatchExecutor:
             self.triages[task.key] = report
             if tele is not None:
                 self.triage_telemetry[task.key] = tele
-            if self.journal is not None:
-                self.journal.record_triage(task.job, report)
         else:
             report, tele = payload
             self.alignments[task.key] = report
             if tele is not None:
                 self.compare_telemetry[task.key] = tele
-            if self.journal is not None:
-                self.journal.record_compare(
-                    config_name=task.job.config_name,
-                    test_name=task.job.test_name, seed=task.job.seed,
-                    rtl_vcd=task.job.rtl_vcd, bca_vcd=task.job.bca_vcd,
-                    report=report,
-                )
         if task.failures:
             self.faults.note("job.recovered", **task.names,
                              attempts=len(task.failures) + 1)
@@ -922,8 +621,6 @@ class ResilientBatchExecutor:
         for entry_key in self._entry_order:
             for view in ("rtl", "bca"):
                 key = entry_key + (view,)
-                if key in self.results:
-                    continue
                 self._run_task_blocking(
                     _Task("run", key, self.jobs_by_key[key]), isolate)
             task = self._compare_task(entry_key)
@@ -978,19 +675,8 @@ class ResilientBatchExecutor:
         pool.shutdown(wait=False)
 
     def _execute_pool(self) -> None:
-        ready: Deque[_Task] = deque()
-        for key, job in self.jobs_by_key.items():
-            if key not in self.results:
-                ready.append(_Task("run", key, job))
-        for entry_key in self._entry_order:
-            task = self._compare_task(entry_key)
-            if task is not None:
-                ready.append(task)
-            # Resumed entries may already carry an alignment; their
-            # triage (if due and not itself resumed) starts immediately.
-            task = self._triage_task(entry_key)
-            if task is not None:
-                ready.append(task)
+        ready: Deque[_Task] = deque(
+            _Task("run", key, job) for key, job in self.jobs_by_key.items())
         backoff: List[Tuple[float, int, _Task]] = []
         inflight: Dict[object, _Task] = {}
         started: Dict[object, float] = {}
@@ -1113,7 +799,7 @@ class ResilientBatchExecutor:
         self._kill_pool(pool)
         broken_strikes += 1
         self.faults.pool_rebuilds += 1
-        if broken_strikes > self.config.max_pool_rebuilds:
+        if broken_strikes > _MAX_POOL_REBUILDS:
             self._degraded = True
             self.faults.degraded_serial = True
             self.faults.note("pool.degraded",

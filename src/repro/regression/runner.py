@@ -22,20 +22,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analyzer import AlignmentReport, compare_vcds
+from ..analyzer import AlignmentReport
 from ..catg.coverage import CoverageModel, build_node_coverage
 from ..catg.env import KERNELS, RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry, TelemetryConfig
-from .resilience import (
-    Journal,
-    ResilienceConfig,
-    ResilientBatchExecutor,
-    RunFailure,
-    batch_signature,
-    replay_journal,
-)
+from .resilience import ResilienceConfig, ResilientBatchExecutor, RunFailure
 from .testcases import TESTCASES
 
 #: Failure-status precedence when an entry carries more than one fault.
@@ -307,7 +300,7 @@ class RegressionRunner:
     resilience:
         Optional :class:`~repro.regression.resilience.ResilienceConfig`
         tuning the fault-tolerance layer (per-run deadline, retry
-        budget, checkpoint journal).  The default policy is always
+        budget, backoff).  The default policy is always
         active — a crashed worker yields an ``ERROR`` entry instead of
         aborting the batch — and a fault-free batch stays byte-identical
         to an unguarded one.
@@ -330,7 +323,9 @@ class RegressionRunner:
         (:class:`~repro.cache.ResultCache`).  ``None`` disables
         caching.  A verified hit replays the run's artifacts byte-
         for-byte without simulating; corrupt entries are quarantined
-        and re-executed, never served.
+        and re-executed, never served.  Every run is stored as it
+        completes, so rerunning an interrupted batch against the same
+        cache resumes it.
     distributed:
         Optional
         :class:`~repro.regression.distributed.DistributedConfig`
@@ -394,13 +389,13 @@ class RegressionRunner:
             raise ValueError(f"kernel must be one of {KERNELS}")
         #: Simulation engine every run executes under; artifacts are
         #: byte-identical across engines, so it is deliberately excluded
-        #: from the resume journal's batch signature.
+        #: from the cache key.
         self.kernel = kernel
         #: Auto-triage failed entries: walk both dumps to the first
         #: divergence, rank the fan-in cone suspects and write a
         #: ``triage.json`` minimal repro per failure.  Requires the
-        #: comparison stage (dumps); excluded from the batch signature —
-        #: a journaled batch may be resumed with triage toggled.
+        #: comparison stage (dumps); triage never touches a cache key, so
+        #: a cached batch may be rerun with triage toggled.
         self.triage = triage and self.compare_waveforms
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -510,30 +505,6 @@ class RegressionRunner:
             for view in ("rtl", "bca")
         }
 
-    def _open_journal(self, jobs_by_key, triage_paths, batch):
-        """Open/replay the checkpoint journal if one is configured.
-        Returns (journal, resumed_results, resumed_alignments,
-        resumed_triages, stale)."""
-        if not self.resilience.journal_path:
-            return None, {}, {}, {}, 0
-        journal = Journal(self.resilience.journal_path)
-        signature = batch_signature(
-            self.configs, self.tests, self.seeds, self.bca_bugs,
-            self.compare_waveforms, self.with_arbitration_checker,
-        )
-        with batch.span("journal.open", resume=self.resilience.resume):
-            entries = journal.start(signature, self.resilience.resume)
-        if not entries:
-            return journal, {}, {}, {}, 0
-        with batch.span("journal.replay", entries=len(entries)):
-            results, alignments, triages, stale = replay_journal(
-                entries, jobs_by_key, triage_paths)
-        if not self.triage:
-            # Triage was toggled off since the journal was written; its
-            # replayed payloads must not resurface in the report.
-            triages = {}
-        return journal, results, alignments, triages, stale
-
     def _make_executor(self, jobs_by_key, **kwargs):
         """The resilient executor for this batch: local (serial or
         pool) by default, the leased-worker coordinator when a
@@ -555,9 +526,6 @@ class RegressionRunner:
         inline for ``jobs=1``, process pool otherwise, leased workers
         when distributed)."""
         jobs_by_key = self._build_jobs()
-        triage_paths = self._triage_paths()
-        (journal, resumed_results, resumed_alignments, resumed_triages,
-         stale) = self._open_journal(jobs_by_key, triage_paths, batch)
         if self.cache_dir:
             from ..cache import ResultCache
 
@@ -583,30 +551,12 @@ class RegressionRunner:
             compare_waveforms=self.compare_waveforms,
             telemetry=self.telemetry.enabled,
             config=self.resilience,
-            journal=journal,
-            resumed_results=resumed_results,
-            resumed_alignments=resumed_alignments,
             triage=self.triage,
-            triage_paths=triage_paths,
-            resumed_triages=resumed_triages,
+            triage_paths=self._triage_paths(),
             tracer=batch,
             cache=self.cache,
         )
-        executor.faults.resumed_runs = len(resumed_results)
-        executor.faults.resumed_compares = len(resumed_alignments)
-        executor.faults.resumed_triages = len(resumed_triages)
-        executor.faults.stale_journal_entries = stale
-        if resumed_results or stale:
-            executor.faults.note(
-                "journal.replayed", runs=len(resumed_results),
-                compares=len(resumed_alignments),
-                triages=len(resumed_triages), stale=stale,
-            )
-        try:
-            return executor.execute()
-        finally:
-            if journal is not None:
-                journal.close()
+        return executor.execute()
 
     def _assemble(self, results, alignments, compare_failures=None,
                   triages=None) -> RegressionReport:
@@ -676,35 +626,6 @@ class RegressionRunner:
                 "  no coverage holes; every in-model bin was hit"
             )
         return "\n".join(lines) + "\n"
-
-    def run_one(self, config: NodeConfig, test_name: str,
-                seed: int) -> TestEntry:
-        """One (config, test, seed) on both views + alignment."""
-        from .parallel import execute_run_job
-
-        rtl = execute_run_job(self._make_job(config, test_name, seed, "rtl"))
-        bca = execute_run_job(self._make_job(config, test_name, seed, "bca"))
-        entry = TestEntry(config.name, test_name, seed, rtl, bca)
-        rtl_vcd = self._vcd_path(config, test_name, seed, "rtl")
-        bca_vcd = self._vcd_path(config, test_name, seed, "bca")
-        if self.compare_waveforms and rtl_vcd and bca_vcd:
-            entry.alignment = compare_vcds(rtl_vcd, bca_vcd)
-        return entry
-
-    def run_config(self, config: NodeConfig) -> ConfigReport:
-        """Serial single-configuration run (legacy convenience)."""
-        sub = RegressionRunner(
-            [config], tests=self.tests, seeds=self.seeds,
-            workdir=self.workdir, compare_waveforms=self.compare_waveforms,
-            bca_bugs=self.bca_bugs,
-            with_arbitration_checker=self.with_arbitration_checker,
-            jobs=self.jobs, telemetry=self.telemetry,
-            resilience=self.resilience, unr=self.unr,
-            kernel=self.kernel, triage=self.triage,
-            workers=self.workers, cache_dir=self.cache_dir,
-            distributed=self.distributed, incremental=self.incremental,
-        )
-        return sub.run().configs[0]
 
     def run(self) -> RegressionReport:
         batch = BatchTelemetry(self.telemetry, jobs=self.jobs)

@@ -15,8 +15,7 @@ written directly to the batch workdir: loopback workers share the
 coordinator's filesystem; remote hosts would add an artifact-upload
 frame, which the protocol leaves room for.
 
-A worker is deliberately stateless: it owns no queue, no journal and no
-cache.  Everything durable lives with the coordinator, so killing a
+A worker is deliberately stateless: it owns no queue and no cache.  Everything durable lives with the coordinator, so killing a
 worker at any instant loses at most the single job it was leasing.
 """
 

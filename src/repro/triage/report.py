@@ -5,8 +5,8 @@ failed — now what": the first diverging (signal, cycle) point, the
 cone-ranked process suspects, a trimmed waveview excerpt of the cone
 signals around the split, and the exact commands that replay the failure
 in isolation.  It is a plain picklable dataclass of primitives so the
-regression pool can ship it across process boundaries, the journal can
-checkpoint it, and CI can diff its JSON form against golden files.
+regression pool can ship it across process boundaries and CI can diff
+its JSON form against golden files.
 
 The JSON schema is versioned (``schema_version``); paths inside the
 repro commands are stored relative to the triage file's own directory so

@@ -85,8 +85,8 @@ class VcdWriter(Tracer):
         self._own_stream = isinstance(target, str)
         # When the writer owns the file it stages into a sibling temp
         # file and atomically renames in finish(): a run killed mid-dump
-        # leaves no half-written VCD behind for the analyzer (or a
-        # regression --resume) to trust.
+        # leaves no half-written VCD behind for the analyzer (or the
+        # result cache) to trust.
         self._final_path: Optional[str] = target if self._own_stream else None
         self._out: TextIO = (
             open(target + TMP_SUFFIX, "w", encoding="ascii")

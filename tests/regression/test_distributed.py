@@ -228,7 +228,7 @@ def test_cli_distributed_stdout_matches_serial(tmp_path, capsys):
 
 def test_cli_sigterm_aborts_like_sigint(tmp_path, capsys, monkeypatch):
     """A farm scheduler evicts with SIGTERM: same clean abort as Ctrl-C
-    — exit 130 and a resume hint pointing at the journal."""
+    — exit 130 and a resume hint naming the cache directory."""
     save_config_dir(_configs(), str(tmp_path / "cfgs"))
     monkeypatch.setenv(
         CHAOS_ENV, f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
@@ -241,14 +241,14 @@ def test_cli_sigterm_aborts_like_sigint(tmp_path, capsys, monkeypatch):
             "--workdir", str(tmp_path / "out"),
             "--tests", "t01_sanity_write_read",
             "--seeds", "1",
-            "--journal", str(tmp_path / "journal.jsonl"),
+            "--cache-dir", str(tmp_path / "cache"),
         ])
     finally:
         timer.cancel()
     assert code == 130
     err = capsys.readouterr().err
-    assert "interrupted: batch aborted" in err
-    assert "--resume" in err
+    assert ("interrupted: batch aborted; rerun with --cache-dir "
+            f"{tmp_path / 'cache'} to resume") in err
     # The handler was restored: SIGTERM is back to its previous
     # disposition for the embedding process.
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL

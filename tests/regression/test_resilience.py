@@ -4,20 +4,15 @@ Every fault here is injected deterministically through the ``REPRO_CHAOS``
 environment hook (:mod:`repro.regression.chaos`); production batches never
 set the variable, so the first tests pin down that the hooks are inert
 without it.  The load-bearing invariant throughout: a batch that recovers
-from a fault (retry, pool rebuild, resume) produces artifacts
+from a fault (retry, pool rebuild, cached rerun) produces artifacts
 *byte-identical* to a batch that never faulted.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.regression import (
-    JournalError,
-    RegressionRunner,
-    ResilienceConfig,
-)
+from repro.regression import RegressionRunner, ResilienceConfig
 from repro.regression.chaos import (
     CHAOS_ENV,
     ChaosError,
@@ -36,10 +31,11 @@ def _configs():
                        protocol_type=ProtocolType.T3, name=CONFIG_NAME)]
 
 
-def _run(workdir, jobs=1, resilience=None, seeds=(1,)):
+def _run(workdir, jobs=1, resilience=None, seeds=(1,), cache_dir=None):
     runner = RegressionRunner(
         _configs(), tests=TESTS, seeds=seeds, workdir=str(workdir),
         jobs=jobs, resilience=resilience or ResilienceConfig(),
+        cache_dir=cache_dir,
     )
     return runner.run()
 
@@ -195,25 +191,25 @@ def test_pool_crash_mid_batch_report_complete(tmp_path, monkeypatch):
     assert entries[1].status == "PASS"
 
 
-# -- journal + resume ---------------------------------------------------
+# -- resume from the result cache ---------------------------------------
 
 
 def test_resume_is_byte_identical_and_replay_proof(
         tmp_path, monkeypatch, clean_ref):
     ref_report, ref_snap = clean_ref
     workdir = tmp_path / "faulted"
-    journal = str(tmp_path / "batch.journal.jsonl")
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
-    first = _run(workdir, resilience=ResilienceConfig(
-        max_retries=0, journal_path=journal))
+    first = _run(workdir, resilience=ResilienceConfig(max_retries=0),
+                 cache_dir=cache_dir)
     assert first.configs[0].entries[1].status == "ERROR"
-    # Resume with chaos now set to crash the *already journalled* jobs:
-    # if the replay re-executed anything, the batch would fail again.
+    # Rerun with chaos now set to crash every *already cached* t01 run:
+    # if the rerun re-executed any of them, the batch would fail again.
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:*:*")
-    resumed = _run(workdir, resilience=ResilienceConfig(
-        max_retries=0, journal_path=journal, resume=True))
+    resumed = _run(workdir, resilience=ResilienceConfig(max_retries=0),
+                   cache_dir=cache_dir)
     assert resumed.render() == ref_report.render()
     assert _snapshot(workdir) == ref_snap
 
@@ -221,44 +217,32 @@ def test_resume_is_byte_identical_and_replay_proof(
 def test_resume_rejects_stale_artifacts(tmp_path, monkeypatch, clean_ref):
     _, ref_snap = clean_ref
     workdir = tmp_path / "run"
-    journal = str(tmp_path / "batch.journal.jsonl")
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.delenv(CHAOS_ENV, raising=False)
-    _run(workdir, resilience=ResilienceConfig(journal_path=journal))
+    _run(workdir, cache_dir=cache_dir)
     vcd = workdir / f"{CONFIG_NAME}__t01_sanity_write_read__s1__rtl.vcd"
     vcd.write_bytes(vcd.read_bytes() + b"tampered\n")
-    _run(workdir, resilience=ResilienceConfig(
-        journal_path=journal, resume=True))
-    # The tampered run (digest mismatch) was re-executed, restoring the
-    # artifact; everything else replayed from the journal.
+    _run(workdir, cache_dir=cache_dir)
+    # The cached rerun re-materialized every artifact from its verified
+    # entry, restoring the tampered dump.
     assert _snapshot(workdir) == ref_snap
 
 
-def test_resume_rejects_foreign_journal(tmp_path):
-    journal = str(tmp_path / "batch.journal.jsonl")
-    _run(tmp_path / "run", resilience=ResilienceConfig(journal_path=journal))
-    with pytest.raises(JournalError):
-        _run(tmp_path / "run", seeds=(1, 2), resilience=ResilienceConfig(
-            journal_path=journal, resume=True))
+def test_cli_rejects_removed_journal_flags(tmp_path, capsys):
+    for flag in (["--journal", str(tmp_path / "j.jsonl")], ["--resume"]):
+        with pytest.raises(SystemExit) as excinfo:
+            regression_main([str(tmp_path)] + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_journal_is_valid_jsonl_with_header(tmp_path):
-    journal = tmp_path / "batch.journal.jsonl"
-    _run(tmp_path / "run",
-         resilience=ResilienceConfig(journal_path=str(journal)))
-    lines = journal.read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header["kind"] == "header"
-    assert header["schema"] == "repro.regression/journal/v1"
-    runs = [json.loads(line) for line in lines[1:]]
-    # 2 views x 2 tests = 4 run records, plus 2 compare records.
-    assert sum(1 for r in runs if r["kind"] == "run") == 4
-    assert sum(1 for r in runs if r["kind"] == "compare") == 2
-
-
-def test_cli_resume_requires_journal(tmp_path, capsys):
-    rc = regression_main(["--resume", str(tmp_path)])
+def test_cli_rejects_negative_retry_backoff(tmp_path, capsys):
+    # Checked before the config dir is read: the directory is missing.
+    rc = regression_main([str(tmp_path / "missing"),
+                          "--retry-backoff", "-1"])
     assert rc == 2
-    assert "--resume requires --journal" in capsys.readouterr().err
+    assert ("--retry-backoff must be >= 0, got -1"
+            in capsys.readouterr().err)
 
 
 # -- artifact atomicity -------------------------------------------------

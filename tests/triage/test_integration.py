@@ -1,9 +1,9 @@
 """Triage threaded through the regression stack.
 
 Covers the runner (FAIL entries grow a triage payload and a
-``*__triage.json`` artifact), the report's Triage section, the journal
-(triages are checkpointed and replayed on ``--resume``), serial/parallel
-byte-identity, the flow's fix-loop enrichment and the telemetry rollup —
+``*__triage.json`` artifact), the report's Triage section, cached
+reruns (runs hit the cache, triage re-executes byte-identically),
+serial/parallel byte-identity, the flow's fix-loop enrichment and the telemetry rollup —
 plus the invariants that triage-disabled and fault-free batches are
 byte-identical to pre-triage output.
 """
@@ -12,7 +12,6 @@ import json
 import os
 
 from repro.regression import CommonVerificationFlow, RegressionRunner
-from repro.regression.resilience import ResilienceConfig
 from repro.stbus import ArbitrationPolicy, NodeConfig
 from repro.telemetry import TelemetryConfig
 from repro.triage import load_triage
@@ -99,42 +98,41 @@ def test_serial_and_parallel_triage_are_byte_identical(tmp_path):
         assert a == b
 
 
-def test_journal_replays_triage_on_resume(tmp_path):
-    journal = str(tmp_path / "batch.journal.jsonl")
-    first, workdir = _run(
-        tmp_path, "journalled", triage=True,
-        resilience=ResilienceConfig(journal_path=journal),
-    )
-    kinds = [json.loads(line).get("kind")
-             for line in open(journal) if line.strip()]
-    assert "triage" in kinds
-    # Resume over the same journal: everything (triage included) replays
-    # and the summary is byte-identical.
+def test_cache_rerun_reproduces_triage_byte_identically(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    first, workdir = _run(tmp_path, "cached", triage=True,
+                          cache_dir=cache_dir)
+    name = _triage_files(workdir)[0]
+    report_name = "buggy__report.txt"
+    before = {n: open(os.path.join(workdir, n), "rb").read()
+              for n in (name, report_name)}
+    # Rerun against the same cache: the runs are verified hits, the
+    # comparison and the triage re-execute deterministically.
     runner = RegressionRunner(
         [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,), workdir=workdir,
-        bca_bugs={BUG}, triage=True,
-        resilience=ResilienceConfig(journal_path=journal, resume=True),
+        bca_bugs={BUG}, triage=True, cache_dir=cache_dir,
     )
-    resumed = runner.run()
-    assert resumed.render() == first.render()
-    entry = resumed.configs[0].entries[0]
+    rerun = runner.run()
+    assert runner.cache.stats.hits == 2
+    assert rerun.render() == first.render()
+    for n, data in before.items():
+        assert open(os.path.join(workdir, n), "rb").read() == data
+    entry = rerun.configs[0].entries[0]
     assert entry.triage is not None
     assert entry.triage.localized
 
 
 def test_resume_with_triage_toggled_on_still_works(tmp_path):
-    # The batch signature excludes triage, so a journal written without
-    # it can seed a --triage resume: runs replay, triage executes fresh.
-    journal = str(tmp_path / "batch.journal.jsonl")
-    plain, workdir = _run(
-        tmp_path, "wd", resilience=ResilienceConfig(journal_path=journal),
-    )
+    # Triage is not part of any cache key, so a batch cached without it
+    # can be rerun with --triage: runs hit the cache, triage runs fresh.
+    cache_dir = str(tmp_path / "cache")
+    plain, workdir = _run(tmp_path, "wd", cache_dir=cache_dir)
     runner = RegressionRunner(
         [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,), workdir=workdir,
-        bca_bugs={BUG}, triage=True,
-        resilience=ResilienceConfig(journal_path=journal, resume=True),
+        bca_bugs={BUG}, triage=True, cache_dir=cache_dir,
     )
     resumed = runner.run()
+    assert runner.cache.stats.hits == 2
     entry = resumed.configs[0].entries[0]
     assert entry.triage is not None
     assert "Triage:" in resumed.configs[0].render()
