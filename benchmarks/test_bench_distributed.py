@@ -1,12 +1,12 @@
-"""Distributed regression and result-cache benchmark.
+"""Leased-worker and result-cache benchmark.
 
 Two claims get numbers here:
 
-* **Scaling** — the same batch, executed serially and across 2- and
-  4-worker loopback clusters.  Worker processes cost real spawn and
+* **Scaling** — the same batch, executed serially and on 2 and 4
+  leased worker processes (``jobs=``).  Workers cost real fork and
   framing overhead, so tiny batches are *not* expected to scale
   linearly; the bench records the curve and only asserts correctness
-  (byte-identical summaries at every cluster size).
+  (byte-identical summaries at every worker count).
 
 * **Cache leverage** — a warm content-addressed cache replays the
   whole batch without simulating a cycle.  That *is* asserted: the
@@ -20,7 +20,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.regression import DistributedConfig, RegressionRunner
+from repro.regression import RegressionRunner
 from repro.stbus import NodeConfig, ProtocolType
 
 TESTS = ["t02_random_uniform", "t09_mixed_sizes"]
@@ -37,12 +37,10 @@ def _configs():
                        protocol_type=ProtocolType.T3, name="bench_dist")]
 
 
-def _batch(workdir, workers=0, cache_dir=None):
+def _batch(workdir, jobs=1, cache_dir=None):
     runner = RegressionRunner(
         _configs(), tests=TESTS, seeds=SEEDS, workdir=str(workdir),
-        cache_dir=str(cache_dir) if cache_dir else None,
-        distributed=(DistributedConfig(workers=workers)
-                     if workers else None),
+        cache_dir=str(cache_dir) if cache_dir else None, jobs=jobs,
     )
     start = time.perf_counter()
     report = runner.run()
@@ -52,9 +50,9 @@ def _batch(workdir, workers=0, cache_dir=None):
 def test_distributed_and_cache_bench(tmp_path):
     walls = {}
     report_ref, walls["serial"], _ = _batch(tmp_path / "serial")
-    for workers in (2, 4):
-        report, walls[f"workers_{workers}"], _ = _batch(
-            tmp_path / f"w{workers}", workers=workers)
+    for jobs in (2, 4):
+        report, walls[f"jobs_{jobs}"], _ = _batch(
+            tmp_path / f"j{jobs}", jobs=jobs)
         assert report.render() == report_ref.render()
 
     cold_report, cold_s, cold_runner = _batch(

@@ -16,7 +16,7 @@ from .flow import (
 )
 from .parallel import RunJob, default_jobs, execute_run_job
 from .resilience import BatchFaults, ResilienceConfig, RunFailure
-from .distributed import DistributedBatchExecutor, DistributedConfig
+from .distributed import DistributedBatchExecutor
 
 __all__ = [
     "configuration_matrix",
@@ -39,5 +39,4 @@ __all__ = [
     "ResilienceConfig",
     "RunFailure",
     "DistributedBatchExecutor",
-    "DistributedConfig",
 ]

@@ -3,7 +3,7 @@
 The resilience layer needs reproducible worker crashes, hard process
 deaths, hangs and corrupt VCDs to test against.  This module provides a
 test-only injection point keyed off the ``REPRO_CHAOS`` environment
-variable, which crosses the process-pool boundary for free (workers
+variable, which crosses the process boundary for free (forked workers
 inherit the parent's environment).  When the variable is unset — the
 production case — every hook is a no-op costing one dict lookup.
 
@@ -14,13 +14,13 @@ Spec grammar (semicolon-separated rules)::
 * ``MODE`` — one of :data:`CHAOS_MODES`:
 
   - ``crash``        raise ``RuntimeError`` inside the run job,
-  - ``exit``         ``os._exit(42)`` (kills the worker ⇒ broken pool),
+  - ``exit``         ``os._exit(42)`` (kills the worker mid-job),
   - ``hang``         sleep far past any sane deadline (watchdog food),
   - ``truncate-vcd`` let the run succeed, then corrupt its VCD so the
     compare stage fails on a truncated dump,
   - ``worker-kill``  ``os._exit(43)`` — a farm scheduler OOM-killing or
-    pre-empting a remote worker mid-job (the distributed coordinator
-    sees a dead connection and re-leases the job),
+    pre-empting a worker mid-job (the coordinator sees a dead
+    connection and re-leases the job),
   - ``net-drop``     complete the run but drop the connection before
     the result frame goes out (a network partition: the work happened,
     the coordinator never learns),
@@ -58,13 +58,12 @@ CHAOS_MODES = ("crash", "exit", "hang", "truncate-vcd", "worker-kill",
                "net-drop", "net-delay", "net-corrupt-frame",
                "cache-corrupt")
 
-#: The modes the in-process run hooks act on (everything a pool worker
-#: can suffer); the net/cache faults live in their own hooks so one
+#: The modes the in-process run hooks act on (everything a worker can
+#: suffer); the net/cache faults live in their own hooks so one
 #: rule never shadows another hook's modes.
 EXEC_MODES = ("crash", "exit", "hang", "worker-kill")
 
-#: Network-fault modes, applied by the distributed worker around its
-#: result frame.
+#: Network-fault modes, applied by the worker around its result frame.
 NET_MODES = ("net-drop", "net-delay", "net-corrupt-frame")
 
 #: How long a ``hang`` sleeps; far beyond any test deadline, far below
@@ -195,7 +194,7 @@ def inject_after_run(job) -> None:
 
 
 def net_rule_for(job) -> Optional[ChaosRule]:
-    """The network fault (if any) a distributed worker must apply to
+    """The network fault (if any) a worker must apply to
     this job's result frame.  ``None`` in every production batch."""
     return ChaosSpec.from_env().rule_for(
         job.config.name, job.test_name, job.seed, job.view,

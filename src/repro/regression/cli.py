@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(experiments only)")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for the batch (default: 1, "
-                             "serial; 0 = one per available CPU); the "
-                             "summary is byte-identical for any N")
+                             "serial in this process; 0 = one per "
+                             "available CPU); the summary is "
+                             "byte-identical for any N")
     parser.add_argument("--kernel", default="delta",
                         choices=["delta", "compiled", "auto"],
                         help="simulation engine: the interpreted delta "
@@ -99,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="SECONDS",
                             help="wall-clock deadline per run/comparison; "
                                  "a run past it is killed and recorded as "
-                                 "TIMEOUT (default: no deadline)")
+                                 "TIMEOUT; with --jobs 1 the batch then "
+                                 "runs in one worker process (default: no "
+                                 "deadline)")
     resilience.add_argument("--max-retries", type=int, default=2,
                             metavar="N",
                             help="retries for a crashed/timed-out job "
@@ -110,19 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="base delay before a retry; doubles per "
                                  "attempt (default: %(default)s)")
     cluster = parser.add_argument_group(
-        "distributed execution and result cache",
-        "Shard the batch across leased worker processes and/or serve "
-        "repeated runs from a content-addressed result cache.  Either "
-        "way every artifact stays byte-identical to a plain local "
-        "batch.",
+        "result cache",
+        "Serve repeated runs from a content-addressed result cache; "
+        "every artifact stays byte-identical to an uncached batch.",
     )
-    cluster.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="distributed worker processes (spawned as "
-                              "python -m repro.regression.worker over "
-                              "loopback TCP); 0 (default) keeps the "
-                              "batch local; if no worker is reachable "
-                              "the batch degrades to local execution "
-                              "with a warning")
     cluster.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="root of the content-addressed result "
                               "cache; verified hits replay runs without "
@@ -203,10 +197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --retry-backoff must be >= 0, got "
               f"{args.retry_backoff:g}", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print(f"error: --workers must be >= 0, got {args.workers}",
-              file=sys.stderr)
-        return 2
     if args.cache_dir and args.no_cache:
         print("error: --cache-dir conflicts with --no-cache",
               file=sys.stderr)
@@ -272,7 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         unr=args.unr,
         kernel=args.kernel,
         triage=args.triage,
-        workers=args.workers,
         cache_dir=cache_dir,
         incremental=args.incremental,
     )

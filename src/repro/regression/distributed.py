@@ -1,503 +1,405 @@
-"""Distributed coordinator of the fault-tolerant regression service.
+"""Leased worker processes: the regression batch's parallel executor.
 
-:class:`DistributedBatchExecutor` shards a batch's run/compare/triage
-jobs across worker *processes* speaking the framed-JSON protocol of
-:mod:`repro.regression.protocol` over loopback TCP.  Workers are
-spawned with ``python -m repro.regression.worker`` (the spawn command
-is pluggable — :data:`SPAWN_ENV` or ``DistributedConfig.spawn_command``
-— which is where remote hosts slot in later).
+:class:`DistributedBatchExecutor` runs every batch that does not run
+inline — ``jobs > 1``, or ``jobs == 1`` with a ``run_timeout`` — on
+``jobs`` local worker processes.  Each worker is forked with
+``multiprocessing``'s ``fork`` context and serves
+:func:`repro.regression.worker.serve` over its own
+``socket.socketpair()``, speaking the framed protocol of
+:mod:`repro.regression.protocol`.  Workers are forked, not spawned, for
+two reasons: they start with the coordinator's modules already imported
+(a fresh interpreter pays ~0.2 s of imports per worker), and they
+inherit whatever the coordinator's process wrapped around the job entry
+points, so instrumentation that patches those module globals traces the
+workers too.  Forking is only safe from a process with one thread, so
+the coordinator reads every worker from one selector loop and starts no
+threads.
 
-Ownership of a job is a **lease**: a worker holds at most one job, kept
-alive by heartbeats.  A lease whose heartbeats stop (killed worker,
-network partition) is reclaimed — the job is charged one attempt and
-re-queued under the existing retry/backoff/quarantine policy of
+Ownership of a job is a **lease**.  A worker holds at most
+:data:`QUEUE_DEPTH` leases and executes them in the order they were
+sent, so the worker always has its next job queued while it reports the
+last one, and ownership stays exact:
+
+* a result or heartbeat belongs to the worker's *oldest* lease;
+* ``run_timeout`` and heartbeat silence (:data:`LEASE_SECONDS`) apply to
+  the oldest lease, timed from when it became the oldest;
+* every path that ends a worker — lost connection, corrupt frame, run
+  timeout, lease expiry, send failure — charges one attempt to the
+  oldest lease only and requeues the queued one at no cost.
+
+Charged jobs go through the retry/backoff/quarantine policy of
 :class:`~repro.regression.resilience.ResilientBatchExecutor`, of which
 this class is a subclass: every completion, failure, cache store and
-compare/triage hand-off goes through the exact same bookkeeping as the
-serial and pool engines.  That is the whole byte-identity argument —
-the distributed layer only changes *where* a job runs, never what a
-completed batch contains.
+compare/triage hand-off goes through the same bookkeeping as the inline
+path.  That is the whole byte-identity argument — the workers only
+change *where* a job runs, never what a completed batch contains.
 
-Degradation ladder, worst first:
-
-* a worker dies or goes silent → its lease is reclaimed, the job
-  retried, the worker respawned (bounded by ``max_respawns``);
-* every worker is dead and the respawn budget is spent → the remainder
-  of the batch drains through the serial isolated-child path;
-* no worker ever connects → one warning line, then the whole batch
-  falls back to the local resilient executor.  Never a failure.
+A dead worker is replaced.  Deaths charged to a lease are bounded by the
+retry policy; deaths with no lease count against a budget of
+``2 × jobs``.  Once that budget is spent and no worker is alive, the
+remaining jobs are recorded as ``WorkerLost`` failures, so the report
+stays complete.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-import os
-import queue
-import shlex
+import multiprocessing
+import selectors
+import signal
 import socket
-import subprocess
-import sys
-import threading
 import time
-import uuid
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional
 
+from . import worker as worker_module
 from .protocol import (
     FrameConnection,
     ProtocolError,
     decode_payload,
     encode_payload,
 )
-from .resilience import _TICK, ResilientBatchExecutor, _Task
+from .resilience import ResilientBatchExecutor, RunFailure, _Task
 
-#: Environment override for the worker spawn command (shlex syntax);
-#: the coordinator appends ``--connect/--token/--worker-id``.
-SPAWN_ENV = "REPRO_WORKER_SPAWN"
+#: A lease whose worker has been silent this long is reclaimed and its
+#: job re-queued (the worker, presumed hung, is killed).
+LEASE_SECONDS = 15.0
 
+#: Heartbeat interval workers use while busy; well below LEASE_SECONDS.
+HEARTBEAT_SECONDS = 0.5
 
-@dataclass(frozen=True)
-class DistributedConfig:
-    """Cluster knobs for one distributed batch."""
+#: Leases one worker holds at once: the job it runs plus one queued.
+QUEUE_DEPTH = 2
 
-    #: Worker processes to spawn.
-    workers: int = 2
-    #: A lease whose worker has been silent this long is reclaimed and
-    #: its job re-queued (the worker, presumed gone, is killed).
-    lease_seconds: float = 15.0
-    #: Heartbeat interval workers are asked to use while busy; must be
-    #: comfortably below ``lease_seconds``.
-    heartbeat_seconds: float = 0.5
-    #: How long to wait for the first worker to dial back before
-    #: degrading to the local executor (also the per-worker join
-    #: deadline after which an unconnected spawn is reaped).
-    spawn_timeout: float = 30.0
-    #: Replacement workers allowed over the batch (``None`` → twice the
-    #: cluster size).  The budget bounds a crash-looping design.
-    max_respawns: Optional[int] = None
-    #: Spawn command override (tests swap in broken/instrumented
-    #: workers); default is ``python -m repro.regression.worker``.
-    spawn_command: Optional[Tuple[str, ...]] = None
+#: Longest the scheduling loop waits for a frame before re-checking
+#: deadlines and backoff.
+_TICK = 0.05
 
-    @property
-    def respawn_budget(self) -> int:
-        if self.max_respawns is not None:
-            return self.max_respawns
-        return 2 * self.workers
+#: Grace a finished worker gets to exit on its own before it is killed.
+_EXIT_GRACE = 2.0
 
 
 class _Lease:
-    """One job currently owned by one worker."""
+    """One job owned by one worker; timed once it is the oldest."""
 
     __slots__ = ("job_id", "task", "started", "last_beat")
 
-    def __init__(self, job_id: int, task: _Task, now: float) -> None:
+    def __init__(self, job_id: int, task: _Task) -> None:
         self.job_id = job_id
         self.task = task
-        self.started = now
-        self.last_beat = now
+        self.started = self.last_beat = 0.0
+
+    def start(self, now: float) -> None:
+        self.started = self.last_beat = now
 
 
 class _Worker:
     """Coordinator-side state of one worker process."""
 
-    __slots__ = ("ident", "proc", "spawned_at", "conn", "pid", "lease",
-                 "dead")
+    __slots__ = ("ident", "proc", "conn", "leases", "dead")
 
-    def __init__(self, ident: str, proc: subprocess.Popen,
-                 now: float) -> None:
+    def __init__(self, ident: str, proc, conn: FrameConnection) -> None:
         self.ident = ident
         self.proc = proc
-        self.spawned_at = now
-        self.conn: Optional[FrameConnection] = None
-        self.pid: Optional[int] = None
-        self.lease: Optional[_Lease] = None
+        self.conn = conn
+        self.leases: Deque[_Lease] = deque()
         self.dead = False
 
-    @property
-    def joined(self) -> bool:
-        return self.conn is not None and not self.dead
+
+def _child_main(sock: socket.socket,
+                inherited: List[socket.socket]) -> None:
+    """Entry point of a forked worker.
+
+    Closing the coordinator's ends of every socketpair keeps
+    end-of-file exact: each connection has exactly one process at either
+    end.  Plain ``close()``, never ``shutdown()``, which would cut the
+    coordinator's own connections.  Ctrl-C reaches the whole process
+    group; the coordinator owns the abort, so workers ignore SIGINT and
+    drop the SIGTERM handler the CLI installed.
+    """
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    worker_module.serve(FrameConnection(sock))
 
 
 class DistributedBatchExecutor(ResilientBatchExecutor):
-    """Run a regression batch across leased worker processes.
+    """Run a regression batch on ``jobs`` leased worker processes.
 
     Everything the base class owns — results, retry budget,
     compare/triage scheduling, the result cache — stays with the
-    coordinator; workers are stateless executors.
+    coordinator; workers are stateless executors.  ``jobs == 1`` without
+    a ``run_timeout`` runs inline through the base class.
     """
 
-    def __init__(self, jobs_by_key, *,
-                 distributed: Optional[DistributedConfig] = None,
-                 **kwargs) -> None:
+    def __init__(self, jobs_by_key, **kwargs) -> None:
         super().__init__(jobs_by_key, **kwargs)
-        self.distributed = distributed or DistributedConfig()
-        self._events: "queue.Queue[tuple]" = queue.Queue()
-        self._workers: Dict[str, _Worker] = {}
-        self._listener: Optional[socket.socket] = None
-        self._token = uuid.uuid4().hex
-        self._respawns = 0
+        self._workers: List[_Worker] = []
+        self._selector: Optional[selectors.BaseSelector] = None
         self._job_seq = 0
-        self._port: Optional[int] = None
-
-    # -- lifecycle ----------------------------------------------------------
+        self._task_seq = 0
+        #: Workers that died holding no lease; bounded by 2 × jobs.
+        self._unleased_deaths = 0
 
     def execute(self):
-        joined = 0
-        try:
-            joined = self._start_cluster()
-        except OSError as exc:
-            self.faults.note("cluster.error", error=str(exc))
-        if not joined:
-            self._teardown_cluster()
-            print(
-                "regression: no distributed workers reachable; degrading "
-                "to the local resilient executor", file=sys.stderr)
-            self.faults.degraded_local = True
-            self.faults.note("cluster.degraded-local",
-                             workers=self.distributed.workers)
+        if self.jobs == 1 and self.config.run_timeout is None:
             return super().execute()
+        self._selector = selectors.DefaultSelector()
         try:
-            self._execute_distributed()
-        finally:
-            self._teardown_cluster()
-        return (self.results, self.alignments, self.compare_telemetry,
-                self.compare_failures, self.triages, self.triage_telemetry,
-                self.faults)
+            self._execute_leased()
+        except BaseException:
+            self._teardown(grace=0.0)
+            raise
+        self._teardown(grace=_EXIT_GRACE)
+        return self._outcome()
 
-    def _start_cluster(self) -> int:
-        """Open the listener, spawn the cluster, wait for first contact.
+    # -- worker lifecycle -----------------------------------------------------
 
-        Returns the number of joined workers — zero means nobody dialed
-        back (every spawn exited, or the timeout passed) and the caller
-        degrades to local execution."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(self.distributed.workers + 4)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-        for _ in range(self.distributed.workers):
-            self._spawn_worker()
-        idle: Deque[_Task] = deque()
-        deadline = time.monotonic() + self.distributed.spawn_timeout
-        while time.monotonic() < deadline:
-            if any(worker.joined for worker in self._workers.values()):
-                break
-            if (all(worker.proc.poll() is not None
-                    for worker in self._workers.values())
-                    and self._events.empty()):
-                break  # every spawn is already dead; fail fast
-            try:
-                event = self._events.get(timeout=_TICK)
-            except queue.Empty:
-                continue
-            self._handle_event(event, idle, [], time.monotonic())
-        return sum(1 for worker in self._workers.values() if worker.joined)
+    def _alive(self) -> List[_Worker]:
+        return [worker for worker in self._workers if not worker.dead]
 
-    def _spawn_command(self) -> Sequence[str]:
-        if self.distributed.spawn_command:
-            return self.distributed.spawn_command
-        text = os.environ.get(SPAWN_ENV)
-        if text:
-            return shlex.split(text)
-        return (sys.executable, "-m", "repro.regression.worker")
-
-    def _spawn_worker(self) -> _Worker:
+    def _spawn_worker(self) -> Optional[_Worker]:
         ident = f"w{len(self._workers)}"
-        command = list(self._spawn_command()) + [
-            "--connect", f"127.0.0.1:{self._port}",
-            "--token", self._token, "--worker-id", ident,
-        ]
-        proc = subprocess.Popen(
-            command, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
-        worker = _Worker(ident, proc, time.monotonic())
-        self._workers[ident] = worker
+        ours, theirs = socket.socketpair()
+        inherited = [worker.conn.sock for worker in self._alive()] + [ours]
+        proc = multiprocessing.get_context("fork").Process(
+            target=_child_main, args=(theirs, inherited),
+            name=f"repro-worker-{ident}", daemon=True)
+        try:
+            proc.start()
+        except OSError as exc:
+            ours.close()
+            theirs.close()
+            self._unleased_deaths += 1
+            self.faults.note("worker.spawn-failed", worker=ident,
+                             error=str(exc))
+            return None
+        theirs.close()
+        # A worker stuck mid-frame must not stall the scheduling loop.
+        ours.settimeout(LEASE_SECONDS)
+        worker = _Worker(ident, proc, FrameConnection(ours))
+        self._workers.append(worker)
+        self._selector.register(ours, selectors.EVENT_READ, worker)
         return worker
 
-    def _teardown_cluster(self) -> None:
-        for worker in self._workers.values():
-            if worker.conn is not None:
-                try:
-                    worker.conn.send({"type": "shutdown"})
-                except OSError:
-                    pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        grace = time.monotonic() + 2.0
-        for worker in self._workers.values():
-            while (worker.proc.poll() is None
-                    and time.monotonic() < grace):
-                time.sleep(0.02)
-            if worker.proc.poll() is None:
-                try:
-                    worker.proc.kill()
-                except OSError:
-                    pass
-            try:
-                worker.proc.wait(timeout=5)
-            except Exception:
-                pass
-            if worker.conn is not None:
+    def _ensure_capacity(self, pending: int) -> None:
+        """Keep ``min(jobs, pending)`` workers alive, while the budget
+        for workers that die without a lease lasts."""
+        alive = len(self._alive())
+        budget = 2 * self.jobs
+        while (alive < min(self.jobs, pending)
+                and self._unleased_deaths < budget):
+            replacing = len(self._workers) > alive
+            worker = self._spawn_worker()
+            if worker is None:
+                continue
+            alive += 1
+            if replacing:
+                self.faults.worker_respawns += 1
+                self.faults.note("worker.respawned", worker=worker.ident,
+                                 respawns=self.faults.worker_respawns)
+
+    def _mark_dead(self, worker: _Worker, reason: str) -> None:
+        worker.dead = True
+        self._selector.unregister(worker.conn.sock)
+        worker.conn.close()
+        worker.proc.kill()
+        self.faults.worker_deaths += 1
+        self.faults.note("worker.lost", worker=worker.ident, reason=reason,
+                         pid=worker.proc.pid)
+
+    def _teardown(self, grace: float) -> None:
+        """Close every connection (end-of-file tells an idle worker to
+        exit), give the workers ``grace`` seconds, then kill."""
+        for worker in self._workers:
+            if not worker.dead:
                 worker.conn.close()
-                worker.conn = None
+        deadline = time.monotonic() + grace
+        for worker in self._workers:
+            worker.proc.join(max(0.0, deadline - time.monotonic()))
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join()
+        self._selector.close()
 
-    # -- connection plumbing (reader threads feed one event queue) ----------
+    # -- the scheduling loop --------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        # Hold a local reference: teardown nulls the attribute right
-        # after closing the socket, and this thread may be mid-accept.
-        listener = self._listener
-        while True:
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return  # listener closed: batch is over
-            threading.Thread(target=self._serve_connection, args=(sock,),
-                             daemon=True).start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        conn = FrameConnection(sock)
-        try:
-            sock.settimeout(10.0)
-            hello = conn.recv()
-            sock.settimeout(None)
-        except (ProtocolError, OSError):
-            conn.close()
-            return
-        if (not hello or hello.get("type") != "hello"
-                or hello.get("token") != self._token
-                or hello.get("worker_id") not in self._workers):
-            conn.close()
-            return
-        ident = hello["worker_id"]
-        self._events.put(("joined", ident, conn, hello.get("pid")))
-        while True:
-            try:
-                frame = conn.recv()
-            except ProtocolError:
-                # Poisoned connection (e.g. a corrupt result frame):
-                # drop the worker rather than guess at the bytes.
-                self._events.put(("lost", ident, "protocol-error"))
-                return
-            except OSError:
-                self._events.put(("lost", ident, "closed"))
-                return
-            if frame is None:
-                self._events.put(("lost", ident, "closed"))
-                return
-            self._events.put(("frame", ident, frame))
-
-    # -- the scheduling loop ------------------------------------------------
-
-    def _execute_distributed(self) -> None:
+    def _execute_leased(self) -> None:
         ready: Deque[_Task] = deque(
             _Task("run", key, job) for key, job in self.jobs_by_key.items())
-        backoff: List[Tuple[float, int, _Task]] = []
+        backoff: list = []
         while True:
             now = time.monotonic()
-            self._reap_unjoined(now)
             self._enforce_leases(ready, backoff, now)
             while backoff and backoff[0][0] <= now:
                 ready.append(heapq.heappop(backoff)[2])
-            leased = sum(1 for worker in self._workers.values()
-                         if not worker.dead and worker.lease is not None)
-            if not ready and not backoff and not leased:
+            leased = sum(len(worker.leases) for worker in self._alive())
+            pending = len(ready) + len(backoff) + leased
+            if not pending:
                 return
-            alive = sum(1 for worker in self._workers.values()
-                        if not worker.dead)
-            if (alive == 0
-                    and self._respawns >= self.distributed.respawn_budget):
-                self.faults.degraded_serial = True
-                self.faults.note(
-                    "cluster.exhausted", respawns=self._respawns,
-                    detail="every worker is dead and the respawn budget "
-                           "is spent; finishing the batch serially in "
-                           "isolated child processes")
-                self._drain_degraded(ready, backoff)
+            self._ensure_capacity(pending)
+            if not self._alive():
+                self._abandon(ready, backoff)
                 return
-            self._ensure_capacity(len(ready) + len(backoff) + leased)
-            self._dispatch(ready, now)
-            try:
-                event = self._events.get(timeout=_TICK)
-            except queue.Empty:
-                continue
-            self._handle_event(event, ready, backoff, time.monotonic())
-            while True:
-                try:
-                    event = self._events.get_nowait()
-                except queue.Empty:
-                    break
-                self._handle_event(event, ready, backoff, time.monotonic())
+            self._dispatch(ready, backoff, now)
+            for key, _ in self._selector.select(timeout=_TICK):
+                if not key.data.dead:
+                    self._receive(key.data, ready, backoff)
 
-    def _dispatch(self, ready: Deque[_Task], now: float) -> None:
-        idle = [worker for worker in self._workers.values()
-                if worker.joined and worker.lease is None]
-        while ready and idle:
+    def _dispatch(self, ready: Deque[_Task], backoff: list,
+                  now: float) -> None:
+        """Hand ready tasks to the least-loaded workers with a free
+        lease slot (cache hits complete without one)."""
+        while ready:
+            free = [worker for worker in self._alive()
+                    if len(worker.leases) < QUEUE_DEPTH]
+            if not free:
+                return
             task = ready.popleft()
             if self._satisfy_from_cache(task, ready):
                 continue
-            worker = idle.pop()
+            worker = min(free, key=lambda w: len(w.leases))
             job = self._job_for_attempt(task)
             self._job_seq += 1
-            worker.lease = _Lease(self._job_seq, task, now)
+            lease = _Lease(self._job_seq, task)
             try:
                 worker.conn.send({
-                    "type": "job", "job_id": worker.lease.job_id,
+                    "type": "job", "job_id": lease.job_id,
                     "kind": task.kind, "job": encode_payload(job),
-                    "heartbeat": self.distributed.heartbeat_seconds,
+                    "heartbeat": HEARTBEAT_SECONDS,
                 })
             except OSError:
-                # Never reached the worker: free requeue, no attempt
-                # charged; the reader thread will report the loss too,
-                # but the worker is dead by then and it is ignored.
-                worker.lease = None
+                # Never reached the worker: free requeue.
                 ready.appendleft(task)
-                self._mark_dead(worker, "send-failed")
+                self._end_worker(worker, "send-failed", ready, backoff, now)
+                continue
+            if not worker.leases:
+                lease.start(now)
+            worker.leases.append(lease)
 
-    def _ensure_capacity(self, pending: int) -> None:
-        alive = sum(1 for worker in self._workers.values()
-                    if not worker.dead)
-        want = min(self.distributed.workers, pending)
-        while (alive < want
-                and self._respawns < self.distributed.respawn_budget):
-            worker = self._spawn_worker()
-            self._respawns += 1
-            self.faults.worker_respawns += 1
-            self.faults.note("worker.respawned", worker=worker.ident,
-                             respawns=self._respawns,
-                             budget=self.distributed.respawn_budget)
-            alive += 1
-
-    # -- event handling -----------------------------------------------------
-
-    def _handle_event(self, event: tuple, ready: Deque[_Task],
-                      backoff: list, now: float) -> None:
-        kind, ident = event[0], event[1]
-        worker = self._workers.get(ident)
-        if worker is None or worker.dead:
-            if kind == "joined":
-                event[2].close()  # stale hello from a reaped worker
+    def _receive(self, worker: _Worker, ready: Deque[_Task],
+                 backoff: list) -> None:
+        reason = "closed"
+        try:
+            frame = worker.conn.recv()
+        except ProtocolError:
+            # Poisoned connection (e.g. a corrupt result frame): drop
+            # the worker rather than guess at the bytes.
+            frame, reason = None, "protocol-error"
+        except OSError:
+            frame = None
+        now = time.monotonic()
+        if frame is None:
+            self._end_worker(worker, reason, ready, backoff, now)
             return
-        if kind == "joined":
-            worker.conn = event[2]
-            worker.pid = event[3]
-            self.faults.note("worker.joined", worker=worker.ident,
-                             pid=worker.pid)
-            return
-        if kind == "lost":
-            self._on_worker_lost(worker, event[2], ready, backoff, now)
-            return
-        frame = event[2]
-        frame_type = frame.get("type")
-        if frame_type == "heartbeat":
-            lease = worker.lease
-            if lease is not None and lease.job_id == frame.get("job_id"):
-                lease.last_beat = now
-        elif frame_type == "result":
-            self._on_result(worker, frame, ready, backoff, now)
+        oldest = worker.leases[0] if worker.leases else None
+        if oldest is None or oldest.job_id != frame.get("job_id"):
+            self._end_worker(worker, "protocol-error", ready, backoff, now)
+        elif frame.get("type") == "heartbeat":
+            oldest.last_beat = now
+        elif frame.get("type") == "result":
+            worker.leases.popleft()
+            if worker.leases:
+                worker.leases[0].start(now)
+            self._on_result(worker, oldest, frame, ready, backoff, now)
 
-    def _on_result(self, worker: _Worker, frame: dict,
+    def _push_backoff(self, backoff, due: float, task: _Task) -> None:
+        self._task_seq += 1
+        heapq.heappush(backoff, (due, self._task_seq, task))
+
+    def _handle_outcome(self, task: _Task, outcome, ready, backoff,
+                        now: float) -> None:
+        status, payload = outcome
+        if status == "ok":
+            self._complete(task, payload)
+            if task.kind == "run":
+                compare = self._compare_task(task.key[:3])
+                if compare is not None:
+                    ready.append(compare)
+            elif task.kind == "compare":
+                triage = self._triage_task(task.key)
+                if triage is not None:
+                    ready.append(triage)
+            return
+        delay = self._register_failure(task, payload)
+        if delay is not None:
+            self._push_backoff(backoff, now + delay, task)
+
+    def _on_result(self, worker: _Worker, lease: _Lease, frame: dict,
                    ready: Deque[_Task], backoff: list, now: float) -> None:
-        lease = worker.lease
-        if lease is None or lease.job_id != frame.get("job_id"):
-            # A result for a reclaimed lease (the net-delay case): the
-            # job was already re-queued elsewhere, so a late result must
-            # be discarded or the batch double-completes.
-            self.faults.note("result.stale", worker=worker.ident,
-                             job_id=frame.get("job_id"))
-            return
-        worker.lease = None
         try:
             outcome = decode_payload(frame["outcome"])
         except Exception as exc:
-            failure = dataclasses.replace(
-                self._pool_crash_failure(lease.task),
-                exc_type="UndecodableResult",
-                message=f"worker {worker.ident} returned an undecodable "
-                        f"result payload: {exc}")
-            delay = self._register_failure(lease.task, failure)
-            if delay is not None:
-                self._push_backoff(backoff, now + delay, lease.task)
-            return
+            outcome = ("fail", self._worker_failure(
+                lease.task, "UndecodableResult",
+                f"worker {worker.ident} returned an undecodable result "
+                f"payload: {exc}"))
         self._handle_outcome(lease.task, outcome, ready, backoff, now)
 
-    def _on_worker_lost(self, worker: _Worker, reason: str,
-                        ready: Deque[_Task], backoff: list,
-                        now: float) -> None:
-        lease, worker.lease = worker.lease, None
+    def _end_worker(self, worker: _Worker, reason: str,
+                    ready: Deque[_Task], backoff: list, now: float,
+                    failure: Optional[RunFailure] = None) -> None:
+        """Kill ``worker``; charge its oldest lease (``failure``, or a
+        ``WorkerLost``), requeue the queued ones at no cost."""
+        leases = list(worker.leases)
+        worker.leases.clear()
         self._mark_dead(worker, reason)
-        if lease is None:
+        if not leases:
+            self._unleased_deaths += 1
             return
-        failure = dataclasses.replace(
-            self._pool_crash_failure(lease.task), exc_type="WorkerLost",
-            message=f"distributed worker {worker.ident} was lost "
-                    f"({reason}) while executing this job")
-        delay = self._register_failure(lease.task, failure)
+        oldest = leases[0].task
+        if failure is None:
+            failure = self._worker_failure(
+                oldest, "WorkerLost",
+                f"worker {worker.ident} was lost ({reason}) while "
+                "executing this job")
+        delay = self._register_failure(oldest, failure)
         if delay is not None:
-            self._push_backoff(backoff, now + delay, lease.task)
+            self._push_backoff(backoff, now + delay, oldest)
+        for lease in reversed(leases[1:]):
+            ready.appendleft(lease.task)
+            self.faults.note("lease.requeued", worker=worker.ident,
+                             **lease.task.names)
 
-    def _mark_dead(self, worker: _Worker, reason: str) -> None:
-        if worker.dead:
-            return
-        worker.dead = True
-        if worker.conn is not None:
-            worker.conn.close()
-            worker.conn = None
-        if worker.proc.poll() is None:
-            try:
-                worker.proc.kill()
-            except OSError:
-                pass
-        self.faults.worker_deaths += 1
-        self.faults.note("worker.lost", worker=worker.ident, reason=reason)
+    def _abandon(self, ready: Deque[_Task], backoff: list) -> None:
+        """No worker is alive and none may be spawned: record every
+        remaining job as a terminal ``WorkerLost`` failure."""
+        leftovers = list(ready) + [task for _, _, task in sorted(backoff)]
+        ready.clear()
+        backoff.clear()
+        self.faults.note("workers.exhausted",
+                         unleased_deaths=self._unleased_deaths,
+                         abandoned=len(leftovers))
+        for task in leftovers:
+            self._register_failure(task, self._worker_failure(
+                task, "WorkerLost",
+                f"no worker left to run this job: {self._unleased_deaths} "
+                f"worker(s) died without a lease (budget "
+                f"{2 * self.jobs})"), retry=False)
 
-    # -- watchdogs ----------------------------------------------------------
-
-    def _reap_unjoined(self, now: float) -> None:
-        for worker in self._workers.values():
-            if worker.dead or worker.conn is not None:
-                continue
-            if worker.proc.poll() is not None:
-                self._mark_dead(worker, "exited-before-join")
-            elif now - worker.spawned_at > self.distributed.spawn_timeout:
-                self._mark_dead(worker, "never-joined")
+    # -- watchdogs ------------------------------------------------------------
 
     def _enforce_leases(self, ready: Deque[_Task], backoff: list,
                         now: float) -> None:
-        for worker in self._workers.values():
-            if worker.dead or worker.lease is None:
+        timeout = self.config.run_timeout
+        for worker in self._alive():
+            if not worker.leases:
                 continue
-            lease = worker.lease
-            timeout = self.config.run_timeout
+            lease = worker.leases[0]
             if timeout is not None and now - lease.started > timeout:
-                worker.lease = None
-                delay = self._register_failure(
-                    lease.task, self._timeout_failure(lease.task))
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, lease.task)
-                self._mark_dead(worker, "run-timeout")
+                self._end_worker(worker, "run-timeout", ready, backoff, now,
+                                 self._timeout_failure(lease.task))
                 continue
             silent = now - lease.last_beat
-            if silent > self.distributed.lease_seconds:
-                worker.lease = None
+            if silent > LEASE_SECONDS:
                 self.faults.lease_reclaims += 1
                 self.faults.note("lease.reclaimed", worker=worker.ident,
                                  silent_seconds=round(silent, 3),
                                  **lease.task.names)
-                failure = dataclasses.replace(
-                    self._pool_crash_failure(lease.task),
-                    exc_type="LeaseExpired",
-                    message=f"worker {worker.ident} stopped heartbeating "
-                            f"({silent:.1f}s silent); lease reclaimed")
-                delay = self._register_failure(lease.task, failure)
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, lease.task)
-                self._mark_dead(worker, "lease-expired")
+                self._end_worker(
+                    worker, "lease-expired", ready, backoff, now,
+                    self._worker_failure(
+                        lease.task, "LeaseExpired",
+                        f"worker {worker.ident} stopped heartbeating "
+                        f"({silent:.1f}s silent); lease reclaimed"))

@@ -97,9 +97,9 @@ class CommonVerificationFlow:
     :class:`~repro.regression.resilience.ResilienceConfig`) is threaded
     into every regression unchanged.
 
-    ``workers``/``cache_dir`` thread straight into every regression the
-    flow runs: with workers the iterations execute on the distributed
-    leased-worker service, and with a cache the later iterations reuse
+    ``jobs``/``cache_dir`` thread straight into every regression the
+    flow runs: with ``jobs > 1`` the iterations execute on leased worker
+    processes, and with a cache the later iterations reuse
     every run whose coordinates an earlier one already simulated (the
     fix loop re-runs only what the fix invalidated — BCA entries key on
     their bug set, the RTL entries hit the cache unchanged).
@@ -125,7 +125,6 @@ class CommonVerificationFlow:
         resilience: Optional["ResilienceConfig"] = None,
         kernel: str = "delta",
         triage: bool = False,
-        workers: int = 0,
         cache_dir: Optional[str] = None,
         incremental: bool = False,
     ):
@@ -140,7 +139,6 @@ class CommonVerificationFlow:
         self.symbolic = symbolic
         self.jobs = jobs
         self.kernel = kernel
-        self.workers = workers
         self.cache_dir = cache_dir
         if incremental and not cache_dir:
             raise ValueError(
@@ -287,7 +285,7 @@ class CommonVerificationFlow:
             jobs=self.jobs, telemetry=telemetry,
             resilience=self.resilience,
             kernel=self.kernel, triage=self.triage,
-            workers=self.workers, cache_dir=self.cache_dir,
+            cache_dir=self.cache_dir,
             incremental=self.incremental,
         )
         return runner.run().configs[0]

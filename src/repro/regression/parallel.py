@@ -5,8 +5,10 @@ many node configurations and seeds; every (config, test, seed, view) run
 is independent of every other — the test factories are deterministic in
 (config, seed), both views rebuild the test from scratch, and each run
 owns its VCD/report files.  That makes the batch embarrassingly
-parallel: this module fans the runs out over a process pool and the
-bus-accurate comparisons out behind them, while the
+parallel: this module describes each run, comparison and triage as a
+plain picklable job plus the function that executes it, so the
+leased workers of :mod:`repro.regression.distributed` and the inline
+path run identical code, while the
 :class:`~repro.regression.runner.RegressionRunner` assembles the results
 in the same deterministic order as a serial run — so the final
 :class:`~repro.regression.runner.RegressionReport` (entry order,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from ..analyzer import AlignmentReport, compare_vcds
 from ..catg.env import RunResult, run_test
@@ -120,7 +122,7 @@ def execute_run_job(job: RunJob) -> RunResult:
     inline under ``jobs=1`` — identical code either way.
 
     With ``job.telemetry`` a :class:`~repro.telemetry.RunRecorder` built
-    in *this* process (a pool worker or the parent) records phase spans,
+    in *this* process (a worker or the parent) records phase spans,
     kernel counters and structured log records; the picklable payload
     rides back on ``result.telemetry``.  Artifact bytes are identical
     either way.
@@ -224,44 +226,6 @@ def execute_triage_job(job: TriageJob) -> Tuple[
             telemetry=recorder.telemetry,
         )
     return report, recorder.payload()
-
-
-def execute_batch(
-    jobs_by_key: Dict[RunKey, RunJob],
-    *,
-    jobs: int,
-    compare_waveforms: bool,
-    telemetry: bool = False,
-) -> Tuple[
-    Dict[RunKey, RunResult],
-    Dict[EntryKey, AlignmentReport],
-    Dict[EntryKey, RunTelemetry],
-]:
-    """Execute every run job over ``jobs`` worker processes.
-
-    As soon as both views of an entry finish, its bus-accurate comparison
-    is submitted to the same pool, so comparisons overlap with the
-    remaining simulations instead of waiting behind a barrier.
-
-    Compatibility wrapper over
-    :class:`~repro.regression.resilience.ResilientBatchExecutor` (with
-    the default fault-tolerance policy): a fault-free batch returns
-    byte-identical results to the historical unguarded pool, while a
-    crashed worker or broken pool now yields
-    :class:`~repro.regression.resilience.RunFailure` values in
-    ``results`` instead of aborting the whole batch.
-
-    Returns the run results, the alignment reports, and (when
-    ``telemetry``) the per-comparison telemetry payloads.
-    """
-    from .resilience import ResilientBatchExecutor
-
-    executor = ResilientBatchExecutor(
-        jobs_by_key, jobs=jobs, compare_waveforms=compare_waveforms,
-        telemetry=telemetry,
-    )
-    results, alignments, compare_telemetry = executor.execute()[:3]
-    return results, alignments, compare_telemetry
 
 
 def default_jobs() -> int:

@@ -1,32 +1,30 @@
-"""The coordinator↔worker wire protocol of the distributed regression
-service.
+"""The coordinator↔worker wire protocol of the leased executor.
 
-Deliberately tiny: **length-prefixed JSON frames over TCP**.  Every
-frame is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON (one object).  Rich values — jobs, run results, alignment
-reports — ride inside frames as *payload strings*: zlib-compressed
-pickles, base64-armored so they embed in JSON.  That keeps the framing
-layer trivially debuggable (``nc`` + ``head -c`` shows you everything)
-while the payloads reuse the exact picklable job/result values the
-process-pool engine already ships across its own boundary.
+Deliberately tiny: **length-prefixed JSON frames** over one
+``socket.socketpair()`` per worker.  Every frame is a 4-byte big-endian
+length followed by that many bytes of UTF-8 JSON (one object).  Rich
+values — jobs, run results, alignment reports — ride inside frames as
+*payload strings*: zlib-compressed pickles, base64-armored so they
+embed in JSON.  That keeps the framing layer trivially debuggable while
+the payloads are the exact picklable job/result values the inline path
+produces.
 
 Frame types (``type`` field):
 
 ========== ============ ==========================================
 type       direction    fields
 ========== ============ ==========================================
-hello      worker → co  ``token``, ``pid``, ``worker_id``
 job        co → worker  ``job_id``, ``kind`` (run|compare|triage),
                         ``job`` (payload), ``heartbeat`` (seconds)
 heartbeat  worker → co  ``job_id``
 result     worker → co  ``job_id``, ``outcome`` (payload)
-shutdown   co → worker  —
 ========== ============ ==========================================
 
-A frame that fails to parse (truncated, oversized, corrupt bytes) is a
-:class:`ProtocolError`; the coordinator treats the connection as
-poisoned — the worker is dropped and its leased job re-leased — rather
-than guessing at intent.
+End-of-file is the only other signal: the coordinator closing its end
+tells the worker the batch is over.  A frame that fails to parse
+(truncated, oversized, corrupt bytes) is a :class:`ProtocolError`; the
+coordinator treats the connection as poisoned — the worker is dropped
+and its leased job re-leased — rather than guessing at intent.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def frame_bytes(obj: dict) -> bytes:
 
 
 class FrameConnection:
-    """One framed TCP connection.
+    """One framed stream-socket connection.
 
     Sending is serialized by a lock (the worker's heartbeat thread and
     its main loop share the socket); receiving is single-reader.

@@ -2,8 +2,10 @@
 
 The paper's regression tool earns its keep overnight: a batch across
 many configurations and seeds must *finish with a usable report* even
-when individual runs misbehave.  This module wraps the embarrassingly
-parallel scheduler of :mod:`repro.regression.parallel` with four layers
+when individual runs misbehave.  This module owns the batch's
+bookkeeping and its inline (``jobs=1``) path; the leased worker
+processes that run every other batch live in
+:mod:`repro.regression.distributed` and reuse all of it.  Four layers
 of protection:
 
 1. **Run-level crash isolation** — every run/compare job executes under
@@ -11,17 +13,14 @@ of protection:
    VCD discovered in the compare stage) into a structured, picklable
    :class:`RunFailure` carried into the report instead of aborting the
    batch.
-2. **Wall-clock deadlines** — a parent-side watchdog enforces
-   ``run_timeout`` per job; the existing ``max_cycles`` budget only
-   bounds *simulated* cycles, not a worker stuck in native code.  A
-   timed-out worker is killed, the pool rebuilt, and every innocent
-   in-flight job rescheduled without consuming one of its attempts.
+2. **Wall-clock deadlines** — the coordinator enforces ``run_timeout``
+   per job; the existing ``max_cycles`` budget only bounds *simulated*
+   cycles, not a worker stuck in native code.  A timed-out worker is
+   killed and replaced; only its current job is charged.
 3. **Bounded retry with backoff + quarantine** — crashed and timed-out
    jobs are retried up to ``max_retries`` times with exponential
    backoff; jobs that fail repeatedly are quarantined (excluded from the
-   batch, listed in the report with their failure history).  If the pool
-   itself breaks more than ``_MAX_POOL_REBUILDS`` times the batch
-   degrades to serial execution in kill-able child processes.
+   batch, listed in the report with their failure history).
 4. **Resume from the result cache** — with a cache configured, every
    run is published to it the moment it completes, so an interrupted
    batch (Ctrl-C, OOM, machine crash) resumes by rerunning the same
@@ -29,21 +28,17 @@ of protection:
    hits, only the remainder simulates.
 
 The invariant throughout: a fault-free batch produces byte-identical
-report artifacts to the unguarded engine, for any ``jobs=N``, serial or
-parallel, interrupted and rerun or not.
+report artifacts for any ``jobs=N``, inline or on workers, interrupted
+and rerun or not.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import multiprocessing
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import chaos
 from .parallel import (
@@ -57,15 +52,8 @@ from .parallel import (
     execute_triage_job,
 )
 
-#: Watchdog poll interval (seconds) for the pool scheduling loop.
-_TICK = 0.05
-
 #: Ceiling on a single retry backoff delay.
 _MAX_BACKOFF = 30.0
-
-#: Unexpected pool breaks tolerated before the batch degrades to serial
-#: child-process execution.
-_MAX_POOL_REBUILDS = 3
 
 #: Entry statuses a regression report can now carry.
 STATUSES = ("PASS", "FAIL", "ERROR", "TIMEOUT", "QUARANTINED")
@@ -181,9 +169,9 @@ def guarded_execute_triage(job: TriageJob):
 class ResilienceConfig:
     """Fault-tolerance knobs for one regression batch."""
 
-    #: Parent-side wall-clock deadline per run/compare job (seconds);
-    #: ``None`` disables the watchdog.  Under ``jobs=1`` a deadline
-    #: moves execution into kill-able child processes.
+    #: Coordinator-side wall-clock deadline per run/compare job
+    #: (seconds); ``None`` disables the watchdog.  Under ``jobs=1`` a
+    #: deadline moves execution into one kill-able worker process.
     run_timeout: Optional[float] = None
     #: Retries after the first failed attempt (total attempts = N + 1).
     max_retries: int = 2
@@ -200,16 +188,11 @@ class BatchFaults:
     timeouts: int = 0
     compare_failures: int = 0
     triage_failures: int = 0
-    pool_rebuilds: int = 0
     quarantined: List[RunFailure] = field(default_factory=list)
-    degraded_serial: bool = False
-    # Distributed-cluster accounting (all zero for local batches).
+    # Worker accounting (all zero for inline batches).
     lease_reclaims: int = 0
     worker_deaths: int = 0
     worker_respawns: int = 0
-    #: No distributed worker was reachable; the batch ran on the local
-    #: resilient executor instead.
-    degraded_local: bool = False
     #: Structured fault records for the telemetry run log.
     events: List[dict] = field(default_factory=list)
 
@@ -226,21 +209,11 @@ class BatchFaults:
             "timeouts": self.timeouts,
             "compare_failures": self.compare_failures,
             "triage_failures": self.triage_failures,
-            "pool_rebuilds": self.pool_rebuilds,
             "quarantined": len(self.quarantined),
-            "degraded_serial": self.degraded_serial,
             "lease_reclaims": self.lease_reclaims,
             "worker_deaths": self.worker_deaths,
             "worker_respawns": self.worker_respawns,
-            "degraded_local": self.degraded_local,
         }
-
-    @property
-    def clean(self) -> bool:
-        return not (self.retries or self.crashes or self.timeouts
-                    or self.compare_failures or self.triage_failures
-                    or self.pool_rebuilds or self.quarantined
-                    or self.lease_reclaims or self.worker_deaths)
 
 
 # ---------------------------------------------------------------------------
@@ -256,59 +229,6 @@ def run_artifact_paths(job: RunJob) -> Dict[str, str]:
         paths["report"] = job.report_stem + ".report.txt"
         paths["coverage"] = job.report_stem + ".coverage.txt"
     return paths
-
-
-# ---------------------------------------------------------------------------
-# Child-process execution (serial-with-deadline and degraded modes)
-
-
-def _child_entry(conn, fn, job) -> None:
-    try:
-        conn.send(fn(job))
-    finally:
-        conn.close()
-
-
-def _execute_in_child(fn, job, timeout: Optional[float]):
-    """Run one guarded job in a dedicated child process.
-
-    Gives the serial path the same isolation a pool worker has — a hard
-    crash or hang kills the child, never the batch — and makes deadlines
-    enforceable with a plain ``kill()``.  Returns the guarded outcome
-    tuple, ``("timeout", None)`` or ``("died", exitcode)``.
-    """
-    ctx = multiprocessing.get_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_entry, args=(send, fn, job))
-    proc.start()
-    send.close()
-    deadline = time.monotonic() + timeout if timeout else None
-    outcome = None
-    try:
-        while True:
-            if recv.poll(_TICK):
-                try:
-                    outcome = recv.recv()
-                except EOFError:
-                    outcome = None
-                break
-            if not proc.is_alive():
-                if recv.poll(0):
-                    try:
-                        outcome = recv.recv()
-                    except EOFError:
-                        outcome = None
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                proc.kill()
-                proc.join(5)
-                return ("timeout", None)
-        proc.join(5)
-    finally:
-        recv.close()
-    if outcome is None:
-        return ("died", proc.exitcode)
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +262,11 @@ class _Task:
 
 class ResilientBatchExecutor:
     """Schedules a batch's run/compare jobs with crash isolation,
-    deadlines, retry/quarantine and the result cache.
+    retry/quarantine and the result cache, executing them inline.
 
-    ``jobs == 1`` executes inline (or in kill-able child processes when
-    a deadline is set); ``jobs > 1`` drives a process pool with a
-    watchdog.  Either way the results feed the same deterministic
-    assembly path, so fault-free output is byte-identical across modes.
+    The results feed one deterministic assembly path, so fault-free
+    output is byte-identical to the leased-worker subclass at any
+    ``jobs``.
     """
 
     def __init__(
@@ -394,8 +313,6 @@ class ResilientBatchExecutor:
                 seen.add(entry_key)
                 self._entry_order.append(entry_key)
         self._compared = set()
-        self._degraded = False
-        self._task_seq = 0
 
     # -- shared bookkeeping -------------------------------------------------
 
@@ -417,11 +334,11 @@ class ResilientBatchExecutor:
             task.job = dataclasses.replace(task.job, **changes)
         return task.job
 
-    def _register_failure(self, task: _Task,
-                          failure: RunFailure) -> Optional[float]:
+    def _register_failure(self, task: _Task, failure: RunFailure,
+                          retry: bool = True) -> Optional[float]:
         """Record one failed attempt.  Returns the backoff delay before
-        the retry, or ``None`` when the job is terminal (quarantined or
-        out of budget)."""
+        the retry, or ``None`` when the job is terminal (quarantined,
+        out of budget, or ``retry`` is false)."""
         if failure.stage == "compare":
             self.faults.compare_failures += 1
         elif failure.stage == "triage":
@@ -432,7 +349,7 @@ class ResilientBatchExecutor:
             self.faults.crashes += 1
         task.failures.append(failure)
         n_failed = len(task.failures)
-        if n_failed <= self.config.max_retries:
+        if retry and n_failed <= self.config.max_retries:
             self.faults.retries += 1
             delay = min(_MAX_BACKOFF,
                         self.config.backoff * (2 ** (n_failed - 1)))
@@ -579,281 +496,63 @@ class ResilientBatchExecutor:
             return guarded_execute_triage
         return guarded_execute_compare
 
-    def _pool_crash_failure(self, task: _Task) -> RunFailure:
+
+    def _worker_failure(self, task: _Task, exc_type: str,
+                        message: str) -> RunFailure:
+        """A failure charged to ``task`` by the scheduler itself (its
+        worker died, went silent or returned garbage) rather than raised
+        by the job."""
         names = task.names
         return RunFailure(
             config_name=str(names["config"]), test_name=str(names["test"]),
             seed=int(names["seed"]), view=str(names["view"]),
             stage="run" if task.kind == "run" else "compare",
-            kind="ERROR", exc_type="WorkerDied",
-            message="worker process died while executing this job "
-                    "(process pool crashed)",
+            kind="ERROR", exc_type=exc_type, message=message,
             attempt=task.job.attempt,
         )
 
     def _timeout_failure(self, task: _Task) -> RunFailure:
-        names = task.names
-        return RunFailure(
-            config_name=str(names["config"]), test_name=str(names["test"]),
-            seed=int(names["seed"]), view=str(names["view"]),
-            stage="run" if task.kind == "run" else "compare",
-            kind="TIMEOUT", exc_type="WatchdogTimeout",
-            message=f"exceeded the run deadline of "
-                    f"{self.config.run_timeout}s and was killed",
-            attempt=task.job.attempt,
-        )
+        return dataclasses.replace(
+            self._worker_failure(
+                task, "WatchdogTimeout",
+                f"exceeded the run deadline of {self.config.run_timeout}s "
+                "and was killed"),
+            kind="TIMEOUT")
 
     # -- execution ----------------------------------------------------------
 
     def execute(self):
-        if self.jobs > 1:
-            self._execute_pool()
-        else:
-            self._execute_serial()
+        """Run the batch inline, one job after another, in this process.
+        :class:`~repro.regression.distributed.DistributedBatchExecutor`
+        overrides this with leased worker processes."""
+        for entry_key in self._entry_order:
+            for view in ("rtl", "bca"):
+                key = entry_key + (view,)
+                self._run_task_inline(
+                    _Task("run", key, self.jobs_by_key[key]))
+            task = self._compare_task(entry_key)
+            if task is not None:
+                self._run_task_inline(task)
+            task = self._triage_task(entry_key)
+            if task is not None:
+                self._run_task_inline(task)
+        return self._outcome()
+
+    def _outcome(self):
         return (self.results, self.alignments, self.compare_telemetry,
                 self.compare_failures, self.triages, self.triage_telemetry,
                 self.faults)
 
-    # -- serial (and degraded) mode ----------------------------------------
-
-    def _execute_serial(self, isolate: bool = False) -> None:
-        isolate = isolate or self.config.run_timeout is not None
-        for entry_key in self._entry_order:
-            for view in ("rtl", "bca"):
-                key = entry_key + (view,)
-                self._run_task_blocking(
-                    _Task("run", key, self.jobs_by_key[key]), isolate)
-            task = self._compare_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, isolate)
-            task = self._triage_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, isolate)
-
-    def _run_task_blocking(self, task: _Task, isolate: bool) -> None:
+    def _run_task_inline(self, task: _Task) -> None:
         if self._satisfy_from_cache(task, None):
             return
         fn = self._worker_fn(task)
         while True:
-            job = self._job_for_attempt(task)
-            if isolate:
-                outcome = _execute_in_child(fn, job, self.config.run_timeout)
-            else:
-                outcome = fn(job)
-            status, payload = outcome
+            status, payload = fn(self._job_for_attempt(task))
             if status == "ok":
                 self._complete(task, payload)
                 return
-            if status == "timeout":
-                failure = self._timeout_failure(task)
-            elif status == "died":
-                failure = dataclasses.replace(
-                    self._pool_crash_failure(task),
-                    message="worker child process died "
-                            f"(exit code {payload})",
-                )
-            else:
-                failure = payload
-            delay = self._register_failure(task, failure)
+            delay = self._register_failure(task, payload)
             if delay is None:
                 return
             time.sleep(delay)
-
-    # -- pool mode ----------------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-        pool.shutdown(wait=False)
-
-    def _execute_pool(self) -> None:
-        ready: Deque[_Task] = deque(
-            _Task("run", key, job) for key, job in self.jobs_by_key.items())
-        backoff: List[Tuple[float, int, _Task]] = []
-        inflight: Dict[object, _Task] = {}
-        started: Dict[object, float] = {}
-        broken_strikes = 0
-        pool = self._new_pool()
-        try:
-            while ready or backoff or inflight:
-                now = time.monotonic()
-                while backoff and backoff[0][0] <= now:
-                    ready.append(heapq.heappop(backoff)[2])
-                # Submit whatever is due.
-                submit_failed = False
-                while ready and not self._degraded:
-                    task = ready[0]
-                    if self._satisfy_from_cache(task, ready):
-                        ready.popleft()
-                        continue
-                    job = self._job_for_attempt(task)
-                    try:
-                        future = pool.submit(self._worker_fn(task), job)
-                    except Exception:
-                        # Pool broke between completions; recover below.
-                        submit_failed = True
-                        break
-                    ready.popleft()
-                    inflight[future] = task
-                if self._degraded:
-                    break
-                if not inflight:
-                    if submit_failed:
-                        pool, broken_strikes = self._recover_broken_pool(
-                            pool, inflight, started, ready, backoff,
-                            broken_strikes)
-                        continue
-                    if backoff:
-                        time.sleep(
-                            max(0.0, min(backoff[0][0] - now, 0.25)))
-                    continue
-                done, _ = wait(set(inflight), timeout=_TICK,
-                               return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                for future in inflight:
-                    if future not in started and future.running():
-                        started[future] = now
-                pool_broke = submit_failed
-                for future in done:
-                    task = inflight.pop(future)
-                    was_started = started.pop(future, None) is not None
-                    try:
-                        outcome = future.result()
-                    except Exception:
-                        # BrokenProcessPool (or kin): a worker died
-                        # without returning.  In-flight jobs consume an
-                        # attempt; queued ones resubmit freely.
-                        pool_broke = True
-                        if was_started:
-                            delay = self._register_failure(
-                                task, self._pool_crash_failure(task))
-                            if delay is not None:
-                                self._push_backoff(backoff, now + delay,
-                                                   task)
-                        else:
-                            ready.append(task)
-                        continue
-                    self._handle_outcome(task, outcome, ready, backoff, now)
-                if pool_broke:
-                    pool, broken_strikes = self._recover_broken_pool(
-                        pool, inflight, started, ready, backoff,
-                        broken_strikes)
-                    continue
-                if self.config.run_timeout is not None:
-                    pool = self._enforce_deadlines(pool, inflight, started,
-                                                   ready, backoff, now)
-            if self._degraded:
-                self._drain_degraded(ready, backoff)
-        except BaseException:
-            self._kill_pool(pool)
-            raise
-        else:
-            pool.shutdown(wait=False)
-
-    def _push_backoff(self, backoff, due: float, task: _Task) -> None:
-        self._task_seq += 1
-        heapq.heappush(backoff, (due, self._task_seq, task))
-
-    def _handle_outcome(self, task: _Task, outcome, ready, backoff,
-                        now: float) -> None:
-        status, payload = outcome
-        if status == "ok":
-            self._complete(task, payload)
-            if task.kind == "run":
-                compare = self._compare_task(task.key[:3])
-                if compare is not None:
-                    ready.append(compare)
-            elif task.kind == "compare":
-                triage = self._triage_task(task.key)
-                if triage is not None:
-                    ready.append(triage)
-            return
-        delay = self._register_failure(task, payload)
-        if delay is not None:
-            self._push_backoff(backoff, now + delay, task)
-
-    def _recover_broken_pool(self, pool, inflight, started, ready, backoff,
-                             broken_strikes: int):
-        """The pool died unexpectedly: charge started jobs one attempt,
-        free-requeue queued ones, and rebuild (or degrade to serial)."""
-        now = time.monotonic()
-        for future, task in list(inflight.items()):
-            was_started = started.pop(future, None) is not None
-            if was_started:
-                delay = self._register_failure(
-                    task, self._pool_crash_failure(task))
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, task)
-            else:
-                ready.append(task)
-        inflight.clear()
-        started.clear()
-        self._kill_pool(pool)
-        broken_strikes += 1
-        self.faults.pool_rebuilds += 1
-        if broken_strikes > _MAX_POOL_REBUILDS:
-            self._degraded = True
-            self.faults.degraded_serial = True
-            self.faults.note("pool.degraded",
-                             strikes=broken_strikes,
-                             detail="process pool broke repeatedly; "
-                                    "finishing the batch serially in "
-                                    "isolated child processes")
-            return pool, broken_strikes
-        self.faults.note("pool.rebuilt", cause="crash",
-                         strikes=broken_strikes)
-        with self._span("pool.rebuild", cause="crash"):
-            pool = self._new_pool()
-        return pool, broken_strikes
-
-    def _enforce_deadlines(self, pool, inflight, started, ready, backoff,
-                           now: float):
-        """Kill jobs past the deadline.  Returns the (possibly rebuilt)
-        pool; the hung worker can only be stopped by killing the whole
-        pool, so innocent in-flight jobs are requeued at no cost."""
-        timeout = self.config.run_timeout
-        timed = [future for future, t0 in started.items()
-                 if future in inflight and now - t0 > timeout]
-        if not timed:
-            return pool
-        for future in timed:
-            task = inflight.pop(future)
-            started.pop(future, None)
-            delay = self._register_failure(task, self._timeout_failure(task))
-            if delay is not None:
-                self._push_backoff(backoff, now + delay, task)
-        for future, task in list(inflight.items()):
-            started.pop(future, None)
-            ready.append(task)
-        inflight.clear()
-        started.clear()
-        self._kill_pool(pool)
-        self.faults.pool_rebuilds += 1
-        self.faults.note("pool.rebuilt", cause="timeout")
-        with self._span("pool.rebuild", cause="timeout"):
-            return self._new_pool()
-
-    def _drain_degraded(self, ready, backoff) -> None:
-        """Finish the remaining work serially in isolated children."""
-        leftovers: List[_Task] = list(ready)
-        leftovers.extend(task for _, _, task in sorted(backoff))
-        ready.clear()
-        backoff.clear()
-        for task in leftovers:
-            self._run_task_blocking(task, True)
-        # Comparisons (and their triages) whose runs only now completed.
-        for entry_key in self._entry_order:
-            task = self._compare_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, True)
-            task = self._triage_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, True)

@@ -28,7 +28,8 @@ from ..catg.env import KERNELS, RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry, TelemetryConfig
-from .resilience import ResilienceConfig, ResilientBatchExecutor, RunFailure
+from .distributed import DistributedBatchExecutor
+from .resilience import ResilienceConfig, RunFailure
 from .testcases import TESTCASES
 
 #: Failure-status precedence when an entry carries more than one fault.
@@ -288,9 +289,9 @@ class RegressionRunner:
         Number of worker processes for the batch.  ``1`` (default) runs
         everything serially in this process; ``N > 1`` fans the
         independent (config, test, seed, view) runs — and the
-        bus-accurate comparisons behind them — out over a process pool.
-        The assembled report and every artifact are byte-identical
-        either way.
+        bus-accurate comparisons behind them — out over N forked
+        worker processes that lease jobs from this one.  The assembled
+        report and every artifact are byte-identical either way.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryConfig`.  When any of
         its outputs is set, every run records phase spans, kernel
@@ -303,7 +304,8 @@ class RegressionRunner:
         budget, backoff).  The default policy is always
         active — a crashed worker yields an ``ERROR`` entry instead of
         aborting the batch — and a fault-free batch stays byte-identical
-        to an unguarded one.
+        to an unguarded one.  A ``run_timeout`` under ``jobs=1`` runs
+        the batch on one kill-able worker process.
     triage:
         Auto-triage failed entries: after the comparison stage, walk
         both dumps in lockstep to the first diverging (signal, cycle)
@@ -312,12 +314,6 @@ class RegressionRunner:
         failure; the per-config report gains a "Triage" section.  A
         fault-free batch never schedules a triage, so its artifacts stay
         byte-identical with the flag on or off.
-    workers:
-        Distributed worker processes.  ``0`` (default) keeps the batch
-        local; ``N > 0`` shards the jobs across N leased loopback
-        workers (``python -m repro.regression.worker``), degrading to
-        the local executor when none is reachable.  Artifacts are
-        byte-identical to a local batch at any worker count.
     cache_dir:
         Root of the content-addressed result cache
         (:class:`~repro.cache.ResultCache`).  ``None`` disables
@@ -326,11 +322,6 @@ class RegressionRunner:
         and re-executed, never served.  Every run is stored as it
         completes, so rerunning an interrupted batch against the same
         cache resumes it.
-    distributed:
-        Optional
-        :class:`~repro.regression.distributed.DistributedConfig`
-        overriding the cluster knobs (lease/heartbeat/respawn budget);
-        implies ``workers`` from its own field when given.
     incremental:
         Key cache entries on cone-scoped semantic fingerprints
         (:class:`~repro.analysis.impact.ImpactIndex`) instead of the
@@ -357,9 +348,7 @@ class RegressionRunner:
         unr: bool = False,
         kernel: str = "delta",
         triage: bool = False,
-        workers: int = 0,
         cache_dir: Optional[str] = None,
-        distributed=None,
         incremental: bool = False,
     ):
         self.configs = list(configs)
@@ -397,13 +386,6 @@ class RegressionRunner:
         #: comparison stage (dumps); triage never touches a cache key, so
         #: a cached batch may be rerun with triage toggled.
         self.triage = triage and self.compare_waveforms
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if distributed is not None:
-            workers = distributed.workers
-        #: Distributed worker count (0 = local execution).
-        self.workers = workers
-        self.distributed = distributed
         #: Result-cache root (None = caching disabled).  The
         #: :class:`~repro.cache.ResultCache` itself is created per
         #: :meth:`run` so its hit/miss accounting is per-batch.
@@ -505,26 +487,9 @@ class RegressionRunner:
             for view in ("rtl", "bca")
         }
 
-    def _make_executor(self, jobs_by_key, **kwargs):
-        """The resilient executor for this batch: local (serial or
-        pool) by default, the leased-worker coordinator when a
-        distributed worker count is set."""
-        if self.workers > 0:
-            from .distributed import (
-                DistributedBatchExecutor,
-                DistributedConfig,
-            )
-
-            cluster = self.distributed or DistributedConfig(
-                workers=self.workers)
-            return DistributedBatchExecutor(
-                jobs_by_key, distributed=cluster, **kwargs)
-        return ResilientBatchExecutor(jobs_by_key, **kwargs)
-
     def _execute(self, batch):
-        """Run the whole batch through the resilient executor (serial
-        inline for ``jobs=1``, process pool otherwise, leased workers
-        when distributed)."""
+        """Run the whole batch through the resilient executor (inline
+        for ``jobs=1``, leased worker processes otherwise)."""
         jobs_by_key = self._build_jobs()
         if self.cache_dir:
             from ..cache import ResultCache
@@ -545,7 +510,7 @@ class RegressionRunner:
                 self.cache.events.extend(self.impact.events)
         else:
             self.cache = None
-        executor = self._make_executor(
+        executor = DistributedBatchExecutor(
             jobs_by_key,
             jobs=self.jobs,
             compare_waveforms=self.compare_waveforms,

@@ -308,10 +308,10 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
 # -- end-to-end: warm cache = zero executed simulations ------------------
 
 
-def _batch(workdir, cache_dir, jobs=1, workers=0):
+def _batch(workdir, cache_dir, jobs=1):
     runner = RegressionRunner(
         [_config()], tests=["t01_sanity_write_read"], seeds=[1],
-        workdir=str(workdir), jobs=jobs, workers=workers,
+        workdir=str(workdir), jobs=jobs,
         cache_dir=str(cache_dir),
     )
     return runner.run(), runner
@@ -340,8 +340,9 @@ def test_second_identical_batch_executes_zero_sim_jobs(
 
 
 def test_keys_stable_across_serial_and_pooled_engines(tmp_path):
-    """A pool batch must address the exact entries a serial batch
-    stored: all hits, zero stores, byte-identical artifacts."""
+    """A ``jobs=2`` batch on leased workers must address the exact
+    entries a serial batch stored: all hits, zero stores,
+    byte-identical artifacts."""
     report, _ = _batch(tmp_path / "serial", tmp_path / "cache")
     pooled_report, runner = _batch(
         tmp_path / "pooled", tmp_path / "cache", jobs=2)

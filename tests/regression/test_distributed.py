@@ -1,14 +1,14 @@
-"""Tests for the distributed regression service.
+"""Tests for the leased-worker executor.
 
-The coordinator's contract: a batch sharded across leased worker
+The coordinator's contract: a batch run on ``jobs`` forked worker
 processes produces artifacts **byte-identical** to a serial batch, at
-any cluster size, under any worker-death schedule — and when the
-cluster is entirely unreachable the batch degrades to local execution
-with a single warning, never a failure.
+any worker count, under any worker-death schedule, and a worker's death
+is charged to the one job it was running, never to the job it had
+queued.
 
 Faults are injected through the same ``REPRO_CHAOS`` environment hook
 as the in-process tests (:mod:`repro.regression.chaos`); the variable
-crosses the process boundary to the spawned workers, which is exactly
+crosses the process boundary to the forked workers, which is exactly
 how a farm scheduler's kill shows up — from outside the coordinator.
 """
 
@@ -19,11 +19,8 @@ import threading
 
 import pytest
 
-from repro.regression import (
-    DistributedConfig,
-    RegressionRunner,
-    ResilienceConfig,
-)
+from repro.regression import BatchFaults, RegressionRunner, ResilienceConfig
+from repro.regression import distributed
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
 from repro.regression.configs import save_config_dir
@@ -39,20 +36,13 @@ def _configs():
                        protocol_type=ProtocolType.T3, name=CONFIG_NAME)]
 
 
-def _cluster(workers=2, **overrides):
-    knobs = dict(lease_seconds=15.0, heartbeat_seconds=0.2,
-                 spawn_timeout=30.0)
-    knobs.update(overrides)
-    return DistributedConfig(workers=workers, **knobs)
-
-
-def _run(workdir, distributed=None, resilience=None, seeds=(1,),
-         metrics=None):
+def _run(workdir, jobs=1, resilience=None, seeds=(1,), metrics=None,
+         log=None):
     runner = RegressionRunner(
         _configs(), tests=TESTS, seeds=seeds, workdir=str(workdir),
+        jobs=jobs,
         resilience=resilience or ResilienceConfig(backoff=0.0),
-        distributed=distributed,
-        telemetry=TelemetryConfig(metrics_out=metrics),
+        telemetry=TelemetryConfig(metrics_out=metrics, log_out=log),
     )
     return runner.run()
 
@@ -80,21 +70,91 @@ def clean_ref(tmp_path):
 def test_distributed_matches_serial_byte_identically(tmp_path, clean_ref):
     ref_report, ref_snap = clean_ref
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
-                  metrics=str(metrics))
+    report = _run(tmp_path / "dist", jobs=2, metrics=str(metrics))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
     faults = _faults(metrics)
     assert faults["worker_deaths"] == 0
     assert faults["lease_reclaims"] == 0
-    assert not faults["degraded_local"]
+    assert faults["worker_respawns"] == 0
 
 
 def test_single_worker_cluster_matches_serial(tmp_path, clean_ref):
+    """``jobs=1`` with a deadline runs on one leased worker."""
     ref_report, ref_snap = clean_ref
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=1))
+    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
+        run_timeout=60.0, backoff=0.0))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
+
+
+@pytest.mark.parametrize("mode", [
+    "crash", "exit", "worker-kill", "net-corrupt-frame", "hang"])
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_chaos_recovery_byte_identical_at_any_jobs(
+        tmp_path, monkeypatch, clean_ref, jobs, mode):
+    """Every fault mode, faulting the first attempt of one run, recovers
+    to the serial artifacts at one, two and four workers.  ``jobs=1``
+    runs on one worker because of the deadline; ``hang`` needs a short
+    deadline to be caught at all."""
+    ref_report, ref_snap = clean_ref
+    monkeypatch.setenv(
+        CHAOS_ENV, f"{mode}:{CONFIG_NAME}:t01_sanity_write_read:1:bca:1")
+    run_timeout = 2.0 if mode == "hang" else 60.0
+    report = _run(tmp_path / "dist", jobs=jobs,
+                  resilience=ResilienceConfig(
+                      run_timeout=run_timeout, max_retries=2, backoff=0.0))
+    assert report.render() == ref_report.render()
+    assert _snapshot(tmp_path / "dist") == ref_snap
+
+
+# -- lease attribution --------------------------------------------------
+
+
+def test_queued_lease_is_requeued_free_when_its_worker_dies(
+        tmp_path, monkeypatch, clean_ref):
+    """One worker holds the crashing job and the sibling queued behind
+    it.  The ``exit`` kills the worker with both leases out: only the
+    running job is charged, the sibling is requeued at no cost and
+    passes, and the batch ends byte-identical to serial."""
+    ref_report, ref_snap = clean_ref
+    monkeypatch.setenv(
+        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
+    metrics = tmp_path / "metrics.json"
+    log = tmp_path / "run.log.jsonl"
+    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
+        run_timeout=60.0, max_retries=1, backoff=0.0),
+        metrics=str(metrics), log=str(log))
+    faults = _faults(metrics)
+    assert faults["retries"] == 1
+    assert faults["crashes"] == 1
+    assert faults["worker_deaths"] == 1
+    assert all(entry.status == "PASS" for entry in report.configs[0].entries)
+    assert report.render() == ref_report.render()
+    assert _snapshot(tmp_path / "dist") == ref_snap
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    requeued = [(e["test"], e["view"]) for e in events
+                if e["event"] == "lease.requeued"]
+    assert requeued == [("t01_sanity_write_read", "bca")]
+
+
+def test_every_worker_dying_still_yields_full_report(
+        tmp_path, monkeypatch):
+    """Workers that die on start: each death is charged to the lease it
+    held (or to the 2 x jobs budget when it held none); once no worker
+    can be started the rest are recorded as ``WorkerLost``.  The batch
+    ends with every entry reported, never hangs."""
+    monkeypatch.setattr(distributed.worker_module, "serve",
+                        lambda conn: None)
+    report = _run(tmp_path / "dist", jobs=2,
+                  resilience=ResilienceConfig(max_retries=0, backoff=0.0))
+    entries = report.configs[0].entries
+    assert len(entries) == len(TESTS)
+    for entry in entries:
+        assert entry.status == "ERROR"
+        for view in (entry.rtl, entry.bca):
+            assert view.exc_type == "WorkerLost"
+    assert (tmp_path / "dist" / "regression_summary.txt").exists()
 
 
 # -- worker death and lease reclamation ---------------------------------
@@ -110,15 +170,15 @@ def test_worker_kill_mid_job_recovers_byte_identically(
     monkeypatch.setenv(
         CHAOS_ENV, f"worker-kill:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
     faults = _faults(metrics)
-    assert faults["worker_deaths"] >= 1
-    assert faults["retries"] >= 1
-    assert not faults["degraded_serial"]
+    assert faults["worker_deaths"] == 1
+    assert faults["retries"] == 1
+    assert faults["worker_respawns"] == 1
 
 
 def test_net_corrupt_frame_drops_worker_and_recovers(
@@ -130,7 +190,7 @@ def test_net_corrupt_frame_drops_worker_and_recovers(
         CHAOS_ENV,
         f"net-corrupt-frame:{CONFIG_NAME}:t02_random_uniform:1:bca:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
@@ -141,11 +201,11 @@ def test_net_corrupt_frame_drops_worker_and_recovers(
 def test_net_drop_loses_result_not_batch(tmp_path, monkeypatch, clean_ref):
     """A network partition right before the result frame: the work
     happened but the coordinator never learns — the lost worker's lease
-    is reclaimed and the job re-executes."""
+    is charged and the job re-executes."""
     ref_report, ref_snap = clean_ref
     monkeypatch.setenv(
         CHAOS_ENV, f"net-drop:{CONFIG_NAME}:t01_sanity_write_read:1:bca:1")
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
@@ -153,14 +213,15 @@ def test_net_drop_loses_result_not_batch(tmp_path, monkeypatch, clean_ref):
 
 def test_silent_worker_lease_is_reclaimed(tmp_path, monkeypatch, clean_ref):
     """``net-delay`` sits on the result frame past the lease: the
-    coordinator must reclaim the lease, re-run the job elsewhere, and
-    discard the late (stale) result rather than double-complete."""
+    coordinator must reclaim the lease, kill the silent worker and
+    re-run the job elsewhere, never double-complete."""
     ref_report, ref_snap = clean_ref
+    monkeypatch.setattr(distributed, "LEASE_SECONDS", 1.0)
+    monkeypatch.setattr(distributed, "HEARTBEAT_SECONDS", 0.2)
     monkeypatch.setenv(
         CHAOS_ENV, f"net-delay:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist",
-                  distributed=_cluster(workers=2, lease_seconds=1.0),
+    report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
@@ -170,47 +231,35 @@ def test_silent_worker_lease_is_reclaimed(tmp_path, monkeypatch, clean_ref):
     assert faults["worker_deaths"] >= 1
 
 
-# -- graceful degradation -----------------------------------------------
-
-
-def test_unreachable_cluster_degrades_to_local(tmp_path, capfd, clean_ref):
-    """Every spawn exits without dialing back (`/bin/false` standing in
-    for a broken farm): one warning line, then the batch runs locally
-    and stays byte-identical.  Never a failure."""
-    ref_report, ref_snap = clean_ref
-    metrics = tmp_path / "metrics.json"
-    cluster = _cluster(workers=2, spawn_timeout=10.0,
-                       spawn_command=("/bin/false",))
-    report = _run(tmp_path / "dist", distributed=cluster,
-                  metrics=str(metrics))
-    err = capfd.readouterr().err
-    assert err.count("no distributed workers reachable") == 1
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
-    assert _faults(metrics)["degraded_local"] is True
-
-
 # -- CLI ----------------------------------------------------------------
 
 
 def test_cli_rejects_bad_cluster_flags(tmp_path, capsys):
     assert regression_main(
-        [str(tmp_path), "--workers", "-1"]) == 2
-    assert "--workers" in capsys.readouterr().err
-    assert regression_main(
         [str(tmp_path), "--cache-dir", str(tmp_path), "--no-cache"]) == 2
     assert "--no-cache" in capsys.readouterr().err
 
 
+def test_cli_rejects_removed_workers_flag(tmp_path, capsys):
+    """``--jobs N`` is the one worker count; ``--workers`` is gone."""
+    save_config_dir(_configs(), str(tmp_path / "cfgs"))
+    with pytest.raises(SystemExit) as excinfo:
+        regression_main([str(tmp_path / "cfgs"), "--workers", "2",
+                         "--tests", "t01_sanity_write_read",
+                         "--seeds", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_cli_distributed_stdout_matches_serial(tmp_path, capsys):
     """The CLI's stdout and summary artifact are byte-identical between
-    ``--workers 0`` and ``--workers 2`` (with a result cache on the
-    side for the distributed batch)."""
+    ``--jobs 1`` and ``--jobs 2`` (with a result cache on the side for
+    the parallel batch)."""
     save_config_dir(_configs(), str(tmp_path / "cfgs"))
     outputs = {}
     for label, extra in (
             ("serial", []),
-            ("dist", ["--workers", "2",
+            ("dist", ["--jobs", "2",
                       "--cache-dir", str(tmp_path / "cache")])):
         code = regression_main([
             str(tmp_path / "cfgs"),
@@ -224,6 +273,25 @@ def test_cli_distributed_stdout_matches_serial(tmp_path, capsys):
     assert _snapshot(tmp_path / "dist") == _snapshot(tmp_path / "serial")
     # The cache saw the batch: one store per (view) run.
     assert os.path.isdir(tmp_path / "cache" / "objects")
+
+
+def test_cli_jobs_metrics_count_the_workers(tmp_path, capsys):
+    """``--metrics-out`` of a ``--jobs 2`` batch reports ``jobs == 2``,
+    one lane per worker that ran jobs, and every fault counter."""
+    save_config_dir(_configs(), str(tmp_path / "cfgs"))
+    metrics = tmp_path / "metrics.json"
+    regression_main([
+        str(tmp_path / "cfgs"), "--workdir", str(tmp_path / "out"),
+        "--tests"] + TESTS + ["--seeds", "1", "--jobs", "2",
+                              "--metrics-out", str(metrics)])
+    capsys.readouterr()
+    batch = json.loads(metrics.read_text())["batch"]
+    assert batch["jobs"] == 2
+    lanes = [lane for name, lane in batch["workers"].items()
+             if name.startswith("worker-")]
+    assert len(lanes) == 2
+    assert all(lane["n_jobs"] > 0 for lane in lanes)
+    assert set(batch["faults"]) == set(BatchFaults().counters())
 
 
 def test_cli_sigterm_aborts_like_sigint(tmp_path, capsys, monkeypatch):

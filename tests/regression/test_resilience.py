@@ -4,7 +4,7 @@ Every fault here is injected deterministically through the ``REPRO_CHAOS``
 environment hook (:mod:`repro.regression.chaos`); production batches never
 set the variable, so the first tests pin down that the hooks are inert
 without it.  The load-bearing invariant throughout: a batch that recovers
-from a fault (retry, pool rebuild, cached rerun) produces artifacts
+from a fault (retry, worker replacement, cached rerun) produces artifacts
 *byte-identical* to a batch that never faulted.
 """
 
@@ -166,10 +166,10 @@ def test_timeout_then_retry_recovers(tmp_path, monkeypatch, clean_ref):
     assert _snapshot(tmp_path / "faulted") == ref_snap
 
 
-# -- pool crashes -------------------------------------------------------
+# -- worker deaths under leases ----------------------------------------
 
 
-def test_pool_hard_death_recovers_byte_identically(
+def test_lease_hard_death_recovers_byte_identically(
         tmp_path, monkeypatch, clean_ref):
     ref_report, ref_snap = clean_ref
     monkeypatch.setenv(
@@ -180,7 +180,7 @@ def test_pool_hard_death_recovers_byte_identically(
     assert _snapshot(tmp_path / "faulted") == ref_snap
 
 
-def test_pool_crash_mid_batch_report_complete(tmp_path, monkeypatch):
+def test_lease_crash_mid_batch_report_complete(tmp_path, monkeypatch):
     monkeypatch.setenv(
         CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
     report = _run(tmp_path, jobs=2,
