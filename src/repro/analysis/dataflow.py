@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..kernel import ProcessInfo, Signal
-from ..lint.graph import DesignGraph, _sccs
+from ..lint.graph import DesignGraph
 
 
 class DataflowGraph:
@@ -129,131 +129,6 @@ class DataflowGraph:
                 s for s in self.fan_out.get(cur, ()) if s in comb_writes
             )
         return seen
-
-
-# -- levelization ------------------------------------------------------------
-#
-# The compiled kernel (repro.kernel.compiled) retires the per-cycle delta
-# loop for combinational logic this module can order statically: the
-# process-level comb graph (P -> Q iff P's observed writes intersect Q's
-# sensitivity) is condensed into its strongly-connected components, and
-# each component gets a *level* — its longest path from any source of the
-# condensation.  Evaluating levels in ascending order guarantees every
-# acyclic process runs after all processes that can feed it within the
-# cycle, so one straight-line pass reaches the same fixpoint the delta
-# loop iterates toward.  Components with real feedback (more than one
-# member, or a self-loop) cannot be ordered internally; they become
-# *islands* that keep a local delta loop at their level.
-
-
-@dataclass(frozen=True)
-class CombIsland:
-    """One strongly-connected comb subgraph that needs local settling."""
-
-    level: int
-    members: Tuple[ProcessInfo, ...]  # in registration order
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(info.name for info in self.members)
-
-
-@dataclass(frozen=True)
-class CombSchedule:
-    """Static evaluation order for a design's combinational processes.
-
-    ``levels[L]`` holds the acyclic ("straight-line") processes of level
-    ``L`` in registration order; ``islands`` the feedback components,
-    each tagged with the level it must settle at.  Every combinational
-    process of the design appears exactly once, so executing the levels
-    in order (running each island's local delta loop at its level) is a
-    complete replacement for the global delta loop — *provided* the
-    observed write sets are accurate; the kernel guards that assumption
-    at runtime and falls back per cycle when it is contradicted.
-    """
-
-    levels: Tuple[Tuple[ProcessInfo, ...], ...]
-    islands: Tuple[CombIsland, ...]
-
-    @property
-    def acyclic(self) -> bool:
-        """True when the whole comb graph levelized with no islands."""
-        return not self.islands
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def n_straight(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly summary (process names per level / island)."""
-        return {
-            "levels": [
-                [info.name for info in level] for level in self.levels
-            ],
-            "islands": [
-                {"level": island.level, "members": list(island.names)}
-                for island in self.islands
-            ],
-            "acyclic": self.acyclic,
-        }
-
-
-def levelize_comb(design: DesignGraph) -> CombSchedule:
-    """Levelize ``design``'s combinational processes for compilation.
-
-    Builds the process adjacency (writer -> woken), condenses it with
-    Tarjan's SCC algorithm, and assigns each component its longest-path
-    depth from the condensation's sources.  Edges always cross strictly
-    upward in level, so straight-line processes of level ``L`` can only
-    be influenced — within one clock cycle — by levels ``< L``.
-    """
-    edges = design._comb_edges()
-    components = _sccs(edges)  # emitted sinks-first (reverse topological)
-    unit_members: List[List[int]] = []
-    unit_is_island: List[bool] = []
-    unit_of: Dict[int, int] = {}
-    for component in components:
-        uid = len(unit_members)
-        members = sorted(component)
-        unit_members.append(members)
-        unit_is_island.append(
-            len(members) > 1 or members[0] in edges.get(members[0], {})
-        )
-        for idx in members:
-            unit_of[idx] = uid
-    # Longest-path levels by relaxation in topological order.  Tarjan
-    # emits components in reverse topological order, so walking the unit
-    # ids backwards visits every unit after all of its predecessors.
-    level = [0] * len(unit_members)
-    for uid in range(len(unit_members) - 1, -1, -1):
-        for idx in unit_members[uid]:
-            for succ in edges.get(idx, ()):
-                su = unit_of[succ]
-                if su != uid and level[su] < level[uid] + 1:
-                    level[su] = level[uid] + 1
-    n_levels = max(level) + 1 if level else 0
-    straight: List[List[ProcessInfo]] = [[] for _ in range(n_levels)]
-    islands: List[CombIsland] = []
-    for uid, members in enumerate(unit_members):
-        if unit_is_island[uid]:
-            islands.append(CombIsland(
-                level=level[uid],
-                members=tuple(design.comb[idx] for idx in members),
-            ))
-        else:
-            straight[level[uid]].append(design.comb[members[0]])
-    for procs in straight:
-        procs.sort(key=lambda info: info.index)
-    islands.sort(key=lambda island: (island.level,
-                                     island.members[0].index))
-    return CombSchedule(
-        levels=tuple(tuple(procs) for procs in straight),
-        islands=tuple(islands),
-    )
 
 
 @dataclass

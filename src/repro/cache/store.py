@@ -12,10 +12,7 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
   canonical configuration text, the test name, the seed, the view, the
   injected BCA bug set (BCA view only — the RTL view never sees bugs,
   so its entries stay shared across bug experiments) and the
-  arbitration-checker flag.  The ``--kernel`` engine selection is
-  deliberately *excluded*: the compiled kernel's contract is
-  byte-identical artifacts, so a result produced under either engine
-  answers for both.
+  arbitration-checker flag.
 
 * **Integrity verification on every read.**  Each entry carries the
   SHA-256 digest of its own canonical body.  A torn entry (killed

@@ -27,10 +27,6 @@ from .simulator import (
 )
 from .module import Module
 
-# The compiled levelized kernel lives in repro.kernel.compiled and is
-# imported on demand (it pulls in the static-analysis layer, which this
-# package must not depend on at import time).
-
 __all__ = [
     "Signal",
     "SignalError",

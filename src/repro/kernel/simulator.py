@@ -75,9 +75,9 @@ class ElaborationError(SimulatorError):
 def delta_overflow_message(changed: Sequence[Signal]) -> str:
     """The canonical :class:`DeltaOverflowError` text.
 
-    Shared by the interpreted delta loop and the compiled kernel's
-    per-island delta loops, so an oscillating design is reported with
-    identical wording and signal names whichever engine found it.
+    Raised by the delta loop both during the elaboration dry run and
+    while simulating, so an oscillating design is reported with
+    identical wording and signal names wherever it is found.
     """
     names = ", ".join(s.name for s in changed[:5])
     return (
@@ -269,14 +269,6 @@ class Simulator:
         self.stat_activations = 0  #: process invocations (clocked + comb)
         self.stat_commits = 0  #: scheduled writes committed
         self.stat_toggles = 0  #: commits that changed a signal's value
-        # Levelized-kernel counters; stay 0 under the interpreted delta
-        # loop.  Bumped by the attached CompiledKernel (one per straight-
-        # line level executed or skipped per cycle).
-        self.stat_levels_evaluated = 0  #: compiled levels run
-        self.stat_levels_skipped = 0  #: compiled levels skipped (clean inputs)
-        #: Attached compiled levelized kernel, or None (interpreted delta
-        #: loop).  Set via repro.kernel.compiled.compile_simulator().
-        self._compiled: Optional[object] = None
         # Opt-in per-process cumulative wall time: None (off, default) or
         # {process name: [activations, seconds]}.
         self._proc_times: Optional[Dict[str, List[float]]] = None
@@ -445,8 +437,6 @@ class Simulator:
             "process_activations": self.stat_activations,
             "signal_commits": self.stat_commits,
             "signal_toggles": self.stat_toggles,
-            "levels_evaluated": self.stat_levels_evaluated,
-            "levels_skipped": self.stat_levels_skipped,
         }
 
     # -- kernel internals ------------------------------------------------------
@@ -492,14 +482,7 @@ class Simulator:
         self._settle_changed(self._commit_all())
 
     def _settle_changed(self, changed: List[Signal]) -> None:
-        """Delta-iterate to fixpoint from an initial changed-signal list.
-
-        The compiled kernel reuses this as its per-cycle fallback: when
-        the static schedule is contradicted at runtime (an unobserved
-        write woke an already-evaluated level) it hands the accumulated
-        changed set back to the interpreted loop, which finishes the
-        cycle with the reference semantics.
-        """
+        """Delta-iterate to fixpoint from an initial changed-signal list."""
         deltas = 0
         tracking = self._read_hook is not None
         times = self._proc_times
@@ -612,45 +595,33 @@ class Simulator:
         self.stat_activations = 0
         self.stat_commits = 0
         self.stat_toggles = 0
-        self.stat_levels_evaluated = 0
-        self.stat_levels_skipped = 0
         if self._proc_times is not None:
             self._proc_times.clear()
 
     def step(self) -> None:
-        """Advance one clock cycle: posedge, commit, settle, sample.
-
-        With a compiled kernel attached (``self._compiled``), the
-        posedge/commit/settle body is delegated to its levelized cycle
-        runner; sampling and time bookkeeping are shared, so tracers see
-        the same end-of-cycle snapshot either way.
-        """
+        """Advance one clock cycle: posedge, commit, settle, sample."""
         if not self._elaborated:
             raise ElaborationError("call elaborate() before step()")
         if self._finished:
             raise SimulatorError("simulation already finished")
-        compiled = self._compiled
-        if compiled is not None:
-            compiled.cycle()
+        times = self._proc_times
+        if times is None:
+            for proc in self._clocked:
+                self.active_process = proc
+                proc()
         else:
-            times = self._proc_times
-            if times is None:
-                for proc in self._clocked:
-                    self.active_process = proc
-                    proc()
-            else:
-                for info in self.clocked_processes:
-                    self.active_process = info.process
-                    start = perf_counter()
-                    info.process()
-                    cell = times.get(info.name)
-                    if cell is None:
-                        times[info.name] = cell = [0, 0.0]
-                    cell[0] += 1
-                    cell[1] += perf_counter() - start
-            self.active_process = None
-            self.stat_activations += len(self._clocked)
-            self._settle()
+            for info in self.clocked_processes:
+                self.active_process = info.process
+                start = perf_counter()
+                info.process()
+                cell = times.get(info.name)
+                if cell is None:
+                    times[info.name] = cell = [0, 0.0]
+                cell[0] += 1
+                cell[1] += perf_counter() - start
+        self.active_process = None
+        self.stat_activations += len(self._clocked)
+        self._settle()
         if self._tracers:
             changed = self._cycle_changed
             for tracer in self._tracers:

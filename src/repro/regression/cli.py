@@ -62,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "serial in this process; 0 = one per "
                              "available CPU); the summary is "
                              "byte-identical for any N")
-    parser.add_argument("--kernel", default="delta",
-                        choices=["delta", "compiled", "auto"],
-                        help="simulation engine: the interpreted delta "
-                             "loop (default), the compiled levelized "
-                             "kernel, or auto (compiled only when the "
-                             "design levelizes with no feedback); every "
-                             "artifact is byte-identical across engines")
     parser.add_argument("--no-compare", action="store_true",
                         help="skip the bus-accurate comparison")
     parser.add_argument("--triage", action="store_true",
@@ -260,7 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backoff=args.retry_backoff,
         ),
         unr=args.unr,
-        kernel=args.kernel,
         triage=args.triage,
         cache_dir=cache_dir,
         incremental=args.incremental,

@@ -123,7 +123,6 @@ class CommonVerificationFlow:
         jobs: int = 1,
         telemetry: Optional[TelemetryConfig] = None,
         resilience: Optional["ResilienceConfig"] = None,
-        kernel: str = "delta",
         triage: bool = False,
         cache_dir: Optional[str] = None,
         incremental: bool = False,
@@ -138,7 +137,6 @@ class CommonVerificationFlow:
         self.analysis = analysis or symbolic
         self.symbolic = symbolic
         self.jobs = jobs
-        self.kernel = kernel
         self.cache_dir = cache_dir
         if incremental and not cache_dir:
             raise ValueError(
@@ -284,7 +282,7 @@ class CommonVerificationFlow:
             workdir=self.workdir, bca_bugs=self.bca_bugs,
             jobs=self.jobs, telemetry=telemetry,
             resilience=self.resilience,
-            kernel=self.kernel, triage=self.triage,
+            triage=self.triage,
             cache_dir=self.cache_dir,
             incremental=self.incremental,
         )

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analyzer import AlignmentReport
 from ..catg.coverage import CoverageModel, build_node_coverage
-from ..catg.env import KERNELS, RunResult
+from ..catg.env import RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry, TelemetryConfig
@@ -346,7 +346,6 @@ class RegressionRunner:
         telemetry: Optional[TelemetryConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         unr: bool = False,
-        kernel: str = "delta",
         triage: bool = False,
         cache_dir: Optional[str] = None,
         incremental: bool = False,
@@ -374,12 +373,6 @@ class RegressionRunner:
         #: default: with it off, every artifact stays byte-identical to a
         #: runner without the feature.
         self.unr = unr
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        #: Simulation engine every run executes under; artifacts are
-        #: byte-identical across engines, so it is deliberately excluded
-        #: from the cache key.
-        self.kernel = kernel
         #: Auto-triage failed entries: walk both dumps to the first
         #: divergence, rank the fan-in cone suspects and write a
         #: ``triage.json`` minimal repro per failure.  Requires the
@@ -465,7 +458,6 @@ class RegressionRunner:
             telemetry=telemetry,
             time_processes=telemetry and self.telemetry.time_processes,
             submitted_at=time.time() if telemetry else None,
-            kernel=self.kernel,
         )
 
     def _entry_keys(self) -> List[Tuple[int, str, int]]:

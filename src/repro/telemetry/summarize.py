@@ -57,15 +57,6 @@ def summarize_metrics(payload: Dict[str, object], top: int = 5) -> str:
         lines.append("Kernel totals: " + "  ".join(
             f"{name}={value}" for name, value in sorted(kernel.items())
         ))
-    levels_run = int(kernel.get("levels_evaluated", 0) or 0)
-    levels_skipped = int(kernel.get("levels_skipped", 0) or 0)
-    if levels_run or levels_skipped:
-        total_levels = levels_run + levels_skipped
-        lines.append(
-            f"Compiled kernel: {levels_run} level(s) evaluated, "
-            f"{levels_skipped} skipped "
-            f"({levels_skipped / total_levels * 100:.1f}% settled)"
-        )
     phases = batch.get("phase_totals") or {}
     if phases:
         lines.append("Phase totals: " + "  ".join(

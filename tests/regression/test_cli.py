@@ -132,7 +132,8 @@ def test_regression_cli_parallel_smoke(tmp_path, capsys):
 
 
 def test_regression_cli_kernel_flag_byte_identical(tmp_path, capsys):
-    """--kernel compiled must reproduce the delta run's stdout and every
+    """With one simulation engine there is no ``--kernel`` to choose, and
+    a repeat of the same batch reproduces the first run's stdout and every
     workdir artifact byte for byte."""
     import filecmp
 
@@ -140,34 +141,37 @@ def test_regression_cli_kernel_flag_byte_identical(tmp_path, capsys):
     save_config_dir([cfg], str(tmp_path / "cfgs"))
     outputs = {}
     codes = {}
-    for kernel in ("delta", "compiled"):
-        out_dir = tmp_path / f"out_{kernel}"
-        codes[kernel] = regression_main([
+    for run in ("first", "second"):
+        out_dir = tmp_path / f"out_{run}"
+        codes[run] = regression_main([
             str(tmp_path / "cfgs"),
             "--workdir", str(out_dir),
             "--tests", "t02_random_uniform",
             "--seeds", "1",
-            "--kernel", kernel,
         ])
-        outputs[kernel] = capsys.readouterr().out
+        outputs[run] = capsys.readouterr().out
     # One test case alone does not reach full coverage, so the batch is
-    # not signed off — identically on both engines.
-    assert codes["compiled"] == codes["delta"]
-    assert outputs["compiled"] == outputs["delta"]
-    delta_dir, compiled_dir = tmp_path / "out_delta", tmp_path / "out_compiled"
-    names = sorted(os.listdir(delta_dir))
-    assert names == sorted(os.listdir(compiled_dir))
+    # not signed off — identically on both runs.
+    assert codes["second"] == codes["first"]
+    assert outputs["second"] == outputs["first"]
+    first_dir, second_dir = tmp_path / "out_first", tmp_path / "out_second"
+    names = sorted(os.listdir(first_dir))
+    assert names == sorted(os.listdir(second_dir))
     for name in names:
-        assert filecmp.cmp(str(delta_dir / name), str(compiled_dir / name),
-                           shallow=False), f"{name} differs across kernels"
+        assert filecmp.cmp(str(first_dir / name), str(second_dir / name),
+                           shallow=False), f"{name} differs across runs"
 
 
 def test_regression_cli_rejects_unknown_kernel(tmp_path, capsys):
+    """The delta loop is the only simulation engine, so ``--kernel`` is an
+    unknown option (usage error) whatever engine it names."""
     cfg = NodeConfig(n_initiators=1, n_targets=1, name="clikernbad")
     save_config_dir([cfg], str(tmp_path / "cfgs"))
-    with pytest.raises(SystemExit):
-        regression_main([str(tmp_path / "cfgs"), "--kernel", "turbo"])
-    assert "--kernel" in capsys.readouterr().err
+    for kernel in ("turbo", "delta", "compiled"):
+        with pytest.raises(SystemExit) as exc:
+            regression_main([str(tmp_path / "cfgs"), "--kernel", kernel])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
 
 def test_regression_cli_rejects_negative_jobs(tmp_path, capsys):

@@ -216,6 +216,15 @@ def test_structured_log_carries_run_context(batch):
         assert record["min_rate"] == 1.0
 
 
+def test_kernel_totals_are_exactly_the_kernel_counters(batch):
+    """The batch rollup carries the delta loop's counters plus the VCD
+    byte count, and nothing else."""
+    section = batch["metrics"]["batch"]
+    assert sorted(section["kernel_totals"]) == sorted(KERNEL_COUNTERS)
+    for run in batch["metrics"]["runs"]:
+        assert sorted(run["kernel"]) == sorted(KERNEL_COUNTERS)
+
+
 def test_summarize_cli_digests_the_real_rollup(batch, capsys):
     code = telemetry_main(["summarize", batch["config"].metrics_out])
     out = capsys.readouterr().out
@@ -225,6 +234,7 @@ def test_summarize_cli_digests_the_real_rollup(batch, capsys):
     assert "Hottest kernel processes:" in out
     assert "Worker utilization:" in out
     assert "Worst alignment:" in out
+    assert "Compiled kernel" not in out
 
 
 def test_serial_telemetry_attributes_everything_to_main(tmp_path):

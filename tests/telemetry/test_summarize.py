@@ -88,6 +88,19 @@ def test_summarize_without_process_timing_hints_at_flag():
     assert "rerun with --time-processes" in text
 
 
+def test_summarize_has_no_engine_line():
+    # Unknown kernel counters print as plain totals; no counter adds a
+    # section of its own.
+    payload = make_payload()
+    payload["batch"]["kernel_totals"].update(
+        levels_evaluated=30, levels_skipped=10)
+    lines = summarize_metrics(payload).splitlines()
+    assert lines[1] == ("Kernel totals: cycles=2000  delta_iterations=5000"
+                        "  levels_evaluated=30  levels_skipped=10")
+    assert lines[2].startswith("Phase totals:")
+    assert not any("Compiled" in line for line in lines)
+
+
 def test_summarize_rejects_wrong_schema():
     with pytest.raises(SummaryError):
         summarize_metrics({"schema": "something/else"})
