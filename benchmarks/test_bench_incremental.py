@@ -1,8 +1,8 @@
 """Incremental-regression benchmark: what one process edit costs.
 
-The ISSUE's quantitative claim: after editing **one** process, an
-incremental batch re-runs only the entries whose fan-out cone contains
-it.  The workload is a four-configuration matrix where exactly one
+After editing **one** process, a cached batch re-runs only the entries
+whose fan-out cone contains it (every cached batch keys on cone-scoped
+design keys).  The workload is a four-configuration matrix where exactly one
 configuration has a programming port; the edit lands in
 ``ProgrammingMaster._clk``, so only that configuration's two views are
 affected — a 2/8 = 25% re-run fraction, asserted against a 50% floor.
@@ -28,8 +28,8 @@ REPO_SRC = os.path.abspath(
 
 CLK_MARKER = "    def _clk(self) -> None:"
 
-#: Hard floor from the ISSUE: a one-process edit must re-run strictly
-#: less than half the batch.
+#: Hard floor: a one-process edit must re-run strictly less than half
+#: the batch.
 MAX_RERUN_FRACTION = 0.5
 
 
@@ -73,7 +73,7 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics):
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--incremental", "--metrics-out", str(metrics),
+         "--metrics-out", str(metrics),
          "--trace-out", trace],
         capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start

@@ -22,7 +22,7 @@ process at a time), this package reasons about *flows*:
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
-  cone-scoped cache keys behind ``repro.regression --incremental``;
+  cone-scoped design keys every cached regression batch keys on;
 * :mod:`~repro.analysis.waivers` — the waiver format shared with
   ``repro.lint``.
 

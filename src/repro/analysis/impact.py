@@ -1,9 +1,9 @@
 """Static change-impact analysis: semantic fingerprints and cone-scoped keys.
 
-PR 9's result cache keys every entry on a monolithic hash of all design
-sources, so touching a comment in one BCA decoder invalidates the whole
-matrix.  This module makes re-verification cost proportional to the
-*semantic* size of an edit:
+A monolithic hash of all design sources would invalidate the whole
+result cache when one comment in one BCA decoder changes.  This module
+keys every cached run instead, and makes re-verification cost
+proportional to the *semantic* size of an edit:
 
 * **Per-process semantic fingerprints.**  Each registered process is
   hashed over a normalized form of its body — comments, docstrings and
@@ -28,11 +28,14 @@ matrix.  This module makes re-verification cost proportional to the
 
   Non-process code (constructors, sequence generation, checker logic,
   report rendering) is covered by the **environment residual hash**:
-  every design-root module's AST with registered process bodies elided
-  and docstrings stripped.  Any non-process change flips it — and with
-  it every cone-scoped key — so orchestration edits behave exactly like
-  the monolithic hash, and so do constant edits outside a body.  A
-  module that fails to parse is hashed raw.
+  every design-root module's AST with docstrings stripped and the
+  bodies of registered process methods elided.  The elided set is read
+  off the source alone (:func:`_registered_defs`), so the residual,
+  and every key, is the same whichever configs a batch elaborates.
+  Any non-process change flips it — and with it every cone-scoped key
+  — so orchestration edits behave exactly like the monolithic hash,
+  and so do constant edits outside a body.  A module that fails to
+  parse is hashed raw.
 
 * **The design fingerprint manifest** (schema-versioned, one record per
   (config, view)) snapshots the fingerprints so two checkouts can be
@@ -62,6 +65,7 @@ import ast
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -188,7 +192,8 @@ class _SourceTrees:
     Every tree comes from newline-normalized bytes with docstrings
     stripped in place.  Process bodies are dumped straight from these
     trees, memoized per code object; :meth:`residual` then elides the
-    same bodies in place for the environment residual and drops the tree.
+    registered process method bodies in place for the environment
+    residual and drops the tree.
     """
 
     def __init__(self) -> None:
@@ -242,27 +247,80 @@ class _SourceTrees:
             self._bodies[(code, name)] = memo
         return memo
 
-    def residual(self, path: str, spans: Set[Tuple[int, str]]) -> tuple:
+    def residual(self, path: str) -> tuple:
         """``(body bytes, number elided, parse error or None)``: the dump
-        of ``path`` with the bodies of the processes at ``spans``
-        replaced by placeholders, or the raw bytes if it does not parse.
-        A span that matches several nodes (two lambdas on one line) is
-        kept: conservative.  The elided tree is dropped."""
+        of ``path`` with every registered process method body (see
+        :func:`_registered_defs`) replaced by a placeholder, or the raw
+        bytes if it does not parse.  The elided tree is dropped."""
         raw, tree, error = self.parse(path)
-        index = self.nodes(path) if spans else {}
         del self._parsed[path]
         self._nodes.pop(path, None)
         if tree is None:
             return raw, 0, error
-        targets = {}
-        for key in spans:
-            found = index.get(key, ())
-            if len(found) == 1:
-                targets[id(found[0])] = found[0]
-        for node in targets.values():
-            node.body = (ast.Constant(value=0)
-                         if isinstance(node, ast.Lambda) else [ast.Pass()])
+        targets = (_registered_defs(tree)
+                   if any(call in raw for call in _REGISTRATION_CALLS)
+                   else [])
+        for node in targets:
+            node.body = [ast.Pass()]
         return ast.dump(tree).encode("utf-8"), len(targets), None
+
+
+#: Kernel registration methods; the process is their first argument.
+_REGISTRATIONS = ("clocked", "comb", "add_clocked", "add_comb")
+#: A file whose bytes contain none of these registers no process.
+_REGISTRATION_CALLS = tuple(f".{name}(".encode("ascii")
+                            for name in _REGISTRATIONS)
+
+
+def _registered_defs(tree: ast.AST) -> List[ast.AST]:
+    """The method defs whose bodies the environment residual elides.
+
+    In each class, ``def X`` is elided when ``self.X`` is the process
+    argument of a registration call made inside that class and is
+    referenced nowhere else in it (a method the class also calls
+    directly may run outside any process fingerprint).  Lambdas,
+    closures, ``functools.partial``s and inherited targets are not
+    matched, so their bodies stay in the residual: conservative.
+    """
+    defs: List[ast.AST] = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        registered: Counter = Counter()
+        referenced: Counter = Counter()
+        for node in _own_nodes(cls):
+            name = _self_attr(node)
+            if name is not None:
+                referenced[name] += 1
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _REGISTRATIONS and node.args:
+                target = _self_attr(node.args[0])
+                if target is not None:
+                    registered[target] += 1
+        defs.extend(
+            node for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and registered[node.name] == referenced[node.name] > 0)
+    return defs
+
+
+def _own_nodes(cls: ast.ClassDef):
+    """Every node of ``cls`` outside its nested classes."""
+    stack = [cls]
+    while stack:
+        children = [child for child in ast.iter_child_nodes(stack.pop())
+                    if not isinstance(child, ast.ClassDef)]
+        yield from children
+        stack.extend(children)
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` when ``node`` is ``self.X``, else ``None``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
 
 
 def _unlocated_body(info, reason: str
@@ -360,38 +418,19 @@ class EnvironmentDigest:
         )
 
 
-def process_spans(infos: Iterable) -> Set[Tuple[str, int, str]]:
-    """``(absolute file, first line, name)`` of every process callable.
-
-    A process whose underlying function has no code object (e.g. a
-    ``functools.partial``) contributes no span — its defining module is
-    then hashed with the body *included*, so edits to it invalidate
-    everything: conservative, never stale.
-    """
-    spans: Set[Tuple[str, int, str]] = set()
-    for info in infos:
-        code, name = _process_code(info)
-        if code is not None:
-            spans.add((os.path.abspath(code.co_filename),
-                       code.co_firstlineno, name))
-    return spans
-
-
 def environment_digest(
-    spans: Set[Tuple[str, int, str]],
     roots: Sequence[str] = DESIGN_ROOTS,
     sources: Optional[_SourceTrees] = None,
 ) -> EnvironmentDigest:
-    """Residual hash of the design roots with process bodies elided.
+    """Residual hash of the design roots with registered process method
+    bodies elided: a pure function of the sources, whatever configs
+    were elaborated.
 
     Elision rewrites the trees of ``sources`` in place, so each file's
     tree is dropped from it once hashed."""
     sources = sources or _SourceTrees()
     package_dir = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    by_file: Dict[str, Set[Tuple[int, str]]] = {}
-    for filename, lineno, name in spans:
-        by_file.setdefault(filename, set()).add((lineno, name))
     digest = hashlib.sha256()
     n_files = 0
     n_elided = 0
@@ -406,14 +445,13 @@ def environment_digest(
                     continue
                 full = os.path.abspath(os.path.join(dirpath, name))
                 rel = os.path.relpath(full, package_dir)
-                body, elided, error = sources.residual(
-                    full, by_file.get(full, set()))
+                body, elided, error = sources.residual(full)
                 n_elided += elided
                 if error is not None:
                     # Unparsable file: hashed raw (comment edits in it
                     # will over-invalidate; never under-invalidate).
                     diagnostics.append(f"{rel}: hashed raw ({error})")
-                digest.update(rel.encode("utf-8"))
+                digest.update(rel.replace(os.sep, "/").encode("utf-8"))
                 digest.update(b"\0")
                 digest.update(body)
                 digest.update(b"\0")
@@ -609,10 +647,10 @@ class ImpactIndex:
     """Fingerprints of every (config, view) of one batch, plus the
     cone-scoped design-key resolver the result cache consumes.
 
-    Built eagerly (all designs elaborated up front) so the environment
-    residual hash elides *every* registered process body — including
-    config-conditional processes that exist only in some designs — and
-    is therefore one stable value shared by all keys.
+    A design's key depends only on the sources and on that design: the
+    environment residual does not depend on which configs were indexed,
+    so an entry stored by one batch hits in any batch that contains
+    the same (config, view).
     """
 
     def __init__(self, configs: Sequence,
@@ -622,7 +660,6 @@ class ImpactIndex:
         self.graphs: Dict[str, object] = {}
         self.whole_design = design_source_hash()
         sources = _SourceTrees()  # shared by all designs, dropped on return
-        infos: List[object] = []
         for config in configs:
             for view in self.views:
                 label = _design_label(config.name, view)
@@ -632,9 +669,7 @@ class ImpactIndex:
                     config, view, sources)
                 self.designs[label] = fingerprints
                 self.graphs[label] = graph
-                infos.extend(list(graph.comb) + list(graph.clocked))
-        self.environment = environment_digest(
-            process_spans(infos), sources=sources)
+        self.environment = environment_digest(sources=sources)
         self._keys: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []
         self._counters: Dict[str, int] = {

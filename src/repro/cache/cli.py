@@ -1,8 +1,9 @@
 """``python -m repro.cache`` — inspect the content-addressed store.
 
 The one command today is ``explain``: print every component of a cache
-entry's key so invalidation is diagnosable instead of opaque — which
-design hash (monolithic or cone-scoped) the entry was stored under,
+entry's key so invalidation is diagnosable instead of opaque — the
+design key the entry was stored under (cone-scoped, or the
+whole-design fallback for a design with an opaque process),
 the configuration text digest, test, seed, view, bug set and
 arbitration-checker flag, plus the entry's integrity verdict.
 
@@ -29,7 +30,7 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .store import CACHE_DIR_ENV, ResultCache, design_source_hash
+from .store import CACHE_DIR_ENV, ResultCache, design_source_hash, entry_path
 
 USAGE_EXIT = 2
 
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="print every key component of one cache entry",
         description="Print every component of a cache entry's key "
-                    "(design/cone hash, config digest, test, seed, "
+                    "(design key, config digest, test, seed, "
                     "view, bugs, checker flag) and verify its "
                     "integrity.",
     )
@@ -74,7 +75,7 @@ def _locate(entry: str, root: Optional[str]) -> Optional[str]:
         root = root or os.environ.get(CACHE_DIR_ENV) or None
         if root is None:
             return None
-        path = ResultCache(root).entry_path(entry)
+        path = entry_path(root, entry)
         if os.path.isfile(path):
             return path
     return None
@@ -146,9 +147,9 @@ def _explain(args: argparse.Namespace) -> int:
     else:
         lines.append("key components:")
         design = key_inputs.get("design")
-        mode = ("monolithic design-source hash"
+        mode = ("whole-design fallback (opaque process)"
                 if design == current_design
-                else "cone-scoped or stale design hash")
+                else "cone-scoped design key")
         lines.append(f"  design: {design}")
         lines.append(f"    ({mode}; current design-source hash is "
                      f"{current_design})")

@@ -7,11 +7,13 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
 
 * **Content-addressed keys.**  Every simulation run is deterministic in
   its coordinates, so its result is addressed by the SHA-256 of
-  everything that determines it: the *design-source hash* (the bytes of
-  every Python module the simulated models are built from), the
-  canonical configuration text, the test name, the seed, the view, the
-  injected BCA bug set (BCA view only — the RTL view never sees bugs,
-  so its entries stay shared across bug experiments) and the
+  everything that determines it: the *design key* of its (config, view)
+  (the cone-scoped key from :class:`repro.analysis.impact.ImpactIndex`:
+  the environment residual plus the fingerprints of the design's
+  processes, or :func:`design_source_hash` when a process is opaque),
+  the canonical configuration text, the test name, the seed, the view,
+  the injected BCA bug set (BCA view only — the RTL view never sees
+  bugs, so its entries stay shared across bug experiments) and the
   arbitration-checker flag.
 
 * **Integrity verification on every read.**  Each entry carries the
@@ -46,7 +48,7 @@ import pickle
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Schema tag of every entry file; entries from an incompatible schema
 #: are quarantined, not misread.
@@ -111,19 +113,18 @@ def design_source_hash(roots: Sequence[str] = DESIGN_ROOTS) -> str:
     return value
 
 
-def cache_key(job, design: Optional[str] = None) -> str:
+def cache_key(job, design: str) -> str:
     """The content address of one run's result.
 
     ``job`` is a :class:`~repro.regression.parallel.RunJob`; ``design``
-    overrides the design-source hash (tests, remote pools with a
-    pre-agreed hash).
+    is the design key of its (config, view).
     """
     # Resolve the address map first: elaboration materializes the
     # default map onto the config, so a resolved and an unresolved copy
     # of the same configuration must key identically.
     job.config.resolved_map
     payload = json.dumps({
-        "design": design if design is not None else design_source_hash(),
+        "design": design,
         "config": job.config.to_text(),
         "test": job.test_name,
         "seed": job.seed,
@@ -135,6 +136,11 @@ def cache_key(job, design: Optional[str] = None) -> str:
         "with_arbitration_checker": job.with_arbitration_checker,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def entry_path(root: str, key: str) -> str:
+    """Where the entry for ``key`` lives under the store ``root``."""
+    return os.path.join(root, "objects", key[:2], f"{key}.json")
 
 
 @dataclass
@@ -206,16 +212,11 @@ class ResultCache:
     by construction (unique temp files + atomic rename, last-wins).
     """
 
-    def __init__(self, root: str, design: Optional[str] = None,
-                 design_resolver=None) -> None:
+    def __init__(self, root: str, design_key: Callable[..., str]) -> None:
         self.root = root
-        self._design = design
-        #: Optional per-job design-key resolver (``job -> hash``), used
-        #: by incremental regression to substitute a cone-scoped key
-        #: (see :mod:`repro.analysis.impact`) for the monolithic
-        #: design-source hash.  When unset, every job keys on
-        #: ``design`` (default: the design-source hash).
-        self._design_resolver = design_resolver
+        #: ``job -> design key`` (:meth:`ImpactIndex.resolver
+        #: <repro.analysis.impact.ImpactIndex.resolver>`).
+        self.design_key = design_key
         self.stats = CacheStats()
         #: Structured events (hit/miss/store/quarantine) for the
         #: telemetry run log; drained by the batch exporter.
@@ -223,23 +224,11 @@ class ResultCache:
 
     # -- paths --------------------------------------------------------------
 
-    @property
-    def design(self) -> str:
-        if self._design is None:
-            self._design = design_source_hash()
-        return self._design
-
-    def design_for(self, job) -> str:
-        """The design-key component of ``job``'s cache key."""
-        if self._design_resolver is not None:
-            return self._design_resolver(job)
-        return self.design
-
     def key_for(self, job) -> str:
-        return cache_key(job, design=self.design_for(job))
+        return cache_key(job, self.design_key(job))
 
     def entry_path(self, key: str) -> str:
-        return os.path.join(self.root, "objects", key[:2], f"{key}.json")
+        return entry_path(self.root, key)
 
     def _quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
@@ -257,7 +246,8 @@ class ResultCache:
         the result, and must not leak into a later batch's side-channel
         exports.
         """
-        key = self.key_for(job)
+        design = self.design_key(job)
+        key = cache_key(job, design)
         clean = copy.copy(result)
         clean.telemetry = None
         clean.process_seconds = {}
@@ -283,7 +273,7 @@ class ResultCache:
                 "view": job.view,
             },
             "key_inputs": {
-                "design": self.design_for(job),
+                "design": design,
                 "config_sha256": hashlib.sha256(
                     job.config.to_text().encode("utf-8")).hexdigest(),
                 "test": job.test_name,

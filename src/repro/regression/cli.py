@@ -122,15 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--no-cache", action="store_true",
                          help="disable the result cache even when "
                               "REPRO_CACHE_DIR is set")
-    cluster.add_argument("--incremental", action="store_true",
-                         help="key cache entries on cone-scoped semantic "
-                              "fingerprints (python -m repro.analysis "
-                              "impact) instead of the monolithic "
-                              "design-source hash: comment-only/"
-                              "formatting edits and edits outside a "
-                              "design's processes keep their hits; "
-                              "everything a change can affect still "
-                              "re-executes (requires a cache)")
     telemetry = parser.add_argument_group(
         "telemetry",
         "Side-channel observability files; none of them changes a "
@@ -194,14 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --cache-dir conflicts with --no-cache",
               file=sys.stderr)
         return 2
-    if args.incremental:
-        has_cache = bool(args.cache_dir) or (
-            not args.no_cache
-            and bool(os.environ.get(CACHE_DIR_ENV)))
-        if not has_cache:
-            print("error: --incremental requires a result cache "
-                  "(--cache-dir or REPRO_CACHE_DIR)", file=sys.stderr)
-            return 2
     if args.run_timeout is not None and args.run_timeout <= 0:
         print(f"error: --run-timeout must be > 0, got {args.run_timeout}",
               file=sys.stderr)
@@ -255,7 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         unr=args.unr,
         triage=args.triage,
         cache_dir=cache_dir,
-        incremental=args.incremental,
     )
     # A farm scheduler evicts with SIGTERM, an operator with Ctrl-C;
     # both deserve the same clean abort: the cache stores each run as it

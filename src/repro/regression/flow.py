@@ -102,11 +102,10 @@ class CommonVerificationFlow:
     processes, and with a cache the later iterations reuse
     every run whose coordinates an earlier one already simulated (the
     fix loop re-runs only what the fix invalidated — BCA entries key on
-    their bug set, the RTL entries hit the cache unchanged).
-    ``incremental=True`` additionally keys the cache on cone-scoped
-    semantic fingerprints (:mod:`repro.analysis.impact`), so across
-    *source* edits only the entries the edit's fan-out cone can affect
-    re-execute.
+    their bug set, the RTL entries hit the cache unchanged).  The cache
+    keys on cone-scoped semantic fingerprints
+    (:mod:`repro.analysis.impact`), so across *source* edits only the
+    entries the edit's fan-out cone can affect re-execute.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class CommonVerificationFlow:
         resilience: Optional["ResilienceConfig"] = None,
         triage: bool = False,
         cache_dir: Optional[str] = None,
-        incremental: bool = False,
     ):
         self.config = config
         self.tests = tests
@@ -138,13 +136,6 @@ class CommonVerificationFlow:
         self.symbolic = symbolic
         self.jobs = jobs
         self.cache_dir = cache_dir
-        if incremental and not cache_dir:
-            raise ValueError(
-                "incremental=True requires a result cache (cache_dir)")
-        #: Cone-scoped semantic cache keys for every iteration's batch:
-        #: across checkouts, only the entries a source edit's fan-out
-        #: cone can affect re-execute (see repro.analysis.impact).
-        self.incremental = incremental
         #: Auto-triage failing entries each iteration; the localized
         #: suspects are folded into the "fix the BCA model" transitions
         #: so the fix loop starts from a named process, not a hunch.
@@ -284,7 +275,6 @@ class CommonVerificationFlow:
             resilience=self.resilience,
             triage=self.triage,
             cache_dir=self.cache_dir,
-            incremental=self.incremental,
         )
         return runner.run().configs[0]
 

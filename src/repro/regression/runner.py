@@ -321,16 +321,10 @@ class RegressionRunner:
         for-byte without simulating; corrupt entries are quarantined
         and re-executed, never served.  Every run is stored as it
         completes, so rerunning an interrupted batch against the same
-        cache resumes it.
-    incremental:
-        Key cache entries on cone-scoped semantic fingerprints
-        (:class:`~repro.analysis.impact.ImpactIndex`) instead of the
-        monolithic design-source hash, so a warm cache survives
-        comment-only/formatting edits and edits to processes a design
-        does not instantiate; everything a change can affect still
-        re-executes (conservative fallbacks, never stale).  Requires
-        ``cache_dir``.  Both the populating and the consuming batch
-        must run incrementally for the refined keys to match.
+        cache resumes it.  Entries key on each (config, view)'s
+        cone-scoped design key (:class:`~repro.analysis.impact.ImpactIndex`),
+        so comment-only edits and edits to processes a design does not
+        instantiate keep their hits, whichever configs the batch holds.
     """
 
     def __init__(
@@ -348,7 +342,6 @@ class RegressionRunner:
         unr: bool = False,
         triage: bool = False,
         cache_dir: Optional[str] = None,
-        incremental: bool = False,
     ):
         self.configs = list(configs)
         self.tests = list(tests) if tests is not None else list(TESTCASES)
@@ -384,14 +377,9 @@ class RegressionRunner:
         #: :meth:`run` so its hit/miss accounting is per-batch.
         self.cache_dir = cache_dir
         self.cache = None
-        if incremental and not cache_dir:
-            raise ValueError(
-                "incremental regression requires a result cache "
-                "(cache_dir)")
-        #: Cone-scoped semantic cache keys (see
-        #: :mod:`repro.analysis.impact`); the index itself is built per
-        #: :meth:`run` so its fingerprints reflect the batch's configs.
-        self.incremental = incremental
+        #: The cache's design-key index (see
+        #: :mod:`repro.analysis.impact`), built per :meth:`run` so its
+        #: fingerprints reflect the current sources.
         self.impact = None
         if workdir:
             os.makedirs(workdir, exist_ok=True)
@@ -484,22 +472,15 @@ class RegressionRunner:
         for ``jobs=1``, leased worker processes otherwise)."""
         jobs_by_key = self._build_jobs()
         if self.cache_dir:
+            from ..analysis.impact import ImpactIndex
             from ..cache import ResultCache
 
-            resolver = None
-            if self.incremental:
-                from ..analysis.impact import ImpactIndex
-
-                with batch.span("impact.index",
-                                configs=len(self.configs)):
-                    self.impact = ImpactIndex(self.configs)
-                resolver = self.impact.resolver()
-            self.cache = ResultCache(
-                self.cache_dir, design_resolver=resolver)
-            if self.impact is not None:
-                # The per-design key decisions ride the cache's event
-                # stream into the telemetry run log.
-                self.cache.events.extend(self.impact.events)
+            with batch.span("impact.index", configs=len(self.configs)):
+                self.impact = ImpactIndex(self.configs)
+            self.cache = ResultCache(self.cache_dir, self.impact.resolver())
+            # The per-design key decisions ride the cache's event stream
+            # into the telemetry run log.
+            self.cache.events.extend(self.impact.events)
         else:
             self.cache = None
         executor = DistributedBatchExecutor(

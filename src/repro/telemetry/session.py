@@ -228,11 +228,11 @@ class BatchTelemetry:
         metrics ``batch.cache`` section and its structured events
         (including quarantine diagnostics) in the run log.
 
-        ``impact`` is the incremental batch's
+        ``impact`` is the cached batch's
         :class:`~repro.analysis.impact.ImpactIndex` (or ``None``): its
         fingerprint/fallback counters land in the metrics
         ``batch.impact`` section (its per-design key events ride the
-        cache event stream).  Non-incremental batches pass nothing and
+        cache event stream).  Cache-less batches pass nothing and
         export byte-identical metrics files.
 
         ``triages`` maps entry keys to
@@ -460,7 +460,7 @@ class BatchTelemetry:
             # cache-less batches export byte-identical metrics files.
             payload_out["batch"]["cache"] = cache.stats.counters()
         if impact is not None:
-            # Present only for incremental batches, same rationale.
+            # Present only for cached batches, same rationale.
             payload_out["batch"]["impact"] = impact.counters()
         if triage_rows:
             # Present only when failures were triaged, so fault-free

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.analysis import impact
 from repro.analysis.impact import (
     DesignFingerprints,
     DesignManifest,
@@ -20,28 +21,22 @@ from repro.analysis.impact import (
     environment_digest,
 )
 from repro.analysis.impact_cli import main as impact_main
-from repro.cache.store import design_source_hash
+from repro.cache.store import DESIGN_ROOTS, design_source_hash
+from repro.lint.runner import build_env
+from repro.regression.configs import configuration_matrix
 from repro.stbus import NodeConfig
 
 
 # -- environment residual hash ---------------------------------------------
 
 
-def _env_digest(tmp_path, source, process_names=()):
+def _env_digest(tmp_path, source):
     """Write ``source`` as the single module of a temp design root and
-    digest it, eliding the named defs as registered process bodies."""
+    digest it; the residual elides what the source itself registers."""
     path = os.path.join(str(tmp_path), "mod.py")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(source)
-    spans = set()
-    if process_names:
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name in process_names:
-                spans.add(
-                    (os.path.abspath(path), node.lineno, node.name))
-    return environment_digest(spans, roots=(str(tmp_path),))
+    return environment_digest(roots=(str(tmp_path),))
 
 
 ENV_V1 = '''\
@@ -52,43 +47,70 @@ def helper(x):
     return x + DEPTH
 
 class Node:
+    def __init__(self):
+        self.comb(self._proc, [self.a])
+
     def _proc(self):
         self.q.drive(self.a.value)
 '''
 
+#: ``ENV_V1`` with ``_proc`` defined but never registered.
+ENV_UNREGISTERED = ENV_V1.replace(
+    "        self.comb(self._proc, [self.a])\n", "        pass\n")
+
 
 def test_env_digest_ignores_comments_and_docstrings(tmp_path):
-    base = _env_digest(tmp_path, ENV_V1, ("_proc",))
+    base = _env_digest(tmp_path, ENV_V1)
     commented = ENV_V1.replace(
         "DEPTH = 4", "DEPTH = 4  # pipeline depth").replace(
         '"""Module docstring."""', '"""Rewritten docstring."""')
-    edited = _env_digest(tmp_path, commented, ("_proc",))
+    edited = _env_digest(tmp_path, commented)
     assert base.digest == edited.digest
     assert base.n_elided == 1
 
 
 def test_env_digest_ignores_registered_process_bodies(tmp_path):
-    base = _env_digest(tmp_path, ENV_V1, ("_proc",))
+    base = _env_digest(tmp_path, ENV_V1)
     body_edit = ENV_V1.replace(
         "self.q.drive(self.a.value)",
         "self.q.drive(self.a.value & 1)")
-    edited = _env_digest(tmp_path, body_edit, ("_proc",))
+    edited = _env_digest(tmp_path, body_edit)
     assert base.digest == edited.digest
 
 
 def test_env_digest_catches_top_level_change(tmp_path):
-    base = _env_digest(tmp_path, ENV_V1, ("_proc",))
-    edited = _env_digest(
-        tmp_path, ENV_V1.replace("DEPTH = 4", "DEPTH = 8"), ("_proc",))
+    base = _env_digest(tmp_path, ENV_V1)
+    edited = _env_digest(tmp_path, ENV_V1.replace("DEPTH = 4", "DEPTH = 8"))
     assert base.digest != edited.digest
 
 
 def test_env_digest_catches_non_process_function_edit(tmp_path):
-    base = _env_digest(tmp_path, ENV_V1, ("_proc",))
+    base = _env_digest(tmp_path, ENV_V1)
     edited = _env_digest(
-        tmp_path,
-        ENV_V1.replace("return x + DEPTH", "return x - DEPTH"),
-        ("_proc",))
+        tmp_path, ENV_V1.replace("return x + DEPTH", "return x - DEPTH"))
+    assert base.digest != edited.digest
+
+
+ENV_CONSTANT = '''\
+MASK = 7
+
+class Node:
+    def __init__(self):
+        self.comb(self._proc, [self.a])
+
+    def _proc(self):
+        self.q.drive(self.a.value & MASK)
+'''
+
+
+def test_env_digest_catches_constant_value_edit_outside_the_body(
+        tmp_path):
+    """A process fingerprint does not see a module constant's value;
+    the residual around the elided body does."""
+    base = _env_digest(tmp_path, ENV_CONSTANT)
+    assert base.n_elided == 1
+    edited = _env_digest(
+        tmp_path, ENV_CONSTANT.replace("MASK = 7", "MASK = 3"))
     assert base.digest != edited.digest
 
 
@@ -104,28 +126,77 @@ class Node:
 '''
 
 
-def test_env_digest_catches_constant_value_edit_outside_the_body(
-        tmp_path):
-    """A process fingerprint does not see a closure constant's value;
-    the residual around the elided body does."""
-    base = _env_digest(tmp_path, ENV_CLOSURE, ("_proc",))
-    assert base.n_elided == 1
-    edited = _env_digest(
-        tmp_path, ENV_CLOSURE.replace("MASK = 7", "MASK = 3"), ("_proc",))
+def test_env_digest_keeps_closure_process_bodies(tmp_path):
+    """Only ``self.X`` methods are elided: a closure process's body
+    stays in the residual, so an edit to it changes the digest."""
+    base = _env_digest(tmp_path, ENV_CLOSURE)
+    assert base.n_elided == 0
+    edited = _env_digest(tmp_path, ENV_CLOSURE.replace(
+        "self.a.value & MASK", "self.a.value | MASK"))
     assert base.digest != edited.digest
 
 
 def test_env_digest_without_elision_sees_process_edits(tmp_path):
-    """An unregistered (never-manifested) process body counts as
-    environment code — edits to it invalidate, conservatively."""
-    base = _env_digest(tmp_path, ENV_V1, ())
+    """An unregistered process body counts as environment code — edits
+    to it invalidate, conservatively."""
+    base = _env_digest(tmp_path, ENV_UNREGISTERED)
     edited = _env_digest(
         tmp_path,
-        ENV_V1.replace("self.q.drive(self.a.value)",
-                       "self.q.drive(0)"),
-        ())
+        ENV_UNREGISTERED.replace("self.q.drive(self.a.value)",
+                                 "self.q.drive(0)"))
     assert base.n_elided == 0
     assert base.digest != edited.digest
+
+
+def test_env_digest_keeps_a_registered_method_the_class_also_calls(
+        tmp_path):
+    """A process method the class also calls directly can run outside
+    any process fingerprint, so its body stays in the residual."""
+    called = ENV_V1.replace(
+        "        self.comb(self._proc, [self.a])\n",
+        "        self.comb(self._proc, [self.a])\n        self._proc()\n")
+    base = _env_digest(tmp_path, called)
+    assert base.n_elided == 0
+    edited = _env_digest(tmp_path, called.replace(
+        "self.q.drive(self.a.value)", "self.q.drive(0)"))
+    assert base.digest != edited.digest
+
+
+def test_env_digest_elides_only_the_registering_class_methods(tmp_path):
+    """``self.X`` names a method of the class whose code registers it:
+    a same-named method of another or a nested class stays in."""
+    source = ENV_V1 + '''
+class Other:
+    def _proc(self):
+        self.q.drive(1)
+
+    class Inner:
+        def __init__(self):
+            self.comb(self._proc, [self.a])
+'''
+    base = _env_digest(tmp_path, source)
+    assert base.n_elided == 1
+    edited = _env_digest(tmp_path, source.replace(
+        "self.q.drive(1)", "self.q.drive(2)"))
+    assert base.digest != edited.digest
+
+
+def test_env_digest_hashes_paths_with_forward_slashes(tmp_path,
+                                                      monkeypatch):
+    """Identical checkouts key identically on Windows and POSIX: each
+    file's relative path is hashed with ``/`` whatever the separator."""
+    package = os.path.join(str(tmp_path), "pkg")
+    os.makedirs(package)
+    with open(os.path.join(package, "mod.py"), "w",
+              encoding="utf-8") as handle:
+        handle.write(ENV_V1)
+    native = environment_digest(roots=(package,))
+    relpath = os.path.relpath
+    monkeypatch.setattr(os, "sep", "\\")
+    monkeypatch.setattr(os.path, "relpath", lambda path, start: relpath(
+        path, start).replace("/", "\\"))
+    windows = environment_digest(roots=(package,))
+    assert windows.digest == native.digest
 
 
 def test_env_digest_hashes_unparsable_files_raw(tmp_path):
@@ -248,7 +319,7 @@ def test_opaque_process_forces_whole_design_fallback():
     reason = design.fallback_reason
     assert reason is not None
     assert "opaque-process" in reason and "tb.dut._mystery" in reason
-    env = environment_digest(set(), roots=())
+    env = environment_digest(roots=())
     assert design.design_key(env, whole) == whole
 
 
@@ -288,6 +359,52 @@ def test_index_keys_are_per_view_and_stable(stock_index):
     fresh = ImpactIndex([NodeConfig(name="node")])
     assert fresh.design_key("node", "rtl") == rtl
     assert fresh.design_key("node", "bca") == bca
+
+
+def test_index_keys_do_not_depend_on_the_batch_composition():
+    """A design's key is the same whichever configs the index holds,
+    so an entry stored by one batch hits in any batch containing it."""
+    configs = configuration_matrix(small=True)
+    everything = ImpactIndex(configs)
+    for config in configs:
+        alone = ImpactIndex([config])
+        assert alone.environment == everything.environment, config.name
+        for view in ("rtl", "bca"):
+            assert (alone.design_key(config.name, view)
+                    == everything.design_key(config.name, view))
+
+
+def _elided_spans():
+    """``(file, first line, name)`` of every def the residual elides."""
+    package_dir = os.path.dirname(os.path.dirname(impact.__file__))
+    spans = set()
+    for root in DESIGN_ROOTS:
+        for dirpath, _, filenames in os.walk(
+                os.path.join(package_dir, root)):
+            for name in filenames:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.abspath(os.path.join(dirpath, name))
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
+                spans.update((path, node.lineno, node.name)
+                             for node in impact._registered_defs(tree))
+    return spans
+
+
+def test_every_shipped_process_body_is_elided_from_the_residual():
+    """No process of the full matrix leaks its body into the residual,
+    where an edit to it would re-run every design."""
+    elided = _elided_spans()
+    runtime = set()
+    for config in configuration_matrix():
+        for view in ("rtl", "bca"):
+            sim = build_env(config, view).sim
+            for info in sim.comb_processes + sim.clocked_processes:
+                code, name = impact._process_code(info)
+                runtime.add((os.path.abspath(code.co_filename),
+                             code.co_firstlineno, name))
+    assert runtime and runtime <= elided
 
 
 def test_index_unknown_design_degrades_to_whole_hash(stock_index):

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.analysis.impact import ImpactIndex
 from repro.cache import ResultCache, design_source_hash
 from repro.cache.cli import USAGE_EXIT, main as cache_main
 from repro.cache.store import _entry_digest
@@ -34,11 +35,13 @@ def _job(workdir):
 
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
-    """One real executed-and-stored entry, shared across tests."""
+    """One real executed-and-stored entry, shared across tests, keyed
+    like a regression batch keys it."""
     tmp_path = tmp_path_factory.mktemp("explain")
     job = _job(tmp_path / "work")
     result = execute_run_job(job)
-    cache = ResultCache(str(tmp_path / "cache"))
+    index = ImpactIndex([job.config], views=("rtl",))
+    cache = ResultCache(str(tmp_path / "cache"), index.resolver())
     path = cache.store(job, result, run_artifact_paths(job))
     assert path is not None
     return job, cache, path
@@ -50,8 +53,8 @@ def test_explain_by_path(stored, capsys):
     out = capsys.readouterr().out
     assert "integrity: verified" in out
     assert "key components:" in out
-    assert f"design: {design_source_hash()}" in out
-    assert "monolithic design-source hash" in out
+    assert f"design: {cache.design_key(job)}" in out
+    assert "(cone-scoped design key;" in out
     expected_cfg = hashlib.sha256(
         job.config.to_text().encode("utf-8")).hexdigest()
     assert f"config sha256: {expected_cfg}" in out
@@ -84,13 +87,27 @@ def test_explain_json(stored, capsys):
     assert payload["verified"] is True
     assert payload["key"] == os.path.basename(path).split(".", 1)[0]
     inputs = payload["key_inputs"]
-    assert inputs["design"] == design_source_hash()
+    assert inputs["design"] == cache.design_key(job)
+    assert inputs["design"] != design_source_hash()
     assert inputs["test"] == "t01_sanity_write_read"
     assert inputs["seed"] == 1
     assert inputs["view"] == "rtl"
     assert inputs["bugs"] == []
     assert inputs["with_arbitration_checker"] is True
     assert "report" in payload["artifacts"]
+
+
+def test_explain_labels_the_whole_design_fallback(tmp_path, capsys):
+    """A design with an opaque process keys on the whole-source hash;
+    ``explain`` names that fallback."""
+    job = _job(tmp_path / "work")
+    cache = ResultCache(str(tmp_path / "cache"),
+                        lambda job: design_source_hash())
+    path = cache.store(job, execute_run_job(job), run_artifact_paths(job))
+    assert cache_main(["explain", path]) == 0
+    out = capsys.readouterr().out
+    assert f"design: {design_source_hash()}" in out
+    assert "(whole-design fallback (opaque process);" in out
 
 
 def test_explain_pre_upgrade_entry(stored, capsys, tmp_path):

@@ -24,6 +24,7 @@ import os
 
 import pytest
 
+from repro.analysis.impact import ImpactIndex
 from repro.cache import (
     CACHE_SCHEMA,
     DIAGNOSTIC_SCHEMA,
@@ -38,7 +39,11 @@ from repro.regression.parallel import RunJob, execute_run_job
 from repro.regression.resilience import run_artifact_paths
 from repro.stbus import NodeConfig, ProtocolType
 
-DESIGN = "d" * 64  # fixed design hash: key tests must not rehash sources
+DESIGN = "d" * 64  # fixed design key: store tests need no impact index
+
+
+def _fixed_design(job):
+    return DESIGN
 
 
 def _config(name="cache_cfg"):
@@ -122,7 +127,7 @@ def test_round_trip_materializes_artifacts_byte_identically(tmp_path):
     artifacts = run_artifact_paths(job)
     originals = {role: open(path, "rb").read()
                  for role, path in artifacts.items()}
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     assert cache.store(job, result, artifacts) is not None
 
     replay_dir = tmp_path / "second"
@@ -146,7 +151,7 @@ def test_cached_payload_strips_execution_telemetry(tmp_path):
                submitted_at=0.0)
     result = execute_run_job(job)
     assert result.telemetry is not None
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     cache.store(job, result, run_artifact_paths(job))
     replayed = cache.load(job, run_artifact_paths(job))
     assert replayed.telemetry is None
@@ -156,7 +161,7 @@ def test_cached_payload_strips_execution_telemetry(tmp_path):
 
 
 def test_miss_on_empty_store(tmp_path):
-    cache = ResultCache(str(tmp_path), design=DESIGN)
+    cache = ResultCache(str(tmp_path), _fixed_design)
     assert cache.load(_job(), {}) is None
     assert cache.stats.misses == 1
     assert cache.stats.verify_failures == 0
@@ -167,7 +172,7 @@ def test_miss_on_empty_store(tmp_path):
 
 def _stored_entry(tmp_path):
     job, result = _executed_job(tmp_path / "work")
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     path = cache.store(job, result, run_artifact_paths(job))
     assert path is not None
     return job, cache, path
@@ -252,7 +257,7 @@ def test_entry_with_fewer_artifacts_is_plain_miss(tmp_path):
     corruption — it simply cannot satisfy this request."""
     job = _job()  # no workdir: no artifacts stored
     result = execute_run_job(job)
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     assert cache.store(job, result, run_artifact_paths(job)) is not None
     rich = _job(tmp_path / "work")
     assert cache.load(rich, run_artifact_paths(rich)) is None
@@ -266,7 +271,7 @@ def test_entry_with_fewer_artifacts_is_plain_miss(tmp_path):
 def _store_worker(root, workdir, index, done):
     job = _job(workdir)
     result = execute_run_job(job)
-    cache = ResultCache(root)
+    cache = ResultCache(root, _fixed_design)
     path = cache.store(job, result, run_artifact_paths(job))
     done.put((index, path))
 
@@ -295,7 +300,7 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
     for dirpath, _, filenames in os.walk(tmp_path / "cache"):
         objects.extend(os.path.join(dirpath, name) for name in filenames)
     assert len(objects) == 1 and objects[0].endswith(".json")
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     replay_dir = tmp_path / "replay"
     os.makedirs(replay_dir)
     job = _job(replay_dir)
@@ -336,6 +341,23 @@ def test_second_identical_batch_executes_zero_sim_jobs(
     }
     assert warm_report.render() == report.render()
     assert _snapshot(tmp_path / "warm") == cold
+
+
+def test_batch_entries_key_on_cone_scoped_design_keys(tmp_path):
+    """A cached batch stores every entry under its (config, view)'s
+    cone-scoped design key, never the whole-source hash."""
+    _, runner = _batch(tmp_path / "work", tmp_path / "cache")
+    assert isinstance(runner.impact, ImpactIndex)
+    designs = {}
+    for dirpath, _, filenames in os.walk(tmp_path / "cache" / "objects"):
+        for name in filenames:
+            with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                entry = json.load(fh)
+            designs[entry["coords"]["view"]] = entry["key_inputs"]["design"]
+    assert designs == {
+        view: runner.impact.design_key("cache_cfg", view)
+        for view in ("rtl", "bca")}
+    assert design_source_hash() not in designs.values()
 
 
 def test_keys_stable_across_serial_and_pooled_engines(tmp_path):

@@ -1,19 +1,22 @@
-"""End-to-end proof of incremental regression soundness.
+"""End-to-end proof that cone-scoped cache keys are sound and reusable.
 
-The contract under test (the ISSUE's acceptance criteria):
+Every cached batch keys its entries on cone-scoped design keys.  The
+contract under test:
 
 * a **comment-only edit** to a design source re-runs **zero**
   simulation jobs — proven by re-running the edited tree under a
   crash-everything chaos spec — and the outputs are byte-identical;
+* the keys do not depend on the **batch composition**: entries stored
+  by a batch of config A hit in a later batch of A+B;
 * a **semantic edit to one process** re-runs only the entries whose
   fan-out cone contains that process (here: the BCA view, leaving the
-  RTL view provably unaffected), and the incremental outputs are
+  RTL view provably unaffected), and the selective outputs are
   byte-identical to a full cold re-run of the edited tree;
 * an **opaque process** (unrecoverable source) degrades the whole
   design to the monolithic source hash with a structured diagnostic —
   conservative, never stale;
-* incremental mode without a result cache is a configuration error
-  everywhere it can be requested (runner, flow, CLI).
+* every cached batch's metrics carry the ``batch.impact`` counters,
+  and the retired ``--incremental`` flag is a usage error.
 
 The edit tests run real subprocess batches against a *copy* of the
 package tree, because a source edit cannot be applied to an
@@ -32,11 +35,9 @@ import pytest
 from repro.analysis import impact as impact_mod
 from repro.analysis.impact import MODE_OPAQUE, ImpactIndex
 from repro.cache import design_source_hash
-from repro.regression import RegressionRunner
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
 from repro.regression.configs import save_config_dir
-from repro.regression.flow import CommonVerificationFlow
 from repro.stbus import NodeConfig, ProtocolType
 
 REPO_SRC = os.path.abspath(
@@ -48,6 +49,14 @@ CLOCK_MARKER = "def _on_clock(self) -> None:"
 def _config():
     return NodeConfig(n_initiators=2, n_targets=2,
                       protocol_type=ProtocolType.T3, name="incr_cfg")
+
+
+def _programmable_config():
+    """A config registering processes ``_config()`` does not (the
+    programming port's master and the node's ``_prog_comb``)."""
+    return NodeConfig(n_initiators=2, n_targets=2,
+                      protocol_type=ProtocolType.T3,
+                      has_programming_port=True, name="incr_prog")
 
 
 def _copy_tree(dst):
@@ -82,7 +91,7 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--incremental", "--metrics-out", str(metrics)],
+         "--metrics-out", str(metrics)],
         capture_output=True, text=True, env=env)
     # Exit 1 is the expected not-signed-off verdict for this deliberately
     # tiny batch (one test, one seed, coverage far below threshold);
@@ -92,10 +101,12 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
         return json.load(handle)["batch"]
 
 
-def _snapshot(workdir):
+def _snapshot(workdir, prefix=""):
     snap = {}
     for dirpath, _, filenames in os.walk(str(workdir)):
         for name in filenames:
+            if not name.startswith(prefix):
+                continue
             full = os.path.join(dirpath, name)
             rel = os.path.relpath(full, str(workdir))
             with open(full, "rb") as handle:
@@ -133,6 +144,47 @@ def test_comment_only_edit_executes_zero_sim_jobs(tmp_path, cfg_dir):
         "verify_failures": 0, "quarantined": 0,
     }
     assert _snapshot(tmp_path / "warm") == _snapshot(tmp_path / "cold")
+
+
+def test_entries_of_one_config_hit_in_a_batch_of_two(tmp_path, cfg_dir):
+    """Keys do not depend on which configs a batch holds: config A's
+    entries, stored by an A-only batch, hit after a comment-only edit
+    in a batch of A and a config B that registers processes A lacks."""
+    src = _copy_tree(tmp_path / "pkg")
+    _run_batch(src, cfg_dir, tmp_path / "cold",
+               tmp_path / "cache", tmp_path / "cold.json")
+    both = tmp_path / "cfg_both"
+    save_config_dir([_config(), _programmable_config()], str(both))
+    _edit_bca_clock(
+        src, "        # composition probe: semantically inert")
+    # Any simulation of A that executes now crashes.
+    warm = _run_batch(src, both, tmp_path / "warm", tmp_path / "cache",
+                      tmp_path / "warm.json", chaos="crash:incr_cfg:*:*:*")
+    assert warm["cache"] == {
+        "hits": 2, "misses": 2, "stores": 2,
+        "verify_failures": 0, "quarantined": 0,
+    }
+    assert warm["impact"]["impact.cone_keys"] == 4
+    assert (_snapshot(tmp_path / "warm", "incr_cfg__")
+            == _snapshot(tmp_path / "cold", "incr_cfg__"))
+
+
+def test_cached_batch_metrics_carry_impact_counters(tmp_path, cfg_dir):
+    """A cached batch builds the impact index, so its metrics rollup
+    has ``batch.impact`` with one cone key per (config, view)."""
+    both = tmp_path / "cfg_both"
+    save_config_dir([_config(), _programmable_config()], str(both))
+    metrics = tmp_path / "metrics.json"
+    assert regression_main(
+        [str(both), "--workdir", str(tmp_path / "work"),
+         "--tests", "t01_sanity_write_read", "--seeds", "1",
+         "--skip-lint", "--cache-dir", str(tmp_path / "cache"),
+         "--metrics-out", str(metrics)]) in (0, 1)
+    with open(metrics, "r", encoding="utf-8") as handle:
+        impact = json.load(handle)["batch"]["impact"]
+    assert impact["impact.designs"] == 4
+    assert impact["impact.cone_keys"] == 4
+    assert impact["impact.design_fallbacks"] == 0
 
 
 def test_single_process_edit_reruns_only_its_cone(tmp_path, cfg_dir):
@@ -188,21 +240,13 @@ def test_opaque_process_degrades_to_whole_design(monkeypatch):
         == [(MODE_OPAQUE, "source unavailable")]
 
 
-def test_runner_rejects_incremental_without_cache(tmp_path):
-    with pytest.raises(ValueError, match="result cache"):
-        RegressionRunner([_config()], tests=["t01_sanity_write_read"],
-                         seeds=[1], workdir=str(tmp_path / "work"),
-                         incremental=True)
-
-
-def test_flow_rejects_incremental_without_cache():
-    with pytest.raises(ValueError, match="result cache"):
-        CommonVerificationFlow(_config(), incremental=True)
-
-
-def test_cli_rejects_incremental_without_cache(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert regression_main([str(tmp_path), "--incremental"]) == 2
-    assert "--incremental requires a result cache" \
+def test_cli_rejects_removed_incremental_flag(tmp_path, capsys):
+    """Every cached batch keys on cone-scoped design keys, so the flag
+    that used to opt in to them is gone."""
+    save_config_dir([_config()], str(tmp_path / "cfgs"))
+    with pytest.raises(SystemExit) as excinfo:
+        regression_main([str(tmp_path / "cfgs"), "--incremental",
+                         "--cache-dir", str(tmp_path / "cache")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --incremental" \
         in capsys.readouterr().err
