@@ -16,9 +16,9 @@ process at a time), this package reasons about *flows*:
 * :mod:`~repro.analysis.xview` — cross-view cone-equivalence check (RTL
   vs BCA cones per STBus port);
 * :mod:`~repro.analysis.symbolic` — the symbolic pass (``--symbolic``):
-  lift process bodies to a bitvector IR, prove per-port functional
-  RTL≡BCA equivalence, and upgrade the UNR decode verdicts with the
-  exact interval-coverage engine;
+  check per-port functional RTL/BCA agreement on bare dual harnesses
+  (comb-cone enumeration from reset plus bounded lockstep), and upgrade
+  the UNR decode verdicts with the exact interval-coverage engine;
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
@@ -64,11 +64,8 @@ _LAZY = {
     "UnrReport": "unr",
     "analyze_unreachability": "unr",
     "cone_equivalence_findings": "xview",
-    "LiftReport": "symbolic.lift",
     "SymbolicReport": "symbolic.report",
     "UnrUpgrade": "symbolic.reach",
-    "lift_process": "symbolic.lift",
-    "lift_simulator": "symbolic.lift",
     "run_symbolic_analysis": "symbolic.report",
     "AnalysisReport": "runner",
     "ConfigAnalysisReport": "runner",

@@ -90,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--symbolic", action="store_true",
-        help="run the symbolic pass: lift process bodies to IR, prove "
-             "per-port functional RTL=BCA equivalence, and upgrade the "
-             "UNR decode verdicts with the exact interval engine",
+        help="run the symbolic pass: check per-port functional RTL/BCA "
+             "agreement (comb enumeration from reset plus bounded "
+             "lockstep), and upgrade the UNR decode verdicts with the "
+             "exact interval engine",
     )
     parser.add_argument(
         "--symbolic-budget", metavar="N", type=int, default=None,

@@ -149,9 +149,7 @@ def check_delta_overwrite(ctx: AnalysisContext) -> List[Finding]:
     "two processes declare tie-offs with different constants on one net",
 )
 def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
-    """Flag contradictory constant drives on one net: two declared
-    tie-offs that disagree, or a declared tie-off contradicted by a comb
-    process whose lifted output function proves a different constant."""
+    """Flag two declared tie-offs on one net that disagree."""
     findings: List[Finding] = []
     for sig, entries in ctx.graph.tie_offs.items():
         values = {value for _, value in entries}
@@ -168,46 +166,7 @@ def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
                 hint="the declarations cannot all hold; fix the wrong one "
                      "(the constant engine trusts neither)",
             ))
-            continue
-        # A consistent declaration can still be contradicted by what a
-        # comb writer provably computes: lift any comb writer of the
-        # tied net and compare its closed output function (if it has
-        # one) against the declared value.
-        declared = values.pop()
-        declarants = {info.name for info, _ in entries}
-        for writer in ctx.graph.known_writers.get(sig, []):
-            if writer.kind != "comb" or writer.name in declarants:
-                continue
-            proven = _lifted_constant_drive(writer, sig.name)
-            if proven is None or proven == declared:
-                continue
-            findings.append(Finding(
-                rule="tie-off-conflict",
-                severity=Severity.ERROR,
-                message=(
-                    f"declared tied to {declared} by "
-                    f"{', '.join(sorted(declarants))}, but the lifted "
-                    f"output function of {writer.name} proves it always "
-                    f"drives {proven}"
-                ),
-                signal=sig.name,
-                hint="the declaration and the comb logic disagree; one "
-                     "of them is wrong",
-            ))
     return findings
-
-
-def _lifted_constant_drive(info, signal_name: str) -> Optional[int]:
-    """The constant ``info`` provably always drives onto the net, or
-    None when its lifted assignment is missing or not closed."""
-    from .symbolic.ir import evaluate, is_closed
-    from .symbolic.lift import lift_process
-
-    lifted = lift_process(info)
-    assign = lifted.assign_for(signal_name)
-    if assign is None or not is_closed(assign.expr):
-        return None
-    return evaluate(assign.expr, {})
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,8 @@ def analyze_config(
     report, using the first analyzed view's constant facts to sharpen
     the blocking-constant messages.
 
-    With ``symbolic`` on, additionally runs the symbolic pass: lift both
-    views, prove per-port functional RTL≡BCA equivalence, and upgrade
+    With ``symbolic`` on, additionally runs the symbolic pass: check
+    per-port functional RTL/BCA agreement on both views, and upgrade
     the UNR report's probe-based decode verdicts with the exact
     interval-coverage engine.  ``symbolic_budget`` caps the comb-cone
     enumeration domain (None = the engine default); ``bca_bugs`` injects

@@ -1,22 +1,12 @@
-"""Symbolic process semantics: lift, prove, reach.
+"""Symbolic pass: per-port RTL/BCA agreement and exact UNR.
 
-The substrate the functional cross-view proofs and the exact UNR engine
-stand on:
+Two engines behind ``--symbolic``:
 
-* :mod:`~repro.analysis.symbolic.ir` — a small bitvector expression IR
-  (constants, variables, arithmetic/bit ops, comparisons, ``if/else`` as
-  mux, and an explicit ``OPAQUE`` node for everything the lifter cannot
-  translate);
-* :mod:`~repro.analysis.symbolic.lift` — the AST lifter: per registered
-  process, ``inspect.getsource`` + ``ast`` → one IR assignment per
-  driven signal (a symbolic transition function for clocked processes, a
-  symbolic output function for comb processes), degrading honestly to
-  OPAQUE statements instead of guessing;
-* :mod:`~repro.analysis.symbolic.consts` — comb-constant facts proven by
-  evaluating fully-lifted closed output functions;
-* :mod:`~repro.analysis.symbolic.equiv` — functional RTL≡BCA equivalence:
-  pointwise comb-cone enumeration plus bounded lockstep execution of both
-  views under identical stimulus, one verdict per interface port;
+* :mod:`~repro.analysis.symbolic.equiv` — functional RTL/BCA agreement
+  on bare dual harnesses: comb-cone enumeration from reset on both
+  simulators plus bounded lockstep execution of both views under
+  identical stimulus, one ``AGREED``/``MISMATCH`` verdict per interface
+  port.  Agreement is a bounded check, not a proof;
 * :mod:`~repro.analysis.symbolic.reach` — the exact address-interval
   reachability engine that upgrades probe-based UNKNOWN verdicts to
   REACHABLE (with a concrete witness vector) or UNREACHABLE (with an
@@ -28,60 +18,20 @@ Everything here is reachable through ``python -m repro.analysis
 and the analysis output stays byte-identical to the non-symbolic pass.
 """
 
-from .consts import symbolic_comb_constants
 from .equiv import (
     DEFAULT_DOMAIN_BUDGET,
     PortEquivalence,
     check_functional_equivalence,
 )
-from .ir import (
-    BinOp,
-    BoolOp,
-    Compare,
-    Const,
-    Expr,
-    Mux,
-    Opaque,
-    OpaqueValueError,
-    UnOp,
-    Var,
-    evaluate,
-    free_vars,
-    is_closed,
-    opaque_reasons,
-    render,
-)
-from .lift import LiftedAssign, LiftedProcess, LiftReport, lift_process, lift_simulator
 from .reach import exact_decode_verdict, upgrade_unr_report
 from .report import SymbolicReport, run_symbolic_analysis
 
 __all__ = [
-    "BinOp",
-    "BoolOp",
-    "Compare",
-    "Const",
     "DEFAULT_DOMAIN_BUDGET",
-    "Expr",
-    "LiftReport",
-    "LiftedAssign",
-    "LiftedProcess",
-    "Mux",
-    "Opaque",
-    "OpaqueValueError",
     "PortEquivalence",
     "SymbolicReport",
-    "UnOp",
-    "Var",
     "check_functional_equivalence",
-    "evaluate",
     "exact_decode_verdict",
-    "free_vars",
-    "is_closed",
-    "lift_process",
-    "lift_simulator",
-    "opaque_reasons",
-    "render",
     "run_symbolic_analysis",
-    "symbolic_comb_constants",
     "upgrade_unr_report",
 ]

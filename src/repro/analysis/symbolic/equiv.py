@@ -1,4 +1,4 @@
-"""Functional RTL≡BCA equivalence: per-port proofs, not cone shapes.
+"""Functional RTL/BCA agreement: a bounded per-port check, not a proof.
 
 Two complementary engines, both driving *bare* dual harnesses (the two
 node views instantiated on identical port bundles, no BFMs, no
@@ -6,21 +6,17 @@ checkers):
 
 **Pointwise comb enumeration.**  The node's combinational outputs —
 request grants, response grants, programming ack/rdata — are functions
-of the current pin values and the (initial, identical) node state.
-Enumerating the input domain of each cone and comparing the settled
-outputs across views is a *complete* functional proof at the
-arbitration-relevant initial state: widths here are small and the
-domain is the product of a handful of per-port stimulus states.  When a
-configuration's domain exceeds the budget the cone is skipped with an
-explicit ``symbolic-domain-too-large`` diagnostic — never silently.
-When both views' output function lifted cleanly to IR over exactly the
-stimulus pins, the proof runs on the IR instead of the simulator; if
-the two IR expressions are structurally identical the cone is proven
-for *all* inputs without enumerating at all.
+of the current pin values and the node state.  From reset, each cone's
+stimulus axes are enumerated on both simulators and the settled outputs
+compared.  The axes are representative per-port stimulus states (one
+address per decode class, a few handshake variants), not every value
+of every pin, so agreement holds on those points only.  When a cone's
+point count exceeds the budget the cone is skipped with an explicit
+``symbolic-domain-too-large`` diagnostic — never silently.
 
 **Bounded lockstep execution.**  Sequential behaviour (datapath
 routing, response matching, arbitration state evolution, chunk locks,
-programming-port side effects) is proven equal on a deterministic,
+programming-port side effects) is compared on a deterministic,
 configuration-derived scenario set: both views receive byte-identical
 external stimulus — packet streams, an always-ready echo responder
 that reflects observed src/tid back, programming-port writes — and
@@ -58,8 +54,6 @@ from ...stbus import (
     build_request_cells,
     build_response_cells,
 )
-from .ir import evaluate, free_vars, opaque_reasons
-from .lift import LiftReport, lift_simulator
 from .reach import coverage_gaps
 
 __all__ = [
@@ -72,7 +66,7 @@ __all__ = [
 #: logs ``symbolic-domain-too-large`` and leaves the cone to lockstep.
 DEFAULT_DOMAIN_BUDGET = 8192
 
-EQUIVALENT = "EQUIVALENT"
+AGREED = "AGREED"
 MISMATCH = "MISMATCH"
 
 #: Node-driven pins per port role (everything else is external stimulus).
@@ -89,24 +83,25 @@ class PortEquivalence:
     """Combined functional verdict for one interface port."""
 
     port: str
-    verdict: str = EQUIVALENT
+    verdict: str = AGREED
     comb_points: int = 0
-    comb_symbolic: bool = False
     comb_skipped: Optional[str] = None
     lockstep_cycles: int = 0
     scenarios: List[str] = field(default_factory=list)
     witness: Optional[Dict[str, object]] = None
 
     def render(self) -> str:
+        # A MISMATCH port's witness names the engine that disagreed, so
+        # neither engine claims agreement there.
+        outcome = "agreed" if self.verdict == AGREED else "checked"
         bits = [f"{self.port}: {self.verdict}"]
-        if self.comb_symbolic:
-            bits.append("comb proven on IR (structural identity)")
-        elif self.comb_points:
-            bits.append(f"comb {self.comb_points} point(s)")
         if self.comb_skipped:
             bits.append(f"comb skipped: {self.comb_skipped}")
-        bits.append(f"lockstep {self.lockstep_cycles} cycle(s) over "
-                    f"{len(self.scenarios)} scenario(s)")
+        elif self.comb_points:
+            bits.append(f"comb {outcome} on {self.comb_points} point(s) "
+                        "from reset")
+        bits.append(f"lockstep {outcome} over {self.lockstep_cycles} "
+                    f"cycle(s), {len(self.scenarios)} scenario(s)")
         if self.witness is not None:
             bits.append(f"witness: {self.witness}")
         return " — ".join(bits)
@@ -116,7 +111,6 @@ class PortEquivalence:
             "port": self.port,
             "verdict": self.verdict,
             "comb_points": self.comb_points,
-            "comb_symbolic": self.comb_symbolic,
             "lockstep_cycles": self.lockstep_cycles,
             "scenarios": list(self.scenarios),
         }
@@ -321,54 +315,16 @@ def _build_cones(config: NodeConfig) -> List[_Cone]:
     return cones
 
 
-def _ir_output_exprs(cone: _Cone, lifted: Dict[str, LiftReport]
-                     ) -> Optional[Dict[str, Dict[str, object]]]:
-    """Per-view clean IR expressions for every cone output, or None.
-
-    Qualifies only when, in *both* views, each output has exactly one
-    comb assignment, opaque-free, whose free variables are all stimulus
-    pins of this cone (so IR evaluation needs no hidden state).
-    """
-    stimulus = set()
-    for axis in cone.axes:
-        for group in axis:
-            stimulus.update(name for name, _ in group)
-    result: Dict[str, Dict[str, object]] = {"rtl": {}, "bca": {}}
-    for view, report in lifted.items():
-        for output in cone.outputs:
-            exprs = [
-                assign.expr
-                for proc in report.processes if proc.kind == "comb"
-                for assign in proc.assigns if assign.target == output
-            ]
-            if len(exprs) != 1 or opaque_reasons(exprs[0]):
-                return None
-            if not free_vars(exprs[0]) <= stimulus:
-                return None
-            result[view][output] = exprs[0]
-    return result
-
-
 def _run_comb_engine(
     config: NodeConfig,
     rtl: _Harness,
     bca: _Harness,
-    lifted: Dict[str, LiftReport],
     budget: int,
     ports: Dict[str, PortEquivalence],
     findings: List[Finding],
 ) -> None:
     for cone in _build_cones(config):
         cone_ports = sorted({_port_of(o) for o in cone.outputs})
-        ir_exprs = _ir_output_exprs(cone, lifted)
-        if ir_exprs is not None:
-            if all(ir_exprs["rtl"][o] == ir_exprs["bca"][o]
-                   for o in cone.outputs):
-                # Structurally identical output functions: equal for
-                # every input assignment, no enumeration needed.
-                for port in cone_ports:
-                    ports[port].comb_symbolic = True
-                continue
         if cone.domain_size > budget:
             reason = (
                 f"{cone.name} cone domain has {cone.domain_size} points "
@@ -386,22 +342,15 @@ def _run_comb_engine(
             ))
             continue
         for env in cone.points():
-            if ir_exprs is not None:
-                values = {
-                    view: {o: evaluate(ir_exprs[view][o], env)
-                           for o in cone.outputs}
-                    for view in ("rtl", "bca")
-                }
-            else:
-                for name, value in env.items():
-                    rtl.drive(name, value)
-                    bca.drive(name, value)
-                rtl.settle()
-                bca.settle()
-                values = {
-                    "rtl": {o: rtl.pins[o].value for o in cone.outputs},
-                    "bca": {o: bca.pins[o].value for o in cone.outputs},
-                }
+            for name, value in env.items():
+                rtl.drive(name, value)
+                bca.drive(name, value)
+            rtl.settle()
+            bca.settle()
+            values = {
+                "rtl": {o: rtl.pins[o].value for o in cone.outputs},
+                "bca": {o: bca.pins[o].value for o in cone.outputs},
+            }
             for port in cone_ports:
                 ports[port].comb_points += 1
             for output in cone.outputs:
@@ -712,10 +661,10 @@ def check_functional_equivalence(
     *,
     budget: int = DEFAULT_DOMAIN_BUDGET,
     bca_bugs: Iterable[str] = (),
-) -> Tuple[List[PortEquivalence], List[Finding], Dict[str, LiftReport]]:
-    """Prove (or refute) per-port functional RTL≡BCA equivalence.
+) -> Tuple[List[PortEquivalence], List[Finding]]:
+    """Check per-port functional RTL/BCA agreement (or find a witness).
 
-    Returns ``(port verdicts, findings, per-view lift reports)``.  A
+    Returns ``(port verdicts, findings)``.  A
     MISMATCH port contributes an ``xview-function`` ERROR finding with
     its witness; a skipped comb cone contributes the
     ``symbolic-domain-too-large`` INFO diagnostic.
@@ -731,11 +680,7 @@ def check_functional_equivalence(
     findings: List[Finding] = []
     rtl = _Harness(config, "rtl")
     bca = _Harness(config, "bca", bugs=bca_bugs)
-    lifted = {
-        "rtl": lift_simulator(rtl.sim),
-        "bca": lift_simulator(bca.sim),
-    }
-    _run_comb_engine(config, rtl, bca, lifted, budget, ports, findings)
+    _run_comb_engine(config, rtl, bca, budget, ports, findings)
     _run_lockstep_engine(config, bca_bugs, ports)
 
     for port in ports.values():
@@ -751,4 +696,4 @@ def check_functional_equivalence(
                 hint="the two views disagree on observable behaviour; "
                      "diff the node models at the witness cycle",
             ))
-    return list(ports.values()), findings, lifted
+    return list(ports.values()), findings

@@ -1,8 +1,8 @@
 """The per-configuration symbolic analysis report and its orchestrator.
 
 :func:`run_symbolic_analysis` ties the subsystem together for one
-configuration: lift both bare views, run the functional equivalence
-engines, and (when the caller hands over the probe-based UNR report)
+configuration: run the functional agreement engines on both bare
+views, and (when the caller hands over the probe-based UNR report)
 rewrite its decode verdicts with the exact interval-coverage engine.
 The resulting :class:`SymbolicReport` hangs off
 :class:`repro.analysis.runner.ConfigAnalysisReport` under a ``symbolic``
@@ -23,7 +23,6 @@ from .equiv import (
     PortEquivalence,
     check_functional_equivalence,
 )
-from .lift import LiftReport
 from .reach import UnrUpgrade, upgrade_unr_report
 
 __all__ = ["SymbolicReport", "run_symbolic_analysis"]
@@ -36,7 +35,6 @@ class SymbolicReport:
     config_name: str
     budget: int = DEFAULT_DOMAIN_BUDGET
     bca_bugs: List[str] = field(default_factory=list)
-    lift: Dict[str, LiftReport] = field(default_factory=dict)
     ports: List[PortEquivalence] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
     unr_upgrade: Optional[UnrUpgrade] = None
@@ -57,13 +55,6 @@ class SymbolicReport:
 
     def render(self) -> str:
         lines = [f"{self.config_name}: symbolic analysis"]
-        for view in sorted(self.lift):
-            report = self.lift[view]
-            lines.append(
-                f"  lift[{view}]: {report.n_clean} clean, "
-                f"{report.n_partial} partial, {report.n_opaque} opaque "
-                f"of {report.n_processes} process(es)"
-            )
         for port in self.ports:
             lines.append(f"  {port.render()}")
         for finding in self.findings:
@@ -79,8 +70,6 @@ class SymbolicReport:
             "config": self.config_name,
             "budget": self.budget,
             "equivalence_clean": self.equivalence_clean,
-            "lift": {view: report.to_dict()
-                     for view, report in sorted(self.lift.items())},
             "ports": [p.to_dict() for p in self.ports],
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -107,14 +96,13 @@ def run_symbolic_analysis(
     the bug-registry detection check (an empty tuple analyzes the
     shipped models).
     """
-    ports, findings, lifted = check_functional_equivalence(
+    ports, findings = check_functional_equivalence(
         config, budget=budget, bca_bugs=bca_bugs,
     )
     report = SymbolicReport(
         config_name=config.name,
         budget=budget,
         bca_bugs=sorted(bca_bugs),
-        lift=lifted,
         ports=ports,
         findings=findings,
     )

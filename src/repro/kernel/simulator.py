@@ -134,7 +134,7 @@ class ProcessInfo:
         Captured lazily via :func:`inspect.getsource` and memoized; a
         process whose source is unavailable (builtins, callables defined
         in a REPL, ``functools.partial`` objects) yields None — callers
-        such as the symbolic lifter degrade honestly instead of failing.
+        such as the impact fingerprint degrade honestly instead of failing.
         """
         if self._source is False:
             try:

@@ -263,8 +263,7 @@ def check_undriven_input(graph: DesignGraph) -> List[Finding]:
 )
 def check_dead_net(graph: DesignGraph) -> List[Finding]:
     """Flag driven-but-never-observed signals, exempting nets every
-    driver provably pins to a constant (declared tie-off, or a comb
-    output function the symbolic lifter proves closed)."""
+    driver declares as a tie-off."""
     if graph.traced:
         return []  # a tracer observes every signal
     if not graph.clocked_reads_known:
@@ -277,17 +276,9 @@ def check_dead_net(graph: DesignGraph) -> List[Finding]:
         if graph.known_readers.get(sig) or graph.wakes.get(sig):
             continue
         tied = graph.tie_offs.get(sig, [])
-        if all(
-            any(w is t for t, _ in tied)
-            or _proven_constant_drive(w, sig) is not None
-            for w in writers
-        ):
-            # Every driver pins the net to a constant — by an explicit
-            # tie-off declaration (e.g. a BFM tying src to 0) or by a
-            # lifted output function proven closed.  Pinned on purpose,
-            # not left dangling.  The lift runs only for candidates that
-            # already passed the never-observed filter, so clean designs
-            # pay nothing.
+        if all(any(w is t for t, _ in tied) for w in writers):
+            # Every driver declares the net tied to a constant (e.g. a
+            # BFM tying src to 0): pinned on purpose, not left dangling.
             continue
         names = ", ".join(sorted(w.name for w in writers))
         findings.append(
@@ -302,22 +293,6 @@ def check_dead_net(graph: DesignGraph) -> List[Finding]:
             )
         )
     return findings
-
-
-def _proven_constant_drive(info, sig: Signal):
-    """The constant ``info``'s lifted output function provably always
-    drives onto ``sig``, or None (unliftable / input-dependent / not a
-    comb process)."""
-    if info.kind != "comb":
-        return None
-    from ..analysis.symbolic.ir import evaluate, is_closed
-    from ..analysis.symbolic.lift import lift_process
-
-    lifted = lift_process(info)
-    assign = lifted.assign_for(sig.name)
-    if assign is None or not is_closed(assign.expr):
-        return None
-    return evaluate(assign.expr, {})
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,12 @@ class CommonVerificationFlow:
     any cycle is simulated and error findings stop the flow.
 
     ``symbolic`` strengthens that gate with the symbolic pass (and
-    implies ``analysis=True``): both views are lifted and every port must
-    be proven functionally RTL≡BCA-equivalent before a single cycle is
-    simulated.  When the current BCA drop carries known bugs the proof
-    fails statically — the flow records the disproof, applies the fix
-    (mirroring the dynamic "low alignment rate" loop, but without
-    running a regression first) and re-proves.
+    implies ``analysis=True``): every port must pass the functional
+    RTL/BCA agreement check before a single cycle is simulated.  When
+    the current BCA drop carries known bugs the check fails statically —
+    the flow records the mismatch, applies the fix (mirroring the
+    dynamic "low alignment rate" loop, but without running a regression
+    first) and re-checks.
 
     ``telemetry`` (an optional
     :class:`~repro.telemetry.TelemetryConfig`) is threaded into every
@@ -205,10 +205,10 @@ class CommonVerificationFlow:
         Races, CDC hazards and in-model-but-unreachable coverage bins
         are error-severity and block the flow; the UNR summary of the
         pruned bins is recorded in the history either way.  With
-        ``symbolic`` on, the gate also demands a functional RTL≡BCA
-        equivalence proof per port — a disproof caused by the current
-        BCA bug set triggers the fix loop statically (no cycle run) and
-        the fixed model is re-proven.
+        ``symbolic`` on, the gate also demands that every port pass the
+        functional RTL/BCA agreement check — a mismatch caused by the
+        current BCA bug set triggers the fix loop statically (no cycle
+        run) and the fixed model is re-checked.
         """
         from ..analysis import analyze_config
 
@@ -221,7 +221,7 @@ class CommonVerificationFlow:
             ports = result.symbolic.mismatched_ports
             self._enter(
                 FlowState.STATIC_ANALYSIS,
-                f"symbolic RTL=BCA proof failed on {len(ports)} port(s) "
+                f"symbolic RTL=BCA check failed on {len(ports)} port(s) "
                 f"({', '.join(ports)}): fix the BCA model before "
                 "simulating",
             )
@@ -253,8 +253,8 @@ class CommonVerificationFlow:
                 if sym.unr_upgrade is not None else 0
             )
             sym_note = (
-                f"; symbolic: {len(sym.ports)} port(s) proven RTL=BCA "
-                f"equivalent, {upgraded} UNR verdict(s) upgraded to "
+                f"; symbolic: {len(sym.ports)} port(s) agreed RTL=BCA, "
+                f"{upgraded} UNR verdict(s) upgraded to "
                 f"exact proofs, {sym.unknown_unr} UNKNOWN"
             )
         self._enter(

@@ -135,7 +135,7 @@ def ir_const_value_edit(sim):
 
 
 def ast_base(sim):
-    """A loopy body (the symbolic lifter would leave it partial)."""
+    """A loopy body (a for loop over a local range)."""
     top = Module(sim, "t")
     a = top.signal("a", width=4)
     out = top.signal("out", width=4)

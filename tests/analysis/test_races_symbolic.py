@@ -1,15 +1,15 @@
-"""Symbolic strengthening of the tie-off-conflict rule.
+"""The tie-off-conflict rule is declaration-only.
 
-The declaration-only rule can only catch two *declared* tie-offs that
-disagree.  The previously-missed case: one process declares the net tied
-to a constant while a combinational writer provably drives a different
-constant — no second declaration exists, so the old rule stayed silent.
-The lifted output function closes that hole.
+It flags two *declared* tie-offs that disagree.  A declared tie-off
+contradicted by a second, comb writer of the same net is a second
+driver: ``multi-driver`` (lint) and ``race-delta-overwrite`` (analysis)
+already report it as errors, so tie-off-conflict stays silent there.
 """
 
 from repro.analysis.runner import analyze_simulator
 from repro.kernel import Module, Simulator
 from repro.lint.diagnostics import Severity
+from repro.lint.runner import lint_simulator
 
 
 def _findings(sim, rule):
@@ -17,25 +17,24 @@ def _findings(sim, rule):
     return [f for f in report.findings if f.rule == rule]
 
 
-def test_declared_tie_off_contradicted_by_proven_comb_constant():
+def test_tied_net_with_second_comb_writer_is_a_multi_driver_race():
     sim = Simulator()
     top = Module(sim, "t")
     clk = top.signal("clk")
     out = top.signal("out")
-    # The clocked process declares the net tied to 0; the comb process
-    # provably always drives 1.  No declaration pair conflicts, so the
-    # pre-symbolic rule missed this outright.
+    # The clocked process declares the net tied to 0; a comb process
+    # always drives 1 onto the same net.
     top.clocked(lambda: out.drive(0), name="zero",
                 reads=[clk], writes=[out], tie_offs={out: 0})
     top.comb(lambda: out.drive(1), [clk], name="one")
-    findings = _findings(sim, "tie-off-conflict")
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.severity is Severity.ERROR
-    assert finding.signal == "t.out"
-    assert "declared tied to 0" in finding.message
-    assert "t.one" in finding.message
-    assert "drives 1" in finding.message
+    lint = lint_simulator(sim, design="t")
+    multi = [f for f in lint.findings if f.rule == "multi-driver"]
+    assert multi and all(f.severity is Severity.ERROR for f in multi)
+    assert {f.signal for f in multi} == {"t.out"}
+    races = _findings(sim, "race-delta-overwrite")
+    assert races and all(f.severity is Severity.ERROR for f in races)
+    assert {f.signal for f in races} == {"t.out"}
+    assert not _findings(sim, "tie-off-conflict")
 
 
 def test_agreeing_proven_constant_is_fine():
@@ -63,8 +62,8 @@ def test_input_dependent_comb_drive_is_not_accused():
 
 
 def test_unliftable_comb_writer_stays_silent():
-    """Honest degradation: an OPAQUE comb writer proves nothing, so no
-    conflict may be reported from it."""
+    """A comb writer whose value the rule cannot see proves nothing, so
+    no conflict may be reported from it."""
     state = {"v": 1}
     sim = Simulator()
     top = Module(sim, "t")
@@ -72,6 +71,5 @@ def test_unliftable_comb_writer_stays_silent():
     out = top.signal("out")
     top.clocked(lambda: out.drive(0), name="zero",
                 reads=[clk], writes=[out], tie_offs={out: 0})
-    # Dict subscripts are outside the lifted subset -> OPAQUE.
     top.comb(lambda: out.drive(state["v"]), [clk], name="mystery")
     assert not _findings(sim, "tie-off-conflict")

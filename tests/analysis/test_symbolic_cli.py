@@ -1,9 +1,9 @@
 """``--symbolic`` CLI behavior and the golden symbolic stock report.
 
 The golden file pins the complete ``--stock --symbolic`` JSON output:
-per-port equivalence verdicts, lift statistics, and the UNR upgrade
-deltas (probe reason → exact interval proof, with the structured
-witness vectors).  Any engine change that shifts a verdict, a witness or
+per-port agreement verdicts with their comb/lockstep evidence, and the
+UNR upgrade deltas (probe reason → exact interval proof, with the
+structured witness vectors).  Any engine change that shifts a verdict, a witness or
 the serialization fails here first.
 """
 
@@ -40,8 +40,8 @@ def test_golden_pins_verdicts_and_deltas():
     sym = data["configs"][0]["symbolic"]
     assert sym["equivalence_clean"] is True
     assert [(p["port"], p["verdict"]) for p in sym["ports"]] == [
-        ("init0", "EQUIVALENT"), ("init1", "EQUIVALENT"),
-        ("targ0", "EQUIVALENT"), ("targ1", "EQUIVALENT"),
+        ("init0", "AGREED"), ("init1", "AGREED"),
+        ("targ0", "AGREED"), ("targ1", "AGREED"),
     ]
     upgrade = sym["unr_upgrade"]
     assert upgrade["unknown_after"] == 0
@@ -85,7 +85,7 @@ def test_inject_bug_fails_the_gate(capsys):
 
 def test_inject_bug_requires_symbolic_run_to_catch(capsys):
     """Without --symbolic the same bug sails through the static pass —
-    the functional proof is what catches it."""
+    the functional agreement check is what catches it."""
     assert main(["--stock", "--inject-bug",
                  "subword-lane-misplacement"]) == 0
 
@@ -105,7 +105,7 @@ def test_symbolic_budget_flag_reaches_the_engine(capsys):
     assert sym["budget"] == 2
     rules = {f["rule"] for f in sym["findings"]}
     assert "symbolic-domain-too-large" in rules
-    assert sym["equivalence_clean"] is True  # lockstep still proves
+    assert sym["equivalence_clean"] is True  # lockstep still agrees
 
 
 def test_symbolic_findings_respect_waivers(capsys):

@@ -1,17 +1,17 @@
-"""Functional RTL≡BCA equivalence: clean proofs and bug detection.
+"""Functional RTL/BCA agreement: clean checks and bug detection.
 
-Two engines back the per-port verdicts: exhaustive small-domain
-enumeration of the lifted comb cones (skipped with an honest diagnostic
+Two engines back the per-port verdicts: enumeration of representative
+comb-cone stimulus points from reset (skipped with an honest diagnostic
 past the budget) and deterministic lockstep execution of targeted
-scenarios on both views.  The shipped models must prove EQUIVALENT on
-every port; every registered injectable BCA bug must be caught
-statically on a configuration where it is architecturally observable.
+scenarios on both views.  The shipped models must be AGREED on every
+port; every registered injectable BCA bug must be caught statically on
+a configuration where it is architecturally observable.
 """
 
 import pytest
 
 from repro.analysis.symbolic.equiv import (
-    EQUIVALENT,
+    AGREED,
     MISMATCH,
     check_functional_equivalence,
 )
@@ -29,11 +29,10 @@ def _first(predicate):
 
 
 def test_stock_node_proves_equivalent_on_every_port():
-    ports, findings, lifted = check_functional_equivalence(NodeConfig())
+    ports, findings = check_functional_equivalence(NodeConfig())
     assert ports
-    assert all(p.verdict == EQUIVALENT for p in ports)
+    assert all(p.verdict == AGREED for p in ports)
     assert not [f for f in findings if f.rule == "xview-function"]
-    assert set(lifted) == {"rtl", "bca"}
     # Both engines actually ran: enumeration points and lockstep cycles.
     assert any(p.comb_points > 0 for p in ports)
     assert all(p.lockstep_cycles > 0 for p in ports)
@@ -73,7 +72,7 @@ def test_registered_bug_is_detected_statically(bug):
     config = BUG_CONFIGS[bug]
     report = run_symbolic_analysis(config, bca_bugs=(bug,))
     assert not report.equivalence_clean, (
-        f"{bug} on {config.name} survived the equivalence proof"
+        f"{bug} on {config.name} survived the agreement check"
     )
     mismatched = [p for p in report.ports if p.verdict == MISMATCH]
     assert mismatched
@@ -88,7 +87,7 @@ def test_registered_bug_is_detected_statically(bug):
 
 def test_budget_overflow_degrades_honestly():
     """A tiny budget skips every cone with a diagnostic instead of a
-    false verdict; the lockstep engine still proves the ports."""
+    false verdict; the lockstep engine still checks the ports."""
     report = run_symbolic_analysis(NodeConfig(), budget=2)
     assert report.equivalence_clean
     skips = [f for f in report.findings
@@ -99,12 +98,33 @@ def test_budget_overflow_degrades_honestly():
     assert all(p.comb_points == 0 for p in report.ports)
 
 
+def test_skipped_comb_cone_claims_no_comb_agreement():
+    """A port whose comb cone was skipped says so and claims only the
+    lockstep agreement that backs it."""
+    report = run_symbolic_analysis(NodeConfig(), budget=2)
+    for port in report.ports:
+        text = port.render()
+        assert "comb agreed" not in text
+        assert "comb skipped: " in text
+        assert "lockstep agreed over " in text
+
+
+def test_agreed_port_renders_its_evidence():
+    ports, _ = check_functional_equivalence(NodeConfig())
+    text = ports[0].render()
+    assert text.startswith(f"{ports[0].port}: AGREED")
+    assert f"comb agreed on {ports[0].comb_points} point(s) from reset" \
+        in text
+    assert (f"lockstep agreed over {ports[0].lockstep_cycles} cycle(s), "
+            f"{len(ports[0].scenarios)} scenario(s)") in text
+
+
 def test_port_reports_serialize():
     report = run_symbolic_analysis(NodeConfig())
     data = report.to_dict()
     assert data["equivalence_clean"] is True
     assert len(data["ports"]) == len(report.ports)
     for entry in data["ports"]:
-        assert entry["verdict"] == EQUIVALENT
+        assert entry["verdict"] == AGREED
         assert "witness" not in entry  # only mismatches carry one
     assert "bca_bugs" not in data  # clean run: key suppressed

@@ -1,10 +1,9 @@
-"""Symbolic strengthening of the dead-net rule.
+"""The dead-net rule's tie-off exemption.
 
-Before the symbolic pass, only *declared* tie-offs exempted a
-driven-but-never-observed net — a combinational process pinning a net to
-a constant without declaring it produced a false dead-net warning.  The
-lifted output function now proves the pin, so the warning is reserved
-for nets that are genuinely dangling.
+Only a *declared* tie-off exempts a driven-but-never-observed net.  A
+combinational process that pins a net to a constant without declaring
+it still warns: nothing reads the net, and the declaration is how a
+design says the pin is on purpose.
 """
 
 from repro.kernel import Module, Simulator
@@ -27,14 +26,15 @@ def _base(sim):
     return top, clk
 
 
-def test_proven_constant_pin_is_exempt_without_declaration():
+def test_undeclared_constant_pin_warns():
     sim = Simulator()
     top, clk = _base(sim)
     pin = top.signal("pin")
-    # Constantly driven, never read, never declared as a tie-off: the
-    # old rule warned here; the lifted proof now exempts it.
+    # Constantly driven, never read, never declared as a tie-off.
     top.comb(lambda: pin.drive(1), [clk], name="tie")
-    assert not _dead_nets(sim)
+    findings = _dead_nets(sim)
+    assert len(findings) == 1
+    assert findings[0].signal == "t.pin"
 
 
 def test_input_dependent_dead_net_still_warns():
@@ -48,8 +48,8 @@ def test_input_dependent_dead_net_still_warns():
 
 
 def test_unliftable_constant_still_warns():
-    """An OPAQUE writer proves nothing — the net may or may not be
-    pinned, so the warning must survive."""
+    """A writer whose value depends on hidden state warns like any
+    other undeclared pin."""
     state = {"v": 1}
     sim = Simulator()
     top, clk = _base(sim)
