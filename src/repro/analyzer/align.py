@@ -122,8 +122,9 @@ def compare_vcds(
     dump but not both raise :class:`ExtractionError` — that means the two
     testbenches were *not* identical, which the flow forbids.
 
-    ``telemetry`` optionally records parse/align spans and a per-port
-    alignment-rate histogram; ``None`` costs nothing.
+    ``telemetry`` optionally records parse/align spans, a per-port
+    alignment-rate histogram and the ``analyzer.identical_pairs`` count;
+    ``None`` costs nothing.
     """
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     with tele.span("analyzer.parse"):
@@ -139,6 +140,9 @@ def compare_vcds(
         scopes = sorted(ports_a)
     total = min(vcd_a.n_cycles, vcd_b.n_cycles)
     same_timescale = vcd_a.timescale == vcd_b.timescale
+    # Byte-identical dumps (a signed-off pair) have equal change lists
+    # everywhere, so neither file builds any.
+    identical = vcd_a.same_dump(vcd_b)
     report_ports: Dict[str, PortAlignment] = {}
     with tele.span("analyzer.align", ports=len(scopes), cycles=total):
         for scope in scopes:
@@ -147,7 +151,7 @@ def compare_vcds(
                 if name not in vcd_a or name not in vcd_b:
                     raise ExtractionError(
                         f"signal {name!r} missing from a dump")
-            if same_timescale and all(
+            if identical or same_timescale and all(
                     vcd_a[name].changes == vcd_b[name].changes
                     for name in names):
                 # Equal change lists expand to equal series: every
@@ -176,6 +180,8 @@ def compare_vcds(
             report_ports[scope] = PortAlignment(
                 scope, total, aligned, first_divergence, mismatches
             )
+    if identical:
+        tele.registry.counter("analyzer.identical_pairs").inc()
     if tele.enabled:
         hist = tele.registry.histogram(
             "analyzer.port_alignment_rate", buckets=ALIGNMENT_BUCKETS)

@@ -411,6 +411,9 @@ class BatchTelemetry:
                 for name, snap in payload.histograms.items():
                     merge_histogram_snapshots(
                         histograms.setdefault(name, {}), snap)
+                if payload.counters:
+                    # e.g. analyzer.identical_pairs: which path it took
+                    entry["counters"] = dict(sorted(payload.counters.items()))
             compares.append(entry)
         triage_rows: List[dict] = []
         for key in entry_keys:

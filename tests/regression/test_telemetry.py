@@ -133,6 +133,8 @@ def test_metrics_rollup_compares_and_histogram(batch):
         assert entry["min_rate"] == 1.0
         assert entry["overall_rate"] == 1.0
         assert entry["seconds"] > 0
+        # signed-off views dump identical bytes
+        assert entry["counters"] == {"analyzer.identical_pairs": 1}
     hist = metrics["histograms"]["analyzer.port_alignment_rate"]
     # one observation per port per comparison; all aligned at 100%
     assert hist["count"] > 0

@@ -1,7 +1,8 @@
 """Parser behaviour table: every ``VcdParseError`` text and value rule.
 
-The parser walks one token list with an ``int(bits, 2)`` fast path for
-plain binary vectors; these rows pin what it must keep doing exactly.
+The token walk uses an ``int(bits, 2)`` fast path for plain binary
+vectors; these rows pin what it must keep doing exactly.  None of them is
+canonical, so each error is raised inside ``parse_vcd``.
 """
 
 import io
@@ -35,12 +36,18 @@ HEADER = (
     (HEADER + "#0\nr1.5", "real change missing identifier"),
     (HEADER + "#0\n$comment open", "unterminated $ section"),
     (HEADER + "#0\nq!\n", "unexpected token 'q!' in value section"),
+    # a dump truncated right after a timestamp's '#'
+    (HEADER + "#0\n1!\n#", "bad timestamp '#'"),
+    (HEADER + "#0\n#1x\n", "bad timestamp '#1x'"),
     # header
     ("$date today\n", "unterminated $ section"),
     ("$timescale ns $end\n", "bad timescale 'ns'"),
     ("$scope module $end\n", "bad $scope ['module']"),
     ("$upscope $end\n", "$upscope with empty scope stack"),
     ("$var wire 1 ! $end\n", "bad $var ['wire', '1', '!']"),
+    ("$var wire x ! a $end\n", "bad $var width 'x'"),
+    ("$var wire -1 ! a $end\n$enddefinitions $end\n",
+     "bad $var width '-1'"),
     ("$var wire 1 ! a $end\n$var wire 1 % a $end\n$enddefinitions $end\n",
      "duplicate signal 'a'"),
     ("$nonsense\nstuff\n", "unexpected header token '$nonsense'"),
