@@ -17,8 +17,8 @@ proportional to the *semantic* size of an edit:
   every fallback can only cause extra re-runs, never a stale hit:
 
   1. ``semantic-ast`` — the def or lambda node of the process is found
-     unambiguously in its source file (parsed once per index build:
-     :class:`_SourceTrees`); the fingerprint hashes its
+     unambiguously in its source file (summarized once per content:
+     :class:`_SourceSummary`); the fingerprint hashes its
      docstring-stripped, position-free AST dump.
   2. ``raw-source`` — no unique node (say, two lambdas on one line) but
      the source text is recovered; the fingerprint hashes the raw text
@@ -65,6 +65,7 @@ import ast
 import hashlib
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -76,9 +77,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
-from ..cache.store import DESIGN_ROOTS, design_source_hash
+from ..cache.store import DESIGN_ROOTS, SOURCE_SCHEMA, design_source_hash
 from ..ioutil import atomic_write
 
 #: Schema tag of the design fingerprint manifest; manifests from an
@@ -147,35 +149,64 @@ class ProcessFingerprint:
         )
 
 
-class _StripDocstrings(ast.NodeTransformer):
-    """Drop every bare-string expression statement (docstrings included).
-
-    A bare string constant is semantically a no-op wherever it appears,
-    so stripping all of them makes the dump insensitive to docstring
-    edits without changing behavior.
-    """
-
-    def visit_Expr(self, node: ast.Expr):  # noqa: N802 (ast API)
-        if isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            return None
-        return self.generic_visit(node)
-
-
 def _normalize_newlines(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _span_keys(node: ast.AST) -> List[Tuple[int, str]]:
-    """The ``(first line, name)`` pairs a code object compiled from
-    ``node`` can carry: a lambda's line, a def's line, and a decorated
-    def's first decorator line.  Empty for every other node."""
-    if isinstance(node, ast.Lambda):
-        return [(node.lineno, "<lambda>")]
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return [(n.lineno, node.name)
-                for n in [node] + node.decorator_list[:1]]
-    return []
+def _child_nodes(node: ast.AST) -> List[ast.AST]:
+    """``ast.iter_child_nodes`` as a list, without its generators."""
+    children: List[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, list):
+            children.extend(item for item in value
+                            if isinstance(item, ast.AST))
+        elif isinstance(value, ast.AST):
+            children.append(value)
+    return children
+
+
+def _is_bare_string(stmt: ast.AST) -> bool:
+    return (isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _walk_source(tree: ast.AST):
+    """One pass over a parsed module: strip every bare-string expression
+    statement (docstrings included) in place, and collect the def and
+    lambda nodes by span key plus every class.
+
+    A bare string constant is semantically a no-op wherever it appears,
+    so stripping all of them makes a dump insensitive to docstring
+    edits without changing behavior.  A span key is a ``(first line,
+    name)`` pair a code object compiled from the node can carry: a
+    lambda's line, a def's line, and a decorated def's first decorator
+    line.
+
+    Returns ``(span key -> nodes, classes)``.
+    """
+    spans: Dict[Tuple[int, str], List[ast.AST]] = {}
+    classes: List[ast.ClassDef] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Lambda):
+            spans.setdefault((node.lineno, "<lambda>"), []).append(node)
+        elif not isinstance(node, ast.expr):
+            for name in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, name, None)
+                if isinstance(stmts, list):
+                    stmts[:] = [stmt for stmt in stmts
+                                if not _is_bare_string(stmt)]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for first in [node] + node.decorator_list[:1]:
+                    spans.setdefault(
+                        (first.lineno, node.name), []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                classes.append(node)
+        stack.extend(_child_nodes(node))
+    return spans, classes
 
 
 def _process_code(info) -> Tuple[Optional[object], str]:
@@ -186,83 +217,144 @@ def _process_code(info) -> Tuple[Optional[object], str]:
             getattr(func, "__name__", "<unknown>"))
 
 
-class _SourceTrees:
-    """Source files parsed once each, for one index build.
+@dataclass(frozen=True)
+class _SourceSummary:
+    """Everything the index derives from one source file: a pure
+    function of the file's newline-normalized bytes.
 
-    Every tree comes from newline-normalized bytes with docstrings
-    stripped in place.  Process bodies are dumped straight from these
-    trees, memoized per code object; :meth:`residual` then elides the
-    registered process method bodies in place for the environment
-    residual and drops the tree.
+    ``residual`` is what :func:`environment_digest` hashes: the dump of
+    the docstring-stripped tree with every registered process method
+    body elided (``n_elided`` of them), or the raw bytes when the file
+    does not parse (``error`` says why).  ``spans`` maps every
+    ``(first line, name)`` a def or lambda can carry to the dump of its
+    docstring-stripped node, or to the number of nodes sharing that
+    span when it is not exactly one.
     """
 
-    def __init__(self) -> None:
-        self._parsed: Dict[str, tuple] = {}  # path -> parse() result
-        #: path -> (first line, name) -> every def/lambda node with it
-        self._nodes: Dict[str, Dict[Tuple[int, str], List[ast.AST]]] = {}
-        #: (code object, name) -> body() result
-        self._bodies: Dict[Tuple[object, str], tuple] = {}
+    residual: bytes
+    n_elided: int
+    error: Optional[str]
+    spans: Dict[Tuple[int, str], Union[str, int]]
 
-    def parse(self, path: str) -> tuple:
-        """``(raw bytes, tree or None, parse error or None)``."""
-        if path not in self._parsed:
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            # An unparsable file's residual is its own bytes, which the
+            # reader already holds (they are in the key).
+            "residual": (None if self.error is not None
+                         else self.residual.decode("utf-8")),
+            "n_elided": self.n_elided,
+            "error": self.error,
+            "spans": [[line, name, value] for (line, name), value
+                      in sorted(self.spans.items())],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object], raw: bytes
+                  ) -> "_SourceSummary":
+        error = data["error"]
+        return cls(
+            residual=(raw if error is not None
+                      else data["residual"].encode("utf-8")),  # type: ignore[union-attr]
+            n_elided=int(data["n_elided"]),  # type: ignore[arg-type]
+            error=error,  # type: ignore[arg-type]
+            spans={(int(line), str(name)): value
+                   for line, name, value in data["spans"]},  # type: ignore[union-attr]
+        )
+
+
+def _summarize_source(raw: bytes) -> _SourceSummary:
+    """Parse newline-normalized source bytes once into a summary."""
+    try:
+        tree = ast.parse(raw.decode("utf-8"))
+    except (SyntaxError, UnicodeDecodeError) as exc:
+        return _SourceSummary(raw, 0, str(exc), {})
+    found, classes = _walk_source(tree)
+    spans = {key: ast.dump(nodes[0]) if len(nodes) == 1 else len(nodes)
+             for key, nodes in found.items()}
+    targets = (_registered_defs(classes)
+               if any(call in raw for call in _REGISTRATION_CALLS)
+               else [])
+    for node in targets:
+        node.body = [ast.Pass()]
+    return _SourceSummary(
+        ast.dump(tree).encode("utf-8"), len(targets), None, spans)
+
+
+def _summary_key_prefix(module_path: str = __file__):
+    """``(hash state, key inputs)`` every source-summary key starts
+    from: the entry schema, the full interpreter version (``ast.dump``
+    output follows it) and the bytes of this module (which define a
+    summary)."""
+    with open(module_path, "rb") as handle:
+        this = handle.read()
+    prefix = hashlib.sha256()
+    for part in (SOURCE_SCHEMA.encode("utf-8"),
+                 sys.version.encode("utf-8"), this):
+        prefix.update(part)
+        prefix.update(b"\0")
+    return prefix, {"schema": SOURCE_SCHEMA, "python": sys.version,
+                    "impact_sha256": hashlib.sha256(this).hexdigest()}
+
+
+class _SourceSummaries:
+    """The source summary of every file one index build touches, each
+    file summarized once.
+
+    With a ``store`` (a :class:`~repro.cache.ResultCache`), a summary is
+    read from the store when its key is there and published to it when
+    computed; :attr:`hits` and :attr:`misses` count the two per file.
+    Without one, every summary is computed (a miss).
+    """
+
+    def __init__(self, store=None) -> None:
+        self.store = store
+        self.hits = 0
+        self.misses = 0
+        self._prefix, self._key_inputs = _summary_key_prefix()
+        self._by_path: Dict[str, _SourceSummary] = {}
+
+    def summary(self, path: str) -> _SourceSummary:
+        if path not in self._by_path:
             with open(path, "rb") as handle:
                 raw = _normalize_newlines(handle.read())
-            try:
-                tree, error = _StripDocstrings().visit(
-                    ast.parse(raw.decode("utf-8"))), None
-            except (SyntaxError, UnicodeDecodeError) as exc:
-                tree, error = None, exc
-            self._parsed[path] = (raw, tree, error)
-        return self._parsed[path]
+            self._by_path[path] = self._resolve(raw)
+        return self._by_path[path]
 
-    def nodes(self, path: str) -> Dict[Tuple[int, str], List[ast.AST]]:
-        if path not in self._nodes:
-            tree = self.parse(path)[1]
-            index = self._nodes[path] = {}
-            for node in ast.walk(tree) if tree is not None else ():
-                for key in _span_keys(node):
-                    index.setdefault(key, []).append(node)
-        return self._nodes[path]
+    def _resolve(self, raw: bytes) -> _SourceSummary:
+        hasher = self._prefix.copy()
+        hasher.update(raw)
+        key = hasher.hexdigest()
+        summary = None
+        if self.store is not None:
+            summary = self.store.load_source(
+                key, lambda data: _SourceSummary.from_dict(data, raw))
+        if summary is not None:
+            self.hits += 1
+        else:
+            summary = _summarize_source(raw)
+            self.misses += 1
+            if self.store is not None:
+                self.store.store_source(key, summary.to_dict(), dict(
+                    self._key_inputs,
+                    source_sha256=hashlib.sha256(raw).hexdigest()))
+        return summary
 
     def body(self, info) -> Tuple[str, Optional[str], Optional[str]]:
         """``(mode, body text, reason)`` for one process, per the ladder."""
         code, name = _process_code(info)
         if code is None:
             return _unlocated_body(info, "process has no code object")
-        memo = self._bodies.get((code, name))
-        if memo is None:
-            path = os.path.abspath(code.co_filename)
-            try:
-                found = self.nodes(path).get(
-                    (code.co_firstlineno, name), [])
-            except OSError:
-                found = []
-            if len(found) == 1:
-                memo = (MODE_SEMANTIC_AST, ast.dump(found[0]), None)
-            else:
-                memo = _unlocated_body(
-                    info, f"{len(found)} AST nodes match {name} at "
-                    f"{os.path.basename(path)}:{code.co_firstlineno}")
-            self._bodies[(code, name)] = memo
-        return memo
-
-    def residual(self, path: str) -> tuple:
-        """``(body bytes, number elided, parse error or None)``: the dump
-        of ``path`` with every registered process method body (see
-        :func:`_registered_defs`) replaced by a placeholder, or the raw
-        bytes if it does not parse.  The elided tree is dropped."""
-        raw, tree, error = self.parse(path)
-        del self._parsed[path]
-        self._nodes.pop(path, None)
-        if tree is None:
-            return raw, 0, error
-        targets = (_registered_defs(tree)
-                   if any(call in raw for call in _REGISTRATION_CALLS)
-                   else [])
-        for node in targets:
-            node.body = [ast.Pass()]
-        return ast.dump(tree).encode("utf-8"), len(targets), None
+        path = os.path.abspath(code.co_filename)
+        try:
+            span = self.summary(path).spans.get(
+                (code.co_firstlineno, name), 0)
+        except OSError:
+            span = 0
+        if isinstance(span, str):
+            return MODE_SEMANTIC_AST, span, None
+        return _unlocated_body(
+            info, f"{span} AST nodes match {name} at "
+            f"{os.path.basename(path)}:{code.co_firstlineno}")
 
 
 #: Kernel registration methods; the process is their first argument.
@@ -272,7 +364,7 @@ _REGISTRATION_CALLS = tuple(f".{name}(".encode("ascii")
                             for name in _REGISTRATIONS)
 
 
-def _registered_defs(tree: ast.AST) -> List[ast.AST]:
+def _registered_defs(classes: Iterable[ast.ClassDef]) -> List[ast.AST]:
     """The method defs whose bodies the environment residual elides.
 
     In each class, ``def X`` is elided when ``self.X`` is the process
@@ -283,9 +375,7 @@ def _registered_defs(tree: ast.AST) -> List[ast.AST]:
     matched, so their bodies stay in the residual: conservative.
     """
     defs: List[ast.AST] = []
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
+    for cls in classes:
         registered: Counter = Counter()
         referenced: Counter = Counter()
         for node in _own_nodes(cls):
@@ -309,7 +399,7 @@ def _own_nodes(cls: ast.ClassDef):
     """Every node of ``cls`` outside its nested classes."""
     stack = [cls]
     while stack:
-        children = [child for child in ast.iter_child_nodes(stack.pop())
+        children = [child for child in _child_nodes(stack.pop())
                     if not isinstance(child, ast.ClassDef)]
         yield from children
         stack.extend(children)
@@ -346,12 +436,12 @@ def _dataflow_sets(info) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(sorted(reads)), tuple(sorted(writes))
 
 
-def process_fingerprint(info, sources: Optional[_SourceTrees] = None
+def process_fingerprint(info, sources: Optional[_SourceSummaries] = None
                         ) -> ProcessFingerprint:
     """Semantic fingerprint of one :class:`~repro.kernel.ProcessInfo`;
-    ``sources`` shares parsed files across calls."""
+    ``sources`` shares source summaries across calls."""
     reads, writes = _dataflow_sets(info)
-    mode, body, reason = (sources or _SourceTrees()).body(info)
+    mode, body, reason = (sources or _SourceSummaries()).body(info)
     if mode == MODE_OPAQUE:
         return ProcessFingerprint(
             name=info.name, kind=info.kind, mode=mode, digest=None,
@@ -420,15 +510,12 @@ class EnvironmentDigest:
 
 def environment_digest(
     roots: Sequence[str] = DESIGN_ROOTS,
-    sources: Optional[_SourceTrees] = None,
+    sources: Optional[_SourceSummaries] = None,
 ) -> EnvironmentDigest:
     """Residual hash of the design roots with registered process method
     bodies elided: a pure function of the sources, whatever configs
-    were elaborated.
-
-    Elision rewrites the trees of ``sources`` in place, so each file's
-    tree is dropped from it once hashed."""
-    sources = sources or _SourceTrees()
+    were elaborated."""
+    sources = sources or _SourceSummaries()
     package_dir = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     digest = hashlib.sha256()
@@ -445,15 +532,16 @@ def environment_digest(
                     continue
                 full = os.path.abspath(os.path.join(dirpath, name))
                 rel = os.path.relpath(full, package_dir)
-                body, elided, error = sources.residual(full)
-                n_elided += elided
-                if error is not None:
+                summary = sources.summary(full)
+                n_elided += summary.n_elided
+                if summary.error is not None:
                     # Unparsable file: hashed raw (comment edits in it
                     # will over-invalidate; never under-invalidate).
-                    diagnostics.append(f"{rel}: hashed raw ({error})")
+                    diagnostics.append(
+                        f"{rel}: hashed raw ({summary.error})")
                 digest.update(rel.replace(os.sep, "/").encode("utf-8"))
                 digest.update(b"\0")
-                digest.update(body)
+                digest.update(summary.residual)
                 digest.update(b"\0")
                 n_files += 1
     return EnvironmentDigest(
@@ -545,7 +633,7 @@ def _config_digest(config) -> str:
 
 
 def design_fingerprints(config, view: str,
-                        sources: Optional[_SourceTrees] = None):
+                        sources: Optional[_SourceSummaries] = None):
     """Build one design and fingerprint it.
 
     Returns ``(DesignFingerprints, DesignGraph)`` — the graph is kept so
@@ -651,15 +739,24 @@ class ImpactIndex:
     environment residual does not depend on which configs were indexed,
     so an entry stored by one batch hits in any batch that contains
     the same (config, view).
+
+    ``store`` (a :class:`~repro.cache.ResultCache`) serves and keeps the
+    per-file source summaries, so a batch re-parses only the files that
+    changed since the store last saw them; keys, manifests and the
+    environment digest are the same with or without it.  ``keep_graphs``
+    keeps each design's :class:`~repro.lint.graph.DesignGraph` in
+    :attr:`graphs` for :func:`diff_manifests`' fan-out cones; otherwise
+    the graphs (and the simulators they hold) are dropped as built.
     """
 
     def __init__(self, configs: Sequence,
-                 views: Sequence[str] = DEFAULT_VIEWS) -> None:
+                 views: Sequence[str] = DEFAULT_VIEWS,
+                 store=None, keep_graphs: bool = False) -> None:
         self.views = tuple(views)
         self.designs: Dict[str, DesignFingerprints] = {}
         self.graphs: Dict[str, object] = {}
         self.whole_design = design_source_hash()
-        sources = _SourceTrees()  # shared by all designs, dropped on return
+        sources = _SourceSummaries(store)  # shared by all designs
         for config in configs:
             for view in self.views:
                 label = _design_label(config.name, view)
@@ -668,7 +765,8 @@ class ImpactIndex:
                 fingerprints, graph = design_fingerprints(
                     config, view, sources)
                 self.designs[label] = fingerprints
-                self.graphs[label] = graph
+                if keep_graphs:
+                    self.graphs[label] = graph
         self.environment = environment_digest(sources=sources)
         self._keys: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []
@@ -680,6 +778,8 @@ class ImpactIndex:
             "impact.opaque": 0,
             "impact.cone_keys": 0,
             "impact.design_fallbacks": 0,
+            "impact.source_hits": sources.hits,
+            "impact.source_misses": sources.misses,
         }
         for label, design in sorted(self.designs.items()):
             degraded = []

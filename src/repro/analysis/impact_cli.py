@@ -115,7 +115,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return USAGE_EXIT
 
     views = tuple(args.view) if args.view else ("rtl", "bca")
-    index = ImpactIndex(configs, views=views)
+    index = ImpactIndex(configs, views=views,
+                        keep_graphs=baseline is not None)
     current = index.manifest()
 
     notes: List[str] = []

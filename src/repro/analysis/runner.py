@@ -58,7 +58,8 @@ class AnalysisReport:
 
     @property
     def clean(self) -> bool:
-        return not self._live()
+        """No un-waived error or warning; INFO notes do not count."""
+        return not self.errors and not self.warnings
 
     def sort(self) -> None:
         self.findings.sort(
@@ -155,10 +156,13 @@ class ConfigAnalysisReport:
 
     @property
     def clean(self) -> bool:
+        """No un-waived error or warning in any view or cross-view,
+        UNR or symbolic finding; INFO notes do not count."""
         extra = (self.cross_view + self.unr_findings
                  + self._symbolic_findings())
         return all(r.clean for r in self.views.values()) and not any(
-            not f.waived for f in extra
+            not f.waived and f.severity is not Severity.INFO
+            for f in extra
         )
 
     def all_findings(self) -> List[Finding]:

@@ -5,7 +5,10 @@ entry's key so invalidation is diagnosable instead of opaque — the
 design key the entry was stored under (cone-scoped, or the
 whole-design fallback for a design with an opaque process),
 the configuration text digest, test, seed, view, bug set and
-arbitration-checker flag, plus the entry's integrity verdict.
+arbitration-checker flag, plus the entry's integrity verdict.  A
+source-summary entry (``sources/``) shows its kind, its integrity
+verdict and what its key hashed: the entry schema, the interpreter
+version and the digests of ``analysis/impact.py`` and of the source.
 
 Examples::
 
@@ -30,7 +33,15 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .store import CACHE_DIR_ENV, ResultCache, design_source_hash, entry_path
+from .store import (
+    CACHE_DIR_ENV,
+    CACHE_SCHEMA,
+    SOURCE_SCHEMA,
+    ResultCache,
+    design_source_hash,
+    entry_path,
+    source_path,
+)
 
 USAGE_EXIT = 2
 
@@ -75,9 +86,10 @@ def _locate(entry: str, root: Optional[str]) -> Optional[str]:
         root = root or os.environ.get(CACHE_DIR_ENV) or None
         if root is None:
             return None
-        path = entry_path(root, entry)
-        if os.path.isfile(path):
-            return path
+        for where in (entry_path, source_path):
+            path = where(root, entry)
+            if os.path.isfile(path):
+                return path
     return None
 
 
@@ -96,15 +108,22 @@ def _explain(args: argparse.Namespace) -> int:
         raw = handle.read()
     stem = os.path.basename(path)
     key = stem.split(".", 1)[0]
-    entry, reason, detail = ResultCache._verify(key, raw)
-    if entry is None:
-        # Still show whatever parses, so a corrupt entry is diagnosable.
-        try:
-            parsed = json.loads(raw.decode("utf-8"))
-            entry = parsed if isinstance(parsed, dict) else {}
-        except (ValueError, UnicodeDecodeError):
-            entry = {}
+    # Whatever parses is shown even when verification fails, so a
+    # corrupt entry is diagnosable.
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+        entry = parsed if isinstance(parsed, dict) else {}
+    except (ValueError, UnicodeDecodeError):
+        entry = {}
+    # A source summary says so, or lives under ``sources/``.
+    store_dir = os.path.dirname(os.path.dirname(os.path.abspath(path)))
+    schema = (SOURCE_SCHEMA if entry.get("schema") == SOURCE_SCHEMA
+              or os.path.basename(store_dir) == "sources"
+              else CACHE_SCHEMA)
+    reason, detail = ResultCache._verify(key, raw, schema)[1:]
     verified = reason is None
+    if schema == SOURCE_SCHEMA:
+        return _explain_source(args, path, key, entry, reason, detail)
     coords = entry.get("coords") or {}
     key_inputs = entry.get("key_inputs")
     artifacts = entry.get("artifacts") or {}
@@ -113,6 +132,7 @@ def _explain(args: argparse.Namespace) -> int:
         payload = {
             "entry": path,
             "key": key,
+            "kind": "run",
             "schema": entry.get("schema"),
             "verified": verified,
             "coords": coords,
@@ -125,13 +145,7 @@ def _explain(args: argparse.Namespace) -> int:
             payload["detail"] = detail
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if verified else 1
-    lines: List[str] = [
-        f"entry: {path}",
-        f"key: {key}",
-        f"schema: {entry.get('schema')}",
-        "integrity: verified" if verified
-        else f"integrity: FAILED ({reason}: {detail})",
-    ]
+    lines = _header(path, key, "run", entry, reason, detail)
     if coords:
         lines.append(
             "coords: config={config} test={test} seed={seed} "
@@ -166,6 +180,40 @@ def _explain(args: argparse.Namespace) -> int:
             f"{key_inputs.get('with_arbitration_checker')}")
     print("\n".join(lines))
     return 0 if verified else 1
+
+
+def _header(path: str, key: str, kind: str, entry: dict,
+            reason: Optional[str], detail: Optional[str]) -> List[str]:
+    return [
+        f"entry: {path}",
+        f"key: {key}",
+        f"kind: {kind}",
+        f"schema: {entry.get('schema')}",
+        "integrity: verified" if reason is None
+        else f"integrity: FAILED ({reason}: {detail})",
+    ]
+
+
+def _explain_source(args: argparse.Namespace, path: str, key: str,
+                    entry: dict, reason: Optional[str],
+                    detail: Optional[str]) -> int:
+    """``explain`` for a source-summary entry."""
+    key_inputs = entry.get("key_inputs")
+    if args.json:
+        payload = {"entry": path, "key": key, "kind": "source",
+                   "schema": entry.get("schema"),
+                   "verified": reason is None, "key_inputs": key_inputs}
+        if reason is not None:
+            payload.update(reason=reason, detail=detail)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        lines = _header(path, key, "source summary", entry, reason, detail)
+        if isinstance(key_inputs, dict):
+            lines.append("key components:")
+            lines.extend(f"  {name}: {value}"
+                         for name, value in sorted(key_inputs.items()))
+        print("\n".join(lines))
+    return 0 if reason is None else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

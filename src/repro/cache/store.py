@@ -54,6 +54,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 #: are quarantined, not misread.
 CACHE_SCHEMA = "repro.cache/entry/v1"
 
+#: Schema tag of a source-summary entry (see
+#: :class:`repro.analysis.impact.ImpactIndex`), the store's second
+#: entry kind.
+SOURCE_SCHEMA = "repro.cache/source/v1"
+
 #: Schema tag of the structured diagnostic written next to a
 #: quarantined entry.
 DIAGNOSTIC_SCHEMA = "repro.cache/diagnostic/v1"
@@ -143,6 +148,11 @@ def entry_path(root: str, key: str) -> str:
     return os.path.join(root, "objects", key[:2], f"{key}.json")
 
 
+def source_path(root: str, key: str) -> str:
+    """Where the source summary for ``key`` lives under ``root``."""
+    return os.path.join(root, "sources", key[:2], f"{key}.json")
+
+
 @dataclass
 class CacheStats:
     """What one batch (or one process) did to the store."""
@@ -186,8 +196,8 @@ class CacheDiagnostic:
         }
 
 
-def _encode_blob(data: bytes) -> str:
-    return base64.b64encode(zlib.compress(data, 6)).decode("ascii")
+def _encode_blob(data: bytes, level: int = 6) -> str:
+    return base64.b64encode(zlib.compress(data, level)).decode("ascii")
 
 
 def _decode_blob(text: str) -> bytes:
@@ -205,17 +215,25 @@ class ResultCache:
     Layout::
 
         <root>/objects/<key[:2]>/<key>.json   one entry per result
+        <root>/sources/<key[:2]>/<key>.json   one source summary per file
         <root>/quarantine/<key>.json          rejected entries (+ .diag.json)
+
+    Source summaries are the impact index's per-file parse results
+    (:meth:`load_source` / :meth:`store_source`).  They are verified,
+    published and quarantined like run entries but never counted in
+    :attr:`stats`, which describes runs only.
 
     Thread-compatibility: one instance is used from the coordinating
     process only; concurrent *processes* sharing the same root are safe
     by construction (unique temp files + atomic rename, last-wins).
     """
 
-    def __init__(self, root: str, design_key: Callable[..., str]) -> None:
+    def __init__(self, root: str,
+                 design_key: Optional[Callable[..., str]] = None) -> None:
         self.root = root
         #: ``job -> design key`` (:meth:`ImpactIndex.resolver
-        #: <repro.analysis.impact.ImpactIndex.resolver>`).
+        #: <repro.analysis.impact.ImpactIndex.resolver>`); a cache that
+        #: serves only source summaries needs none.
         self.design_key = design_key
         self.stats = CacheStats()
         #: Structured events (hit/miss/store/quarantine) for the
@@ -285,26 +303,26 @@ class ResultCache:
             "payload": _encode_blob(pickle.dumps(clean, protocol=4)),
             "artifacts": blobs,
         }
-        body["digest"] = _entry_digest(
-            {name: value for name, value in body.items() if name != "digest"}
-        )
         path = self.entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:12]}.", suffix=".tmp~",
-            dir=os.path.dirname(path))
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(body, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            with _suppress_oserror():
-                os.remove(tmp)
-            raise
+        _publish(path, key, body)
         self.stats.stores += 1
         self.events.append({
             "event": "cache.store", "key": key, **body["coords"]})
+        return path
+
+    def store_source(self, key: str, summary: object,
+                     key_inputs: Dict[str, object]) -> str:
+        """Publish one source summary (any JSON value) under ``key``;
+        ``key_inputs`` records what the key hashed, for ``explain``."""
+        path = source_path(self.root, key)
+        _publish(path, key, {
+            "schema": SOURCE_SCHEMA,
+            "key": key,
+            "key_inputs": key_inputs,
+            # Level 1: a cold index build pays for the compression.
+            "summary": _encode_blob(
+                json.dumps(summary, sort_keys=True).encode("utf-8"), 1),
+        })
         return path
 
     # -- read ---------------------------------------------------------------
@@ -328,7 +346,7 @@ class ResultCache:
             return None
         entry, reason, detail = self._verify(key, raw)
         if entry is None:
-            self._quarantine(key, path, reason, detail)
+            self._quarantine(key, path, reason, detail, count=True)
             self._miss(key, job, f"quarantined:{reason}")
             return None
         if not set(artifacts) <= set(entry["artifacts"]):
@@ -341,7 +359,7 @@ class ResultCache:
             result = pickle.loads(_decode_blob(entry["payload"]))
         except Exception as exc:
             self._quarantine(key, path, "payload-undecodable",
-                             f"{type(exc).__name__}: {exc}")
+                             f"{type(exc).__name__}: {exc}", count=True)
             self._miss(key, job, "quarantined:payload-undecodable")
             return None
         for role, out_path in sorted(artifacts.items()):
@@ -365,20 +383,42 @@ class ResultCache:
         })
         return result
 
+    def load_source(self, key: str, decode: Callable[[object], object]):
+        """The verified source summary stored under ``key``, passed
+        through ``decode``, or ``None``.  An entry that fails
+        verification or ``decode`` is quarantined like a run entry."""
+        path = source_path(self.root, key)
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except OSError:
+            return None
+        entry, reason, detail = self._verify(key, raw, SOURCE_SCHEMA)
+        if entry is None:
+            self._quarantine(key, path, reason, detail, count=False)
+            return None
+        try:
+            return decode(json.loads(_decode_blob(entry["summary"])))
+        except Exception as exc:
+            self._quarantine(key, path, "payload-undecodable",
+                             f"{type(exc).__name__}: {exc}", count=False)
+            return None
+
     # -- verification -------------------------------------------------------
 
     @staticmethod
-    def _verify(key: str, raw: bytes):
-        """Parse + verify one entry's bytes.  Returns
-        ``(entry, None, None)`` or ``(None, reason, detail)``."""
+    def _verify(key: str, raw: bytes, schema: str = CACHE_SCHEMA):
+        """Parse + verify one entry's bytes against its kind's
+        ``schema``.  Returns ``(entry, None, None)`` or
+        ``(None, reason, detail)``."""
         try:
             entry = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             return None, "torn-entry", f"undecodable JSON: {exc}"
         if not isinstance(entry, dict) \
-                or entry.get("schema") != CACHE_SCHEMA:
+                or entry.get("schema") != schema:
             return None, "schema-mismatch", (
-                f"expected schema {CACHE_SCHEMA!r}, "
+                f"expected schema {schema!r}, "
                 f"got {entry.get('schema') if isinstance(entry, dict) else type(entry).__name__!r}"
             )
         recorded = entry.get("digest")
@@ -395,8 +435,11 @@ class ResultCache:
                 f"entry claims key {entry.get('key')} but is addressed "
                 f"as {key}; refusing to serve"
             )
-        if not isinstance(entry.get("artifacts"), dict) \
-                or "payload" not in entry:
+        complete = (isinstance(entry.get("summary"), str)
+                    if schema == SOURCE_SCHEMA
+                    else isinstance(entry.get("artifacts"), dict)
+                    and "payload" in entry)
+        if not complete:
             return None, "schema-mismatch", "entry body is incomplete"
         return entry, None, None
 
@@ -412,10 +455,11 @@ class ResultCache:
         })
 
     def _quarantine(self, key: str, path: str, reason: str,
-                    detail: str) -> None:
+                    detail: str, count: bool) -> None:
         """Move a rejected entry out of the addressable store and write
         a structured diagnostic next to it.  The entry is *moved*, not
-        deleted: the corrupt bytes are evidence."""
+        deleted: the corrupt bytes are evidence.  ``count`` charges the
+        rejection to :attr:`stats` (run entries only)."""
         qdir = self._quarantine_dir()
         os.makedirs(qdir, exist_ok=True)
         dest = os.path.join(qdir, os.path.basename(path))
@@ -442,10 +486,29 @@ class ResultCache:
                               sort_keys=True, indent=1)
                     handle.write("\n")
                 os.replace(tmp, dest + ".diag.json")
-        self.stats.verify_failures += 1
-        if moved is not None:
-            self.stats.quarantined += 1
+        if count:
+            self.stats.verify_failures += 1
+            if moved is not None:
+                self.stats.quarantined += 1
         self.events.append(diagnostic.as_record())
+
+
+def _publish(path: str, key: str, body: Dict[str, object]) -> None:
+    """Seal ``body`` with its digest and publish it at ``path``
+    atomically: a unique temp file, then :func:`os.replace`."""
+    body["digest"] = _entry_digest(body)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{key[:12]}.", suffix=".tmp~", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(body, handle, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with _suppress_oserror():
+            os.remove(tmp)
+        raise
 
 
 def _suppress_oserror():

@@ -475,9 +475,11 @@ class RegressionRunner:
             from ..analysis.impact import ImpactIndex
             from ..cache import ResultCache
 
+            self.cache = ResultCache(self.cache_dir)
             with batch.span("impact.index", configs=len(self.configs)):
-                self.impact = ImpactIndex(self.configs)
-            self.cache = ResultCache(self.cache_dir, self.impact.resolver())
+                # Unchanged source files are summarized from the cache.
+                self.impact = ImpactIndex(self.configs, store=self.cache)
+            self.cache.design_key = self.impact.resolver()
             # The per-design key decisions ride the cache's event stream
             # into the telemetry run log.
             self.cache.events.extend(self.impact.events)

@@ -98,3 +98,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "race-delta-overwrite" in proc.stdout
+
+
+def test_info_notes_do_not_make_a_report_unclean():
+    """``clean`` counts un-waived warnings and errors only, the same
+    line the CLI exit gate draws: a skipped-cone INFO note stays
+    visible in the findings without failing the report."""
+    from types import SimpleNamespace
+
+    from repro.analysis.runner import AnalysisReport, ConfigAnalysisReport
+    from repro.lint.diagnostics import Finding, Severity
+
+    def finding(severity, waived=False):
+        return Finding(rule="r", severity=severity, message="m",
+                       waived=waived)
+
+    view = AnalysisReport(design="d", findings=[finding(Severity.INFO)])
+    assert view.clean and view.summary().startswith("d: CLEAN")
+    assert view.to_dict()["clean"] is True
+    assert not AnalysisReport(
+        design="d", findings=[finding(Severity.WARNING)]).clean
+    assert AnalysisReport(
+        design="d", findings=[finding(Severity.WARNING, waived=True)]).clean
+
+    config = ConfigAnalysisReport(
+        config_name="c", views={"rtl": view},
+        symbolic=SimpleNamespace(findings=[finding(Severity.INFO)]))
+    assert config.clean
+    config.unr_findings.append(finding(Severity.WARNING))
+    assert not config.clean

@@ -213,7 +213,7 @@ def test_env_digest_hashes_unparsable_files_raw(tmp_path):
 
 @pytest.fixture(scope="module")
 def stock_index():
-    return ImpactIndex([NodeConfig(name="node")])
+    return ImpactIndex([NodeConfig(name="node")], keep_graphs=True)
 
 
 def test_manifest_round_trip(tmp_path, stock_index):
@@ -387,8 +387,10 @@ def _elided_spans():
                 path = os.path.abspath(os.path.join(dirpath, name))
                 with open(path, encoding="utf-8") as handle:
                     tree = ast.parse(handle.read())
+                classes = (node for node in ast.walk(tree)
+                           if isinstance(node, ast.ClassDef))
                 spans.update((path, node.lineno, node.name)
-                             for node in impact._registered_defs(tree))
+                             for node in impact._registered_defs(classes))
     return spans
 
 

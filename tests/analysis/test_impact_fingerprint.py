@@ -19,17 +19,17 @@ from repro.analysis.impact import (
     MODE_OPAQUE,
     MODE_RAW_SOURCE,
     MODE_SEMANTIC_AST,
-    _SourceTrees,
-    _StripDocstrings,
+    _SourceSummaries,
     environment_digest,
     process_fingerprint,
 )
+from repro.cache import ResultCache
 from repro.kernel import Module, Simulator
 from repro.lint.runner import build_env
 from repro.regression.configs import configuration_matrix
 
 
-def _fingerprint(builder):
+def _fingerprint(builder, sources=None):
     """Elaborate the one-process design ``builder`` makes and
     fingerprint its process."""
     sim = Simulator()
@@ -37,7 +37,7 @@ def _fingerprint(builder):
     sim.elaborate()
     infos = sim.comb_processes + sim.clocked_processes
     assert len(infos) == 1
-    return process_fingerprint(infos[0])
+    return process_fingerprint(infos[0], sources)
 
 
 # -- builders: each pair differs only in the way its name says --------------
@@ -294,6 +294,21 @@ def test_normalizer_table(label, build_a, build_b, expect_same):
         assert fp_a.digest != fp_b.digest, label
 
 
+@pytest.mark.parametrize(
+    "label,build_a,build_b,expect_same",
+    CASES, ids=[case[0] for case in CASES])
+def test_normalizer_table_rows_fingerprint_the_same_from_a_store(
+        label, build_a, build_b, expect_same, tmp_path):
+    """Each row's two fingerprints come out the same from a cold and
+    then a warm source-summary store as with no store."""
+    for builder, cache in ((build_a, "a"), (build_b, "b")):
+        plain = _fingerprint(builder)
+        for hits in (0, 1):
+            sources = _SourceSummaries(ResultCache(str(tmp_path / cache)))
+            assert _fingerprint(builder, sources) == plain, label
+            assert (sources.hits, sources.misses) == (hits, 1 - hits)
+
+
 def test_ast_rung_used_for_partial_lift():
     assert _fingerprint(ast_base).mode == MODE_SEMANTIC_AST
 
@@ -362,6 +377,17 @@ def test_raw_source_rung_is_edit_sensitive():
 # -- the shared parse against the per-process reference ---------------------
 
 
+class _StripDocstrings(ast.NodeTransformer):
+    """Drop every bare-string expression statement (docstrings
+    included): the reference for the summaries' in-walk stripping."""
+
+    def visit_Expr(self, node: ast.Expr):  # noqa: N802 (ast API)
+        if isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            return None
+        return self.generic_visit(node)
+
+
 class _ReferenceSources:
     """The per-process body the shared parse replaced: the callable's
     own source (``inspect.getsource``) parsed standalone, and a deep
@@ -377,7 +403,7 @@ class _ReferenceSources:
 def test_shared_parse_matches_per_process_reference():
     """Every process of the small matrix fingerprints the same from one
     parse per file as from its own ``inspect.getsource`` parse."""
-    shared, reference = _SourceTrees(), _ReferenceSources()
+    shared, reference = _SourceSummaries(), _ReferenceSources()
     n_processes = 0
     for config in configuration_matrix(small=True):
         for view in ("rtl", "bca"):
@@ -437,3 +463,33 @@ def test_two_lambdas_on_one_line_fall_back_and_stay_in_the_residual(
 
     assert residual_after("q.drive(a.value)", "q.drive(0)") != base.digest
     assert residual_after("r.drive(a.value)", "r.drive(0)") != base.digest
+
+
+def test_two_lambdas_on_one_line_fingerprint_the_same_from_a_store(
+        tmp_path):
+    """The ambiguous span (two nodes) and the unique one survive the
+    store: fingerprints and residual match a store-less build, cold
+    and warm."""
+    root = tmp_path / "root"
+    root.mkdir()
+    path = root / "two_lambdas_store.py"
+    path.write_text(TWO_LAMBDAS, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("two_lambdas_store", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sim = Simulator()
+    module.build(sim)
+    sim.elaborate()
+
+    def derive(sources):
+        fps = [process_fingerprint(info, sources)
+               for info in sim.comb_processes]
+        return fps, environment_digest(roots=(str(root),), sources=sources)
+
+    plain = derive(None)
+    assert [fp.mode for fp in plain[0]] == [
+        MODE_RAW_SOURCE, MODE_RAW_SOURCE, MODE_SEMANTIC_AST]
+    for hits in (0, 1):
+        sources = _SourceSummaries(ResultCache(str(tmp_path / "cache")))
+        assert derive(sources) == plain
+        assert (sources.hits, sources.misses) == (hits, 1 - hits)

@@ -7,9 +7,11 @@ diagnosable instead of opaque.  Exit status 0 = verified, 1 = entry
 exists but fails verification, 2 = usage error.
 """
 
+import glob
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -161,3 +163,49 @@ def test_explain_unknown_key_under_root_exits_2(capsys, tmp_path):
     assert cache_main(
         ["explain", "a" * 64, "--root", str(tmp_path)]) == USAGE_EXIT
     assert "no such entry" in capsys.readouterr().err
+
+
+# -- source-summary entries --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def source_entry(tmp_path_factory):
+    """One source summary the impact index published to a store."""
+    root = str(tmp_path_factory.mktemp("explain_sources") / "cache")
+    ImpactIndex([NodeConfig()], views=("rtl",), store=ResultCache(root))
+    path = sorted(glob.glob(os.path.join(root, "sources", "*", "*.json")))[0]
+    return root, path
+
+
+def test_explain_source_entry(source_entry, capsys):
+    root, path = source_entry
+    assert cache_main(["explain", path]) == 0
+    out = capsys.readouterr().out
+    assert "kind: source summary" in out
+    assert "integrity: verified" in out
+    assert f"  python: {sys.version}" in out
+    assert "  impact_sha256: " in out
+
+
+def test_explain_source_entry_by_key_json(source_entry, capsys):
+    root, path = source_entry
+    key = os.path.basename(path).split(".", 1)[0]
+    assert cache_main(["explain", key, "--root", root, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["verified"]) == ("source", True)
+    assert payload["entry"] == path
+
+
+def test_explain_damaged_source_entry_exits_1(source_entry, capsys,
+                                              tmp_path):
+    root, path = source_entry
+    with open(path, "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    entry["key_inputs"]["python"] = "another interpreter"
+    bad = tmp_path / os.path.basename(path)
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle, sort_keys=True)
+    assert cache_main(["explain", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "kind: source summary" in out
+    assert "integrity: FAILED (digest-mismatch" in out
