@@ -153,19 +153,6 @@ def _normalize_newlines(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _child_nodes(node: ast.AST) -> List[ast.AST]:
-    """``ast.iter_child_nodes`` as a list, without its generators."""
-    children: List[ast.AST] = []
-    for name in node._fields:
-        value = getattr(node, name, None)
-        if isinstance(value, list):
-            children.extend(item for item in value
-                            if isinstance(item, ast.AST))
-        elif isinstance(value, ast.AST):
-            children.append(value)
-    return children
-
-
 def _is_bare_string(stmt: ast.AST) -> bool:
     return (isinstance(stmt, ast.Expr)
             and isinstance(stmt.value, ast.Constant)
@@ -205,7 +192,7 @@ def _walk_source(tree: ast.AST):
                         (first.lineno, node.name), []).append(node)
             elif isinstance(node, ast.ClassDef):
                 classes.append(node)
-        stack.extend(_child_nodes(node))
+        stack.extend(ast.iter_child_nodes(node))
     return spans, classes
 
 
@@ -399,7 +386,7 @@ def _own_nodes(cls: ast.ClassDef):
     """Every node of ``cls`` outside its nested classes."""
     stack = [cls]
     while stack:
-        children = [child for child in _child_nodes(stack.pop())
+        children = [child for child in ast.iter_child_nodes(stack.pop())
                     if not isinstance(child, ast.ClassDef)]
         yield from children
         stack.extend(children)

@@ -196,8 +196,8 @@ class CacheDiagnostic:
         }
 
 
-def _encode_blob(data: bytes, level: int = 6) -> str:
-    return base64.b64encode(zlib.compress(data, level)).decode("ascii")
+def _encode_blob(data: bytes) -> str:
+    return base64.b64encode(zlib.compress(data, 6)).decode("ascii")
 
 
 def _decode_blob(text: str) -> bytes:
@@ -319,9 +319,8 @@ class ResultCache:
             "schema": SOURCE_SCHEMA,
             "key": key,
             "key_inputs": key_inputs,
-            # Level 1: a cold index build pays for the compression.
             "summary": _encode_blob(
-                json.dumps(summary, sort_keys=True).encode("utf-8"), 1),
+                json.dumps(summary, sort_keys=True).encode("utf-8")),
         })
         return path
 

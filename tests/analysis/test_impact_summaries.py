@@ -65,9 +65,13 @@ def test_store_leaves_keys_manifest_and_environment_byte_identical(
     warm = ImpactIndex(configs, store=ResultCache(str(tmp_path / "cache")))
     assert _fingerprint_of(cold) == _fingerprint_of(plain)
     assert _fingerprint_of(warm) == _fingerprint_of(plain)
-    files = cold.counters()["impact.source_misses"]
-    assert files == len(_entries(tmp_path / "cache")) > 1
-    assert cold.counters()["impact.source_hits"] == 0
+    # The counters count files looked up; entries are per distinct
+    # content, so a cold build's misses are exactly the entries.
+    cold_counts = cold.counters()
+    files = (cold_counts["impact.source_hits"]
+             + cold_counts["impact.source_misses"])
+    assert cold_counts["impact.source_misses"] \
+        == len(_entries(tmp_path / "cache")) > 1
     assert warm.counters()["impact.source_hits"] == files
     assert warm.counters()["impact.source_misses"] == 0
     # Summaries are not runs: no run entry, no run counter.
