@@ -3,8 +3,8 @@
 Two claims get numbers here:
 
 * **Scaling** — the same batch, executed serially and on 2 and 4
-  leased worker processes (``jobs=``).  Workers cost real fork and
-  framing overhead, so tiny batches are *not* expected to scale
+  leased worker processes (``jobs=``).  Workers cost real fork
+  overhead, so tiny batches are *not* expected to scale
   linearly; the bench records the curve and only asserts correctness
   (byte-identical summaries at every worker count).
 

@@ -1,11 +1,12 @@
 """Deterministic fault injection for the resilience test suite.
 
 The resilience layer needs reproducible worker crashes, hard process
-deaths, hangs and corrupt VCDs to test against.  This module provides a
-test-only injection point keyed off the ``REPRO_CHAOS`` environment
-variable, which crosses the process boundary for free (forked workers
-inherit the parent's environment).  When the variable is unset — the
-production case — every hook is a no-op costing one dict lookup.
+deaths, hangs, corrupt VCDs and corrupt cache entries to test against.
+This module provides a test-only injection point keyed off the
+``REPRO_CHAOS`` environment variable, which crosses the process
+boundary for free (forked workers inherit the parent's environment).
+When the variable is unset — the production case — every hook is a
+no-op costing one dict lookup.
 
 Spec grammar (semicolon-separated rules)::
 
@@ -18,17 +19,9 @@ Spec grammar (semicolon-separated rules)::
   - ``hang``         sleep far past any sane deadline (watchdog food),
   - ``truncate-vcd`` let the run succeed, then corrupt its VCD so the
     compare stage fails on a truncated dump,
-  - ``worker-kill``  ``os._exit(43)`` — a farm scheduler OOM-killing or
-    pre-empting a worker mid-job (the coordinator sees a dead
-    connection and re-leases the job),
-  - ``net-drop``     complete the run but drop the connection before
-    the result frame goes out (a network partition: the work happened,
-    the coordinator never learns),
-  - ``net-delay``    complete the run, then sit on the result frame for
-    :data:`NET_DELAY_SECONDS` (lease-expiry food: the coordinator
-    reclaims the job and must discard the late result),
-  - ``net-corrupt-frame`` complete the run but flip a byte inside the
-    result frame, so the coordinator's framing layer rejects it,
+  - ``worker-kill``  ``os._exit(43)`` — the OS OOM-killing a worker
+    mid-job (the coordinator sees end-of-file on the worker's pipe and
+    re-leases the job),
   - ``cache-corrupt`` let the run succeed and be stored, then flip a
     byte inside its result-cache entry so the next lookup must detect
     the corruption, quarantine the entry and re-execute.
@@ -55,24 +48,16 @@ from typing import Optional, Tuple
 CHAOS_ENV = "REPRO_CHAOS"
 
 CHAOS_MODES = ("crash", "exit", "hang", "truncate-vcd", "worker-kill",
-               "net-drop", "net-delay", "net-corrupt-frame",
                "cache-corrupt")
 
 #: The modes the in-process run hooks act on (everything a worker can
-#: suffer); the net/cache faults live in their own hooks so one
+#: suffer); the VCD and cache faults live in their own hooks so one
 #: rule never shadows another hook's modes.
 EXEC_MODES = ("crash", "exit", "hang", "worker-kill")
-
-#: Network-fault modes, applied by the worker around its result frame.
-NET_MODES = ("net-drop", "net-delay", "net-corrupt-frame")
 
 #: How long a ``hang`` sleeps; far beyond any test deadline, far below
 #: a CI job timeout.
 HANG_SECONDS = 600.0
-
-#: How long ``net-delay`` sits on a result frame — longer than any test
-#: lease, far below a CI job timeout.
-NET_DELAY_SECONDS = 3.0
 
 
 class ChaosError(ValueError):
@@ -191,14 +176,6 @@ def inject_after_run(job) -> None:
         modes=("truncate-vcd",))
     if rule is not None and job.vcd_path:
         _corrupt_vcd(job.vcd_path)
-
-
-def net_rule_for(job) -> Optional[ChaosRule]:
-    """The network fault (if any) a worker must apply to
-    this job's result frame.  ``None`` in every production batch."""
-    return ChaosSpec.from_env().rule_for(
-        job.config.name, job.test_name, job.seed, job.view,
-        getattr(job, "attempt", 0), modes=NET_MODES)
 
 
 def _flip_byte(path: str, offset: int = -1) -> None:

@@ -3,29 +3,34 @@
 :class:`DistributedBatchExecutor` runs every batch that does not run
 inline — ``jobs > 1``, or ``jobs == 1`` with a ``run_timeout`` — on
 ``jobs`` local worker processes.  Each worker is forked with
-``multiprocessing``'s ``fork`` context and serves
-:func:`repro.regression.worker.serve` over its own
-``socket.socketpair()``, speaking the framed protocol of
-:mod:`repro.regression.protocol`.  Workers are forked, not spawned, for
-two reasons: they start with the coordinator's modules already imported
-(a fresh interpreter pays ~0.2 s of imports per worker), and they
-inherit whatever the coordinator's process wrapped around the job entry
-points, so instrumentation that patches those module globals traces the
-workers too.  Forking is only safe from a process with one thread, so
-the coordinator reads every worker from one selector loop and starts no
-threads.
+``multiprocessing``'s ``fork`` context and talks to the coordinator
+over its own duplex ``multiprocessing.Pipe()``: the coordinator sends
+``(job_id, kind, job)``, the worker replies ``(job_id, outcome)``, and
+both ends pickle through ``Connection.send``/``recv``.  Workers are
+forked, not spawned, for two reasons: they start with the coordinator's
+modules already imported (a fresh interpreter pays ~0.2 s of imports
+per worker), and they inherit whatever the coordinator's process
+wrapped around the job entry points, so instrumentation that patches
+those module globals traces the workers too.  Forking is only safe from
+a process with one thread, so the coordinator waits on every worker's
+connection from one loop (``multiprocessing.connection.wait``) and
+starts no threads; neither does a worker.
 
 Ownership of a job is a **lease**.  A worker holds at most
 :data:`QUEUE_DEPTH` leases and executes them in the order they were
 sent, so the worker always has its next job queued while it reports the
 last one, and ownership stays exact:
 
-* a result or heartbeat belongs to the worker's *oldest* lease;
-* ``run_timeout`` and heartbeat silence (:data:`LEASE_SECONDS`) apply to
-  the oldest lease, timed from when it became the oldest;
-* every path that ends a worker — lost connection, corrupt frame, run
-  timeout, lease expiry, send failure — charges one attempt to the
-  oldest lease only and requeues the queued one at no cost.
+* a reply belongs to the worker's *oldest* lease;
+* ``run_timeout`` applies to the oldest lease, timed from when it
+  became the oldest;
+* every path that ends a worker — end-of-file, a reply that does not
+  unpickle or names another job, run timeout, send failure — charges
+  one attempt to the oldest lease only and requeues the queued one at
+  no cost.
+
+A worker that dies closes its end of the pipe, so the coordinator sees
+end-of-file at once; a hung job is caught by ``run_timeout``.
 
 Charged jobs go through the retry/backoff/quarantine policy of
 :class:`~repro.regression.resilience.ResilientBatchExecutor`, of which
@@ -45,33 +50,20 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-import selectors
 import signal
-import socket
 import time
 from collections import deque
-from typing import Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 
-from . import worker as worker_module
-from .protocol import (
-    FrameConnection,
-    ProtocolError,
-    decode_payload,
-    encode_payload,
-)
-from .resilience import ResilientBatchExecutor, RunFailure, _Task
+from .resilience import GUARDS, ResilientBatchExecutor, RunFailure, _Task
 
-#: A lease whose worker has been silent this long is reclaimed and its
-#: job re-queued (the worker, presumed hung, is killed).
-LEASE_SECONDS = 15.0
-
-#: Heartbeat interval workers use while busy; well below LEASE_SECONDS.
-HEARTBEAT_SECONDS = 0.5
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: Leases one worker holds at once: the job it runs plus one queued.
 QUEUE_DEPTH = 2
 
-#: Longest the scheduling loop waits for a frame before re-checking
+#: Longest the scheduling loop waits for a reply before re-checking
 #: deadlines and backoff.
 _TICK = 0.05
 
@@ -82,15 +74,12 @@ _EXIT_GRACE = 2.0
 class _Lease:
     """One job owned by one worker; timed once it is the oldest."""
 
-    __slots__ = ("job_id", "task", "started", "last_beat")
+    __slots__ = ("job_id", "task", "started")
 
     def __init__(self, job_id: int, task: _Task) -> None:
         self.job_id = job_id
         self.task = task
-        self.started = self.last_beat = 0.0
-
-    def start(self, now: float) -> None:
-        self.started = self.last_beat = now
+        self.started = 0.0
 
 
 class _Worker:
@@ -98,7 +87,7 @@ class _Worker:
 
     __slots__ = ("ident", "proc", "conn", "leases", "dead")
 
-    def __init__(self, ident: str, proc, conn: FrameConnection) -> None:
+    def __init__(self, ident: str, proc, conn: Connection) -> None:
         self.ident = ident
         self.proc = proc
         self.conn = conn
@@ -106,22 +95,40 @@ class _Worker:
         self.dead = False
 
 
-def _child_main(sock: socket.socket,
-                inherited: List[socket.socket]) -> None:
+def _serve(conn: Connection) -> None:
+    """The worker loop: execute jobs from ``conn`` in arrival order and
+    reply with each outcome, until end-of-file ends the batch."""
+    try:
+        while True:
+            try:
+                job_id, kind, job = conn.recv()
+            except (EOFError, OSError):
+                return
+            outcome = GUARDS[kind](job)
+            try:
+                conn.send((job_id, outcome))
+            except OSError:
+                # The coordinator dropped this worker (or died); the
+                # result has nowhere to go.
+                return
+    finally:
+        conn.close()
+
+
+def _child_main(conn: Connection, inherited: List[Connection]) -> None:
     """Entry point of a forked worker.
 
-    Closing the coordinator's ends of every socketpair keeps
-    end-of-file exact: each connection has exactly one process at either
-    end.  Plain ``close()``, never ``shutdown()``, which would cut the
-    coordinator's own connections.  Ctrl-C reaches the whole process
-    group; the coordinator owns the abort, so workers ignore SIGINT and
-    drop the SIGTERM handler the CLI installed.
+    Closing the coordinator's ends of every pipe keeps end-of-file
+    exact: each connection has exactly one process at either end.
+    Ctrl-C reaches the whole process group; the coordinator owns the
+    abort, so workers ignore SIGINT and drop the SIGTERM handler the CLI
+    installed.
     """
     for other in inherited:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    worker_module.serve(FrameConnection(sock))
+    _serve(conn)
 
 
 class DistributedBatchExecutor(ResilientBatchExecutor):
@@ -136,7 +143,6 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     def __init__(self, jobs_by_key, **kwargs) -> None:
         super().__init__(jobs_by_key, **kwargs)
         self._workers: List[_Worker] = []
-        self._selector: Optional[selectors.BaseSelector] = None
         self._job_seq = 0
         self._task_seq = 0
         #: Workers that died holding no lease; bounded by 2 × jobs.
@@ -145,7 +151,6 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     def execute(self):
         if self.jobs == 1 and self.config.run_timeout is None:
             return super().execute()
-        self._selector = selectors.DefaultSelector()
         try:
             self._execute_leased()
         except BaseException:
@@ -161,8 +166,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
 
     def _spawn_worker(self) -> Optional[_Worker]:
         ident = f"w{len(self._workers)}"
-        ours, theirs = socket.socketpair()
-        inherited = [worker.conn.sock for worker in self._alive()] + [ours]
+        ours, theirs = multiprocessing.Pipe()
+        inherited = [worker.conn for worker in self._alive()] + [ours]
         proc = multiprocessing.get_context("fork").Process(
             target=_child_main, args=(theirs, inherited),
             name=f"repro-worker-{ident}", daemon=True)
@@ -176,11 +181,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                              error=str(exc))
             return None
         theirs.close()
-        # A worker stuck mid-frame must not stall the scheduling loop.
-        ours.settimeout(LEASE_SECONDS)
-        worker = _Worker(ident, proc, FrameConnection(ours))
+        worker = _Worker(ident, proc, ours)
         self._workers.append(worker)
-        self._selector.register(ours, selectors.EVENT_READ, worker)
         return worker
 
     def _ensure_capacity(self, pending: int) -> None:
@@ -202,7 +204,6 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
 
     def _mark_dead(self, worker: _Worker, reason: str) -> None:
         worker.dead = True
-        self._selector.unregister(worker.conn.sock)
         worker.conn.close()
         worker.proc.kill()
         self.faults.worker_deaths += 1
@@ -212,26 +213,29 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     def _teardown(self, grace: float) -> None:
         """Close every connection (end-of-file tells an idle worker to
         exit), give the workers ``grace`` seconds, then kill."""
-        for worker in self._workers:
-            if not worker.dead:
-                worker.conn.close()
+        for worker in self._alive():
+            worker.conn.close()
         deadline = time.monotonic() + grace
         for worker in self._workers:
             worker.proc.join(max(0.0, deadline - time.monotonic()))
             if worker.proc.is_alive():
                 worker.proc.kill()
                 worker.proc.join()
-        self._selector.close()
 
     # -- the scheduling loop --------------------------------------------------
 
     def _execute_leased(self) -> None:
+        # Imported here, not at the top: an inline batch never waits on
+        # a pipe, and this import (with multiprocessing.util and
+        # subprocess) adds ~0.5 MB to its peak RSS.
+        from multiprocessing.connection import wait
+
         ready: Deque[_Task] = deque(
             _Task("run", key, job) for key, job in self.jobs_by_key.items())
         backoff: list = []
         while True:
             now = time.monotonic()
-            self._enforce_leases(ready, backoff, now)
+            self._enforce_deadlines(ready, backoff, now)
             while backoff and backoff[0][0] <= now:
                 ready.append(heapq.heappop(backoff)[2])
             leased = sum(len(worker.leases) for worker in self._alive())
@@ -243,9 +247,9 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 self._abandon(ready, backoff)
                 return
             self._dispatch(ready, backoff, now)
-            for key, _ in self._selector.select(timeout=_TICK):
-                if not key.data.dead:
-                    self._receive(key.data, ready, backoff)
+            by_conn = {worker.conn: worker for worker in self._alive()}
+            for conn in wait(list(by_conn), timeout=_TICK):
+                self._receive(by_conn[conn], ready, backoff)
 
     def _dispatch(self, ready: Deque[_Task], backoff: list,
                   now: float) -> None:
@@ -264,53 +268,47 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             self._job_seq += 1
             lease = _Lease(self._job_seq, task)
             try:
-                worker.conn.send({
-                    "type": "job", "job_id": lease.job_id,
-                    "kind": task.kind, "job": encode_payload(job),
-                    "heartbeat": HEARTBEAT_SECONDS,
-                })
+                worker.conn.send((lease.job_id, task.kind, job))
             except OSError:
                 # Never reached the worker: free requeue.
                 ready.appendleft(task)
                 self._end_worker(worker, "send-failed", ready, backoff, now)
                 continue
             if not worker.leases:
-                lease.start(now)
+                lease.started = now
             worker.leases.append(lease)
 
     def _receive(self, worker: _Worker, ready: Deque[_Task],
                  backoff: list) -> None:
-        reason = "closed"
+        """Take one reply from ``worker``: it must unpickle to
+        ``(job_id, (status, payload))`` naming the worker's oldest
+        lease, or the worker is dropped rather than half-trusted."""
+        reason = None
         try:
-            frame = worker.conn.recv()
-        except ProtocolError:
-            # Poisoned connection (e.g. a corrupt result frame): drop
-            # the worker rather than guess at the bytes.
-            frame, reason = None, "protocol-error"
-        except OSError:
-            frame = None
+            job_id, (status, payload) = worker.conn.recv()
+        except (EOFError, OSError):
+            reason = "closed"
+        except Exception:
+            reason = "protocol-error"
         now = time.monotonic()
-        if frame is None:
+        if reason is None and (not worker.leases
+                               or worker.leases[0].job_id != job_id):
+            reason = "protocol-error"
+        if reason is not None:
             self._end_worker(worker, reason, ready, backoff, now)
             return
-        oldest = worker.leases[0] if worker.leases else None
-        if oldest is None or oldest.job_id != frame.get("job_id"):
-            self._end_worker(worker, "protocol-error", ready, backoff, now)
-        elif frame.get("type") == "heartbeat":
-            oldest.last_beat = now
-        elif frame.get("type") == "result":
-            worker.leases.popleft()
-            if worker.leases:
-                worker.leases[0].start(now)
-            self._on_result(worker, oldest, frame, ready, backoff, now)
+        lease = worker.leases.popleft()
+        if worker.leases:
+            worker.leases[0].started = now
+        self._handle_outcome(lease.task, status, payload, ready, backoff,
+                             now)
 
     def _push_backoff(self, backoff, due: float, task: _Task) -> None:
         self._task_seq += 1
         heapq.heappush(backoff, (due, self._task_seq, task))
 
-    def _handle_outcome(self, task: _Task, outcome, ready, backoff,
-                        now: float) -> None:
-        status, payload = outcome
+    def _handle_outcome(self, task: _Task, status: str, payload, ready,
+                        backoff, now: float) -> None:
         if status == "ok":
             self._complete(task, payload)
             if task.kind == "run":
@@ -325,17 +323,6 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         delay = self._register_failure(task, payload)
         if delay is not None:
             self._push_backoff(backoff, now + delay, task)
-
-    def _on_result(self, worker: _Worker, lease: _Lease, frame: dict,
-                   ready: Deque[_Task], backoff: list, now: float) -> None:
-        try:
-            outcome = decode_payload(frame["outcome"])
-        except Exception as exc:
-            outcome = ("fail", self._worker_failure(
-                lease.task, "UndecodableResult",
-                f"worker {worker.ident} returned an undecodable result "
-                f"payload: {exc}"))
-        self._handle_outcome(lease.task, outcome, ready, backoff, now)
 
     def _end_worker(self, worker: _Worker, reason: str,
                     ready: Deque[_Task], backoff: list, now: float,
@@ -378,28 +365,15 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 f"worker(s) died without a lease (budget "
                 f"{2 * self.jobs})"), retry=False)
 
-    # -- watchdogs ------------------------------------------------------------
+    # -- the watchdog ---------------------------------------------------------
 
-    def _enforce_leases(self, ready: Deque[_Task], backoff: list,
-                        now: float) -> None:
+    def _enforce_deadlines(self, ready: Deque[_Task], backoff: list,
+                           now: float) -> None:
+        """End every worker whose oldest lease overran ``run_timeout``."""
         timeout = self.config.run_timeout
+        if timeout is None:
+            return
         for worker in self._alive():
-            if not worker.leases:
-                continue
-            lease = worker.leases[0]
-            if timeout is not None and now - lease.started > timeout:
+            if worker.leases and now - worker.leases[0].started > timeout:
                 self._end_worker(worker, "run-timeout", ready, backoff, now,
-                                 self._timeout_failure(lease.task))
-                continue
-            silent = now - lease.last_beat
-            if silent > LEASE_SECONDS:
-                self.faults.lease_reclaims += 1
-                self.faults.note("lease.reclaimed", worker=worker.ident,
-                                 silent_seconds=round(silent, 3),
-                                 **lease.task.names)
-                self._end_worker(
-                    worker, "lease-expired", ready, backoff, now,
-                    self._worker_failure(
-                        lease.task, "LeaseExpired",
-                        f"worker {worker.ident} stopped heartbeating "
-                        f"({silent:.1f}s silent); lease reclaimed"))
+                                 self._timeout_failure(worker.leases[0].task))

@@ -76,8 +76,8 @@ class RunFailure:
     config_name: str
     test_name: str
     seed: int
-    view: str                  # "rtl" | "bca" | "compare"
-    stage: str                 # "run" | "compare"
+    view: str                  # "rtl" | "bca" | "compare" | "triage"
+    stage: str                 # "run" | "compare" | "triage"
     kind: str                  # "ERROR" | "TIMEOUT"
     exc_type: str
     message: str
@@ -161,6 +161,15 @@ def guarded_execute_triage(job: TriageJob):
         ))
 
 
+#: The guarded wrapper that executes each task kind, inline or on a
+#: worker.
+GUARDS = {
+    "run": guarded_execute_run,
+    "compare": guarded_execute_compare,
+    "triage": guarded_execute_triage,
+}
+
+
 # ---------------------------------------------------------------------------
 # Configuration and fault accounting
 
@@ -190,7 +199,6 @@ class BatchFaults:
     triage_failures: int = 0
     quarantined: List[RunFailure] = field(default_factory=list)
     # Worker accounting (all zero for inline batches).
-    lease_reclaims: int = 0
     worker_deaths: int = 0
     worker_respawns: int = 0
     #: Structured fault records for the telemetry run log.
@@ -210,7 +218,6 @@ class BatchFaults:
             "compare_failures": self.compare_failures,
             "triage_failures": self.triage_failures,
             "quarantined": len(self.quarantined),
-            "lease_reclaims": self.lease_reclaims,
             "worker_deaths": self.worker_deaths,
             "worker_respawns": self.worker_respawns,
         }
@@ -488,25 +495,16 @@ class ResilientBatchExecutor:
         )
         return _Task("triage", entry_key, job)
 
-    @staticmethod
-    def _worker_fn(task: _Task):
-        if task.kind == "run":
-            return guarded_execute_run
-        if task.kind == "triage":
-            return guarded_execute_triage
-        return guarded_execute_compare
-
-
     def _worker_failure(self, task: _Task, exc_type: str,
                         message: str) -> RunFailure:
         """A failure charged to ``task`` by the scheduler itself (its
-        worker died, went silent or returned garbage) rather than raised
-        by the job."""
+        worker died, overran its deadline or returned garbage) rather
+        than raised by the job."""
         names = task.names
         return RunFailure(
             config_name=str(names["config"]), test_name=str(names["test"]),
             seed=int(names["seed"]), view=str(names["view"]),
-            stage="run" if task.kind == "run" else "compare",
+            stage=task.kind,
             kind="ERROR", exc_type=exc_type, message=message,
             attempt=task.job.attempt,
         )
@@ -546,7 +544,7 @@ class ResilientBatchExecutor:
     def _run_task_inline(self, task: _Task) -> None:
         if self._satisfy_from_cache(task, None):
             return
-        fn = self._worker_fn(task)
+        fn = GUARDS[task.kind]
         while True:
             status, payload = fn(self._job_for_attempt(task))
             if status == "ok":

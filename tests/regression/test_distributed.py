@@ -10,6 +10,8 @@ Faults are injected through the same ``REPRO_CHAOS`` environment hook
 as the in-process tests (:mod:`repro.regression.chaos`); the variable
 crosses the process boundary to the forked workers, which is exactly
 how a farm scheduler's kill shows up — from outside the coordinator.
+Faults the hook cannot express, a reply lost or garbled after the work,
+are monkeypatched into the worker loop, which forked workers inherit.
 """
 
 import json
@@ -75,7 +77,6 @@ def test_distributed_matches_serial_byte_identically(tmp_path, clean_ref):
     assert _snapshot(tmp_path / "dist") == ref_snap
     faults = _faults(metrics)
     assert faults["worker_deaths"] == 0
-    assert faults["lease_reclaims"] == 0
     assert faults["worker_respawns"] == 0
 
 
@@ -89,7 +90,7 @@ def test_single_worker_cluster_matches_serial(tmp_path, clean_ref):
 
 
 @pytest.mark.parametrize("mode", [
-    "crash", "exit", "worker-kill", "net-corrupt-frame", "hang"])
+    "crash", "exit", "worker-kill", "hang"])
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_chaos_recovery_byte_identical_at_any_jobs(
         tmp_path, monkeypatch, clean_ref, jobs, mode):
@@ -106,6 +107,22 @@ def test_chaos_recovery_byte_identical_at_any_jobs(
                       run_timeout=run_timeout, max_retries=2, backoff=0.0))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
+
+
+def test_workers_start_no_threads(tmp_path, monkeypatch):
+    """A worker is a plain receive/execute/reply loop: while it executes
+    a job, its thread is the only one."""
+    execute_run = distributed.GUARDS["run"]
+    counts = tmp_path / "threads.txt"
+
+    def run_and_count(job):
+        with open(counts, "a") as handle:
+            handle.write(f"{threading.active_count()}\n")
+        return execute_run(job)
+
+    monkeypatch.setitem(distributed.GUARDS, "run", run_and_count)
+    _run(tmp_path / "dist", jobs=2)
+    assert counts.read_text().split() == ["1"] * (2 * len(TESTS))
 
 
 # -- lease attribution --------------------------------------------------
@@ -144,8 +161,7 @@ def test_every_worker_dying_still_yields_full_report(
     held (or to the 2 x jobs budget when it held none); once no worker
     can be started the rest are recorded as ``WorkerLost``.  The batch
     ends with every entry reported, never hangs."""
-    monkeypatch.setattr(distributed.worker_module, "serve",
-                        lambda conn: None)
+    monkeypatch.setattr(distributed, "_serve", lambda conn: None)
     report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=0, backoff=0.0))
     entries = report.configs[0].entries
@@ -157,7 +173,7 @@ def test_every_worker_dying_still_yields_full_report(
     assert (tmp_path / "dist" / "regression_summary.txt").exists()
 
 
-# -- worker death and lease reclamation ---------------------------------
+# -- worker death and bad replies ---------------------------------------
 
 
 def test_worker_kill_mid_job_recovers_byte_identically(
@@ -181,54 +197,97 @@ def test_worker_kill_mid_job_recovers_byte_identically(
     assert faults["worker_respawns"] == 1
 
 
-def test_net_corrupt_frame_drops_worker_and_recovers(
+def test_result_lost_after_the_work_reexecutes(
         tmp_path, monkeypatch, clean_ref):
-    """A corrupt result frame must poison the connection (never be
-    half-trusted): the worker is dropped, the job re-leased."""
+    """A worker that dies after executing a job but before replying:
+    the work happened, the coordinator never learns.  End-of-file on
+    the pipe charges the lease and the job re-executes elsewhere."""
     ref_report, ref_snap = clean_ref
-    monkeypatch.setenv(
-        CHAOS_ENV,
-        f"net-corrupt-frame:{CONFIG_NAME}:t02_random_uniform:1:bca:1")
+    execute_run = distributed.GUARDS["run"]
+
+    def run_then_vanish(job):
+        outcome = execute_run(job)
+        if (job.test_name, job.view, job.attempt) == (
+                "t01_sanity_write_read", "bca", 0):
+            os._exit(0)
+        return outcome
+
+    # Forked workers inherit the patched table.
+    monkeypatch.setitem(distributed.GUARDS, "run", run_then_vanish)
     metrics = tmp_path / "metrics.json"
+    log = tmp_path / "run.log.jsonl"
     report = _run(tmp_path / "dist", jobs=2,
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
-                  metrics=str(metrics))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
-    assert _faults(metrics)["worker_deaths"] >= 1
-
-
-def test_net_drop_loses_result_not_batch(tmp_path, monkeypatch, clean_ref):
-    """A network partition right before the result frame: the work
-    happened but the coordinator never learns — the lost worker's lease
-    is charged and the job re-executes."""
-    ref_report, ref_snap = clean_ref
-    monkeypatch.setenv(
-        CHAOS_ENV, f"net-drop:{CONFIG_NAME}:t01_sanity_write_read:1:bca:1")
-    report = _run(tmp_path / "dist", jobs=2,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
-
-
-def test_silent_worker_lease_is_reclaimed(tmp_path, monkeypatch, clean_ref):
-    """``net-delay`` sits on the result frame past the lease: the
-    coordinator must reclaim the lease, kill the silent worker and
-    re-run the job elsewhere, never double-complete."""
-    ref_report, ref_snap = clean_ref
-    monkeypatch.setattr(distributed, "LEASE_SECONDS", 1.0)
-    monkeypatch.setattr(distributed, "HEARTBEAT_SECONDS", 0.2)
-    monkeypatch.setenv(
-        CHAOS_ENV, f"net-delay:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
-    metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", jobs=2,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0),
-                  metrics=str(metrics))
+                  metrics=str(metrics), log=str(log))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
     faults = _faults(metrics)
-    assert faults["lease_reclaims"] >= 1
-    assert faults["worker_deaths"] >= 1
+    assert faults["worker_deaths"] == 1
+    assert faults["retries"] == 1
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    recovered = [(e["test"], e["view"], e["attempts"]) for e in events
+                 if e["event"] == "job.recovered"]
+    assert recovered == [("t01_sanity_write_read", "bca", 2)]
+
+
+class _GarblingConn:
+    """A worker's end of the pipe that garbles the reply to the first
+    attempt of ``t01_sanity_write_read``/rtl and passes everything else
+    through."""
+
+    def __init__(self, conn, fault):
+        self.conn = conn
+        self.fault = fault
+        self.job = None
+
+    def recv(self):
+        message = self.conn.recv()
+        self.job = message[2]
+        return message
+
+    def send(self, reply):
+        job = self.job
+        if (job.test_name, getattr(job, "view", None), job.attempt) != (
+                "t01_sanity_write_read", "rtl", 0):
+            self.conn.send(reply)
+        elif self.fault == "wrong-job-id":
+            # Names the queued lease, not the oldest one.
+            self.conn.send((reply[0] + 1, reply[1]))
+        else:
+            self.conn.send_bytes(b"not a pickle")
+
+    def close(self):
+        self.conn.close()
+
+
+@pytest.mark.parametrize("fault", ["wrong-job-id", "unpicklable"])
+def test_reply_is_never_half_trusted(tmp_path, monkeypatch, clean_ref,
+                                     fault):
+    """A reply naming a job other than the worker's oldest lease, or
+    bytes that do not unpickle, drop the worker: only its oldest lease
+    is charged, the queued one is requeued free, and the batch ends
+    byte-identical to serial."""
+    ref_report, ref_snap = clean_ref
+    serve = distributed._serve
+    monkeypatch.setattr(distributed, "_serve",
+                        lambda conn: serve(_GarblingConn(conn, fault)))
+    metrics = tmp_path / "metrics.json"
+    log = tmp_path / "run.log.jsonl"
+    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
+        run_timeout=60.0, max_retries=1, backoff=0.0),
+        metrics=str(metrics), log=str(log))
+    assert report.render() == ref_report.render()
+    assert _snapshot(tmp_path / "dist") == ref_snap
+    faults = _faults(metrics)
+    assert faults["worker_deaths"] == 1
+    assert faults["retries"] == 1
+    assert faults["crashes"] == 1
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    lost = [e["reason"] for e in events if e["event"] == "worker.lost"]
+    assert lost == ["protocol-error"]
+    requeued = [(e["test"], e["view"]) for e in events
+                if e["event"] == "lease.requeued"]
+    assert requeued == [("t01_sanity_write_read", "bca")]
 
 
 # -- CLI ----------------------------------------------------------------

@@ -20,6 +20,8 @@ from repro.regression.chaos import (
     inject_before_run,
 )
 from repro.regression.cli import main as regression_main
+from repro.regression.parallel import TriageJob
+from repro.regression.resilience import ResilientBatchExecutor, _Task
 from repro.stbus import NodeConfig, ProtocolType
 
 TESTS = ["t01_sanity_write_read", "t02_random_uniform"]
@@ -73,6 +75,8 @@ def test_chaos_spec_grammar():
         ChaosSpec.parse("sabotage:*:*:*:*")
     with pytest.raises(ChaosError):
         ChaosSpec.parse("crash:*:*:*:*:soon")
+    with pytest.raises(ChaosError):  # no network between forked workers
+        ChaosSpec.parse("net-drop:*:*:*:*")
 
 
 def test_chaos_inert_without_env(monkeypatch):
@@ -189,6 +193,26 @@ def test_lease_crash_mid_batch_report_complete(tmp_path, monkeypatch):
     assert len(entries) == len(TESTS)
     assert entries[0].status == "QUARANTINED"
     assert entries[1].status == "PASS"
+
+
+def test_scheduler_charged_triage_counts_as_triage_failure():
+    """A triage job whose worker dies or overruns its deadline is a
+    triage failure, not a compare failure."""
+    executor = ResilientBatchExecutor({}, jobs=2, compare_waveforms=True,
+                                      triage=True)
+    task = _Task("triage", (CONFIG_NAME, "t01_sanity_write_read", 1),
+                 TriageJob(config=_configs()[0],
+                           test_name="t01_sanity_write_read", seed=1,
+                           rtl_vcd="rtl.vcd", bca_vcd="bca.vcd",
+                           out_path=None, bugs=frozenset(),
+                           reason="checkers-failed"))
+    for failure in (executor._worker_failure(task, "WorkerLost", "lost"),
+                    executor._timeout_failure(task)):
+        assert failure.stage == "triage"
+        executor._register_failure(task, failure)
+    assert executor.faults.triage_failures == 2
+    assert executor.faults.compare_failures == 0
+    assert executor.faults.crashes == executor.faults.timeouts == 0
 
 
 # -- resume from the result cache ---------------------------------------
