@@ -585,17 +585,7 @@ class BcaNode(Module):
                 visible[item.target] = item
         for t, port in enumerate(self.targ_ports):
             item = visible.get(t)
-            if item is None:
-                port.idle_request()
-                port.add.drive(0)
-                port.opc.drive(0)
-                port.data.drive(0)
-                port.be.drive(0)
-                port.tid.drive(0)
-                port.src.drive(0)
-                port.pri.drive(0)
-            else:
-                port.drive_request(item.cell)
+            port.present_request(None if item is None else item.cell)
         visible_resp: Dict[int, _RespItem] = {}
         for queue in self._resp_q:
             item = queue.visible_head(now)
@@ -603,14 +593,7 @@ class BcaNode(Module):
                 visible_resp[item.dest] = item
         for i, port in enumerate(self.init_ports):
             item = visible_resp.get(i)
-            if item is None:
-                port.idle_response()
-                port.r_opc.drive(0)
-                port.r_data.drive(0)
-                port.r_src.drive(0)
-                port.r_tid.drive(0)
-            else:
-                port.drive_response(item.cell)
+            port.present_response(None if item is None else item.cell)
 
     # ------------------------------------------------------------------
     # introspection

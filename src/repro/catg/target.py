@@ -28,10 +28,6 @@ from ..stbus import (
 )
 
 
-#: ``_presented`` before the first activation: nothing driven yet.
-_UNDRIVEN = object()
-
-
 def default_byte(address: int) -> int:
     """Deterministic background pattern for never-written memory."""
     return (address & 0xFF) ^ 0xA5
@@ -94,8 +90,6 @@ class TargetHarness(Module):
         self._jobs: List[_Job] = []
         self._resp_cells: List[RespCell] = []
         self._resp_idx = 0
-        #: The cell on the response pins (None: idle), or _UNDRIVEN.
-        self._presented: object = _UNDRIVEN
         self.packets_served = 0
         self._tick = self.signal("tick")
         self.clocked(
@@ -147,18 +141,9 @@ class TargetHarness(Module):
             self._resp_cells = job.cells
             self._resp_idx = 0
         # Present the current response cell (registered outputs, held
-        # between changes like the BFM's request bundle).
-        cell = self._resp_cells[self._resp_idx] if self._resp_cells else None
-        if cell is not self._presented:
-            self._presented = cell
-            if cell is not None:
-                port.drive_response(cell)
-            else:
-                port.idle_response()
-                port.r_opc.drive(0)
-                port.r_data.drive(0)
-                port.r_src.drive(0)
-                port.r_tid.drive(0)
+        # between changes).
+        port.present_response(
+            self._resp_cells[self._resp_idx] if self._resp_cells else None)
         # The tick toggles every cycle: it wakes _gnt_comb, and the VCD
         # records it.
         self._tick.drive(self._tick._value ^ 1)

@@ -11,7 +11,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from .signal import Signal
 from .simulator import Simulator
@@ -21,18 +21,14 @@ class Module:
     """Base class for simulated hardware and verification components.
 
     Subclasses receive the simulator and a hierarchical name; helpers create
-    signals scoped under that name and register processes.  Children added
-    via :meth:`add_child` extend the hierarchy, which the VCD writer turns
-    into nested scopes.
+    signals scoped under that name and register processes.  A module made
+    with a ``parent`` is named under it; the VCD writer turns those dotted
+    names into nested scopes.  A parent keeps no list of its children.
     """
 
     def __init__(self, sim: Simulator, name: str, parent: Optional["Module"] = None):
         self.sim = sim
-        self.basename = name
         self.parent = parent
-        self.children: List["Module"] = []
-        if parent is not None:
-            parent.children.append(self)
         self.name = name if parent is None else f"{parent.name}.{name}"
 
     # -- construction helpers -------------------------------------------------
@@ -80,12 +76,6 @@ class Module:
                       name: Optional[str]) -> str:
         base = name or getattr(process, "__name__", "proc")
         return f"{self.name}.{base}"
-
-    def add_child(self, child: "Module") -> None:
-        if child.parent is None:
-            child.parent = self
-            self.children.append(child)
-            child.name = f"{self.name}.{child.basename}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"

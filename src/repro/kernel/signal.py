@@ -11,10 +11,12 @@ Values are plain non-negative integers masked to the signal width (2-state
 simulation: no ``X``/``Z``; the paper's flow compares VCD dumps of two
 2-state-equivalent models, so 4-state resolution is not needed).
 
-Every signal also records the distinct processes that have ever driven it
-(``drivers``); the static lint pass (:mod:`repro.lint`) and the
-:class:`MultipleDriverError` diagnostics both rely on that bookkeeping to
-name the offending processes instead of printing bare values.
+A signal remembers only the process that wrote its pending value
+(``_writer``), so a :class:`MultipleDriverError` names both offending
+processes instead of printing bare values.  It keeps no history of past
+drivers: the static lint pass takes its multi-driver evidence from each
+process's write set, declared at registration or recorded by the
+elaboration dry run (:class:`~repro.kernel.simulator.ProcessInfo`).
 
 Fast path
 ---------
@@ -27,14 +29,14 @@ simulator flips every bound signal to :class:`_FastSignal`, a
 layout-compatible subclass whose accessors skip the hook checks entirely.
 All contracts survive the switch: :class:`WidthError` and
 :class:`MultipleDriverError` are still raised with the same
-process-named messages, and ``drivers`` bookkeeping still works (backed
-by a set for O(1) membership, with the ordered list kept for
-diagnostics).
+process-named messages.  :meth:`~repro.kernel.simulator.Simulator.finish`
+unbinds every signal and reverts it to :class:`Signal`, so a signal
+outlives its run without pointing back at the simulator.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .simulator import Simulator
@@ -92,8 +94,6 @@ class Signal:
         "_next",
         "_pending",
         "_writer",
-        "_drivers",
-        "_driver_set",
         "_sim",
         "vcd_id",
     )
@@ -113,8 +113,6 @@ class Signal:
         self._next: int = init
         self._pending = False
         self._writer: Optional[object] = None
-        self._drivers: List[object] = []
-        self._driver_set: Set[object] = set()
         self._sim: Optional["Simulator"] = None
         self.vcd_id: Optional[str] = None
 
@@ -168,15 +166,6 @@ class Signal:
                 f"{self.width} bits"
             )
         writer = sim.active_process if sim is not None else None
-        if writer is not None:
-            drivers = self._drivers
-            # Identity check first: the overwhelmingly common case is the
-            # same process re-driving its own output, and ``is`` beats
-            # hashing a bound method.  The set makes the miss O(1).
-            if (not drivers or drivers[-1] is not writer) \
-                    and writer not in self._driver_set:
-                self._driver_set.add(writer)
-                drivers.append(writer)
         if self._pending:
             if self._next != value and self._writer is not writer:
                 if sim is not None:
@@ -219,20 +208,6 @@ class Signal:
         self.drive(value)
         self._commit()
 
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def drivers(self) -> Tuple[object, ...]:
-        """Every distinct process that has driven this signal so far."""
-        return tuple(self._drivers)
-
-    def driver_names(self) -> Tuple[str, ...]:
-        """Names of the recorded drivers (resolved via the simulator)."""
-        sim = self._sim
-        if sim is None:
-            return tuple(repr(d) for d in self._drivers)
-        return tuple(sim.process_label(d) for d in self._drivers)
-
     # -- kernel interface ----------------------------------------------------
 
     def _bind(self, sim: "Simulator") -> None:
@@ -272,9 +247,8 @@ class _FastSignal(Signal):
     read paid two attribute loads and a comparison for nothing, on the
     hottest path in the kernel.  ``__slots__`` stays empty so instances
     keep the exact :class:`Signal` layout and ``__class__`` assignment is
-    legal.  Width validation, driver bookkeeping and the
-    :class:`MultipleDriverError` diagnostics are byte-for-byte the same
-    as the slow path.
+    legal.  Width validation and the :class:`MultipleDriverError`
+    diagnostics are byte-for-byte the same as the slow path.
     """
 
     __slots__ = ()
@@ -302,12 +276,6 @@ class _FastSignal(Signal):
             )
         sim = self._sim
         writer = sim.active_process
-        if writer is not None:
-            drivers = self._drivers
-            if (not drivers or drivers[-1] is not writer) \
-                    and writer not in self._driver_set:
-                self._driver_set.add(writer)
-                drivers.append(writer)
         if self._pending:
             if self._next != value and self._writer is not writer:
                 raise MultipleDriverError(

@@ -650,9 +650,26 @@ class Simulator:
         )
 
     def finish(self) -> None:
-        """End the simulation and flush tracers. Idempotent."""
+        """End the simulation, flush tracers and release the design.
+
+        The process tables hold bound methods of modules that hold this
+        simulator, and every bound signal points back at it.  Dropping
+        the tables and unbinding the signals (back to plain
+        :class:`Signal`) leaves the object graph acyclic, so a finished
+        run is freed by reference counting alone.  Counters,
+        :meth:`process_times` and the tracers stay readable.  Idempotent.
+        """
         if self._finished:
             return
         self._finished = True
         for tracer in self._tracers:
             tracer.finish(self.now)
+        self._clocked = []
+        self._comb = []
+        self.clocked_processes = []
+        self.comb_processes = []
+        self._comb_labels.clear()
+        self._clocked_labels.clear()
+        for sig in self.signals:
+            sig._sim = None
+            sig.__class__ = Signal

@@ -632,17 +632,7 @@ class RtlNode(Module):
                 heads[flit.target] = flit
         for t, port in enumerate(self.targ_ports):
             flit = heads.get(t)
-            if flit is None:
-                port.idle_request()
-                port.add.drive(0)
-                port.opc.drive(0)
-                port.data.drive(0)
-                port.be.drive(0)
-                port.tid.drive(0)
-                port.src.drive(0)
-                port.pri.drive(0)
-            else:
-                port.drive_request(flit.cell)
+            port.present_request(None if flit is None else flit.cell)
 
     def _drive_response_outputs(self) -> None:
         heads: Dict[int, _RespFlit] = {}
@@ -652,14 +642,7 @@ class RtlNode(Module):
                 heads[flit.dest] = flit
         for i, port in enumerate(self.init_ports):
             flit = heads.get(i)
-            if flit is None:
-                port.idle_response()
-                port.r_opc.drive(0)
-                port.r_data.drive(0)
-                port.r_src.drive(0)
-                port.r_tid.drive(0)
-            else:
-                port.drive_response(flit.cell)
+            port.present_response(None if flit is None else flit.cell)
 
     # ------------------------------------------------------------------
     # introspection (tests, checkers, reports)

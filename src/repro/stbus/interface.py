@@ -35,7 +35,7 @@ A cell transfers on a clock edge where ``req & gnt`` (respectively
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..kernel import Module, Signal
 from .packet import Cell, RespCell
@@ -70,6 +70,9 @@ RESPONSE_FIELDS = (
     ("r_tid", TID_WIDTH),
 )
 
+#: What a bundle hold presents before its first drive: nothing yet.
+_UNDRIVEN = object()
+
 
 class StbusPort:
     """Type II/III signal bundle scoped as ``<module>.<name>.*``."""
@@ -99,6 +102,20 @@ class StbusPort:
         self.r_eop = make(f"{name}.r_eop")
         self.r_src = make(f"{name}.r_src", SRC_WIDTH)
         self.r_tid = make(f"{name}.r_tid", TID_WIDTH)
+        #: The cell on each channel's pins (None: idle), or _UNDRIVEN.
+        self._request_held: object = _UNDRIVEN
+        self._response_held: object = _UNDRIVEN
+        # Idle zeroes every pin of a channel, handshake pins first.  The
+        # drive order is the commit order, and that sets the order in
+        # which the changed pins wake combinational processes.
+        self._request_idle = (
+            self.req, self.eop, self.lck, self.add, self.opc, self.data,
+            self.be, self.tid, self.src, self.pri,
+        )
+        self._response_idle = (
+            self.r_req, self.r_eop, self.r_opc, self.r_data, self.r_src,
+            self.r_tid,
+        )
 
     # -- observation ----------------------------------------------------------
 
@@ -164,6 +181,36 @@ class StbusPort:
     def idle_response(self) -> None:
         self.r_req.drive(0)
         self.r_eop.drive(0)
+
+    # -- held bundles (registered outputs, driven only on a change) ----------
+
+    def present_request(self, cell: Optional[Cell]) -> None:
+        """Present ``cell`` on the request pins, or idle (every request pin
+        0) for None, unless the pins already present that cell object.
+
+        The pins are registered, so a skipped re-drive leaves every value
+        where it was.  Only the one process that owns this channel may
+        call it: the hold remembers the last cell, not who drove it.
+        """
+        if cell is self._request_held:
+            return
+        self._request_held = cell
+        if cell is None:
+            for sig in self._request_idle:
+                sig.drive(0)
+        else:
+            self.drive_request(cell)
+
+    def present_response(self, cell: Optional[RespCell]) -> None:
+        """The response-channel twin of :meth:`present_request`."""
+        if cell is self._response_held:
+            return
+        self._response_held = cell
+        if cell is None:
+            for sig in self._response_idle:
+                sig.drive(0)
+        else:
+            self.drive_response(cell)
 
     def signals(self) -> List[Signal]:
         """All bundle signals (the analyzer's per-port comparison set)."""

@@ -28,8 +28,9 @@ class FakeDutRig:
         self.bfm.load_program(
             [(Transaction(Opcode.load(4), 0x10), 0)]
         )
-        ArbitrationChecker(self.sim, "arb", self.cfg, [self.init_port],
-                           [self.targ_port], self.report, parent=self.top)
+        self.checker = ArbitrationChecker(
+            self.sim, "arb", self.cfg, [self.init_port], [self.targ_port],
+            self.report, parent=self.top)
 
         def fake_dut():
             if grant_mode == "never":
@@ -84,6 +85,4 @@ def test_checker_counts_cycles():
     rig = FakeDutRig("never")
     rig.sim.run(7)
     # one checked cycle per clock
-    checker = next(c for c in rig.top.children
-                   if isinstance(c, ArbitrationChecker))
-    assert checker.checked_cycles == 7
+    assert rig.checker.checked_cycles == 7

@@ -97,20 +97,3 @@ def test_width_error_inside_clocked_process_names_signal():
     with pytest.raises(WidthError) as excinfo:
         sim.step()
     assert "'t.narrow'" in str(excinfo.value)
-
-
-def test_signal_records_distinct_driver_names():
-    sim = Simulator()
-    top = Module(sim, "t")
-    sel = top.signal("sel")
-    out = top.signal("out")
-
-    def drv():
-        out.drive(int(sel))
-
-    top.comb(drv, [sel], name="drv")
-    sim.elaborate()
-    assert out.driver_names() == ("t.drv",)
-    # External (process-less) drives are not recorded as drivers.
-    sel.drive(1)
-    assert sel.driver_names() == ()

@@ -102,28 +102,6 @@ def test_fast_path_multiple_driver_names_both_processes():
     assert "same delta cycle" in message
 
 
-def test_fast_path_driver_bookkeeping_ordered_and_deduped():
-    sim = Simulator()
-    top = Module(sim, "t")
-    out = top.signal("out", width=8)
-    tick = top.signal("tick")
-
-    def writer():
-        out.drive(sim.now & 0xFF)
-
-    top.clocked(writer, name="writer", writes=[out])
-    top.clocked(lambda: tick.drive(1 - tick.value), name="ticker",
-                reads=[tick], writes=[tick])
-    sim.elaborate()
-    for _ in range(5):
-        sim.step()
-    # Driven every cycle by one process: recorded exactly once.
-    assert out.driver_names() == ("t.writer",)
-    # External drives (no active process) are not recorded.
-    out.drive(99)
-    assert out.driver_names() == ("t.writer",)
-
-
 def test_dry_run_attribution_survives_fast_path_refactor():
     """The lint dry run happens *during* elaborate, before the switch."""
     sim = Simulator()

@@ -1,6 +1,8 @@
 """Integration tests for the cycle scheduler: clocked/comb semantics."""
 
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.kernel import (
     ElaborationError,
     Module,
     Simulator,
+    Signal,
     SimulatorError,
 )
 from repro.vcd import VcdWriter, dump_to_string
@@ -137,15 +140,6 @@ def test_module_hierarchy_names():
     child = Module(sim, "dut", parent=top)
     sig = child.signal("req")
     assert sig.name == "top.dut.req"
-    assert child in top.children
-
-
-def test_module_add_child_renames():
-    sim = Simulator()
-    top = Module(sim, "top")
-    orphan = Module(sim, "late")
-    top.add_child(orphan)
-    assert orphan.name == "top.late"
 
 
 def test_finish_idempotent():
@@ -155,6 +149,38 @@ def test_finish_idempotent():
     sim.finish()
     with pytest.raises(SimulatorError):
         sim.step()
+
+
+def test_finish_releases_processes_and_unbinds_signals():
+    sim = Simulator()
+    sim.enable_process_timing()
+    top = Module(sim, "t")
+    count = top.signal("count", width=8)
+    double = top.signal("double", width=9)
+    top.clocked(lambda: count.drive((count.value + 1) & 0xFF), name="tick",
+                writes=[count])
+    top.comb(lambda: double.drive(count.value * 2), [count], name="dbl")
+    sim.elaborate()
+    sim.run(3)
+    sim.finish()
+    stats = sim.stats_snapshot()
+    assert stats["cycles"] == 3 and stats["signal_toggles"] > 0
+    assert sim.process_times()["t.tick"][0] == 3
+    assert sim.comb_processes == [] and sim.clocked_processes == []
+    # Unbound signals behave like any unbound signal: drive, then poke.
+    for sig in (count, double):
+        assert type(sig) is Signal and sig._sim is None
+    count.drive(7)
+    assert count.next == 7 and count.value == 3
+    double.poke(1)
+    assert double.value == 1
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim, top
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_comb_only_wakes_on_sensitivity():
