@@ -249,6 +249,42 @@ class _SourceSummary:
         )
 
 
+def _dump(node: ast.AST) -> str:
+    """``ast.dump(node)`` with default arguments, without its garbage.
+
+    The standard library's ``dump`` formats through a nested function
+    that refers to itself, so every call leaves a reference cycle that
+    only the cyclic collector frees.  This module-level twin of the
+    Python 3.11 formatter returns the same text and frees by refcount.
+    """
+    return _format_node(node)[0]
+
+
+def _format_node(node) -> Tuple[str, bool]:
+    """``(text, simple)`` for one value of an AST, as ``ast.dump``."""
+    if isinstance(node, ast.AST):
+        cls = type(node)
+        args = []
+        simple = True
+        for name in node._fields:
+            try:
+                value = getattr(node, name)
+            except AttributeError:
+                continue
+            if value is None and getattr(cls, name, ...) is None:
+                continue
+            text, field_simple = _format_node(value)
+            simple = simple and field_simple
+            args.append(f"{name}={text}")
+        text = f"{cls.__name__}({', '.join(args)})"
+        return text, simple and not args
+    if isinstance(node, list):
+        if not node:
+            return "[]", True
+        return "[" + ", ".join(_format_node(x)[0] for x in node) + "]", False
+    return repr(node), True
+
+
 def _summarize_source(raw: bytes) -> _SourceSummary:
     """Parse newline-normalized source bytes once into a summary."""
     try:
@@ -256,7 +292,7 @@ def _summarize_source(raw: bytes) -> _SourceSummary:
     except (SyntaxError, UnicodeDecodeError) as exc:
         return _SourceSummary(raw, 0, str(exc), {})
     found, classes = _walk_source(tree)
-    spans = {key: ast.dump(nodes[0]) if len(nodes) == 1 else len(nodes)
+    spans = {key: _dump(nodes[0]) if len(nodes) == 1 else len(nodes)
              for key, nodes in found.items()}
     targets = (_registered_defs(classes)
                if any(call in raw for call in _REGISTRATION_CALLS)
@@ -264,13 +300,13 @@ def _summarize_source(raw: bytes) -> _SourceSummary:
     for node in targets:
         node.body = [ast.Pass()]
     return _SourceSummary(
-        ast.dump(tree).encode("utf-8"), len(targets), None, spans)
+        _dump(tree).encode("utf-8"), len(targets), None, spans)
 
 
 def _summary_key_prefix(module_path: str = __file__):
     """``(hash state, key inputs)`` every source-summary key starts
-    from: the entry schema, the full interpreter version (``ast.dump``
-    output follows it) and the bytes of this module (which define a
+    from: the entry schema, the full interpreter version (the parsed
+    tree follows it) and the bytes of this module (which define a
     summary)."""
     with open(module_path, "rb") as handle:
         this = handle.read()
@@ -733,7 +769,8 @@ class ImpactIndex:
     environment digest are the same with or without it.  ``keep_graphs``
     keeps each design's :class:`~repro.lint.graph.DesignGraph` in
     :attr:`graphs` for :func:`diff_manifests`' fan-out cones; otherwise
-    the graphs (and the simulators they hold) are dropped as built.
+    each design's simulator is finished and dropped as soon as it is
+    fingerprinted, so refcounting frees it.
     """
 
     def __init__(self, configs: Sequence,
@@ -754,6 +791,8 @@ class ImpactIndex:
                 self.designs[label] = fingerprints
                 if keep_graphs:
                     self.graphs[label] = graph
+                else:
+                    graph.sim.finish()
         self.environment = environment_digest(sources=sources)
         self._keys: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []

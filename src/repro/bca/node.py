@@ -251,22 +251,25 @@ class BcaNode(Module):
     # ------------------------------------------------------------------
 
     def _compute_grants(self) -> None:
-        grants = [0] * self.config.n_initiators
-        for q in range(len(self._req_q)):
-            if not self._req_q[q].can_accept(self._queue_output_fired(q)):
+        n_init = self.config.n_initiators
+        grants = [0] * n_init
+        # One pass over the initiators: each one's eligibility, bucketed
+        # by request queue in ascending index order.
+        eligible: List[List[int]] = [[] for _ in self._req_q]
+        for i in range(n_init):
+            dest = self._current_destination(i)
+            if dest is None:
                 continue
-            candidates = []
-            for i in range(self.config.n_initiators):
-                dest = self._current_destination(i)
-                if dest is None or dest == ERROR_TARGET:
-                    continue
-                if self._req_queue_of(dest) != q:
-                    continue
-                if self._open_packet[i] is None \
-                        and not self._may_open_packet(i, dest):
-                    continue
-                candidates.append(i)
-            if not candidates:
+            if self._open_packet[i] is None \
+                    and not self._may_open_packet(i, dest):
+                continue
+            if dest == ERROR_TARGET:
+                grants[i] = 1  # the error engine is always ready
+            else:
+                eligible[self._req_queue_of(dest)].append(i)
+        for q, candidates in enumerate(eligible):
+            if not candidates or not self._req_q[q].can_accept(
+                    self._queue_output_fired(q)):
                 continue
             if self._busy_with[q] is not None:
                 winner = self._busy_with[q] \
@@ -278,13 +281,6 @@ class BcaNode(Module):
                 winner = self._arb[q].pick(candidates)
             if winner is not None:
                 grants[winner] = 1
-        for i in range(self.config.n_initiators):
-            dest = self._current_destination(i)
-            if dest != ERROR_TARGET:
-                continue
-            if self._open_packet[i] is not None \
-                    or self._may_open_packet(i, ERROR_TARGET):
-                grants[i] = 1
         for i, port in enumerate(self.init_ports):
             port.gnt.drive(grants[i])
 
@@ -298,38 +294,41 @@ class BcaNode(Module):
         return any(record.target == source for record in records)
 
     def _compute_response_grants(self) -> None:
+        n_init = self.config.n_initiators
         r_gnts = [0] * self.config.n_targets
-        err_pops = [0] * self.config.n_initiators
-        for q in range(len(self._resp_q)):
-            if not self._resp_q[q].can_accept(self._resp_queue_output_fired(q)):
+        err_pops = [0] * n_init
+        # One pass over the requesters, bucketed by response queue:
+        # targets first, then error engines, each in ascending order.
+        eligible: List[List[Tuple[int, int]]] = [[] for _ in self._resp_q]
+        locks = self._resp_busy_with
+        for t, port in enumerate(self.targ_ports):
+            if not port.r_req.value:
                 continue
-            candidates: List[Tuple[int, int]] = []
-            lock = self._resp_busy_with[q]
-            for t, port in enumerate(self.targ_ports):
-                if not port.r_req.value:
-                    continue
-                dest = port.r_src.value
-                if dest >= self.config.n_initiators:
-                    continue
-                if self._resp_queue_of(dest) != q:
-                    continue
-                if lock is not None and lock != t:
-                    continue
-                if lock is None and not self._response_order_ok(dest, t):
-                    continue
-                candidates.append((t, dest))
-            for i in range(self.config.n_initiators):
-                if self._resp_queue_of(i) != q or not self._err_resp[i]:
-                    continue
-                if self._err_resp[i][0][1] > self.sim.now:
-                    continue
-                slot = self._error_slot(i)
-                if lock is not None and lock != slot:
-                    continue
-                if lock is None and not self._response_order_ok(i, ERROR_TARGET):
-                    continue
-                candidates.append((slot, i))
-            if not candidates:
+            dest = port.r_src.value
+            if dest >= n_init:
+                continue
+            q = self._resp_queue_of(dest)
+            lock = locks[q]
+            if lock is not None and lock != t:
+                continue
+            if lock is None and not self._response_order_ok(dest, t):
+                continue
+            eligible[q].append((t, dest))
+        now = self.sim.now
+        for i in range(n_init):
+            if not self._err_resp[i] or self._err_resp[i][0][1] > now:
+                continue
+            q = self._resp_queue_of(i)
+            lock = locks[q]
+            slot = self._error_slot(i)
+            if lock is not None and lock != slot:
+                continue
+            if lock is None and not self._response_order_ok(i, ERROR_TARGET):
+                continue
+            eligible[q].append((slot, i))
+        for q, candidates in enumerate(eligible):
+            if not candidates or not self._resp_q[q].can_accept(
+                    self._resp_queue_output_fired(q)):
                 continue
             winner = self._resp_arb[q].pick([slot for slot, _ in candidates])
             if winner < self.config.n_targets:
@@ -448,14 +447,13 @@ class BcaNode(Module):
                 self._retire(item)
 
         # Arbiter ageing mirrors the specification's per-cycle semantics.
-        for q, arbiter in enumerate(self._arb):
-            waiting = []
-            for i in range(cfg.n_initiators):
-                dest = self._current_destination(i)
-                if dest is not None and dest != ERROR_TARGET \
-                        and self._req_queue_of(dest) == q:
-                    waiting.append(i)
-            arbiter.tick(waiting)
+        waiting: List[List[int]] = [[] for _ in self._arb]
+        for i in range(cfg.n_initiators):
+            dest = self._current_destination(i)
+            if dest is not None and dest != ERROR_TARGET:
+                waiting[self._req_queue_of(dest)].append(i)
+        for arbiter, requesting in zip(self._arb, waiting):
+            arbiter.tick(requesting)
 
         self._prog_clock()
         self._drive_outputs(now)

@@ -3,7 +3,10 @@
 Fig. 2: "checkers that check the correctness of the protocol at the
 interface".  One :class:`ProtocolChecker` watches one port, cycle by
 cycle, and reports every rule violation to the shared
-:class:`~repro.catg.report.VerificationReport`.
+:class:`~repro.catg.report.VerificationReport`.  It registers no process
+of its own: it subscribes to its port's
+:class:`~repro.catg.monitor.PortMonitor`, which hands it the handshake
+bits it sampled each cycle, after the monitor's packet subscribers.
 
 Rules enforced (rule ids as reported):
 
@@ -44,6 +47,7 @@ from ..stbus import (
     Type1Port,
 )
 from ..stbus.packet import lane_geometry
+from .monitor import PortMonitor
 from .report import VerificationReport
 
 
@@ -88,25 +92,21 @@ def _response_fields(port: StbusPort) -> tuple:
 
 
 class ProtocolChecker(Module):
-    """STBus Type II/III interface rule checker for one port."""
+    """STBus Type II/III interface rule checker for one port's monitor."""
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
-        port: StbusPort,
-        role: str,
-        index: int,
+        monitor: PortMonitor,
         protocol: ProtocolType,
         report: VerificationReport,
         parent: Optional[Module] = None,
     ):
         super().__init__(sim, name, parent)
-        if role not in ("initiator", "target"):
-            raise ValueError("role must be 'initiator' or 'target'")
-        self.port = port
-        self.role = role
-        self.index = index
+        self.port = monitor.port
+        self.role = monitor.role
+        self.index = monitor.index
         self.protocol = protocol
         self.report = report
         # Field snapshot of the previous cycle when its req (r_req) was
@@ -118,19 +118,18 @@ class ProtocolChecker(Module):
         self._resp_cells_seen = 0
         self._resp_first: Optional[tuple] = None  # (r_src, r_tid)
         self._chunk_src: Optional[int] = None
-        self.clocked(self._clk, reads=port.signals(), writes=())
+        monitor.on_sample(self.sample)
 
     # -- reporting helper ---------------------------------------------------
 
     def _fail(self, rule: str, message: str) -> None:
         self.report.error(rule, self.name, self.sim.now - 1, message)
 
-    # -- per-cycle sampling --------------------------------------------------
+    # -- per-cycle sample from the monitor ------------------------------------
 
-    def _clk(self) -> None:
+    def sample(self, req: int, gnt: int, r_req: int, r_gnt: int) -> None:
+        """Check one cycle, given the handshake bits the monitor read."""
         port = self.port
-        req = port.req._value
-        gnt = port.gnt._value
         if self._held_req is not None:
             if not req:
                 self._fail("REQ_DROPPED",
@@ -142,8 +141,6 @@ class ProtocolChecker(Module):
             self._check_request_cell(port)
         self._held_req = _request_fields(port) if req and not gnt else None
 
-        r_req = port.r_req._value
-        r_gnt = port.r_gnt._value
         if self._held_resp is not None:
             if not r_req:
                 self._fail("RESP_DROPPED",

@@ -255,10 +255,10 @@ class ConverterEnv:
         self.down_monitor = PortMonitor(self.sim, "mon_down", self.down_port,
                                         "target", 0, parent=self.top)
         self.checkers = [
-            ProtocolChecker(self.sim, "chk_up", self.up_port, "initiator",
-                            0, up_protocol, self.report, parent=self.top),
-            ProtocolChecker(self.sim, "chk_down", self.down_port, "target",
-                            0, down_protocol, self.report, parent=self.top),
+            ProtocolChecker(self.sim, "chk_up", self.up_monitor,
+                            up_protocol, self.report, parent=self.top),
+            ProtocolChecker(self.sim, "chk_down", self.down_monitor,
+                            down_protocol, self.report, parent=self.top),
         ]
         self.scoreboard = BridgeScoreboard(
             self.up_port.bus_bytes, self.down_port.bus_bytes,

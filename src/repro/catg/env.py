@@ -181,23 +181,17 @@ class VerificationEnv:
 
         self.monitors: List[PortMonitor] = []
         self.checkers: List[ProtocolChecker] = []
-        for i, port in enumerate(self.init_ports):
-            self.monitors.append(
-                PortMonitor(self.sim, f"mon_init{i}", port, "initiator", i,
-                            parent=self.top)
-            )
+        ports = [("init", "initiator", i, port)
+                 for i, port in enumerate(self.init_ports)]
+        ports += [("targ", "target", t, port)
+                  for t, port in enumerate(self.targ_ports)]
+        for prefix, role, index, port in ports:
+            monitor = PortMonitor(self.sim, f"mon_{prefix}{index}", port,
+                                  role, index, parent=self.top)
+            self.monitors.append(monitor)
             self.checkers.append(
-                ProtocolChecker(self.sim, f"chk_init{i}", port, "initiator",
-                                i, protocol, self.report, parent=self.top)
-            )
-        for t, port in enumerate(self.targ_ports):
-            self.monitors.append(
-                PortMonitor(self.sim, f"mon_targ{t}", port, "target", t,
-                            parent=self.top)
-            )
-            self.checkers.append(
-                ProtocolChecker(self.sim, f"chk_targ{t}", port, "target",
-                                t, protocol, self.report, parent=self.top)
+                ProtocolChecker(self.sim, f"chk_{prefix}{index}", monitor,
+                                protocol, self.report, parent=self.top)
             )
 
         if self.prog_port is not None:

@@ -3,8 +3,9 @@
 Fig. 2: each eVC has "monitors that collect traffic information".  A
 :class:`PortMonitor` watches one STBus port, reassembles request and
 response cells into observed packets, timestamps them, and broadcasts them
-to subscribers (protocol checkers work at cell granularity themselves; the
-scoreboard and coverage model consume whole packets from monitors).
+to subscribers: the scoreboard and coverage model consume whole packets,
+and the port's protocol checker consumes the per-cycle handshake sample
+the monitor read, so each port's pins are sampled by one process.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class ObservedResponse:
 
 RequestCallback = Callable[[ObservedRequest], None]
 ResponseCallback = Callable[[ObservedResponse], None]
+#: ``callback(req, gnt, r_req, r_gnt)`` with the sampled handshake bits.
+SampleCallback = Callable[[int, int, int, int], None]
 
 
 class PortMonitor(Module):
@@ -100,6 +103,7 @@ class PortMonitor(Module):
         self._resp_start = 0
         self._req_subs: List[RequestCallback] = []
         self._resp_subs: List[ResponseCallback] = []
+        self._sample_subs: List[SampleCallback] = []
         self.requests: List[ObservedRequest] = []
         self.responses: List[ObservedResponse] = []
         self.clocked(self._clk, reads=port.signals(), writes=())
@@ -110,10 +114,16 @@ class PortMonitor(Module):
     def on_response(self, callback: ResponseCallback) -> None:
         self._resp_subs.append(callback)
 
+    def on_sample(self, callback: SampleCallback) -> None:
+        """Receive every cycle's handshake bits, after the packet callbacks."""
+        self._sample_subs.append(callback)
+
     def _clk(self) -> None:
         cycle = self.sim.now - 1  # the cycle whose values we sampled
         port = self.port
-        if port.req._value and port.gnt._value:
+        req = port.req._value
+        gnt = port.gnt._value
+        if req and gnt:
             if not self._req_cells:
                 self._req_start = cycle
             cell = port.request_cell()
@@ -127,7 +137,9 @@ class PortMonitor(Module):
                 self.requests.append(obs)
                 for callback in self._req_subs:
                     callback(obs)
-        if port.r_req._value and port.r_gnt._value:
+        r_req = port.r_req._value
+        r_gnt = port.r_gnt._value
+        if r_req and r_gnt:
             if not self._resp_cells:
                 self._resp_start = cycle
             cell = port.response_cell()
@@ -141,3 +153,5 @@ class PortMonitor(Module):
                 self.responses.append(obs)
                 for callback in self._resp_subs:
                     callback(obs)
+        for callback in self._sample_subs:
+            callback(req, gnt, r_req, r_gnt)

@@ -138,21 +138,23 @@ class ArbitrationChecker(Module):
 
     def _expected_grants(self) -> List[int]:
         grants = [0] * self.config.n_initiators
-        dests = self._destinations()
-        for domain in range(len(self._arb)):
-            fired = self._domain_fired(domain)
-            if not (fired or self._occupancy[domain] < self.config.pipe_depth):
+        # One pass over the initiators, bucketed by domain in ascending
+        # index order; error-engine packets are granted outright.
+        eligible: List[List[int]] = [[] for _ in self._arb]
+        for i, dest in enumerate(self._destinations()):
+            if dest is None:
                 continue
-            candidates = []
-            for i, dest in enumerate(dests):
-                if dest is None or dest == ERROR_TARGET:
-                    continue
-                if self._domain(dest) != domain:
-                    continue
-                if self._route[i] is None and not self._may_open(i, dest):
-                    continue
-                candidates.append(i)
+            if self._route[i] is None and not self._may_open(i, dest):
+                continue
+            if dest == ERROR_TARGET:
+                grants[i] = 1
+            else:
+                eligible[self._domain(dest)].append(i)
+        for domain, candidates in enumerate(eligible):
             if not candidates:
+                continue
+            if not (self._domain_fired(domain)
+                    or self._occupancy[domain] < self.config.pipe_depth):
                 continue
             if self._busy[domain] is not None:
                 winner = self._busy[domain] \
@@ -164,11 +166,6 @@ class ArbitrationChecker(Module):
                 winner = self._arb[domain].pick(candidates)
             if winner is not None:
                 grants[winner] = 1
-        for i, dest in enumerate(dests):
-            if dest != ERROR_TARGET:
-                continue
-            if self._route[i] is not None or self._may_open(i, ERROR_TARGET):
-                grants[i] = 1
         return grants
 
     # -- per-cycle: predict, compare, then update state ------------------------
@@ -222,14 +219,12 @@ class ArbitrationChecker(Module):
                 self._retire(i, port.r_tid._value)
         # Per-cycle arbiter ageing (identical rule to the specification),
         # against the routes the grants above just updated.
-        dests = self._destinations()
-        for domain, arbiter in enumerate(self._arb):
-            waiting = []
-            for i, dest in enumerate(dests):
-                if dest is not None and dest != ERROR_TARGET \
-                        and self._domain(dest) == domain:
-                    waiting.append(i)
-            arbiter.tick(waiting)
+        waiting: List[List[int]] = [[] for _ in self._arb]
+        for i, dest in enumerate(self._destinations()):
+            if dest is not None and dest != ERROR_TARGET:
+                waiting[self._domain(dest)].append(i)
+        for arbiter, requesting in zip(self._arb, waiting):
+            arbiter.tick(requesting)
         # Programming-port writes reprogram the reference immediately.
         self._watch_prog()
 

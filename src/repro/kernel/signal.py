@@ -36,6 +36,7 @@ outlives its run without pointing back at the simulator.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -253,9 +254,9 @@ class _FastSignal(Signal):
 
     __slots__ = ()
 
-    @property
-    def value(self) -> int:
-        return self._value
+    # A C-level getter: model code reads ``.value`` without a Python frame.
+    value = property(operator.attrgetter("_value"),
+                     doc="The committed value, stable within a delta cycle.")
 
     def __bool__(self) -> bool:
         return self._value != 0

@@ -240,4 +240,7 @@ def lint_config(
             config, sims["rtl"], sims["bca"]
         )
         apply_waivers(result.cross_view, waivers)
+    # Release the designs: unfinished, they stay in reference cycles.
+    for sim in sims.values():
+        sim.finish()
     return result

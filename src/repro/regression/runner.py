@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analyzer import AlignmentReport
@@ -93,9 +94,13 @@ class TestEntry:
                 return status
         return "ERROR"
 
-    @property
+    @cached_property
     def coverage_equal(self) -> bool:
-        """The paper's requirement: same tests => equal functional coverage."""
+        """The paper's requirement: same tests => equal functional coverage.
+
+        Computed once per entry: the summary, the report and the sign-off
+        all ask, and an entry's runs never change once it is built.
+        """
         if isinstance(self.rtl, RunFailure) or isinstance(self.bca, RunFailure):
             return False
         return (

@@ -286,19 +286,26 @@ class RtlNode(Module):
             return all(entry.target == target for entry in outstanding)
         return True
 
-    def _candidates(self, domain: int) -> List[int]:
-        """Initiators eligible for request arbitration in ``domain`` now."""
-        result = []
+    def _candidates(self) -> Tuple[List[List[int]], List[int]]:
+        """Initiators eligible for request arbitration now, in one pass.
+
+        Returns each domain's eligible initiators in ascending index
+        order, and the initiators whose current packet goes to the error
+        engine and may proceed.
+        """
+        domains: List[List[int]] = [[] for _ in self.req_pipes]
+        errors: List[int] = []
         for i in range(self.config.n_initiators):
             target = self._head_target(i)
-            if target is None or target == ERROR_TARGET:
-                continue
-            if self._domain_of(target) != domain:
+            if target is None:
                 continue
             if self._route[i] is None and not self._ordering_ok(i, target):
                 continue
-            result.append(i)
-        return result
+            if target == ERROR_TARGET:
+                errors.append(i)
+            else:
+                domains[self._domain_of(target)].append(i)
+        return domains, errors
 
     def _domain_output_fired(self, domain: int) -> bool:
         pipe = self.req_pipes[domain]
@@ -314,11 +321,11 @@ class RtlNode(Module):
 
     def _grant_proc(self) -> None:
         grants = [0] * self.config.n_initiators
+        eligible, errors = self._candidates()
         for domain, pipe in enumerate(self.req_pipes):
-            if not pipe.can_accept(self._domain_output_fired(domain)):
-                continue
-            candidates = self._candidates(domain)
-            if not candidates:
+            candidates = eligible[domain]
+            if not candidates \
+                    or not pipe.can_accept(self._domain_output_fired(domain)):
                 continue
             if self._in_packet[domain] is not None:
                 owner = self._in_packet[domain]
@@ -331,46 +338,44 @@ class RtlNode(Module):
             if winner is not None:
                 grants[winner] = 1
         # Error-engine grants (always ready; disjoint from domain grants).
-        for i in range(self.config.n_initiators):
-            target = self._head_target(i)
-            if target != ERROR_TARGET:
-                continue
-            if self._route[i] is not None or self._ordering_ok(i, ERROR_TARGET):
-                grants[i] = 1
+        for i in errors:
+            grants[i] = 1
         for i, port in enumerate(self.init_ports):
             port.gnt.drive(grants[i])
 
-    def _resp_candidates(self, domain: int) -> List[Tuple[int, int]]:
-        """(requester_slot, dest_initiator) pairs eligible for ``domain``."""
-        result = []
-        lock = self._resp_in_packet[domain]
+    def _resp_candidates(self) -> List[List[Tuple[int, int]]]:
+        """Each response domain's eligible (requester_slot, dest_initiator)
+        pairs, in one pass: targets first, then error engines."""
+        n_init = self.config.n_initiators
+        locks = self._resp_in_packet
+        result: List[List[Tuple[int, int]]] = [[] for _ in self.resp_pipes]
         for t, port in enumerate(self.targ_ports):
             if not port.r_req.value:
                 continue
             dest = port.r_src.value
-            if dest >= self.config.n_initiators:
+            if dest >= n_init:
                 continue  # corrupt src: no route (checkers will flag the DUT)
-            if self._resp_domain_of(dest) != domain:
-                continue
+            domain = self._resp_domain_of(dest)
+            lock = locks[domain]
             if lock is not None and lock != t:
                 continue
             if lock is None and not self._resp_order_ok(dest, t):
                 continue
-            result.append((t, dest))
-        for i in range(self.config.n_initiators):
-            if self._resp_domain_of(i) != domain:
-                continue
+            result[domain].append((t, dest))
+        now = self.sim.now
+        for i in range(n_init):
             if not self._err_queue[i]:
                 continue
-            cell, avail = self._err_queue[i][0]
-            if avail > self.sim.now:
+            if self._err_queue[i][0][1] > now:
                 continue
+            domain = self._resp_domain_of(i)
+            lock = locks[domain]
             slot = self._error_slot(i)
             if lock is not None and lock != slot:
                 continue
             if lock is None and not self._resp_order_ok(i, ERROR_TARGET):
                 continue
-            result.append((slot, i))
+            result[domain].append((slot, i))
         return result
 
     def _resp_order_ok(self, initiator: int, source: int) -> bool:
@@ -392,7 +397,11 @@ class RtlNode(Module):
     def _resp_grant_proc(self) -> None:
         r_gnts = [0] * self.config.n_targets
         err_pops = [0] * self.config.n_initiators
+        eligible = self._resp_candidates()
         for domain, pipe in enumerate(self.resp_pipes):
+            candidates = eligible[domain]
+            if not candidates:
+                continue
             flit = pipe.output
             fired = bool(
                 flit is not None
@@ -400,9 +409,6 @@ class RtlNode(Module):
                 and self.init_ports[flit.dest].r_gnt.value
             )
             if not pipe.can_accept(fired):
-                continue
-            candidates = self._resp_candidates(domain)
-            if not candidates:
                 continue
             slots = [slot for slot, _ in candidates]
             winner = self.resp_arbiters[domain].pick(slots)
@@ -523,14 +529,13 @@ class RtlNode(Module):
             self._retire_outstanding(flit)
 
         # 6. Per-cycle arbiter ageing.
-        for domain, arbiter in enumerate(self.req_arbiters):
-            waiting = []
-            for i in range(cfg.n_initiators):
-                target = self._head_target(i)
-                if target is not None and target != ERROR_TARGET \
-                        and self._domain_of(target) == domain:
-                    waiting.append(i)
-            arbiter.tick(waiting)
+        waiting: List[List[int]] = [[] for _ in self.req_arbiters]
+        for i in range(cfg.n_initiators):
+            target = self._head_target(i)
+            if target is not None and target != ERROR_TARGET:
+                waiting[self._domain_of(target)].append(i)
+        for arbiter, requesting in zip(self.req_arbiters, waiting):
+            arbiter.tick(requesting)
 
         # 7. Programming port.
         self._prog_clk()

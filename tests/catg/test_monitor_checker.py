@@ -1,5 +1,7 @@
 """Monitor packet re-assembly and protocol checker rule tests."""
 
+import os
+
 import pytest
 
 from repro.catg import (
@@ -7,8 +9,14 @@ from repro.catg import (
     ProtocolChecker,
     VerificationReport,
 )
+from repro.catg.env import VerificationEnv
 from repro.kernel import Module, Simulator
+from repro.regression.configs import load_config_dir
+from repro.regression.testcases import build_test
 from repro.stbus import Opcode, ProtocolType, StbusPort
+
+BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "..",
+                             "benchmarks", "e2e", "configs")
 
 
 class PortRig:
@@ -21,7 +29,7 @@ class PortRig:
         self.report = VerificationReport()
         self.monitor = PortMonitor(self.sim, "mon", self.port, role, 0,
                                    parent=self.top)
-        self.checker = ProtocolChecker(self.sim, "chk", self.port, role, 0,
+        self.checker = ProtocolChecker(self.sim, "chk", self.monitor,
                                        protocol, self.report, parent=self.top)
         self.sim.elaborate()
         # One idle step so the first driven cycle is observed as cycle 0.
@@ -202,3 +210,49 @@ def test_monitor_response_assembly_and_error_flag():
     rig.cycle(r_req=0, r_eop=0)
     assert len(rig.monitor.responses) == 1
     assert rig.monitor.responses[0].is_error
+
+
+def test_checker_registers_no_process():
+    rig = PortRig()
+    names = [info.name for info in rig.sim.clocked_processes]
+    assert names == ["rig.mon._clk"]
+    assert rig.sim.comb_processes == []
+
+
+def test_checker_reports_after_monitor_subscribers():
+    # Sub-word lanes shifted by the seeded BCA bug: the scoreboard (a
+    # monitor packet subscriber) and the target port's protocol checker
+    # both flag the same cell, scoreboard first, as before the checker
+    # ran on its monitor's sample.
+    config = next(c for c in load_config_dir(BENCH_CONFIGS)
+                  if c.name.startswith("cfg14"))
+    env = VerificationEnv(config, view="bca",
+                          bugs={"subword-lane-misplacement"})
+    env.load_test(build_test("t08_locked_chunks", config, 1))
+    assert env.run().report.render() == (
+        "Verification report: cfg14_t2_2x2_w32_partial_round_robin/bca\n"
+        "Status: FAIL\n"
+        "Violations: 6\n"
+        "  [SB_REQ_CORRUPT] @1 scoreboard: init0->targ0 cell 0: sent "
+        "Cell(add=965, opc=32, data=32256, be=2, eop=1, lck=1, tid=0, src=0,"
+        " pri=14), observed Cell(add=965, opc=32, data=126, be=1, eop=1, "
+        "lck=1, tid=0, src=0, pri=14)\n"
+        "  [PKT_BE] @1 tb.chk_targ0: cell 0: be 0x1, expected 0x2\n"
+        "  [SB_REQ_CORRUPT] @14 scoreboard: init0->targ1 cell 0: sent "
+        "Cell(add=6277, opc=32, data=47104, be=2, eop=1, lck=1, tid=2, "
+        "src=0, pri=7), observed Cell(add=6277, opc=32, data=184, be=1, "
+        "eop=1, lck=1, tid=2, src=0, pri=7)\n"
+        "  [PKT_BE] @14 tb.chk_targ1: cell 0: be 0x1, expected 0x2\n"
+        "  [SB_REQ_CORRUPT] @15 scoreboard: init0->targ1 cell 0: sent "
+        "Cell(add=4346, opc=32, data=327680, be=4, eop=1, lck=0, tid=3, "
+        "src=0, pri=0), observed Cell(add=4346, opc=32, data=5, be=1, eop=1,"
+        " lck=0, tid=3, src=0, pri=0)\n"
+        "  [PKT_BE] @15 tb.chk_targ1: cell 0: be 0x1, expected 0x4\n"
+    )
+
+
+def test_elaborated_signal_value_is_read_only():
+    rig = PortRig()
+    with pytest.raises(AttributeError):
+        rig.port.req.value = 1
+    assert rig.port.req.value == 0
