@@ -20,7 +20,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.regression import RegressionRunner
+from repro.regression import BatchSpec, RegressionRunner
 from repro.stbus import NodeConfig, ProtocolType
 
 TESTS = ["t02_random_uniform", "t09_mixed_sizes"]
@@ -38,10 +38,10 @@ def _configs():
 
 
 def _batch(workdir, jobs=1, cache_dir=None):
-    runner = RegressionRunner(
-        _configs(), tests=TESTS, seeds=SEEDS, workdir=str(workdir),
+    runner = RegressionRunner(_configs(), BatchSpec(
+        tests=TESTS, seeds=SEEDS, workdir=str(workdir),
         cache_dir=str(cache_dir) if cache_dir else None, jobs=jobs,
-    )
+    ))
     start = time.perf_counter()
     report = runner.run()
     return report, time.perf_counter() - start, runner

@@ -10,13 +10,18 @@ model signs off.
 
 import pytest
 
-from repro.regression import RegressionRunner, configuration_matrix
+from repro.regression import (
+    BatchSpec,
+    RegressionRunner,
+    configuration_matrix,
+)
 
 
 def run_full_regression(workdir):
     configs = configuration_matrix()
     assert len(configs) > 36
-    runner = RegressionRunner(configs, seeds=(1, 2), workdir=str(workdir))
+    runner = RegressionRunner(
+        configs, BatchSpec(seeds=(1, 2), workdir=str(workdir)))
     return runner.run()
 
 
@@ -48,8 +53,9 @@ def test_e1_config_files_drive_the_tool(benchmark, tmp_path):
         configs = configuration_matrix(small=True)[:2]
         save_config_dir(configs, str(tmp_path / "cfgs"))
         loaded = load_config_dir(str(tmp_path / "cfgs"))
-        runner = RegressionRunner(loaded, tests=["t02_random_uniform"],
-                                  seeds=(1,), workdir=str(tmp_path / "out"))
+        runner = RegressionRunner(loaded, BatchSpec(
+            tests=["t02_random_uniform"], seeds=(1,),
+            workdir=str(tmp_path / "out")))
         return runner.run()
 
     report = benchmark.pedantic(run_from_dir, rounds=1, iterations=1)

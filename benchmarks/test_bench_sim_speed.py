@@ -28,7 +28,7 @@ from repro.bca.fast import FastBcaSim
 from repro.catg.bfm import InitiatorBfm
 from repro.catg.target import TargetHarness
 from repro.kernel import Module, Simulator
-from repro.regression import RegressionRunner
+from repro.regression import BatchSpec, RegressionRunner
 from repro.regression.testcases import build_test
 from repro.rtl import RtlNode
 from repro.stbus import ArbitrationPolicy, NodeConfig, StbusPort
@@ -156,8 +156,8 @@ def _available_cpus():
 
 
 def _run_regression(jobs, workdir):
-    runner = RegressionRunner(REG_CONFIGS, tests=REG_TESTS, seeds=(1,),
-                              workdir=str(workdir), jobs=jobs)
+    runner = RegressionRunner(REG_CONFIGS, BatchSpec(
+        tests=REG_TESTS, seeds=(1,), workdir=str(workdir), jobs=jobs))
     return runner.run()
 
 

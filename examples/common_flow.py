@@ -14,7 +14,13 @@ Run:  python examples/common_flow.py
 
 import tempfile
 
-from repro import ArbitrationPolicy, CommonVerificationFlow, NodeConfig, ProtocolType
+from repro import (
+    ArbitrationPolicy,
+    BatchSpec,
+    CommonVerificationFlow,
+    NodeConfig,
+    ProtocolType,
+)
 from repro.catg import CodeCoverage
 
 
@@ -31,13 +37,12 @@ def main() -> None:
 
     # The first BCA drop ships with the stuck-LRU bug; the flow must catch
     # it, loop back ("fix the BCA model"), and then sign off.
-    flow = CommonVerificationFlow(
-        config,
+    flow = CommonVerificationFlow(config, BatchSpec(
         tests=["t02_random_uniform", "t03_out_of_order", "t06_lru_fairness"],
         seeds=(1, 2),
         workdir=workdir,
-        initial_bca_bugs=("lru-recency-stuck",),
-    )
+        bca_bugs=("lru-recency-stuck",),
+    ))
     with CodeCoverage() as tracer:
         outcome = flow.execute()
     print(outcome.render())

@@ -45,6 +45,7 @@ from .stbus import (
 )
 from .catg import RunResult, VerificationEnv, run_test
 from .regression import (
+    BatchSpec,
     CommonVerificationFlow,
     RegressionRunner,
     TESTCASES,
@@ -70,6 +71,7 @@ __all__ = [
     "VerificationEnv",
     "RunResult",
     "run_test",
+    "BatchSpec",
     "RegressionRunner",
     "CommonVerificationFlow",
     "TESTCASES",

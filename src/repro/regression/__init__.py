@@ -2,8 +2,10 @@
 
 from .configs import configuration_matrix, load_config_dir, save_config_dir
 from .testcases import TESTCASES, build_test
+from .spec import BatchSpec, BatchSpecError, ResilienceConfig
 from .runner import (
     ConfigReport,
+    GateResult,
     RegressionReport,
     RegressionRunner,
     TestEntry,
@@ -15,7 +17,7 @@ from .flow import (
     FlowState,
 )
 from .parallel import RunJob, default_jobs, execute_run_job
-from .resilience import BatchFaults, ResilienceConfig, RunFailure
+from .resilience import BatchFaults, RunFailure
 from .distributed import DistributedBatchExecutor
 
 __all__ = [
@@ -24,7 +26,10 @@ __all__ = [
     "save_config_dir",
     "TESTCASES",
     "build_test",
+    "BatchSpec",
+    "BatchSpecError",
     "RegressionRunner",
+    "GateResult",
     "RegressionReport",
     "ConfigReport",
     "TestEntry",

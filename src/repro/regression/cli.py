@@ -8,8 +8,10 @@ regression tests in batch mode"; this is the batch half.  Usage::
         [--bugs lru-recency-stuck ...] [--no-compare]
 
 ``CONFIG_DIR`` holds the ``*.cfg`` HDL-parameter files ("it's sufficient
-to indicate the directory").  Exit status 0 means every configuration
-signed off.
+to indicate the directory").  The flags build one
+:class:`~repro.regression.spec.BatchSpec`, which validates them.  Exit
+status 0 means every configuration signed off, 1 that one did not or
+that the static gate failed, 2 a usage error.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from ..cache import CACHE_DIR_ENV
 from ..stbus import ConfigError
 from ..telemetry import RunLogger, TelemetryConfig
 from .configs import load_config_dir
-from .resilience import ResilienceConfig
+from .parallel import default_jobs
 from .runner import RegressionRunner
+from .spec import BatchSpec, BatchSpecError, ResilienceConfig
 from .testcases import TESTCASES
 
 
@@ -143,102 +146,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lint_gate(configs, waiver_file: Optional[str]) -> int:
-    """Lint both views of every configuration; return the number that
-    have error-severity findings (each is reported on stderr)."""
-    from ..lint import lint_config, parse_waivers
-
-    waivers = ()
-    if waiver_file:
-        with open(waiver_file, "r", encoding="utf-8") as handle:
-            waivers = parse_waivers(handle.read())
-    n_bad = 0
-    for config in configs:
-        result = lint_config(config, waivers=waivers)
-        if result.has_errors:
-            n_bad += 1
-            print(result.render(), end="", file=sys.stderr)
-    return n_bad
+#: The flag behind each spec field a validation error can name.
+_FLAGS = {
+    "jobs": "--jobs",
+    "triage": "--triage",
+    "lint_waivers": "--lint-waivers",
+    "run_timeout": "--run-timeout",
+    "max_retries": "--max-retries",
+    "backoff": "--retry-backoff",
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Flag validation first: a bad flag should fail before any config is
+    # Every flag is checked (here, or by the spec) before any config is
     # loaded or linted.
-    if args.jobs < 0:
-        print(f"error: --jobs must be >= 0, got {args.jobs}",
-              file=sys.stderr)
-        return 2
-    if args.triage and (args.no_compare or not args.workdir):
-        print("error: --triage needs the comparison stage "
-              "(a --workdir and no --no-compare)", file=sys.stderr)
-        return 2
-    if args.max_retries < 0:
-        print(f"error: --max-retries must be >= 0, got {args.max_retries}",
-              file=sys.stderr)
-        return 2
-    if args.retry_backoff < 0:
-        print("error: --retry-backoff must be >= 0, got "
-              f"{args.retry_backoff:g}", file=sys.stderr)
-        return 2
     if args.cache_dir and args.no_cache:
         print("error: --cache-dir conflicts with --no-cache",
               file=sys.stderr)
         return 2
-    if args.run_timeout is not None and args.run_timeout <= 0:
-        print(f"error: --run-timeout must be > 0, got {args.run_timeout}",
-              file=sys.stderr)
+    cache_dir = args.cache_dir
+    if cache_dir is None and not args.no_cache:
+        cache_dir = os.environ.get(CACHE_DIR_ENV) or None
+    try:
+        spec = BatchSpec(
+            tests=args.tests,
+            seeds=args.seeds,
+            workdir=args.workdir,
+            compare=not args.no_compare,
+            bca_bugs=args.bugs,
+            jobs=default_jobs() if args.jobs == 0 else args.jobs,
+            telemetry=TelemetryConfig(
+                metrics_out=args.metrics_out,
+                trace_out=args.trace_out,
+                log_out=args.log_json,
+                time_processes=args.time_processes,
+            ),
+            resilience=ResilienceConfig(
+                run_timeout=args.run_timeout,
+                max_retries=args.max_retries,
+                backoff=args.retry_backoff,
+            ),
+            unr=args.unr,
+            triage=args.triage,
+            cache_dir=cache_dir,
+            lint=not args.skip_lint,
+            lint_waivers=args.lint_waivers,
+        )
+    except BatchSpecError as exc:
+        print(f"error: {_FLAGS[exc.field]} {exc.problem}", file=sys.stderr)
         return 2
     try:
         configs = load_config_dir(args.config_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.skip_lint:
-        try:
-            n_bad = _lint_gate(configs, args.lint_waivers)
-        except OSError as exc:
-            print(f"error: cannot read lint waivers: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:  # WaiverError and friends
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if n_bad:
-            print(f"error: static lint failed for {n_bad} "
-                  "configuration(s); fix the findings or rerun with "
-                  "--skip-lint", file=sys.stderr)
-            return 1
-    jobs = args.jobs
-    if jobs == 0:
-        from .parallel import default_jobs
-
-        jobs = default_jobs()
-    cache_dir = args.cache_dir
-    if cache_dir is None and not args.no_cache:
-        cache_dir = os.environ.get(CACHE_DIR_ENV) or None
-    runner = RegressionRunner(
-        configs,
-        tests=args.tests,
-        seeds=args.seeds,
-        workdir=args.workdir,
-        compare_waveforms=not args.no_compare,
-        bca_bugs=set(args.bugs),
-        jobs=jobs,
-        telemetry=TelemetryConfig(
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            log_out=args.log_json,
-            time_processes=args.time_processes,
-        ),
-        resilience=ResilienceConfig(
-            run_timeout=args.run_timeout,
-            max_retries=args.max_retries,
-            backoff=args.retry_backoff,
-        ),
-        unr=args.unr,
-        triage=args.triage,
-        cache_dir=cache_dir,
-    )
+    runner = RegressionRunner(configs, spec)
+    failed = runner.gate().failed
+    if failed:
+        for result in failed:
+            print(result.render(), end="", file=sys.stderr)
+        print(f"error: static lint failed for {len(failed)} "
+              "configuration(s); fix the findings or rerun with "
+              "--skip-lint", file=sys.stderr)
+        return 1
     # A farm scheduler evicts with SIGTERM, an operator with Ctrl-C;
     # both deserve the same clean abort: the cache stores each run as it
     # completes, so everything finished so far is resumable.
@@ -268,7 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_runs=report.n_runs,
         n_configs=len(configs),
         wall_seconds=round(report.wall_seconds, 3),
-        jobs=jobs,
+        jobs=spec.jobs,
         all_signed_off=report.all_signed_off,
     )
     return 0 if report.all_signed_off else 1

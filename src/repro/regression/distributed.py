@@ -140,8 +140,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     a ``run_timeout`` runs inline through the base class.
     """
 
-    def __init__(self, jobs_by_key, **kwargs) -> None:
-        super().__init__(jobs_by_key, **kwargs)
+    def __init__(self, jobs_by_key, spec, **kwargs) -> None:
+        super().__init__(jobs_by_key, spec, **kwargs)
         self._workers: List[_Worker] = []
         self._job_seq = 0
         self._task_seq = 0
@@ -149,7 +149,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         self._unleased_deaths = 0
 
     def execute(self):
-        if self.jobs == 1 and self.config.run_timeout is None:
+        if (self.spec.jobs == 1
+                and self.spec.resilience.run_timeout is None):
             return super().execute()
         try:
             self._execute_leased()
@@ -189,8 +190,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         """Keep ``min(jobs, pending)`` workers alive, while the budget
         for workers that die without a lease lasts."""
         alive = len(self._alive())
-        budget = 2 * self.jobs
-        while (alive < min(self.jobs, pending)
+        budget = 2 * self.spec.jobs
+        while (alive < min(self.spec.jobs, pending)
                 and self._unleased_deaths < budget):
             replacing = len(self._workers) > alive
             worker = self._spawn_worker()
@@ -363,14 +364,14 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 task, "WorkerLost",
                 f"no worker left to run this job: {self._unleased_deaths} "
                 f"worker(s) died without a lease (budget "
-                f"{2 * self.jobs})"), retry=False)
+                f"{2 * self.spec.jobs})"), retry=False)
 
     # -- the watchdog ---------------------------------------------------------
 
     def _enforce_deadlines(self, ready: Deque[_Task], backoff: list,
                            now: float) -> None:
         """End every worker whose oldest lease overran ``run_timeout``."""
-        timeout = self.config.run_timeout
+        timeout = self.spec.resilience.run_timeout
         if timeout is None:
             return
         for worker in self._alive():

@@ -14,14 +14,13 @@ the executable form of the paper's flow diagram, used by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from ..analyzer import SIGNOFF_THRESHOLD
 from ..stbus import NodeConfig
-from ..telemetry import TelemetryConfig
-from .resilience import ResilienceConfig
 from .runner import ConfigReport, RegressionRunner
+from .spec import BatchSpec
 
 
 class FlowState(enum.Enum):
@@ -71,81 +70,31 @@ class FlowOutcome:
 class CommonVerificationFlow:
     """Executable Figure 4/5 for one node configuration.
 
-    ``fix_bca`` models the "low alignment rate → fix the BCA model" loop:
-    it is called with the current bug set and returns the bug set of the
-    next BCA drop (an empty set is the fixed model).
+    ``spec`` (a :class:`~repro.regression.spec.BatchSpec`) describes the
+    first iteration's regression; each later iteration derives its spec
+    from the last with :func:`dataclasses.replace`:
 
-    ``analysis`` adds the static dataflow-analysis gate (races, CDC,
-    cross-view cones, UNR) after the lint gate; like lint, it runs before
-    any cycle is simulated and error findings stop the flow.
+    * the "fix the BCA model" loop (checkers failed, or a low alignment
+      rate) drops ``bca_bugs`` — an empty set is the fixed model;
+    * the "extend the test suite" loop (coverage below 100%) adds the
+      missing test cases, then an extra seed;
+    * enabled telemetry files are tagged ``iterN`` (e.g.
+      ``metrics.iter2.json``) so no iteration overwrites another.
 
-    ``symbolic`` strengthens that gate with the symbolic pass (and
-    implies ``analysis=True``): every port must pass the functional
-    RTL/BCA agreement check before a single cycle is simulated.  When
-    the current BCA drop carries known bugs the check fails statically —
-    the flow records the mismatch, applies the fix (mirroring the
-    dynamic "low alignment rate" loop, but without running a regression
-    first) and re-checks.
-
-    ``telemetry`` (an optional
-    :class:`~repro.telemetry.TelemetryConfig`) is threaded into every
-    regression the flow runs; since the flow may iterate several times,
-    each iteration's side-channel files are tagged ``iterN`` (e.g.
-    ``metrics.iter2.json``) so no iteration overwrites another.
-
-    ``resilience`` (an optional
-    :class:`~repro.regression.resilience.ResilienceConfig`) is threaded
-    into every regression unchanged.
-
-    ``jobs``/``cache_dir`` thread straight into every regression the
-    flow runs: with ``jobs > 1`` the iterations execute on leased worker
-    processes, and with a cache the later iterations reuse
-    every run whose coordinates an earlier one already simulated (the
-    fix loop re-runs only what the fix invalidated — BCA entries key on
-    their bug set, the RTL entries hit the cache unchanged).  The cache
-    keys on cone-scoped semantic fingerprints
-    (:mod:`repro.analysis.impact`), so across *source* edits only the
-    entries the edit's fan-out cone can affect re-execute.
+    Before the first iteration the runner's static gate lints both views
+    (``spec.lint``) and, with ``spec.analysis``, runs the dataflow
+    analysis (races, CDC, cross-view cones, UNR); error findings stop
+    the flow before any cycle is simulated.  With ``spec.triage`` the
+    localized suspects are folded into the fix-loop transitions, and
+    with a ``spec.cache_dir`` later iterations re-run only what the fix
+    invalidated (BCA entries key on their bug set).
     """
 
-    def __init__(
-        self,
-        config: NodeConfig,
-        tests: Optional[Sequence[str]] = None,
-        seeds: Sequence[int] = (1,),
-        workdir: Optional[str] = None,
-        initial_bca_bugs: Sequence[str] = (),
-        max_iterations: int = 4,
-        lint: bool = True,
-        analysis: bool = False,
-        symbolic: bool = False,
-        jobs: int = 1,
-        telemetry: Optional[TelemetryConfig] = None,
-        resilience: Optional["ResilienceConfig"] = None,
-        triage: bool = False,
-        cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, config: NodeConfig, spec: BatchSpec,
+                 max_iterations: int = 4):
         self.config = config
-        self.tests = tests
-        self.seeds = seeds
-        self.workdir = workdir
-        self.bca_bugs = frozenset(initial_bca_bugs)
+        self.spec = spec
         self.max_iterations = max_iterations
-        self.lint = lint
-        self.analysis = analysis or symbolic
-        self.symbolic = symbolic
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        #: Auto-triage failing entries each iteration; the localized
-        #: suspects are folded into the "fix the BCA model" transitions
-        #: so the fix loop starts from a named process, not a hunch.
-        self.triage = triage
-        self.telemetry = (
-            telemetry if telemetry is not None else TelemetryConfig()
-        )
-        self.resilience = (
-            resilience if resilience is not None else ResilienceConfig()
-        )
         self._iteration = 0
         self.history: List[FlowEvent] = []
         self.state = FlowState.FUNCTIONAL_SPEC
@@ -159,124 +108,68 @@ class CommonVerificationFlow:
         cases, then extra seeds — the 'develop specific test files' loop."""
         from .testcases import TESTCASES
 
-        current = list(self.tests) if self.tests is not None \
-            else list(TESTCASES)
-        missing = [name for name in TESTCASES if name not in current]
+        tests = self.spec.tests
+        missing = tuple(name for name in TESTCASES if name not in tests)
         if missing:
-            self.tests = current + missing
+            self.spec = replace(self.spec, tests=tests + missing)
         else:
-            self.seeds = list(self.seeds) + [max(self.seeds) + 1]
+            seeds = self.spec.seeds
+            self.spec = replace(self.spec, seeds=seeds + (max(seeds) + 1,))
 
-    def _run_lint(self) -> bool:
-        """Static lint gate: both views, before any cycle is simulated.
+    @staticmethod
+    def _blocked(result) -> Optional[str]:
+        """The history detail for a gate report that stops the flow, or
+        None when it has no error-severity finding."""
+        if not result.has_errors:
+            return None
+        bad = [f for f in result.all_findings()
+               if not f.waived and f.severity.value == "error"]
+        return (f"{len(bad)} error-severity finding(s) "
+                f"({', '.join(sorted({f.rule for f in bad}))}): "
+                "fix the design before simulating")
 
-        Returns True when no error-severity finding remains; warnings are
-        recorded in the history but do not block the flow.
-        """
-        from ..lint import lint_config
-
-        result = lint_config(self.config)
-        n_warn = sum(
-            1 for f in result.all_findings()
-            if not f.waived and f.severity.value == "warning"
-        )
-        if result.has_errors:
-            bad = [
-                f for f in result.all_findings()
-                if not f.waived and f.severity.value == "error"
-            ]
+    def _run_gate(self) -> bool:
+        """Record the static gate as ``STATIC_LINT``/``STATIC_ANALYSIS``
+        history events; True when nothing blocks the flow."""
+        gate = RegressionRunner([self.config], self.spec).gate()
+        for result in gate.lint:
+            blocked = self._blocked(result)
+            if blocked:
+                self._enter(FlowState.STATIC_LINT, blocked)
+                return False
+            n_warn = sum(
+                1 for f in result.all_findings()
+                if not f.waived and f.severity.value == "warning"
+            )
             self._enter(
                 FlowState.STATIC_LINT,
-                f"{len(bad)} error-severity finding(s) "
-                f"({', '.join(sorted({f.rule for f in bad}))}): "
-                "fix the design before simulating",
+                "both views lint clean and expose identical port interfaces"
+                + (f" ({n_warn} warning(s))" if n_warn else ""),
             )
-            return False
-        self._enter(
-            FlowState.STATIC_LINT,
-            "both views lint clean and expose identical port interfaces"
-            + (f" ({n_warn} warning(s))" if n_warn else ""),
-        )
-        return True
-
-    def _run_analysis(self) -> bool:
-        """Static dataflow-analysis gate (opt-in via ``analysis=True``).
-
-        Races, CDC hazards and in-model-but-unreachable coverage bins
-        are error-severity and block the flow; the UNR summary of the
-        pruned bins is recorded in the history either way.  With
-        ``symbolic`` on, the gate also demands that every port pass the
-        functional RTL/BCA agreement check — a mismatch caused by the
-        current BCA bug set triggers the fix loop statically (no cycle
-        run) and the fixed model is re-checked.
-        """
-        from ..analysis import analyze_config
-
-        result = analyze_config(
-            self.config, symbolic=self.symbolic,
-            bca_bugs=tuple(sorted(self.bca_bugs)),
-        )
-        if (self.symbolic and self.bca_bugs
-                and result.symbolic.mismatched_ports):
-            ports = result.symbolic.mismatched_ports
+        for result in gate.analysis:
+            blocked = self._blocked(result)
+            if blocked:
+                self._enter(FlowState.STATIC_ANALYSIS, blocked)
+                return False
+            counts = result.unr.counts() if result.unr is not None else {}
+            unr_note = (
+                f"; UNR: {counts.get('UNREACHABLE', 0)} bin(s) proven "
+                f"unreachable, {counts.get('UNKNOWN', 0)} unknown"
+                if counts else ""
+            )
             self._enter(
                 FlowState.STATIC_ANALYSIS,
-                f"symbolic RTL=BCA check failed on {len(ports)} port(s) "
-                f"({', '.join(ports)}): fix the BCA model before "
-                "simulating",
+                "no races, no clock-domain crossings, port cones equal "
+                f"across views{unr_note}",
             )
-            self.bca_bugs = frozenset()  # the fix, applied statically
-            result = analyze_config(self.config, symbolic=True)
-        if result.has_errors:
-            bad = [
-                f for f in result.all_findings()
-                if not f.waived and f.severity.value == "error"
-            ]
-            self._enter(
-                FlowState.STATIC_ANALYSIS,
-                f"{len(bad)} error-severity finding(s) "
-                f"({', '.join(sorted({f.rule for f in bad}))}): "
-                "fix the design before simulating",
-            )
-            return False
-        counts = result.unr.counts() if result.unr is not None else {}
-        unr_note = (
-            f"; UNR: {counts.get('UNREACHABLE', 0)} bin(s) proven "
-            f"unreachable, {counts.get('UNKNOWN', 0)} unknown"
-            if counts else ""
-        )
-        sym_note = ""
-        if self.symbolic and result.symbolic is not None:
-            sym = result.symbolic
-            upgraded = (
-                len(sym.unr_upgrade.deltas)
-                if sym.unr_upgrade is not None else 0
-            )
-            sym_note = (
-                f"; symbolic: {len(sym.ports)} port(s) agreed RTL=BCA, "
-                f"{upgraded} UNR verdict(s) upgraded to "
-                f"exact proofs, {sym.unknown_unr} UNKNOWN"
-            )
-        self._enter(
-            FlowState.STATIC_ANALYSIS,
-            "no races, no clock-domain crossings, port cones equal "
-            f"across views{unr_note}{sym_note}",
-        )
         return True
 
     def _run_regression(self) -> ConfigReport:
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry = telemetry.with_tag(f"iter{self._iteration}")
-        runner = RegressionRunner(
-            [self.config], tests=self.tests, seeds=self.seeds,
-            workdir=self.workdir, bca_bugs=self.bca_bugs,
-            jobs=self.jobs, telemetry=telemetry,
-            resilience=self.resilience,
-            triage=self.triage,
-            cache_dir=self.cache_dir,
-        )
-        return runner.run().configs[0]
+        spec = self.spec
+        if spec.telemetry.enabled:
+            spec = replace(spec, telemetry=spec.telemetry.with_tag(
+                f"iter{self._iteration}"))
+        return RegressionRunner([self.config], spec).run().configs[0]
 
     @staticmethod
     def _triage_note(entries) -> str:
@@ -306,9 +199,7 @@ class CommonVerificationFlow:
             FlowState.VERIFICATION_IMPL,
             "common environment built from the functional spec only",
         )
-        if self.lint and not self._run_lint():
-            return FlowOutcome(False, 0, self.history, None)
-        if self.analysis and not self._run_analysis():
+        if not self._run_gate():
             return FlowOutcome(False, 0, self.history, None)
         report: Optional[ConfigReport] = None
         for iteration in range(1, self.max_iterations + 1):
@@ -316,7 +207,7 @@ class CommonVerificationFlow:
             self._enter(
                 FlowState.MODEL_VERIFICATION,
                 f"iteration {iteration}: same seeded suite on RTL and BCA "
-                f"(BCA bugs present: {sorted(self.bca_bugs) or 'none'})",
+                f"(BCA bugs present: {sorted(self.spec.bca_bugs) or 'none'})",
             )
             report = self._run_regression()
             if not report.all_passed:
@@ -327,7 +218,7 @@ class CommonVerificationFlow:
                     "model and re-verify"
                     + self._triage_note(failed),
                 )
-                self.bca_bugs = frozenset()  # the fix
+                self.spec = replace(self.spec, bca_bugs=frozenset())  # the fix
                 continue
             if not report.full_functional_coverage:
                 self._enter(
@@ -347,7 +238,7 @@ class CommonVerificationFlow:
                     "low alignment rate: fix the BCA model and re-verify"
                     + self._triage_note(report.entries),
                 )
-                self.bca_bugs = frozenset()  # the fix
+                self.spec = replace(self.spec, bca_bugs=frozenset())  # the fix
                 continue
             self._enter(
                 FlowState.SIGNED_OFF,

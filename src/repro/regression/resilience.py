@@ -51,6 +51,7 @@ from .parallel import (
     execute_run_job,
     execute_triage_job,
 )
+from .spec import BatchSpec, ResilienceConfig  # noqa: F401 (re-export)
 
 #: Ceiling on a single retry backoff delay.
 _MAX_BACKOFF = 30.0
@@ -171,21 +172,7 @@ GUARDS = {
 
 
 # ---------------------------------------------------------------------------
-# Configuration and fault accounting
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Fault-tolerance knobs for one regression batch."""
-
-    #: Coordinator-side wall-clock deadline per run/compare job
-    #: (seconds); ``None`` disables the watchdog.  Under ``jobs=1`` a
-    #: deadline moves execution into one kill-able worker process.
-    run_timeout: Optional[float] = None
-    #: Retries after the first failed attempt (total attempts = N + 1).
-    max_retries: int = 2
-    #: Base backoff delay; attempt *k* waits ``backoff * 2**(k-1)``.
-    backoff: float = 0.25
+# Fault accounting
 
 
 @dataclass
@@ -279,21 +266,15 @@ class ResilientBatchExecutor:
     def __init__(
         self,
         jobs_by_key: Dict[RunKey, RunJob],
+        spec: BatchSpec,
         *,
-        jobs: int,
-        compare_waveforms: bool,
-        telemetry: bool = False,
-        config: Optional[ResilienceConfig] = None,
-        triage: bool = False,
         triage_paths: Optional[Dict[EntryKey, str]] = None,
         tracer=None,
         cache=None,
     ) -> None:
         self.jobs_by_key = jobs_by_key
-        self.jobs = jobs
-        self.compare_waveforms = compare_waveforms
-        self.telemetry = telemetry
-        self.config = config if config is not None else ResilienceConfig()
+        self.spec = spec
+        self.telemetry = spec.telemetry.enabled
         self.tracer = tracer
         #: Optional :class:`repro.cache.ResultCache`; when set, run
         #: tasks are satisfied from the store where possible and every
@@ -307,7 +288,6 @@ class ResilientBatchExecutor:
         # Failure triage rides behind the comparisons: entries that
         # failed (checkers or alignment) get a TriageJob, everything
         # else is untouched — a fault-free batch never schedules one.
-        self.triage = triage and compare_waveforms
         self.triage_paths = dict(triage_paths or {})
         self.triages: Dict[EntryKey, object] = {}
         self.triage_telemetry: Dict[EntryKey, object] = {}
@@ -356,10 +336,10 @@ class ResilientBatchExecutor:
             self.faults.crashes += 1
         task.failures.append(failure)
         n_failed = len(task.failures)
-        if retry and n_failed <= self.config.max_retries:
+        if retry and n_failed <= self.spec.resilience.max_retries:
             self.faults.retries += 1
             delay = min(_MAX_BACKOFF,
-                        self.config.backoff * (2 ** (n_failed - 1)))
+                        self.spec.resilience.backoff * (2 ** (n_failed - 1)))
             self.faults.note("job.retry", **task.names,
                              attempt=failure.attempt, kind=failure.kind,
                              error=failure.describe(),
@@ -433,8 +413,9 @@ class ResilientBatchExecutor:
 
     def _compare_task(self, entry_key: EntryKey) -> Optional[_Task]:
         """A compare task for ``entry_key`` if it is due: comparison
-        wanted, both views succeeded with dumps, not yet compared."""
-        if not self.compare_waveforms or entry_key in self._compared:
+        wanted (so both views dumped), both succeeded, not yet
+        compared."""
+        if not self.spec.compare or entry_key in self._compared:
             return None
         rtl = self.results.get(entry_key + ("rtl",))
         bca = self.results.get(entry_key + ("bca",))
@@ -445,9 +426,6 @@ class ResilientBatchExecutor:
             return None
         rtl_job = self.jobs_by_key[entry_key + ("rtl",)]
         bca_job = self.jobs_by_key[entry_key + ("bca",)]
-        if not rtl_job.vcd_path or not bca_job.vcd_path:
-            self._compared.add(entry_key)
-            return None
         self._compared.add(entry_key)
         job = CompareJob(
             rtl_vcd=rtl_job.vcd_path, bca_vcd=bca_job.vcd_path,
@@ -459,9 +437,9 @@ class ResilientBatchExecutor:
 
     def _triage_task(self, entry_key: EntryKey) -> Optional[_Task]:
         """A triage task for ``entry_key`` if it is due: triage enabled,
-        the entry failed (checkers or alignment), both dumps real, not
+        the entry failed (checkers or alignment), both views ran, not
         yet triaged."""
-        if not self.triage or entry_key in self._triaged:
+        if not self.spec.triage or entry_key in self._triaged:
             return None
         alignment = self.alignments.get(entry_key)
         if alignment is None:
@@ -478,9 +456,6 @@ class ResilientBatchExecutor:
             return None
         rtl_job = self.jobs_by_key[entry_key + ("rtl",)]
         bca_job = self.jobs_by_key[entry_key + ("bca",)]
-        if not rtl_job.vcd_path or not bca_job.vcd_path:
-            self._triaged.add(entry_key)
-            return None
         self._triaged.add(entry_key)
         job = TriageJob(
             config=rtl_job.config, test_name=entry_key[1],
@@ -510,11 +485,11 @@ class ResilientBatchExecutor:
         )
 
     def _timeout_failure(self, task: _Task) -> RunFailure:
+        deadline = self.spec.resilience.run_timeout
         return dataclasses.replace(
             self._worker_failure(
                 task, "WatchdogTimeout",
-                f"exceeded the run deadline of {self.config.run_timeout}s "
-                "and was killed"),
+                f"exceeded the run deadline of {deadline}s and was killed"),
             kind="TIMEOUT")
 
     # -- execution ----------------------------------------------------------

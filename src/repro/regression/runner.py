@@ -21,17 +21,17 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analyzer import AlignmentReport
 from ..catg.coverage import CoverageModel, build_node_coverage
 from ..catg.env import RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
-from ..telemetry import BatchTelemetry, TelemetryConfig
+from ..telemetry import BatchTelemetry
 from .distributed import DistributedBatchExecutor
-from .resilience import ResilienceConfig, RunFailure
-from .testcases import TESTCASES
+from .resilience import RunFailure
+from .spec import BatchSpec
 
 #: Failure-status precedence when an entry carries more than one fault.
 _FAULT_PRIORITY = ("QUARANTINED", "TIMEOUT", "ERROR")
@@ -272,151 +272,92 @@ class RegressionReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class GateResult:
+    """What the static gates found: one report per configuration and
+    pass (empty for a pass the spec did not ask for)."""
+
+    lint: list = field(default_factory=list)
+    analysis: list = field(default_factory=list)
+
+    @property
+    def failed(self) -> list:
+        """The reports with error-severity findings."""
+        return [result for result in self.lint + self.analysis
+                if result.has_errors]
+
+
 class RegressionRunner:
     """Runs the same seeded suite on both views and compares the dumps.
 
-    Parameters
-    ----------
-    configs:
-        Node configurations (e.g. from
-        :func:`~repro.regression.configs.load_config_dir` or
-        :func:`~repro.regression.configs.configuration_matrix`).
-    tests:
-        Test-case names (default: all twelve).
-    seeds:
-        Seeds applied to *every* test on *both* views.
-    workdir:
-        Where VCDs and text reports go; None disables VCD dumping (and
-        therefore alignment comparison).
-    bca_bugs:
-        Seeded bugs for the BCA view (experiments only).
-    jobs:
-        Number of worker processes for the batch.  ``1`` (default) runs
-        everything serially in this process; ``N > 1`` fans the
-        independent (config, test, seed, view) runs — and the
-        bus-accurate comparisons behind them — out over N forked
-        worker processes that lease jobs from this one.  The assembled
-        report and every artifact are byte-identical either way.
-    telemetry:
-        Optional :class:`~repro.telemetry.TelemetryConfig`.  When any of
-        its outputs is set, every run records phase spans, kernel
-        counters and structured log records, and :meth:`run` exports the
-        metrics/trace/log side-channel files.  The report artifacts stay
-        byte-identical with or without telemetry.
-    resilience:
-        Optional :class:`~repro.regression.resilience.ResilienceConfig`
-        tuning the fault-tolerance layer (per-run deadline, retry
-        budget, backoff).  The default policy is always
-        active — a crashed worker yields an ``ERROR`` entry instead of
-        aborting the batch — and a fault-free batch stays byte-identical
-        to an unguarded one.  A ``run_timeout`` under ``jobs=1`` runs
-        the batch on one kill-able worker process.
-    triage:
-        Auto-triage failed entries: after the comparison stage, walk
-        both dumps in lockstep to the first diverging (signal, cycle)
-        point, rank the processes in its fan-in cone, and emit a
-        ``<config>__<test>__s<seed>__triage.json`` minimal repro per
-        failure; the per-config report gains a "Triage" section.  A
-        fault-free batch never schedules a triage, so its artifacts stay
-        byte-identical with the flag on or off.
-    cache_dir:
-        Root of the content-addressed result cache
-        (:class:`~repro.cache.ResultCache`).  ``None`` disables
-        caching.  A verified hit replays the run's artifacts byte-
-        for-byte without simulating; corrupt entries are quarantined
-        and re-executed, never served.  Every run is stored as it
-        completes, so rerunning an interrupted batch against the same
-        cache resumes it.  Entries key on each (config, view)'s
-        cone-scoped design key (:class:`~repro.analysis.impact.ImpactIndex`),
-        so comment-only edits and edits to processes a design does not
-        instantiate keep their hits, whichever configs the batch holds.
+    ``configs`` are the node configurations (e.g. from
+    :func:`~repro.regression.configs.load_config_dir` or
+    :func:`~repro.regression.configs.configuration_matrix`); ``spec``
+    (a :class:`~repro.regression.spec.BatchSpec`) says everything else.
+    :meth:`gate` runs the static gates, :meth:`run` the batch.
     """
 
-    def __init__(
-        self,
-        configs: Sequence[NodeConfig],
-        tests: Optional[Iterable[str]] = None,
-        seeds: Sequence[int] = (1,),
-        workdir: Optional[str] = None,
-        compare_waveforms: bool = True,
-        bca_bugs=(),
-        with_arbitration_checker: bool = True,
-        jobs: int = 1,
-        telemetry: Optional[TelemetryConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        unr: bool = False,
-        triage: bool = False,
-        cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, configs: Sequence[NodeConfig], spec: BatchSpec):
         self.configs = list(configs)
-        self.tests = list(tests) if tests is not None else list(TESTCASES)
-        unknown = set(self.tests) - set(TESTCASES)
-        if unknown:
-            raise KeyError(f"unknown test cases: {sorted(unknown)}")
-        self.seeds = list(seeds)
-        self.workdir = workdir
-        self.compare_waveforms = compare_waveforms and workdir is not None
-        self.bca_bugs = bca_bugs
-        self.with_arbitration_checker = with_arbitration_checker
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.telemetry = (
-            telemetry if telemetry is not None else TelemetryConfig()
-        )
-        self.resilience = (
-            resilience if resilience is not None else ResilienceConfig()
-        )
-        #: Annotate per-config reports with static UNR verdicts.  Off by
-        #: default: with it off, every artifact stays byte-identical to a
-        #: runner without the feature.
-        self.unr = unr
-        #: Auto-triage failed entries: walk both dumps to the first
-        #: divergence, rank the fan-in cone suspects and write a
-        #: ``triage.json`` minimal repro per failure.  Requires the
-        #: comparison stage (dumps); triage never touches a cache key, so
-        #: a cached batch may be rerun with triage toggled.
-        self.triage = triage and self.compare_waveforms
-        #: Result-cache root (None = caching disabled).  The
-        #: :class:`~repro.cache.ResultCache` itself is created per
-        #: :meth:`run` so its hit/miss accounting is per-batch.
-        self.cache_dir = cache_dir
+        self.spec = spec
+        #: The batch's :class:`~repro.cache.ResultCache` (None without a
+        #: ``cache_dir``), created per :meth:`run` so its hit/miss
+        #: accounting is per-batch.
         self.cache = None
         #: The cache's design-key index (see
         #: :mod:`repro.analysis.impact`), built per :meth:`run` so its
         #: fingerprints reflect the current sources.
         self.impact = None
-        if workdir:
-            os.makedirs(workdir, exist_ok=True)
+        if spec.workdir:
+            os.makedirs(spec.workdir, exist_ok=True)
+
+    def gate(self) -> GateResult:
+        """The static gates, before any cycle is simulated: lint both
+        views of every configuration with the spec's waivers, then, when
+        the spec asks and lint passed, the dataflow analysis.  Front-ends
+        call this before :meth:`run` and only render the result."""
+        from .. import lint
+
+        spec = self.spec
+        result = GateResult()
+        if spec.lint:
+            result.lint = [lint.lint_config(config, waivers=spec.waivers)
+                           for config in self.configs]
+        if spec.analysis and not result.failed:
+            from ..analysis import analyze_config
+
+            result.analysis = [analyze_config(config, waivers=spec.waivers)
+                               for config in self.configs]
+        return result
 
     # -- paths ---------------------------------------------------------------
 
     def _vcd_path(self, config: NodeConfig, test: str, seed: int,
                   view: str) -> Optional[str]:
-        if not self.workdir:
+        if not self.spec.workdir:
             return None
         return os.path.join(
-            self.workdir, f"{config.name}__{test}__s{seed}__{view}.vcd"
+            self.spec.workdir, f"{config.name}__{test}__s{seed}__{view}.vcd"
         )
 
     def _report_stem(self, config: NodeConfig, test: str, seed: int,
                      view: str) -> Optional[str]:
-        if not self.workdir:
+        if not self.spec.workdir:
             return None
         return os.path.join(
-            self.workdir, f"{config.name}__{test}__s{seed}__{view}"
+            self.spec.workdir, f"{config.name}__{test}__s{seed}__{view}"
         )
 
     def _triage_path(self, config: NodeConfig, test: str,
                      seed: int) -> Optional[str]:
-        if not self.workdir:
+        if not self.spec.workdir:
             return None
         return os.path.join(
-            self.workdir, f"{config.name}__{test}__s{seed}__triage.json"
+            self.spec.workdir, f"{config.name}__{test}__s{seed}__triage.json"
         )
 
     def _triage_paths(self) -> Dict[Tuple[int, str, int], str]:
-        if not self.triage:
+        if not self.spec.triage:
             return {}
         return {
             (ci, test_name, seed): self._triage_path(
@@ -438,7 +379,7 @@ class RegressionRunner:
                   view: str) -> "RunJob":
         from .parallel import RunJob
 
-        telemetry = self.telemetry.enabled
+        telemetry = self.spec.telemetry.enabled
         return RunJob(
             config=config,
             test_name=test_name,
@@ -446,10 +387,10 @@ class RegressionRunner:
             view=view,
             vcd_path=self._vcd_path(config, test_name, seed, view),
             report_stem=self._report_stem(config, test_name, seed, view),
-            bugs=frozenset(self.bca_bugs),
-            with_arbitration_checker=self.with_arbitration_checker,
+            bugs=self.spec.bca_bugs,
+            with_arbitration_checker=True,
             telemetry=telemetry,
-            time_processes=telemetry and self.telemetry.time_processes,
+            time_processes=telemetry and self.spec.telemetry.time_processes,
             submitted_at=time.time() if telemetry else None,
         )
 
@@ -458,8 +399,8 @@ class RegressionRunner:
         return [
             (ci, test_name, seed)
             for ci in range(len(self.configs))
-            for test_name in self.tests
-            for seed in self.seeds
+            for test_name in self.spec.tests
+            for seed in self.spec.seeds
         ]
 
     def _build_jobs(self):
@@ -476,11 +417,11 @@ class RegressionRunner:
         """Run the whole batch through the resilient executor (inline
         for ``jobs=1``, leased worker processes otherwise)."""
         jobs_by_key = self._build_jobs()
-        if self.cache_dir:
+        if self.spec.cache_dir:
             from ..analysis.impact import ImpactIndex
             from ..cache import ResultCache
 
-            self.cache = ResultCache(self.cache_dir)
+            self.cache = ResultCache(self.spec.cache_dir)
             with batch.span("impact.index", configs=len(self.configs)):
                 # Unchanged source files are summarized from the cache.
                 self.impact = ImpactIndex(self.configs, store=self.cache)
@@ -492,11 +433,7 @@ class RegressionRunner:
             self.cache = None
         executor = DistributedBatchExecutor(
             jobs_by_key,
-            jobs=self.jobs,
-            compare_waveforms=self.compare_waveforms,
-            telemetry=self.telemetry.enabled,
-            config=self.resilience,
-            triage=self.triage,
+            self.spec,
             triage_paths=self._triage_paths(),
             tracer=batch,
             cache=self.cache,
@@ -512,8 +449,8 @@ class RegressionRunner:
             config_report = ConfigReport(config)
             config_report.rtl_coverage = build_node_coverage(config)
             config_report.bca_coverage = build_node_coverage(config)
-            for test_name in self.tests:
-                for seed in self.seeds:
+            for test_name in self.spec.tests:
+                for seed in self.spec.seeds:
                     entry = TestEntry(
                         config.name, test_name, seed,
                         results[(ci, test_name, seed, "rtl")],
@@ -528,15 +465,15 @@ class RegressionRunner:
                         config_report.rtl_coverage.merge(entry.rtl.coverage)
                     if not isinstance(entry.bca, RunFailure):
                         config_report.bca_coverage.merge(entry.bca.coverage)
-            if self.workdir:
+            if self.spec.workdir:
                 path = os.path.join(
-                    self.workdir, f"{config.name}__report.txt"
+                    self.spec.workdir, f"{config.name}__report.txt"
                 )
                 with atomic_write(path) as handle:
                     handle.write(config_report.render())
                     handle.write("\n")
                     handle.write(config_report.rtl_coverage.render())
-                    if self.unr:
+                    if self.spec.unr:
                         handle.write("\n")
                         handle.write(self._unr_annotation(config_report))
             report.configs.append(config_report)
@@ -546,7 +483,7 @@ class RegressionRunner:
     def _unr_annotation(config_report: ConfigReport) -> str:
         """Static UNR verdicts joined against the run's coverage holes.
 
-        Only written when the runner was built with ``unr=True``; the
+        Only written when the spec has ``unr=True``; the
         per-config report is byte-identical to a pre-UNR runner
         otherwise.
         """
@@ -573,22 +510,23 @@ class RegressionRunner:
         return "\n".join(lines) + "\n"
 
     def run(self) -> RegressionReport:
-        batch = BatchTelemetry(self.telemetry, jobs=self.jobs)
-        with batch.span("batch.execute", jobs=self.jobs):
+        spec = self.spec
+        batch = BatchTelemetry(spec.telemetry, jobs=spec.jobs)
+        with batch.span("batch.execute", jobs=spec.jobs):
             (results, alignments, compare_telemetry, compare_failures,
              triages, triage_telemetry, faults) = self._execute(batch)
         with batch.span("batch.assemble"):
             report = self._assemble(results, alignments, compare_failures,
                                     triages)
         report.wall_seconds = batch.stop()
-        if self.workdir:
-            path = os.path.join(self.workdir, "regression_summary.txt")
+        if spec.workdir:
+            path = os.path.join(spec.workdir, "regression_summary.txt")
             with atomic_write(path) as handle:
                 handle.write(report.render())
         batch.export(
             report=report, results=results, alignments=alignments,
             compare_telemetry=compare_telemetry, configs=self.configs,
-            tests=self.tests, seeds=self.seeds, faults=faults,
+            tests=spec.tests, seeds=spec.seeds, faults=faults,
             triages=triages, triage_telemetry=triage_telemetry,
             cache=self.cache, impact=self.impact,
         )

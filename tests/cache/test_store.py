@@ -33,7 +33,7 @@ from repro.cache import (
     design_source_hash,
 )
 from repro.cache.store import _entry_digest
-from repro.regression import RegressionRunner
+from repro.regression import BatchSpec, RegressionRunner
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.parallel import RunJob, execute_run_job
 from repro.regression.resilience import run_artifact_paths
@@ -313,11 +313,11 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
 
 
 def _batch(workdir, cache_dir, jobs=1):
-    runner = RegressionRunner(
-        [_config()], tests=["t01_sanity_write_read"], seeds=[1],
+    runner = RegressionRunner([_config()], BatchSpec(
+        tests=["t01_sanity_write_read"], seeds=[1],
         workdir=str(workdir), jobs=jobs,
         cache_dir=str(cache_dir),
-    )
+    ))
     return runner.run(), runner
 
 

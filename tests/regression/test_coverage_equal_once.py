@@ -5,6 +5,7 @@ import os
 from repro.catg.coverage import CoverageModel
 from repro.regression.configs import load_config_dir
 from repro.regression.runner import RegressionRunner
+from repro.regression.spec import BatchSpec
 from repro.regression.testcases import TESTCASES
 
 BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -23,8 +24,8 @@ def test_full_coverage_batch_takes_two_signatures_per_entry(
         return original(self)
 
     monkeypatch.setattr(CoverageModel, "hit_signature", counted)
-    report = RegressionRunner([config], tests=sorted(TESTCASES), seeds=(1, 2),
-                              workdir=str(tmp_path)).run()
+    report = RegressionRunner([config], BatchSpec(
+        tests=sorted(TESTCASES), seeds=(1, 2), workdir=str(tmp_path))).run()
     text = report.render()
     config_report = report.configs[0]
     assert config_report.full_functional_coverage

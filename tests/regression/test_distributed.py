@@ -21,7 +21,12 @@ import threading
 
 import pytest
 
-from repro.regression import BatchFaults, RegressionRunner, ResilienceConfig
+from repro.regression import (
+    BatchFaults,
+    BatchSpec,
+    RegressionRunner,
+    ResilienceConfig,
+)
 from repro.regression import distributed
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
@@ -40,12 +45,12 @@ def _configs():
 
 def _run(workdir, jobs=1, resilience=None, seeds=(1,), metrics=None,
          log=None):
-    runner = RegressionRunner(
-        _configs(), tests=TESTS, seeds=seeds, workdir=str(workdir),
+    runner = RegressionRunner(_configs(), BatchSpec(
+        tests=TESTS, seeds=seeds, workdir=str(workdir),
         jobs=jobs,
         resilience=resilience or ResilienceConfig(backoff=0.0),
         telemetry=TelemetryConfig(metrics_out=metrics, log_out=log),
-    )
+    ))
     return runner.run()
 
 

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.regression import RegressionRunner, default_jobs
+from repro.regression import BatchSpec, RegressionRunner, default_jobs
 from repro.regression.parallel import RunJob, execute_run_job
 from repro.stbus import ArbitrationPolicy, NodeConfig, ProtocolType
 
@@ -27,10 +27,10 @@ def _configs():
 
 
 def _run(workdir, jobs, bugs=()):
-    runner = RegressionRunner(
-        _configs(), tests=TESTS, seeds=(1,), workdir=str(workdir),
+    runner = RegressionRunner(_configs(), BatchSpec(
+        tests=TESTS, seeds=(1,), workdir=str(workdir),
         bca_bugs=set(bugs), jobs=jobs,
-    )
+    ))
     return runner.run()
 
 
@@ -84,7 +84,7 @@ def test_parallel_entry_order_is_deterministic(tmp_path):
 def test_parallel_without_workdir_skips_alignment():
     runner = RegressionRunner(
         [NodeConfig(n_initiators=1, n_targets=1, name="par_nowork")],
-        tests=["t01_sanity_write_read"], jobs=2,
+        BatchSpec(tests=["t01_sanity_write_read"], jobs=2),
     )
     report = runner.run()
     entry = report.configs[0].entries[0]
@@ -94,9 +94,9 @@ def test_parallel_without_workdir_skips_alignment():
 
 def test_jobs_validation():
     with pytest.raises(ValueError):
-        RegressionRunner([NodeConfig()], jobs=0)
+        BatchSpec(jobs=0)
     with pytest.raises(ValueError):
-        RegressionRunner([NodeConfig()], jobs=-2)
+        BatchSpec(jobs=-2)
 
 
 def test_default_jobs_positive():

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.regression import (
+    BatchSpec,
     CommonVerificationFlow,
     FlowState,
     RegressionRunner,
@@ -59,7 +60,7 @@ def test_load_config_dir_errors(tmp_path):
 
 def test_unknown_testcase_rejected():
     with pytest.raises(KeyError):
-        RegressionRunner([NodeConfig()], tests=["t99_nope"])
+        BatchSpec(tests=["t99_nope"])
     with pytest.raises(KeyError):
         build_test("t99_nope", NodeConfig(), 1)
 
@@ -90,7 +91,8 @@ def test_runner_produces_signed_off_config(tmp_path):
                      protocol_type=ProtocolType.T3,
                      arbitration=ArbitrationPolicy.ROUND_ROBIN,
                      name="signoff")
-    runner = RegressionRunner([cfg], seeds=(1, 2), workdir=str(tmp_path))
+    runner = RegressionRunner(
+        [cfg], BatchSpec(seeds=(1, 2), workdir=str(tmp_path)))
     report = runner.run()
     assert report.all_signed_off, report.render()
     config_report = report.configs[0]
@@ -107,7 +109,8 @@ def test_runner_produces_signed_off_config(tmp_path):
 
 def test_runner_without_workdir_skips_alignment():
     cfg = NodeConfig(n_initiators=1, n_targets=1, name="nowork")
-    runner = RegressionRunner([cfg], tests=["t01_sanity_write_read"])
+    runner = RegressionRunner(
+        [cfg], BatchSpec(tests=["t01_sanity_write_read"]))
     report = runner.run()
     entry = report.configs[0].entries[0]
     assert entry.alignment is None
@@ -117,10 +120,10 @@ def test_runner_without_workdir_skips_alignment():
 def test_runner_flags_buggy_bca(tmp_path):
     cfg = NodeConfig(n_initiators=3, n_targets=2,
                      arbitration=ArbitrationPolicy.LRU, name="buggy")
-    runner = RegressionRunner(
-        [cfg], tests=["t06_lru_fairness"], workdir=str(tmp_path),
+    runner = RegressionRunner([cfg], BatchSpec(
+        tests=["t06_lru_fairness"], workdir=str(tmp_path),
         bca_bugs={"lru-recency-stuck"},
-    )
+    ))
     report = runner.run()
     config_report = report.configs[0]
     assert not config_report.signed_off
@@ -132,7 +135,8 @@ def test_runner_flags_buggy_bca(tmp_path):
 def test_flow_reaches_signoff_with_clean_models(tmp_path):
     cfg = NodeConfig(n_initiators=2, n_targets=2, name="flow-clean",
                      protocol_type=ProtocolType.T3)
-    flow = CommonVerificationFlow(cfg, seeds=(1, 2), workdir=str(tmp_path))
+    flow = CommonVerificationFlow(
+        cfg, BatchSpec(seeds=(1, 2), workdir=str(tmp_path)))
     outcome = flow.execute()
     assert outcome.signed_off
     assert outcome.iterations == 1
@@ -146,10 +150,10 @@ def test_flow_loops_on_buggy_bca_then_signs_off(tmp_path):
     cfg = NodeConfig(n_initiators=3, n_targets=2, name="flow-buggy",
                      protocol_type=ProtocolType.T3,
                      arbitration=ArbitrationPolicy.LRU)
-    flow = CommonVerificationFlow(
-        cfg, seeds=(1, 2), workdir=str(tmp_path),
-        initial_bca_bugs=("lru-recency-stuck",),
-    )
+    flow = CommonVerificationFlow(cfg, BatchSpec(
+        seeds=(1, 2), workdir=str(tmp_path),
+        bca_bugs=("lru-recency-stuck",),
+    ))
     outcome = flow.execute()
     assert outcome.signed_off
     assert outcome.iterations >= 2  # one failed round, one after the fix
@@ -159,8 +163,8 @@ def test_flow_loops_on_buggy_bca_then_signs_off(tmp_path):
 
 def test_runner_writes_per_run_reports(tmp_path):
     cfg = NodeConfig(n_initiators=1, n_targets=1, name="reports")
-    runner = RegressionRunner([cfg], tests=["t01_sanity_write_read"],
-                              seeds=(3,), workdir=str(tmp_path))
+    runner = RegressionRunner([cfg], BatchSpec(
+        tests=["t01_sanity_write_read"], seeds=(3,), workdir=str(tmp_path)))
     runner.run()
     for view in ("rtl", "bca"):
         stem = tmp_path / f"reports__t01_sanity_write_read__s3__{view}"

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.regression import RegressionRunner, ResilienceConfig
+from repro.regression import BatchSpec, RegressionRunner, ResilienceConfig
 from repro.regression.chaos import (
     CHAOS_ENV,
     ChaosError,
@@ -34,11 +34,11 @@ def _configs():
 
 
 def _run(workdir, jobs=1, resilience=None, seeds=(1,), cache_dir=None):
-    runner = RegressionRunner(
-        _configs(), tests=TESTS, seeds=seeds, workdir=str(workdir),
+    runner = RegressionRunner(_configs(), BatchSpec(
+        tests=TESTS, seeds=seeds, workdir=str(workdir),
         jobs=jobs, resilience=resilience or ResilienceConfig(),
         cache_dir=cache_dir,
-    )
+    ))
     return runner.run()
 
 
@@ -198,8 +198,8 @@ def test_lease_crash_mid_batch_report_complete(tmp_path, monkeypatch):
 def test_scheduler_charged_triage_counts_as_triage_failure():
     """A triage job whose worker dies or overruns its deadline is a
     triage failure, not a compare failure."""
-    executor = ResilientBatchExecutor({}, jobs=2, compare_waveforms=True,
-                                      triage=True)
+    executor = ResilientBatchExecutor(
+        {}, BatchSpec(jobs=2, workdir="unused", triage=True))
     task = _Task("triage", (CONFIG_NAME, "t01_sanity_write_read", 1),
                  TriageJob(config=_configs()[0],
                            test_name="t01_sanity_write_read", seed=1,

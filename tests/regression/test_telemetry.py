@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.regression import RegressionRunner
+from repro.regression import BatchSpec, RegressionRunner
 from repro.regression.flow import CommonVerificationFlow
 from repro.stbus import NodeConfig
 from repro.telemetry import METRICS_SCHEMA, PHASE_NAMES, TelemetryConfig
@@ -31,10 +31,10 @@ def _config():
 
 
 def _run(workdir, jobs, telemetry=None):
-    runner = RegressionRunner(
-        [_config()], tests=TESTS, seeds=(1,), workdir=str(workdir),
-        jobs=jobs, telemetry=telemetry,
-    )
+    runner = RegressionRunner([_config()], BatchSpec(
+        tests=TESTS, seeds=(1,), workdir=str(workdir),
+        jobs=jobs, telemetry=telemetry or TelemetryConfig(),
+    ))
     return runner.run()
 
 
@@ -251,8 +251,10 @@ def test_serial_telemetry_attributes_everything_to_main(tmp_path):
 def test_flow_tags_telemetry_files_per_iteration(tmp_path):
     config = TelemetryConfig(metrics_out=str(tmp_path / "metrics.json"))
     flow = CommonVerificationFlow(
-        _config(), tests=TESTS, seeds=(1,), workdir=str(tmp_path / "work"),
-        max_iterations=1, telemetry=config,
+        _config(),
+        BatchSpec(tests=TESTS, seeds=(1,), workdir=str(tmp_path / "work"),
+                  telemetry=config),
+        max_iterations=1,
     )
     flow.execute()
     assert (tmp_path / "metrics.iter1.json").exists()

@@ -2,7 +2,12 @@
 
 import os
 
-from repro.regression import CommonVerificationFlow, FlowState, RegressionRunner
+from repro.regression import (
+    BatchSpec,
+    CommonVerificationFlow,
+    FlowState,
+    RegressionRunner,
+)
 from repro.stbus import NodeConfig
 
 CFG = dict(n_initiators=1, n_targets=1, name="unrgate")
@@ -11,8 +16,8 @@ TESTS = ["t01_sanity_write_read"]
 
 def _run(tmp_path, subdir, **kwargs):
     workdir = str(tmp_path / subdir)
-    runner = RegressionRunner([NodeConfig(**CFG)], tests=TESTS, seeds=(1,),
-                              workdir=workdir, **kwargs)
+    runner = RegressionRunner([NodeConfig(**CFG)], BatchSpec(
+        tests=TESTS, seeds=(1,), workdir=workdir, **kwargs))
     runner.run()
     with open(os.path.join(workdir, "unrgate__report.txt"),
               encoding="utf-8") as handle:
@@ -40,8 +45,8 @@ def test_unr_flag_annotates_the_config_report(tmp_path):
 
 
 def test_flow_analysis_gate_runs_and_passes(tmp_path):
-    flow = CommonVerificationFlow(NodeConfig(**CFG), tests=TESTS, seeds=(1,),
-                                  workdir=str(tmp_path), analysis=True)
+    flow = CommonVerificationFlow(NodeConfig(**CFG), BatchSpec(
+        tests=TESTS, seeds=(1,), workdir=str(tmp_path), analysis=True))
     outcome = flow.execute()
     assert outcome.signed_off, outcome.render()
     events = [e for e in outcome.history
@@ -52,8 +57,8 @@ def test_flow_analysis_gate_runs_and_passes(tmp_path):
 
 
 def test_flow_without_analysis_skips_the_gate(tmp_path):
-    flow = CommonVerificationFlow(NodeConfig(**CFG), tests=TESTS, seeds=(1,),
-                                  workdir=str(tmp_path))
+    flow = CommonVerificationFlow(NodeConfig(**CFG), BatchSpec(
+        tests=TESTS, seeds=(1,), workdir=str(tmp_path)))
     outcome = flow.execute()
     assert outcome.signed_off
     assert all(e.state is not FlowState.STATIC_ANALYSIS

@@ -11,7 +11,11 @@ byte-identical to pre-triage output.
 import json
 import os
 
-from repro.regression import CommonVerificationFlow, RegressionRunner
+from repro.regression import (
+    BatchSpec,
+    CommonVerificationFlow,
+    RegressionRunner,
+)
 from repro.stbus import ArbitrationPolicy, NodeConfig
 from repro.telemetry import TelemetryConfig
 from repro.triage import load_triage
@@ -24,10 +28,10 @@ BUG = "lru-recency-stuck"
 
 def _run(tmp_path, sub, **kwargs):
     workdir = str(tmp_path / sub)
-    runner = RegressionRunner(
-        [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,), workdir=workdir,
+    runner = RegressionRunner([NodeConfig(**BUGGY)], BatchSpec(
+        tests=[TEST], seeds=(2,), workdir=workdir,
         bca_bugs={BUG}, **kwargs,
-    )
+    ))
     return runner.run(), workdir
 
 
@@ -69,14 +73,14 @@ def test_triage_disabled_output_is_untouched(tmp_path):
 
 def test_fault_free_batch_is_byte_identical_with_triage_on(tmp_path):
     clean = dict(BUGGY)
-    runner_on = RegressionRunner(
-        [NodeConfig(**clean)], tests=[TEST], seeds=(2,),
+    runner_on = RegressionRunner([NodeConfig(**clean)], BatchSpec(
+        tests=[TEST], seeds=(2,),
         workdir=str(tmp_path / "on"), triage=True,
-    )
-    runner_off = RegressionRunner(
-        [NodeConfig(**clean)], tests=[TEST], seeds=(2,),
+    ))
+    runner_off = RegressionRunner([NodeConfig(**clean)], BatchSpec(
+        tests=[TEST], seeds=(2,),
         workdir=str(tmp_path / "off"),
-    )
+    ))
     on, off = runner_on.run(), runner_off.run()
     # One test/seed cannot reach full coverage, but every run passes
     # and the alignment is perfect — no triage may fire.
@@ -108,10 +112,10 @@ def test_cache_rerun_reproduces_triage_byte_identically(tmp_path):
               for n in (name, report_name)}
     # Rerun against the same cache: the runs are verified hits, the
     # comparison and the triage re-execute deterministically.
-    runner = RegressionRunner(
-        [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,), workdir=workdir,
+    runner = RegressionRunner([NodeConfig(**BUGGY)], BatchSpec(
+        tests=[TEST], seeds=(2,), workdir=workdir,
         bca_bugs={BUG}, triage=True, cache_dir=cache_dir,
-    )
+    ))
     rerun = runner.run()
     assert runner.cache.stats.hits == 2
     assert rerun.render() == first.render()
@@ -127,10 +131,10 @@ def test_resume_with_triage_toggled_on_still_works(tmp_path):
     # can be rerun with --triage: runs hit the cache, triage runs fresh.
     cache_dir = str(tmp_path / "cache")
     plain, workdir = _run(tmp_path, "wd", cache_dir=cache_dir)
-    runner = RegressionRunner(
-        [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,), workdir=workdir,
+    runner = RegressionRunner([NodeConfig(**BUGGY)], BatchSpec(
+        tests=[TEST], seeds=(2,), workdir=workdir,
         bca_bugs={BUG}, triage=True, cache_dir=cache_dir,
-    )
+    ))
     resumed = runner.run()
     assert runner.cache.stats.hits == 2
     entry = resumed.configs[0].entries[0]
@@ -142,8 +146,8 @@ def test_flow_fix_loop_names_the_suspects(tmp_path):
     flow = CommonVerificationFlow(
         NodeConfig(n_initiators=3, n_targets=2, name="flow-triage",
                    arbitration=ArbitrationPolicy.LRU),
-        tests=[TEST], seeds=(2,), workdir=str(tmp_path),
-        initial_bca_bugs=(BUG,), triage=True,
+        BatchSpec(tests=[TEST], seeds=(2,), workdir=str(tmp_path),
+                  bca_bugs=(BUG,), triage=True),
     )
     outcome = flow.execute()
     assert outcome.signed_off
@@ -157,8 +161,8 @@ def test_flow_without_triage_is_unchanged(tmp_path):
     flow = CommonVerificationFlow(
         NodeConfig(n_initiators=3, n_targets=2, name="flow-plain",
                    arbitration=ArbitrationPolicy.LRU),
-        tests=[TEST], seeds=(2,), workdir=str(tmp_path),
-        initial_bca_bugs=(BUG,),
+        BatchSpec(tests=[TEST], seeds=(2,), workdir=str(tmp_path),
+                  bca_bugs=(BUG,)),
     )
     outcome = flow.execute()
     details = " ".join(e.detail for e in outcome.history)
@@ -193,11 +197,11 @@ def test_metrics_rollup_reports_triage(tmp_path):
 
 def test_metrics_rollup_has_no_triage_keys_when_clean(tmp_path):
     metrics = str(tmp_path / "metrics.json")
-    runner = RegressionRunner(
-        [NodeConfig(**BUGGY)], tests=[TEST], seeds=(2,),
+    runner = RegressionRunner([NodeConfig(**BUGGY)], BatchSpec(
+        tests=[TEST], seeds=(2,),
         workdir=str(tmp_path / "wd"), triage=True,
         telemetry=TelemetryConfig(metrics_out=metrics),
-    )
+    ))
     runner.run()  # fault-free: same config, no bug injected
     payload = json.load(open(metrics))
     assert "triages" not in payload
