@@ -32,28 +32,30 @@ def main() -> None:
         n_targets=2,
         arbitration=ArbitrationPolicy.LRU,
     )
-    workdir = tempfile.mkdtemp(prefix="repro_flow_")
-    print(f"Configuration {config.name}; artifacts in {workdir}\n")
+    # Every VCD and report of the flow goes to a temp dir removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro_flow_") as workdir:
+        print(f"Configuration {config.name}; artifacts in {workdir}\n")
 
-    # The first BCA drop ships with the stuck-LRU bug; the flow must catch
-    # it, loop back ("fix the BCA model"), and then sign off.
-    flow = CommonVerificationFlow(config, BatchSpec(
-        tests=["t02_random_uniform", "t03_out_of_order", "t06_lru_fairness"],
-        seeds=(1, 2),
-        workdir=workdir,
-        bca_bugs=("lru-recency-stuck",),
-    ))
-    with CodeCoverage() as tracer:
-        outcome = flow.execute()
-    print(outcome.render())
+        # The first BCA drop ships with the stuck-LRU bug; the flow must
+        # catch it, loop back ("fix the BCA model"), and then sign off.
+        flow = CommonVerificationFlow(config, BatchSpec(
+            tests=["t02_random_uniform", "t03_out_of_order",
+                   "t06_lru_fairness"],
+            seeds=(1, 2),
+            workdir=workdir,
+            bca_bugs=("lru-recency-stuck",),
+        ))
+        with CodeCoverage() as tracer:
+            outcome = flow.execute()
+        print(outcome.render())
 
-    report = outcome.final_report
-    print("Final regression state:")
-    print(report.render())
+        report = outcome.final_report
+        print("Final regression state:")
+        print(report.render())
 
-    print("RTL code coverage across the whole flow "
-          "(the BCA view, like SystemC in 2004, reports none):")
-    print(tracer.report().render())
+        print("RTL code coverage across the whole flow "
+              "(the BCA view, like SystemC in 2004, reports none):")
+        print(tracer.report().render())
 
 
 if __name__ == "__main__":

@@ -39,7 +39,12 @@ def main() -> None:
     )
     print(f"Node configuration:\n{config.to_text()}")
 
-    workdir = tempfile.mkdtemp(prefix="repro_quickstart_")
+    # The VCDs go to a temp dir removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro_quickstart_") as workdir:
+        run_and_compare(config, workdir)
+
+
+def run_and_compare(config: NodeConfig, workdir: str) -> None:
     results = {}
     for view in ("rtl", "bca"):
         # 2. Same test case, same seed, different design view.  The test
@@ -64,7 +69,7 @@ def main() -> None:
     print(report.render())
     print(f"BCA sign-off: {report.signed_off} "
           f"(min port rate {report.min_rate * 100:.2f}%)")
-    print(f"\nartifacts kept in {workdir}")
+    print(f"\nartifacts written to {workdir} (removed on exit)")
 
 
 if __name__ == "__main__":

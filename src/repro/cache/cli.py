@@ -5,7 +5,13 @@ entry's key so invalidation is diagnosable instead of opaque — the
 design key the entry was stored under (cone-scoped, or the
 whole-design fallback for a design with an opaque process),
 the configuration text digest, test, seed, view, bug set and
-arbitration-checker flag, plus the entry's integrity verdict.  A
+arbitration-checker flag, plus the entry's integrity verdict.  For a
+run entry the verdict covers its artifact blobs too: each must exist
+under the store's ``blobs/`` and hash to the digest it is named by, and
+a missing or corrupt blob is named.  The store root is the one the
+entry sits in (``<root>/objects/``), else ``--root`` or
+``$REPRO_CACHE_DIR``; an entry file outside any store with no root
+given has its blobs reported as not checked.  A
 source-summary entry (``sources/``) shows its kind, its integrity
 verdict and what its key hashed: the entry schema, the interpreter
 version and the digests of ``analysis/impact.py`` and of the source.
@@ -38,8 +44,10 @@ from .store import (
     CACHE_SCHEMA,
     SOURCE_SCHEMA,
     ResultCache,
+    blob_path,
     design_source_hash,
     entry_path,
+    file_sha256,
     source_path,
 )
 
@@ -121,12 +129,24 @@ def _explain(args: argparse.Namespace) -> int:
               or os.path.basename(store_dir) == "sources"
               else CACHE_SCHEMA)
     reason, detail = ResultCache._verify(key, raw, schema)[1:]
-    verified = reason is None
     if schema == SOURCE_SCHEMA:
         return _explain_source(args, path, key, entry, reason, detail)
     coords = entry.get("coords") or {}
     key_inputs = entry.get("key_inputs")
     artifacts = entry.get("artifacts") or {}
+    root = (os.path.dirname(store_dir)
+            if os.path.basename(store_dir) == "objects"
+            else args.root or os.environ.get(CACHE_DIR_ENV) or None)
+    blobs = None
+    if reason is None and root is not None:
+        blobs = _check_blobs(root, artifacts)
+        for role, status in sorted(blobs.items()):
+            if status["state"] != "ok":
+                reason = ("missing-blob" if status["state"] == "missing"
+                          else "blob-mismatch")
+                detail = f"artifact {role!r}: {status['detail']}"
+                break
+    verified = reason is None
     current_design = design_source_hash()
     if args.json:
         payload = {
@@ -138,6 +158,7 @@ def _explain(args: argparse.Namespace) -> int:
             "coords": coords,
             "key_inputs": key_inputs,
             "artifacts": sorted(artifacts),
+            "blobs": blobs,
             "current_design_hash": current_design,
         }
         if not verified:
@@ -154,6 +175,15 @@ def _explain(args: argparse.Namespace) -> int:
                 ("config", "test", "seed", "view")}))
     if artifacts:
         lines.append("artifacts: " + ", ".join(sorted(artifacts)))
+    if blobs is not None:
+        lines.append("blobs:")
+        lines.extend(
+            f"  {role}: {status['digest']} {status['state']}"
+            + ("" if status["state"] == "ok" else f" ({status['detail']})")
+            for role, status in sorted(blobs.items()))
+    elif reason is None:
+        lines.append("blobs: not checked (entry is outside a store's "
+                     "objects/; pass --root)")
     if key_inputs is None:
         lines.append(
             "key components: not recorded (entry predates "
@@ -180,6 +210,25 @@ def _explain(args: argparse.Namespace) -> int:
             f"{key_inputs.get('with_arbitration_checker')}")
     print("\n".join(lines))
     return 0 if verified else 1
+
+
+def _check_blobs(root: str, digests: dict) -> dict:
+    """Per artifact role: the blob's digest and ``state`` — ``ok``,
+    ``missing`` or ``corrupt`` — with a ``detail`` naming the file."""
+    report = {}
+    for role, digest in digests.items():
+        path = blob_path(root, digest)
+        try:
+            actual = file_sha256(path)
+        except FileNotFoundError:
+            report[role] = {"digest": digest, "state": "missing",
+                            "detail": f"no blob at {path}"}
+            continue
+        report[role] = (
+            {"digest": digest, "state": "ok"} if actual == digest else
+            {"digest": digest, "state": "corrupt",
+             "detail": f"blob {path} hashes to {actual}"})
+    return report
 
 
 def _header(path: str, key: str, kind: str, entry: dict,

@@ -17,11 +17,13 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
   arbitration-checker flag.
 
 * **Integrity verification on every read.**  Each entry carries the
-  SHA-256 digest of its own canonical body.  A torn entry (killed
-  writer before atomic rename existed), a flipped byte (bad disk, bad
-  NFS), or a poisoned entry (payload swapped under a key it does not
-  belong to) fails verification and is **never served**: it is moved to
-  ``quarantine/`` with a structured diagnostic and the run re-executes.
+  SHA-256 digest of its own canonical body, and names each artifact by
+  the SHA-256 of its bytes.  A torn entry (killed writer before atomic
+  rename existed), a flipped byte (bad disk, bad NFS), a poisoned entry
+  (payload swapped under a key it does not belong to) or an artifact
+  whose bytes no longer hash to their name fails verification and is
+  **never served**: it is moved to ``quarantine/`` with a structured
+  diagnostic and the run re-executes.
 
 * **Atomic, last-wins writes.**  Entries are staged to a unique temp
   file in the store and published with :func:`os.replace`, so any
@@ -29,11 +31,18 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
   sharing one cache directory) race harmlessly: readers see a complete
   old entry, a complete new entry, or no entry — never a torn one.
 
-On a hit the store materializes the run's artifacts (VCD, verification
-report, coverage report) byte-for-byte into the requesting batch's
-workdir and returns the unpickled
-:class:`~repro.catg.env.RunResult`, so a cache-served batch renders
-reports identical to one that simulated every cycle.
+* **Artifacts stored once, served by hard link.**  Each artifact's
+  bytes live once, as the plain file ``blobs/<sha256[:2]>/<sha256>``
+  shared by every entry that produced them.  On a hit the store hard
+  links each blob next to its target in the requesting batch's workdir,
+  hashes the linked file and moves it into place, so a cache-served
+  batch renders reports byte-identical to one that simulated every
+  cycle without writing a byte of artifact data.  Only where the
+  filesystem cannot link (the cache on another device, no hard-link
+  support) are the bytes copied.  Blob and workdir file then share one
+  inode: every writer in this package replaces an artifact with
+  :func:`os.replace` rather than writing it in place, and a blob
+  damaged through a link fails the hash on its next hit.
 """
 
 from __future__ import annotations
@@ -45,14 +54,15 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Schema tag of every entry file; entries from an incompatible schema
-#: are quarantined, not misread.
-CACHE_SCHEMA = "repro.cache/entry/v1"
+#: (v1 embedded its artifacts) are quarantined, not misread.
+CACHE_SCHEMA = "repro.cache/entry/v2"
 
 #: Schema tag of a source-summary entry (see
 #: :class:`repro.analysis.impact.ImpactIndex`), the store's second
@@ -153,6 +163,15 @@ def source_path(root: str, key: str) -> str:
     return os.path.join(root, "sources", key[:2], f"{key}.json")
 
 
+def blob_path(root: str, digest: str) -> str:
+    """Where the artifact bytes whose SHA-256 is ``digest`` live."""
+    return os.path.join(root, "blobs", digest[:2], digest)
+
+
+#: What an entry may name a blob by: nothing that could leave ``blobs/``.
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}\Z")
+
+
 @dataclass
 class CacheStats:
     """What one batch (or one process) did to the store."""
@@ -179,7 +198,7 @@ class CacheDiagnostic:
 
     key: str
     reason: str        # torn-entry | schema-mismatch | digest-mismatch |
-                       # key-mismatch | payload-undecodable
+                       # key-mismatch | payload-undecodable | blob-mismatch
     detail: str
     entry_path: str
     quarantine_path: Optional[str]
@@ -196,12 +215,43 @@ class CacheDiagnostic:
         }
 
 
-def _encode_blob(data: bytes) -> str:
+def _encode_field(data: bytes) -> str:
+    """Bytes as JSON text: the pickled payload, a source summary."""
     return base64.b64encode(zlib.compress(data, 6)).decode("ascii")
 
 
-def _decode_blob(text: str) -> bytes:
+def _decode_field(text: str) -> bytes:
     return zlib.decompress(base64.b64decode(text))
+
+
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _temp_name(directory: str) -> str:
+    """A fresh temp path in ``directory``, unique across processes and
+    hosts sharing the store, for a link that must not exist yet."""
+    return os.path.join(directory, f".{os.urandom(8).hex()}.tmp~")
+
+
+def _link_or_copy(src: str, dest: str) -> str:
+    """Hard link ``src`` at the new path ``dest`` and return the SHA-256
+    of the file now at ``dest``.  Where the filesystem refuses the link
+    (another device, no hard links, the link limit) the bytes are
+    copied instead.  A missing ``src`` raises :class:`FileNotFoundError`.
+    """
+    try:
+        os.link(src, dest)
+    except FileNotFoundError:
+        raise
+    except OSError:
+        with open(src, "rb") as handle:
+            data = handle.read()
+        with open(dest, "xb") as handle:
+            handle.write(data)
+        return hashlib.sha256(data).hexdigest()
+    return file_sha256(dest)
 
 
 def _entry_digest(body: Dict[str, object]) -> str:
@@ -215,8 +265,10 @@ class ResultCache:
     Layout::
 
         <root>/objects/<key[:2]>/<key>.json   one entry per result
+        <root>/blobs/<sha[:2]>/<sha>          one file per distinct artifact
         <root>/sources/<key[:2]>/<key>.json   one source summary per file
         <root>/quarantine/<key>.json          rejected entries (+ .diag.json)
+        <root>/quarantine/<sha>               blobs that failed their hash
 
     Source summaries are the impact index's per-file parse results
     (:meth:`load_source` / :meth:`store_source`).  They are verified,
@@ -225,7 +277,8 @@ class ResultCache:
 
     Thread-compatibility: one instance is used from the coordinating
     process only; concurrent *processes* sharing the same root are safe
-    by construction (unique temp files + atomic rename, last-wins).
+    by construction (unique temp files + atomic rename, last-wins; two
+    writers of one blob publish the same bytes).
     """
 
     def __init__(self, root: str,
@@ -248,6 +301,9 @@ class ResultCache:
     def entry_path(self, key: str) -> str:
         return entry_path(self.root, key)
 
+    def blob_path(self, digest: str) -> str:
+        return blob_path(self.root, digest)
+
     def _quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
 
@@ -269,11 +325,10 @@ class ResultCache:
         clean = copy.copy(result)
         clean.telemetry = None
         clean.process_seconds = {}
-        blobs: Dict[str, str] = {}
+        digests: Dict[str, str] = {}
         try:
             for role, path in sorted(artifacts.items()):
-                with open(path, "rb") as handle:
-                    blobs[role] = _encode_blob(handle.read())
+                digests[role] = self._put_blob(path)
         except OSError:
             return None
         # Key components are recorded alongside the entry so cache
@@ -300,8 +355,8 @@ class ResultCache:
                 "bugs": sorted(job.bugs) if job.view == "bca" else [],
                 "with_arbitration_checker": job.with_arbitration_checker,
             },
-            "payload": _encode_blob(pickle.dumps(clean, protocol=4)),
-            "artifacts": blobs,
+            "payload": _encode_field(pickle.dumps(clean, protocol=4)),
+            "artifacts": digests,
         }
         path = self.entry_path(key)
         _publish(path, key, body)
@@ -309,6 +364,28 @@ class ResultCache:
         self.events.append({
             "event": "cache.store", "key": key, **body["coords"]})
         return path
+
+    def _put_blob(self, path: str) -> str:
+        """Store the bytes of the file at ``path`` as the blob named by
+        their SHA-256 and return that digest.  The file is linked into
+        the store, hashed there, and published only when no blob of
+        that digest exists yet."""
+        staging = os.path.join(self.root, "blobs")
+        os.makedirs(staging, exist_ok=True)
+        tmp = _temp_name(staging)
+        try:
+            digest = _link_or_copy(path, tmp)
+            blob = self.blob_path(digest)
+            if os.path.exists(blob):
+                os.remove(tmp)
+            else:
+                os.makedirs(os.path.dirname(blob), exist_ok=True)
+                os.replace(tmp, blob)
+        except BaseException:
+            with _suppress_oserror():
+                os.remove(tmp)
+            raise
+        return digest
 
     def store_source(self, key: str, summary: object,
                      key_inputs: Dict[str, object]) -> str:
@@ -319,7 +396,7 @@ class ResultCache:
             "schema": SOURCE_SCHEMA,
             "key": key,
             "key_inputs": key_inputs,
-            "summary": _encode_blob(
+            "summary": _encode_field(
                 json.dumps(summary, sort_keys=True).encode("utf-8")),
         })
         return path
@@ -331,9 +408,11 @@ class ResultCache:
         files at the paths in ``artifacts`` (atomically) and return the
         :class:`~repro.catg.env.RunResult`; on a miss return ``None``.
 
-        A present-but-unverifiable entry (torn, corrupt, poisoned) is
-        quarantined with a structured diagnostic and reported as a miss
-        — a batch never trusts bytes that fail verification.
+        A present-but-unverifiable entry (torn, corrupt, poisoned, or
+        naming a blob whose bytes fail their hash) is quarantined with a
+        structured diagnostic and reported as a miss — a batch never
+        trusts bytes that fail verification.  An entry whose blob is
+        gone is a plain ``missing-blob`` miss: the re-run restores it.
         """
         key = self.key_for(job)
         path = self.entry_path(key)
@@ -355,25 +434,34 @@ class ResultCache:
             self._miss(key, job, "insufficient-artifacts")
             return None
         try:
-            result = pickle.loads(_decode_blob(entry["payload"]))
+            result = pickle.loads(_decode_field(entry["payload"]))
         except Exception as exc:
             self._quarantine(key, path, "payload-undecodable",
                              f"{type(exc).__name__}: {exc}", count=True)
             self._miss(key, job, "quarantined:payload-undecodable")
             return None
-        for role, out_path in sorted(artifacts.items()):
-            data = _decode_blob(entry["artifacts"][role])
-            out_dir = os.path.dirname(out_path) or "."
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:12]}.", suffix=".tmp~", dir=out_dir)
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, out_path)
-            except BaseException:
-                with _suppress_oserror():
-                    os.remove(tmp)
-                raise
+        staged: List[Tuple[Optional[str], str]] = []
+        try:
+            failure = self._link_artifacts(entry["artifacts"], artifacts,
+                                           staged)
+            if failure is None:
+                while staged:
+                    tmp, target = staged.pop()
+                    if tmp is not None:
+                        os.replace(tmp, target)
+        finally:
+            for tmp, _ in staged:
+                if tmp is not None:
+                    with _suppress_oserror():
+                        os.remove(tmp)
+        if failure is not None:
+            reason, detail = failure
+            if reason == "missing-blob":
+                self._miss(key, job, reason)
+            else:
+                self._quarantine(key, path, reason, detail, count=True)
+                self._miss(key, job, f"quarantined:{reason}")
+            return None
         self.stats.hits += 1
         self.events.append({
             "event": "cache.hit", "key": key,
@@ -381,6 +469,44 @@ class ResultCache:
             "seed": job.seed, "view": job.view,
         })
         return result
+
+    def _link_artifacts(self, digests: Dict[str, str],
+                        artifacts: Dict[str, str],
+                        staged: List[Tuple[Optional[str], str]]):
+        """Link each requested artifact's blob to a temp name next to its
+        target and hash the linked file, appending ``(temp, target)`` to
+        ``staged`` (``temp`` is ``None`` when the target already is that
+        blob).  Returns ``None`` when every artifact verified, else
+        ``(reason, detail)``; a blob that fails its hash is evicted to
+        ``quarantine/`` so the re-run can publish it afresh."""
+        for role, target in sorted(artifacts.items()):
+            digest = digests[role]
+            blob = self.blob_path(digest)
+            try:
+                # A repeat hit into the same workdir finds the blob
+                # already in place.  Renaming a link over another link
+                # of one inode is a no-op that would leave the temp name
+                # behind, so only the bytes are checked.
+                linked = os.path.samestat(os.stat(target), os.stat(blob))
+            except FileNotFoundError:
+                linked = False
+            try:
+                if linked:
+                    tmp, actual = None, file_sha256(target)
+                else:
+                    tmp = _temp_name(os.path.dirname(target) or ".")
+                    actual = _link_or_copy(blob, tmp)
+            except FileNotFoundError:
+                if os.path.exists(blob):
+                    raise
+                return "missing-blob", f"artifact {role!r}: no blob {digest}"
+            staged.append((tmp, target))
+            if actual != digest:
+                moved = self._evict(blob)
+                return "blob-mismatch", (
+                    f"artifact {role!r}: blob {digest} hashes to {actual} "
+                    f"(blob moved to {moved}); refusing to serve")
+        return None
 
     def load_source(self, key: str, decode: Callable[[object], object]):
         """The verified source summary stored under ``key``, passed
@@ -397,7 +523,7 @@ class ResultCache:
             self._quarantine(key, path, reason, detail, count=False)
             return None
         try:
-            return decode(json.loads(_decode_blob(entry["summary"])))
+            return decode(json.loads(_decode_field(entry["summary"])))
         except Exception as exc:
             self._quarantine(key, path, "payload-undecodable",
                              f"{type(exc).__name__}: {exc}", count=False)
@@ -434,18 +560,21 @@ class ResultCache:
                 f"entry claims key {entry.get('key')} but is addressed "
                 f"as {key}; refusing to serve"
             )
+        artifacts = entry.get("artifacts")
         complete = (isinstance(entry.get("summary"), str)
                     if schema == SOURCE_SCHEMA
-                    else isinstance(entry.get("artifacts"), dict)
-                    and "payload" in entry)
+                    else isinstance(artifacts, dict) and "payload" in entry
+                    and all(isinstance(digest, str)
+                            and _DIGEST_RE.match(digest)
+                            for digest in artifacts.values()))
         if not complete:
             return None, "schema-mismatch", "entry body is incomplete"
         return entry, None, None
 
     def _miss(self, key: str, job, reason: str = "no-entry") -> None:
         """Count and log one miss, with attribution: ``no-entry`` (cold
-        or key changed), ``insufficient-artifacts``, or
-        ``quarantined:<verify reason>``."""
+        or key changed), ``insufficient-artifacts``, ``missing-blob``,
+        or ``quarantined:<verify reason>``."""
         self.stats.misses += 1
         self.events.append({
             "event": "cache.miss", "key": key, "reason": reason,
@@ -459,6 +588,30 @@ class ResultCache:
         a structured diagnostic next to it.  The entry is *moved*, not
         deleted: the corrupt bytes are evidence.  ``count`` charges the
         rejection to :attr:`stats` (run entries only)."""
+        moved = self._evict(path)
+        diagnostic = CacheDiagnostic(
+            key=key, reason=reason, detail=detail,
+            entry_path=path, quarantine_path=moved,
+        )
+        if moved is not None:
+            with _suppress_oserror():
+                fd, tmp = tempfile.mkstemp(
+                    prefix=".diag.", suffix=".tmp~",
+                    dir=self._quarantine_dir())
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(diagnostic.as_record(), handle,
+                              sort_keys=True, indent=1)
+                    handle.write("\n")
+                os.replace(tmp, moved + ".diag.json")
+        if count:
+            self.stats.verify_failures += 1
+            if moved is not None:
+                self.stats.quarantined += 1
+        self.events.append(diagnostic.as_record())
+
+    def _evict(self, path: str) -> Optional[str]:
+        """Move ``path`` into ``quarantine/`` under a free name; return
+        that name, or ``None`` when the file was already gone."""
         qdir = self._quarantine_dir()
         os.makedirs(qdir, exist_ok=True)
         dest = os.path.join(qdir, os.path.basename(path))
@@ -467,29 +620,11 @@ class ResultCache:
             index += 1
             dest = os.path.join(
                 qdir, f"{os.path.basename(path)}.{index}")
-        moved: Optional[str] = dest
         try:
             os.replace(path, dest)
         except OSError:
-            moved = None  # someone else already moved/replaced it
-        diagnostic = CacheDiagnostic(
-            key=key, reason=reason, detail=detail,
-            entry_path=path, quarantine_path=moved,
-        )
-        if moved is not None:
-            with _suppress_oserror():
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".diag.", suffix=".tmp~", dir=qdir)
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(diagnostic.as_record(), handle,
-                              sort_keys=True, indent=1)
-                    handle.write("\n")
-                os.replace(tmp, dest + ".diag.json")
-        if count:
-            self.stats.verify_failures += 1
-            if moved is not None:
-                self.stats.quarantined += 1
-        self.events.append(diagnostic.as_record())
+            return None  # someone else already moved/replaced it
+        return dest
 
 
 def _publish(path: str, key: str, body: Dict[str, object]) -> None:

@@ -26,7 +26,7 @@ import pytest
 from repro.analysis import impact
 from repro.analysis.impact import ImpactIndex, environment_digest
 from repro.cache import CacheStats, ResultCache
-from repro.cache.store import _encode_blob, _entry_digest
+from repro.cache.store import _encode_field, _entry_digest
 from repro.regression.configs import load_config_dir
 from repro.stbus import NodeConfig
 
@@ -195,7 +195,7 @@ def _key_mismatch(path, other):
 
 def _undecodable(path, other):
     entry = _load(path)
-    entry["summary"] = _encode_blob(b"{}")
+    entry["summary"] = _encode_field(b"{}")
     _reseal(path, entry)
 
 

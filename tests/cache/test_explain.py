@@ -209,3 +209,75 @@ def test_explain_damaged_source_entry_exits_1(source_entry, capsys,
     out = capsys.readouterr().out
     assert "kind: source summary" in out
     assert "integrity: FAILED (digest-mismatch" in out
+
+
+# -- artifact blobs ------------------------------------------------------------
+
+
+def test_explain_checks_every_blob(stored, capsys):
+    job, cache, path = stored
+    assert cache_main(["explain", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload["blobs"]) == payload["artifacts"]
+    assert {status["state"] for status in payload["blobs"].values()} \
+        == {"ok"}
+    assert cache_main(["explain", path]) == 0
+    assert "blobs:\n" in capsys.readouterr().out
+
+
+def _private_entry(tmp_path):
+    job = _job(tmp_path / "work")
+    cache = ResultCache(str(tmp_path / "cache"), lambda job: "d" * 64)
+    path = cache.store(job, execute_run_job(job), run_artifact_paths(job))
+    with open(path, "r", encoding="utf-8") as handle:
+        digest = json.load(handle)["artifacts"]["vcd"]
+    return path, digest, cache.blob_path(digest)
+
+
+def test_explain_names_a_missing_blob(tmp_path, capsys):
+    path, digest, blob = _private_entry(tmp_path)
+    os.remove(blob)
+    assert cache_main(["explain", path]) == 1
+    out = capsys.readouterr().out
+    assert "integrity: FAILED (missing-blob: artifact 'vcd'" in out
+    assert f"vcd: {digest} missing (no blob at {blob})" in out
+    assert cache_main(["explain", path, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False
+    assert payload["reason"] == "missing-blob"
+    assert payload["blobs"]["vcd"]["state"] == "missing"
+    assert payload["blobs"]["report"]["state"] == "ok"
+
+
+def test_explain_names_a_corrupt_blob(tmp_path, capsys):
+    path, digest, blob = _private_entry(tmp_path)
+    with open(blob, "r+b") as handle:
+        byte = handle.read(1)
+        handle.seek(0)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    assert cache_main(["explain", path]) == 1
+    out = capsys.readouterr().out
+    assert "integrity: FAILED (blob-mismatch: artifact 'vcd'" in out
+    assert f"vcd: {digest} corrupt (blob {blob} hashes to " in out
+    assert cache_main(["explain", path, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False
+    assert payload["reason"] == "blob-mismatch"
+    assert payload["blobs"]["vcd"]["state"] == "corrupt"
+
+
+def test_explain_entry_outside_a_store_checks_blobs_under_root(
+        tmp_path, capsys, monkeypatch):
+    """A copied-out entry file checks its blobs under ``--root``; with
+    no root to look in, it says the blobs were not checked."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    path, digest, blob = _private_entry(tmp_path)
+    copy = tmp_path / os.path.basename(path)
+    with open(path, "rb") as src, open(copy, "wb") as dst:
+        dst.write(src.read())
+    os.remove(blob)
+    assert cache_main(
+        ["explain", str(copy), "--root", str(tmp_path / "cache")]) == 1
+    assert "missing-blob" in capsys.readouterr().out
+    assert cache_main(["explain", str(copy)]) == 0
+    assert "blobs: not checked" in capsys.readouterr().out

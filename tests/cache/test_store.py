@@ -10,6 +10,11 @@ The store's contract has three legs, each pinned here:
   structured diagnostic and the run re-executes.
 * **Atomicity** — concurrent writers racing on one key leave a single
   valid entry (last-wins); readers never observe a torn one.
+* **Blobs** — each artifact is stored once, as a file named by its
+  SHA-256, and served by hard link: every served artifact is hashed
+  after it is linked, a corrupt blob is quarantined and never served, a
+  missing one is a plain miss, and a filesystem that cannot link gets
+  a byte-identical copy.
 
 The end-to-end law — a warm cache means a second identical batch
 executes **zero** simulation jobs — is proven by re-running under a
@@ -18,6 +23,8 @@ crash, so a passing byte-identical batch is a zero-execution batch.
 """
 
 import dataclasses
+import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -204,8 +211,8 @@ def test_flipped_payload_byte_is_digest_mismatch(tmp_path):
     job, cache, path = _stored_entry(tmp_path)
     with open(path, "r", encoding="utf-8") as handle:
         entry = json.load(handle)
-    # Corrupt one artifact blob but keep the JSON well-formed: this is
-    # the adversarial case where only the digest can catch the damage.
+    # Corrupt the blob name of one artifact but keep the JSON
+    # well-formed: only the entry's own digest can catch the damage.
     blob = entry["artifacts"]["report"]
     entry["artifacts"]["report"] = ("A" if blob[0] != "A" else "B") + blob[1:]
     with open(path, "w", encoding="utf-8") as handle:
@@ -295,18 +302,189 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
         assert proc.exitcode == 0
     paths = {done.get(timeout=10)[1] for _ in procs}
     assert None not in paths and len(paths) == 1
-    # No stale temp files; exactly one entry; it verifies on read.
-    objects = []
-    for dirpath, _, filenames in os.walk(tmp_path / "cache"):
-        objects.extend(os.path.join(dirpath, name) for name in filenames)
+    # Exactly one entry under objects/, one blob per distinct digest it
+    # names, no stale temp file anywhere; the entry verifies on read.
+    files = _tree_files(tmp_path / "cache")
+    assert not [path for path in files if path.endswith(".tmp~")]
+    objects = [path for path in files if os.sep + "objects" + os.sep in path]
     assert len(objects) == 1 and objects[0].endswith(".json")
+    with open(objects[0], "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    assert entry["schema"] == CACHE_SCHEMA
+    blobs = sorted(path for path in files if os.sep + "blobs" + os.sep in path)
+    digests = set(entry["artifacts"].values())
+    assert sorted(os.path.basename(path) for path in blobs) == sorted(digests)
+    for path in blobs:
+        assert _sha256(path) == os.path.basename(path)
+    assert len(files) == len(objects) + len(blobs)
     cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
     replay_dir = tmp_path / "replay"
     os.makedirs(replay_dir)
     job = _job(replay_dir)
     assert cache.load(job, run_artifact_paths(job)) is not None
-    with open(objects[0], "r", encoding="utf-8") as handle:
-        assert json.load(handle)["schema"] == CACHE_SCHEMA
+    assert cache.stats.verify_failures == 0
+
+
+def _tree_files(root):
+    return sorted(os.path.join(dirpath, name)
+                  for dirpath, _, filenames in os.walk(root)
+                  for name in filenames)
+
+
+def _sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+# -- blobs: linked hits and their failure paths ---------------------------
+
+
+def _blob_of(cache, job, role):
+    with open(cache.entry_path(cache.key_for(job)), encoding="utf-8") as fh:
+        return cache.blob_path(json.load(fh)["artifacts"][role])
+
+
+def _flip_byte(path):
+    with open(path, "r+b") as handle:
+        byte = handle.read(1)
+        handle.seek(0)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _replay_job(tmp_path, name):
+    workdir = tmp_path / name
+    os.makedirs(workdir, exist_ok=True)
+    return _job(workdir)
+
+
+def test_hit_links_each_artifact_to_its_blob(tmp_path):
+    job, cache, _ = _stored_entry(tmp_path)
+    replay = _replay_job(tmp_path, "replay")
+    assert cache.load(replay, run_artifact_paths(replay)) is not None
+    for role, path in run_artifact_paths(replay).items():
+        assert os.path.samefile(path, _blob_of(cache, replay, role))
+    assert not [p for p in _tree_files(tmp_path) if p.endswith(".tmp~")]
+
+
+def _assert_blob_rejected(cache, job, bad_bytes):
+    """The load is a quarantined ``blob-mismatch`` miss, the damaged
+    blob is evicted next to the entry, and no artifact is served."""
+    artifacts = run_artifact_paths(job)
+    before = {role: (open(path, "rb").read() if os.path.exists(path)
+                     else None) for role, path in artifacts.items()}
+    assert cache.load(job, artifacts) is None
+    assert cache.stats.counters()["verify_failures"] == 1
+    misses = [e for e in cache.events if e.get("event") == "cache.miss"]
+    assert misses[-1]["reason"] == "quarantined:blob-mismatch"
+    diagnostic = [e for e in cache.events
+                  if e.get("event") == "cache.quarantined"][-1]
+    assert diagnostic["reason"] == "blob-mismatch"
+    assert not os.path.exists(cache.entry_path(cache.key_for(job)))
+    quarantine = os.listdir(os.path.join(cache.root, "quarantine"))
+    assert sum(len(name) == 64 for name in quarantine) == 1  # the blob
+    after = {role: (open(path, "rb").read() if os.path.exists(path)
+                    else None) for role, path in artifacts.items()}
+    assert after == before  # nothing linked into place
+    assert bad_bytes not in [data for data in after.values() if data]
+    assert not [p for p in _tree_files(os.path.dirname(cache.root))
+                if p.endswith(".tmp~")]
+
+
+def test_flipped_blob_byte_is_quarantined_and_rerun(tmp_path):
+    """A damaged blob is never served: the entry and the blob go to
+    quarantine, and a batch re-runs the job and republishes both."""
+    report, _ = _batch(tmp_path / "cold", tmp_path / "cache")
+    cold = _snapshot(tmp_path / "cold")
+    victim = _tree_files(tmp_path / "cache" / "blobs")[0]
+    _flip_byte(victim)
+    bad = open(victim, "rb").read()
+    warm_report, warm = _batch(tmp_path / "warm", tmp_path / "cache")
+    counters = warm.cache.stats.counters()
+    assert counters["verify_failures"] >= 1
+    assert counters["stores"] == counters["misses"] >= 1
+    assert any(e.get("reason") == "blob-mismatch" for e in warm.cache.events)
+    assert warm_report.render() == report.render()
+    assert _snapshot(tmp_path / "warm") == cold
+    assert bad not in _snapshot(tmp_path / "warm").values()
+    # The re-run republished the blob: the next batch is all hits.
+    _, again = _batch(tmp_path / "again", tmp_path / "cache")
+    assert again.cache.stats.hits == 2 and again.cache.stats.misses == 0
+
+
+def test_flipped_blob_byte_never_reaches_the_workdir(tmp_path):
+    job, cache, _ = _stored_entry(tmp_path)
+    blob = _blob_of(cache, job, "report")
+    _flip_byte(blob)
+    _assert_blob_rejected(cache, _replay_job(tmp_path, "replay"),
+                          open(blob, "rb").read())
+
+
+def test_flipped_byte_in_a_linked_workdir_artifact(tmp_path):
+    """A served artifact is a link to its blob, so damage done to it in
+    place damages the blob: the next hit, in another workdir, must
+    catch it."""
+    job, cache, _ = _stored_entry(tmp_path)
+    first = _replay_job(tmp_path, "first")
+    assert cache.load(first, run_artifact_paths(first)) is not None
+    vcd = run_artifact_paths(first)["vcd"]
+    _flip_byte(vcd)
+    bad = open(vcd, "rb").read()
+    _assert_blob_rejected(cache, _replay_job(tmp_path, "second"), bad)
+
+
+def test_flipped_byte_in_the_same_workdir_is_caught(tmp_path):
+    """The same damage seen by a repeat hit into that workdir, where the
+    target already is the blob and is hashed without relinking."""
+    job, cache, _ = _stored_entry(tmp_path)
+    replay = _replay_job(tmp_path, "replay")
+    assert cache.load(replay, run_artifact_paths(replay)) is not None
+    _flip_byte(run_artifact_paths(replay)["report"])
+    assert cache.load(replay, run_artifact_paths(replay)) is None
+    assert cache.stats.verify_failures == 1
+    assert [e["reason"] for e in cache.events
+            if e.get("event") == "cache.quarantined"] == ["blob-mismatch"]
+    assert not [p for p in _tree_files(tmp_path) if p.endswith(".tmp~")]
+
+
+def test_deleted_blob_is_a_plain_missing_blob_miss(tmp_path):
+    job, cache, path = _stored_entry(tmp_path)
+    os.remove(_blob_of(cache, job, "vcd"))
+    replay = _replay_job(tmp_path, "replay")
+    assert cache.load(replay, run_artifact_paths(replay)) is None
+    assert cache.stats.counters() == {
+        "hits": 0, "misses": 1, "stores": 1,
+        "verify_failures": 0, "quarantined": 0,
+    }
+    assert cache.events[-1]["reason"] == "missing-blob"
+    assert os.path.exists(path)  # the entry itself is sound
+    assert not os.listdir(tmp_path / "replay")
+    # Storing the re-run restores the blob; the entry serves again.
+    cache.store(job, execute_run_job(job), run_artifact_paths(job))
+    assert cache.load(replay, run_artifact_paths(replay)) is not None
+
+
+def test_unlinkable_filesystem_takes_the_copy_path(tmp_path, monkeypatch):
+    """Where ``os.link`` fails (cache and workdir on two devices), the
+    store copies: byte-identical artifacts, no shared inode."""
+    job, result = _executed_job(tmp_path / "first")
+    originals = {role: open(path, "rb").read()
+                 for role, path in run_artifact_paths(job).items()}
+
+    def no_link(src, dst, *args, **kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", no_link)
+    cache = ResultCache(str(tmp_path / "cache"), _fixed_design)
+    assert cache.store(job, result, run_artifact_paths(job)) is not None
+    replay = _replay_job(tmp_path, "replay")
+    assert cache.load(replay, run_artifact_paths(replay)) is not None
+    for role, path in run_artifact_paths(replay).items():
+        assert open(path, "rb").read() == originals[role]
+        assert os.stat(path).st_nlink == 1
+        assert not os.path.samefile(path, _blob_of(cache, replay, role))
+    for role, path in run_artifact_paths(job).items():
+        assert os.stat(path).st_nlink == 1
+    assert not [p for p in _tree_files(tmp_path) if p.endswith(".tmp~")]
 
 
 # -- end-to-end: warm cache = zero executed simulations ------------------
@@ -324,6 +502,27 @@ def _batch(workdir, cache_dir, jobs=1):
 def _snapshot(workdir):
     return {name: (workdir / name).read_bytes()
             for name in sorted(os.listdir(workdir))}
+
+
+def test_repeat_cached_batch_into_one_workdir_leaves_no_temp_file(
+        tmp_path, monkeypatch):
+    """Rerunning a fully cached batch into the workdir it already served
+    finds every artifact already linked to its blob: the tree stays
+    byte-identical and no temp name is left behind."""
+    _batch(tmp_path / "work", tmp_path / "cache")
+    monkeypatch.setenv(CHAOS_ENV, "crash:*:*:*:*")
+    _, first = _batch(tmp_path / "warm", tmp_path / "cache")
+    tree = {path: open(path, "rb").read()
+            for path in _tree_files(tmp_path / "warm")}
+    for _ in range(2):
+        _, again = _batch(tmp_path / "warm", tmp_path / "cache")
+        assert again.cache.stats.hits == 2
+        assert again.cache.stats.misses == 0
+        assert {path: open(path, "rb").read()
+                for path in _tree_files(tmp_path / "warm")} == tree
+    assert first.cache.stats.hits == 2
+    assert not [path for path in _tree_files(tmp_path)
+                if path.endswith(".tmp~")]
 
 
 def test_second_identical_batch_executes_zero_sim_jobs(
