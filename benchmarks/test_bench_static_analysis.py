@@ -1,5 +1,5 @@
-"""Static-analysis benchmark: RTL/BCA agreement-check and exact-UNR
-wall times over the configuration matrix.
+"""Static-analysis benchmark: RTL/BCA agreement-check and UNR wall
+times over the configuration matrix.
 
 The symbolic pass only earns its place in the flow if it stays cheap
 next to simulation: a functional RTL/BCA agreement check per port, for
@@ -20,8 +20,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.symbolic.equiv import check_functional_equivalence
-from repro.analysis.symbolic.reach import upgrade_unr_report
-from repro.analysis.unr import analyze_unreachability
+from repro.analysis.unr import (
+    REACHABLE,
+    UNKNOWN,
+    UNREACHABLE,
+    analyze_unreachability,
+)
 from repro.regression.configs import configuration_matrix
 
 MATRIX = configuration_matrix()
@@ -58,24 +62,24 @@ def test_bench_equivalence_phase():
 
 
 def test_bench_reachability_phase():
-    """Probe-based UNR plus the exact interval upgrade, full matrix."""
+    """The UNR pass (exact decode-error argument included), full matrix."""
     start = time.perf_counter()
-    n_bins = n_deltas = 0
-    for config in MATRIX:
-        report = analyze_unreachability(config)
-        upgrade = upgrade_unr_report(report, config)
-        assert upgrade.unknown_after == 0, config.name
-        n_bins += len(report.verdicts)
-        n_deltas += len(upgrade.deltas)
+    reports = [analyze_unreachability(config) for config in MATRIX]
     reach_s = time.perf_counter() - start
+    totals = {REACHABLE: 0, UNREACHABLE: 0, UNKNOWN: 0}
+    for config, report in zip(MATRIX, reports):
+        counts = report.counts()
+        assert counts[UNKNOWN] == 0, config.name
+        for verdict, n in counts.items():
+            totals[verdict] += n
+    assert totals == {REACHABLE: 2073, UNREACHABLE: 101, UNKNOWN: 0}
+    n_bins = sum(totals.values())
     _RESULTS.update({
         "unr_bins_decided": n_bins,
-        "unr_upgrade_deltas": n_deltas,
         "reachability_seconds": round(reach_s, 3),
         "reachability_bins_per_second": round(n_bins / reach_s, 1),
     })
-    print(f"[bench] reachability: {n_bins} bins ({n_deltas} upgraded) "
-          f"in {reach_s:.2f}s")
+    print(f"[bench] reachability: {n_bins} bins in {reach_s:.2f}s")
     assert reach_s < 30.0
 
 

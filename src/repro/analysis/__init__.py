@@ -11,14 +11,15 @@ process at a time), this package reasons about *flows*:
 * :mod:`~repro.analysis.races` — ordering-race and clock-domain-crossing
   rules the multi-driver lint rule cannot see;
 * :mod:`~repro.analysis.unr` — coverage-unreachability proofs: a
-  REACHABLE / UNREACHABLE / UNKNOWN verdict per functional-coverage bin,
-  with the proving witness or blocking constant;
+  REACHABLE / UNREACHABLE verdict per functional-coverage bin, with the
+  proving witness or blocking constant (the decode-error bins by an
+  exact interval union over the address map); UNKNOWN is reserved for
+  a rule that cannot decide its bin, and no shipped rule emits it;
 * :mod:`~repro.analysis.xview` — cross-view cone-equivalence check (RTL
   vs BCA cones per STBus port);
 * :mod:`~repro.analysis.symbolic` — the symbolic pass (``--symbolic``):
   check per-port functional RTL/BCA agreement on bare dual harnesses
-  (comb-cone enumeration from reset plus bounded lockstep), and upgrade
-  the UNR decode verdicts with the exact interval-coverage engine;
+  (comb-cone enumeration from reset plus bounded lockstep);
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
@@ -65,7 +66,6 @@ _LAZY = {
     "analyze_unreachability": "unr",
     "cone_equivalence_findings": "xview",
     "SymbolicReport": "symbolic.report",
-    "UnrUpgrade": "symbolic.reach",
     "run_symbolic_analysis": "symbolic.report",
     "AnalysisReport": "runner",
     "ConfigAnalysisReport": "runner",

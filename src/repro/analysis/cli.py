@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence
 
 from .races import ANALYSIS_RULES, resolve_analysis_rules
 from .runner import ConfigAnalysisReport, analyze_config
+from .unr import UNKNOWN
 from .waivers import Waiver, WaiverError, load_waiver_file
 
 USAGE_EXIT = 2
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--symbolic", action="store_true",
         help="run the symbolic pass: check per-port functional RTL/BCA "
              "agreement (comb enumeration from reset plus bounded "
-             "lockstep), and upgrade the UNR decode verdicts with the "
-             "exact interval engine",
+             "lockstep)",
     )
     parser.add_argument(
         "--symbolic-budget", metavar="N", type=int, default=None,
@@ -263,7 +263,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.symbolic:
             sym = [r.symbolic for r in reports if r.symbolic is not None]
             n_mismatch = sum(len(s.mismatched_ports) for s in sym)
-            n_unknown = sum(s.unknown_unr for s in sym)
+            n_unknown = sum(r.unr.counts()[UNKNOWN] for r in reports
+                            if r.unr is not None)
             print(f"symbolic: {n_mismatch} mismatched port(s), "
                   f"{n_unknown} UNKNOWN UNR verdict(s) across "
                   f"{len(sym)} configuration(s)")

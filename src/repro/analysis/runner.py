@@ -235,12 +235,11 @@ def analyze_config(
     the blocking-constant messages.
 
     With ``symbolic`` on, additionally runs the symbolic pass: check
-    per-port functional RTL/BCA agreement on both views, and upgrade
-    the UNR report's probe-based decode verdicts with the exact
-    interval-coverage engine.  ``symbolic_budget`` caps the comb-cone
-    enumeration domain (None = the engine default); ``bca_bugs`` injects
-    defects into the BCA harness so the detection of the bug registry
-    can itself be checked.
+    per-port functional RTL/BCA agreement on both views; the UNR
+    report is the same either way.  ``symbolic_budget`` caps the
+    comb-cone enumeration domain (None = the engine default);
+    ``bca_bugs`` injects defects into the BCA harness so the detection
+    of the bug registry can itself be checked.
     """
     from ..lint.runner import build_env
     from .constants import derive_constants
@@ -292,7 +291,6 @@ def analyze_config(
             budget=(DEFAULT_DOMAIN_BUDGET if symbolic_budget is None
                     else symbolic_budget),
             bca_bugs=bca_bugs,
-            unr_report=result.unr,
         )
         apply_waivers(result.symbolic.findings, waivers)
     return result

@@ -1,21 +1,16 @@
-"""Symbolic pass: per-port RTL/BCA agreement and exact UNR.
+"""Symbolic pass: per-port RTL/BCA agreement.
 
-Two engines behind ``--symbolic``:
-
-* :mod:`~repro.analysis.symbolic.equiv` — functional RTL/BCA agreement
-  on bare dual harnesses: comb-cone enumeration from reset on both
-  simulators plus bounded lockstep execution of both views under
-  identical stimulus, one ``AGREED``/``MISMATCH`` verdict per interface
-  port.  Agreement is a bounded check, not a proof;
-* :mod:`~repro.analysis.symbolic.reach` — the exact address-interval
-  reachability engine that upgrades probe-based UNKNOWN verdicts to
-  REACHABLE (with a concrete witness vector) or UNREACHABLE (with an
-  interval-coverage proof).
+:mod:`~repro.analysis.symbolic.equiv` checks functional RTL/BCA
+agreement on bare dual harnesses: comb-cone enumeration from reset on
+both simulators plus bounded lockstep execution of both views under
+identical stimulus, one ``AGREED``/``MISMATCH`` verdict per interface
+port.  Agreement is a bounded check, not a proof.
 
 Everything here is reachable through ``python -m repro.analysis
 --symbolic`` and :func:`repro.analysis.analyze_config` with
 ``symbolic=True``; with the flag off none of these modules is imported
-and the analysis output stays byte-identical to the non-symbolic pass.
+and the analysis output carries no ``symbolic`` key.  The UNR verdicts
+are the same either way: :mod:`repro.analysis.unr` decides them alone.
 """
 
 from .equiv import (
@@ -23,7 +18,6 @@ from .equiv import (
     PortEquivalence,
     check_functional_equivalence,
 )
-from .reach import exact_decode_verdict, upgrade_unr_report
 from .report import SymbolicReport, run_symbolic_analysis
 
 __all__ = [
@@ -31,7 +25,5 @@ __all__ = [
     "PortEquivalence",
     "SymbolicReport",
     "check_functional_equivalence",
-    "exact_decode_verdict",
     "run_symbolic_analysis",
-    "upgrade_unr_report",
 ]

@@ -54,7 +54,7 @@ from ...stbus import (
     build_request_cells,
     build_response_cells,
 )
-from .reach import coverage_gaps
+from ..unr import coverage_gaps
 
 __all__ = [
     "DEFAULT_DOMAIN_BUDGET",

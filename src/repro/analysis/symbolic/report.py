@@ -1,19 +1,17 @@
 """The per-configuration symbolic analysis report and its orchestrator.
 
-:func:`run_symbolic_analysis` ties the subsystem together for one
-configuration: run the functional agreement engines on both bare
-views, and (when the caller hands over the probe-based UNR report)
-rewrite its decode verdicts with the exact interval-coverage engine.
-The resulting :class:`SymbolicReport` hangs off
+:func:`run_symbolic_analysis` runs the functional agreement engines on
+both bare views of one configuration.  The resulting
+:class:`SymbolicReport` hangs off
 :class:`repro.analysis.runner.ConfigAnalysisReport` under a ``symbolic``
-key that only exists when ``--symbolic`` ran — non-symbolic output stays
-byte-identical.
+key that only exists when ``--symbolic`` ran; the rest of the report,
+the UNR verdicts included, is the same with or without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ...lint.diagnostics import Finding
 from ...stbus import NodeConfig
@@ -23,7 +21,6 @@ from .equiv import (
     PortEquivalence,
     check_functional_equivalence,
 )
-from .reach import UnrUpgrade, upgrade_unr_report
 
 __all__ = ["SymbolicReport", "run_symbolic_analysis"]
 
@@ -37,7 +34,6 @@ class SymbolicReport:
     bca_bugs: List[str] = field(default_factory=list)
     ports: List[PortEquivalence] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
-    unr_upgrade: Optional[UnrUpgrade] = None
 
     @property
     def equivalence_clean(self) -> bool:
@@ -47,22 +43,12 @@ class SymbolicReport:
     def mismatched_ports(self) -> List[str]:
         return [p.port for p in self.ports if p.verdict == MISMATCH]
 
-    @property
-    def unknown_unr(self) -> int:
-        if self.unr_upgrade is None:
-            return 0
-        return self.unr_upgrade.unknown_after
-
     def render(self) -> str:
         lines = [f"{self.config_name}: symbolic analysis"]
         for port in self.ports:
             lines.append(f"  {port.render()}")
         for finding in self.findings:
             lines.append(f"  {finding.render()}")
-        if self.unr_upgrade is not None:
-            lines.append(
-                "  " + self.unr_upgrade.render().replace("\n", "\n  ")
-            )
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> Dict[str, object]:
@@ -75,8 +61,6 @@ class SymbolicReport:
         }
         if self.bca_bugs:
             out["bca_bugs"] = list(self.bca_bugs)
-        if self.unr_upgrade is not None:
-            out["unr_upgrade"] = self.unr_upgrade.to_dict()
         return out
 
 
@@ -85,13 +69,9 @@ def run_symbolic_analysis(
     *,
     budget: int = DEFAULT_DOMAIN_BUDGET,
     bca_bugs: Iterable[str] = (),
-    unr_report=None,
 ) -> SymbolicReport:
     """Run the full symbolic pass for one configuration.
 
-    ``unr_report`` — the probe-based :class:`~repro.analysis.unr.UnrReport`
-    already computed by the caller; when given, its decode verdicts are
-    upgraded *in place* by the exact engine and the delta is recorded.
     ``bca_bugs`` — injected BCA defects for the dual harness; used by
     the bug-registry detection check (an empty tuple analyzes the
     shipped models).
@@ -99,13 +79,10 @@ def run_symbolic_analysis(
     ports, findings = check_functional_equivalence(
         config, budget=budget, bca_bugs=bca_bugs,
     )
-    report = SymbolicReport(
+    return SymbolicReport(
         config_name=config.name,
         budget=budget,
         bca_bugs=sorted(bca_bugs),
         ports=ports,
         findings=findings,
     )
-    if unr_report is not None:
-        report.unr_upgrade = upgrade_unr_report(unr_report, config)
-    return report

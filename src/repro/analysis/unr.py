@@ -17,9 +17,12 @@ address-map structure) and emits one verdict per bin:
 * ``REACHABLE`` — a witness exists (an opcode, an address, a topology
   fact) showing some legal stimulus hits the bin.
 * ``UNKNOWN`` — neither; the engine refuses to guess.  UNKNOWN is the
-  *sound* default: a wrong UNREACHABLE would let the flow sign off with
-  a coverage hole papered over, while a wrong UNKNOWN merely leaves a
-  bin for simulation to close.
+  *sound* default for any future rule that cannot decide its bin: a
+  wrong UNREACHABLE would let the flow sign off with a coverage hole
+  papered over, while a wrong UNKNOWN merely leaves a bin for
+  simulation to close.  No shipped rule emits it: every argument below,
+  the decode-error one included (an exact interval union over the
+  address map), is total.
 
 Cross-checking the verdicts against the pruned model gives the two
 interesting sets:
@@ -37,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..catg.coverage import _LEN_BINS, build_node_coverage
 from ..lint.diagnostics import Finding, Severity
-from ..stbus import NodeConfig, ProtocolType, all_opcodes
+from ..stbus import NodeConfig, Opcode, ProtocolType, all_opcodes
 from .constants import ConstantFacts
 
 REACHABLE = "REACHABLE"
@@ -54,10 +57,9 @@ class BinVerdict:
     verdict: str
     reason: str  # witness (REACHABLE) or blocking constant (UNREACHABLE)
     in_model: bool  # present in the pruned per-config coverage model
-    #: Structured witness vector attached by the exact symbolic engine
-    #: (``--symbolic``); None on the plain probe-based pass, and then
-    #: absent from the serialized form so non-symbolic output is
-    #: byte-identical to earlier schema revisions.
+    #: Structured stimulus vector (initiator, opcode, address, expected
+    #: response) that hits the bin; only the decode-error bins carry one,
+    #: and only when REACHABLE.  None is left out of the serialized form.
     witness: Optional[Dict[str, object]] = None
 
     @property
@@ -191,43 +193,95 @@ def _constant_str(constants: Optional[ConstantFacts], name: str
     return None
 
 
-def _probe_addresses(config: NodeConfig) -> List[int]:
-    """Deterministic probe set for the decode-error search."""
-    probes = [0x0, 0xFFFF_FFFF]
-    for region in config.resolved_map.regions:
-        probes.extend((region.base, max(0, region.base - 1),
-                       region.end - 1, region.end & 0xFFFF_FFFF))
-    return sorted(set(p for p in probes if 0 <= p <= 0xFFFF_FFFF))
+_ADDRESS_SPACE = 1 << 32
 
 
-def _decode_error_verdict(config: NodeConfig) -> Tuple[str, str]:
-    """Can any initiator observe a decode error?
+def coverage_gaps(address_map) -> List[Tuple[int, int]]:
+    """Half-open ``[start, end)`` gaps of the map within ``[0, 2^32)``.
 
-    Probes the resolved address map at region boundaries and the address
-    extremes.  A hole or a disallowed path is a witness; a fully-covered
-    probe set proves nothing about the space between probes, so the
-    verdict degrades to UNKNOWN — the deliberate conservatism example:
-    the map *might* cover the whole 32-bit space, but the engine only
-    ever claims what its probes actually showed.
+    The map's regions are already sorted and non-overlapping (the
+    :class:`~repro.stbus.routing.AddressMap` constructor enforces both),
+    so a single pass computes the exact complement.
+    """
+    gaps: List[Tuple[int, int]] = []
+    cursor = 0
+    for region in address_map.regions:
+        base = min(region.base, _ADDRESS_SPACE)
+        if base > cursor:
+            gaps.append((cursor, base))
+        cursor = max(cursor, min(region.end, _ADDRESS_SPACE))
+    if cursor < _ADDRESS_SPACE:
+        gaps.append((cursor, _ADDRESS_SPACE))
+    return gaps
+
+
+def _witness_vector(config: NodeConfig, address: int,
+                    expect: str) -> Dict[str, object]:
+    """A concrete input vector exhibiting a decode error.
+
+    The opcode is the aligned bus-wide LOAD (always legal); any
+    initiator works because a mis-decoding request never consults the
+    connectivity mask on the way to the error engine.
+    """
+    opcode = Opcode.load(config.bus_bytes)
+    aligned = address - (address % config.bus_bytes)
+    return {
+        "initiator": 0,
+        "opcode": str(opcode),
+        "address": f"{aligned:#x}",
+        "expect": expect,
+    }
+
+
+def exact_decode_verdict(
+    config: NodeConfig,
+) -> Tuple[str, str, Optional[Dict[str, object]]]:
+    """Exact (verdict, reason, witness) for the decode-error bins.
+
+    The resolved address map is an ordered, non-overlapping interval
+    set, so its union against ``[0, 2^32)`` is one linear scan.  A gap
+    is a concrete decode-error address; failing that, a region whose
+    target no initiator may reach still routes to the error engine;
+    failing both, no 32-bit address can produce a decode error.  The
+    argument is total over the address space, so it never returns
+    UNKNOWN.
     """
     address_map = config.resolved_map
-    for address in _probe_addresses(config):
-        target = address_map.decode(address)
-        if target is None:
-            return REACHABLE, (
-                f"witness: address {address:#x} decodes to no region"
-            )
-        if not any(config.path_allowed(i, target)
+    gaps = coverage_gaps(address_map)
+    if gaps:
+        start, end = gaps[0]
+        covered = _ADDRESS_SPACE - sum(e - s for s, e in gaps)
+        reason = (
+            f"proven: interval union of {len(address_map.regions)} "
+            f"region(s) covers {covered:#x} of the 2^32 space, leaving "
+            f"{len(gaps)} gap(s); first gap [{start:#x},{end:#x}) "
+            "decodes to no region"
+        )
+        return REACHABLE, reason, _witness_vector(
+            config, start, "decode-error response (address in map gap)"
+        )
+    for region in address_map.regions:
+        if not any(config.path_allowed(i, region.target)
                    for i in range(config.n_initiators)):
-            return REACHABLE, (
-                f"witness: address {address:#x} decodes to targ{target}, "
-                "reachable by no initiator (path masked)"
+            reason = (
+                f"proven: the map covers [0x0,{_ADDRESS_SPACE:#x}) but "
+                f"region [{region.base:#x},{region.end:#x}) maps to "
+                f"targ{region.target}, which the connectivity mask "
+                "allows to no initiator — the node routes every such "
+                "request to the error engine"
             )
-    return UNKNOWN, (
-        "every probed address decodes to an allowed target; the probe "
-        "set cannot prove the full 2^32 space is covered, so the engine "
-        "conservatively refuses an UNREACHABLE verdict"
+            return REACHABLE, reason, _witness_vector(
+                config, region.base,
+                f"decode-error response (targ{region.target} path-masked "
+                "for every initiator)",
+            )
+    reason = (
+        f"interval-coverage proof: {len(address_map.regions)} region(s) "
+        f"union to [0x0,{_ADDRESS_SPACE:#x}) with no gap, and every "
+        "region's target is reachable by >=1 allowed initiator — no "
+        "32-bit address can produce a decode error"
     )
+    return UNREACHABLE, reason, None
 
 
 def analyze_unreachability(
@@ -249,10 +303,11 @@ def analyze_unreachability(
         cover_group = model.groups.get(group)
         return bool(cover_group) and bin_name in cover_group.bins
 
-    def emit(group: str, bin_name: str, verdict: str, reason: str) -> None:
+    def emit(group: str, bin_name: str, verdict: str, reason: str,
+             witness: Optional[Dict[str, object]] = None) -> None:
         report.verdicts.append(BinVerdict(
             group=group, bin=str(bin_name), verdict=verdict, reason=reason,
-            in_model=in_model(group, str(bin_name)),
+            in_model=in_model(group, str(bin_name)), witness=witness,
         ))
 
     bus_bytes = config.bus_bytes
@@ -311,14 +366,14 @@ def analyze_unreachability(
          "witness: the locked-sequence tests assert lck")
 
     # -- response / decode share the decode-error argument.
-    decode_verdict, decode_reason = _decode_error_verdict(config)
+    decode_error = exact_decode_verdict(config)
     emit("response", "ok", REACHABLE,
          "witness: any correctly-decoded operation completes with an "
          "ok response")
-    emit("response", "error", decode_verdict, decode_reason)
+    emit("response", "error", *decode_error)
     emit("decode", "hit", REACHABLE,
          "witness: region_of() provides a mapped address per target")
-    emit("decode", "error", decode_verdict, decode_reason)
+    emit("decode", "error", *decode_error)
 
     # -- outstanding: the collector clamps depth at max_outstanding.
     for depth in range(1, config.max_outstanding + 1):

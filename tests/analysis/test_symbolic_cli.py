@@ -2,9 +2,9 @@
 
 The golden file pins the complete ``--stock --symbolic`` JSON output:
 per-port agreement verdicts with their comb/lockstep evidence, and the
-UNR upgrade deltas (probe reason → exact interval proof, with the
-structured witness vectors).  Any engine change that shifts a verdict, a witness or
-the serialization fails here first.
+UNR verdicts (exact interval proofs, with the structured witness
+vectors), which must equal the plain pass's.  Any engine change that
+shifts a verdict, a witness or the serialization fails here first.
 """
 
 import json
@@ -12,12 +12,16 @@ import os
 
 import pytest
 
+from repro.analysis import analyze_config
 from repro.analysis.cli import main
+from repro.regression.configs import configuration_matrix
+from repro.stbus import AddressMap, NodeConfig, Region
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), os.pardir, "golden",
     "symbolic_stock_node.json",
 )
+PLAIN_GOLDEN = os.path.join(os.path.dirname(GOLDEN), "unr_stock_node.json")
 
 
 def _stock_symbolic(capsys, *extra):
@@ -43,18 +47,19 @@ def test_golden_pins_verdicts_and_deltas():
         ("init0", "AGREED"), ("init1", "AGREED"),
         ("targ0", "AGREED"), ("targ1", "AGREED"),
     ]
-    upgrade = sym["unr_upgrade"]
-    assert upgrade["unknown_after"] == 0
-    assert {d["bin"] for d in upgrade["deltas"]} == {
-        "decode:error", "response:error",
-    }
-    for delta in upgrade["deltas"]:
-        assert "interval" in delta["new_reason"]
-        assert delta["witness"]["address"] == "0x2000"
-    # The upgraded verdicts land on the UNR bins themselves too.
-    unr_bins = {f"{v['group']}:{v['bin']}": v
-                for v in data["configs"][0]["unr"]["verdicts"]}
-    assert unr_bins["decode:error"]["witness"]["opcode"] == "LOAD4"
+    # The UNR bins carry the exact interval proof and its witness.
+    unr = data["configs"][0]["unr"]
+    assert unr["unknown"] == 0
+    unr_bins = {f"{v['group']}:{v['bin']}": v for v in unr["verdicts"]}
+    for key in ("decode:error", "response:error"):
+        verdict = unr_bins[key]
+        assert verdict["verdict"] == "REACHABLE"
+        assert "interval" in verdict["reason"]
+        assert verdict["witness"]["address"] == "0x2000"
+        assert verdict["witness"]["opcode"] == "LOAD4"
+    # ...and equal the plain pass's golden: --symbolic adds no UNR work.
+    with open(PLAIN_GOLDEN, "r", encoding="utf-8") as handle:
+        assert json.load(handle)["configs"][0]["unr"] == unr
 
 
 def test_symbolic_text_mode_prints_summary(capsys):
@@ -70,8 +75,50 @@ def test_without_symbolic_flag_output_has_no_symbolic_key(capsys):
     data = json.loads(capsys.readouterr().out)
     config = data["configs"][0]
     assert "symbolic" not in config
-    for verdict in config["unr"]["verdicts"]:
-        assert "witness" not in verdict
+    # The plain pass proves the decode-error bin and names its witness.
+    decode_error = next(v for v in config["unr"]["verdicts"]
+                        if v["group"] == "decode" and v["bin"] == "error")
+    assert decode_error["witness"]["address"] == "0x2000"
+
+
+def _unr_blocks(argv, capsys):
+    main(argv + ["--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    return [(c["config"], c["unr"], c["unr_findings"])
+            for c in data["configs"]]
+
+
+@pytest.mark.parametrize("source", [["--stock"], ["--matrix", "--small"]],
+                         ids=["stock", "small-matrix"])
+def test_unr_blocks_do_not_depend_on_symbolic(capsys, source):
+    plain = _unr_blocks(source, capsys)
+    symbolic = _unr_blocks(source + ["--symbolic"], capsys)
+    assert len(plain) == (1 if source == ["--stock"]
+                          else len(configuration_matrix(small=True)))
+    assert plain == symbolic
+
+
+@pytest.mark.parametrize("symbolic", [False, True],
+                         ids=["plain", "symbolic"])
+def test_fully_mapped_node_fails_the_gate_in_both_modes(symbolic):
+    """Two regions map all 2^32 addresses, so a decode error is
+    impossible, yet the stock model keeps both error bins: the proof
+    must reach the gate as two model-bug errors with or without the
+    symbolic pass."""
+    config = NodeConfig(address_map=AddressMap([
+        Region(0, 1 << 31, 0), Region(1 << 31, 1 << 31, 1),
+    ]))
+    report = analyze_config(config, symbolic=symbolic)
+    assert report.unr.to_dict()["model_unreachable"] == [
+        "response:error", "decode:error",
+    ]
+    errors = [(f.rule, f.process) for f in report.all_findings()
+              if f.severity.name == "ERROR" and not f.waived]
+    assert sorted(errors) == [
+        ("unr-model-unreachable", "coverage:decode:error"),
+        ("unr-model-unreachable", "coverage:response:error"),
+    ]
+    assert report.has_errors
 
 
 def test_inject_bug_fails_the_gate(capsys):

@@ -1,26 +1,23 @@
-"""Exact interval-coverage UNR engine: zero UNKNOWN, concrete witnesses.
+"""The exact decode-error argument of the UNR pass: zero UNKNOWN,
+concrete witnesses.
 
-The probe-based engine deliberately degrades to UNKNOWN when every
-probed address decodes (its probes cannot speak for the full 2^32
-space).  The exact engine replaces the probe argument with an interval
-union over the resolved address map: either the union leaves a gap (a
-concrete witness address, recorded as a structured stimulus vector) or
-it provably covers the whole space (an UNREACHABLE proof naming the
-region count).  There is no third verdict.
+:func:`repro.analysis.unr.analyze_unreachability` decides the
+``decode:error`` / ``response:error`` bins with an interval union over
+the resolved address map: either the union leaves a gap (a concrete
+witness address, recorded as a structured stimulus vector), a region's
+target is path-masked for every initiator (a witness too), or the map
+provably covers the whole space (an UNREACHABLE proof naming the region
+count).  There is no third verdict.
 """
 
 import pytest
 
-from repro.analysis.symbolic.reach import (
-    coverage_gaps,
-    exact_decode_verdict,
-    upgrade_unr_report,
-)
 from repro.analysis.unr import (
     REACHABLE,
     UNKNOWN,
     UNREACHABLE,
     analyze_unreachability,
+    coverage_gaps,
 )
 from repro.regression.configs import configuration_matrix
 from repro.stbus import AddressMap, NodeConfig, Region
@@ -32,22 +29,33 @@ FULL_COVER = AddressMap([
 ])
 
 
+def _decode_error(config):
+    return analyze_unreachability(config).verdict_for("decode", "error")
+
+
 def test_default_map_gap_yields_witness():
-    verdict, reason, witness = exact_decode_verdict(NodeConfig())
-    assert verdict == REACHABLE
-    assert witness is not None
-    assert set(witness) == {"initiator", "opcode", "address", "expect"}
-    address = int(witness["address"], 16)
-    assert NodeConfig().resolved_map.decode(address) is None
+    config = NodeConfig()
+    report = analyze_unreachability(config)
+    for group in ("decode", "response"):
+        verdict = report.verdict_for(group, "error")
+        assert verdict.verdict == REACHABLE
+        assert verdict.reason.startswith("proven: interval union")
+        witness = verdict.witness
+        assert witness is not None
+        assert set(witness) == {"initiator", "opcode", "address", "expect"}
+        assert witness["expect"]
+        address = int(witness["address"], 16)
+        assert config.resolved_map.decode(address) is None
 
 
 def test_full_coverage_map_is_proven_unreachable():
     config = NodeConfig(address_map=FULL_COVER, name="cover")
-    verdict, reason, witness = exact_decode_verdict(config)
-    assert verdict == UNREACHABLE
-    assert witness is None
-    assert "interval-coverage proof" in reason
-    assert "2 region(s)" in reason
+    verdict = _decode_error(config)
+    assert verdict.verdict == UNREACHABLE
+    assert verdict.witness is None
+    assert "witness" not in verdict.to_dict()
+    assert "interval-coverage proof" in verdict.reason
+    assert "2 region(s)" in verdict.reason
 
 
 def test_path_masked_region_stays_reachable():
@@ -61,8 +69,7 @@ def test_path_masked_region_stays_reachable():
     )
     # Both targets are reachable by *someone*, so the config is legal,
     # but nothing masks a region entirely here -> exact proof holds.
-    verdict, _, _ = exact_decode_verdict(config)
-    assert verdict == UNREACHABLE
+    assert _decode_error(config).verdict == UNREACHABLE
 
 
 def test_coverage_gaps_complement():
@@ -76,39 +83,21 @@ def test_coverage_gaps_complement():
     assert not coverage_gaps(FULL_COVER)
 
 
-def test_upgrade_turns_probe_unknown_into_exact_proof():
-    """The showcase: a fully-covered map defeats the probe engine
-    (UNKNOWN) but not the interval engine (UNREACHABLE)."""
-    config = NodeConfig(address_map=FULL_COVER, name="cover")
-    report = analyze_unreachability(config)
-    before = report.verdict_for("decode", "error")
-    assert before.verdict == UNKNOWN  # the honest probe-based refusal
-    upgrade = upgrade_unr_report(report, config)
-    after = report.verdict_for("decode", "error")
-    assert after.verdict == UNREACHABLE
-    assert upgrade.unknown_before == 2  # decode:error + response:error
-    assert upgrade.unknown_after == 0
-    assert upgrade.unknown_free
-    keys = {d.bin_key for d in upgrade.deltas}
-    assert keys == {"decode:error", "response:error"}
-    for delta in upgrade.deltas:
-        assert delta.old_verdict == UNKNOWN
-        assert delta.new_verdict == UNREACHABLE
-
-
 def test_upgrade_attaches_witness_vectors_to_reachable_bins():
+    """The plain pass attaches a stimulus vector to the reachable
+    decode-error bins; no separate upgrade pass is needed."""
     config = NodeConfig()
     report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    assert upgrade.unknown_after == 0
-    verdict = report.verdict_for("decode", "error")
-    assert verdict.verdict == REACHABLE
-    assert verdict.witness is not None
-    assert verdict.witness["expect"]
-    # The witness address must be bus-aligned legal stimulus.
-    assert int(verdict.witness["address"], 16) % config.bus_bytes == 0
-    # And serialization now carries it.
-    assert "witness" in verdict.to_dict()
+    assert report.counts()[UNKNOWN] == 0
+    witnessed = [v for v in report.verdicts if v.witness is not None]
+    assert {v.key for v in witnessed} == {"decode:error", "response:error"}
+    for verdict in witnessed:
+        assert verdict.verdict == REACHABLE
+        assert verdict.witness["expect"]
+        # The witness address must be bus-aligned legal stimulus.
+        assert int(verdict.witness["address"], 16) % config.bus_bytes == 0
+        # And serialization carries it.
+        assert verdict.to_dict()["witness"] == verdict.witness
 
 
 @pytest.mark.parametrize(
@@ -116,17 +105,5 @@ def test_upgrade_attaches_witness_vectors_to_reachable_bins():
     ids=[c.name for c in configuration_matrix(small=True)],
 )
 def test_matrix_is_unknown_free_after_upgrade(config):
-    report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    assert upgrade.unknown_after == 0
-    assert report.counts()[UNKNOWN] == 0
-
-
-def test_upgrade_serializes():
-    config = NodeConfig()
-    report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    data = upgrade.to_dict()
-    assert data["unknown_before"] == upgrade.unknown_before
-    assert data["unknown_after"] == 0
-    assert len(data["deltas"]) == len(upgrade.deltas)
+    """Every matrix configuration is decided on the plain pass."""
+    assert analyze_unreachability(config).counts()[UNKNOWN] == 0

@@ -95,22 +95,26 @@ def test_programming_port_present_makes_bins_reachable():
     assert verdict.in_model
 
 
-def test_fully_mapped_address_space_degrades_to_unknown():
-    # One region covering all 2^32 addresses: every probe decodes, so the
-    # engine cannot prove decode errors unreachable NOR find a witness —
-    # the documented conservative UNKNOWN.
+def test_fully_mapped_address_space_is_proven_unreachable():
+    # One region covering all 2^32 addresses, reachable by every
+    # initiator: the interval union leaves no gap, so no address can
+    # produce a decode error — a proof, not a sample.
     config = NodeConfig(
         n_targets=1,
         address_map=AddressMap([Region(0, 1 << 32, 0)]),
         name="fullmap",
     )
     report = analyze_unreachability(config)
-    verdict = _verdict(report, "decode", "error")
-    assert verdict.verdict == UNKNOWN
-    assert "conservative" in verdict.reason
-    assert _verdict(report, "response", "error").verdict == UNKNOWN
-    # UNKNOWN in-model bins are NOT findings (only proven-unreachable are).
-    assert report.findings() == []
+    for group in ("decode", "response"):
+        verdict = _verdict(report, group, "error")
+        assert verdict.verdict == UNREACHABLE
+        assert "interval-coverage proof" in verdict.reason
+        assert verdict.in_model
+    assert report.counts()[UNKNOWN] == 0
+    # Both bins stay in the model, so each is a model-bug finding.
+    assert sorted(f.process for f in report.findings()) == [
+        "coverage:decode:error", "coverage:response:error",
+    ]
 
 
 def test_render_and_dict_roundtrip():
