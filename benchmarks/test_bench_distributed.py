@@ -13,12 +13,10 @@ Two claims get numbers here:
   warm re-run must beat the cold run outright, and must register zero
   stores (every run served from the pool).
 
-Results land in ``BENCH_distributed.json``.
+Results land in ``.bench_build/BENCH_distributed.json`` (see conftest.py).
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.regression import BatchSpec, RegressionRunner
 from repro.stbus import NodeConfig, ProtocolType
@@ -47,7 +45,7 @@ def _batch(workdir, jobs=1, cache_dir=None):
     return report, time.perf_counter() - start, runner
 
 
-def test_distributed_and_cache_bench(tmp_path):
+def test_distributed_and_cache_bench(tmp_path, write_record):
     walls = {}
     report_ref, walls["serial"], _ = _batch(tmp_path / "serial")
     for jobs in (2, 4):
@@ -81,8 +79,7 @@ def test_distributed_and_cache_bench(tmp_path):
             "floor": MIN_WARM_SPEEDUP,
         },
     }
-    path = Path(__file__).with_name("BENCH_distributed.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("BENCH_distributed.json", payload)
     print()
     for name, wall in sorted(walls.items()):
         print(f"[distributed] {name:<10} {wall:.3f}s")

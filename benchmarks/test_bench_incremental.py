@@ -9,7 +9,8 @@ affected — a 2/8 = 25% re-run fraction, asserted against a 50% floor.
 
 The edit is applied to a *copy* of the package tree and both batches
 run as subprocesses against it (an in-process run cannot re-import an
-edited module).  Results land in ``BENCH_incremental.json``.
+edited module).  Results land in
+``.bench_build/BENCH_incremental.json`` (see conftest.py).
 """
 
 import json
@@ -18,7 +19,6 @@ import shutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 from repro.regression.configs import save_config_dir
 from repro.stbus import ArbitrationPolicy, NodeConfig, ProtocolType
@@ -86,7 +86,7 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics):
         return json.load(handle)["batch"], wall, index_s
 
 
-def test_incremental_rerun_fraction(tmp_path):
+def test_incremental_rerun_fraction(tmp_path, write_record):
     src = str(tmp_path / "pkg")
     shutil.copytree(
         REPO_SRC, src,
@@ -127,9 +127,7 @@ def test_incremental_rerun_fraction(tmp_path):
             "impact_counters": cold["impact"],
         },
     }
-    path = Path(__file__).with_name("BENCH_incremental.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n",
-                    encoding="utf-8")
+    write_record("BENCH_incremental.json", payload)
     print()
     print(f"[incremental] edit re-ran {rerun}/{n_runs} jobs "
           f"({fraction:.0%}); cold {cold_s:.3f}s warm {warm_s:.3f}s "

@@ -19,7 +19,6 @@ import json
 import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -205,11 +204,13 @@ def test_e5_regression_throughput(tmp_path):
         assert parallel_s <= serial_s * 2.0
 
 
-def test_e5_record_results_json():
-    """Persist the measured rates next to the benchmarks for the docs.
+def test_e5_record_results_json(write_record):
+    """Write the measured rates to ``.bench_build/BENCH_sim_speed.json``.
 
     Runs last (pytest executes this file in order); regenerate with
-    ``PYTHONPATH=src python -m pytest benchmarks/test_bench_sim_speed.py``.
+    ``PYTHONPATH=src python -m pytest benchmarks/test_bench_sim_speed.py``
+    and copy the file over ``benchmarks/BENCH_sim_speed.json`` to
+    re-record it.
     """
     required = {"regression_serial_runs_per_second",
                 "regression_parallel_runs_per_second"}
@@ -227,6 +228,5 @@ def test_e5_record_results_json():
             for view, stats in sorted(_KERNEL_TOTALS.items())
         },
     }
-    path = Path(__file__).with_name("BENCH_sim_speed.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path = write_record("BENCH_sim_speed.json", payload)
     assert json.loads(path.read_text(encoding="utf-8"))["results"]

@@ -6,7 +6,7 @@ next to simulation: a functional RTL/BCA agreement check per port, for
 every matrix configuration, should cost seconds — not the minutes a
 seeded regression of the same matrix takes.  This harness times the two
 engines separately over the full matrix and persists the rates to
-``BENCH_static_analysis.json``.
+``.bench_build/BENCH_static_analysis.json`` (see conftest.py).
 
 Regenerate with::
 
@@ -15,7 +15,6 @@ Regenerate with::
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -83,7 +82,7 @@ def test_bench_reachability_phase():
     assert reach_s < 30.0
 
 
-def test_bench_record_results_json():
+def test_bench_record_results_json(write_record):
     """Persist the measured rates; runs last (file executes in order)."""
     required = {"equivalence_seconds", "reachability_seconds"}
     if not required.issubset(_RESULTS):
@@ -93,6 +92,5 @@ def test_bench_record_results_json():
         "matrix_size": len(MATRIX),
         "results": dict(sorted(_RESULTS.items())),
     }
-    path = Path(__file__).with_name("BENCH_static_analysis.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path = write_record("BENCH_static_analysis.json", payload)
     assert json.loads(path.read_text(encoding="utf-8"))["results"]

@@ -6,12 +6,11 @@ spans, one counter bulk-increment per run and buffered log records —
 never the per-cycle hot path.  This bench times the same RTL regression
 run through ``execute_run_job`` (the real batch-engine path) with and
 without telemetry recording and asserts the enabled overhead stays under
-~5%.  Results land in ``BENCH_telemetry_overhead.json``.
+~5%.  Results land in ``.bench_build/BENCH_telemetry_overhead.json``
+(see conftest.py).
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.regression.parallel import RunJob, execute_run_job
 from repro.stbus import ArbitrationPolicy, NodeConfig
@@ -51,7 +50,7 @@ def _min_wall(telemetry):
     return best
 
 
-def test_telemetry_overhead_under_budget():
+def test_telemetry_overhead_under_budget(write_record):
     # Warm both paths once (imports, allocator, branch caches), then
     # interleave-measure plain and instrumented runs.
     execute_run_job(_job(False))
@@ -70,8 +69,7 @@ def test_telemetry_overhead_under_budget():
         "overhead_percent": round(overhead * 100, 2),
         "budget_percent": MAX_OVERHEAD * 100,
     }
-    path = Path(__file__).with_name("BENCH_telemetry_overhead.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("BENCH_telemetry_overhead.json", payload)
     print()
     print(f"[telemetry] plain       {plain_s:.3f}s (min of {ROUNDS})")
     print(f"[telemetry] instrumented {telemetry_s:.3f}s "

@@ -32,55 +32,19 @@ Quick start::
     assert result.passed
 """
 
-from .stbus import (
-    AddressMap,
-    Architecture,
-    ArbitrationPolicy,
-    NodeConfig,
-    Opcode,
-    OpKind,
-    ProtocolType,
-    Region,
-    Transaction,
-)
-from .catg import RunResult, VerificationEnv, run_test
-from .regression import (
-    BatchSpec,
-    CommonVerificationFlow,
-    RegressionRunner,
-    TESTCASES,
-    build_test,
-    configuration_matrix,
-)
-from .analyzer import compare_vcds, diff_transactions
-from .oldflow import run_past_flow
-from .bca import ALL_BUGS, BUG_CATALOG
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "NodeConfig",
-    "Architecture",
-    "ArbitrationPolicy",
-    "ProtocolType",
-    "Opcode",
-    "OpKind",
-    "Transaction",
-    "AddressMap",
-    "Region",
-    "VerificationEnv",
-    "RunResult",
-    "run_test",
-    "BatchSpec",
-    "RegressionRunner",
-    "CommonVerificationFlow",
-    "TESTCASES",
-    "build_test",
-    "configuration_matrix",
-    "compare_vcds",
-    "diff_transactions",
-    "run_past_flow",
-    "ALL_BUGS",
-    "BUG_CATALOG",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "stbus": ("NodeConfig", "Architecture", "ArbitrationPolicy",
+              "ProtocolType", "Opcode", "OpKind", "Transaction",
+              "AddressMap", "Region"),
+    "catg": ("VerificationEnv", "RunResult", "run_test"),
+    "regression": ("BatchSpec", "RegressionRunner", "CommonVerificationFlow",
+                   "TESTCASES", "build_test", "configuration_matrix"),
+    "analyzer": ("compare_vcds", "diff_transactions"),
+    "oldflow": ("run_past_flow",),
+    "bca": ("ALL_BUGS", "BUG_CATALOG"),
+})
+__all__ += ["__version__"]

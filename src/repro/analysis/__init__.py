@@ -35,9 +35,11 @@ UNR half as the opt-in ``--unr`` gate.
 Only :mod:`~repro.analysis.waivers` is imported eagerly — it is a leaf
 module that ``repro.lint.diagnostics`` re-exports, and loading the full
 engine would drag the lint/catg stack into every ``import repro.lint``.
-Everything else resolves lazily through module ``__getattr__``.
+Everything else resolves on first use through
+:func:`repro._lazy.lazy_exports`.
 """
 
+from .._lazy import lazy_exports
 from .waivers import (
     Waiver,
     WaiverError,
@@ -50,60 +52,20 @@ from .waivers import (
 #: package (and ``repro.lint``) emits.  Bump on breaking field changes.
 SCHEMA_VERSION = 1
 
-_LAZY = {
-    "DataflowGraph": "dataflow",
-    "ConeReport": "dataflow",
-    "interface_cones": "dataflow",
-    "AnalysisContext": "races",
-    "ConstantFacts": "constants",
-    "ValueRange": "constants",
-    "derive_constants": "constants",
-    "ANALYSIS_RULES": "races",
-    "DEFAULT_ANALYSIS_RULES": "races",
-    "AnalysisRule": "races",
-    "BinVerdict": "unr",
-    "UnrReport": "unr",
-    "analyze_unreachability": "unr",
-    "cone_equivalence_findings": "xview",
-    "SymbolicReport": "symbolic.report",
-    "run_symbolic_analysis": "symbolic.report",
-    "AnalysisReport": "runner",
-    "ConfigAnalysisReport": "runner",
-    "analyze_simulator": "runner",
-    "analyze_config": "runner",
-    "resolve_analysis_rules": "runner",
-    "MANIFEST_SCHEMA": "impact",
-    "DesignManifest": "impact",
-    "DesignFingerprints": "impact",
-    "ProcessFingerprint": "impact",
-    "ImpactIndex": "impact",
-    "ImpactReport": "impact",
-    "ManifestError": "impact",
-    "build_manifest": "impact",
-    "design_fingerprints": "impact",
-    "diff_manifests": "impact",
-    "process_fingerprint": "impact",
-}
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "Waiver",
-    "WaiverError",
-    "parse_waivers",
-    "apply_waivers",
-    "load_waiver_file",
-] + sorted(_LAZY)
-
-
-def __getattr__(name):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    module = importlib.import_module(f".{target}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dataflow": ("DataflowGraph", "ConeReport", "interface_cones"),
+    "constants": ("ConstantFacts", "ValueRange", "derive_constants"),
+    "races": ("AnalysisContext", "ANALYSIS_RULES", "DEFAULT_ANALYSIS_RULES",
+              "AnalysisRule"),
+    "unr": ("BinVerdict", "UnrReport", "analyze_unreachability"),
+    "xview": ("cone_equivalence_findings",),
+    "symbolic.report": ("SymbolicReport", "run_symbolic_analysis"),
+    "runner": ("AnalysisReport", "ConfigAnalysisReport", "analyze_simulator",
+               "analyze_config", "resolve_analysis_rules"),
+    "impact": ("MANIFEST_SCHEMA", "DesignManifest", "DesignFingerprints",
+               "ProcessFingerprint", "ImpactIndex", "ImpactReport",
+               "ManifestError", "build_manifest", "design_fingerprints",
+               "diff_manifests", "process_fingerprint"),
+})
+__all__ += ["SCHEMA_VERSION", "Waiver", "WaiverError", "parse_waivers",
+            "apply_waivers", "load_waiver_file"]

@@ -1,41 +1,14 @@
 """STBus Analyzer (STBA): VCD extraction, alignment rates, transaction diff."""
 
-from .extract import (
-    ExtractedPacket,
-    ExtractedResponse,
-    ExtractionError,
-    PORT_SIGNALS,
-    PortTraffic,
-    discover_ports,
-    extract_all,
-    extract_port,
-)
-from .align import (
-    AlignmentReport,
-    PortAlignment,
-    SIGNOFF_THRESHOLD,
-    compare_vcds,
-)
-from .diff import PortDiff, TransactionDiff, diff_transactions
-from .waveview import render_divergence, render_port_wave, render_signals_wave
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PORT_SIGNALS",
-    "ExtractionError",
-    "ExtractedPacket",
-    "ExtractedResponse",
-    "PortTraffic",
-    "discover_ports",
-    "extract_port",
-    "extract_all",
-    "PortAlignment",
-    "AlignmentReport",
-    "SIGNOFF_THRESHOLD",
-    "compare_vcds",
-    "PortDiff",
-    "TransactionDiff",
-    "diff_transactions",
-    "render_port_wave",
-    "render_signals_wave",
-    "render_divergence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "extract": ("PORT_SIGNALS", "ExtractionError", "ExtractedPacket",
+                "ExtractedResponse", "PortTraffic", "discover_ports",
+                "extract_port", "extract_all"),
+    "align": ("PortAlignment", "AlignmentReport", "SIGNOFF_THRESHOLD",
+              "compare_vcds"),
+    "diff": ("PortDiff", "TransactionDiff", "diff_transactions"),
+    "waveview": ("render_port_wave", "render_signals_wave",
+                 "render_divergence"),
+})

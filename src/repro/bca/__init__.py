@@ -1,35 +1,13 @@
 """BCA view: transaction-level, cycle-quantized models of the STBus components."""
 
-from .bugs import (
-    ALL_BUGS,
-    BUG_CATALOG,
-    BUG_CHUNK_IGNORED,
-    BUG_LRU_STUCK,
-    BUG_PROG_STALE,
-    BUG_SRC_TRUNCATION,
-    BUG_SUBWORD_LANES,
-    BugInfo,
-    validate_bugs,
-)
-from .queues import TimedFifo
-from .node import BcaNode
-from .converter import BcaBridge, BcaSizeConverter, BcaTypeConverter
-from .register_decoder import BcaRegisterDecoder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BcaNode",
-    "TimedFifo",
-    "BcaBridge",
-    "BcaSizeConverter",
-    "BcaTypeConverter",
-    "BcaRegisterDecoder",
-    "ALL_BUGS",
-    "BUG_CATALOG",
-    "BugInfo",
-    "validate_bugs",
-    "BUG_LRU_STUCK",
-    "BUG_SUBWORD_LANES",
-    "BUG_SRC_TRUNCATION",
-    "BUG_CHUNK_IGNORED",
-    "BUG_PROG_STALE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "node": ("BcaNode",),
+    "queues": ("TimedFifo",),
+    "converter": ("BcaBridge", "BcaSizeConverter", "BcaTypeConverter"),
+    "register_decoder": ("BcaRegisterDecoder",),
+    "bugs": ("ALL_BUGS", "BUG_CATALOG", "BugInfo", "validate_bugs",
+             "BUG_LRU_STUCK", "BUG_SUBWORD_LANES", "BUG_SRC_TRUNCATION",
+             "BUG_CHUNK_IGNORED", "BUG_PROG_STALE"),
+})

@@ -8,26 +8,17 @@ interrupted batch resumes by rerunning it against the same cache.  See
 :mod:`repro.cache.store` for the storage contract.
 """
 
-from .store import (
-    CACHE_DIR_ENV,
-    CACHE_SCHEMA,
-    DESIGN_ROOTS,
-    DIAGNOSTIC_SCHEMA,
-    CacheDiagnostic,
-    CacheStats,
-    ResultCache,
-    cache_key,
-    design_source_hash,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_SCHEMA",
-    "DESIGN_ROOTS",
-    "DIAGNOSTIC_SCHEMA",
-    "CacheDiagnostic",
-    "CacheStats",
-    "ResultCache",
-    "cache_key",
-    "design_source_hash",
-]
+#: Environment variable naming a default cache root for the regression
+#: CLI (``--cache-dir`` overrides it, ``--no-cache`` ignores it).  Defined
+#: here, not in :mod:`~repro.cache.store`, so the CLI can read it without
+#: loading the store (and ``hashlib``/OpenSSL) into a batch with no cache.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "store": ("CACHE_SCHEMA", "DESIGN_ROOTS", "DIAGNOSTIC_SCHEMA",
+              "CacheDiagnostic", "CacheStats", "ResultCache", "cache_key",
+              "design_source_hash"),
+})
+__all__ += ["CACHE_DIR_ENV"]

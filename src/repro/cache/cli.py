@@ -39,8 +39,8 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
+from . import CACHE_DIR_ENV
 from .store import (
-    CACHE_DIR_ENV,
     CACHE_SCHEMA,
     SOURCE_SCHEMA,
     ResultCache,

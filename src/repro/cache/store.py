@@ -73,10 +73,6 @@ SOURCE_SCHEMA = "repro.cache/source/v1"
 #: quarantined entry.
 DIAGNOSTIC_SCHEMA = "repro.cache/diagnostic/v1"
 
-#: Environment variable naming a default cache root for the regression
-#: CLI (``--cache-dir`` overrides it, ``--no-cache`` ignores it).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 #: Package subtrees (under ``src/repro``) whose sources determine a
 #: simulation result.  Deliberately excludes the orchestration layers
 #: (``regression``, ``telemetry``, ``triage``, ``analysis``, ``lint``,

@@ -7,61 +7,27 @@ testbench (:class:`VerificationEnv`) that plugs either design view in
 unchanged.
 """
 
-from .report import VerificationReport, Violation
-from .bfm import InitiatorBfm
-from .target import TargetHarness, default_byte
-from .monitor import ObservedRequest, ObservedResponse, PortMonitor
-from .checker import ProtocolChecker, Type1Checker
-from .node_checks import ArbitrationChecker
-from .scoreboard import Scoreboard
-from .coverage import (
-    CoverGroup,
-    CoverageModel,
-    NodeCoverageCollector,
-    build_node_coverage,
-)
-from .sequence import (
-    DEFAULT_MIX,
-    ProgOp,
-    TestProgram,
-    directed_write_read_pairs,
-    pick_kind,
-    random_program,
-    random_transaction,
-)
-from .prog import ProgrammingMaster
-from .env import RunResult, VerificationEnv, VIEWS, run_test
-from .code_coverage import CodeCoverage, CodeCoverageReport
-from .converter_env import (
-    BridgeScoreboard,
-    ConverterEnv,
-    ConverterRunResult,
-    bridge_random_program,
-    build_bridge_coverage,
-)
-from .tlm import (
-    TlmChecker,
-    TlmCoverageCollector,
-    TlmResult,
-    build_tlm_coverage,
-    run_tlm_verification,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VerificationReport", "Violation",
-    "InitiatorBfm", "TargetHarness", "default_byte",
-    "PortMonitor", "ObservedRequest", "ObservedResponse",
-    "ProtocolChecker", "Type1Checker", "ArbitrationChecker", "Scoreboard",
-    "CoverGroup", "CoverageModel", "NodeCoverageCollector",
-    "build_node_coverage",
-    "TestProgram", "ProgOp", "DEFAULT_MIX",
-    "random_transaction", "random_program", "directed_write_read_pairs",
-    "pick_kind",
-    "ProgrammingMaster",
-    "VerificationEnv", "RunResult", "run_test", "VIEWS",
-    "CodeCoverage", "CodeCoverageReport",
-    "TlmResult", "TlmChecker", "TlmCoverageCollector",
-    "build_tlm_coverage", "run_tlm_verification",
-    "ConverterEnv", "ConverterRunResult", "BridgeScoreboard",
-    "bridge_random_program", "build_bridge_coverage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "report": ("VerificationReport", "Violation"),
+    "bfm": ("InitiatorBfm",),
+    "target": ("TargetHarness", "default_byte"),
+    "monitor": ("PortMonitor", "ObservedRequest", "ObservedResponse"),
+    "checker": ("ProtocolChecker", "Type1Checker"),
+    "node_checks": ("ArbitrationChecker",),
+    "scoreboard": ("Scoreboard",),
+    "coverage": ("CoverGroup", "CoverageModel", "NodeCoverageCollector",
+                 "build_node_coverage"),
+    "sequence": ("TestProgram", "ProgOp", "DEFAULT_MIX",
+                 "random_transaction", "random_program",
+                 "directed_write_read_pairs", "pick_kind"),
+    "prog": ("ProgrammingMaster",),
+    "env": ("VerificationEnv", "RunResult", "run_test", "VIEWS"),
+    "code_coverage": ("CodeCoverage", "CodeCoverageReport"),
+    "tlm": ("TlmResult", "TlmChecker", "TlmCoverageCollector",
+            "build_tlm_coverage", "run_tlm_verification"),
+    "converter_env": ("ConverterEnv", "ConverterRunResult",
+                      "BridgeScoreboard", "bridge_random_program",
+                      "build_bridge_coverage"),
+})

@@ -10,6 +10,7 @@ internals.  Goal: 100% of defined bins (Section 4).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -29,7 +30,9 @@ class CoverGroup:
 
     def __init__(self, name: str, bins: Iterable[str]):
         self.name = name
-        self.bins: Dict[str, int] = {str(b): 0 for b in bins}
+        # Interned: a batch keeps every run's model until its reports are
+        # written, and 288 runs then share one string per bin name.
+        self.bins: Dict[str, int] = {sys.intern(str(b)): 0 for b in bins}
         if not self.bins:
             raise ValueError(f"cover group {name!r} has no bins")
 

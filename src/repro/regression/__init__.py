@@ -1,47 +1,16 @@
 """The regression tool: configuration files, test cases, batch runner, flow."""
 
-from .configs import configuration_matrix, load_config_dir, save_config_dir
-from .testcases import TESTCASES, build_test
-from .spec import BatchSpec, BatchSpecError, ResilienceConfig
-from .runner import (
-    ConfigReport,
-    GateResult,
-    RegressionReport,
-    RegressionRunner,
-    TestEntry,
-)
-from .flow import (
-    CommonVerificationFlow,
-    FlowEvent,
-    FlowOutcome,
-    FlowState,
-)
-from .parallel import RunJob, default_jobs, execute_run_job
-from .resilience import BatchFaults, RunFailure
-from .distributed import DistributedBatchExecutor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "configuration_matrix",
-    "load_config_dir",
-    "save_config_dir",
-    "TESTCASES",
-    "build_test",
-    "BatchSpec",
-    "BatchSpecError",
-    "RegressionRunner",
-    "GateResult",
-    "RegressionReport",
-    "ConfigReport",
-    "TestEntry",
-    "CommonVerificationFlow",
-    "FlowState",
-    "FlowEvent",
-    "FlowOutcome",
-    "RunJob",
-    "default_jobs",
-    "execute_run_job",
-    "BatchFaults",
-    "ResilienceConfig",
-    "RunFailure",
-    "DistributedBatchExecutor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "configs": ("configuration_matrix", "load_config_dir", "save_config_dir"),
+    "testcases": ("TESTCASES", "build_test"),
+    "spec": ("BatchSpec", "BatchSpecError", "ResilienceConfig"),
+    "runner": ("RegressionRunner", "GateResult", "RegressionReport",
+               "ConfigReport", "TestEntry"),
+    "flow": ("CommonVerificationFlow", "FlowState", "FlowEvent",
+             "FlowOutcome"),
+    "parallel": ("RunJob", "default_jobs", "execute_run_job"),
+    "resilience": ("BatchFaults", "RunFailure"),
+    "distributed": ("DistributedBatchExecutor",),
+})

@@ -1,16 +1,10 @@
 """RTL view: cycle-accurate, signal-level models of the STBus components."""
 
-from .pipeline import Pipe
-from .node import ERROR_TARGET, RtlNode
-from .converter import RtlBridge, RtlSizeConverter, RtlTypeConverter
-from .register_decoder import RtlRegisterDecoder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Pipe",
-    "RtlNode",
-    "ERROR_TARGET",
-    "RtlBridge",
-    "RtlSizeConverter",
-    "RtlTypeConverter",
-    "RtlRegisterDecoder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "pipeline": ("Pipe",),
+    "node": ("RtlNode", "ERROR_TARGET"),
+    "converter": ("RtlBridge", "RtlSizeConverter", "RtlTypeConverter"),
+    "register_decoder": ("RtlRegisterDecoder",),
+})

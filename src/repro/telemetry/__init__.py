@@ -20,68 +20,18 @@ Design invariants:
   engine's worker-process boundary as plain dicts/lists.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    merge_histogram_snapshots,
-)
-from .trace import (
-    NULL_TRACE,
-    TraceCollector,
-    assign_lanes,
-    chrome_trace_payload,
-    span_seconds,
-    write_chrome_trace,
-)
-from .runlog import NULL_LOG, RunLogger
-from .session import (
-    ALIGNMENT_BUCKETS,
-    BatchTelemetry,
-    METRICS_SCHEMA,
-    NULL_TELEMETRY,
-    PHASE_NAMES,
-    RunRecorder,
-    RunTelemetry,
-    Telemetry,
-    TelemetryConfig,
-)
-from .summarize import SummaryError, summarize_metrics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
-    "merge_histogram_snapshots",
-    "TraceCollector",
-    "NULL_TRACE",
-    "assign_lanes",
-    "chrome_trace_payload",
-    "span_seconds",
-    "write_chrome_trace",
-    "RunLogger",
-    "NULL_LOG",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "TelemetryConfig",
-    "RunRecorder",
-    "RunTelemetry",
-    "BatchTelemetry",
-    "PHASE_NAMES",
-    "ALIGNMENT_BUCKETS",
-    "METRICS_SCHEMA",
-    "SummaryError",
-    "summarize_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricError",
+                "MetricRegistry", "NULL_COUNTER", "NULL_GAUGE",
+                "NULL_HISTOGRAM", "NULL_REGISTRY",
+                "merge_histogram_snapshots"),
+    "trace": ("TraceCollector", "NULL_TRACE", "assign_lanes",
+              "chrome_trace_payload", "span_seconds", "write_chrome_trace"),
+    "runlog": ("RunLogger", "NULL_LOG"),
+    "session": ("Telemetry", "NULL_TELEMETRY", "TelemetryConfig",
+                "RunRecorder", "RunTelemetry", "BatchTelemetry",
+                "PHASE_NAMES", "ALIGNMENT_BUCKETS", "METRICS_SCHEMA"),
+    "summarize": ("SummaryError", "summarize_metrics"),
+})
