@@ -11,7 +11,8 @@ five *representative* BCA-only bugs, chosen so that each is
    checker, scoreboard, arbitration reference checker, or the bus
    analyzer's alignment rate).
 
-Enable them by passing ``bugs={...}`` to :class:`repro.bca.node.BcaNode`.
+Enable them by passing ``bugs={...}`` to :class:`repro.bca.node.BcaNode`;
+the hooks live in its engine, :class:`repro.bca.core.BcaCore`.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class BugInfo:
     description: str
     caught_by: str  # the primary mechanism of the common environment
     why_old_flow_misses: str
-    #: Hierarchical name of the process the mutation lives in — the
-    #: triage suspect set must contain it for localization to count.
+    #: Hierarchical name of the process that runs the mutation (the
+    #: core's edge runs inside the node's ``_on_clock``) — the triage
+    #: suspect set must contain it for localization to count.
     mutated_process: str = ""
 
 

@@ -7,41 +7,26 @@ SystemC BCA model natively instead of through an HDL simulator; the
 pin-level co-simulation (:class:`~repro.bca.node.BcaNode` inside the
 kernel) is only needed for verification and alignment.
 
-:class:`FastBcaSim` is that native mode: the *same* node semantics —
-arbitration policies, packet/chunk locks, Type II ordering, outstanding
-credit, timed queues, target latency model, error engine — executed as a
-flat cycle loop over plain Python state, with no signals, no delta
-cycles, no monitors.  ``tests/bca/test_fast_mode.py`` proves it completes
-the same programs in exactly the same number of cycles, with identical
-per-transaction response timestamps, as the pin-level BCA run; the E5
-benchmark measures the speedup this buys for architecture exploration.
+:class:`FastBcaSim` is that native mode.  It drives the very
+:class:`~repro.bca.core.BcaCore` the pin-level node adapts to its pins,
+from a flat cycle loop over pin-free initiator and target models: no
+signals, no delta cycles, no monitors.  The node's rules therefore exist
+once, and the model the common environment verifies is the model the fast
+mode runs.  ``tests/bca/test_fast_mode.py`` checks that both drivers
+complete the same programs in exactly the same number of cycles, with
+identical per-transaction response timestamps; the E5 benchmark measures
+the speedup this buys for architecture exploration.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..stbus import (
-    Architecture,
-    Cell,
-    NodeConfig,
-    OpKind,
-    Opcode,
-    OpcodeError,
-    ProtocolType,
-    RespCell,
-    RoundRobinArbiter,
-    Transaction,
-    build_request_cells,
-    build_response_cells,
-    make_arbiter,
-    request_data_from_cells,
-)
-from .queues import TimedFifo
-
-ERROR_TARGET = -1
+from ..catg.bfm import RequestSequencer
+from ..catg.target import MemoryTarget
+from ..stbus import NodeConfig, Opcode, Transaction
+from .core import BcaCore
 
 
 @dataclass
@@ -100,151 +85,8 @@ class FastResult:
         }
 
 
-class _FastBfm:
-    """The initiator BFM's state machine, without pins."""
-
-    def __init__(self, program: Sequence[Tuple[Transaction, int]],
-                 bus_bytes: int, protocol: ProtocolType):
-        self._program = list(program)
-        self._bus_bytes = bus_bytes
-        self._protocol = protocol
-        self._next = 0
-        self._cells: List[Cell] = []
-        self._idx = 0
-        self._gap_left = 0
-        self._gap_primed = False
-        self._tid = 0
-        self.current_txn: Optional[Transaction] = None
-        self.request_start: Optional[int] = None
-
-    @property
-    def done(self) -> bool:
-        return self._next >= len(self._program) and not self._cells
-
-    def presented(self) -> Optional[Cell]:
-        return self._cells[self._idx] if self._cells else None
-
-    def edge(self, fired: bool) -> None:
-        """Advance past a transferred cell and refill (mirrors the BFM)."""
-        if self._cells and fired:
-            if self._cells[self._idx].eop:
-                self._cells = []
-                self._idx = 0
-            else:
-                self._idx += 1
-        if not self._cells:
-            self._begin_next()
-
-    def _begin_next(self) -> None:
-        if self._next >= len(self._program):
-            self.current_txn = None
-            return
-        txn, gap = self._program[self._next]
-        if not self._gap_primed:
-            self._gap_left = gap
-            self._gap_primed = True
-        if self._gap_left > 0:
-            self._gap_left -= 1
-            self.current_txn = None
-            return
-        self._next += 1
-        self._gap_primed = False
-        txn.tid = self._tid & 0xFF
-        self._tid += 1
-        self._cells = build_request_cells(txn, self._bus_bytes, self._protocol)
-        self._idx = 0
-        self.current_txn = txn
-        self.request_start = None
-
-
-class _FastTarget:
-    """The memory target harness's state machine, without pins."""
-
-    def __init__(self, protocol: ProtocolType, bus_bytes: int,
-                 latency: int, jitter: int, capacity: int, seed: int):
-        self.protocol = protocol
-        self.bus_bytes = bus_bytes
-        self.latency = latency
-        self.jitter = jitter
-        self.capacity = capacity
-        self._rng = random.Random(seed)
-        self._mem: Dict[int, int] = {}
-        self._assembly: List[Cell] = []
-        self._jobs: List[Tuple[List[RespCell], int]] = []
-        self._resp: List[RespCell] = []
-        self._idx = 0
-
-    def gnt(self) -> bool:
-        return len(self._jobs) < self.capacity
-
-    def presented(self) -> Optional[RespCell]:
-        return self._resp[self._idx] if self._resp else None
-
-    def accept(self, cell: Cell, now: int) -> None:
-        """A request cell fired into this target during cycle now-1."""
-        self._assembly.append(cell)
-        if cell.eop:
-            cells, self._assembly = self._assembly, []
-            delay = self.latency
-            if self.jitter:
-                delay += self._rng.randrange(self.jitter)
-            self._jobs.append((self._execute(cells), now + delay))
-
-    def edge(self, resp_fired: bool, now: int) -> None:
-        if self._resp and resp_fired:
-            self._idx += 1
-            if self._idx >= len(self._resp):
-                self._resp = []
-                self._idx = 0
-        if not self._resp and self._jobs and self._jobs[0][1] <= now:
-            self._resp = self._jobs.pop(0)[0]
-            self._idx = 0
-
-    def _read(self, address: int, size: int) -> bytes:
-        return bytes(
-            self._mem.get(address + k, ((address + k) & 0xFF) ^ 0xA5)
-            for k in range(size)
-        )
-
-    def _write(self, address: int, data: bytes) -> None:
-        for k, byte in enumerate(data):
-            self._mem[address + k] = byte
-
-    def _execute(self, cells: List[Cell]) -> List[RespCell]:
-        first = cells[0]
-        try:
-            opcode = Opcode.decode(first.opc)
-        except OpcodeError:
-            return [RespCell(r_opc=1, r_eop=1, r_src=first.src,
-                             r_tid=first.tid)]
-        data = b""
-        if opcode.kind in (OpKind.LOAD, OpKind.READEX):
-            data = self._read(first.add, opcode.size)
-        elif opcode.kind is OpKind.STORE:
-            self._write(first.add,
-                        request_data_from_cells(cells, self.bus_bytes))
-        elif opcode.kind in (OpKind.RMW, OpKind.SWAP):
-            data = self._read(first.add, opcode.size)
-            self._write(first.add,
-                        request_data_from_cells(cells, self.bus_bytes))
-        return build_response_cells(
-            opcode, self.bus_bytes, self.protocol, data=data,
-            src=first.src, tid=first.tid, address=first.add,
-        )
-
-
-@dataclass
-class _Flight:
-    target: int
-    tid: int
-    opcode: Optional[Opcode]
-    txn: Optional[Transaction]
-    request_start: int
-    request_end: int
-
-
 class FastBcaSim:
-    """Flat cycle-loop executor of the BCA node + harness semantics."""
+    """Flat cycle loop driving the BCA core and pin-free harness models."""
 
     def __init__(
         self,
@@ -262,380 +104,92 @@ class FastBcaSim:
                 "port; use the pin-level environment"
             )
         self.config = config
-        self.amap = config.resolved_map
         bus = config.bus_bytes
         protocol = config.protocol_type
         self.bfms = [
-            _FastBfm(program, bus, protocol) for program in programs
+            RequestSequencer(program, bus, protocol) for program in programs
         ]
         jitters = list(target_jitters or [0] * config.n_targets)
         seeds = list(target_seeds or
                      [0xC0DE + t for t in range(config.n_targets)])
         self.targets = [
-            _FastTarget(protocol, bus, target_latencies[t], jitters[t],
-                        target_capacity, seeds[t])
+            MemoryTarget(protocol, bus, target_latencies[t], jitters[t],
+                         target_capacity, seeds[t])
             for t in range(config.n_targets)
         ]
-        shared = config.architecture is Architecture.SHARED_BUS
-        self.shared = shared
-        n_req_q = 1 if shared else config.n_targets
-        n_resp_q = 1 if shared else config.n_initiators
-        self._req_q = [TimedFifo(config.pipe_depth) for _ in range(n_req_q)]
-        self._resp_q = [TimedFifo(config.pipe_depth) for _ in range(n_resp_q)]
-        self._arb = [
-            make_arbiter(
-                config.arbitration, config.n_initiators,
-                priorities=config.priorities,
-                latency_budgets=config.latency_budgets,
-                bandwidth_allocations=config.bandwidth_allocations,
-                bandwidth_window=config.bandwidth_window,
-            )
-            for _ in range(n_req_q)
-        ]
-        resp_universe = config.n_targets + (
-            config.n_initiators if shared else 1
-        )
-        self._resp_arb = [
-            RoundRobinArbiter(resp_universe) for _ in range(n_resp_q)
-        ]
-        self._busy: List[Optional[int]] = [None] * n_req_q
-        self._chunk: List[Optional[int]] = [None] * n_req_q
-        self._resp_busy: List[Optional[int]] = [None] * n_resp_q
-        self._route: List[Optional[int]] = [None] * config.n_initiators
-        self._flights: List[List[_Flight]] = [
-            [] for _ in range(config.n_initiators)
-        ]
-        self._err: List[List[Tuple[RespCell, int]]] = [
-            [] for _ in range(config.n_initiators)
-        ]
+        self.core = BcaCore(config)
+        #: The initiators take every response cell at once.
+        self._init_ready = [1] * config.n_initiators
+        #: Cycle of each initiator's first granted cell of its open packet.
+        self._request_start: List[Optional[int]] = \
+            [None] * config.n_initiators
         self.completed: List[CompletedTxn] = []
 
-    # -- spec helpers (same rules as the pin-level views) -----------------
-
-    def _req_q_of(self, target: int) -> int:
-        return 0 if self.shared else target
-
-    def _resp_q_of(self, initiator: int) -> int:
-        return 0 if self.shared else initiator
-
-    def _error_slot(self, initiator: int) -> int:
-        return self.config.n_targets + initiator if self.shared \
-            else self.config.n_targets
-
-    def _decode(self, initiator: int, address: int) -> int:
-        target = self.amap.decode(address)
-        if target is None or not self.config.path_allowed(initiator, target):
-            return ERROR_TARGET
-        return target
-
-    def _destination(self, initiator: int) -> Optional[int]:
-        if self.bfms[initiator].presented() is None:
-            return None
-        if self._route[initiator] is not None:
-            return self._route[initiator]
-        return self._decode(
-            initiator, self.bfms[initiator].presented().add
-        )
-
-    def _may_open(self, initiator: int, target: int) -> bool:
-        flights = self._flights[initiator]
-        if len(flights) >= self.config.max_outstanding:
-            return False
-        if self.config.protocol_type is ProtocolType.T2:
-            return all(f.target == target for f in flights)
-        return True
-
-    def _resp_order_ok(self, initiator: int, source: int) -> bool:
-        flights = self._flights[initiator]
-        if not flights:
-            return True
-        if self.config.protocol_type is ProtocolType.T2:
-            return flights[0].target == source
-        return any(f.target == source for f in flights)
-
-    # -- one simulated cycle ------------------------------------------------
-
-    def _destination_of_cell(self, initiator: int, cell) -> Optional[int]:
-        """Like _destination, but against a snapshotted presented cell."""
-        if cell is None:
-            return None
-        if self._route[initiator] is not None:
-            return self._route[initiator]
-        return self._decode(initiator, cell.add)
-
     def _cycle(self, now: int) -> None:
-        cfg = self.config
-        # What is visible during this cycle (snapshot the BFM cells: the
-        # arbiter ageing at the end of the cycle must see *these*, not the
-        # post-edge ones — mirroring the pin-level model's pre-edge pins).
+        core = self.core
+        # What is presented during this cycle.  The edge ages the
+        # arbiters on these requests, as the pin-level node ages them on
+        # its pre-edge pins.
         presented = [bfm.presented() for bfm in self.bfms]
-        req_heads = [q.visible_head(now) for q in self._req_q]
-        resp_heads = [q.visible_head(now) for q in self._resp_q]
-        targ_gnt = [t.gnt() for t in self.targets]
-        # Downstream request transfers (node output -> target).
-        out_fired = [False] * len(self._req_q)
-        for qi, head in enumerate(req_heads):
-            if head is not None and targ_gnt[head[0]]:
-                out_fired[qi] = True
-        # Response transfers target -> node (node r_gnt from arbitration).
-        r_gnts, err_pops = self._response_grants(now, resp_heads)
-        # Response transfers node -> initiator (BFM always ready).
-        resp_out_fired = [head is not None for head in resp_heads]
-        # Request grants node <- initiators.
-        grants = self._request_grants(now, out_fired)
+        adds = [None if cell is None else cell.add for cell in presented]
+        responses = [target.presented() for target in self.targets]
+        targ_gnt = [target.gnt() for target in self.targets]
+        r_gnts, err_pops = core.response_grants(
+            now, [None if cell is None else cell.r_src for cell in responses],
+            self._init_ready)
+        grants = core.request_grants(adds, targ_gnt)
 
         # ---- edge: apply everything that fired during this cycle ----
-        # 1. pops of consumed queue heads
-        for qi, fired in enumerate(out_fired):
-            if fired:
-                item = self._req_q[qi].pop()
-                self.targets[item[0]].accept(item[1], now + 1)
-        for qi, fired in enumerate(resp_out_fired):
-            if fired:
-                self._resp_q[qi].pop()
-        # 2. granted request cells enter the node
+        for head in core.req_heads:
+            if head is not None and targ_gnt[head.target]:
+                self.targets[head.target].accept(head.cell, now + 1)
         for i, granted in enumerate(grants):
             if not granted:
                 continue
-            cell = self.bfms[i].presented()
-            if self.bfms[i].request_start is None:
-                self.bfms[i].request_start = now
-            if self._route[i] is None:
-                self._route[i] = self._decode(i, cell.add)
-            target = self._route[i]
-            if target == ERROR_TARGET:
-                if cell.eop:
-                    self._absorb_error(i, cell, now + 1)
-            else:
-                qi = self._req_q_of(target)
-                self._req_q[qi].push((target, replace(cell, src=i)),
-                                     now + 1 + cfg.pipe_depth - 1)
-                self._arb[qi].on_grant_cycle(i)
-                if cell.eop:
-                    self._close_packet(i, target, cell, qi, now)
-                else:
-                    self._busy[qi] = i
-        # 3. response cells admitted into the node
-        for t, granted in enumerate(r_gnts):
-            if not granted:
-                continue
-            cell = self.targets[t].presented()
-            dest = cell.r_src
-            qi = self._resp_q_of(dest)
-            self._resp_q[qi].push((dest, t, cell),
-                                  now + 1 + cfg.pipe_depth - 1)
-            if cell.r_eop:
-                self._resp_busy[qi] = None
-                self._resp_arb[qi].on_packet_end(t)
-            else:
-                self._resp_busy[qi] = t
-        for i, popped in enumerate(err_pops):
-            if not popped:
-                continue
-            cell, _avail = self._err[i].pop(0)
-            qi = self._resp_q_of(i)
-            slot = self._error_slot(i)
-            self._resp_q[qi].push((i, slot, cell),
-                                  now + 1 + cfg.pipe_depth - 1)
-            if cell.r_eop:
-                self._resp_busy[qi] = None
-                self._resp_arb[qi].on_packet_end(slot)
-            else:
-                self._resp_busy[qi] = slot
-        # 4. responses delivered to initiators retire
-        for qi, fired in enumerate(resp_out_fired):
-            if fired:
-                dest, source, cell = resp_heads[qi]
-                if cell.r_eop:
-                    self._retire(dest, source, cell, now)
-        # 5. harness edges
-        for i, bfm in enumerate(self.bfms):
-            bfm.edge(bool(grants[i]))
-        for t, target in enumerate(self.targets):
-            target.edge(r_gnts[t], now + 1)
-        # 6. arbiter ageing (same ordering as the pin-level model: the
-        # waiting set comes from this cycle's pins with post-edge route
-        # state)
-        for qi, arbiter in enumerate(self._arb):
-            waiting = []
-            for i in range(cfg.n_initiators):
-                dest = self._destination_of_cell(i, presented[i])
-                if dest is not None and dest != ERROR_TARGET \
-                        and self._req_q_of(dest) == qi:
-                    waiting.append(i)
-            arbiter.tick(waiting)
-
-    # -- grant functions (verbatim spec rules) ----------------------------
-
-    def _request_grants(self, now: int, out_fired: List[bool]) -> List[int]:
-        grants = [0] * self.config.n_initiators
-        for qi, queue in enumerate(self._req_q):
-            if not queue.can_accept(out_fired[qi]):
-                continue
-            candidates = []
-            for i in range(self.config.n_initiators):
-                dest = self._destination(i)
-                if dest is None or dest == ERROR_TARGET:
-                    continue
-                if self._req_q_of(dest) != qi:
-                    continue
-                if self._route[i] is None and not self._may_open(i, dest):
-                    continue
-                candidates.append(i)
-            if not candidates:
-                continue
-            if self._busy[qi] is not None:
-                winner = self._busy[qi] if self._busy[qi] in candidates \
-                    else None
-            elif self._chunk[qi] is not None:
-                winner = self._chunk[qi] if self._chunk[qi] in candidates \
-                    else None
-            else:
-                winner = self._arb[qi].pick(candidates)
-            if winner is not None:
-                grants[winner] = 1
-        for i in range(self.config.n_initiators):
-            dest = self._destination(i)
-            if dest != ERROR_TARGET:
-                continue
-            if self._route[i] is not None \
-                    or self._may_open(i, ERROR_TARGET):
-                grants[i] = 1
-        return grants
-
-    def _response_grants(self, now: int, resp_heads) -> Tuple[List[int], List[int]]:
-        r_gnts = [0] * self.config.n_targets
-        err_pops = [0] * self.config.n_initiators
-        for qi, queue in enumerate(self._resp_q):
-            fired = resp_heads[qi] is not None
-            if not queue.can_accept(fired):
-                continue
-            lock = self._resp_busy[qi]
-            candidates: List[Tuple[int, int]] = []
-            for t, target in enumerate(self.targets):
-                cell = target.presented()
-                if cell is None:
-                    continue
-                dest = cell.r_src
-                if dest >= self.config.n_initiators:
-                    continue
-                if self._resp_q_of(dest) != qi:
-                    continue
-                if lock is not None and lock != t:
-                    continue
-                if lock is None and not self._resp_order_ok(dest, t):
-                    continue
-                candidates.append((t, dest))
-            for i in range(self.config.n_initiators):
-                if self._resp_q_of(i) != qi or not self._err[i]:
-                    continue
-                if self._err[i][0][1] > now:
-                    continue
-                slot = self._error_slot(i)
-                if lock is not None and lock != slot:
-                    continue
-                if lock is None and not self._resp_order_ok(i, ERROR_TARGET):
-                    continue
-                candidates.append((slot, i))
-            if not candidates:
-                continue
-            winner = self._resp_arb[qi].pick([s for s, _ in candidates])
-            if winner < self.config.n_targets:
-                r_gnts[winner] = 1
-            else:
-                err_pops[dict(candidates)[winner]] = 1
-        return r_gnts, err_pops
-
-    # -- bookkeeping ------------------------------------------------------------
-
-    def _close_packet(self, initiator: int, target: int, cell: Cell,
-                      queue_idx: int, now: int) -> None:
-        txn = self.bfms[initiator].current_txn
-        self._flights[initiator].append(
-            _Flight(target, cell.tid, self._opcode_of(cell), txn,
-                    self.bfms[initiator].request_start or now, now)
+            if self._request_start[i] is None:
+                self._request_start[i] = now
+            if presented[i].eop:
+                core.packet_tags[i] = (self.bfms[i].sent[-1],
+                                       self._request_start[i], now)
+                self._request_start[i] = None
+        retired = core.edge(
+            now + 1, adds,
+            [cell if granted else None
+             for cell, granted in zip(presented, grants)],
+            [cell if granted else None
+             for cell, granted in zip(responses, r_gnts)],
+            err_pops, targ_gnt, self._init_ready,
         )
-        self._route[initiator] = None
-        self._busy[queue_idx] = None
-        self._chunk[queue_idx] = initiator if cell.lck else None
-        self._arb[queue_idx].on_packet_end(initiator)
-
-    def _absorb_error(self, initiator: int, cell: Cell, avail: int) -> None:
-        opcode = self._opcode_of(cell)
-        self._flights[initiator].append(
-            _Flight(ERROR_TARGET, cell.tid, opcode,
-                    self.bfms[initiator].current_txn,
-                    self.bfms[initiator].request_start or avail - 1,
-                    avail - 1)
-        )
-        self._route[initiator] = None
-        if opcode is None:
-            cells = [RespCell(r_opc=1, r_eop=1, r_src=initiator,
-                              r_tid=cell.tid)]
-        else:
-            cells = build_response_cells(
-                opcode, self.config.bus_bytes, self.config.protocol_type,
-                error=True, src=initiator, tid=cell.tid, address=cell.add,
-            )
-        self._err[initiator].extend((c, avail) for c in cells)
-
-    @staticmethod
-    def _opcode_of(cell: Cell) -> Optional[Opcode]:
-        try:
-            return Opcode.decode(cell.opc)
-        except OpcodeError:
-            return None
-
-    def _retire(self, initiator: int, source: int, cell: RespCell,
-                now: int) -> None:
-        if source >= self.config.n_targets:
-            source = ERROR_TARGET
-        flights = self._flights[initiator]
-        if not flights:
-            return
-        entry = None
-        if self.config.protocol_type is ProtocolType.T2:
-            entry = flights.pop(0)
-        else:
-            for idx, flight in enumerate(flights):
-                if flight.target == source and flight.tid == cell.r_tid:
-                    entry = flights.pop(idx)
-                    break
-            if entry is None:
-                entry = flights.pop(0)
-        self.completed.append(
-            CompletedTxn(
-                initiator, entry.tid,
-                entry.opcode or Opcode.load(1),
-                entry.txn.address if entry.txn else 0,
-                entry.request_start, entry.request_end, now,
-                bool(cell.r_opc & 1),
-            )
-        )
-
-    # -- run loop ------------------------------------------------------------------
-
-    def _drained(self) -> bool:
-        return (
-            all(bfm.done for bfm in self.bfms)
-            and not any(self._flights[i]
-                        for i in range(self.config.n_initiators))
-        )
+        for item, record in retired:
+            if record is None:
+                continue
+            txn, request_start, request_end = record.tag
+            self.completed.append(CompletedTxn(
+                item.dest, record.tid, record.opcode or Opcode.load(1),
+                txn.address, request_start, request_end, now,
+                bool(item.cell.r_opc & 1),
+            ))
+        for bfm, granted in zip(self.bfms, grants):
+            bfm.advance(granted)
+        for target, granted in zip(self.targets, r_gnts):
+            target.advance(granted, now + 1)
 
     def run(self, max_cycles: int = 200000) -> FastResult:
-        # Mirror the pin-level step 0: BFMs load their first cell before
-        # any grant is computed, and the arbiters see one tick with no
-        # requesters (the pre-cycle-0 pins are all zero) — this keeps
-        # windowed policies (bandwidth) phase-aligned with the pin model.
+        # Mirror the pin-level step 0: the BFMs load their first cell
+        # before any grant is computed, and the core takes one edge with
+        # nothing on the pins — its arbiters age with no requesters, which
+        # keeps windowed policies (bandwidth) phase-aligned with the pin
+        # model.
         for bfm in self.bfms:
-            bfm.edge(False)
-        for arbiter in self._arb:
-            arbiter.tick([])
+            bfm.advance(False)
+        n_init, n_targ = self.config.n_initiators, self.config.n_targets
+        self.core.edge(0, [None] * n_init, [None] * n_init, [None] * n_targ,
+                       [0] * n_init, [0] * n_targ, self._init_ready)
         now = 0
         while now < max_cycles:
             self._cycle(now)
             now += 1
-            if self._drained():
+            if self.core.idle() and all(bfm.done for bfm in self.bfms):
                 return FastResult(now, self.completed, False)
         return FastResult(now, self.completed, True)
 

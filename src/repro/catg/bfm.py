@@ -11,6 +11,10 @@ list, gap list and the DUT's grant timing — the same seeded sequence run
 against the RTL and BCA views produces identical stimulus, which is what
 makes the paper's cycle-alignment comparison meaningful.
 
+The request side itself is the pin-free :class:`RequestSequencer`, which
+the standalone BCA mode (:mod:`repro.bca.fast`) drives directly, so both
+BCA drivers see the same stimulus.
+
 The request pins are registered outputs the BFM alone drives, and a
 signal keeps its committed value until its next drive.  So the BFM drives
 the bundle only when the presented cell changes (a new cell, or the move
@@ -35,7 +39,74 @@ from ..stbus import (
 _UNDRIVEN = object()
 
 
-class InitiatorBfm(Module):
+class RequestSequencer:
+    """The initiator BFM's request side, without pins.
+
+    It walks a ``(transaction, gap)`` program cell by cell: ``gap`` idle
+    cycles, then the transaction's request cells, each held until it is
+    granted.  :class:`InitiatorBfm` adds the port; the standalone BCA mode
+    (:mod:`repro.bca.fast`) drives a sequencer directly.
+    """
+
+    def __init__(self, program: Sequence[Tuple[Transaction, int]],
+                 bus_bytes: int, protocol: ProtocolType):
+        self.protocol = protocol
+        self.bus_bytes = bus_bytes
+        self._program: List[Tuple[Transaction, int]] = list(program)
+        self._next_txn = 0
+        self._cells: List[Cell] = []
+        self._cell_idx = 0
+        self._gap_left = 0
+        self._gap_primed = False
+        self._tid_counter = 0
+        #: Every transaction begun, in order; the last is the one presented.
+        self.sent: List[Transaction] = []
+
+    def load_program(self, program: Sequence[Tuple[Transaction, int]]) -> None:
+        """Replace the program (before the simulation starts)."""
+        self._program = list(program)
+
+    @property
+    def done(self) -> bool:
+        """All transactions fully injected (responses may still be in flight)."""
+        return self._next_txn >= len(self._program) and not self._cells
+
+    def presented(self) -> Optional[Cell]:
+        """The request cell presented this cycle (None: idle)."""
+        return self._cells[self._cell_idx] if self._cells else None
+
+    def advance(self, granted: bool) -> None:
+        """At an edge: step past the cell granted before it, and begin the
+        next transaction when the current one is over."""
+        if self._cells and granted:
+            if self._cells[self._cell_idx].eop:
+                self._cells = []
+                self._cell_idx = 0
+            else:
+                self._cell_idx += 1
+        if not self._cells:
+            self._begin_next()
+
+    def _begin_next(self) -> None:
+        if self._next_txn >= len(self._program):
+            return
+        txn, gap = self._program[self._next_txn]
+        if not self._gap_primed:
+            self._gap_left = gap
+            self._gap_primed = True
+        if self._gap_left > 0:
+            self._gap_left -= 1
+            return
+        self._next_txn += 1
+        self._gap_primed = False
+        txn.tid = self._tid_counter & 0xFF
+        self._tid_counter += 1
+        self._cells = build_request_cells(txn, self.bus_bytes, self.protocol)
+        self._cell_idx = 0
+        self.sent.append(txn)
+
+
+class InitiatorBfm(Module, RequestSequencer):
     """Drives the initiator side of ``port`` with a transaction program.
 
     Parameters
@@ -56,19 +127,11 @@ class InitiatorBfm(Module):
         program: Sequence[Tuple[Transaction, int]] = (),
         parent: Optional[Module] = None,
     ):
-        super().__init__(sim, name, parent)
+        Module.__init__(self, sim, name, parent)
+        RequestSequencer.__init__(self, program, port.bus_bytes, protocol)
         self.port = port
-        self.protocol = protocol
-        self._program: List[Tuple[Transaction, int]] = list(program)
-        self._next_txn = 0
-        self._cells: List[Cell] = []
-        self._cell_idx = 0
-        self._gap_left = 0
-        self._gap_primed = False
-        self._tid_counter = 0
         #: The cell on the request pins (None: idle), or _UNDRIVEN.
         self._presented: object = _UNDRIVEN
-        self.sent: List[Transaction] = []
         self.response_packets: List[List] = []
         self._resp_assembly: List = []
         self.clocked(
@@ -81,35 +144,6 @@ class InitiatorBfm(Module):
             tie_offs={port.src: 0, port.r_gnt: 1},
         )
 
-    def load_program(self, program: Sequence[Tuple[Transaction, int]]) -> None:
-        """Replace the program (before the simulation starts)."""
-        self._program = list(program)
-
-    @property
-    def done(self) -> bool:
-        """All transactions fully injected (responses may still be in flight)."""
-        return self._next_txn >= len(self._program) and not self._cells
-
-    # ------------------------------------------------------------------
-
-    def _begin_next(self) -> None:
-        if self._next_txn >= len(self._program):
-            return
-        txn, gap = self._program[self._next_txn]
-        if not self._gap_primed:
-            self._gap_left = gap
-            self._gap_primed = True
-        if self._gap_left > 0:
-            self._gap_left -= 1
-            return
-        self._next_txn += 1
-        self._gap_primed = False
-        txn.tid = self._tid_counter & 0xFF
-        self._tid_counter += 1
-        self._cells = build_request_cells(txn, self.port.bus_bytes, self.protocol)
-        self._cell_idx = 0
-        self.sent.append(txn)
-
     def _clk(self) -> None:
         port = self.port
         # Record response cells (the scoreboard uses monitors; keeping a
@@ -121,17 +155,10 @@ class InitiatorBfm(Module):
                 self.response_packets.append(self._resp_assembly)
                 self._resp_assembly = []
         # Consume the grant observed during the previous cycle.
-        if self._cells and port.req._value and port.gnt._value:
-            if self._cells[self._cell_idx].eop:
-                self._cells = []
-                self._cell_idx = 0
-            else:
-                self._cell_idx += 1
-        if not self._cells:
-            self._begin_next()
+        self.advance(port.req._value and port.gnt._value)
         # Present the current cell (registered outputs, held between
         # changes).
-        cell = self._cells[self._cell_idx] if self._cells else None
+        cell = self.presented()
         if cell is not self._presented:
             self._drive_request(cell)
             if self._presented is _UNDRIVEN:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..stbus import (
+    ERROR_TARGET,
     NodeConfig,
     OpKind,
     Opcode,
@@ -220,8 +221,8 @@ class NodeCoverageCollector:
             return
         model["opcode"].sample(str(opcode))
         model["request_len"].sample(_len_bin(len(obs.cells)))
-        target = self.config.resolved_map.decode(obs.address)
-        if target is None or not self.config.path_allowed(obs.index, target):
+        target = self.config.route(obs.index, obs.address)
+        if target == ERROR_TARGET:
             model["decode"].sample("error")
         else:
             model["decode"].sample("hit")

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..kernel import Module, Simulator
 from ..stbus import (
+    ERROR_TARGET,
     Architecture,
     ArbitrationPolicy,
     NodeConfig,
@@ -35,8 +36,6 @@ from ..stbus import (
 )
 from ..stbus.arbitration import LatencyArbiter, ProgrammablePriorityArbiter
 from .report import VerificationReport
-
-ERROR_TARGET = -1
 
 
 @dataclass
@@ -65,7 +64,6 @@ class ArbitrationChecker(Module):
         self.targ_ports = list(targ_ports)
         self.prog_port = prog_port
         self.report = report
-        self.amap = config.resolved_map
         self.shared = config.architecture is Architecture.SHARED_BUS
         n_domains = 1 if self.shared else config.n_targets
         self._arb = [
@@ -100,12 +98,6 @@ class ArbitrationChecker(Module):
     def _domain(self, target: int) -> int:
         return 0 if self.shared else target
 
-    def _decode(self, initiator: int, address: int) -> int:
-        target = self.amap.decode(address)
-        if target is None or not self.config.path_allowed(initiator, target):
-            return ERROR_TARGET
-        return target
-
     def _destinations(self) -> List[Optional[int]]:
         """Each initiator's requested target this cycle (None: no req)."""
         dests: List[Optional[int]] = []
@@ -115,7 +107,7 @@ class ArbitrationChecker(Module):
             elif self._route[i] is not None:
                 dests.append(self._route[i])
             else:
-                dests.append(self._decode(i, port.add._value))
+                dests.append(self.config.route(i, port.add._value))
         return dests
 
     def _may_open(self, initiator: int, target: int) -> bool:
@@ -195,7 +187,7 @@ class ArbitrationChecker(Module):
             if not (port.req._value and port.gnt._value):
                 continue
             if self._route[i] is None:
-                self._route[i] = self._decode(i, port.add._value)
+                self._route[i] = self.config.route(i, port.add._value)
             target = self._route[i]
             eop = port.eop._value
             if target != ERROR_TARGET:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..stbus import (
+    ERROR_TARGET,
     Cell,
     NodeConfig,
     OpKind,
@@ -39,9 +40,6 @@ from ..stbus import (
 from .monitor import ObservedRequest, ObservedResponse, PortMonitor
 from .report import VerificationReport
 from .target import default_byte
-
-#: Sentinel used for requests expected to be answered by the error engine.
-ERROR_TARGET = -1
 
 
 def _cells_equal_fwd(src_cell: Cell, dst_cell: Cell) -> bool:
@@ -88,7 +86,6 @@ class Scoreboard:
         self.config = config
         self.report = report
         self.name = name
-        self.amap = config.resolved_map
         # Per (initiator, target) FIFO of request packets still crossing.
         self._crossing: Dict[Tuple[int, int], List[ObservedRequest]] = {}
         # Per initiator, all packets awaiting response delivery.
@@ -125,15 +122,9 @@ class Scoreboard:
     # initiator-side request: predict routing
     # ------------------------------------------------------------------
 
-    def _decode(self, initiator: int, address: int) -> int:
-        target = self.amap.decode(address)
-        if target is None or not self.config.path_allowed(initiator, target):
-            return ERROR_TARGET
-        return target
-
     def _on_initiator_request(self, obs: ObservedRequest) -> None:
         initiator = obs.index
-        target = self._decode(initiator, obs.address)
+        target = self.config.route(initiator, obs.address)
         try:
             opcode: Optional[Opcode] = Opcode.decode(obs.opc)
         except OpcodeError:

@@ -6,13 +6,18 @@ read-modify-write, swap), and returns protocol-correct response packets
 after a configurable latency.  Per-target latencies are how the test cases
 provoke out-of-order traffic: "short transactions are sent by one
 initiator to different targets, having different speed" (Section 5).
+
+The behaviour lives in the pin-free :class:`MemoryTarget`;
+:class:`TargetHarness` adds the port.  The standalone BCA mode
+(:mod:`repro.bca.fast`) drives a :class:`MemoryTarget` directly, so both
+BCA drivers run against one memory model.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..kernel import Module, Simulator
 from ..stbus import (
@@ -41,8 +46,8 @@ class _Job:
     ready_cycle: int
 
 
-class TargetHarness(Module):
-    """Memory-backed slave agent with configurable speed.
+class MemoryTarget:
+    """Memory-backed slave with configurable speed, without pins.
 
     Parameters
     ----------
@@ -53,7 +58,7 @@ class TargetHarness(Module):
         If > 0, a deterministic per-packet extra delay drawn uniformly
         from ``[0, jitter)`` using ``seed``.
     capacity:
-        Maximum queued packets; the harness deasserts ``gnt`` when full
+        Maximum queued packets; the target stops granting when full
         (back-pressure toward the node).
     error_rate:
         Fault injection: the fraction of packets answered with an error
@@ -62,24 +67,20 @@ class TargetHarness(Module):
 
     def __init__(
         self,
-        sim: Simulator,
-        name: str,
-        port: StbusPort,
         protocol: ProtocolType,
+        bus_bytes: int,
         latency: int = 2,
         jitter: int = 0,
         capacity: int = 8,
         seed: int = 0,
         error_rate: float = 0.0,
-        parent: Optional[Module] = None,
     ):
-        super().__init__(sim, name, parent)
         if latency < 0 or jitter < 0 or capacity < 1:
             raise ValueError("latency/jitter must be >= 0, capacity >= 1")
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError("error_rate must be in [0, 1]")
-        self.port = port
         self.protocol = protocol
+        self.bus_bytes = bus_bytes
         self.latency = latency
         self.jitter = jitter
         self.capacity = capacity
@@ -91,13 +92,6 @@ class TargetHarness(Module):
         self._resp_cells: List[RespCell] = []
         self._resp_idx = 0
         self.packets_served = 0
-        self._tick = self.signal("tick")
-        self.clocked(
-            self._clk,
-            reads=port.signals() + [self._tick],
-            writes=port.response_signals() + [self._tick],
-        )
-        self.comb(self._gnt_comb, [self._tick, port.req])
 
     # -- memory model -----------------------------------------------------
 
@@ -116,21 +110,26 @@ class TargetHarness(Module):
         """Packets queued or a response still being transmitted."""
         return bool(self._jobs or self._resp_cells or self._assembly)
 
-    # -- processes -----------------------------------------------------------
+    # -- one cycle ----------------------------------------------------------
 
-    def _gnt_comb(self) -> None:
-        self.port.gnt.drive(1 if len(self._jobs) < self.capacity else 0)
+    def gnt(self) -> bool:
+        """Does the target take a request cell this cycle?"""
+        return len(self._jobs) < self.capacity
 
-    def _clk(self) -> None:
-        port = self.port
-        now = self.sim.now
-        # Request side: capture the cell that transferred last cycle.
-        if port.req._value and port.gnt._value:
-            self._assembly.append(port.request_cell())
-            if self._assembly[-1].eop:
-                self._complete_packet(now)
-        # Response side: advance past the cell consumed last cycle.
-        if self._resp_cells and port.r_req._value and port.r_gnt._value:
+    def presented(self) -> Optional[RespCell]:
+        """The response cell presented this cycle (None: idle)."""
+        return self._resp_cells[self._resp_idx] if self._resp_cells else None
+
+    def accept(self, cell: Cell, now: int) -> None:
+        """Take the request cell that transferred before the edge ``now``."""
+        self._assembly.append(cell)
+        if cell.eop:
+            self._complete_packet(now)
+
+    def advance(self, resp_fired: bool, now: int) -> None:
+        """At the edge ``now``: step past the response cell consumed
+        before it, and start the next ready response."""
+        if self._resp_cells and resp_fired:
             self._resp_idx += 1
             if self._resp_idx >= len(self._resp_cells):
                 self._resp_cells = []
@@ -140,13 +139,6 @@ class TargetHarness(Module):
             job = self._jobs.pop(0)
             self._resp_cells = job.cells
             self._resp_idx = 0
-        # Present the current response cell (registered outputs, held
-        # between changes).
-        port.present_response(
-            self._resp_cells[self._resp_idx] if self._resp_cells else None)
-        # The tick toggles every cycle: it wakes _gnt_comb, and the VCD
-        # records it.
-        self._tick.drive(self._tick._value ^ 1)
 
     # -- packet semantics ---------------------------------------------------
 
@@ -164,7 +156,7 @@ class TargetHarness(Module):
             return
         if self.error_rate and self._rng.random() < self.error_rate:
             resp = build_response_cells(
-                opcode, self.port.bus_bytes, self.protocol, error=True,
+                opcode, self.bus_bytes, self.protocol, error=True,
                 src=first.src, tid=first.tid, address=first.add,
             )
             self._jobs.append(_Job(resp, now + delay))
@@ -172,7 +164,7 @@ class TargetHarness(Module):
         data = self._execute(opcode, first.add, cells)
         resp = build_response_cells(
             opcode,
-            self.port.bus_bytes,
+            self.bus_bytes,
             self.protocol,
             data=data,
             src=first.src,
@@ -188,11 +180,64 @@ class TargetHarness(Module):
         if kind in (OpKind.LOAD, OpKind.READEX):
             return self.read_mem(address, opcode.size)
         if kind is OpKind.STORE:
-            self.write_mem(address, request_data_from_cells(cells, self.port.bus_bytes))
+            self.write_mem(address, request_data_from_cells(cells, self.bus_bytes))
             return b""
         if kind in (OpKind.RMW, OpKind.SWAP):
             old = self.read_mem(address, opcode.size)
-            self.write_mem(address, request_data_from_cells(cells, self.port.bus_bytes))
+            self.write_mem(address, request_data_from_cells(cells, self.bus_bytes))
             return old
         # FLUSH / PURGE: pure acknowledgements.
         return b""
+
+
+class TargetHarness(Module, MemoryTarget):
+    """A :class:`MemoryTarget` behind the target side of ``port``.
+
+    It deasserts ``gnt`` when its packet queue is full; see
+    :class:`MemoryTarget` for the parameters.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        port: StbusPort,
+        protocol: ProtocolType,
+        latency: int = 2,
+        jitter: int = 0,
+        capacity: int = 8,
+        seed: int = 0,
+        error_rate: float = 0.0,
+        parent: Optional[Module] = None,
+    ):
+        Module.__init__(self, sim, name, parent)
+        MemoryTarget.__init__(self, protocol, port.bus_bytes, latency,
+                              jitter, capacity, seed, error_rate)
+        self.port = port
+        self._tick = self.signal("tick")
+        self.clocked(
+            self._clk,
+            reads=port.signals() + [self._tick],
+            writes=port.response_signals() + [self._tick],
+        )
+        self.comb(self._gnt_comb, [self._tick, port.req])
+
+    # -- processes -----------------------------------------------------------
+
+    def _gnt_comb(self) -> None:
+        self.port.gnt.drive(1 if self.gnt() else 0)
+
+    def _clk(self) -> None:
+        port = self.port
+        now = self.sim.now
+        # Request side: capture the cell that transferred last cycle.
+        if port.req._value and port.gnt._value:
+            self.accept(port.request_cell(), now)
+        # Response side: advance past the cell consumed last cycle.
+        self.advance(port.r_req._value and port.r_gnt._value, now)
+        # Present the current response cell (registered outputs, held
+        # between changes).
+        port.present_response(self.presented())
+        # The tick toggles every cycle: it wakes _gnt_comb, and the VCD
+        # records it.
+        self._tick.drive(self._tick._value ^ 1)

@@ -8,9 +8,10 @@ This module is that phase: checks and coverage that operate on whole
 transactions from the standalone BCA mode
 (:class:`~repro.bca.fast.FastBcaSim`), with no pins and no waveform — the
 early, fast gate that runs *before* the pin-level common environment.
-Because the fast mode is validated cycle-exact against the pin-level BCA,
-a TLM pass here is meaningful evidence, and a TLM failure localizes a bug
-orders of magnitude earlier in the flow.
+The fast mode runs the same :class:`~repro.bca.core.BcaCore` as the
+pin-level node the common environment verifies, so a TLM pass here is
+evidence about that model, and a TLM failure localizes a bug orders of
+magnitude earlier in the flow.
 
 Checks:
 
@@ -29,12 +30,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..bca.fast import CompletedTxn, FastResult, run_fast
-from ..stbus import NodeConfig, ProtocolType
+from ..stbus import ERROR_TARGET, NodeConfig, ProtocolType
 from .coverage import CoverGroup, CoverageModel
 from .report import VerificationReport
 from .sequence import TestProgram
-
-ERROR_TARGET = -1
 
 
 def build_tlm_coverage(config: NodeConfig) -> CoverageModel:
@@ -86,16 +85,9 @@ class TlmChecker:
     def __init__(self, config: NodeConfig, report: VerificationReport):
         self.config = config
         self.report = report
-        self.amap = config.resolved_map
 
     def _fail(self, rule: str, cycle: int, message: str) -> None:
         self.report.error(rule, "tlm", cycle, message)
-
-    def _decode(self, initiator: int, address: int) -> int:
-        target = self.amap.decode(address)
-        if target is None or not self.config.path_allowed(initiator, target):
-            return ERROR_TARGET
-        return target
 
     def min_latency(self, is_error: bool = False) -> int:
         """Structural latency floor.
@@ -122,7 +114,7 @@ class TlmChecker:
         per_initiator: Dict[int, List[CompletedTxn]] = {}
         for txn in result.completed:
             per_initiator.setdefault(txn.initiator, []).append(txn)
-            target = self._decode(txn.initiator, txn.address)
+            target = self.config.route(txn.initiator, txn.address)
             floor = self.min_latency(is_error=target == ERROR_TARGET)
             if (target == ERROR_TARGET) != txn.is_error:
                 self._fail(
@@ -156,14 +148,12 @@ class TlmCoverageCollector:
                  model: Optional[CoverageModel] = None):
         self.config = config
         self.model = model or build_tlm_coverage(config)
-        self.amap = config.resolved_map
 
     def sample(self, result: FastResult) -> None:
         for txn in result.completed:
             self.model["opcode"].sample(str(txn.opcode))
-            target = self.amap.decode(txn.address)
-            if target is None or not self.config.path_allowed(
-                    txn.initiator, target):
+            target = self.config.route(txn.initiator, txn.address)
+            if target == ERROR_TARGET:
                 self.model["decode"].sample("error")
             else:
                 self.model["decode"].sample("hit")

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel import Module, Simulator
 from ..stbus import (
+    ERROR_TARGET,
     Architecture,
     ArbitrationPolicy,
     Cell,
@@ -66,9 +67,6 @@ from ..stbus.arbitration import (
     ProgrammablePriorityArbiter,
 )
 from .pipeline import Pipe
-
-#: Sentinel "target" index for requests absorbed by the error engine.
-ERROR_TARGET = -1
 
 
 @dataclass
@@ -132,7 +130,7 @@ class RtlNode(Module):
         self.init_ports = list(init_ports)
         self.targ_ports = list(targ_ports)
         self.prog_port = prog_port
-        self.amap = config.resolved_map
+        config.resolved_map  # materializes the default map onto the config
         self.stats: Dict[str, int] = {
             "req_cells": 0,
             "resp_cells": 0,
@@ -261,13 +259,6 @@ class RtlNode(Module):
     # request-side eligibility (pure; used by both comb and clocked code)
     # ------------------------------------------------------------------
 
-    def _decode(self, initiator: int, address: int) -> int:
-        """Target index for a new packet, or ERROR_TARGET."""
-        target = self.amap.decode(address)
-        if target is None or not self.config.path_allowed(initiator, target):
-            return ERROR_TARGET
-        return target
-
     def _head_target(self, initiator: int) -> Optional[int]:
         """Where initiator's current request cell is headed (None if idle)."""
         port = self.init_ports[initiator]
@@ -275,7 +266,7 @@ class RtlNode(Module):
             return None
         if self._route[initiator] is not None:
             return self._route[initiator]
-        return self._decode(initiator, port.add.value)
+        return self.config.route(initiator, port.add.value)
 
     def _ordering_ok(self, initiator: int, target: int) -> bool:
         """May initiator open a new packet toward ``target``?"""
@@ -470,7 +461,7 @@ class RtlNode(Module):
                 continue
             self.stats["req_cells"] += 1
             if self._route[i] is None:
-                self._route[i] = self._decode(i, cell.add)
+                self._route[i] = self.config.route(i, cell.add)
             target = self._route[i]
             if target != ERROR_TARGET:
                 domain = self._domain_of(target)

@@ -44,7 +44,7 @@ from .arbitration import (
     RoundRobinArbiter,
     make_arbiter,
 )
-from .config import Architecture, ConfigError, NodeConfig
+from .config import ERROR_TARGET, Architecture, ConfigError, NodeConfig
 from .interface import (
     REQUEST_FIELDS,
     RESPONSE_FIELDS,
@@ -69,7 +69,7 @@ __all__ = [
     "FixedPriorityArbiter", "ProgrammablePriorityArbiter", "LruArbiter",
     "RoundRobinArbiter", "LatencyArbiter", "BandwidthArbiter",
     "PROGRAMMABLE_POLICIES",
-    "Architecture", "NodeConfig", "ConfigError",
+    "Architecture", "NodeConfig", "ConfigError", "ERROR_TARGET",
     "StbusPort", "Type1Port", "REQUEST_FIELDS", "RESPONSE_FIELDS",
     "T1_IDLE", "T1_READ", "T1_WRITE",
 ]

@@ -24,6 +24,12 @@ from .routing import AddressMap, Region
 from .types import LEGAL_DATA_WIDTHS, ProtocolType
 
 
+#: The route of a packet the node answers itself, with an error response:
+#: its address decodes to no target, or to a target its initiator has no
+#: path to.
+ERROR_TARGET = -1
+
+
 class ConfigError(ValueError):
     """An illegal node configuration."""
 
@@ -131,6 +137,14 @@ class NodeConfig:
         if self.architecture is Architecture.PARTIAL_CROSSBAR:
             return (initiator, target) in (self.connectivity or frozenset())
         return True
+
+    def route(self, initiator: int, address: int) -> int:
+        """The target a packet from ``initiator`` to ``address`` goes to,
+        or :data:`ERROR_TARGET`."""
+        target = self.resolved_map.decode(address)
+        if target is None or not self.path_allowed(initiator, target):
+            return ERROR_TARGET
+        return target
 
     def reachable_targets(self, initiator: int) -> List[int]:
         return [

@@ -59,6 +59,21 @@ CONFIGS = [
     NodeConfig(n_initiators=4, n_targets=2,
                arbitration=ArbitrationPolicy.BANDWIDTH_LIMITED,
                name="fast-bw"),
+    NodeConfig(n_initiators=3, n_targets=2,
+               arbitration=ArbitrationPolicy.LATENCY_BASED,
+               latency_budgets=[4, 8, 16], name="fast-latency"),
+    # init1 has no path to targ0: t12_decode_errors reaches the error
+    # engine through a blocked path as well as through unmapped holes.
+    NodeConfig(n_initiators=2, n_targets=2,
+               architecture=Architecture.PARTIAL_CROSSBAR,
+               connectivity=frozenset({(0, 0), (0, 1), (1, 1)}),
+               arbitration=ArbitrationPolicy.ROUND_ROBIN,
+               name="fast-partial"),
+    NodeConfig(n_initiators=3, n_targets=2,
+               architecture=Architecture.SHARED_BUS,
+               protocol_type=ProtocolType.T3,
+               arbitration=ArbitrationPolicy.ROUND_ROBIN,
+               name="fast-shared-t3"),
 ]
 
 TESTS = ["t02_random_uniform", "t03_out_of_order", "t08_locked_chunks",
@@ -74,6 +89,33 @@ def test_fast_mode_matches_pin_level_exactly(config, test_name):
     fast_req, fast_resp = fast_timestamps(config, test_fast)
     assert fast_req == pin_req
     assert fast_resp == pin_resp
+
+
+def _blocked_path_test(config, seed):
+    """t12_decode_errors with every other transaction of init1 sent to
+    targ0, which init1 has no path to on ``fast-partial``: the error
+    engine answers a mapped address, not only an unmapped one."""
+    test = build_test("t12_decode_errors", config, seed)
+    region = config.resolved_map.region_of(0)
+    for k, (txn, _gap) in enumerate(test.programs[1]):
+        if k % 2 == 0:
+            txn.address = region.base + (k * txn.opcode.size) % region.size
+    return test
+
+
+def test_fast_mode_matches_pin_level_on_blocked_paths():
+    config = next(c for c in CONFIGS if c.name == "fast-partial")
+    assert not config.path_allowed(1, 0)
+    pin_req, pin_resp = pin_level_timestamps(
+        config, _blocked_path_test(config, 3))
+    fast = run_fast(config, _blocked_path_test(config, 3))
+    blocked = [t for t in fast.completed if t.initiator == 1
+               and config.resolved_map.decode(t.address) == 0]
+    assert blocked and all(t.is_error for t in blocked)
+    assert sorted((t.initiator, t.tid, t.request_end)
+                  for t in fast.completed) == pin_req
+    assert sorted((t.initiator, t.tid, t.response_end)
+                  for t in fast.completed) == pin_resp
 
 
 def test_fast_mode_rejects_programming_port():

@@ -39,19 +39,18 @@ def test_past_flow_does_detect_gross_data_corruption():
     """Sanity: the old check is not a no-op — it does catch a bug that
     corrupts full-width data on its single path."""
 
-    from repro.bca.node import BcaNode
+    from repro.bca.core import BcaCore
     from repro.oldflow.basic_tb import PastFlowTestbench
-    from repro.stbus import Cell
     from dataclasses import replace
 
-    class GrossNode(BcaNode):
+    class GrossCore(BcaCore):
         def _forward_cell(self, cell, initiator):
             fwd = super()._forward_cell(cell, initiator)
             return replace(fwd, data=fwd.data ^ 0xFF)
 
     cfg = hunt_config()
     tb = PastFlowTestbench(cfg, view="bca")
-    tb.dut.__class__ = GrossNode
+    tb.dut.core.__class__ = GrossCore
     tb.build_program()
     result = tb.run()
     assert not result.passed
