@@ -1,10 +1,10 @@
 """Static-analysis benchmark: RTL/BCA agreement-check and UNR wall
 times over the configuration matrix.
 
-The symbolic pass only earns its place in the flow if it stays cheap
-next to simulation: a functional RTL/BCA agreement check per port, for
-every matrix configuration, should cost seconds — not the minutes a
-seeded regression of the same matrix takes.  This harness times the two
+The agreement check runs in every two-view ``analyze_config``, so it
+must stay cheap next to simulation: a functional RTL/BCA agreement check
+per port, for every matrix configuration, should cost seconds — not the
+minutes a seeded regression of the same matrix takes.  This harness times the two
 engines separately over the full matrix and persists the rates to
 ``.bench_build/BENCH_static_analysis.json`` (see conftest.py).
 
@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.analysis.symbolic.equiv import check_functional_equivalence
+from repro.analysis.agreement import check_agreement
 from repro.analysis.unr import (
     REACHABLE,
     UNKNOWN,
@@ -38,7 +38,7 @@ def test_bench_equivalence_phase():
     start = time.perf_counter()
     n_ports = n_points = n_cycles = 0
     for config in MATRIX:
-        ports, findings = check_functional_equivalence(config)
+        ports = check_agreement(config).ports
         assert all(p.verdict == "AGREED" for p in ports), config.name
         n_ports += len(ports)
         n_points += sum(p.comb_points for p in ports)

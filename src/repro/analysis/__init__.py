@@ -17,9 +17,9 @@ process at a time), this package reasons about *flows*:
   a rule that cannot decide its bin, and no shipped rule emits it;
 * :mod:`~repro.analysis.xview` — cross-view cone-equivalence check (RTL
   vs BCA cones per STBus port);
-* :mod:`~repro.analysis.symbolic` — the symbolic pass (``--symbolic``):
-  check per-port functional RTL/BCA agreement on bare dual harnesses
-  (comb-cone enumeration from reset plus bounded lockstep);
+* :mod:`~repro.analysis.agreement` — per-port RTL/BCA agreement on bare
+  dual harnesses (comb-cone enumeration from reset plus bounded
+  lockstep): a bounded check with a witness on mismatch, not a proof;
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
@@ -29,8 +29,11 @@ process at a time), this package reasons about *flows*:
 
 CLI: ``python -m repro.analysis`` (text/JSON; same waiver files as
 ``repro.lint``) and ``python -m repro.analysis impact`` (fingerprint
-manifests and change-impact reports).  The regression tool exposes the
-UNR half as the opt-in ``--unr`` gate.
+manifests and change-impact reports).  One pass runs every check:
+:func:`~repro.analysis.runner.analyze_config` always attaches the UNR
+verdicts and, when both views are analyzed, the cone diff and the
+agreement check.  The regression tool exposes the UNR half as the
+opt-in ``--unr`` annotation.
 
 Only :mod:`~repro.analysis.waivers` is imported eagerly — it is a leaf
 module that ``repro.lint.diagnostics`` re-exports, and loading the full
@@ -59,7 +62,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
               "AnalysisRule"),
     "unr": ("BinVerdict", "UnrReport", "analyze_unreachability"),
     "xview": ("cone_equivalence_findings",),
-    "symbolic.report": ("SymbolicReport", "run_symbolic_analysis"),
+    "agreement": ("AgreementReport", "PortAgreement", "check_agreement"),
     "runner": ("AnalysisReport", "ConfigAnalysisReport", "analyze_simulator",
                "analyze_config", "resolve_analysis_rules"),
     "impact": ("MANIFEST_SCHEMA", "DesignManifest", "DesignFingerprints",

@@ -1,8 +1,10 @@
-"""Functional RTL/BCA agreement: a bounded per-port check, not a proof.
+"""RTL/BCA agreement: a bounded per-port check, not a proof.
 
-Two complementary engines, both driving *bare* dual harnesses (the two
-node views instantiated on identical port bundles, no BFMs, no
-checkers):
+:func:`check_agreement` runs in every :func:`repro.analysis.analyze_config`
+that analyzes both views; its :class:`AgreementReport` hangs off the
+configuration report under the ``agreement`` key.  Two complementary
+engines drive *bare* dual harnesses (the two node views instantiated on
+identical port bundles, no BFMs, no checkers):
 
 **Pointwise comb enumeration.**  The node's combinational outputs —
 request grants, response grants, programming ack/rdata — are functions
@@ -11,20 +13,21 @@ stimulus axes are enumerated on both simulators and the settled outputs
 compared.  The axes are representative per-port stimulus states (one
 address per decode class, a few handshake variants), not every value
 of every pin, so agreement holds on those points only.  When a cone's
-point count exceeds the budget the cone is skipped with an explicit
-``symbolic-domain-too-large`` diagnostic — never silently.
+point count exceeds :data:`DOMAIN_BUDGET` the cone is skipped with an
+explicit ``agreement-domain-too-large`` diagnostic — never silently.
 
 **Bounded lockstep execution.**  Sequential behaviour (datapath
 routing, response matching, arbitration state evolution, chunk locks,
-programming-port side effects) is compared on a deterministic,
-configuration-derived scenario set: both views receive byte-identical
-external stimulus — packet streams, an always-ready echo responder
-that reflects observed src/tid back, programming-port writes — and
-every node-driven interface pin is compared every settled cycle.  The
-scenarios are chosen so that each entry of the injectable BCA bug
-registry falls inside the compared behaviour on at least one matrix
-configuration (sub-word stores, >4-initiator source tags, chunk-locked
-contention, LRU recency, programming-port reprogramming).
+programming-port side effects, decode and path-blocked errors) is
+compared on a deterministic, configuration-derived scenario set: both
+views receive byte-identical external stimulus — packet streams, an
+always-ready echo responder that reflects observed src/tid back,
+programming-port writes — and every node-driven interface pin is
+compared every settled cycle.  The scenarios are chosen so that each
+entry of the injectable BCA bug registry falls inside the compared
+behaviour on at least one matrix configuration (sub-word stores,
+>4-initiator source tags, chunk-locked contention, LRU recency,
+programming-port reprogramming).
 
 A mismatch from either engine carries a concrete witness: the stimulus
 assignment (comb) or the scenario/cycle/pin triple (lockstep).
@@ -36,16 +39,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ...bca.node import BcaNode
-from ...kernel.module import Module
-from ...kernel.signal import Signal
-from ...kernel.simulator import Simulator
-from ...lint.diagnostics import Finding, Severity
-from ...rtl.node import RtlNode
-from ...stbus import (
+from ..bca.node import BcaNode
+from ..kernel.module import Module
+from ..kernel.signal import Signal
+from ..kernel.simulator import Simulator
+from ..lint.diagnostics import Finding, Severity
+from ..rtl.node import RtlNode
+from ..stbus import (
     NodeConfig,
     Opcode,
-    PROGRAMMABLE_POLICIES,
     StbusPort,
     T1_READ,
     T1_WRITE,
@@ -54,17 +56,18 @@ from ...stbus import (
     build_request_cells,
     build_response_cells,
 )
-from ..unr import coverage_gaps
+from .unr import coverage_gaps
 
 __all__ = [
-    "DEFAULT_DOMAIN_BUDGET",
-    "PortEquivalence",
-    "check_functional_equivalence",
+    "AgreementReport",
+    "DOMAIN_BUDGET",
+    "PortAgreement",
+    "check_agreement",
 ]
 
 #: Maximum number of enumeration points per comb cone before the engine
-#: logs ``symbolic-domain-too-large`` and leaves the cone to lockstep.
-DEFAULT_DOMAIN_BUDGET = 8192
+#: logs ``agreement-domain-too-large`` and leaves the cone to lockstep.
+DOMAIN_BUDGET = 8192
 
 AGREED = "AGREED"
 MISMATCH = "MISMATCH"
@@ -79,7 +82,7 @@ _RESPONSE_LATENCY = 2
 
 
 @dataclass
-class PortEquivalence:
+class PortAgreement:
     """Combined functional verdict for one interface port."""
 
     port: str
@@ -319,26 +322,26 @@ def _run_comb_engine(
     config: NodeConfig,
     rtl: _Harness,
     bca: _Harness,
-    budget: int,
-    ports: Dict[str, PortEquivalence],
+    ports: Dict[str, PortAgreement],
     findings: List[Finding],
 ) -> None:
     for cone in _build_cones(config):
         cone_ports = sorted({_port_of(o) for o in cone.outputs})
-        if cone.domain_size > budget:
+        if cone.domain_size > DOMAIN_BUDGET:
             reason = (
                 f"{cone.name} cone domain has {cone.domain_size} points "
-                f"(budget {budget}); relying on lockstep for these pins"
+                f"(budget {DOMAIN_BUDGET}); relying on lockstep for these "
+                "pins"
             )
             for port in cone_ports:
                 ports[port].comb_skipped = reason
             findings.append(Finding(
-                rule="symbolic-domain-too-large",
+                rule="agreement-domain-too-large",
                 severity=Severity.INFO,
                 message=f"{config.name}: {reason}",
                 process=f"xview:{cone.name}",
-                hint="raise the budget with --symbolic-budget to "
-                     "enumerate this cone exhaustively",
+                hint="the lockstep scenarios still compare these pins; "
+                     "the comb points of this cone are not enumerated",
             ))
             continue
         for env in cone.points():
@@ -497,6 +500,21 @@ def _scenarios(config: NodeConfig) -> List[_Scenario]:
                     _packet(config, load, base, i, tid=2)])
             for i in allowed
         }))
+
+    # 7. Blocked paths: a load and a store to every region the sender
+    # has no path to, which both views must answer with an error.
+    traffic = {}
+    for i in range(config.n_initiators):
+        packets = []
+        for region in amap.regions:
+            if not config.path_allowed(i, region.target):
+                packets.append(_packet(config, load, region.base, i, tid=6))
+                packets.append(_packet(config, store, region.base, i,
+                                       tid=7))
+        if packets:
+            traffic[i] = (0, packets)
+    if traffic:
+        scenarios.append(_Scenario("blocked-paths", traffic=traffic))
     return scenarios
 
 
@@ -600,10 +618,30 @@ class _ViewDriver:
                 and all(not c for c in self.collect.values()))
 
 
+def _lockstep_cycles(drivers: Sequence[_ViewDriver], max_cycles: int):
+    """Run the drivers' views together, yielding each settled cycle;
+    stop once every driver has been quiescent for four cycles."""
+    drained = 0
+    for cycle in range(max_cycles):
+        for driver in drivers:
+            driver.apply(cycle)
+            driver.h.settle()
+        yield cycle
+        for driver in drivers:
+            driver.update(cycle)
+            driver.h.sim.step()
+        if all(d.quiescent for d in drivers):
+            drained += 1
+            if drained >= 4:
+                return
+        else:
+            drained = 0
+
+
 def _run_lockstep_engine(
     config: NodeConfig,
     bca_bugs: Iterable[str],
-    ports: Dict[str, PortEquivalence],
+    ports: Dict[str, PortAgreement],
 ) -> None:
     outputs = _output_pins(config)
     for scenario in _scenarios(config):
@@ -613,11 +651,7 @@ def _run_lockstep_engine(
                    _ViewDriver(bca, scenario, config))
         for port in ports.values():
             port.scenarios.append(scenario.name)
-        drained = 0
-        for cycle in range(scenario.max_cycles):
-            for driver in drivers:
-                driver.apply(cycle)
-                driver.h.settle()
+        for cycle in _lockstep_cycles(drivers, scenario.max_cycles):
             mismatch = None
             for port_name, pin in outputs:
                 r = rtl.pins[pin].value
@@ -641,46 +675,74 @@ def _run_lockstep_engine(
                         "bca": b,
                     }
                 break
-            for driver in drivers:
-                driver.update(cycle)
-                driver.h.sim.step()
-            if all(d.quiescent for d in drivers):
-                drained += 1
-                if drained >= 4:
-                    break
-            else:
-                drained = 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-def check_functional_equivalence(
+@dataclass
+class AgreementReport:
+    """Per-port RTL/BCA agreement for one configuration."""
+
+    config_name: str
+    bca_bugs: List[str] = field(default_factory=list)
+    ports: List[PortAgreement] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
+
+    @property
+    def agreed(self) -> bool:
+        return all(p.verdict != MISMATCH for p in self.ports)
+
+    @property
+    def mismatched_ports(self) -> List[str]:
+        return [p.port for p in self.ports if p.verdict == MISMATCH]
+
+    def render(self) -> str:
+        lines = [f"{self.config_name}: RTL/BCA agreement"]
+        for port in self.ports:
+            lines.append(f"  {port.render()}")
+        for finding in self.findings:
+            lines.append(f"  {finding.render()}")
+        return "\n".join(lines) + "\n"
+
+    def to_dict(self) -> Dict[str, object]:
+        out: Dict[str, object] = {
+            "budget": DOMAIN_BUDGET,
+            "agreed": self.agreed,
+            "ports": [p.to_dict() for p in self.ports],
+            "findings": [f.to_dict() for f in self.findings],
+        }
+        if self.bca_bugs:
+            out["bca_bugs"] = list(self.bca_bugs)
+        return out
+
+
+def check_agreement(
     config: NodeConfig,
     *,
-    budget: int = DEFAULT_DOMAIN_BUDGET,
     bca_bugs: Iterable[str] = (),
-) -> Tuple[List[PortEquivalence], List[Finding]]:
-    """Check per-port functional RTL/BCA agreement (or find a witness).
+) -> AgreementReport:
+    """Check per-port RTL/BCA agreement (or find a witness).
 
-    Returns ``(port verdicts, findings)``.  A
-    MISMATCH port contributes an ``xview-function`` ERROR finding with
-    its witness; a skipped comb cone contributes the
-    ``symbolic-domain-too-large`` INFO diagnostic.
+    ``bca_bugs`` injects registered defects into the BCA harness so the
+    detection of the bug registry can itself be checked; an empty tuple
+    checks the shipped models.  A MISMATCH port contributes an
+    ``xview-function`` ERROR finding with its witness; a skipped comb
+    cone contributes the ``agreement-domain-too-large`` INFO diagnostic.
     """
-    ports: Dict[str, PortEquivalence] = {}
+    ports: Dict[str, PortAgreement] = {}
     for i in range(config.n_initiators):
-        ports[f"init{i}"] = PortEquivalence(port=f"init{i}")
+        ports[f"init{i}"] = PortAgreement(port=f"init{i}")
     for t in range(config.n_targets):
-        ports[f"targ{t}"] = PortEquivalence(port=f"targ{t}")
+        ports[f"targ{t}"] = PortAgreement(port=f"targ{t}")
     if config.has_programming_port:
-        ports["prog"] = PortEquivalence(port="prog")
+        ports["prog"] = PortAgreement(port="prog")
 
     findings: List[Finding] = []
     rtl = _Harness(config, "rtl")
     bca = _Harness(config, "bca", bugs=bca_bugs)
-    _run_comb_engine(config, rtl, bca, budget, ports, findings)
+    _run_comb_engine(config, rtl, bca, ports, findings)
     _run_lockstep_engine(config, bca_bugs, ports)
 
     for port in ports.values():
@@ -696,4 +758,9 @@ def check_functional_equivalence(
                 hint="the two views disagree on observable behaviour; "
                      "diff the node models at the witness cycle",
             ))
-    return list(ports.values()), findings
+    return AgreementReport(
+        config_name=config.name,
+        bca_bugs=sorted(bca_bugs),
+        ports=list(ports.values()),
+        findings=findings,
+    )

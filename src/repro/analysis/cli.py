@@ -42,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
         description="Static dataflow analysis: cones of influence, "
-                    "race/CDC detection and coverage-unreachability "
-                    "(UNR) proofs over elaborated designs.",
+                    "race/CDC detection, coverage-unreachability (UNR) "
+                    "proofs and per-port RTL/BCA agreement over "
+                    "elaborated designs.",
     )
     what = parser.add_argument_group("what to analyze (pick one)")
     what.add_argument(
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--view", choices=("rtl", "bca"), action="append", default=None,
         help="restrict to one view (repeatable; default: both, plus the "
-             "cross-view cone check)",
+             "cross-view cone and agreement checks)",
     )
     parser.add_argument(
         "--rules", metavar="ID", action="append", default=None,
@@ -86,25 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--no-unr", action="store_false", dest="unr",
-        help="skip the coverage-unreachability verdicts (on by default)",
-    )
-    parser.add_argument(
-        "--symbolic", action="store_true",
-        help="run the symbolic pass: check per-port functional RTL/BCA "
-             "agreement (comb enumeration from reset plus bounded "
-             "lockstep)",
-    )
-    parser.add_argument(
-        "--symbolic-budget", metavar="N", type=int, default=None,
-        help="comb-cone enumeration budget for --symbolic (points per "
-             "cone; larger cones are skipped with a "
-             "symbolic-domain-too-large diagnostic)",
-    )
-    parser.add_argument(
         "--inject-bug", metavar="NAME", action="append", default=[],
-        help="with --symbolic: inject a registered BCA bug into the "
-             "equivalence harness (repeatable) to check it is caught",
+        help="inject a registered BCA bug into the RTL/BCA agreement "
+             "harness (repeatable) to check it is caught",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -164,16 +149,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ))
         entries.append((
             "xview-function", "error",
-            "RTL and BCA must compute the same function per port "
-            "(--symbolic)",
+            "RTL and BCA must compute the same function per port",
             "Functional check: pointwise comb enumeration plus bounded "
             "lockstep execution must agree on every node-driven pin.",
         ))
         entries.append((
-            "symbolic-domain-too-large", "info",
-            "a comb cone exceeded the enumeration budget (--symbolic)",
-            "The cone's input domain was larger than --symbolic-budget; "
-            "its pins are covered by the lockstep engine instead.",
+            "agreement-domain-too-large", "info",
+            "a comb cone exceeded the agreement check's enumeration budget",
+            "The cone's input domain was larger than the budget; its "
+            "pins are covered by the lockstep engine instead.",
         ))
         entries.append((
             "unr-model-unreachable", "error",
@@ -216,23 +200,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from ..lint.diagnostics import Severity
 
+    views = tuple(args.view) if args.view else ("rtl", "bca")
     if args.inject_bug:
         from ..bca import validate_bugs
         try:
             validate_bugs(args.inject_bug)
+            if not {"rtl", "bca"} <= set(views):
+                raise ValueError("--inject-bug needs both views: the "
+                                 "agreement check is what runs the bug")
         except ValueError as exc:
             print(f"repro-analysis: {exc}", file=sys.stderr)
             return USAGE_EXIT
 
-    views = tuple(args.view) if args.view else ("rtl", "bca")
     reports: List[ConfigAnalysisReport] = []
     for config in configs:
         reports.append(
             analyze_config(config, views=views, rules=rules,
-                           waivers=waivers, unr=args.unr,
-                           symbolic=args.symbolic,
-                           symbolic_budget=args.symbolic_budget,
-                           bca_bugs=tuple(args.inject_bug))
+                           waivers=waivers, bca_bugs=tuple(args.inject_bug))
         )
 
     has_errors = any(r.has_errors for r in reports)
@@ -260,14 +244,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{len(views)} view(s): "
               + ("all clean of errors" if not n_bad
                  else f"{n_bad} with errors"))
-        if args.symbolic:
-            sym = [r.symbolic for r in reports if r.symbolic is not None]
-            n_mismatch = sum(len(s.mismatched_ports) for s in sym)
-            n_unknown = sum(r.unr.counts()[UNKNOWN] for r in reports
-                            if r.unr is not None)
-            print(f"symbolic: {n_mismatch} mismatched port(s), "
-                  f"{n_unknown} UNKNOWN UNR verdict(s) across "
-                  f"{len(sym)} configuration(s)")
+        agreed = [r.agreement for r in reports if r.agreement is not None]
+        n_mismatch = sum(len(a.mismatched_ports) for a in agreed)
+        n_unknown = sum(r.unr.counts()[UNKNOWN] for r in reports)
+        print(f"{n_mismatch} mismatched port(s) across {len(agreed)} "
+              f"agreement check(s), {n_unknown} UNKNOWN UNR verdict(s)")
     return _gate(has_errors, has_warnings, args.strict)
 
 

@@ -3,9 +3,9 @@
 Mirrors :mod:`repro.lint.runner`: :func:`analyze_simulator` handles one
 elaborated design, :func:`analyze_config` builds the common verification
 environment around both views of a node configuration, runs the race /
-CDC / tie-off rules on each, diffs the port cones across the views, and
-attaches the configuration's UNR report (sharpened by the RTL view's
-constant facts when available).
+CDC / tie-off rules on each, attaches the configuration's UNR report
+(sharpened by the first view's constant facts) and, with both views,
+diffs the port cones and checks per-port RTL/BCA agreement.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..kernel import Simulator
 from ..lint.diagnostics import Finding, Severity
 from ..lint.graph import DesignGraph
 from ..stbus import NodeConfig
+from .agreement import AgreementReport, check_agreement
 from .races import (
     ANALYSIS_RULES,
     DEFAULT_ANALYSIS_RULES,
@@ -105,15 +106,12 @@ class AnalysisReport:
         }
 
 
-def analyze_simulator(
-    sim: Simulator,
-    *,
-    design: str = "design",
-    rules: Optional[Sequence[AnalysisRule]] = None,
-    waivers: Sequence[Waiver] = (),
+def _analyze_graph(
+    graph: DesignGraph,
+    design: str,
+    rules: Optional[Sequence[AnalysisRule]],
+    waivers: Sequence[Waiver],
 ) -> AnalysisReport:
-    """Statically analyze one design; no cycle is ever simulated."""
-    graph = DesignGraph.from_simulator(sim)
     ctx = AnalysisContext.from_graph(graph)
     report = AnalysisReport(
         design=design,
@@ -129,50 +127,56 @@ def analyze_simulator(
     return report
 
 
+def analyze_simulator(
+    sim: Simulator,
+    *,
+    design: str = "design",
+    rules: Optional[Sequence[AnalysisRule]] = None,
+    waivers: Sequence[Waiver] = (),
+) -> AnalysisReport:
+    """Statically analyze one design; no cycle is ever simulated."""
+    return _analyze_graph(DesignGraph.from_simulator(sim), design, rules,
+                          waivers)
+
+
 @dataclass
 class ConfigAnalysisReport:
-    """Analysis outcome for one configuration: views + cones + UNR."""
+    """Analysis outcome for one configuration: views, UNR and, with
+    both views, cones and agreement."""
 
     config_name: str
     views: Dict[str, AnalysisReport] = field(default_factory=dict)
     cross_view: List[Finding] = field(default_factory=list)
     unr: Optional[UnrReport] = None
     unr_findings: List[Finding] = field(default_factory=list)
-    #: Symbolic pass results (``--symbolic`` only); None otherwise, and
-    #: then absent from both render() and to_dict() so non-symbolic
-    #: output stays byte-identical.
-    symbolic: Optional[object] = None
+    #: Per-port RTL/BCA agreement; None for a single-view run.
+    agreement: Optional[AgreementReport] = None
 
-    def _symbolic_findings(self) -> List[Finding]:
-        return [] if self.symbolic is None else self.symbolic.findings
+    def _config_findings(self) -> List[Finding]:
+        agreement = [] if self.agreement is None else self.agreement.findings
+        return self.cross_view + self.unr_findings + agreement
 
     @property
     def has_errors(self) -> bool:
-        gated = (self.cross_view + self.unr_findings
-                 + self._symbolic_findings())
         return any(r.has_errors for r in self.views.values()) or any(
-            f.severity is Severity.ERROR and not f.waived for f in gated
+            f.severity is Severity.ERROR and not f.waived
+            for f in self._config_findings()
         )
 
     @property
     def clean(self) -> bool:
         """No un-waived error or warning in any view or cross-view,
-        UNR or symbolic finding; INFO notes do not count."""
-        extra = (self.cross_view + self.unr_findings
-                 + self._symbolic_findings())
+        UNR or agreement finding; INFO notes do not count."""
         return all(r.clean for r in self.views.values()) and not any(
             not f.waived and f.severity is not Severity.INFO
-            for f in extra
+            for f in self._config_findings()
         )
 
     def all_findings(self) -> List[Finding]:
         findings: List[Finding] = []
         for report in self.views.values():
             findings.extend(report.findings)
-        findings.extend(self.cross_view)
-        findings.extend(self.unr_findings)
-        findings.extend(self._symbolic_findings())
-        return findings
+        return findings + self._config_findings()
 
     def render(self) -> str:
         lines = []
@@ -191,14 +195,14 @@ class ConfigAnalysisReport:
             lines.append("  " + finding.render().replace("\n", "\n  "))
         if self.unr is not None:
             lines.append(self.unr.render().rstrip("\n"))
-        if self.symbolic is not None:
-            lines.append(self.symbolic.render().rstrip("\n"))
+        if self.agreement is not None:
+            lines.append(self.agreement.render().rstrip("\n"))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> Dict[str, object]:
         from . import SCHEMA_VERSION
 
-        out: Dict[str, object] = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config_name,
             "clean": self.clean,
@@ -207,10 +211,9 @@ class ConfigAnalysisReport:
             "cross_view": [f.to_dict() for f in self.cross_view],
             "unr_findings": [f.to_dict() for f in self.unr_findings],
             "unr": self.unr.to_dict() if self.unr is not None else None,
+            "agreement": (self.agreement.to_dict()
+                          if self.agreement is not None else None),
         }
-        if self.symbolic is not None:
-            out["symbolic"] = self.symbolic.to_dict()
-        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -222,24 +225,16 @@ def analyze_config(
     views: Sequence[str] = ("rtl", "bca"),
     rules: Optional[Sequence[AnalysisRule]] = None,
     waivers: Sequence[Waiver] = (),
-    unr: bool = True,
-    symbolic: bool = False,
-    symbolic_budget: Optional[int] = None,
     bca_bugs: Sequence[str] = (),
 ) -> ConfigAnalysisReport:
     """Analyze every requested view of one configuration.
 
-    With both views requested, also diffs the per-port fan-in cones.
-    With ``unr`` on (the default), attaches the coverage-unreachability
-    report, using the first analyzed view's constant facts to sharpen
-    the blocking-constant messages.
-
-    With ``symbolic`` on, additionally runs the symbolic pass: check
-    per-port functional RTL/BCA agreement on both views; the UNR
-    report is the same either way.  ``symbolic_budget`` caps the
-    comb-cone enumeration domain (None = the engine default);
-    ``bca_bugs`` injects defects into the BCA harness so the detection
-    of the bug registry can itself be checked.
+    Always attaches the coverage-unreachability report, using the first
+    analyzed view's constant facts to sharpen the blocking-constant
+    messages.  With both views requested, also diffs the per-port
+    fan-in cones and checks per-port RTL/BCA agreement; ``bca_bugs``
+    injects registered defects into the agreement check's BCA harness
+    so the detection of the bug registry can itself be checked.
     """
     from ..lint.runner import build_env
     from .constants import derive_constants
@@ -247,52 +242,22 @@ def analyze_config(
     result = ConfigAnalysisReport(config_name=config.name)
     graphs: Dict[str, DesignGraph] = {}
     for view in views:
-        env = build_env(config, view)
-        graph = DesignGraph.from_simulator(env.sim)
-        graphs[view] = graph
-        ctx = AnalysisContext.from_graph(graph)
-        report = AnalysisReport(
-            design=f"{config.name}/{view}",
-            n_signals=len(graph.signals),
-            n_edges=ctx.dataflow.n_edges,
-            n_constants=len(ctx.constants),
-            complete=ctx.dataflow.complete,
-        )
-        for rule in rules if rules is not None else DEFAULT_ANALYSIS_RULES:
-            report.findings.extend(rule.check(ctx))
-        apply_waivers(report.findings, waivers)
-        report.sort()
-        result.views[view] = report
+        graphs[view] = DesignGraph.from_simulator(build_env(config, view).sim)
+        result.views[view] = _analyze_graph(
+            graphs[view], f"{config.name}/{view}", rules, waivers)
+
+    result.unr = analyze_unreachability(
+        config, constants=derive_constants(graphs[views[0]]))
+    result.unr_findings = result.unr.findings()
+    apply_waivers(result.unr_findings, waivers)
 
     if "rtl" in graphs and "bca" in graphs:
         result.cross_view = cone_equivalence_findings(
             config.name, graphs["rtl"], graphs["bca"]
         )
         apply_waivers(result.cross_view, waivers)
-
-    if unr:
-        constants = None
-        for view in views:
-            if view in graphs:
-                constants = derive_constants(graphs[view])
-                break
-        result.unr = analyze_unreachability(config, constants=constants)
-        result.unr_findings = result.unr.findings()
-        apply_waivers(result.unr_findings, waivers)
-
-    if symbolic:
-        # Imported lazily: with --symbolic off the subpackage never
-        # loads and the report layout stays exactly as before.
-        from .symbolic import run_symbolic_analysis
-        from .symbolic.equiv import DEFAULT_DOMAIN_BUDGET
-
-        result.symbolic = run_symbolic_analysis(
-            config,
-            budget=(DEFAULT_DOMAIN_BUDGET if symbolic_budget is None
-                    else symbolic_budget),
-            bca_bugs=bca_bugs,
-        )
-        apply_waivers(result.symbolic.findings, waivers)
+        result.agreement = check_agreement(config, bca_bugs=bca_bugs)
+        apply_waivers(result.agreement.findings, waivers)
     return result
 
 

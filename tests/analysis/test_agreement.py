@@ -1,4 +1,4 @@
-"""Functional RTL/BCA agreement: clean checks and bug detection.
+"""Per-port RTL/BCA agreement: clean checks and bug detection.
 
 Two engines back the per-port verdicts: enumeration of representative
 comb-cone stimulus points from reset (skipped with an honest diagnostic
@@ -10,15 +10,19 @@ a configuration where it is architecturally observable.
 
 import pytest
 
-from repro.analysis.symbolic.equiv import (
+from repro.analysis import agreement
+from repro.analysis.agreement import (
     AGREED,
     MISMATCH,
-    check_functional_equivalence,
+    _Harness,
+    _lockstep_cycles,
+    _scenarios,
+    _ViewDriver,
+    check_agreement,
 )
-from repro.analysis.symbolic.report import run_symbolic_analysis
 from repro.bca import ALL_BUGS
 from repro.regression.configs import configuration_matrix
-from repro.stbus import NodeConfig
+from repro.stbus import R_OPC_ERROR, NodeConfig
 
 MATRIX = configuration_matrix()
 SMALL = configuration_matrix(small=True)
@@ -28,8 +32,9 @@ def _first(predicate):
     return next(c for c in MATRIX if predicate(c))
 
 
-def test_stock_node_proves_equivalent_on_every_port():
-    ports, findings = check_functional_equivalence(NodeConfig())
+def test_stock_node_agrees_on_every_port():
+    report = check_agreement(NodeConfig())
+    ports, findings = report.ports, report.findings
     assert ports
     assert all(p.verdict == AGREED for p in ports)
     assert not [f for f in findings if f.rule == "xview-function"]
@@ -42,9 +47,9 @@ def test_stock_node_proves_equivalent_on_every_port():
 @pytest.mark.parametrize(
     "config", SMALL, ids=[c.name for c in SMALL]
 )
-def test_small_matrix_is_equivalence_clean(config):
-    report = run_symbolic_analysis(config)
-    assert report.equivalence_clean, (
+def test_small_matrix_agrees(config):
+    report = check_agreement(config)
+    assert report.agreed, (
         "\n".join(p.render() for p in report.ports)
     )
 
@@ -70,8 +75,8 @@ def test_every_registered_bug_has_a_detection_config():
 @pytest.mark.parametrize("bug", sorted(BUG_CONFIGS))
 def test_registered_bug_is_detected_statically(bug):
     config = BUG_CONFIGS[bug]
-    report = run_symbolic_analysis(config, bca_bugs=(bug,))
-    assert not report.equivalence_clean, (
+    report = check_agreement(config, bca_bugs=(bug,))
+    assert not report.agreed, (
         f"{bug} on {config.name} survived the agreement check"
     )
     mismatched = [p for p in report.ports if p.verdict == MISMATCH]
@@ -85,23 +90,25 @@ def test_registered_bug_is_detected_statically(bug):
     assert report.bca_bugs == [bug]
 
 
-def test_budget_overflow_degrades_honestly():
+def test_budget_overflow_degrades_honestly(monkeypatch):
     """A tiny budget skips every cone with a diagnostic instead of a
     false verdict; the lockstep engine still checks the ports."""
-    report = run_symbolic_analysis(NodeConfig(), budget=2)
-    assert report.equivalence_clean
+    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
+    report = check_agreement(NodeConfig())
+    assert report.agreed
     skips = [f for f in report.findings
-             if f.rule == "symbolic-domain-too-large"]
+             if f.rule == "agreement-domain-too-large"]
     assert skips
     assert all(f.severity.value == "info" for f in skips)
     assert any(p.comb_skipped for p in report.ports)
     assert all(p.comb_points == 0 for p in report.ports)
 
 
-def test_skipped_comb_cone_claims_no_comb_agreement():
+def test_skipped_comb_cone_claims_no_comb_agreement(monkeypatch):
     """A port whose comb cone was skipped says so and claims only the
     lockstep agreement that backs it."""
-    report = run_symbolic_analysis(NodeConfig(), budget=2)
+    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
+    report = check_agreement(NodeConfig())
     for port in report.ports:
         text = port.render()
         assert "comb agreed" not in text
@@ -110,7 +117,7 @@ def test_skipped_comb_cone_claims_no_comb_agreement():
 
 
 def test_agreed_port_renders_its_evidence():
-    ports, _ = check_functional_equivalence(NodeConfig())
+    ports = check_agreement(NodeConfig()).ports
     text = ports[0].render()
     assert text.startswith(f"{ports[0].port}: AGREED")
     assert f"comb agreed on {ports[0].comb_points} point(s) from reset" \
@@ -120,11 +127,46 @@ def test_agreed_port_renders_its_evidence():
 
 
 def test_port_reports_serialize():
-    report = run_symbolic_analysis(NodeConfig())
+    report = check_agreement(NodeConfig())
     data = report.to_dict()
-    assert data["equivalence_clean"] is True
+    assert data["agreed"] is True
     assert len(data["ports"]) == len(report.ports)
     for entry in data["ports"]:
         assert entry["verdict"] == AGREED
         assert "witness" not in entry  # only mismatches carry one
     assert "bca_bugs" not in data  # clean run: key suppressed
+
+
+#: The matrix configurations whose partial crossbar blocks some path.
+BLOCKED = [c for c in MATRIX
+           if any(not c.path_allowed(i, r.target)
+                  for i in range(c.n_initiators)
+                  for r in c.resolved_map.regions)]
+
+
+def test_only_partial_crossbars_get_the_blocked_path_scenario():
+    assert [c.name for c in BLOCKED] == [
+        "cfg14_t2_2x2_w32_partial_round_robin",
+        "cfg17_t3_2x2_w32_partial_round_robin",
+    ]
+    for config in MATRIX:
+        names = [s.name for s in _scenarios(config)]
+        assert ("blocked-paths" in names) == (config in BLOCKED), config.name
+
+
+@pytest.mark.parametrize("config", BLOCKED, ids=[c.name for c in BLOCKED])
+@pytest.mark.parametrize("view", ["rtl", "bca"])
+def test_blocked_path_scenario_drives_error_responses(config, view):
+    """init1 has no path to targ0: its load and store there are decoded
+    but blocked, and the node answers each with an error response."""
+    scenario = next(s for s in _scenarios(config)
+                    if s.name == "blocked-paths")
+    driver = _ViewDriver(_Harness(config, view), scenario, config)
+    port = driver.h.init_ports[1]
+    errors = [
+        port.r_tid.value
+        for _ in _lockstep_cycles((driver,), scenario.max_cycles)
+        if port.r_req.value and port.r_gnt.value
+        and port.r_opc.value & R_OPC_ERROR
+    ]
+    assert errors == [6, 7]  # the load's tid, then the store's

@@ -1,13 +1,25 @@
-"""python -m repro.analysis CLI behavior, JSON schema and the golden UNR
-verdicts for the stock node configuration."""
+"""python -m repro.analysis CLI behavior, JSON schema and the golden
+report for the stock node configuration.
+
+The golden file pins the complete ``--stock`` JSON output: the UNR
+verdicts (exact interval proofs, with the structured witness vectors)
+and the per-port agreement verdicts with their comb/lockstep evidence.
+Any engine change that shifts a verdict, a witness or the serialization
+fails here first.
+"""
 
 import json
 import os
 
+import pytest
+
+from repro.analysis import agreement, analyze_config
 from repro.analysis.cli import main
+from repro.stbus import AddressMap, NodeConfig, Region
 
 GOLDEN = os.path.join(
-    os.path.dirname(__file__), os.pardir, "golden", "unr_stock_node.json"
+    os.path.dirname(__file__), os.pardir, "golden",
+    "analysis_stock_node.json",
 )
 
 
@@ -21,12 +33,51 @@ def test_stock_text_report(capsys):
     assert "tb.prog.req = 0" in out  # the blocking constant
 
 
+def test_stock_text_report_ends_with_the_agreement_summary(capsys):
+    assert main(["--stock"]) == 0
+    out = capsys.readouterr().out
+    assert "node: RTL/BCA agreement" in out
+    assert "0 mismatched port(s)" in out
+    assert "0 UNKNOWN UNR verdict(s)" in out
+
+
 def test_stock_json_matches_golden(capsys):
     assert main(["--stock", "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
     with open(GOLDEN, "r", encoding="utf-8") as handle:
         expected = json.load(handle)
     assert got == expected
+
+
+def test_analyze_config_matches_the_stock_golden():
+    """The regression gate calls ``analyze_config`` directly, not the
+    CLI: its report must serialize to the golden's config block."""
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        expected = json.load(handle)["configs"][0]
+    assert analyze_config(NodeConfig()).to_dict() == expected
+
+
+def test_golden_pins_verdicts_and_deltas():
+    """Belt and braces: assert the golden's semantic content directly so
+    a regenerated-but-wrong golden cannot silently pass the diff."""
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    agreed = data["configs"][0]["agreement"]
+    assert agreed["agreed"] is True
+    assert [(p["port"], p["verdict"]) for p in agreed["ports"]] == [
+        ("init0", "AGREED"), ("init1", "AGREED"),
+        ("targ0", "AGREED"), ("targ1", "AGREED"),
+    ]
+    # The UNR bins carry the exact interval proof and its witness.
+    unr = data["configs"][0]["unr"]
+    assert unr["unknown"] == 0
+    unr_bins = {f"{v['group']}:{v['bin']}": v for v in unr["verdicts"]}
+    for key in ("decode:error", "response:error"):
+        verdict = unr_bins[key]
+        assert verdict["verdict"] == "REACHABLE"
+        assert "interval" in verdict["reason"]
+        assert verdict["witness"]["address"] == "0x2000"
+        assert verdict["witness"]["opcode"] == "LOAD4"
 
 
 def test_json_envelope_schema(capsys):
@@ -40,19 +91,114 @@ def test_json_envelope_schema(capsys):
     assert config["views"]["rtl"]["complete"] is True
     assert config["unr"]["unreachable"] == 3
     assert config["unr"]["model_unreachable"] == []
+    # Agreement needs both views.
+    assert config["agreement"] is None
 
 
-def test_no_unr_flag_drops_the_verdicts(capsys):
-    assert main(["--stock", "--format", "json", "--no-unr"]) == 0
+def test_json_config_block_has_one_key_per_check(capsys):
+    assert main(["--stock", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["configs"][0]
+    assert set(config) == {
+        "schema_version", "config", "clean", "has_errors", "views",
+        "cross_view", "unr_findings", "unr", "agreement",
+    }
+    assert config["agreement"]["agreed"] is True
+    # The one pass proves the decode-error bin and names its witness.
+    decode_error = next(v for v in config["unr"]["verdicts"]
+                        if v["group"] == "decode" and v["bin"] == "error")
+    assert decode_error["witness"]["address"] == "0x2000"
+
+
+def _fully_mapped_via_api(config, tmp_path, capsys):
+    report = analyze_config(config)
+    errors = [(f.rule, f.process) for f in report.all_findings()
+              if f.severity.name == "ERROR" and not f.waived]
+    return report.unr.to_dict(), errors, report.has_errors
+
+
+def _fully_mapped_via_cli(config, tmp_path, capsys):
+    (tmp_path / f"{config.name}.cfg").write_text(config.to_text())
+    exit_code = main([str(tmp_path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)["configs"][0]
+    findings = [f for view in report["views"].values()
+                for f in view["findings"]]
+    findings += report["cross_view"] + report["unr_findings"]
+    findings += report["agreement"]["findings"]
+    errors = [(f["rule"], f["process"]) for f in findings
+              if f["severity"] == "error" and not f["waived"]]
+    return report["unr"], errors, exit_code == 1
+
+
+@pytest.mark.parametrize("run", [_fully_mapped_via_api,
+                                 _fully_mapped_via_cli],
+                         ids=["api", "cli"])
+def test_fully_mapped_node_fails_the_gate(run, tmp_path, capsys):
+    """Two regions map all 2^32 addresses, so a decode error is
+    impossible, yet the stock model keeps both error bins: the proof
+    must reach the gate as two model-bug errors, in ``analyze_config``'s
+    report and in the CLI's exit status."""
+    config = NodeConfig(name="fullmap", address_map=AddressMap([
+        Region(0, 1 << 31, 0), Region(1 << 31, 1 << 31, 1),
+    ]))
+    unr, errors, fails_the_gate = run(config, tmp_path, capsys)
+    assert unr["model_unreachable"] == ["response:error", "decode:error"]
+    assert sorted(errors) == [
+        ("unr-model-unreachable", "coverage:decode:error"),
+        ("unr-model-unreachable", "coverage:response:error"),
+    ]
+    assert fails_the_gate
+
+
+def test_inject_bug_fails_the_gate(capsys):
+    # subword-lane-misplacement is observable on the stock w32 node.
+    assert main(["--stock",
+                 "--inject-bug", "subword-lane-misplacement"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out
+    assert "xview-function" in out
+
+
+def test_inject_bug_is_caught_by_the_default_json_pass(capsys):
+    """No other flag is needed: the one pass runs the agreement check,
+    and its JSON names the injected bug and the failing rule."""
+    assert main(["--stock", "--format", "json",
+                 "--inject-bug", "subword-lane-misplacement"]) == 1
+    config = json.loads(capsys.readouterr().out)["configs"][0]
+    assert config["has_errors"] is True
+    agreed = config["agreement"]
+    assert agreed["agreed"] is False
+    assert agreed["bca_bugs"] == ["subword-lane-misplacement"]
+    assert {f["rule"] for f in agreed["findings"]} == {"xview-function"}
+
+
+def test_unknown_bug_name_is_a_usage_error(capsys):
+    assert main(["--stock", "--inject-bug", "no-such-bug"]) == 2
+    err = capsys.readouterr().err
+    assert "no-such-bug" in err
+    # A single view runs no agreement check, so no bug could show.
+    assert main(["--stock", "--view", "rtl",
+                 "--inject-bug", "subword-lane-misplacement"]) == 2
+    assert "needs both views" in capsys.readouterr().err
+
+
+def test_agreement_findings_respect_waivers(monkeypatch, capsys):
+    """The shared waiver dialect applies to agreement findings too."""
+    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
+    assert main(["--stock", "--waive", "agreement-domain-too-large:*",
+                 "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["configs"][0]["unr"] is None
+    agreed = data["configs"][0]["agreement"]
+    skips = [f for f in agreed["findings"]
+             if f["rule"] == "agreement-domain-too-large"]
+    assert skips and all(f["waived"] for f in skips)
 
 
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("race-delta-overwrite", "tie-off-conflict", "cdc-crossing",
-                 "xview-cone", "unr-model-unreachable"):
+                 "xview-cone", "xview-function", "agreement-domain-too-large",
+                 "unr-model-unreachable"):
         assert rule in out
 
 
@@ -123,7 +269,7 @@ def test_info_notes_do_not_make_a_report_unclean():
 
     config = ConfigAnalysisReport(
         config_name="c", views={"rtl": view},
-        symbolic=SimpleNamespace(findings=[finding(Severity.INFO)]))
+        agreement=SimpleNamespace(findings=[finding(Severity.INFO)]))
     assert config.clean
     config.unr_findings.append(finding(Severity.WARNING))
     assert not config.clean

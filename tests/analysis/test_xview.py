@@ -61,6 +61,6 @@ def test_real_environments_have_matching_cones():
     from repro.analysis.runner import analyze_config
     from repro.stbus import NodeConfig
 
-    report = analyze_config(NodeConfig(), unr=False)
+    report = analyze_config(NodeConfig())
     assert report.cross_view == []
     assert not report.has_errors
