@@ -4,10 +4,11 @@
 The paper's Figure 1 shows a communication network built from the four
 basic components: two nodes of different protocol types, a 64/32 size
 converter in front of one initiator, and a t2/t3 type converter between
-the nodes.  This example wires that topology out of this library's
-components — once with the RTL views, once with the BCA views — runs the
-same traffic through both fabrics, checks end-to-end data integrity, and
-verifies the two fabrics stay pin-aligned cycle by cycle.
+the nodes.  This example declares that topology with
+:class:`~repro.fabric.FabricSpec`, builds it once with the RTL views and
+once with the BCA views, runs the same traffic through both fabrics,
+checks end-to-end data integrity, and verifies that the two fabrics
+drive identical values on every link pin, cycle by cycle.
 
 Topology (addresses in brackets):
 
@@ -20,27 +21,13 @@ Topology (addresses in brackets):
 Run:  python examples/interconnect.py
 """
 
-from repro.bca import (
-    BcaNode,
-    BcaRegisterDecoder,
-    BcaSizeConverter,
-    BcaTypeConverter,
-)
-from repro.catg import InitiatorBfm, TargetHarness
-from repro.kernel import Module, Simulator
-from repro.rtl import (
-    RtlNode,
-    RtlRegisterDecoder,
-    RtlSizeConverter,
-    RtlTypeConverter,
-)
+from repro.fabric import FabricSpec
 from repro.stbus import (
     AddressMap,
     NodeConfig,
     Opcode,
     ProtocolType,
     Region,
-    StbusPort,
     Transaction,
     response_data_from_cells,
 )
@@ -48,140 +35,119 @@ from repro.stbus import (
 MEM_A = 0x0000
 MEM_B = 0x1000
 REGS = 0x2000
+CYCLES = 600
 
 
-class Interconnect:
-    """The Figure 1 fabric, parameterized by design view."""
+def figure1() -> FabricSpec:
+    """The Figure 1 fabric, declared once for both design views."""
+    spec = FabricSpec()
+    # Node A: Type II, 32-bit, 3 initiators, 2 targets.
+    spec.node("nodeA", NodeConfig(
+        name="nodeA", protocol_type=ProtocolType.T2,
+        n_initiators=3, n_targets=2, data_width_bits=32,
+        address_map=AddressMap([
+            Region(MEM_A, 0x1000, 0),      # local memory
+            Region(MEM_B, 0x1100, 1),      # everything behind node B
+        ]),
+    ))
+    # Node B: Type III, 32-bit, 1 initiator (the bridge), 2 targets.
+    spec.node("nodeB", NodeConfig(
+        name="nodeB", protocol_type=ProtocolType.T3,
+        n_initiators=1, n_targets=2, data_width_bits=32,
+        address_map=AddressMap([
+            Region(MEM_B, 0x1000, 0),
+            Region(REGS, 0x100, 1),
+        ]),
+    ))
+    # Figure 1's "64/32" in front of initiator 2 and "t2 / t3" between
+    # the nodes.
+    spec.size_converter("sizeconv", ProtocolType.T2)
+    spec.type_converter("typeconv", ProtocolType.T2, ProtocolType.T3)
+    # Leaf agents: memories and a 16-register decoder.
+    spec.memory("memA", latency=2)
+    spec.memory("memB", latency=4)
+    spec.register_decoder("regs")
+    # Bus masters: two 32-bit BFMs plus one 64-bit BFM over the size
+    # converter.
+    spec.master("bfm0")
+    spec.master("bfm1")
+    spec.master("bfm2", width=64)
 
-    def __init__(self, view: str):
-        self.view = view
-        rtl = view == "rtl"
-        self.sim = Simulator()
-        self.top = Module(self.sim, "soc")
-        top = self.top
-
-        # Node A: Type II, 32-bit, 3 initiators, 2 targets.
-        self.cfg_a = NodeConfig(
-            name="nodeA", protocol_type=ProtocolType.T2,
-            n_initiators=3, n_targets=2, data_width_bits=32,
-            address_map=AddressMap([
-                Region(MEM_A, 0x1000, 0),      # local memory
-                Region(MEM_B, 0x1100, 1),      # everything behind node B
-            ]),
-        )
-        self.a_init = [StbusPort(top, f"a_init{i}", 32) for i in range(3)]
-        self.a_targ = [StbusPort(top, f"a_targ{t}", 32) for t in range(2)]
-        node_cls = RtlNode if rtl else BcaNode
-        self.node_a = node_cls(self.sim, "nodeA", self.cfg_a,
-                               self.a_init, self.a_targ, parent=top)
-
-        # Node B: Type III, 32-bit, 1 initiator (the bridge), 2 targets.
-        self.cfg_b = NodeConfig(
-            name="nodeB", protocol_type=ProtocolType.T3,
-            n_initiators=1, n_targets=2, data_width_bits=32,
-            address_map=AddressMap([
-                Region(MEM_B, 0x1000, 0),
-                Region(REGS, 0x100, 1),
-            ]),
-        )
-        self.b_init = [StbusPort(top, "b_init0", 32)]
-        self.b_targ = [StbusPort(top, f"b_targ{t}", 32) for t in range(2)]
-        self.node_b = node_cls(self.sim, "nodeB", self.cfg_b,
-                               self.b_init, self.b_targ, parent=top)
-
-        # 64/32 size converter in front of initiator 2 (Figure 1's "64/32").
-        self.wide_port = StbusPort(top, "wide", 64)
-        size_cls = RtlSizeConverter if rtl else BcaSizeConverter
-        self.size_conv = size_cls(self.sim, "sizeconv", self.wide_port,
-                                  self.a_init[2], ProtocolType.T2, parent=top)
-
-        # t2/t3 type converter between the nodes (Figure 1's "t2 / t3").
-        type_cls = RtlTypeConverter if rtl else BcaTypeConverter
-        self.type_conv = type_cls(
-            self.sim, "typeconv", self.a_targ[1], self.b_init[0],
-            ProtocolType.T2, ProtocolType.T3, parent=top,
-        )
-
-        # Leaf agents: memories and the register decoder.
-        self.mem_a = TargetHarness(self.sim, "memA", self.a_targ[0],
-                                   ProtocolType.T2, latency=2, seed=1,
-                                   parent=top)
-        self.mem_b = TargetHarness(self.sim, "memB", self.b_targ[0],
-                                   ProtocolType.T3, latency=4, seed=2,
-                                   parent=top)
-        regdec_cls = RtlRegisterDecoder if rtl else BcaRegisterDecoder
-        self.regs = regdec_cls(self.sim, "regs", self.b_targ[1],
-                               ProtocolType.T3, n_regs=16, parent=top)
-
-        # Bus masters: two 32-bit BFMs plus one 64-bit BFM over the
-        # size converter.
-        self.bfms = [
-            InitiatorBfm(self.sim, "bfm0", self.a_init[0], ProtocolType.T2,
-                         parent=top),
-            InitiatorBfm(self.sim, "bfm1", self.a_init[1], ProtocolType.T2,
-                         parent=top),
-            InitiatorBfm(self.sim, "bfm2", self.wide_port, ProtocolType.T2,
-                         parent=top),
-        ]
-
-    def load_traffic(self):
-        """Each master exercises a different corner of the fabric."""
-        # bfm0: local memory on node A, then remote memory behind node B.
-        self.bfms[0].load_program([
-            (Transaction(Opcode.store(4), MEM_A + 0x10,
-                         data=b"\x01\x02\x03\x04"), 0),
-            (Transaction(Opcode.load(4), MEM_A + 0x10), 0),
-            (Transaction(Opcode.store(8), MEM_B + 0x20,
-                         data=bytes(range(8))), 0),
-            (Transaction(Opcode.load(8), MEM_B + 0x20), 0),
-        ])
-        # bfm1: hammers node A's local memory (contending with bfm0).
-        self.bfms[1].load_program([
-            (Transaction(Opcode.store(4), MEM_A + 0x40 + 8 * k,
-                         data=bytes([k, k + 1, k + 2, k + 3])), 1)
-            for k in range(4)
-        ])
-        # bfm2 (64-bit): writes a register behind two nodes and two
-        # converters, then reads it back.
-        self.bfms[2].load_program([
-            (Transaction(Opcode.store(4), REGS + 0x08,
-                         data=b"\xCA\xFE\xBA\xBE"), 0),
-            (Transaction(Opcode.load(4), REGS + 0x08), 0),
-        ])
-
-    def run(self, max_cycles=2000):
-        self.sim.elaborate()
-        self.sim.run_until(
-            lambda: all(b.done for b in self.bfms)
-            and len(self.bfms[0].response_packets) >= 4
-            and len(self.bfms[1].response_packets) >= 4
-            and len(self.bfms[2].response_packets) >= 2,
-            max_cycles,
-        )
-        self.sim.run(10)
-
-    def observed_pins(self):
-        ports = self.a_init + self.a_targ + self.b_init + self.b_targ \
-            + [self.wide_port]
-        return [sig for port in ports for sig in port.signals()]
+    spec.connect("bfm0", ("nodeA", "init", 0))
+    spec.connect("bfm1", ("nodeA", "init", 1))
+    spec.connect("bfm2", ("sizeconv", "up"))
+    spec.connect(("sizeconv", "down"), ("nodeA", "init", 2))
+    spec.connect(("nodeA", "targ", 0), "memA")
+    spec.connect(("nodeA", "targ", 1), ("typeconv", "up"))
+    spec.connect(("typeconv", "down"), ("nodeB", "init", 0))
+    spec.connect(("nodeB", "targ", 0), "memB")
+    spec.connect(("nodeB", "targ", 1), "regs")
+    return spec
 
 
-def check_data(fabric: Interconnect) -> None:
-    bfm0, bfm1, bfm2 = fabric.bfms
+def load_traffic(masters) -> None:
+    """Each master exercises a different corner of the fabric."""
+    # bfm0: local memory on node A, then remote memory behind node B.
+    masters["bfm0"].load_program([
+        (Transaction(Opcode.store(4), MEM_A + 0x10,
+                     data=b"\x01\x02\x03\x04"), 0),
+        (Transaction(Opcode.load(4), MEM_A + 0x10), 0),
+        (Transaction(Opcode.store(8), MEM_B + 0x20,
+                     data=bytes(range(8))), 0),
+        (Transaction(Opcode.load(8), MEM_B + 0x20), 0),
+    ])
+    # bfm1: hammers node A's local memory (contending with bfm0).
+    masters["bfm1"].load_program([
+        (Transaction(Opcode.store(4), MEM_A + 0x40 + 8 * k,
+                     data=bytes([k, k + 1, k + 2, k + 3])), 1)
+        for k in range(4)
+    ])
+    # bfm2 (64-bit): writes a register behind two nodes and two
+    # converters, then reads it back.
+    masters["bfm2"].load_program([
+        (Transaction(Opcode.store(4), REGS + 0x08,
+                     data=b"\xCA\xFE\xBA\xBE"), 0),
+        (Transaction(Opcode.load(4), REGS + 0x08), 0),
+    ])
+
+
+def run(view: str):
+    """Build Figure 1 in ``view``, step it CYCLES cycles under the
+    traffic, and return the fabric with one row of link pin values per
+    cycle."""
+    fabric = figure1().build(view)
+    load_traffic(fabric.masters)
+    fabric.sim.elaborate()
+    pins = fabric.all_port_signals()
+    trace = []
+    for _ in range(CYCLES):
+        fabric.sim.step()
+        trace.append(tuple(sig.value for sig in pins))
+    return fabric, trace
+
+
+def check_data(fabric, view: str) -> None:
+    bfm0, bfm1, bfm2 = (fabric.masters[f"bfm{k}"] for k in range(3))
+    assert [len(bfm.response_packets) for bfm in (bfm0, bfm1, bfm2)] \
+        == [4, 4, 2]
     local = response_data_from_cells(
         bfm0.response_packets[1], Opcode.load(4), 4, address=MEM_A + 0x10)
     assert local == b"\x01\x02\x03\x04", local
+    for k in range(4):
+        stored = fabric.memories["memA"].read_mem(MEM_A + 0x40 + 8 * k, 4)
+        assert stored == bytes([k, k + 1, k + 2, k + 3]), stored
     remote = response_data_from_cells(
         bfm0.response_packets[3], Opcode.load(8), 4, address=MEM_B + 0x20)
     assert remote == bytes(range(8)), remote
     reg = response_data_from_cells(
         bfm2.response_packets[1], Opcode.load(4), 8, address=REGS + 0x08)
     assert reg == b"\xCA\xFE\xBA\xBE", reg
-    assert fabric.regs.read_register(2) == b"\xCA\xFE\xBA\xBE"
-    print(f"  [{fabric.view}] local read:  {local.hex()}")
-    print(f"  [{fabric.view}] remote read: {remote.hex()} "
+    assert fabric.registers["regs"].read_register(2) == b"\xCA\xFE\xBA\xBE"
+    print(f"  [{view}] local read:  {local.hex()} "
+          "(and bfm1's four contending stores landed)")
+    print(f"  [{view}] remote read: {remote.hex()} "
           "(through t2/t3 converter and node B)")
-    print(f"  [{fabric.view}] register read: {reg.hex()} "
+    print(f"  [{view}] register read: {reg.hex()} "
           "(64-bit master through the 64/32 size converter)")
 
 
@@ -189,23 +155,12 @@ def main() -> None:
     print("Building the Figure 1 interconnect in both design views...")
     traces = {}
     for view in ("rtl", "bca"):
-        fabric = Interconnect(view)
-        fabric.load_traffic()
-        fabric.sim.elaborate()
-        pins = fabric.observed_pins()
-        rows = []
-        for _ in range(600):
-            fabric.sim.step()
-            rows.append(tuple(sig.value for sig in pins))
-        traces[view] = rows
-        check_data(fabric)
-    mismatches = sum(
-        1 for a, b in zip(traces["rtl"], traces["bca"]) if a != b
-    )
-    rate = 1 - mismatches / len(traces["rtl"])
-    print(f"\nwhole-fabric RTL/BCA pin alignment over 600 cycles: "
-          f"{rate * 100:.2f}%")
-    assert rate >= 0.99, "fabric views diverged"
+        fabric, traces[view] = run(view)
+        check_data(fabric, view)
+    aligned = sum(a == b for a, b in zip(traces["rtl"], traces["bca"]))
+    print(f"\nwhole-fabric RTL/BCA pin alignment over {CYCLES} cycles: "
+          f"{aligned / CYCLES * 100:.2f}%")
+    assert traces["rtl"] == traces["bca"], "fabric views diverged"
     print("Figure 1 topology verified in both views.")
 
 

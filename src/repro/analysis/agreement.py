@@ -612,10 +612,16 @@ class _ViewDriver:
 
     @property
     def quiescent(self) -> bool:
+        """Nothing left to send or answer, and no packet awaits a
+        response — including the decode and path-blocked errors the
+        node answers itself."""
+        dut = self.h.dut
         return (not self.prog_ops
                 and all(not s[1] for s in self.traffic.values())
                 and all(not q for q in self.responses.values())
-                and all(not c for c in self.collect.values()))
+                and all(not c for c in self.collect.values())
+                and not any(dut.outstanding_count(i)
+                            for i in range(self.config.n_initiators)))
 
 
 def _lockstep_cycles(drivers: Sequence[_ViewDriver], max_cycles: int):

@@ -11,7 +11,7 @@ cannot see:
   ``race-delta-overwrite`` rule.
 * The kernel has one implicit clock, so nothing at runtime models a
   clock-domain crossing.  Designs annotate domains statically
-  (``domain=`` at registration or ``Simulator.assign_clock_domain``);
+  (``domain=`` at registration);
   the ``cdc-crossing`` rule then flags any net registered in one domain
   and sampled in another — including through arbitrary combinational
   logic in between.  With no annotations everything shares the implicit

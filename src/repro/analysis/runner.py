@@ -106,16 +106,15 @@ class AnalysisReport:
         }
 
 
-def _analyze_graph(
-    graph: DesignGraph,
+def _analyze_context(
+    ctx: AnalysisContext,
     design: str,
     rules: Optional[Sequence[AnalysisRule]],
     waivers: Sequence[Waiver],
 ) -> AnalysisReport:
-    ctx = AnalysisContext.from_graph(graph)
     report = AnalysisReport(
         design=design,
-        n_signals=len(graph.signals),
+        n_signals=len(ctx.graph.signals),
         n_edges=ctx.dataflow.n_edges,
         n_constants=len(ctx.constants),
         complete=ctx.dataflow.complete,
@@ -135,8 +134,8 @@ def analyze_simulator(
     waivers: Sequence[Waiver] = (),
 ) -> AnalysisReport:
     """Statically analyze one design; no cycle is ever simulated."""
-    return _analyze_graph(DesignGraph.from_simulator(sim), design, rules,
-                          waivers)
+    ctx = AnalysisContext.from_graph(DesignGraph.from_simulator(sim))
+    return _analyze_context(ctx, design, rules, waivers)
 
 
 @dataclass
@@ -237,23 +236,23 @@ def analyze_config(
     so the detection of the bug registry can itself be checked.
     """
     from ..lint.runner import build_env
-    from .constants import derive_constants
 
     result = ConfigAnalysisReport(config_name=config.name)
-    graphs: Dict[str, DesignGraph] = {}
+    contexts: Dict[str, AnalysisContext] = {}
     for view in views:
-        graphs[view] = DesignGraph.from_simulator(build_env(config, view).sim)
-        result.views[view] = _analyze_graph(
-            graphs[view], f"{config.name}/{view}", rules, waivers)
+        contexts[view] = AnalysisContext.from_graph(
+            DesignGraph.from_simulator(build_env(config, view).sim))
+        result.views[view] = _analyze_context(
+            contexts[view], f"{config.name}/{view}", rules, waivers)
 
     result.unr = analyze_unreachability(
-        config, constants=derive_constants(graphs[views[0]]))
+        config, constants=contexts[views[0]].constants)
     result.unr_findings = result.unr.findings()
     apply_waivers(result.unr_findings, waivers)
 
-    if "rtl" in graphs and "bca" in graphs:
+    if "rtl" in contexts and "bca" in contexts:
         result.cross_view = cone_equivalence_findings(
-            config.name, graphs["rtl"], graphs["bca"]
+            config.name, contexts["rtl"].graph, contexts["bca"].graph
         )
         apply_waivers(result.cross_view, waivers)
         result.agreement = check_agreement(config, bca_bugs=bca_bugs)

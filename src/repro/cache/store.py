@@ -74,12 +74,15 @@ SOURCE_SCHEMA = "repro.cache/source/v1"
 DIAGNOSTIC_SCHEMA = "repro.cache/diagnostic/v1"
 
 #: Package subtrees (under ``src/repro``) whose sources determine a
-#: simulation result.  Deliberately excludes the orchestration layers
-#: (``regression``, ``telemetry``, ``triage``, ``analysis``, ``lint``,
-#: ``analyzer``): a change to the scheduler or the report tooling cannot
-#: change a single simulated cycle, so it must not invalidate the pool.
+#: simulation result: the packages a cached job runs.  Deliberately
+#: excludes the orchestration layers (``regression``, ``telemetry``,
+#: ``triage``, ``analysis``, ``lint``, ``analyzer``, ``cache``): a change
+#: to the scheduler or the report tooling cannot change a single
+#: simulated cycle, so it must not invalidate the pool.  Packages no
+#: cached job imports (``fabric``, ``oldflow``) are left out for the
+#: same reason.
 DESIGN_ROOTS: Tuple[str, ...] = (
-    "kernel", "stbus", "rtl", "bca", "catg", "fabric", "vcd", "oldflow",
+    "kernel", "stbus", "rtl", "bca", "catg", "vcd",
 )
 
 #: Module-level memo for :func:`design_source_hash` (the sources cannot

@@ -1,5 +1,5 @@
 """Hierarchical interconnect construction from the four basic components."""
 
-from .builder import Endpoint, Fabric, FabricError, FabricSpec
+from .builder import Fabric, FabricError, FabricSpec
 
-__all__ = ["FabricSpec", "Fabric", "FabricError", "Endpoint"]
+__all__ = ["FabricSpec", "Fabric", "FabricError"]

@@ -1,33 +1,32 @@
-"""Fabric builder — programmatic construction of hierarchical interconnects.
+"""Fabric builder — declarative construction of hierarchical interconnects.
 
 Section 3: the STBus "is not only a single bus or a set of buses, but it
 can be a hierarchical communication network composed of more than one
 router ... connecting a set of 4 basic components: nodes, size
 converters, type converters and register decoders."
 
-:class:`FabricSpec` describes such a network declaratively — components
-and point-to-point connections — validates it (port counts, widths,
-protocol types), and builds it in either design view, wiring every link
-as one shared :class:`~repro.stbus.interface.StbusPort`.  The masters are
-CATG BFMs, so any built fabric is immediately drivable with the same
-sequences the node testbench uses.
-
-Example (the paper's Figure 1)::
+:class:`FabricSpec` describes such a network — components and
+point-to-point links — validates it (port counts, widths, link roles),
+and builds it in either design view, wiring every link as one shared
+:class:`~repro.stbus.interface.StbusPort`.  Every link speaks the
+protocol of the node or converter side it touches.  The masters are CATG
+BFMs, so a built fabric is driven with the same sequences the node
+testbench uses.  ``examples/interconnect.py`` builds the paper's
+Figure 1 with it::
 
     spec = FabricSpec()
-    spec.master("cpu", width=32)
+    spec.master("bfm0")
     spec.node("nodeA", config_a)
     spec.memory("memA", latency=2)
-    spec.connect("cpu", ("nodeA", "init", 0))
+    spec.connect("bfm0", ("nodeA", "init", 0))
     spec.connect(("nodeA", "targ", 0), "memA")
-    fabric = spec.build(view="rtl")
-    fabric.masters["cpu"].load_program(...)
-    fabric.run_until_drained()
+    fabric = spec.build("rtl")
+    fabric.masters["bfm0"].load_program(...)
+    fabric.sim.elaborate()
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..bca import (
@@ -38,7 +37,7 @@ from ..bca import (
 )
 from ..catg.bfm import InitiatorBfm
 from ..catg.target import TargetHarness
-from ..kernel import Module, Simulator
+from ..kernel import Module, Signal, Simulator
 from ..rtl import (
     RtlNode,
     RtlRegisterDecoder,
@@ -57,44 +56,6 @@ class FabricError(ValueError):
 Endpoint = Union[str, Tuple[str, str], Tuple[str, str, int]]
 
 
-@dataclass
-class _MasterSpec:
-    name: str
-    width: int
-    protocol: ProtocolType
-
-
-@dataclass
-class _MemorySpec:
-    name: str
-    latency: int
-    jitter: int
-    capacity: int
-    seed: int
-
-
-@dataclass
-class _RegisterSpec:
-    name: str
-    n_regs: int
-    latency: int
-
-
-@dataclass
-class _NodeSpec:
-    name: str
-    config: NodeConfig
-
-
-@dataclass
-class _BridgeSpec:
-    name: str
-    kind: str  # "size" or "type"
-    up_protocol: ProtocolType
-    down_protocol: ProtocolType
-    queue_depth: int
-
-
 def _canonical(endpoint: Endpoint) -> Tuple:
     if isinstance(endpoint, str):
         return (endpoint,)
@@ -105,54 +66,41 @@ class FabricSpec:
     """Declarative description of an interconnect fabric."""
 
     def __init__(self) -> None:
-        self._masters: Dict[str, _MasterSpec] = {}
-        self._memories: Dict[str, _MemorySpec] = {}
-        self._registers: Dict[str, _RegisterSpec] = {}
-        self._nodes: Dict[str, _NodeSpec] = {}
-        self._bridges: Dict[str, _BridgeSpec] = {}
+        self._masters: Dict[str, int] = {}          # name -> width
+        self._memories: Dict[str, int] = {}         # name -> latency
+        self._registers: List[str] = []
+        self._nodes: Dict[str, NodeConfig] = {}
+        #: name -> (kind "size"|"type", up protocol, down protocol)
+        self._bridges: Dict[str, Tuple[str, ProtocolType, ProtocolType]] = {}
         self._links: List[Tuple[Tuple, Tuple]] = []
 
     # -- component declaration ---------------------------------------------
 
-    def master(self, name: str, width: int = 32,
-               protocol: ProtocolType = ProtocolType.T2) -> str:
+    def master(self, name: str, width: int = 32) -> None:
         self._check_new(name)
-        self._masters[name] = _MasterSpec(name, width, protocol)
-        return name
+        self._masters[name] = width
 
-    def memory(self, name: str, latency: int = 2, jitter: int = 0,
-               capacity: int = 8, seed: int = 0) -> str:
+    def memory(self, name: str, latency: int = 2) -> None:
         self._check_new(name)
-        self._memories[name] = _MemorySpec(name, latency, jitter, capacity,
-                                           seed)
-        return name
+        self._memories[name] = latency
 
-    def register_decoder(self, name: str, n_regs: int = 16,
-                         latency: int = 1) -> str:
+    def register_decoder(self, name: str) -> None:
         self._check_new(name)
-        self._registers[name] = _RegisterSpec(name, n_regs, latency)
-        return name
+        self._registers.append(name)
 
-    def node(self, name: str, config: NodeConfig) -> str:
+    def node(self, name: str, config: NodeConfig) -> None:
         self._check_new(name)
         config.validate()
-        self._nodes[name] = _NodeSpec(name, config)
-        return name
+        self._nodes[name] = config
 
-    def size_converter(self, name: str, protocol: ProtocolType,
-                       queue_depth: int = 2) -> str:
+    def size_converter(self, name: str, protocol: ProtocolType) -> None:
         self._check_new(name)
-        self._bridges[name] = _BridgeSpec(name, "size", protocol, protocol,
-                                          queue_depth)
-        return name
+        self._bridges[name] = ("size", protocol, protocol)
 
     def type_converter(self, name: str, up_protocol: ProtocolType,
-                       down_protocol: ProtocolType,
-                       queue_depth: int = 2) -> str:
+                       down_protocol: ProtocolType) -> None:
         self._check_new(name)
-        self._bridges[name] = _BridgeSpec(name, "type", up_protocol,
-                                          down_protocol, queue_depth)
-        return name
+        self._bridges[name] = ("type", up_protocol, down_protocol)
 
     def _check_new(self, name: str) -> None:
         for pool in (self._masters, self._memories, self._registers,
@@ -191,7 +139,7 @@ class FabricSpec:
                 raise FabricError(
                     f"node endpoint must be ('{name}', 'init'|'targ', k)"
                 )
-            config = self._nodes[name].config
+            config = self._nodes[name]
             limit = config.n_initiators if ep[1] == "init" \
                 else config.n_targets
             if not 0 <= ep[2] < limit:
@@ -202,10 +150,27 @@ class FabricSpec:
     def _endpoint_width(self, ep: Tuple) -> Optional[int]:
         name = ep[0]
         if name in self._masters:
-            return self._masters[name].width
+            return self._masters[name]
         if name in self._nodes:
-            return self._nodes[name].config.data_width_bits
+            return self._nodes[name].data_width_bits
         return None  # memories/registers/bridges adapt to the link
+
+    def _link_width(self, a: Tuple, b: Tuple) -> int:
+        width = self._endpoint_width(a)
+        if width is None:
+            width = self._endpoint_width(b)
+        return width if width is not None else 32
+
+    def _link_protocol(self, a: Tuple, b: Tuple) -> ProtocolType:
+        """The protocol spoken on a link (from whichever side fixes it)."""
+        for ep in (a, b):
+            name = ep[0]
+            if name in self._nodes:
+                return self._nodes[name].protocol_type
+            if name in self._bridges:
+                _, up, down = self._bridges[name]
+                return up if ep[1] == "up" else down
+        return ProtocolType.T2
 
     # -- validation + build -----------------------------------------------------
 
@@ -231,9 +196,9 @@ class FabricSpec:
                     f"{width_a} vs {width_b}"
                 )
         # Every node port must be wired.
-        for name, spec in self._nodes.items():
-            for kind, count in (("init", spec.config.n_initiators),
-                                ("targ", spec.config.n_targets)):
+        for name, config in self._nodes.items():
+            for kind, count in (("init", config.n_initiators),
+                                ("targ", config.n_targets)):
                 for k in range(count):
                     if (name, kind, k) not in seen:
                         raise FabricError(
@@ -252,180 +217,71 @@ class FabricSpec:
                 if (name,) not in seen:
                     raise FabricError(f"component {name!r} unwired")
 
-    def build(self, view: str = "rtl",
-              sim: Optional[Simulator] = None) -> "Fabric":
+    def build(self, view: str = "rtl") -> "Fabric":
         if view not in ("rtl", "bca"):
             raise FabricError("view must be 'rtl' or 'bca'")
         self.validate()
-        return Fabric(self, view, sim or Simulator())
-
-
-def _link_width(spec: FabricSpec, a: Tuple, b: Tuple) -> int:
-    width = spec._endpoint_width(a)
-    if width is None:
-        width = spec._endpoint_width(b)
-    return width if width is not None else 32
-
-
-def _link_protocol(spec: FabricSpec, a: Tuple, b: Tuple) -> ProtocolType:
-    """The protocol spoken on a link (from whichever side fixes it)."""
-    for ep in (a, b):
-        name = ep[0]
-        if name in spec._nodes:
-            return spec._nodes[name].config.protocol_type
-        if name in spec._bridges:
-            bridge = spec._bridges[name]
-            return bridge.up_protocol if ep[1] == "up" \
-                else bridge.down_protocol
-        if name in spec._masters:
-            return spec._masters[name].protocol
-    return ProtocolType.T2
+        return Fabric(self, view)
 
 
 class Fabric:
-    """A built (elaboratable) interconnect."""
+    """A built interconnect: its simulator, the components a test drives
+    or inspects by name, and one port per link."""
 
-    def __init__(self, spec: FabricSpec, view: str, sim: Simulator):
-        self.spec = spec
-        self.view = view
-        self.sim = sim
-        self.top = Module(sim, "fabric")
-        self.ports: Dict[Tuple[Tuple, Tuple], StbusPort] = {}
-        self.masters: Dict[str, InitiatorBfm] = {}
-        self.memories: Dict[str, TargetHarness] = {}
-        self.registers: Dict[str, object] = {}
-        self.nodes: Dict[str, object] = {}
-        self.bridges: Dict[str, object] = {}
-        self._build()
-
-    # -- port bookkeeping -------------------------------------------------------
-
-    def _port_for(self, a: Tuple, b: Tuple) -> StbusPort:
-        key = (a, b)
-        if key not in self.ports:
-            width = _link_width(self.spec, a, b)
-            label = "__".join("_".join(str(p) for p in ep) for ep in key)
-            self.ports[key] = StbusPort(self.top, f"link_{label}", width)
-        return self.ports[key]
-
-    def port_of(self, endpoint: Endpoint) -> StbusPort:
-        """The link port attached to ``endpoint``."""
-        ep = _canonical(endpoint)
-        for (a, b), port in self.ports.items():
-            if ep in (a, b):
-                return port
-        raise FabricError(f"endpoint {ep} not found in built fabric")
-
-    # -- construction -------------------------------------------------------------
-
-    def _endpoint_links(self, name: str) -> Dict[Tuple, StbusPort]:
-        result = {}
-        for a, b in self.spec._links:
-            for ep in (a, b):
-                if ep[0] == name:
-                    result[ep] = self._port_for(a, b)
-        return result
-
-    def _build(self) -> None:
-        spec = self.spec
-        rtl = self.view == "rtl"
-        # Create every link port first.
+    def __init__(self, spec: FabricSpec, view: str):
+        self.sim = Simulator()
+        sim = self.sim
+        top = Module(sim, "fabric")
+        rtl = view == "rtl"
+        # One port per link, reached from either of its endpoints.
+        self._ports: List[StbusPort] = []
+        port_at: Dict[Tuple, StbusPort] = {}
+        protocol_at: Dict[Tuple, ProtocolType] = {}
         for a, b in spec._links:
-            self._port_for(a, b)
-        # Masters.
-        for name, master in spec._masters.items():
-            port = self.port_of(name)
-            self.masters[name] = InitiatorBfm(
-                self.sim, name, port, master.protocol, parent=self.top
-            )
-        # Memories.
-        for name, memory in spec._memories.items():
-            port = self.port_of(name)
-            protocol = _link_protocol(spec, *self._link_of(name))
-            self.memories[name] = TargetHarness(
-                self.sim, name, port, protocol,
-                latency=memory.latency, jitter=memory.jitter,
-                capacity=memory.capacity, seed=memory.seed,
-                parent=self.top,
-            )
-        # Register decoders.
+            label = "__".join("_".join(str(p) for p in ep) for ep in (a, b))
+            port = StbusPort(top, f"link_{label}", spec._link_width(a, b))
+            self._ports.append(port)
+            protocol = spec._link_protocol(a, b)
+            for ep in (a, b):
+                port_at[ep] = port
+                protocol_at[ep] = protocol
+
+        self.masters: Dict[str, InitiatorBfm] = {
+            name: InitiatorBfm(sim, name, port_at[(name,)],
+                               protocol_at[(name,)], parent=top)
+            for name in spec._masters
+        }
+        self.memories: Dict[str, TargetHarness] = {
+            name: TargetHarness(sim, name, port_at[(name,)],
+                                protocol_at[(name,)], latency=latency,
+                                parent=top)
+            for name, latency in spec._memories.items()
+        }
         regdec_cls = RtlRegisterDecoder if rtl else BcaRegisterDecoder
-        for name, reg in spec._registers.items():
-            port = self.port_of(name)
-            protocol = _link_protocol(spec, *self._link_of(name))
-            self.registers[name] = regdec_cls(
-                self.sim, name, port, protocol,
-                n_regs=reg.n_regs, latency=reg.latency, parent=self.top,
-            )
-        # Nodes.
+        self.registers: Dict[str, object] = {
+            name: regdec_cls(sim, name, port_at[(name,)],
+                             protocol_at[(name,)], parent=top)
+            for name in spec._registers
+        }
         node_cls = RtlNode if rtl else BcaNode
-        for name, node in spec._nodes.items():
-            links = self._endpoint_links(name)
-            init_ports = [links[(name, "init", k)]
-                          for k in range(node.config.n_initiators)]
-            targ_ports = [links[(name, "targ", k)]
-                          for k in range(node.config.n_targets)]
-            self.nodes[name] = node_cls(
-                self.sim, name, node.config, init_ports, targ_ports,
-                parent=self.top,
+        for name, config in spec._nodes.items():
+            node_cls(
+                sim, name, config,
+                [port_at[(name, "init", k)]
+                 for k in range(config.n_initiators)],
+                [port_at[(name, "targ", k)] for k in range(config.n_targets)],
+                parent=top,
             )
-        # Bridges.
-        for name, bridge in spec._bridges.items():
-            links = self._endpoint_links(name)
-            up = links[(name, "up")]
-            down = links[(name, "down")]
-            if bridge.kind == "size":
+        for name, (kind, up_protocol, down_protocol) in spec._bridges.items():
+            up, down = port_at[(name, "up")], port_at[(name, "down")]
+            if kind == "size":
                 cls = RtlSizeConverter if rtl else BcaSizeConverter
-                self.bridges[name] = cls(
-                    self.sim, name, up, down, bridge.up_protocol,
-                    queue_depth=bridge.queue_depth, parent=self.top,
-                )
+                cls(sim, name, up, down, up_protocol, parent=top)
             else:
                 cls = RtlTypeConverter if rtl else BcaTypeConverter
-                self.bridges[name] = cls(
-                    self.sim, name, up, down, bridge.up_protocol,
-                    bridge.down_protocol,
-                    queue_depth=bridge.queue_depth, parent=self.top,
-                )
+                cls(sim, name, up, down, up_protocol, down_protocol,
+                    parent=top)
 
-    def _link_of(self, name: str) -> Tuple[Tuple, Tuple]:
-        for a, b in self.spec._links:
-            if a[0] == name or b[0] == name:
-                return a, b
-        raise FabricError(f"component {name!r} has no link")
-
-    # -- running ------------------------------------------------------------------
-
-    def elaborate(self) -> None:
-        self.sim.elaborate()
-
-    def run_until_drained(self, max_cycles: int = 20000,
-                          drain: int = 10) -> int:
-        """Run until every master is done and every memory is idle."""
-        if not self.sim._elaborated:
-            self.sim.elaborate()
-
-        def finished() -> bool:
-            if not all(bfm.done for bfm in self.masters.values()):
-                return False
-            if any(mem.busy for mem in self.memories.values()):
-                return False
-            # A node still tracking outstanding packets means traffic is
-            # in flight somewhere along the path (bridges included,
-            # transitively: their responses retire the node records).
-            for name, node in self.nodes.items():
-                config = self.spec._nodes[name].config
-                if any(node.outstanding_count(i)
-                       for i in range(config.n_initiators)):
-                    return False
-            return True
-
-        cycles = self.sim.run_until(finished, max_cycles)
-        self.sim.run(drain)
-        return cycles
-
-    def all_port_signals(self) -> List:
-        signals = []
-        for port in self.ports.values():
-            signals.extend(port.signals())
-        return signals
+    def all_port_signals(self) -> List[Signal]:
+        """Every signal of every link port, in link order."""
+        return [sig for port in self._ports for sig in port.signals()]

@@ -336,19 +336,6 @@ class Simulator:
         self.clocked_processes.append(info)
         self._clocked_labels.setdefault(id(process), info.name)
 
-    def assign_clock_domain(self, prefix: str, domain: str) -> None:
-        """Annotate every clocked process whose name starts with
-        ``prefix`` as belonging to clock ``domain``.
-
-        Static metadata only — scheduling is unchanged.  Lets a fabric
-        builder (or a test) tag whole components with their physical
-        clock after construction, which is what the CDC analysis rule
-        keys on.
-        """
-        for info in self.clocked_processes:
-            if info.name.startswith(prefix):
-                info.domain = domain
-
     def add_comb(
         self,
         process: Process,

@@ -170,3 +170,19 @@ def test_blocked_path_scenario_drives_error_responses(config, view):
         and port.r_opc.value & R_OPC_ERROR
     ]
     assert errors == [6, 7]  # the load's tid, then the store's
+
+
+@pytest.mark.parametrize("config", [NodeConfig()] + MATRIX,
+                         ids=["stock"] + [c.name for c in MATRIX])
+def test_lockstep_scenarios_end_with_no_outstanding_packet(config):
+    """A scenario runs until both nodes have answered every packet,
+    including the error responses a node makes itself."""
+    for scenario in _scenarios(config):
+        drivers = [_ViewDriver(_Harness(config, view), scenario, config)
+                   for view in ("rtl", "bca")]
+        for _ in _lockstep_cycles(drivers, scenario.max_cycles):
+            pass
+        for driver in drivers:
+            left = [driver.h.dut.outstanding_count(i)
+                    for i in range(config.n_initiators)]
+            assert not any(left), (scenario.name, driver.h.view, left)

@@ -1,8 +1,13 @@
 """Constant derivation: tie-offs, undriven nets, soundness guards."""
 
+import pytest
+
+from repro.analysis import constants, races
 from repro.analysis.constants import ValueRange, derive_constants
+from repro.analysis.runner import analyze_config
 from repro.kernel import Module, Simulator
 from repro.lint.graph import DesignGraph
+from repro.stbus import NodeConfig
 
 
 def _facts(sim):
@@ -76,3 +81,18 @@ def test_value_range_helpers():
     assert not ValueRange.constant(3).__contains__(4)
     assert str(ValueRange.constant(3)) == "[3]"
     assert str(ValueRange(0, 15)) == "[0..15]"
+
+
+@pytest.mark.parametrize("views", [("rtl", "bca"), ("bca",)])
+def test_analyze_config_derives_constants_once_per_view(monkeypatch, views):
+    """The rules and the UNR report share one constant pass per view."""
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return derive_constants(graph)
+
+    monkeypatch.setattr(constants, "derive_constants", counting)
+    monkeypatch.setattr(races, "derive_constants", counting)
+    analyze_config(NodeConfig(), views=views)
+    assert len(calls) == len(views)

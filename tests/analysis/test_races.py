@@ -124,21 +124,6 @@ def test_single_domain_is_vacuously_quiet():
     assert not _findings(sim, "cdc-crossing")
 
 
-def test_assign_clock_domain_by_prefix():
-    sim = Simulator()
-    top = Module(sim, "t")
-    fast = Module(sim, "fastside", parent=top)
-    a = top.signal("a")
-    b = top.signal("b")
-    fast.clocked(lambda: a.drive(1), name="w", reads=[], writes=[a])
-    top.clocked(lambda: b.drive(int(a)), name="r", reads=[a], writes=[b])
-    sim.assign_clock_domain("t.fastside.", "io_clk")
-    domains = DesignGraph.from_simulator(sim).clock_domains()
-    assert set(domains) == {"io_clk", "clk"}
-    findings = _findings(sim, "cdc-crossing")
-    assert len(findings) == 1
-
-
 # ---------------------------------------------------------------------------
 # rule resolution
 # ---------------------------------------------------------------------------

@@ -1,115 +1,44 @@
-"""Fabric builder tests: validation, Figure 1 topology, view alignment."""
+"""Fabric builder tests: validation and the Figure 1 example."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from repro.fabric import FabricError, FabricSpec
 from repro.stbus import (
-    AddressMap,
     NodeConfig,
     Opcode,
-    ProtocolType,
-    Region,
     Transaction,
     response_data_from_cells,
 )
 
-MEM_A = 0x0000
-MEM_B = 0x1000
-REGS = 0x2000
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "interconnect.py"
 
 
-def figure1_spec():
-    """The paper's Figure 1 network, declaratively."""
-    spec = FabricSpec()
-    cfg_a = NodeConfig(
-        name="nodeA", protocol_type=ProtocolType.T2,
-        n_initiators=3, n_targets=2,
-        address_map=AddressMap([
-            Region(MEM_A, 0x1000, 0),
-            Region(MEM_B, 0x1100, 1),
-        ]),
-    )
-    cfg_b = NodeConfig(
-        name="nodeB", protocol_type=ProtocolType.T3,
-        n_initiators=1, n_targets=2,
-        address_map=AddressMap([
-            Region(MEM_B, 0x1000, 0),
-            Region(REGS, 0x100, 1),
-        ]),
-    )
-    spec.master("cpu0", width=32)
-    spec.master("cpu1", width=32)
-    spec.master("dma64", width=64)
-    spec.node("nodeA", cfg_a)
-    spec.node("nodeB", cfg_b)
-    spec.size_converter("sz", ProtocolType.T2)
-    spec.type_converter("tc", ProtocolType.T2, ProtocolType.T3)
-    spec.memory("memA", latency=2)
-    spec.memory("memB", latency=4)
-    spec.register_decoder("regs", n_regs=16)
-    spec.connect("cpu0", ("nodeA", "init", 0))
-    spec.connect("cpu1", ("nodeA", "init", 1))
-    spec.connect("dma64", ("sz", "up"))
-    spec.connect(("sz", "down"), ("nodeA", "init", 2))
-    spec.connect(("nodeA", "targ", 0), "memA")
-    spec.connect(("nodeA", "targ", 1), ("tc", "up"))
-    spec.connect(("tc", "down"), ("nodeB", "init", 0))
-    spec.connect(("nodeB", "targ", 0), "memB")
-    spec.connect(("nodeB", "targ", 1), "regs")
-    return spec
-
-
-def load_figure1_traffic(fabric):
-    fabric.masters["cpu0"].load_program([
-        (Transaction(Opcode.store(4), MEM_A + 0x10,
-                     data=b"\x01\x02\x03\x04"), 0),
-        (Transaction(Opcode.load(4), MEM_A + 0x10), 0),
-        (Transaction(Opcode.store(8), MEM_B + 0x20, data=bytes(range(8))), 0),
-        (Transaction(Opcode.load(8), MEM_B + 0x20), 0),
-    ])
-    fabric.masters["cpu1"].load_program([
-        (Transaction(Opcode.store(4), MEM_A + 0x40,
-                     data=b"\x0A\x0B\x0C\x0D"), 1),
-        (Transaction(Opcode.load(4), MEM_A + 0x40), 1),
-    ])
-    fabric.masters["dma64"].load_program([
-        (Transaction(Opcode.store(4), REGS + 0x08,
-                     data=b"\xCA\xFE\xBA\xBE"), 0),
-        (Transaction(Opcode.load(4), REGS + 0x08), 0),
-    ])
+def load_figure1_example():
+    spec = importlib.util.spec_from_file_location("figure1_example", EXAMPLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("view", ["rtl", "bca"])
 def test_figure1_fabric_end_to_end(view):
-    fabric = figure1_spec().build(view=view)
-    load_figure1_traffic(fabric)
-    fabric.run_until_drained()
-    cpu0 = fabric.masters["cpu0"]
-    assert len(cpu0.response_packets) == 4
-    remote = response_data_from_cells(
-        cpu0.response_packets[3], Opcode.load(8), 4, address=MEM_B + 0x20)
-    assert remote == bytes(range(8))
-    dma = fabric.masters["dma64"]
-    reg = response_data_from_cells(
-        dma.response_packets[1], Opcode.load(4), 8, address=REGS + 0x08)
-    assert reg == b"\xCA\xFE\xBA\xBE"
-    assert fabric.registers["regs"].read_register(2) == b"\xCA\xFE\xBA\xBE"
-    assert fabric.memories["memA"].read_mem(MEM_A + 0x40, 4) == \
-        b"\x0A\x0B\x0C\x0D"
+    """The shipped Figure 1 example passes its data checks in ``view``."""
+    example = load_figure1_example()
+    fabric, trace = example.run(view)
+    example.check_data(fabric, view)
+    assert len(trace) == example.CYCLES
 
 
 def test_figure1_views_pin_aligned():
-    traces = {}
-    for view in ("rtl", "bca"):
-        fabric = figure1_spec().build(view=view)
-        load_figure1_traffic(fabric)
-        fabric.elaborate()
-        signals = fabric.all_port_signals()
-        rows = []
-        for _ in range(500):
-            fabric.sim.step()
-            rows.append(tuple(s.value for s in signals))
-        traces[view] = rows
+    """The shipped Figure 1 example drives identical values on all 162
+    link pins on every cycle in both views."""
+    example = load_figure1_example()
+    traces = {view: example.run(view)[1] for view in ("rtl", "bca")}
+    assert len(traces["rtl"]) == example.CYCLES
+    assert len(traces["rtl"][0]) == 162
     assert traces["rtl"] == traces["bca"]
 
 
@@ -197,18 +126,8 @@ def test_master_direct_to_memory():
         (Transaction(Opcode.store(4), 0x0, data=b"\x11\x22\x33\x44"), 0),
         (Transaction(Opcode.load(4), 0x0), 0),
     ])
-    fabric.run_until_drained()
+    fabric.sim.elaborate()
+    fabric.sim.run(20)
     got = response_data_from_cells(
         fabric.masters["m"].response_packets[1], Opcode.load(4), 4)
     assert got == b"\x11\x22\x33\x44"
-
-
-def test_port_of_lookup():
-    spec = FabricSpec()
-    spec.master("m", width=32)
-    spec.memory("mem")
-    spec.connect("m", "mem")
-    fabric = spec.build()
-    assert fabric.port_of("m") is fabric.port_of("mem")
-    with pytest.raises(FabricError):
-        fabric.port_of("ghost")

@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro.cache.store import DESIGN_ROOTS
 from repro.catg.env import run_test
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.configs import save_config_dir
@@ -112,6 +113,23 @@ def test_probe_sees_the_modules_other_batches_load(batches):
     assert "multiprocessing" in batches["jobs2"][0]
     for name in ("cold", "warm"):
         assert {"repro.cache.store", "_hashlib"} <= batches[name][0]
+
+
+#: The orchestration layers that ``DESIGN_ROOTS`` leaves out (its
+#: comment names them), plus the helper modules every layer shares.
+ORCHESTRATION = {"regression", "telemetry", "triage", "analysis", "lint",
+                 "analyzer", "cache", "_lazy", "ioutil"}
+
+
+def test_cached_batch_keys_on_exactly_the_design_it_runs(batches):
+    """Every ``repro`` package a cached batch imports either keys the
+    cache or cannot change a simulated cycle, and every key root is
+    code the batch runs."""
+    for name in ("cold", "warm"):
+        packages = {module.split(".")[1] for module in batches[name][0]
+                    if module.startswith("repro.")}
+        assert sorted(packages - set(DESIGN_ROOTS) - ORCHESTRATION) == []
+        assert sorted(set(DESIGN_ROOTS) - packages) == []
 
 
 def test_every_batch_prints_and_writes_the_same_bytes(batches):
