@@ -101,10 +101,6 @@ class Opcode:
     def purge() -> "Opcode":
         return Opcode(OpKind.PURGE, 1)
 
-    @staticmethod
-    def readex(size: int) -> "Opcode":
-        return Opcode(OpKind.READEX, size)
-
     # -- encoding ------------------------------------------------------------
 
     def encode(self) -> int:

@@ -25,16 +25,6 @@ class ProtocolType(enum.Enum):
     T3 = 3
 
     @property
-    def is_packet_based(self) -> bool:
-        """Type II/III transfer multi-cell packets; Type I is single-transfer."""
-        return self is not ProtocolType.T1
-
-    @property
-    def supports_split(self) -> bool:
-        """Split (request/response decoupled) transactions."""
-        return self is not ProtocolType.T1
-
-    @property
     def supports_out_of_order(self) -> bool:
         """May responses return in a different order than requests?"""
         return self is ProtocolType.T3
