@@ -3,8 +3,7 @@
 DESIGN.md calls out the environment's layered defenses: protocol
 checkers, scoreboard, the DUT-specific arbitration reference checker
 ("Specific checks, not covered by CATG, have also been developed",
-Section 5), and — upstream of all of them — the TLM phase on the fast
-BCA mode (the paper's future work).
+Section 5).
 
 This bench disables mechanisms one at a time and re-runs the five-bug
 experiment: the detection matrix shows that (a) dropping the arbitration
@@ -17,7 +16,6 @@ import pytest
 
 from repro.bca import ALL_BUGS
 from repro.catg import run_test
-from repro.catg.tlm import run_tlm_verification
 from repro.regression.testcases import TESTCASES, build_test
 from repro.stbus import ArbitrationPolicy, NodeConfig
 
@@ -74,25 +72,3 @@ def test_ablation_specific_checks_earn_their_keep(benchmark):
     assert matrix["subword-lane-misplacement"]["no_arb_checker"]
     assert matrix["src-tag-truncation"]["no_arb_checker"]
 
-
-def test_ablation_tlm_phase_as_early_gate(benchmark):
-    """The TLM phase (future work) catches wrong-order and wrong-error
-    behaviour before any pin-level run — but not pin-level-only bugs,
-    which is why both phases exist."""
-
-    def experiment():
-        config = NodeConfig(n_initiators=3, n_targets=2, name="tlm-abl")
-        rows = []
-        for name in ("t02_random_uniform", "t03_out_of_order",
-                     "t12_decode_errors"):
-            result = run_tlm_verification(config,
-                                          build_test(name, config, 1))
-            rows.append((name, result.passed, result.fast.cycles))
-        return rows
-
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    print()
-    for name, passed, cycles in rows:
-        print(f"[ABL] tlm gate {name}: "
-              f"{'PASS' if passed else 'FAIL'} in {cycles} cycles")
-    assert all(passed for _, passed, _ in rows)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Static lint: catch structural design bugs before simulating a cycle.
+"""Static checks: catch structural design bugs before simulating a cycle.
 
 Two bugs that are miserable to debug at runtime are seeded into a small
 design:
@@ -12,15 +12,16 @@ design:
    which at runtime silently reads as zero forever and at best shows up
    as a coverage hole.
 
-The lint pass finds both *statically* (the design is elaborated under
-read/write tracking, but no clock cycle ever runs) and names the full
-loop path and the floating pin.
+The static checker's structural rules (the tier the regression flow
+gates every batch on) find both *statically* — the design is elaborated
+under read/write tracking, but no clock cycle ever runs — and name the
+full loop path and the floating pin.
 
 Run:  python examples/lint_demo.py
 """
 
+from repro.analysis import STRUCTURAL_RULES, analyze_simulator
 from repro.kernel import Module, Simulator
-from repro.lint import lint_simulator
 
 
 def build_buggy_design() -> Simulator:
@@ -62,9 +63,10 @@ def build_buggy_design() -> Simulator:
 
 def main() -> int:
     sim = build_buggy_design()
-    report = lint_simulator(sim, design="lint-demo")
+    report = analyze_simulator(sim, design="lint-demo",
+                               rules=STRUCTURAL_RULES)
     print(report.render(), end="")
-    assert sim.now == 0, "lint must not simulate"
+    assert sim.now == 0, "the static checker must not simulate"
 
     loop = [f for f in report.findings if f.rule == "comb-loop"]
     floating = [f for f in report.findings if f.rule == "undriven-input"]

@@ -2,8 +2,8 @@
 
 A package ``__init__`` that re-exports its submodules' public names with
 ``from .x import ...`` loads every submodule the moment anything in the
-package is imported: a regression batch would pay for the TLM flow, the
-converter testbench and the fast BCA model it never runs.  A package
+package is imported: a regression batch would pay for the converter
+testbench and the fast BCA model it never runs.  A package
 built with :func:`lazy_exports` keeps the same ``__all__`` but imports
 ``.x`` only when one of its names is first read, then binds the value in
 the package namespace so later reads are plain attribute lookups::

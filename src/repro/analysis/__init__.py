@@ -1,15 +1,16 @@
-"""Static dataflow analysis over elaborated designs.
+"""The static checker: one pass of rules over elaborated designs.
 
-Where :mod:`repro.lint` checks local structural rules (one signal, one
-process at a time), this package reasons about *flows*:
+Rules come in two tiers (:mod:`~repro.analysis.rules`, the one
+registry): the *structural* rules of :mod:`repro.lint` (one signal, one
+process at a time) and the *dataflow* rules, which reason about flows —
+ordering races, clock-domain crossings and tie-off conflicts
+(:mod:`~repro.analysis.rules` itself) — over these engines:
 
 * :mod:`~repro.analysis.dataflow` — signal-level dataflow graph with
   fan-in/fan-out cones of influence, derived from the kernel's
   declared/harvested read-write sets;
 * :mod:`~repro.analysis.constants` — constant propagation over declared
   tie-offs and undriven nets, plus width-derived value ranges;
-* :mod:`~repro.analysis.races` — ordering-race and clock-domain-crossing
-  rules the multi-driver lint rule cannot see;
 * :mod:`~repro.analysis.unr` — coverage-unreachability proofs: a
   REACHABLE / UNREACHABLE verdict per functional-coverage bin, with the
   proving witness or blocking constant (the decode-error bins by an
@@ -24,21 +25,19 @@ process at a time), this package reasons about *flows*:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
   cone-scoped design keys every cached regression batch keys on;
-* :mod:`~repro.analysis.waivers` — the waiver format shared with
-  ``repro.lint``.
+* :mod:`~repro.analysis.waivers` — the waiver file dialect.
 
-CLI: ``python -m repro.analysis`` (text/JSON; same waiver files as
-``repro.lint``) and ``python -m repro.analysis impact`` (fingerprint
-manifests and change-impact reports).  One pass runs every check:
-:func:`~repro.analysis.runner.analyze_config` always attaches the UNR
-verdicts and, when both views are analyzed, the cone diff and the
-agreement check.  The regression tool exposes the UNR half as the
-opt-in ``--unr`` annotation.
+CLI: ``python -m repro.analysis`` (text/JSON) and
+``python -m repro.analysis impact`` (fingerprint manifests and
+change-impact reports).  :func:`~repro.analysis.runner.analyze_config`
+runs every rule by default; given only the structural tier
+(``repro.lint.lint_config``, the regression's default gate) it builds
+no dataflow graph, derives no constants and loads none of the UNR,
+cone or agreement modules.  The regression tool exposes the UNR half
+as the opt-in ``--unr`` annotation.
 
 Only :mod:`~repro.analysis.waivers` is imported eagerly — it is a leaf
-module that ``repro.lint.diagnostics`` re-exports, and loading the full
-engine would drag the lint/catg stack into every ``import repro.lint``.
-Everything else resolves on first use through
+module.  Everything else resolves on first use through
 :func:`repro._lazy.lazy_exports`.
 """
 
@@ -52,19 +51,19 @@ from .waivers import (
 )
 
 #: JSON schema version stamped into every machine-readable report this
-#: package (and ``repro.lint``) emits.  Bump on breaking field changes.
+#: package emits.  Bump on breaking field changes.
 SCHEMA_VERSION = 1
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "dataflow": ("DataflowGraph", "ConeReport", "interface_cones"),
     "constants": ("ConstantFacts", "ValueRange", "derive_constants"),
-    "races": ("AnalysisContext", "ANALYSIS_RULES", "DEFAULT_ANALYSIS_RULES",
-              "AnalysisRule"),
+    "rules": ("AnalysisContext", "Rule", "RULES", "DEFAULT_RULES",
+              "STRUCTURAL_RULES", "DATAFLOW_RULES", "resolve_rules"),
     "unr": ("BinVerdict", "UnrReport", "analyze_unreachability"),
     "xview": ("cone_equivalence_findings",),
     "agreement": ("AgreementReport", "PortAgreement", "check_agreement"),
     "runner": ("AnalysisReport", "ConfigAnalysisReport", "analyze_simulator",
-               "analyze_config", "resolve_analysis_rules"),
+               "analyze_config"),
     "impact": ("MANIFEST_SCHEMA", "DesignManifest", "DesignFingerprints",
                "ProcessFingerprint", "ImpactIndex", "ImpactReport",
                "ManifestError", "build_manifest", "design_fingerprints",

@@ -11,12 +11,19 @@ Examples::
     # the *.cfg files of a configuration directory, races only
     python -m repro.analysis configs/ --rules race-delta-overwrite
 
+    # the structural tier only (the regression's default gate)
+    python -m repro.analysis --matrix --rules comb-loop --rules dead-net
+
+    # a deliberately defective demo design (exits nonzero), or a user
+    # design: module path + attribute that is (or returns) a Simulator
+    python -m repro.analysis --demo
+    python -m repro.analysis --design mypkg.mydesign:build
+
     # change-impact analysis against a fingerprint baseline
     python -m repro.analysis impact --matrix --baseline baseline.json
 
-Waiver files use the same dialect as ``repro.lint`` (one
-``<rule-glob> <location-glob> [# reason]`` per line); one file can waive
-findings of both tools.
+Waiver files hold one ``<rule-glob> <location-glob> [# reason]`` per
+line.
 
 Exit status: 0 when no error-severity findings remain after waivers,
 1 when errors remain (with ``--strict``, warnings too), 2 on usage
@@ -26,13 +33,15 @@ errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import List, Optional, Sequence
 
-from .races import ANALYSIS_RULES, resolve_analysis_rules
-from .runner import ConfigAnalysisReport, analyze_config
-from .unr import UNKNOWN
+from ..kernel import Simulator
+from ..lint.diagnostics import Severity
+from .rules import RULES, resolve_rules
+from .runner import ConfigAnalysisReport, analyze_config, analyze_simulator
 from .waivers import Waiver, WaiverError, load_waiver_file
 
 USAGE_EXIT = 2
@@ -41,10 +50,11 @@ USAGE_EXIT = 2
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
-        description="Static dataflow analysis: cones of influence, "
-                    "race/CDC detection, coverage-unreachability (UNR) "
-                    "proofs and per-port RTL/BCA agreement over "
-                    "elaborated designs.",
+        description="Static checker for elaborated designs, run before "
+                    "any cycle is simulated: structural design rules, "
+                    "race/CDC detection, cones of influence, "
+                    "coverage-unreachability (UNR) proofs and per-port "
+                    "RTL/BCA agreement.",
     )
     what = parser.add_argument_group("what to analyze (pick one)")
     what.add_argument(
@@ -63,19 +73,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--stock", action="store_true",
         help="analyze the stock (default) node configuration",
     )
+    what.add_argument(
+        "--demo", action="store_true",
+        help="analyze a deliberately defective demo design (exits nonzero)",
+    )
+    what.add_argument(
+        "--design", metavar="MODULE:ATTR", default=None,
+        help="analyze a user design: ATTR in MODULE must be a Simulator or "
+             "a zero-argument callable returning one",
+    )
     parser.add_argument(
         "--view", choices=("rtl", "bca"), action="append", default=None,
         help="restrict to one view (repeatable; default: both, plus the "
-             "cross-view cone and agreement checks)",
+             "cross-view checks)",
     )
     parser.add_argument(
         "--rules", metavar="ID", action="append", default=None,
-        help="run only the named rule (repeatable)",
+        help="run only the named rule (repeatable); a structural rule "
+             "adds the cross-view interface check, a dataflow rule the "
+             "UNR, cone and agreement checks",
     )
     parser.add_argument(
         "--waivers", metavar="FILE", default=None,
-        help="waiver file (same format as repro.lint): one "
-             "'<rule-glob> <location-glob> [# reason]' per line",
+        help="waiver file: one '<rule-glob> <location-glob> [# reason]' "
+             "per line",
     )
     parser.add_argument(
         "--waive", metavar="RULE:LOCATION", action="append", default=[],
@@ -114,6 +135,71 @@ def _load_waivers(args: argparse.Namespace) -> List[Waiver]:
     return waivers
 
 
+def _load_design(spec: str) -> Simulator:
+    module_name, sep, attr = spec.partition(":")
+    if not sep or not module_name or not attr:
+        raise ValueError(f"--design expects MODULE:ATTR, got {spec!r}")
+    module = importlib.import_module(module_name)
+    try:
+        obj = getattr(module, attr)
+    except AttributeError:
+        raise ValueError(f"{module_name!r} has no attribute {attr!r}")
+    if callable(obj) and not isinstance(obj, Simulator):
+        obj = obj()
+    if not isinstance(obj, Simulator):
+        raise ValueError(
+            f"{spec!r} resolved to {type(obj).__name__}, not a Simulator"
+        )
+    return obj
+
+
+def _rule_doc(check) -> str:
+    """First paragraph of a rule check function's docstring, collapsed
+    onto one line ('' if none): the one place a rule's one-line
+    explanation lives."""
+    doc = (check.__doc__ or "").strip()
+    first_paragraph = doc.split("\n\n", 1)[0]
+    return " ".join(line.strip() for line in first_paragraph.splitlines())
+
+
+#: ``--list-rules`` entries for the config-level checks, which are not
+#: per-design rules: (id, tier, severity, summary, doc).
+_CONFIG_CHECKS = (
+    ("xview-interface", "structural", "error",
+     "RTL and BCA views must expose identical port interfaces",
+     "Both views of one configuration must declare the same ports with "
+     "the same widths."),
+    ("xview-cone", "dataflow", "error",
+     "RTL and BCA views must give each port the same fan-in cone",
+     "The two views' per-port fan-in cones (signal membership) must be "
+     "identical."),
+    ("xview-function", "dataflow", "error",
+     "RTL and BCA must compute the same function per port",
+     "Functional check: pointwise comb enumeration plus bounded lockstep "
+     "execution must agree on every node-driven pin."),
+    ("agreement-domain-too-large", "dataflow", "info",
+     "a comb cone exceeded the agreement check's enumeration budget",
+     "The cone's input domain was larger than the budget; its pins are "
+     "covered by the lockstep engine instead."),
+    ("unr-model-unreachable", "dataflow", "error",
+     "a coverage-model bin must not be statically unreachable",
+     "An in-model coverage bin proven unreachable means 100% coverage is "
+     "impossible on this configuration."),
+)
+
+
+def _list_rules() -> str:
+    entries = [(rule.id, rule.tier, rule.severity.value, rule.summary,
+                _rule_doc(rule.check)) for rule in RULES.values()]
+    lines: List[str] = []
+    for rule_id, tier, severity, summary, doc in sorted(
+            entries + list(_CONFIG_CHECKS)):
+        lines.append(f"{rule_id:26s} {tier:10s} {severity:8s} {summary}")
+        if doc:
+            lines.append(f"{'':46s} {doc}")
+    return "\n".join(lines)
+
+
 def _gate(has_errors: bool, has_warnings: bool, strict: bool) -> int:
     if has_errors:
         return 1
@@ -134,53 +220,49 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from ..lint.diagnostics import format_rule_listing, rule_doc
-
-        entries = [
-            (rule_id, rule.severity.value, rule.summary,
-             rule_doc(rule.check))
-            for rule_id, rule in sorted(ANALYSIS_RULES.items())
-        ]
-        entries.append((
-            "xview-cone", "error",
-            "RTL and BCA views must give each port the same fan-in cone",
-            "Structural check: the two views' per-port fan-in cones "
-            "(signal membership) must be identical.",
-        ))
-        entries.append((
-            "xview-function", "error",
-            "RTL and BCA must compute the same function per port",
-            "Functional check: pointwise comb enumeration plus bounded "
-            "lockstep execution must agree on every node-driven pin.",
-        ))
-        entries.append((
-            "agreement-domain-too-large", "info",
-            "a comb cone exceeded the agreement check's enumeration budget",
-            "The cone's input domain was larger than the budget; its "
-            "pins are covered by the lockstep engine instead.",
-        ))
-        entries.append((
-            "unr-model-unreachable", "error",
-            "a coverage-model bin must not be statically unreachable",
-            "An in-model coverage bin proven unreachable means 100% "
-            "coverage is impossible on this configuration.",
-        ))
-        print(format_rule_listing(entries))
+        print(_list_rules())
         return 0
 
-    sources = [bool(args.config_dir), args.matrix, args.stock]
+    sources = [bool(args.config_dir), args.matrix, args.stock, args.demo,
+               bool(args.design)]
     if sum(sources) > 1:
         parser.print_usage(sys.stderr)
-        print("repro-analysis: pick at most one of CONFIG_DIR, --matrix "
-              "or --stock", file=sys.stderr)
+        print("repro-analysis: pick at most one of CONFIG_DIR, --matrix, "
+              "--stock, --demo or --design", file=sys.stderr)
         return USAGE_EXIT
 
     try:
         waivers = _load_waivers(args)
-        rules = resolve_analysis_rules(args.rules)
+        rules = resolve_rules(args.rules)
     except (WaiverError, ValueError, OSError) as exc:
         print(f"repro-analysis: {exc}", file=sys.stderr)
         return USAGE_EXIT
+
+    # -- single-design modes -------------------------------------------------
+    if args.demo or args.design:
+        try:
+            if args.view or args.inject_bug:
+                raise ValueError("--view and --inject-bug apply to node "
+                                 "configurations only")
+            if args.demo:
+                from ..lint.demo import build_defective_design
+                sim = build_defective_design()
+                design_name = "lint-demo"
+            else:
+                sim = _load_design(args.design)
+                design_name = args.design
+        except (ValueError, ImportError) as exc:
+            print(f"repro-analysis: {exc}", file=sys.stderr)
+            return USAGE_EXIT
+        report = analyze_simulator(sim, design=design_name, rules=rules,
+                                   waivers=waivers)
+        if args.format == "json":
+            print(report.to_json())
+        else:
+            print(report.render(), end="")
+        return _gate(report.has_errors, bool(report.warnings), args.strict)
+
+    # -- configuration modes -------------------------------------------------
 
     if args.matrix:
         from ..regression.configs import configuration_matrix
@@ -197,8 +279,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Default (and --stock): the stock node configuration.
         from ..stbus import NodeConfig
         configs = [NodeConfig()]
-
-    from ..lint.diagnostics import Severity
 
     views = tuple(args.view) if args.view else ("rtl", "bca")
     if args.inject_bug:
@@ -244,11 +324,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{len(views)} view(s): "
               + ("all clean of errors" if not n_bad
                  else f"{n_bad} with errors"))
-        agreed = [r.agreement for r in reports if r.agreement is not None]
-        n_mismatch = sum(len(a.mismatched_ports) for a in agreed)
-        n_unknown = sum(r.unr.counts()[UNKNOWN] for r in reports)
-        print(f"{n_mismatch} mismatched port(s) across {len(agreed)} "
-              f"agreement check(s), {n_unknown} UNKNOWN UNR verdict(s)")
+        unr = [r.unr for r in reports if r.unr is not None]
+        if unr:
+            from .unr import UNKNOWN
+
+            agreed = [r.agreement for r in reports
+                      if r.agreement is not None]
+            n_mismatch = sum(len(a.mismatched_ports) for a in agreed)
+            n_unknown = sum(u.counts()[UNKNOWN] for u in unr)
+            print(f"{n_mismatch} mismatched port(s) across {len(agreed)} "
+                  f"agreement check(s), {n_unknown} UNKNOWN UNR "
+                  "verdict(s)")
     return _gate(has_errors, has_warnings, args.strict)
 
 

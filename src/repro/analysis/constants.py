@@ -118,7 +118,7 @@ def derive_constants(graph: DesignGraph) -> ConstantFacts:
                 continue  # some writer drives a computed value
             values = {value for _, value in tied}
             if len(values) != 1:
-                continue  # conflicting tie-offs: the races pass reports it
+                continue  # conflicting tie-offs: tie-off-conflict reports it
             value = values.pop()
             names = ", ".join(sorted(info.name for info, _ in tied))
             facts.add(sig, value,

@@ -662,10 +662,10 @@ def design_fingerprints(config, view: str,
     Returns ``(DesignFingerprints, DesignGraph)`` — the graph is kept so
     the impact closure can run fan-out cones without re-elaborating.
     """
+    from ..catg.env import VerificationEnv
     from ..lint.graph import DesignGraph
-    from ..lint.runner import build_env
 
-    env = build_env(config, view)
+    env = VerificationEnv(config, view=view)
     graph = DesignGraph.from_simulator(env.sim)
     fingerprints = DesignFingerprints(
         config_name=config.name, view=view,

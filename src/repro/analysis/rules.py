@@ -1,7 +1,22 @@
-"""Ordering-race, tie-off-conflict and clock-domain-crossing rules.
+"""The one rule registry of the static checker, and its dataflow rules.
 
-These rules target the hazard classes the kernel's *runtime* checks
-cannot see:
+Rules come in two tiers:
+
+* **structural** — local design rules over the
+  :class:`~repro.lint.graph.DesignGraph` alone (:mod:`repro.lint.rules`):
+  cheap enough to gate every regression batch;
+* **dataflow** — rules that also need the signal dataflow graph or the
+  constant facts, defined here.
+
+A tier is nothing but a tuple of rules: :func:`~repro.analysis.runner.
+analyze_config` runs whichever rules it is given, and runs a tier's
+config-level checks when at least one of the tier's rules is selected.
+Every rule's ``check`` takes an :class:`AnalysisContext`, which builds the
+dataflow graph and the constant facts on first use, so a structural-only
+pass builds neither.
+
+The dataflow rules target the hazard classes the kernel's *runtime*
+checks cannot see:
 
 * ``MultipleDriverError`` fires only when two processes drive different
   values onto one net in the *same* delta.  A clocked process committing
@@ -19,81 +34,60 @@ cannot see:
 * Two processes tying one net to *different* constants is a contradiction
   in the declarations themselves (``tie-off-conflict``); the constant
   engine refuses to pick a side, so the conflict must surface here.
-
-Rules follow the same registry shape as :mod:`repro.lint.rules` but
-check an :class:`AnalysisContext` (design graph + dataflow graph +
-constant facts) instead of a bare design graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..lint import rules as structural
 from ..lint.diagnostics import Finding, Severity
 from ..lint.graph import DesignGraph
-from .constants import ConstantFacts, derive_constants
-from .dataflow import DataflowGraph
+
+if TYPE_CHECKING:  # built on first use only
+    from .constants import ConstantFacts
+    from .dataflow import DataflowGraph
+
+STRUCTURAL = "structural"
+DATAFLOW = "dataflow"
 
 
-@dataclass
 class AnalysisContext:
-    """Everything an analysis rule may consult."""
+    """Everything a rule may consult about one design."""
 
-    graph: DesignGraph
-    dataflow: DataflowGraph
-    constants: ConstantFacts
+    def __init__(self, graph: DesignGraph) -> None:
+        self.graph = graph
 
-    @classmethod
-    def from_graph(cls, graph: DesignGraph) -> "AnalysisContext":
-        return cls(
-            graph=graph,
-            dataflow=DataflowGraph(graph),
-            constants=derive_constants(graph),
-        )
+    @cached_property
+    def dataflow(self) -> DataflowGraph:
+        from .dataflow import DataflowGraph
 
+        return DataflowGraph(self.graph)
 
-class AnalysisRule:
-    """A registered dataflow-analysis rule."""
+    @cached_property
+    def constants(self) -> ConstantFacts:
+        from .constants import derive_constants
 
-    def __init__(
-        self,
-        rule_id: str,
-        severity: Severity,
-        summary: str,
-        check: Callable[[AnalysisContext], List[Finding]],
-    ) -> None:
-        self.id = rule_id
-        self.severity = severity
-        self.summary = summary
-        self.check = check
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AnalysisRule({self.id}, {self.severity.value})"
+        return derive_constants(self.graph)
 
 
-ANALYSIS_RULES: Dict[str, AnalysisRule] = {}
+@dataclass(frozen=True)
+class Rule:
+    """A registered rule: its check reports findings for one design."""
 
-
-def _rule(rule_id: str, severity: Severity, summary: str):
-    def register(check: Callable[[AnalysisContext], List[Finding]]):
-        ANALYSIS_RULES[rule_id] = AnalysisRule(rule_id, severity, summary,
-                                               check)
-        return check
-
-    return register
+    id: str
+    severity: Severity
+    tier: str
+    summary: str
+    check: Callable[[AnalysisContext], List[Finding]]
 
 
 # ---------------------------------------------------------------------------
 # race-delta-overwrite
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "race-delta-overwrite",
-    Severity.ERROR,
-    "a net written by both a clocked and a combinational process "
-    "(the comb write silently overwrites the registered value)",
-)
 def check_delta_overwrite(ctx: AnalysisContext) -> List[Finding]:
     """Flag nets written by both a clocked and a comb process: the comb
     write lands in a later delta slot and silently overwrites the
@@ -143,11 +137,6 @@ def check_delta_overwrite(ctx: AnalysisContext) -> List[Finding]:
 # tie-off-conflict
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "tie-off-conflict",
-    Severity.ERROR,
-    "two processes declare tie-offs with different constants on one net",
-)
 def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
     """Flag two declared tie-offs on one net that disagree."""
     findings: List[Finding] = []
@@ -173,12 +162,6 @@ def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
 # cdc-crossing
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "cdc-crossing",
-    Severity.ERROR,
-    "a net registered in one clock domain is sampled in another "
-    "(directly or through combinational logic)",
-)
 def check_cdc_crossing(ctx: AnalysisContext) -> List[Finding]:
     """Flag nets registered in one annotated clock domain and sampled
     in another (directly or through comb logic) with no synchronizer."""
@@ -232,30 +215,59 @@ def check_cdc_crossing(ctx: AnalysisContext) -> List[Finding]:
     return findings
 
 
-#: Evaluation order (deterministic output order).
-DEFAULT_ANALYSIS_RULES: Tuple[AnalysisRule, ...] = tuple(
-    ANALYSIS_RULES[rule_id]
-    for rule_id in (
-        "race-delta-overwrite",
-        "tie-off-conflict",
-        "cdc-crossing",
-    )
+#: Evaluation order within each tier (reports are sorted afterwards).
+STRUCTURAL_RULES: Tuple[Rule, ...] = (
+    Rule("comb-loop", Severity.ERROR, STRUCTURAL,
+         "combinational feedback loop (would raise DeltaOverflowError)",
+         structural.check_comb_loop),
+    Rule("multi-driver", Severity.ERROR, STRUCTURAL,
+         "one signal with two or more registered driving processes",
+         structural.check_multi_driver),
+    Rule("undriven-input", Severity.ERROR, STRUCTURAL,
+         "signal read by a process but driven by nothing (floating pin)",
+         structural.check_undriven_input),
+    Rule("width-mismatch", Severity.ERROR, STRUCTURAL,
+         "a drive or stored value exceeds the signal's declared width",
+         structural.check_width_mismatch),
+    Rule("incomplete-sensitivity", Severity.WARNING, STRUCTURAL,
+         "combinational process reads a signal missing from its "
+         "sensitivity list",
+         structural.check_incomplete_sensitivity),
+    Rule("dead-net", Severity.WARNING, STRUCTURAL,
+         "signal driven but never read, never in a sensitivity list, "
+         "not traced",
+         structural.check_dead_net),
 )
 
+DATAFLOW_RULES: Tuple[Rule, ...] = (
+    Rule("race-delta-overwrite", Severity.ERROR, DATAFLOW,
+         "a net written by both a clocked and a combinational process "
+         "(the comb write silently overwrites the registered value)",
+         check_delta_overwrite),
+    Rule("tie-off-conflict", Severity.ERROR, DATAFLOW,
+         "two processes declare tie-offs with different constants on one "
+         "net",
+         check_tie_off_conflict),
+    Rule("cdc-crossing", Severity.ERROR, DATAFLOW,
+         "a net registered in one clock domain is sampled in another "
+         "(directly or through combinational logic)",
+         check_cdc_crossing),
+)
 
-def resolve_analysis_rules(
-    rule_ids: Optional[List[str]],
-) -> Optional[List[AnalysisRule]]:
-    """Map rule ids to rule records; None passes through (= defaults)."""
+DEFAULT_RULES: Tuple[Rule, ...] = STRUCTURAL_RULES + DATAFLOW_RULES
+
+RULES: Dict[str, Rule] = {rule.id: rule for rule in DEFAULT_RULES}
+
+
+def resolve_rules(rule_ids: Optional[Iterable[str]]) -> Optional[List[Rule]]:
+    """Map rule ids to rules; None passes through (= every rule)."""
     if rule_ids is None:
         return None
     resolved = []
     for rule_id in rule_ids:
         try:
-            resolved.append(ANALYSIS_RULES[rule_id])
+            resolved.append(RULES[rule_id])
         except KeyError:
-            known = ", ".join(sorted(ANALYSIS_RULES))
-            raise ValueError(
-                f"unknown analysis rule {rule_id!r} (known: {known})"
-            )
+            known = ", ".join(sorted(RULES))
+            raise ValueError(f"unknown rule {rule_id!r} (known: {known})")
     return resolved

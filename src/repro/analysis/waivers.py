@@ -1,15 +1,12 @@
-"""Waiver parsing and matching, shared by ``repro.lint`` and
-``repro.analysis``.
+"""Waiver parsing and matching for the static checker.
 
-Both static passes speak the same waiver dialect — a text file with one
-``<rule-glob> <location-glob> [# reason]`` per line — so one waiver file
-can silence findings from either tool.  This module is deliberately a
-leaf: it imports nothing from the rest of the package, which lets
-``repro.lint.diagnostics`` re-export it without an import cycle.
+A waiver file holds one ``<rule-glob> <location-glob> [# reason]`` per
+line; the regression's ``--lint-waivers`` and the analysis CLI's
+``--waivers`` read the same dialect.  This module is deliberately a
+leaf: it imports nothing from the rest of the package.
 
 Matching is duck-typed: anything with ``rule`` and ``location``
-attributes (``repro.lint.diagnostics.Finding``, the analysis findings)
-can be waived.  Waived findings stay in reports — flagged, but excluded
+attributes (``repro.lint.diagnostics.Finding``) can be waived.  Waived findings stay in reports — flagged, but excluded
 from the error counts that gate the flows.
 """
 
@@ -71,6 +68,6 @@ def apply_waivers(findings: Iterable, waivers: Sequence[Waiver]) -> None:
 
 
 def load_waiver_file(path: str) -> List[Waiver]:
-    """Read and parse one waiver file (shared CLI helper)."""
+    """Read and parse one waiver file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_waivers(handle.read())

@@ -1,7 +1,7 @@
 """Cross-view cone equivalence: RTL vs BCA dataflow at the ports.
 
-The lint pass already checks the two views expose *identical* interface
-signals (names and widths).  This pass checks something stronger: that
+The structural ``xview-interface`` check already makes the two views
+expose *identical* interface signals (names and widths).  This pass checks something stronger: that
 each interface signal is *influenced by the same interface signals* in
 both views.  If a BCA port responds to inputs its RTL twin ignores (or
 vice versa), the two models disagree about causality at the boundary —
@@ -23,18 +23,15 @@ from __future__ import annotations
 from typing import List
 
 from ..lint.diagnostics import Finding, Severity
-from ..lint.graph import DesignGraph
 from .dataflow import DataflowGraph, interface_cones
 
 
 def cone_equivalence_findings(
     config_name: str,
-    rtl_graph: DesignGraph,
-    bca_graph: DesignGraph,
+    rtl_flow: DataflowGraph,
+    bca_flow: DataflowGraph,
 ) -> List[Finding]:
-    """Diff the per-port fan-in cones of the two views."""
-    rtl_flow = DataflowGraph(rtl_graph)
-    bca_flow = DataflowGraph(bca_graph)
+    """Diff the per-port fan-in cones of the two views' dataflow graphs."""
     if not rtl_flow.complete or not bca_flow.complete:
         which = [view for view, flow in (("RTL", rtl_flow), ("BCA", bca_flow))
                  if not flow.complete]
@@ -55,8 +52,8 @@ def cone_equivalence_findings(
     rtl_cones = interface_cones(rtl_flow)
     bca_cones = interface_cones(bca_flow)
     findings: List[Finding] = []
-    # The interface-signature lint rule reports signals present in only
-    # one view; here we only compare the cones of the shared ones.
+    # xview-interface reports signals present in only one view; here we
+    # only compare the cones of the shared ones.
     for name in sorted(set(rtl_cones) & set(bca_cones)):
         rtl_cone, bca_cone = rtl_cones[name], bca_cones[name]
         if rtl_cone == bca_cone:

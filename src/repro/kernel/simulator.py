@@ -30,8 +30,9 @@ time (and settle), per-signal read and write hooks attribute every signal
 access to the running process.  The resulting
 ``observed_reads``/``observed_writes`` sets, together with the declared
 sensitivity lists and any declared clocked read/write sets, form the signal
-dataflow graph that the static lint pass (:mod:`repro.lint`) analyzes
-before a single cycle is simulated.
+dataflow graph that the static checker (:mod:`repro.analysis`, with the
+structural rules of :mod:`repro.lint`) analyzes before a single cycle is
+simulated.
 """
 
 from __future__ import annotations

@@ -1,62 +1,33 @@
-"""Static design-rule checking (lint) for elaborated designs.
+"""Structural design rules for elaborated designs.
 
-The pass runs over an elaborated :class:`~repro.kernel.Simulator` *before
-any cycle is simulated* and reports structural defects — combinational
+The rules run over an elaborated :class:`~repro.kernel.Simulator` *before
+any cycle is simulated* and report structural defects — combinational
 feedback loops, driver conflicts, floating inputs, dead nets, width
 violations, incomplete sensitivity lists — as structured findings with
-severities, hierarchical locations and fix hints.  The regression flow
-lints both design views of every configuration and fails fast on
-error-severity findings; a cross-view check additionally verifies the RTL
-and BCA views present the identical port interface the common
-verification environment binds to.
+severities, hierarchical locations and fix hints.  They are the
+structural tier of the one static checker, :mod:`repro.analysis`
+(``python -m repro.analysis``); this package holds the
+:class:`DesignGraph` they read, their check functions and a defective
+demo design.
 
-Public API::
-
-    from repro.lint import lint_simulator, lint_config, DesignGraph
-
-    report = lint_simulator(sim, design="my-design")
-    if report.has_errors:
-        print(report.render())
+:func:`lint_config` is the regression flow's default gate: the
+structural tier over both views of one configuration, plus the check
+that the RTL and BCA views present the identical port interface the
+common verification environment binds to.
 """
 
-from .diagnostics import (
-    Finding,
-    LintReport,
-    Severity,
-    Waiver,
-    WaiverError,
-    apply_waivers,
-    parse_waivers,
-)
+from .diagnostics import Finding, Severity
 from .graph import DesignGraph
-from .rules import DEFAULT_RULES, RULES, Rule
-from .runner import (
-    ConfigLintReport,
-    cross_view_findings,
-    interface_signature,
-    lint_config,
-    lint_simulator,
-    lint_view,
-    resolve_rules,
-)
 
-__all__ = [
-    "Severity",
-    "Finding",
-    "LintReport",
-    "Waiver",
-    "WaiverError",
-    "parse_waivers",
-    "apply_waivers",
-    "DesignGraph",
-    "Rule",
-    "RULES",
-    "DEFAULT_RULES",
-    "ConfigLintReport",
-    "lint_simulator",
-    "lint_view",
-    "lint_config",
-    "interface_signature",
-    "cross_view_findings",
-    "resolve_rules",
-]
+# The checker's modules import this package's submodules, so either side
+# may meet the other partly initialised: bind modules, read names per call.
+from ..analysis import rules as _rules, runner as _runner
+
+
+def lint_config(config, *, waivers=()):
+    """The structural tier of :func:`repro.analysis.analyze_config`."""
+    return _runner.analyze_config(config, rules=_rules.STRUCTURAL_RULES,
+                                  waivers=waivers)
+
+
+__all__ = ["DesignGraph", "Finding", "Severity", "lint_config"]

@@ -1,6 +1,6 @@
-"""A deliberately defective design, one defect per lint rule.
+"""A deliberately defective design, one defect per structural rule.
 
-Used by ``python -m repro.lint --demo`` and ``examples/lint_demo.py`` to
+Used by ``python -m repro.analysis --demo`` and ``examples/lint_demo.py`` to
 show the pass catching, *before any cycle is simulated*, the classes of
 bug that would otherwise surface mid-run (delta overflow, driver
 conflict) or never surface at all (floating input, dead net).

@@ -1,66 +1,17 @@
-"""Structured lint diagnostics: findings, reports, waivers.
+"""Structured static-check diagnostics: severities and findings.
 
 A :class:`Finding` is one rule violation, anchored to a signal and/or a
 process by hierarchical name and carrying a fix hint — the same shape an
-industrial HDL lint tool emits, so the regression flow can gate on
-severity and the CLI can render text or JSON.
-
-Waivers follow the usual lint-tool convention: a text file with one
-``<rule-glob> <location-glob>`` pair per line (``#`` starts a comment;
-the comment doubles as the waive reason).  Waived findings stay in the
-report — flagged, but excluded from the error count that gates the flow.
-The waiver machinery itself lives in :mod:`repro.analysis.waivers` (one
-dialect shared by both static passes) and is re-exported here for
-backward compatibility.
+industrial HDL lint tool emits, so the static gate can act on severity
+and ``python -m repro.analysis`` can render text or JSON.  Waivers
+(:mod:`repro.analysis.waivers`) flag findings without removing them.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Tuple
-
-from ..analysis.waivers import (  # noqa: F401  (re-exported public API)
-    Waiver,
-    WaiverError,
-    apply_waivers,
-    parse_waivers,
-)
-
-#: Version stamp for the JSON report format (see README "Lint JSON
-#: schema"); shared with ``repro.analysis`` output.
-SCHEMA_VERSION = 1
-
-
-def rule_doc(check) -> str:
-    """First paragraph of a rule check function's docstring, collapsed
-    onto one line ('' if none).
-
-    The ``--list-rules`` listings of both CLIs source their per-rule
-    documentation from here, so the docstring on the check function is
-    the single place a rule's one-line explanation lives.
-    """
-    doc = (getattr(check, "__doc__", None) or "").strip()
-    if not doc:
-        return ""
-    first_paragraph = doc.split("\n\n", 1)[0]
-    return " ".join(line.strip() for line in first_paragraph.splitlines())
-
-
-def format_rule_listing(entries) -> str:
-    """Render ``--list-rules`` output shared by the lint/analysis CLIs.
-
-    ``entries`` — iterable of ``(rule_id, severity, summary, doc)``; the
-    doc line (from :func:`rule_doc` or an explicit string for
-    pseudo-rules) is printed indented beneath its rule when non-empty.
-    """
-    lines: List[str] = []
-    for rule_id, severity, summary, doc in entries:
-        lines.append(f"{rule_id:24s} {severity:8s} {summary}")
-        if doc:
-            lines.append(f"{'':33s} {doc}")
-    return "\n".join(lines)
+from dataclasses import dataclass, asdict
+from typing import Dict, Optional, Tuple
 
 
 class Severity(enum.Enum):
@@ -110,74 +61,3 @@ class Finding:
         data["severity"] = self.severity.value
         data["path"] = list(self.path)
         return data
-
-
-@dataclass
-class LintReport:
-    """All findings for one analyzed design (one simulator instance)."""
-
-    design: str
-    findings: List[Finding] = field(default_factory=list)
-    n_signals: int = 0
-    n_comb: int = 0
-    n_clocked: int = 0
-
-    def _live(self) -> List[Finding]:
-        return [f for f in self.findings if not f.waived]
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self._live() if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self._live() if f.severity is Severity.WARNING]
-
-    @property
-    def has_errors(self) -> bool:
-        return bool(self.errors)
-
-    @property
-    def clean(self) -> bool:
-        """No findings at all (waived ones excepted)."""
-        return not self._live()
-
-    def sort(self) -> None:
-        self.findings.sort(
-            key=lambda f: (f.severity.rank, f.rule, f.location, f.message)
-        )
-
-    def summary(self) -> str:
-        n_err, n_warn = len(self.errors), len(self.warnings)
-        n_waived = sum(1 for f in self.findings if f.waived)
-        verdict = "CLEAN" if self.clean else f"{n_err} error(s), {n_warn} warning(s)"
-        extra = f", {n_waived} waived" if n_waived else ""
-        return (
-            f"{self.design}: {verdict}{extra} "
-            f"[{self.n_signals} signals, {self.n_comb} comb + "
-            f"{self.n_clocked} clocked processes]"
-        )
-
-    def render(self, show_waived: bool = True) -> str:
-        lines = [self.summary()]
-        for finding in self.findings:
-            if finding.waived and not show_waived:
-                continue
-            lines.append("  " + finding.render().replace("\n", "\n  "))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "design": self.design,
-            "n_signals": self.n_signals,
-            "n_comb": self.n_comb,
-            "n_clocked": self.n_clocked,
-            "clean": self.clean,
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-            "findings": [f.to_dict() for f in self.findings],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

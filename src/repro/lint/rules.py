@@ -1,9 +1,11 @@
-"""The static design rules.
+"""The structural design rules.
 
-Each rule is a pure function over a :class:`~repro.lint.graph.DesignGraph`
-returning :class:`~repro.lint.diagnostics.Finding` objects.  The registry
-maps rule ids to :class:`Rule` records so the CLI can list them and the
-runner can select subsets.
+Each rule is a pure function of an analysis context (it reads only
+``ctx.graph``, the :class:`~repro.lint.graph.DesignGraph`) returning
+:class:`~repro.lint.diagnostics.Finding` objects;
+:func:`check_xview_interface` compares the design graphs of two views.
+The registry in :mod:`repro.analysis.rules` gives each check its id,
+severity and tier, beside the dataflow rules.
 
 Soundness stance: rules are built to avoid false positives on designs the
 kernel can actually run.
@@ -18,7 +20,7 @@ kernel can actually run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..kernel import Signal
 from ..kernel.signal import MultipleDriverError, WidthError
@@ -27,48 +29,14 @@ from .diagnostics import Finding, Severity
 from .graph import DesignGraph
 
 
-class Rule:
-    """A registered design rule."""
-
-    def __init__(
-        self,
-        rule_id: str,
-        severity: Severity,
-        summary: str,
-        check: Callable[[DesignGraph], List[Finding]],
-    ) -> None:
-        self.id = rule_id
-        self.severity = severity
-        self.summary = summary
-        self.check = check
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Rule({self.id}, {self.severity.value})"
-
-
-RULES: Dict[str, Rule] = {}
-
-
-def _rule(rule_id: str, severity: Severity, summary: str):
-    def register(check: Callable[[DesignGraph], List[Finding]]):
-        RULES[rule_id] = Rule(rule_id, severity, summary, check)
-        return check
-
-    return register
-
-
 # ---------------------------------------------------------------------------
 # comb-loop
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "comb-loop",
-    Severity.ERROR,
-    "combinational feedback loop (would raise DeltaOverflowError)",
-)
-def check_comb_loop(graph: DesignGraph) -> List[Finding]:
+def check_comb_loop(ctx) -> List[Finding]:
     """Flag combinational feedback cycles (process -> signal -> process)
     that would raise DeltaOverflowError the moment they went active."""
+    graph = ctx.graph
     findings: List[Finding] = []
     cycles = graph.comb_cycles()
     for cycle in cycles:
@@ -117,14 +85,10 @@ def check_comb_loop(graph: DesignGraph) -> List[Finding]:
 # multi-driver
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "multi-driver",
-    Severity.ERROR,
-    "one signal with two or more registered driving processes",
-)
-def check_multi_driver(graph: DesignGraph) -> List[Finding]:
+def check_multi_driver(ctx) -> List[Finding]:
     """Flag signals owned by two or more registered processes, plus
     driver conflicts the kernel harvested during elaboration."""
+    graph = ctx.graph
     findings: List[Finding] = []
     reported = set()
     for sig, writers in graph.known_writers.items():
@@ -168,14 +132,10 @@ def check_multi_driver(graph: DesignGraph) -> List[Finding]:
 # incomplete-sensitivity
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "incomplete-sensitivity",
-    Severity.WARNING,
-    "combinational process reads a signal missing from its sensitivity list",
-)
-def check_incomplete_sensitivity(graph: DesignGraph) -> List[Finding]:
+def check_incomplete_sensitivity(ctx) -> List[Finding]:
     """Flag signals a comb process was observed reading but left out of
     its sensitivity list, so the process misses their changes."""
+    graph = ctx.graph
     findings: List[Finding] = []
     for info in graph.comb:
         missing = info.observed_reads - set(info.sensitivity)
@@ -216,14 +176,10 @@ def _input_signals(graph: DesignGraph) -> List[Tuple[Signal, str]]:
     return sorted(consumers.items(), key=lambda item: item[0].name)
 
 
-@_rule(
-    "undriven-input",
-    Severity.ERROR,
-    "signal read by a process but driven by nothing (floating pin)",
-)
-def check_undriven_input(graph: DesignGraph) -> List[Finding]:
+def check_undriven_input(ctx) -> List[Finding]:
     """Flag signals consumed by some process but driven by none and
     never toggled externally (a floating input pin)."""
+    graph = ctx.graph
     if not graph.clocked_writes_known:
         # An undeclared clocked process could drive anything; stay silent
         # rather than guess (declare `writes=` on every clocked process
@@ -256,14 +212,10 @@ def check_undriven_input(graph: DesignGraph) -> List[Finding]:
 # dead-net
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "dead-net",
-    Severity.WARNING,
-    "signal driven but never read, never in a sensitivity list, not traced",
-)
-def check_dead_net(graph: DesignGraph) -> List[Finding]:
+def check_dead_net(ctx) -> List[Finding]:
     """Flag driven-but-never-observed signals, exempting nets every
     driver declares as a tie-off."""
+    graph = ctx.graph
     if graph.traced:
         return []  # a tracer observes every signal
     if not graph.clocked_reads_known:
@@ -299,14 +251,10 @@ def check_dead_net(graph: DesignGraph) -> List[Finding]:
 # width-mismatch
 # ---------------------------------------------------------------------------
 
-@_rule(
-    "width-mismatch",
-    Severity.ERROR,
-    "a drive or stored value exceeds the signal's declared width",
-)
-def check_width_mismatch(graph: DesignGraph) -> List[Finding]:
+def check_width_mismatch(ctx) -> List[Finding]:
     """Flag drives whose value exceeds the target's declared bit width,
     plus stored values that violate the width invariant."""
+    graph = ctx.graph
     findings: List[Finding] = []
     seen = set()
     for info, sig, value in graph.sim.width_events:
@@ -362,15 +310,56 @@ def check_width_mismatch(graph: DesignGraph) -> List[Finding]:
     return findings
 
 
-#: Evaluation order (deterministic output order).
-DEFAULT_RULES: Tuple[Rule, ...] = tuple(
-    RULES[rule_id]
-    for rule_id in (
-        "comb-loop",
-        "multi-driver",
-        "undriven-input",
-        "width-mismatch",
-        "incomplete-sensitivity",
-        "dead-net",
-    )
-)
+# ---------------------------------------------------------------------------
+# xview-interface
+# ---------------------------------------------------------------------------
+
+def _interface(graph: DesignGraph) -> Dict[str, int]:
+    """``{signal name: width}`` for the testbench-side interface.
+
+    DUT-internal signals (under ``tb.dut.``) are excluded: the two views
+    legitimately differ inside; the reusable environment only requires the
+    *port* signals to match.
+    """
+    return {sig.name: sig.width for sig in graph.signals
+            if not sig.name.startswith("tb.dut.")}
+
+
+def check_xview_interface(rtl_graph: DesignGraph,
+                          bca_graph: DesignGraph) -> List[Finding]:
+    """Check both views expose an identical port-level interface."""
+    rtl = _interface(rtl_graph)
+    bca = _interface(bca_graph)
+    findings: List[Finding] = []
+    for name in sorted(set(rtl) - set(bca)):
+        findings.append(Finding(
+            rule="xview-interface",
+            severity=Severity.ERROR,
+            message="interface signal exists in the RTL view only "
+                    f"(width {rtl[name]}); the common environment cannot "
+                    "bind to the BCA view",
+            signal=name,
+            hint="add the signal to the BCA view or drop it from the "
+                 "shared port bundle",
+        ))
+    for name in sorted(set(bca) - set(rtl)):
+        findings.append(Finding(
+            rule="xview-interface",
+            severity=Severity.ERROR,
+            message="interface signal exists in the BCA view only "
+                    f"(width {bca[name]})",
+            signal=name,
+            hint="add the signal to the RTL view or drop it from the "
+                 "shared port bundle",
+        ))
+    for name in sorted(set(rtl) & set(bca)):
+        if rtl[name] != bca[name]:
+            findings.append(Finding(
+                rule="xview-interface",
+                severity=Severity.ERROR,
+                message=f"width differs between views: {rtl[name]} bit(s) "
+                        f"in RTL vs {bca[name]} bit(s) in BCA",
+                signal=name,
+                hint="derive both widths from the same NodeConfig field",
+            ))
+    return findings

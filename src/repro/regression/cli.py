@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "views of every configuration before running")
     parser.add_argument("--lint-waivers", metavar="FILE", default=None,
                         help="waiver file for the lint gate (see "
-                             "python -m repro.lint --help)")
+                             "python -m repro.analysis --help)")
     parser.add_argument("--unr", action="store_true",
                         help="annotate each per-config report with the "
                              "static coverage-unreachability verdicts "

@@ -312,10 +312,12 @@ class RegressionRunner:
             os.makedirs(spec.workdir, exist_ok=True)
 
     def gate(self) -> GateResult:
-        """The static gates, before any cycle is simulated: lint both
-        views of every configuration with the spec's waivers, then, when
-        the spec asks and lint passed, the dataflow analysis.  Front-ends
-        call this before :meth:`run` and only render the result."""
+        """The static gates, before any cycle is simulated: the
+        checker's structural tier over both views of every configuration
+        with the spec's waivers (:func:`repro.lint.lint_config`), then,
+        when the spec asks and that passed, its dataflow tier.
+        Front-ends call this before :meth:`run` and only render the
+        result."""
         from .. import lint
 
         spec = self.spec
@@ -324,10 +326,13 @@ class RegressionRunner:
             result.lint = [lint.lint_config(config, waivers=spec.waivers)
                            for config in self.configs]
         if spec.analysis and not result.failed:
-            from ..analysis import analyze_config
+            from ..analysis import DATAFLOW_RULES, analyze_config
 
-            result.analysis = [analyze_config(config, waivers=spec.waivers)
-                               for config in self.configs]
+            result.analysis = [
+                analyze_config(config, rules=DATAFLOW_RULES,
+                               waivers=spec.waivers)
+                for config in self.configs
+            ]
         return result
 
     # -- paths ---------------------------------------------------------------

@@ -132,10 +132,10 @@ def rank_suspects(
     last-write tiebreaker; suspects are still ranked without it).
     """
     from ..analysis.dataflow import DataflowGraph
+    from ..catg.env import VerificationEnv
     from ..lint.graph import DesignGraph
-    from ..lint.runner import build_env
 
-    env = build_env(config, view)
+    env = VerificationEnv(config, view=view)
     graph = DesignGraph.from_simulator(env.sim)
     dataflow = DataflowGraph(graph)
     by_name = {sig.name: sig for sig in graph.signals}

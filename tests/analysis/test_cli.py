@@ -1,5 +1,6 @@
-"""python -m repro.analysis CLI behavior, JSON schema and the golden
-report for the stock node configuration.
+"""python -m repro.analysis CLI behavior (configurations, the demo
+design, user designs), JSON schema and the golden report for the stock
+node configuration.
 
 The golden file pins the complete ``--stock`` JSON output: the UNR
 verdicts (exact interval proofs, with the structured witness vectors)
@@ -15,6 +16,7 @@ import pytest
 
 from repro.analysis import agreement, analyze_config
 from repro.analysis.cli import main
+from repro.regression.configs import configuration_matrix, save_config_dir
 from repro.stbus import AddressMap, NodeConfig, Region
 
 GOLDEN = os.path.join(
@@ -198,16 +200,121 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in ("race-delta-overwrite", "tie-off-conflict", "cdc-crossing",
                  "xview-cone", "xview-function", "agreement-domain-too-large",
-                 "unr-model-unreachable"):
+                 "unr-model-unreachable", "comb-loop", "multi-driver",
+                 "undriven-input", "dead-net", "width-mismatch",
+                 "incomplete-sensitivity", "xview-interface"):
         assert rule in out
+    assert "comb-loop                  structural error" in out
 
 
 def test_conflicting_sources_is_a_usage_error(capsys):
     assert main(["--stock", "--matrix"]) == 2
+    assert main(["--demo", "--matrix"]) == 2
+    assert main(["--demo", "--design", "repro.lint.demo:x"]) == 2
+    assert main(["--demo", "--view", "rtl"]) == 2
 
 
 def test_unknown_rule_is_a_usage_error(capsys):
     assert main(["--stock", "--rules", "no-such-rule"]) == 2
+    assert main(["--demo", "--rules", "no-such-rule"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# single designs: --demo and --design
+# ---------------------------------------------------------------------------
+
+def test_demo_exits_nonzero_and_names_the_loop(capsys):
+    assert main(["--demo"]) == 1
+    out = capsys.readouterr().out
+    assert "comb-loop" in out
+    assert "demo.invert_b" in out and "demo.invert_a" in out
+    assert "undriven-input" in out
+    assert "demo.floating_in" in out
+
+
+def test_demo_json_output(capsys):
+    assert main(["--demo", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["design"] == "lint-demo"
+    assert data["errors"] == 5 and data["warnings"] == 6
+    rules = {f["rule"] for f in data["findings"]}
+    assert "comb-loop" in rules and "width-mismatch" in rules
+
+
+def test_waiving_everything_clears_the_gate(capsys):
+    assert main(["--demo", "--waive", "*:*"]) == 0
+    assert "waived" in capsys.readouterr().out
+
+
+def test_strict_fails_on_warnings(capsys):
+    # Keep only the warning-severity findings alive.
+    argv = ["--demo", "--waive", "comb-loop:*", "--waive", "multi-driver:*",
+            "--waive", "undriven-input:*", "--waive", "width-mismatch:*"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--strict"]) == 1
+
+
+def test_rule_selection(capsys):
+    assert main(["--demo", "--rules", "dead-net"]) == 0  # warnings only
+    out = capsys.readouterr().out
+    assert "dead-net" in out
+    assert "comb-loop" not in out
+    # No dataflow rule selected: no dataflow graph is built.
+    assert "dataflow edges" not in out
+
+
+def test_design_loading(capsys):
+    assert main(["--design", "repro.lint.demo:build_defective_design"]) == 1
+    assert main(["--design", "not-a-spec"]) == 2
+    assert main(["--design", "repro.lint.demo:missing_attr"]) == 2
+
+
+def test_waiver_file(tmp_path, capsys):
+    waiver_file = tmp_path / "waivers.txt"
+    waiver_file.write_text("* * # waive the world\n", encoding="utf-8")
+    assert main(["--demo", "--waivers", str(waiver_file)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("too many tokens here\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--demo", "--waivers", str(bad)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# configuration directories and tiers
+# ---------------------------------------------------------------------------
+
+def test_config_dir_mode(tmp_path, capsys):
+    save_config_dir(configuration_matrix(small=True)[:2], str(tmp_path))
+    assert main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("cross-view interface OK") == 2
+    assert out.count("cross-view cones OK") == 2
+    assert "analyzed 2 configuration(s) x 2 view(s)" in out
+
+
+def test_config_dir_structural_tier(tmp_path, capsys):
+    """The structural rules alone: the interface check, but no UNR,
+    cones or agreement."""
+    save_config_dir(configuration_matrix(small=True)[:1], str(tmp_path))
+    argv = [str(tmp_path)]
+    for rule in ("comb-loop", "multi-driver", "undriven-input",
+                 "width-mismatch", "incomplete-sensitivity", "dead-net"):
+        argv += ["--rules", rule]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "cross-view interface OK" in out
+    assert "cross-view cones" not in out
+    assert "agreement" not in out and "UNR" not in out
+
+
+def test_config_dir_single_view(tmp_path, capsys):
+    save_config_dir(configuration_matrix(small=True)[:1], str(tmp_path))
+    assert main([str(tmp_path), "--view", "rtl"]) == 0
+    out = capsys.readouterr().out
+    assert "/rtl: CLEAN" in out
+    assert "/bca" not in out
+    assert "cross-view" not in out
 
 
 def test_bad_inline_waiver_is_a_usage_error(capsys):
@@ -224,7 +331,7 @@ def test_config_dir_source(tmp_path, capsys):
 
 
 def test_waiver_file_shared_with_lint(tmp_path, capsys):
-    # A lint-dialect waiver file parses and applies cleanly here too.
+    # A waiver file for the regression's lint gate applies here too.
     waivers = tmp_path / "waivers.txt"
     waivers.write_text("race-* tb.* # shared dialect\n")
     assert main(["--stock", "--waivers", str(waivers)]) == 0
@@ -253,7 +360,7 @@ def test_info_notes_do_not_make_a_report_unclean():
     from types import SimpleNamespace
 
     from repro.analysis.runner import AnalysisReport, ConfigAnalysisReport
-    from repro.lint.diagnostics import Finding, Severity
+    from repro.lint import Finding, Severity
 
     def finding(severity, waived=False):
         return Finding(rule="r", severity=severity, message="m",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import constants, races
+from repro.analysis import constants
 from repro.analysis.constants import ValueRange, derive_constants
 from repro.analysis.runner import analyze_config
 from repro.kernel import Module, Simulator
@@ -93,6 +93,5 @@ def test_analyze_config_derives_constants_once_per_view(monkeypatch, views):
         return derive_constants(graph)
 
     monkeypatch.setattr(constants, "derive_constants", counting)
-    monkeypatch.setattr(races, "derive_constants", counting)
     analyze_config(NodeConfig(), views=views)
     assert len(calls) == len(views)

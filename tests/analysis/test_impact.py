@@ -22,7 +22,7 @@ from repro.analysis.impact import (
 )
 from repro.analysis.impact_cli import main as impact_main
 from repro.cache.store import DESIGN_ROOTS, design_source_hash
-from repro.lint.runner import build_env
+from repro.catg.env import VerificationEnv
 from repro.regression.configs import configuration_matrix
 from repro.stbus import NodeConfig
 
@@ -401,7 +401,7 @@ def test_every_shipped_process_body_is_elided_from_the_residual():
     runtime = set()
     for config in configuration_matrix():
         for view in ("rtl", "bca"):
-            sim = build_env(config, view).sim
+            sim = VerificationEnv(config, view=view).sim
             for info in sim.comb_processes + sim.clocked_processes:
                 code, name = impact._process_code(info)
                 runtime.add((os.path.abspath(code.co_filename),

@@ -24,8 +24,8 @@ from repro.analysis.impact import (
     process_fingerprint,
 )
 from repro.cache import ResultCache
+from repro.catg.env import VerificationEnv
 from repro.kernel import Module, Simulator
-from repro.lint.runner import build_env
 from repro.regression.configs import configuration_matrix
 
 
@@ -407,7 +407,7 @@ def test_shared_parse_matches_per_process_reference():
     n_processes = 0
     for config in configuration_matrix(small=True):
         for view in ("rtl", "bca"):
-            sim = build_env(config, view).sim
+            sim = VerificationEnv(config, view=view).sim
             for info in sim.comb_processes + sim.clocked_processes:
                 got = process_fingerprint(info, shared)
                 want = process_fingerprint(info, reference)

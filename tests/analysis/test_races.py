@@ -1,6 +1,6 @@
 """Race, tie-off-conflict and CDC rule tests."""
 
-from repro.analysis.races import AnalysisContext, resolve_analysis_rules
+from repro.analysis.rules import AnalysisContext, resolve_rules
 from repro.analysis.runner import analyze_simulator
 from repro.kernel import Module, Simulator
 from repro.lint.diagnostics import Severity
@@ -129,11 +129,12 @@ def test_single_domain_is_vacuously_quiet():
 # ---------------------------------------------------------------------------
 
 def test_resolve_analysis_rules():
-    rules = resolve_analysis_rules(["cdc-crossing"])
-    assert [r.id for r in rules] == ["cdc-crossing"]
-    assert resolve_analysis_rules(None) is None
+    rules = resolve_rules(["cdc-crossing", "comb-loop"])
+    assert [(r.id, r.tier) for r in rules] == [
+        ("cdc-crossing", "dataflow"), ("comb-loop", "structural")]
+    assert resolve_rules(None) is None
     with pytest.raises(ValueError):
-        resolve_analysis_rules(["no-such-rule"])
+        resolve_rules(["no-such-rule"])
 
 
 def test_context_builder_counts():
@@ -142,6 +143,6 @@ def test_context_builder_counts():
     tied = top.signal("tied")
     top.clocked(lambda: tied.drive(0), name="tie",
                 reads=[], writes=[tied], tie_offs={tied: 0})
-    ctx = AnalysisContext.from_graph(DesignGraph.from_simulator(sim))
+    ctx = AnalysisContext(DesignGraph.from_simulator(sim))
     assert len(ctx.constants) == 1
     assert ctx.dataflow.complete

@@ -2,14 +2,13 @@
 
 It flags two *declared* tie-offs that disagree.  A declared tie-off
 contradicted by a second, comb writer of the same net is a second
-driver: ``multi-driver`` (lint) and ``race-delta-overwrite`` (analysis)
-already report it as errors, so tie-off-conflict stays silent there.
+driver: ``multi-driver`` (structural) and ``race-delta-overwrite``
+(dataflow) already report it as errors, so tie-off-conflict stays silent there.
 """
 
 from repro.analysis.runner import analyze_simulator
 from repro.kernel import Module, Simulator
 from repro.lint.diagnostics import Severity
-from repro.lint.runner import lint_simulator
 
 
 def _findings(sim, rule):
@@ -27,8 +26,7 @@ def test_tied_net_with_second_comb_writer_is_a_multi_driver_race():
     top.clocked(lambda: out.drive(0), name="zero",
                 reads=[clk], writes=[out], tie_offs={out: 0})
     top.comb(lambda: out.drive(1), [clk], name="one")
-    lint = lint_simulator(sim, design="t")
-    multi = [f for f in lint.findings if f.rule == "multi-driver"]
+    multi = _findings(sim, "multi-driver")
     assert multi and all(f.severity is Severity.ERROR for f in multi)
     assert {f.signal for f in multi} == {"t.out"}
     races = _findings(sim, "race-delta-overwrite")

@@ -147,11 +147,11 @@ def test_constants_sharpen_programming_verdict():
     # With an elaborated environment, the blocking net comes from the
     # constant engine rather than the configuration-level argument.
     from repro.analysis.constants import derive_constants
+    from repro.catg.env import VerificationEnv
     from repro.lint.graph import DesignGraph
-    from repro.lint.runner import build_env
 
     config = NodeConfig()
-    env = build_env(config, "rtl")
+    env = VerificationEnv(config, view="rtl")
     constants = derive_constants(DesignGraph.from_simulator(env.sim))
     report = analyze_unreachability(config, constants=constants)
     assert _verdict(report, "programming", "write").verdict == UNREACHABLE

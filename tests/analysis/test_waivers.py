@@ -1,4 +1,4 @@
-"""The waiver dialect shared between repro.lint and repro.analysis."""
+"""The waiver dialect of the static checker."""
 
 import pytest
 
@@ -11,23 +11,20 @@ from repro.analysis.waivers import (
 )
 
 
-def test_lint_reexports_the_shared_machinery():
-    # One dialect, one implementation: the lint names must BE the
-    # analysis names, not copies.
-    import repro.analysis.waivers as shared
-    import repro.lint.diagnostics as lint
-
-    assert lint.Waiver is shared.Waiver
-    assert lint.WaiverError is shared.WaiverError
-    assert lint.parse_waivers is shared.parse_waivers
-    assert lint.apply_waivers is shared.apply_waivers
-
-
 def test_schema_versions_agree():
+    """One schema version stamps the per-view and the per-config
+    reports of both tiers."""
     import repro.analysis as analysis
-    import repro.lint.diagnostics as lint
+    from repro.lint import lint_config
+    from repro.lint.demo import build_defective_design
+    from repro.stbus import NodeConfig
 
-    assert analysis.SCHEMA_VERSION == lint.SCHEMA_VERSION
+    config = lint_config(NodeConfig()).to_dict()
+    view = analysis.analyze_simulator(build_defective_design()).to_dict()
+    assert config["schema_version"] == analysis.SCHEMA_VERSION
+    assert config["views"]["rtl"]["schema_version"] == \
+        analysis.SCHEMA_VERSION
+    assert view["schema_version"] == analysis.SCHEMA_VERSION
 
 
 def test_parse_waivers_with_reasons_and_comments():
@@ -53,8 +50,8 @@ def test_one_file_waives_both_tools(tmp_path):
 
     path = tmp_path / "waivers.txt"
     path.write_text(
-        "dead-net tb.* # lint finding\n"
-        "race-delta-overwrite tb.* # analysis finding\n"
+        "dead-net tb.* # structural finding\n"
+        "race-delta-overwrite tb.* # dataflow finding\n"
     )
     waivers = load_waiver_file(str(path))
     findings = [

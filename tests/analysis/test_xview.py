@@ -1,5 +1,6 @@
 """Cross-view cone equivalence between the RTL and BCA environments."""
 
+from repro.analysis.dataflow import DataflowGraph
 from repro.analysis.xview import cone_equivalence_findings
 from repro.kernel import Module, Simulator
 from repro.lint.diagnostics import Severity
@@ -25,7 +26,7 @@ def _view(wire_b_into_out: bool, declare: bool = True):
                    reads=[mid], writes=[out])
     else:
         tb.clocked(lambda: out.drive(int(mid)), name="reg")
-    return DesignGraph.from_simulator(sim)
+    return DataflowGraph(DesignGraph.from_simulator(sim))
 
 
 def test_equal_cones_produce_no_findings():

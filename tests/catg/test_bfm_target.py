@@ -11,7 +11,7 @@ from repro.catg import (
 )
 from repro.kernel import Module, Simulator
 from repro.kernel.signal import _FastSignal
-from repro.lint import lint_simulator
+from repro.analysis import STRUCTURAL_RULES, analyze_simulator
 from repro.stbus import (
     Opcode,
     ProtocolType,
@@ -262,7 +262,8 @@ def test_second_writer_on_bfm_pin_is_a_lint_error():
     InitiatorBfm(sim, "bfm", port, ProtocolType.T2, parent=top)
     top.clocked(lambda: port.add.drive(0), name="intruder", reads=(),
                 writes=[port.add])
-    report = lint_simulator(sim, design="two-writers")
+    report = analyze_simulator(sim, design="two-writers",
+                               rules=STRUCTURAL_RULES)
     findings = [f for f in report.findings if f.rule == "multi-driver"]
     assert [f.signal for f in findings] == ["rig.p.add"]
     assert "rig.bfm._clk" in findings[0].message

@@ -6,12 +6,12 @@ it still warns: nothing reads the net, and the declaration is how a
 design says the pin is on purpose.
 """
 
+from repro.analysis import STRUCTURAL_RULES, analyze_simulator
 from repro.kernel import Module, Simulator
-from repro.lint.runner import lint_simulator
 
 
 def _dead_nets(sim):
-    report = lint_simulator(sim, design="t")
+    report = analyze_simulator(sim, design="t", rules=STRUCTURAL_RULES)
     return [f for f in report.findings if f.rule == "dead-net"]
 
 

@@ -1,15 +1,23 @@
-"""Unit tests for the six static design rules and the waiver machinery."""
+"""Unit tests for the six structural design rules and the waiver
+machinery."""
 
 import pytest
 
-from repro.kernel import Module, Simulator
-from repro.lint import (
-    DesignGraph,
-    Severity,
-    lint_simulator,
+from repro.analysis import (
+    STRUCTURAL_RULES,
+    WaiverError,
+    analyze_simulator,
     parse_waivers,
 )
+from repro.kernel import Module, Simulator
+from repro.lint import DesignGraph, Severity
 from repro.lint.demo import build_defective_design
+
+
+def lint_simulator(sim, design="design", waivers=()):
+    """The structural tier over one design."""
+    return analyze_simulator(sim, design=design, rules=STRUCTURAL_RULES,
+                             waivers=waivers)
 
 
 def _rules(report, rule):
@@ -305,6 +313,79 @@ def test_demo_design_triggers_every_rule():
     }
 
 
+#: The demo design's findings as ``(rule, severity, location, message)``,
+#: exactly as the structural rules reported them before they joined the
+#: one analysis pass.
+DEMO_FINDINGS = [
+    ("comb-loop", "error", "demo.a",
+     "combinational feedback loop through 2 process(es): demo.invert_b "
+     "-> demo.a -> demo.invert_a -> demo.b -> demo.invert_b"),
+    ("multi-driver", "error", "demo.shared",
+     "driven by 2 processes: demo.source_one, demo.source_two"),
+    ("undriven-input", "error", "demo.floating_in",
+     "read by demo.mirror but driven by no process and never toggled "
+     "(floating input)"),
+    ("undriven-input", "error", "demo.sel",
+     "read by demo.gate but driven by no process and never toggled "
+     "(floating input)"),
+    ("width-mismatch", "error", "demo.narrow",
+     "process demo.drive_wide drives 31, which does not fit the declared "
+     "width of 4 bit(s) (max 15)"),
+    ("dead-net", "warning", "demo.gated",
+     "driven by demo.gate but never read, never in a sensitivity list, "
+     "and not traced"),
+    ("dead-net", "warning", "demo.narrow",
+     "driven by demo.drive_wide but never read, never in a sensitivity "
+     "list, and not traced"),
+    ("dead-net", "warning", "demo.shared",
+     "driven by demo.source_one, demo.source_two but never read, never in "
+     "a sensitivity list, and not traced"),
+    ("dead-net", "warning", "demo.status",
+     "driven by demo.mirror but never read, never in a sensitivity list, "
+     "and not traced"),
+    ("dead-net", "warning", "demo.unused_net",
+     "driven by demo.pulse but never read, never in a sensitivity list, "
+     "and not traced"),
+    ("incomplete-sensitivity", "warning", "demo.sel",
+     "read by combinational process demo.gate but absent from its "
+     "sensitivity list (the process will not re-evaluate when it "
+     "changes)"),
+]
+
+
+def _tuples(report):
+    return [(f.rule, f.severity.value, f.location, f.message)
+            for f in report.findings]
+
+
+def test_demo_findings_are_pinned():
+    report = lint_simulator(build_defective_design(), design="demo")
+    assert _tuples(report) == DEMO_FINDINGS
+    assert (len(report.errors), len(report.warnings)) == (5, 6)
+    # The dataflow rules add nothing on this design.
+    assert _tuples(analyze_simulator(build_defective_design())) \
+        == DEMO_FINDINGS
+
+
+def test_structural_tier_builds_no_dataflow(monkeypatch):
+    """The default regression gate builds no dataflow graph and derives
+    no constants."""
+    import repro.analysis.constants as constants
+    from repro.analysis.dataflow import DataflowGraph
+    from repro.lint import lint_config
+    from repro.stbus import NodeConfig
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the structural tier built dataflow facts")
+
+    monkeypatch.setattr(DataflowGraph, "__init__", refuse)
+    monkeypatch.setattr(constants, "derive_constants", refuse)
+    report = lint_config(NodeConfig())
+    assert report.clean and report.cross_checks == ["interface"]
+    assert report.unr is None and report.agreement is None
+    assert all(view.n_edges is None for view in report.views.values())
+
+
 # ---------------------------------------------------------------------------
 # waivers
 # ---------------------------------------------------------------------------
@@ -331,8 +412,6 @@ def test_waivers_suppress_but_keep_findings():
 
 
 def test_waiver_parse_error():
-    from repro.lint import WaiverError
-
     with pytest.raises(WaiverError):
         parse_waivers("only-one-token\n")
 

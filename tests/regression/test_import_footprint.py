@@ -1,8 +1,9 @@
 """A regression batch imports only the code it runs.
 
 A serial batch with no cache never touches the result store, forks no
-worker and runs neither the TLM flow, the converter testbench, the fast
-BCA model, the past flow nor the sign-off flow, so none of them (nor
+worker and runs neither the converter testbench, the fast BCA model,
+the past flow, the sign-off flow nor the dataflow tier of the static
+checker (UNR, cone diff, agreement), so none of them (nor
 OpenSSL's ``_hashlib``, which the store's ``hashlib`` loads) may be in
 ``sys.modules`` when it exits.  The same batch with ``--jobs 2`` and
 with a cold and a warm ``--cache-dir`` must print and write the same
@@ -36,10 +37,12 @@ UNUSED = (
     "repro.cache.store",
     "multiprocessing",
     "repro.bca.fast",
-    "repro.catg.tlm",
     "repro.catg.converter_env",
     "repro.oldflow",
     "repro.regression.flow",
+    "repro.analysis.agreement",
+    "repro.analysis.unr",
+    "repro.analysis.xview",
 )
 
 #: ``python -S -c PROBE MODULES_OUT ARGS...`` runs

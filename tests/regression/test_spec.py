@@ -11,8 +11,8 @@ import pytest
 
 import repro.lint
 import repro.regression.resilience as resilience
-from repro.lint import Finding, Severity, apply_waivers
-from repro.lint.runner import ConfigLintReport
+from repro.analysis import ConfigAnalysisReport, apply_waivers
+from repro.lint import Finding, Severity
 from repro.regression import (
     BatchSpec,
     BatchSpecError,
@@ -41,7 +41,7 @@ def seeded_lint_error(monkeypatch):
 
     def lint_config(config, *, waivers=(), **_):
         calls.append((config.name, tuple(waivers)))
-        report = ConfigLintReport(config_name=config.name, cross_view=[
+        report = ConfigAnalysisReport(config_name=config.name, cross_view=[
             Finding("xview-interface", Severity.ERROR, "seeded defect",
                     signal="tb.seeded")])
         apply_waivers(report.cross_view, waivers)
