@@ -31,7 +31,6 @@ def _job(telemetry):
     return RunJob(
         config=CONFIG, test_name=TEST, seed=1, view="rtl",
         vcd_path=None, report_stem=None, bugs=frozenset(),
-        with_arbitration_checker=True,
         telemetry=telemetry,
         submitted_at=time.time() if telemetry else None,
     )

@@ -27,7 +27,7 @@ line.
 
 Exit status: 0 when no error-severity findings remain after waivers,
 1 when errors remain (with ``--strict``, warnings too), 2 on usage
-errors.
+errors.  A reader that closes stdout early ends the run by SIGPIPE.
 """
 
 from __future__ import annotations

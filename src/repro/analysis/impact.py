@@ -51,12 +51,12 @@ proportional to the *semantic* size of an edit:
 * **Cone-scoped cache keys.**  :class:`ImpactIndex` hands the result
   cache a per-job design key: the environment residual hash plus the
   sorted fingerprints of every process in the fan-in cone of the
-  entry's observed signals (the VCD traces every signal and the
-  checkers/coverage probe observe the ports, so the observation cone of
-  a full-trace run is the entire design — the scoping power is that
-  RTL and BCA process sets differ, and config-conditional processes
-  exist only in some designs).  Unrelated or comment-only edits keep
-  their cache hits by construction.
+  entry's observed signals (the VCD traces every signal and the port
+  monitors and the programming-port checker read every port, so the
+  observation cone of a full-trace run is the entire design — the
+  scoping power is that RTL and BCA process sets differ, and
+  config-conditional processes exist only in some designs).  Unrelated
+  or comment-only edits keep their cache hits by construction.
 """
 
 from __future__ import annotations
@@ -602,7 +602,7 @@ class DesignFingerprints:
         """The cone-scoped design key: the environment residual hash
         plus the sorted fingerprints of every process in the fan-in
         cone of the observed signals.  A full-trace run observes every
-        signal (VCD + checkers + coverage probe), so the cone is the
+        signal (VCD + every port's reader), so the cone is the
         whole process set of *this* design — still per-(config, view),
         which is where the scoping power lives.  Any opaque process
         degrades to the monolithic design hash: conservative, never

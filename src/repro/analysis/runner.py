@@ -253,23 +253,29 @@ def analyze_config(
     rules: Optional[Sequence[Rule]] = None,
     waivers: Sequence[Waiver] = (),
     bca_bugs: Sequence[str] = (),
+    contexts: Optional[Dict[str, AnalysisContext]] = None,
 ) -> ConfigAnalysisReport:
     """Check every requested view of one configuration.
 
     ``rules`` (default: every rule) also picks the config-level checks
     (see the module docstring).  ``bca_bugs`` injects registered defects
     into the agreement check's BCA harness so the detection of the bug
-    registry can itself be checked.
+    registry can itself be checked.  Passes given one ``contexts`` dict
+    share one build per view: the first fills it in, and the caller
+    finishes the designs (:func:`release_contexts`).
     """
     from ..catg.env import VerificationEnv  # local import: avoid cycle
 
     rules = registry.DEFAULT_RULES if rules is None else tuple(rules)
     tiers = {rule.tier for rule in rules}
     result = ConfigAnalysisReport(config_name=config.name)
-    contexts: Dict[str, AnalysisContext] = {}
+    owned = contexts is None
+    contexts = {} if owned else contexts
     for view in views:
-        contexts[view] = registry.AnalysisContext(DesignGraph.from_simulator(
-            VerificationEnv(config, view=view).sim))
+        if view not in contexts:
+            contexts[view] = registry.AnalysisContext(
+                DesignGraph.from_simulator(
+                    VerificationEnv(config, view=view).sim))
         result.views[view] = _analyze_context(
             contexts[view], f"{config.name}/{view}", rules, waivers)
     both = "rtl" in contexts and "bca" in contexts
@@ -294,10 +300,15 @@ def analyze_config(
             result.cross_checks.append("cones")
             result.agreement = check_agreement(config, bca_bugs=bca_bugs)
     apply_waivers(result._config_findings(), waivers)
-    # Release the designs: unfinished, they stay in reference cycles.
+    if owned:
+        release_contexts(contexts)
+    return result
+
+
+def release_contexts(contexts: Dict[str, AnalysisContext]) -> None:
+    """Finish the designs: unfinished, they stay in reference cycles."""
     for ctx in contexts.values():
         ctx.graph.sim.finish()
-    return result
 
 
 __all__ = [
@@ -305,4 +316,5 @@ __all__ = [
     "ConfigAnalysisReport",
     "analyze_config",
     "analyze_simulator",
+    "release_contexts",
 ]

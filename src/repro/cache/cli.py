@@ -205,9 +205,6 @@ def _explain(args: argparse.Namespace) -> int:
         bugs = key_inputs.get("bugs") or []
         lines.append(
             "  bugs: " + (", ".join(bugs) if bugs else "(none)"))
-        lines.append(
-            "  with_arbitration_checker: "
-            f"{key_inputs.get('with_arbitration_checker')}")
     print("\n".join(lines))
     return 0 if verified else 1
 

@@ -147,7 +147,6 @@ def cache_key(job, design: str) -> str:
         # them into the BCA model), so RTL entries are shared across
         # bug experiments.
         "bugs": sorted(job.bugs) if job.view == "bca" else [],
-        "with_arbitration_checker": job.with_arbitration_checker,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -352,7 +351,6 @@ class ResultCache:
                 "seed": job.seed,
                 "view": job.view,
                 "bugs": sorted(job.bugs) if job.view == "bca" else [],
-                "with_arbitration_checker": job.with_arbitration_checker,
             },
             "payload": _encode_field(pickle.dumps(clean, protocol=4)),
             "artifacts": digests,

@@ -33,13 +33,15 @@ Rules enforced (rule ids as reported):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..kernel import Module, Simulator
 from ..stbus import (
+    Cell,
     Opcode,
     OpcodeError,
     ProtocolType,
+    RespCell,
     StbusPort,
     T1_IDLE,
     T1_READ,
@@ -47,7 +49,7 @@ from ..stbus import (
     Type1Port,
 )
 from ..stbus.packet import lane_geometry
-from .monitor import PortMonitor
+from .monitor import PortMonitor, PortSample
 from .report import VerificationReport
 
 
@@ -56,11 +58,7 @@ class _OpenRequest:
     """Request packet currently being transferred at this port."""
 
     opcode: Optional[Opcode]
-    base_address: int
-    opc: int
-    tid: int
-    pri: int
-    src: int
+    head: Cell  # the first cell
     cells_seen: int
     expected_cells: Optional[int]
     geometry: List[Tuple[int, int, int]]
@@ -127,9 +125,10 @@ class ProtocolChecker(Module):
 
     # -- per-cycle sample from the monitor ------------------------------------
 
-    def sample(self, req: int, gnt: int, r_req: int, r_gnt: int) -> None:
-        """Check one cycle, given the handshake bits the monitor read."""
+    def sample(self, sample: PortSample) -> None:
+        """Check one cycle, given the sample the monitor read."""
         port = self.port
+        req, gnt, r_req = sample.req, sample.gnt, sample.r_req
         if self._held_req is not None:
             if not req:
                 self._fail("REQ_DROPPED",
@@ -137,8 +136,8 @@ class ProtocolChecker(Module):
             elif _request_fields(port) != self._held_req:
                 self._fail("REQ_UNSTABLE",
                            "request fields changed while ungranted")
-        if req and gnt:
-            self._check_request_cell(port)
+        if sample.cell is not None:
+            self._check_request_cell(sample.cell)
         self._held_req = _request_fields(port) if req and not gnt else None
 
         if self._held_resp is not None:
@@ -148,24 +147,18 @@ class ProtocolChecker(Module):
             elif _response_fields(port) != self._held_resp:
                 self._fail("RESP_UNSTABLE",
                            "response fields changed while ungranted")
-        if r_req and r_gnt:
-            self._check_response_cell(port)
+        if sample.r_cell is not None:
+            self._check_response_cell(sample.r_cell)
         self._held_resp = (
-            _response_fields(port) if r_req and not r_gnt else None
+            _response_fields(port) if r_req and not sample.r_gnt else None
         )
 
     # -- request packet rules ---------------------------------------------------
 
-    def _check_request_cell(self, port: StbusPort) -> None:
-        add = port.add._value
-        opc = port.opc._value
-        eop = port.eop._value
-        lck = port.lck._value
-        tid = port.tid._value
-        pri = port.pri._value
-        src = port.src._value
-        be = port.be._value
-        bus_bytes = port.bus_bytes
+    def _check_request_cell(self, cell: Cell) -> None:
+        add, opc, be, eop = cell.add, cell.opc, cell.be, cell.eop
+        lck, tid, pri, src = cell.lck, cell.tid, cell.pri, cell.src
+        bus_bytes = self.port.bus_bytes
 
         if self._open is None:
             # First cell of a packet: chunk-atomicity + header legality.
@@ -192,12 +185,11 @@ class ProtocolChecker(Module):
                     )
                 expected = opcode.request_cells(bus_bytes, self.protocol)
                 geometry = list(lane_geometry(opcode, add, bus_bytes))
-            self._open = _OpenRequest(
-                opcode, add, opc, tid, pri, src, 0, expected, geometry
-            )
+            self._open = _OpenRequest(opcode, cell, 0, expected, geometry)
         open_pkt = self._open
         idx = open_pkt.cells_seen
-        if (opc, tid, pri) != (open_pkt.opc, open_pkt.tid, open_pkt.pri):
+        head = open_pkt.head
+        if (opc, tid, pri) != (head.opc, head.tid, head.pri):
             self._fail("PKT_FIELDS", "opc/tid/pri changed mid-packet")
         if open_pkt.geometry:
             exp_add, exp_off, exp_bytes = open_pkt.geometry[
@@ -226,10 +218,10 @@ class ProtocolChecker(Module):
                     f"{open_pkt.expected_cells}",
                 )
             self._pending.append(
-                _PendingResponse(open_pkt.opcode, open_pkt.tid, open_pkt.src)
+                _PendingResponse(open_pkt.opcode, head.tid, head.src)
             )
             if self.role == "target" and lck:
-                self._chunk_src = open_pkt.src
+                self._chunk_src = head.src
             self._open = None
         elif open_pkt.expected_cells is not None \
                 and open_pkt.cells_seen >= open_pkt.expected_cells:
@@ -241,10 +233,8 @@ class ProtocolChecker(Module):
 
     # -- response packet rules -----------------------------------------------
 
-    def _check_response_cell(self, port: StbusPort) -> None:
-        r_src = port.r_src._value
-        r_tid = port.r_tid._value
-        r_eop = port.r_eop._value
+    def _check_response_cell(self, cell: RespCell) -> None:
+        r_src, r_tid, r_eop = cell.r_src, cell.r_tid, cell.r_eop
         if self._resp_cells_seen == 0:
             self._resp_first = (r_src, r_tid)
         else:
@@ -276,7 +266,7 @@ class ProtocolChecker(Module):
             )
         if entry.opcode is not None:
             expected = entry.opcode.response_cells(
-                port.bus_bytes, self.protocol
+                self.port.bus_bytes, self.protocol
             )
             if cells_seen != expected:
                 self._fail(
@@ -339,6 +329,8 @@ class Type1Checker(Module):
     ``T1_UNSTABLE``      command fields changed while waiting for ack
     ``T1_DROPPED``       req retracted before ack
     ==================  ================================================
+
+    The port's one observer: it also publishes each acknowledged command.
     """
 
     def __init__(
@@ -353,7 +345,13 @@ class Type1Checker(Module):
         self.port = port
         self.report = report
         self._prev: Optional[tuple] = None
+        self._command_subs: List[Callable[[int, int, int], None]] = []
         self.clocked(self._clk, reads=port.signals(), writes=())
+
+    def on_command(self, callback: Callable[[int, int, int], None]) -> None:
+        """``callback(opc, add, wdata)`` on every acknowledged command,
+        after the cycle's checks."""
+        self._command_subs.append(callback)
 
     def _fail(self, rule: str, message: str) -> None:
         self.report.error(rule, self.name, self.sim.now - 1, message)
@@ -380,3 +378,6 @@ class Type1Checker(Module):
                     self._fail("T1_UNSTABLE",
                                "command changed while waiting for ack")
         self._prev = (req, ack, fields)
+        if req and ack:
+            for callback in self._command_subs:
+                callback(*fields[:3])

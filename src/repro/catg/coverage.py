@@ -11,19 +11,20 @@ internals.  Goal: 100% of defined bins (Section 4).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..stbus import (
     ERROR_TARGET,
     NodeConfig,
-    OpKind,
     Opcode,
     OpcodeError,
     ProtocolType,
+    T1_WRITE,
     all_opcodes,
 )
-from .monitor import ObservedRequest, ObservedResponse, PortMonitor
+from .checker import Type1Checker
+from .monitor import (ObservedRequest, ObservedResponse, PortMonitor,
+                      on_every_sample)
 
 
 class CoverGroup:
@@ -205,11 +206,16 @@ class NodeCoverageCollector:
             i: 0 for i in range(config.n_initiators)
         }
 
-    def connect(self, monitors: List[PortMonitor]) -> None:
-        for monitor in monitors:
-            if monitor.role == "initiator":
-                monitor.on_request(self._on_request)
-                monitor.on_response(self._on_response)
+    def connect(self, monitors: List[PortMonitor],
+                prog_checker: Optional[Type1Checker] = None) -> None:
+        initiators = [m for m in monitors if m.role == "initiator"]
+        for monitor in initiators:
+            monitor.on_request(self._on_request)
+            monitor.on_response(self._on_response)
+        self._initiators = [monitor.sample for monitor in initiators]
+        on_every_sample(initiators, self._on_cycle)
+        if prog_checker is not None and "programming" in self.model.groups:
+            prog_checker.on_command(self._on_prog_command)
 
     # -- packet-level sampling ------------------------------------------------
 
@@ -221,12 +227,11 @@ class NodeCoverageCollector:
             return
         model["opcode"].sample(str(opcode))
         model["request_len"].sample(_len_bin(len(obs.cells)))
-        target = self.config.route(obs.index, obs.address)
-        if target == ERROR_TARGET:
+        if obs.dest == ERROR_TARGET:
             model["decode"].sample("error")
         else:
             model["decode"].sample("hit")
-            model["path"].sample(f"init{obs.index}->targ{target}")
+            model["path"].sample(f"init{obs.index}->targ{obs.dest}")
         full = all(
             cell.be == (1 << self.config.bus_bytes) - 1 for cell in obs.cells
         )
@@ -252,16 +257,16 @@ class NodeCoverageCollector:
         if self._outstanding[obs.index] > 0:
             self._outstanding[obs.index] -= 1
 
-    # -- cycle-level sampling (driven by the environment) ------------------------
+    # -- cycle-level sampling ----------------------------------------------------
 
-    def sample_cycle(self, requesting_per_target: Dict[int, int]) -> None:
-        """``requesting_per_target[t]`` = #initiators requesting t now."""
-        for count in requesting_per_target.values():
-            if count >= 2:
-                self.model["conflict"].sample("contended")
-            elif count == 1:
-                self.model["conflict"].sample("solo")
+    def _on_cycle(self) -> None:
+        # A request on a blocked path goes to the error engine, so it
+        # contends for nothing at its decoded target.
+        dests = [sample.dest for sample in self._initiators
+                 if sample.dest not in (None, ERROR_TARGET)]
+        for dest in set(dests):
+            self.model["conflict"].sample(
+                "contended" if dests.count(dest) > 1 else "solo")
 
-    def sample_programming(self, is_write: bool) -> None:
-        if "programming" in self.model.groups:
-            self.model["programming"].sample("write" if is_write else "read")
+    def _on_prog_command(self, opc: int, add: int, wdata: int) -> None:
+        self.model["programming"].sample("write" if opc == T1_WRITE else "read")

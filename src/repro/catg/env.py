@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..bca.node import BcaNode
 from ..kernel import Module, Simulator
 from ..rtl.node import RtlNode
-from ..stbus import NodeConfig, StbusPort, T1_WRITE, Type1Port
+from ..stbus import NodeConfig, StbusPort, Type1Port
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..vcd import VcdWriter
 from .bfm import InitiatorBfm
@@ -186,66 +186,35 @@ class VerificationEnv:
         ports += [("targ", "target", t, port)
                   for t, port in enumerate(self.targ_ports)]
         for prefix, role, index, port in ports:
+            route = config.route if role == "initiator" else None
             monitor = PortMonitor(self.sim, f"mon_{prefix}{index}", port,
-                                  role, index, parent=self.top)
+                                  role, index, route=route, parent=self.top)
             self.monitors.append(monitor)
             self.checkers.append(
                 ProtocolChecker(self.sim, f"chk_{prefix}{index}", monitor,
                                 protocol, self.report, parent=self.top)
             )
 
-        if self.prog_port is not None:
-            self.t1_checker: Type1Checker = Type1Checker(
-                self.sim, "chk_prog", self.prog_port, self.report,
-                parent=self.top,
-            )
-        else:
-            self.t1_checker = None
+        self.t1_checker = (
+            Type1Checker(self.sim, "chk_prog", self.prog_port, self.report,
+                         parent=self.top)
+            if self.prog_port is not None else None
+        )
 
         self.scoreboard = Scoreboard(config, self.report)
         self.scoreboard.connect(self.monitors)
         self.coverage = NodeCoverageCollector(config)
-        self.coverage.connect(self.monitors)
+        self.coverage.connect(self.monitors, self.t1_checker)
+        n_init = config.n_initiators
         self.arb_checker = (
             ArbitrationChecker(
-                self.sim, "arb_chk", config, self.init_ports,
-                self.targ_ports, self.report, prog_port=self.prog_port,
-                parent=self.top,
+                self.sim, "arb_chk", config, self.monitors[:n_init],
+                self.monitors[n_init:], self.report,
+                prog_checker=self.t1_checker, parent=self.top,
             )
             if with_arbitration_checker else None
         )
-        # Probe hot path: the (req, add) signal pairs and the resolved
-        # address map never change after construction, so resolve them
-        # once here instead of re-walking ports (and re-materializing the
-        # default AddressMap through the property) every cycle.
-        self._probe_pairs = [(port.req, port.add) for port in self.init_ports]
-        self._probe_map = config.resolved_map
-        probe_reads = [sig for pair in self._probe_pairs for sig in pair]
-        if self.prog_port is not None:
-            probe_reads += [
-                self.prog_port.req, self.prog_port.ack, self.prog_port.opc,
-            ]
-        self.sim.add_clocked(
-            self._coverage_probe, name="tb.coverage_probe",
-            reads=probe_reads, writes=(),
-        )
         self._test: Optional[TestProgram] = None
-
-    # -- per-cycle coverage probe -------------------------------------------
-
-    def _coverage_probe(self) -> None:
-        decode = self._probe_map.decode
-        requesting: Dict[int, int] = {}
-        for req, add in self._probe_pairs:
-            if req._value:
-                target = decode(add._value)
-                if target is not None:
-                    requesting[target] = requesting.get(target, 0) + 1
-        self.coverage.sample_cycle(requesting)
-        if self.prog_port is not None and self.prog_port.fired:
-            self.coverage.sample_programming(
-                self.prog_port.opc.value == T1_WRITE
-            )
 
     # -- test loading and execution ---------------------------------------------
 

@@ -4,14 +4,16 @@ Fig. 2: each eVC has "monitors that collect traffic information".  A
 :class:`PortMonitor` watches one STBus port, reassembles request and
 response cells into observed packets, timestamps them, and broadcasts them
 to subscribers: the scoreboard and coverage model consume whole packets,
-and the port's protocol checker consumes the per-cycle handshake sample
-the monitor read, so each port's pins are sampled by one process.
+and the protocol checker, arbitration checker and conflict coverage
+consume the per-cycle :class:`PortSample`, so each port's pins are
+sampled by one process.  Given the node's ``route``, a monitor decodes
+each request's destination once, from its first cell, as the node does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from ..kernel import Module, Simulator
 from ..stbus import Cell, RespCell, StbusPort
@@ -27,6 +29,8 @@ class ObservedRequest:
     cells: List[Cell]
     start_cycle: int
     end_cycle: int
+    #: Where the packet is routed (None at a monitor without a route).
+    dest: Optional[int] = None
 
     @property
     def opc(self) -> int:
@@ -73,10 +77,24 @@ class ObservedResponse:
         return any(cell.is_error for cell in self.cells)
 
 
+class PortSample:
+    """One cycle at one port, rewritten in place by its monitor: the
+    handshake bits, the destination of the request on the pins (None
+    while ``req`` is low or without a route) and the request and
+    response cells transferred (None if none).  A subscriber reading
+    several ports keeps their samples, not their monitors, so a
+    finished run holds no reference cycle."""
+
+    __slots__ = ("req", "gnt", "r_req", "r_gnt", "dest", "cell", "r_cell")
+
+    def __init__(self) -> None:
+        self.req = self.gnt = self.r_req = self.r_gnt = 0
+        self.dest = self.cell = self.r_cell = None
+
+
 RequestCallback = Callable[[ObservedRequest], None]
 ResponseCallback = Callable[[ObservedResponse], None]
-#: ``callback(req, gnt, r_req, r_gnt)`` with the sampled handshake bits.
-SampleCallback = Callable[[int, int, int, int], None]
+SampleCallback = Callable[[PortSample], None]
 
 
 class PortMonitor(Module):
@@ -89,6 +107,7 @@ class PortMonitor(Module):
         port: StbusPort,
         role: str,
         index: int,
+        route: Optional[Callable[[int, int], int]] = None,
         parent: Optional[Module] = None,
     ):
         super().__init__(sim, name, parent)
@@ -97,6 +116,10 @@ class PortMonitor(Module):
         self.port = port
         self.role = role
         self.index = index
+        self.sample = PortSample()
+        self._route = route
+        self._dest_add: Optional[int] = None
+        self._dest: Optional[int] = None
         self._req_cells: List[Cell] = []
         self._req_start = 0
         self._resp_cells: List[RespCell] = []
@@ -115,36 +138,45 @@ class PortMonitor(Module):
         self._resp_subs.append(callback)
 
     def on_sample(self, callback: SampleCallback) -> None:
-        """Receive every cycle's handshake bits, after the packet callbacks."""
+        """Receive every cycle's sample, after the packet callbacks."""
         self._sample_subs.append(callback)
 
     def _clk(self) -> None:
         cycle = self.sim.now - 1  # the cycle whose values we sampled
         port = self.port
-        req = port.req._value
-        gnt = port.gnt._value
-        if req and gnt:
+        sample = self.sample
+        sample.req = req = port.req._value
+        sample.gnt = gnt = port.gnt._value
+        if req and not self._req_cells and self._route is not None \
+                and port.add._value != self._dest_add:
+            # A new head decodes once; an open packet keeps its first
+            # cell's destination.
+            self._dest_add = port.add._value
+            self._dest = self._route(self.index, self._dest_add)
+        sample.dest = self._dest if req else None
+        sample.cell = cell = port.request_cell() if req and gnt else None
+        if cell is not None:
             if not self._req_cells:
                 self._req_start = cycle
-            cell = port.request_cell()
             self._req_cells.append(cell)
             if cell.eop:
                 obs = ObservedRequest(
                     port.name, self.role, self.index,
-                    self._req_cells, self._req_start, cycle,
+                    self._req_cells, self._req_start, cycle, sample.dest,
                 )
                 self._req_cells = []
                 self.requests.append(obs)
                 for callback in self._req_subs:
                     callback(obs)
-        r_req = port.r_req._value
-        r_gnt = port.r_gnt._value
-        if r_req and r_gnt:
+        sample.r_req = r_req = port.r_req._value
+        sample.r_gnt = r_gnt = port.r_gnt._value
+        sample.r_cell = r_cell = \
+            port.response_cell() if r_req and r_gnt else None
+        if r_cell is not None:
             if not self._resp_cells:
                 self._resp_start = cycle
-            cell = port.response_cell()
-            self._resp_cells.append(cell)
-            if cell.r_eop:
+            self._resp_cells.append(r_cell)
+            if r_cell.r_eop:
                 obs = ObservedResponse(
                     port.name, self.role, self.index,
                     self._resp_cells, self._resp_start, cycle,
@@ -154,4 +186,21 @@ class PortMonitor(Module):
                 for callback in self._resp_subs:
                     callback(obs)
         for callback in self._sample_subs:
-            callback(req, gnt, r_req, r_gnt)
+            callback(sample)
+
+
+def on_every_sample(monitors: Sequence[PortMonitor],
+                    callback: Callable[[], None]) -> None:
+    """Call ``callback()`` once a cycle, after every one of ``monitors``
+    has published its sample."""
+    count = pending = len(monitors)
+
+    def sampled(_sample: PortSample) -> None:
+        nonlocal pending
+        pending -= 1
+        if not pending:
+            pending = count
+            callback()
+
+    for monitor in monitors:
+        monitor.on_sample(sampled)

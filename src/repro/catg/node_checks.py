@@ -5,11 +5,13 @@ developed."  For the node, the interesting DUT-specific behaviour is
 *arbitration*: which initiator the node grants, per policy, per cycle.
 
 :class:`ArbitrationChecker` rebuilds the grant function of the node
-specification purely from pin observations — reference arbiter instances
-(shared spec code from :mod:`repro.stbus.arbitration`), packet/chunk
-locks, pipe occupancy reconstructed from cells-in minus cells-out, the
-Type II ordering rule and the split-transaction credit — and compares the
-node's actual ``gnt`` pins against the prediction every cycle.
+specification purely from the port monitors' samples — reference arbiter
+instances (shared spec code from :mod:`repro.stbus.arbitration`),
+packet/chunk locks, pipe occupancy reconstructed from cells-in minus
+cells-out, the Type II ordering rule and the split-transaction credit —
+and compares the node's actual ``gnt`` pins against the prediction once
+every port has published its sample of the cycle.  It registers no
+process; programming-port writes come from the ``Type1Checker``.
 
 This is the mechanism that catches the seeded BCA bugs
 ``lru-recency-stuck``, ``chunk-lock-ignored`` and ``prog-update-stale``.
@@ -17,8 +19,7 @@ This is the mechanism that catches the seeded BCA bugs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..kernel import Module, Simulator
 from ..stbus import (
@@ -26,22 +27,14 @@ from ..stbus import (
     Architecture,
     ArbitrationPolicy,
     NodeConfig,
-    Opcode,
-    OpcodeError,
     ProtocolType,
-    StbusPort,
     T1_WRITE,
-    Type1Port,
     make_arbiter,
 )
 from ..stbus.arbitration import LatencyArbiter, ProgrammablePriorityArbiter
+from .checker import Type1Checker
+from .monitor import PortMonitor, on_every_sample
 from .report import VerificationReport
-
-
-@dataclass
-class _Flight:
-    target: int
-    tid: int
 
 
 class ArbitrationChecker(Module):
@@ -52,17 +45,16 @@ class ArbitrationChecker(Module):
         sim: Simulator,
         name: str,
         config: NodeConfig,
-        init_ports: Sequence[StbusPort],
-        targ_ports: Sequence[StbusPort],
+        init_monitors: Sequence[PortMonitor],
+        targ_monitors: Sequence[PortMonitor],
         report: VerificationReport,
-        prog_port: Optional[Type1Port] = None,
+        prog_checker: Optional[Type1Checker] = None,
         parent: Optional[Module] = None,
     ):
         super().__init__(sim, name, parent)
         self.config = config
-        self.init_ports = list(init_ports)
-        self.targ_ports = list(targ_ports)
-        self.prog_port = prog_port
+        self._init = [monitor.sample for monitor in init_monitors]
+        self._targ = [monitor.sample for monitor in targ_monitors]
         self.report = report
         self.shared = config.architecture is Architecture.SHARED_BUS
         n_domains = 1 if self.shared else config.n_targets
@@ -80,63 +72,47 @@ class ArbitrationChecker(Module):
         self._busy: List[Optional[int]] = [None] * n_domains
         self._chunk: List[Optional[int]] = [None] * n_domains
         self._occupancy: List[int] = [0] * n_domains
-        self._route: List[Optional[int]] = [None] * config.n_initiators
-        self._flights: List[List[_Flight]] = [
+        self._open: List[bool] = [False] * config.n_initiators
+        # Per initiator, (target, tid) of each packet awaiting a response.
+        self._flights: List[List[Tuple[int, int]]] = [
             [] for _ in range(config.n_initiators)
         ]
         self.checked_cycles = 0
-        observed = [
-            sig for port in self.init_ports + self.targ_ports
-            for sig in port.signals()
-        ]
-        if prog_port is not None:
-            observed += prog_port.signals()
-        self.clocked(self._clk, reads=observed, writes=())
+        on_every_sample([*init_monitors, *targ_monitors], self._check)
+        if prog_checker is not None:
+            # It runs after every monitor: a write reprograms the
+            # reference after this cycle's grant check.
+            prog_checker.on_command(self._on_prog_command)
 
     # -- shared spec helpers ----------------------------------------------------
 
     def _domain(self, target: int) -> int:
         return 0 if self.shared else target
 
-    def _destinations(self) -> List[Optional[int]]:
-        """Each initiator's requested target this cycle (None: no req)."""
-        dests: List[Optional[int]] = []
-        for i, port in enumerate(self.init_ports):
-            if not port.req._value:
-                dests.append(None)
-            elif self._route[i] is not None:
-                dests.append(self._route[i])
-            else:
-                dests.append(self.config.route(i, port.add._value))
-        return dests
-
     def _may_open(self, initiator: int, target: int) -> bool:
         flights = self._flights[initiator]
         if len(flights) >= self.config.max_outstanding:
             return False
         if self.config.protocol_type is ProtocolType.T2:
-            return all(flight.target == target for flight in flights)
+            return all(dest == target for dest, _ in flights)
         return True
 
     def _domain_fired(self, domain: int) -> bool:
         if self.shared:
-            return any(
-                port.req._value and port.gnt._value for port in self.targ_ports
-            )
-        port = self.targ_ports[domain]
-        return bool(port.req._value and port.gnt._value)
+            return any(sample.cell is not None for sample in self._targ)
+        return self._targ[domain].cell is not None
 
     # -- the reference grant function -----------------------------------------
 
-    def _expected_grants(self) -> List[int]:
+    def _expected_grants(self, dests: List[Optional[int]]) -> List[int]:
         grants = [0] * self.config.n_initiators
         # One pass over the initiators, bucketed by domain in ascending
         # index order; error-engine packets are granted outright.
         eligible: List[List[int]] = [[] for _ in self._arb]
-        for i, dest in enumerate(self._destinations()):
+        for i, dest in enumerate(dests):
             if dest is None:
                 continue
-            if self._route[i] is None and not self._may_open(i, dest):
+            if not self._open[i] and not self._may_open(i, dest):
                 continue
             if dest == ERROR_TARGET:
                 grants[i] = 1
@@ -162,11 +138,12 @@ class ArbitrationChecker(Module):
 
     # -- per-cycle: predict, compare, then update state ------------------------
 
-    def _clk(self) -> None:
+    def _check(self) -> None:
         cycle = self.sim.now - 1
-        expected = self._expected_grants()
-        for i, port in enumerate(self.init_ports):
-            actual = port.gnt._value
+        dests = [sample.dest for sample in self._init]
+        expected = self._expected_grants(dests)
+        for i, sample in enumerate(self._init):
+            actual = sample.gnt
             if actual != expected[i]:
                 kind = "unexpected grant to" if actual else "missing grant for"
                 self.report.error(
@@ -175,50 +152,47 @@ class ArbitrationChecker(Module):
                     f"(policy {self.config.arbitration.value})",
                 )
         self.checked_cycles += 1
-        self._update_state()
+        self._update_state(dests)
 
-    def _update_state(self) -> None:
+    def _update_state(self, dests: List[Optional[int]]) -> None:
         # Cells leaving toward targets free pipe slots.
-        for t, port in enumerate(self.targ_ports):
-            if port.req._value and port.gnt._value:
+        for t, sample in enumerate(self._targ):
+            if sample.cell is not None:
                 self._occupancy[self._domain(t)] -= 1
         # Granted request cells.
-        for i, port in enumerate(self.init_ports):
-            if not (port.req._value and port.gnt._value):
+        for i, sample in enumerate(self._init):
+            cell = sample.cell
+            if cell is None:
                 continue
-            if self._route[i] is None:
-                self._route[i] = self.config.route(i, port.add._value)
-            target = self._route[i]
-            eop = port.eop._value
-            if target != ERROR_TARGET:
-                domain = self._domain(target)
-                self._occupancy[domain] += 1
-                self._arb[domain].on_grant_cycle(i)
-                if eop:
-                    self._flights[i].append(_Flight(target, port.tid._value))
-                    self._route[i] = None
-                    self._busy[domain] = None
-                    self._chunk[domain] = i if port.lck._value else None
-                    self._arb[domain].on_packet_end(i)
-                else:
-                    self._busy[domain] = i
-            elif eop:
-                self._flights[i].append(_Flight(ERROR_TARGET, port.tid._value))
-                self._route[i] = None
+            target = dests[i]
+            self._open[i] = not cell.eop
+            if cell.eop:
+                self._flights[i].append((target, cell.tid))
+            if target == ERROR_TARGET:
+                continue
+            domain = self._domain(target)
+            self._occupancy[domain] += 1
+            self._arb[domain].on_grant_cycle(i)
+            if cell.eop:
+                self._busy[domain] = None
+                self._chunk[domain] = i if cell.lck else None
+                self._arb[domain].on_packet_end(i)
+            else:
+                self._busy[domain] = i
         # Responses retiring at initiator ports release credit.
-        for i, port in enumerate(self.init_ports):
-            if port.r_req._value and port.r_gnt._value and port.r_eop._value:
-                self._retire(i, port.r_tid._value)
-        # Per-cycle arbiter ageing (identical rule to the specification),
-        # against the routes the grants above just updated.
+        for i, sample in enumerate(self._init):
+            r_cell = sample.r_cell
+            if r_cell is not None and r_cell.r_eop:
+                self._retire(i, r_cell.r_tid)
+        # Per-cycle arbiter ageing (identical rule to the specification).
+        # A packet keeps its first cell's destination, so the grants
+        # above change no requester's domain.
         waiting: List[List[int]] = [[] for _ in self._arb]
-        for i, dest in enumerate(self._destinations()):
+        for i, dest in enumerate(dests):
             if dest is not None and dest != ERROR_TARGET:
                 waiting[self._domain(dest)].append(i)
         for arbiter, requesting in zip(self._arb, waiting):
             arbiter.tick(requesting)
-        # Programming-port writes reprogram the reference immediately.
-        self._watch_prog()
 
     def _retire(self, initiator: int, r_tid: int) -> None:
         flights = self._flights[initiator]
@@ -227,29 +201,23 @@ class ArbitrationChecker(Module):
         if self.config.protocol_type is ProtocolType.T2:
             flights.pop(0)
             return
-        for idx, flight in enumerate(flights):
-            if flight.tid == r_tid:
+        for idx, (_, tid) in enumerate(flights):
+            if tid == r_tid:
                 flights.pop(idx)
                 return
         flights.pop(0)
 
-    def _watch_prog(self) -> None:
-        port = self.prog_port
-        if port is None:
+    def _on_prog_command(self, opc: int, add: int, wdata: int) -> None:
+        if opc != T1_WRITE:
             return
-        if not (port.req._value and port.ack._value):
-            return
-        if port.opc._value != T1_WRITE:
-            return
-        idx = (port.add._value >> 2) % max(1, self.config.n_initiators)
+        idx = (add >> 2) % max(1, self.config.n_initiators)
         if idx >= self.config.n_initiators:
             return
-        value = port.wdata._value
         if self.config.arbitration is ArbitrationPolicy.PROGRAMMABLE_PRIORITY:
             for arbiter in self._arb:
                 assert isinstance(arbiter, ProgrammablePriorityArbiter)
-                arbiter.set_priority(idx, value)
+                arbiter.set_priority(idx, wdata)
         elif self.config.arbitration is ArbitrationPolicy.LATENCY_BASED:
             for arbiter in self._arb:
                 assert isinstance(arbiter, LatencyArbiter)
-                arbiter.set_budget(idx, max(1, value))
+                arbiter.set_budget(idx, max(1, wdata))

@@ -124,7 +124,7 @@ class Scoreboard:
 
     def _on_initiator_request(self, obs: ObservedRequest) -> None:
         initiator = obs.index
-        target = self.config.route(initiator, obs.address)
+        target = obs.dest
         try:
             opcode: Optional[Opcode] = Opcode.decode(obs.opc)
         except OpcodeError:

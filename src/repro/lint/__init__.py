@@ -24,10 +24,10 @@ from .graph import DesignGraph
 from ..analysis import rules as _rules, runner as _runner
 
 
-def lint_config(config, *, waivers=()):
+def lint_config(config, *, waivers=(), contexts=None):
     """The structural tier of :func:`repro.analysis.analyze_config`."""
     return _runner.analyze_config(config, rules=_rules.STRUCTURAL_RULES,
-                                  waivers=waivers)
+                                  waivers=waivers, contexts=contexts)
 
 
 __all__ = ["DesignGraph", "Finding", "Severity", "lint_config"]

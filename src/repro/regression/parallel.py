@@ -51,7 +51,6 @@ class RunJob:
     vcd_path: Optional[str]
     report_stem: Optional[str]
     bugs: FrozenSet[str]
-    with_arbitration_checker: bool
     #: Record per-run telemetry (spans, kernel counters, structured log
     #: records) and attach it to the returned RunResult.
     telemetry: bool = False
@@ -128,7 +127,6 @@ def execute_run_job(job: RunJob) -> RunResult:
             job.config, test, view=job.view,
             bugs=job.bugs if job.view == "bca" else (),
             vcd_path=job.vcd_path,
-            with_arbitration_checker=job.with_arbitration_checker,
         )
         if job.report_stem:
             write_run_reports(job.report_stem, result)
@@ -145,7 +143,6 @@ def execute_run_job(job: RunJob) -> RunResult:
         job.config, test, view=job.view,
         bugs=job.bugs if job.view == "bca" else (),
         vcd_path=job.vcd_path,
-        with_arbitration_checker=job.with_arbitration_checker,
         telemetry=recorder.telemetry,
         time_processes=job.time_processes,
     )

@@ -269,13 +269,11 @@ class ResilientBatchExecutor:
         spec: BatchSpec,
         *,
         triage_paths: Optional[Dict[EntryKey, str]] = None,
-        tracer=None,
         cache=None,
     ) -> None:
         self.jobs_by_key = jobs_by_key
         self.spec = spec
         self.telemetry = spec.telemetry.enabled
-        self.tracer = tracer
         #: Optional :class:`repro.cache.ResultCache`; when set, run
         #: tasks are satisfied from the store where possible and every
         #: fresh result is published back to it.
@@ -302,13 +300,6 @@ class ResilientBatchExecutor:
         self._compared = set()
 
     # -- shared bookkeeping -------------------------------------------------
-
-    def _span(self, name: str, **args):
-        if self.tracer is not None:
-            return self.tracer.span(name, **args)
-        import contextlib
-
-        return contextlib.nullcontext()
 
     def _job_for_attempt(self, task: _Task):
         attempt = len(task.failures)

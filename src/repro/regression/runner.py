@@ -315,24 +315,30 @@ class RegressionRunner:
         """The static gates, before any cycle is simulated: the
         checker's structural tier over both views of every configuration
         with the spec's waivers (:func:`repro.lint.lint_config`), then,
-        when the spec asks and that passed, its dataflow tier.
-        Front-ends call this before :meth:`run` and only render the
-        result."""
+        when the spec asks and no configuration failed that, its dataflow
+        tier.  Both tiers read one build of a configuration's views,
+        released before the next is built.  Front-ends call this before
+        :meth:`run` and only render the result."""
         from .. import lint
+        from ..analysis import DATAFLOW_RULES, analyze_config
+        from ..analysis.runner import release_contexts
 
         spec = self.spec
         result = GateResult()
-        if spec.lint:
-            result.lint = [lint.lint_config(config, waivers=spec.waivers)
-                           for config in self.configs]
-        if spec.analysis and not result.failed:
-            from ..analysis import DATAFLOW_RULES, analyze_config
-
-            result.analysis = [
-                analyze_config(config, rules=DATAFLOW_RULES,
-                               waivers=spec.waivers)
-                for config in self.configs
-            ]
+        analysis = []
+        for config in self.configs:
+            contexts = {} if spec.lint and spec.analysis else None
+            if spec.lint:
+                result.lint.append(lint.lint_config(
+                    config, waivers=spec.waivers, contexts=contexts))
+            if spec.analysis and not result.failed:
+                analysis.append(analyze_config(
+                    config, rules=DATAFLOW_RULES, waivers=spec.waivers,
+                    contexts=contexts))
+            if contexts:
+                release_contexts(contexts)
+        if not result.failed:
+            result.analysis = analysis
         return result
 
     # -- paths ---------------------------------------------------------------
@@ -393,7 +399,6 @@ class RegressionRunner:
             vcd_path=self._vcd_path(config, test_name, seed, view),
             report_stem=self._report_stem(config, test_name, seed, view),
             bugs=self.spec.bca_bugs,
-            with_arbitration_checker=True,
             telemetry=telemetry,
             time_processes=telemetry and self.spec.telemetry.time_processes,
             submitted_at=time.time() if telemetry else None,
@@ -440,7 +445,6 @@ class RegressionRunner:
             jobs_by_key,
             self.spec,
             triage_paths=self._triage_paths(),
-            tracer=batch,
             cache=self.cache,
         )
         return executor.execute()

@@ -52,8 +52,8 @@ class AddressMap:
         self.regions: Tuple[Region, ...] = tuple(ordered)
         # Decode memo: test programs revisit a small set of addresses
         # many thousands of times per run (hotspot/linear patterns), and
-        # both DUT views plus the coverage probe decode every cycle a
-        # request is up — a dict hit replaces the whole binary search.
+        # both DUT views decode every cycle a request is up — a dict hit
+        # replaces the whole binary search.
         self._decode_cache: Dict[int, Optional[int]] = {}
 
     def decode(self, address: int) -> Optional[int]:

@@ -353,6 +353,28 @@ def test_module_entry_point():
     assert "race-delta-overwrite" in proc.stdout
 
 
+def test_module_entry_point_survives_a_closed_pipe():
+    """``python -m repro.analysis --list-rules | head -1``: a reader that
+    closes stdout before the listing is written ends the run quietly."""
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.analysis", "--list-rules"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the child has imported anything
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE  # a shell shows 141
+    assert stderr == ""
+
+
 def test_info_notes_do_not_make_a_report_unclean():
     """``clean`` counts un-waived warnings and errors only, the same
     line the CLI exit gate draws: a skipped-cone INFO note stays

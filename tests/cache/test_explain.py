@@ -31,8 +31,7 @@ def _job(workdir):
                         protocol_type=ProtocolType.T3, name="cache_cfg")
     return RunJob(config=config, test_name="t01_sanity_write_read",
                   seed=1, view="rtl", vcd_path=stem + ".vcd",
-                  report_stem=stem, bugs=frozenset(),
-                  with_arbitration_checker=True)
+                  report_stem=stem, bugs=frozenset())
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +63,7 @@ def test_explain_by_path(stored, capsys):
     assert "seed: 1" in out
     assert "view: rtl" in out
     assert "bugs: (none)" in out
-    assert "with_arbitration_checker: True" in out
+    assert "with_arbitration_checker" not in out
 
 
 def test_explain_by_key_with_root(stored, capsys):
@@ -95,7 +94,7 @@ def test_explain_json(stored, capsys):
     assert inputs["seed"] == 1
     assert inputs["view"] == "rtl"
     assert inputs["bugs"] == []
-    assert inputs["with_arbitration_checker"] is True
+    assert "with_arbitration_checker" not in inputs
     assert "report" in payload["artifacts"]
 
 

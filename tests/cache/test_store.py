@@ -62,7 +62,6 @@ def _job(workdir=None, **overrides):
     fields = dict(
         config=_config(), test_name="t01_sanity_write_read", seed=1,
         view="rtl", vcd_path=None, report_stem=None, bugs=frozenset(),
-        with_arbitration_checker=True,
     )
     if workdir is not None:
         os.makedirs(str(workdir), exist_ok=True)
@@ -93,8 +92,6 @@ def test_key_is_stable_and_coordinate_sensitive():
         _job(test_name="t02_random_uniform"), design=DESIGN) != base
     assert cache_key(
         _job(config=_config(name="other")), design=DESIGN) != base
-    assert cache_key(
-        _job(with_arbitration_checker=False), design=DESIGN) != base
     assert cache_key(_job(), design="e" * 64) != base
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from repro.catg.coverage import (
     CoverGroup,
     CoverageModel,
+    NodeCoverageCollector,
     build_node_coverage,
 )
-from repro.stbus import NodeConfig, ProtocolType
+from repro.stbus import ERROR_TARGET, NodeConfig, ProtocolType
 
 
 def test_covergroup_basic():
@@ -114,3 +115,39 @@ def test_percent_bounds_property(bins, data):
         group.sample(data.draw(st.sampled_from(sorted(bins))))
     assert 0.0 <= group.percent <= 100.0
     assert group.n_covered + len(group.holes()) == group.n_bins
+
+
+def test_conflicts_count_routed_requests_on_a_partial_crossbar():
+    """Conflict coverage counts each request at the target it is routed
+    to.  On a partial crossbar a request on a blocked path goes to the
+    error engine, so it contends with no one at its decoded target."""
+    from repro.catg.monitor import PortMonitor
+    from repro.kernel import Module, Simulator
+    from repro.stbus import Architecture, StbusPort
+
+    config = NodeConfig(n_initiators=2, n_targets=2,
+                        architecture=Architecture.PARTIAL_CROSSBAR,
+                        connectivity=frozenset({(0, 0), (1, 0), (1, 1)}))
+    sim = Simulator()
+    top = Module(sim, "rig")
+    ports = [StbusPort(top, f"init{i}", 32) for i in range(2)]
+    monitors = [PortMonitor(sim, f"mon{i}", port, "initiator", i,
+                            route=config.route, parent=top)
+                for i, port in enumerate(ports)]
+    collector = NodeCoverageCollector(config)
+    collector.connect(monitors)
+    sim.elaborate()
+
+    def cycle(address):
+        for port in ports:
+            port.req.drive(1)
+            port.add.drive(address)
+        sim._settle()
+        sim.step()
+
+    target1 = config.resolved_map.region_of(1).base
+    assert config.route(0, target1) == ERROR_TARGET  # path 0->1 blocked
+    cycle(target1)
+    assert collector.model["conflict"].bins == {"solo": 1, "contended": 0}
+    cycle(config.resolved_map.region_of(0).base)
+    assert collector.model["conflict"].bins == {"solo": 1, "contended": 1}

@@ -256,3 +256,36 @@ def test_elaborated_signal_value_is_read_only():
     with pytest.raises(AttributeError):
         rig.port.req.value = 1
     assert rig.port.req.value == 0
+
+
+def test_initiator_monitor_decodes_each_packet_once():
+    """The destination is decoded once per packet, from its first cell,
+    and published with every cycle's sample and on the packet."""
+    sim = Simulator()
+    top = Module(sim, "rig")
+    port = StbusPort(top, "p0", 32)
+    calls = []
+
+    def route(initiator, address):
+        calls.append((initiator, address))
+        return address >> 12
+
+    monitor = PortMonitor(sim, "mon", port, "initiator", 3, route=route,
+                          parent=top)
+    dests = []
+    monitor.on_sample(lambda sample: dests.append(sample.dest))
+    sim.elaborate()
+    pins = [dict(req=0),
+            dict(req=1, gnt=0, add=0x1040, opc=OPC_LD8, be=0xF, eop=0),
+            dict(req=1, gnt=0),
+            dict(req=1, gnt=1),
+            dict(req=1, gnt=1, add=0x2044, eop=1),  # keeps the first cell's
+            dict(req=0, gnt=0, eop=0)]
+    for cycle in pins:
+        for name, value in cycle.items():
+            getattr(port, name).drive(value)
+        sim._settle()
+        sim.step()
+    assert calls == [(3, 0x1040)]
+    assert dests == [None, 1, 1, 1, 1, None]
+    assert [obs.dest for obs in monitor.requests] == [1]

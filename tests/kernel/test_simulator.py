@@ -36,6 +36,25 @@ def test_clocked_counter_advances_per_cycle():
     assert sim.now == 5
 
 
+@pytest.mark.parametrize("timed", [False, True], ids=["plain", "timed"])
+def test_clocked_processes_run_in_registration_order(timed):
+    """Each cycle runs the clocked processes in the order they were
+    registered.  The node environment relies on it: its programming-port
+    checker is registered after every port monitor, so the commands it
+    publishes reach the arbitration checker after that cycle's check."""
+    sim = Simulator()
+    if timed:
+        sim.enable_process_timing()
+    order = []
+    names = ["c", "a", "d", "b"]
+    for name in names:
+        sim.add_clocked(lambda name=name: order.append((sim.now, name)),
+                        name=name)
+    sim.elaborate()
+    sim.run(3)
+    assert order == [(cycle, name) for cycle in range(3) for name in names]
+
+
 def test_comb_settles_through_chain():
     # a -> b -> c combinational chain must settle within one cycle.
     sim = Simulator()

@@ -110,7 +110,6 @@ def test_run_job_is_picklable_and_executable():
         config=NodeConfig(n_initiators=1, n_targets=1, name="pickled"),
         test_name="t01_sanity_write_read", seed=1, view="rtl",
         vcd_path=None, report_stem=None, bugs=frozenset(),
-        with_arbitration_checker=True,
     )
     restored = pickle.loads(pickle.dumps(job))
     result = execute_run_job(restored)

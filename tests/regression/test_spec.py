@@ -184,3 +184,54 @@ def test_malformed_waivers_stop_both_front_ends_before_lint(
     with pytest.raises(BatchSpecError):
         CommonVerificationFlow(_config(), BatchSpec(
             workdir=str(tmp_path), lint_waivers=str(waivers)))
+
+
+@pytest.mark.parametrize("analysis", [False, True],
+                         ids=["structural", "both-tiers"])
+def test_gate_builds_each_testbench_once(monkeypatch, analysis):
+    """Both tiers read one build of each configuration's two views,
+    finished before the next configuration is built, and report exactly
+    what two separate passes report."""
+    import json
+    import os
+
+    from repro.analysis import DATAFLOW_RULES, analyze_config
+    from repro.catg.env import VerificationEnv
+    from repro.regression.configs import load_config_dir
+
+    configs = load_config_dir(os.path.join(
+        os.path.dirname(__file__), "..", "..", "benchmarks", "e2e",
+        "configs"))
+    assert len(configs) == 6
+    separate_lint = [repro.lint.lint_config(c).to_dict() for c in configs]
+    separate_analysis = [
+        analyze_config(c, rules=DATAFLOW_RULES).to_dict() for c in configs
+    ] if analysis else []
+
+    builds, lint_calls = [], []
+    build = VerificationEnv.__init__
+    lint_config = repro.lint.lint_config
+
+    def counting_build(self, config, *args, **kwargs):
+        assert all(sim._finished for name, sim in builds
+                   if name != config.name)
+        build(self, config, *args, **kwargs)
+        builds.append((config.name, self.sim))
+
+    def counting_lint(config, **kwargs):
+        lint_calls.append(config.name)
+        return lint_config(config, **kwargs)
+
+    monkeypatch.setattr(VerificationEnv, "__init__", counting_build)
+    monkeypatch.setattr(repro.lint, "lint_config", counting_lint)
+    gate = RegressionRunner(configs, BatchSpec(analysis=analysis)).gate()
+    names = [c.name for c in configs]
+    assert sorted(name for name, _ in builds) == sorted(names * 2)
+    assert lint_calls == names
+
+    def dump(reports):
+        return json.dumps([r.to_dict() for r in reports], sort_keys=True)
+
+    assert dump(gate.lint) == json.dumps(separate_lint, sort_keys=True)
+    assert dump(gate.analysis) == json.dumps(separate_analysis,
+                                             sort_keys=True)
