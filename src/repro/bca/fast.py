@@ -21,7 +21,7 @@ the speedup this buys for architecture exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..catg.bfm import RequestSequencer
 from ..catg.target import MemoryTarget
@@ -60,29 +60,9 @@ class FastResult:
             return 0.0
         return sum(t.latency for t in self.completed) / len(self.completed)
 
-    def latency_percentile(self, percentile: float) -> int:
-        """Latency at the given percentile (nearest-rank; 0 < p <= 100)."""
-        if not 0 < percentile <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        if not self.completed:
-            return 0
-        ordered = sorted(t.latency for t in self.completed)
-        rank = max(1, -(-len(ordered) * percentile // 100))  # ceil
-        return ordered[int(rank) - 1]
-
     def throughput(self) -> float:
         """Completed transactions per cycle."""
         return len(self.completed) / self.cycles if self.cycles else 0.0
-
-    def per_initiator_latency(self) -> Dict[int, float]:
-        """Mean latency per initiator (the QoS view of a policy sweep)."""
-        sums: Dict[int, List[int]] = {}
-        for txn in self.completed:
-            sums.setdefault(txn.initiator, []).append(txn.latency)
-        return {
-            initiator: sum(values) / len(values)
-            for initiator, values in sorted(sums.items())
-        }
 
 
 class FastBcaSim:

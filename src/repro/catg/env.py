@@ -75,7 +75,7 @@ class RunResult:
         """Entry status for the regression report:
         ``PASS``/``FAIL`` for completed runs, ``TIMEOUT`` when the
         simulation hit its cycle budget.  The resilience layer adds
-        ``ERROR``/``QUARANTINED`` via
+        ``ERROR`` (and a wall-clock ``TIMEOUT``) via
         :class:`~repro.regression.resilience.RunFailure`."""
         if self.timed_out:
             return "TIMEOUT"

@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "configs": ("configuration_matrix", "load_config_dir", "save_config_dir"),
     "testcases": ("TESTCASES", "build_test"),
-    "spec": ("BatchSpec", "BatchSpecError", "ResilienceConfig"),
+    "spec": ("BatchSpec", "BatchSpecError"),
     "runner": ("RegressionRunner", "GateResult", "RegressionReport",
                "ConfigReport", "TestEntry"),
     "flow": ("CommonVerificationFlow", "FlowState", "FlowEvent",

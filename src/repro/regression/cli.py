@@ -29,7 +29,7 @@ from ..telemetry import RunLogger, TelemetryConfig
 from .configs import load_config_dir
 from .parallel import default_jobs
 from .runner import RegressionRunner
-from .spec import BatchSpec, BatchSpecError, ResilienceConfig
+from .spec import BatchSpec, BatchSpecError
 from .testcases import TESTCASES
 
 
@@ -87,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "byte-identical to a run without this flag")
     resilience = parser.add_argument_group(
         "fault tolerance",
-        "Crash isolation is always on: a crashed/hung run becomes an "
+        "Crash isolation is always on: a crashed/hung job becomes an "
         "ERROR/TIMEOUT entry in the report instead of aborting the "
-        "batch.  These flags tune deadlines and retries; to resume an "
-        "interrupted batch, rerun it against the same --cache-dir.",
+        "batch, and is not retried.  To rerun the failed jobs, or to "
+        "resume an interrupted batch, rerun it against the same "
+        "--cache-dir.",
     )
     resilience.add_argument("--run-timeout", type=float, default=None,
                             metavar="SECONDS",
@@ -99,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "TIMEOUT; with --jobs 1 the batch then "
                                  "runs in one worker process (default: no "
                                  "deadline)")
-    resilience.add_argument("--max-retries", type=int, default=2,
-                            metavar="N",
-                            help="retries for a crashed/timed-out job "
-                                 "before it is quarantined (default: "
-                                 "%(default)s)")
-    resilience.add_argument("--retry-backoff", type=float, default=0.25,
-                            metavar="SECONDS",
-                            help="base delay before a retry; doubles per "
-                                 "attempt (default: %(default)s)")
     cluster = parser.add_argument_group(
         "result cache",
         "Serve repeated runs from a content-addressed result cache; "
@@ -152,9 +144,28 @@ _FLAGS = {
     "triage": "--triage",
     "lint_waivers": "--lint-waivers",
     "run_timeout": "--run-timeout",
-    "max_retries": "--max-retries",
-    "backoff": "--retry-backoff",
 }
+
+
+def _resume_hint(cache_dir: Optional[str]) -> str:
+    return (f"; rerun with --cache-dir {cache_dir} to resume"
+            if cache_dir else "")
+
+
+def _print_report(text: str) -> None:
+    """Write the summary to stdout, ending quietly when the reader closed
+    the pipe early (``| head``).  The CLI keeps Python's own SIGPIPE
+    handling rather than the default action: while workers are alive, a
+    send to a dead worker must raise ``OSError``, not kill the batch."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at /dev/null
+        # so that flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -182,11 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 log_out=args.log_json,
                 time_processes=args.time_processes,
             ),
-            resilience=ResilienceConfig(
-                run_timeout=args.run_timeout,
-                max_retries=args.max_retries,
-                backoff=args.retry_backoff,
-            ),
+            run_timeout=args.run_timeout,
             unr=args.unr,
             triage=args.triage,
             cache_dir=cache_dir,
@@ -221,16 +228,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report = runner.run()
     except KeyboardInterrupt:
-        hint = (
-            f"; rerun with --cache-dir {cache_dir} to resume"
-            if cache_dir else ""
-        )
-        print(f"interrupted: batch aborted{hint}", file=sys.stderr)
+        print(f"interrupted: batch aborted{_resume_hint(cache_dir)}",
+              file=sys.stderr)
         return 130
     finally:
         if previous_term is not None:
             signal.signal(signal.SIGTERM, previous_term)
-    print(report.render(), end="")
+    _print_report(report.render())
+    entries = [entry for config in report.configs
+               for entry in config.entries]
+    faulted = sum(entry.has_faults for entry in entries)
+    if faulted and cache_dir:
+        print(f"faulted: {faulted} of {len(entries)} entries failed to "
+              f"run{_resume_hint(cache_dir)}", file=sys.stderr)
     # Timing goes to stderr as a structured record so stdout (and the
     # summary artifact) stay byte-identical between serial and parallel
     # runs — and between instrumented and plain ones.

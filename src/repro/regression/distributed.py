@@ -34,30 +34,28 @@ last one, and ownership stays exact:
 * ``run_timeout`` applies to the oldest lease, timed from when it
   became the oldest;
 * every path that ends a worker — end-of-file, a reply that does not
-  unpickle or names another job, run timeout, send failure — charges
-  one attempt to the oldest lease only and requeues the queued one at
-  no cost.
+  unpickle or names another job, run timeout, send failure — records a
+  failure for the oldest lease only and requeues the queued one at no
+  cost.
 
 A worker that dies closes its end of the pipe, so the coordinator sees
 end-of-file at once; a hung job is caught by ``run_timeout``.
 
-Charged jobs go through the retry/backoff/quarantine policy of
+A charged job fails once, as on the inline path of
 :class:`~repro.regression.resilience.ResilientBatchExecutor`, of which
 this class is a subclass: every completion, failure, cache store and
 compare/triage hand-off goes through the same bookkeeping as the inline
 path.  That is the whole byte-identity argument — the workers only
 change *where* a job runs, never what a completed batch contains.
 
-A dead worker is replaced.  Deaths charged to a lease are bounded by the
-retry policy; deaths with no lease count against a budget of
-``2 × jobs``.  Once that budget is spent and no worker is alive, the
-remaining jobs are recorded as ``WorkerLost`` failures, so the report
-stays complete.
+A dead worker is replaced.  A death charged to a lease fails that one
+job; deaths with no lease count against a budget of ``2 × jobs``.  Once
+that budget is spent and no worker is alive, the remaining jobs are
+recorded as ``WorkerLost`` failures, so the report stays complete.
 """
 
 from __future__ import annotations
 
-import heapq
 import signal
 import time
 from collections import deque
@@ -72,7 +70,7 @@ if TYPE_CHECKING:
 QUEUE_DEPTH = 2
 
 #: Longest the scheduling loop waits for a reply before re-checking
-#: deadlines and backoff.
+#: deadlines.
 _TICK = 0.05
 
 #: Grace a finished worker gets to exit on its own before it is killed.
@@ -142,7 +140,7 @@ def _child_main(conn: Connection, inherited: List[Connection]) -> None:
 class DistributedBatchExecutor(ResilientBatchExecutor):
     """Run a regression batch on ``jobs`` leased worker processes.
 
-    Everything the base class owns — results, retry budget,
+    Everything the base class owns — results, fault accounting,
     compare/triage scheduling, the result cache — stays with the
     coordinator; workers are stateless executors.  ``jobs == 1`` without
     a ``run_timeout`` runs inline through the base class.
@@ -152,13 +150,11 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         super().__init__(jobs_by_key, spec, **kwargs)
         self._workers: List[_Worker] = []
         self._job_seq = 0
-        self._task_seq = 0
         #: Workers that died holding no lease; bounded by 2 × jobs.
         self._unleased_deaths = 0
 
     def execute(self):
-        if (self.spec.jobs == 1
-                and self.spec.resilience.run_timeout is None):
+        if self.spec.jobs == 1 and self.spec.run_timeout is None:
             return super().execute()
         try:
             self._execute_leased()
@@ -240,27 +236,23 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
 
         ready: Deque[_Task] = deque(
             _Task("run", key, job) for key, job in self.jobs_by_key.items())
-        backoff: list = []
         while True:
             now = time.monotonic()
-            self._enforce_deadlines(ready, backoff, now)
-            while backoff and backoff[0][0] <= now:
-                ready.append(heapq.heappop(backoff)[2])
+            self._enforce_deadlines(ready, now)
             leased = sum(len(worker.leases) for worker in self._alive())
-            pending = len(ready) + len(backoff) + leased
+            pending = len(ready) + leased
             if not pending:
                 return
             self._ensure_capacity(pending)
             if not self._alive():
-                self._abandon(ready, backoff)
+                self._abandon(ready)
                 return
-            self._dispatch(ready, backoff, now)
+            self._dispatch(ready, now)
             by_conn = {worker.conn: worker for worker in self._alive()}
             for conn in wait(list(by_conn), timeout=_TICK):
-                self._receive(by_conn[conn], ready, backoff)
+                self._receive(by_conn[conn], ready)
 
-    def _dispatch(self, ready: Deque[_Task], backoff: list,
-                  now: float) -> None:
+    def _dispatch(self, ready: Deque[_Task], now: float) -> None:
         """Hand ready tasks to the least-loaded workers with a free
         lease slot (cache hits complete without one)."""
         while ready:
@@ -272,22 +264,20 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             if self._satisfy_from_cache(task, ready):
                 continue
             worker = min(free, key=lambda w: len(w.leases))
-            job = self._job_for_attempt(task)
             self._job_seq += 1
             lease = _Lease(self._job_seq, task)
             try:
-                worker.conn.send((lease.job_id, task.kind, job))
+                worker.conn.send((lease.job_id, task.kind, task.job))
             except OSError:
                 # Never reached the worker: free requeue.
                 ready.appendleft(task)
-                self._end_worker(worker, "send-failed", ready, backoff, now)
+                self._end_worker(worker, "send-failed", ready)
                 continue
             if not worker.leases:
                 lease.started = now
             worker.leases.append(lease)
 
-    def _receive(self, worker: _Worker, ready: Deque[_Task],
-                 backoff: list) -> None:
+    def _receive(self, worker: _Worker, ready: Deque[_Task]) -> None:
         """Take one reply from ``worker``: it must unpickle to
         ``(job_id, (status, payload))`` naming the worker's oldest
         lease, or the worker is dropped rather than half-trusted."""
@@ -303,20 +293,15 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                                or worker.leases[0].job_id != job_id):
             reason = "protocol-error"
         if reason is not None:
-            self._end_worker(worker, reason, ready, backoff, now)
+            self._end_worker(worker, reason, ready)
             return
         lease = worker.leases.popleft()
         if worker.leases:
             worker.leases[0].started = now
-        self._handle_outcome(lease.task, status, payload, ready, backoff,
-                             now)
+        self._handle_outcome(lease.task, status, payload, ready)
 
-    def _push_backoff(self, backoff, due: float, task: _Task) -> None:
-        self._task_seq += 1
-        heapq.heappush(backoff, (due, self._task_seq, task))
-
-    def _handle_outcome(self, task: _Task, status: str, payload, ready,
-                        backoff, now: float) -> None:
+    def _handle_outcome(self, task: _Task, status: str, payload,
+                        ready: Deque[_Task]) -> None:
         if status == "ok":
             self._complete(task, payload)
             if task.kind == "run":
@@ -328,14 +313,11 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 if triage is not None:
                     ready.append(triage)
             return
-        delay = self._register_failure(task, payload)
-        if delay is not None:
-            self._push_backoff(backoff, now + delay, task)
+        self._register_failure(task, payload)
 
-    def _end_worker(self, worker: _Worker, reason: str,
-                    ready: Deque[_Task], backoff: list, now: float,
+    def _end_worker(self, worker: _Worker, reason: str, ready: Deque[_Task],
                     failure: Optional[RunFailure] = None) -> None:
-        """Kill ``worker``; charge its oldest lease (``failure``, or a
+        """Kill ``worker``; fail its oldest lease (``failure``, or a
         ``WorkerLost``), requeue the queued ones at no cost."""
         leases = list(worker.leases)
         worker.leases.clear()
@@ -349,20 +331,17 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 oldest, "WorkerLost",
                 f"worker {worker.ident} was lost ({reason}) while "
                 "executing this job")
-        delay = self._register_failure(oldest, failure)
-        if delay is not None:
-            self._push_backoff(backoff, now + delay, oldest)
+        self._register_failure(oldest, failure)
         for lease in reversed(leases[1:]):
             ready.appendleft(lease.task)
             self.faults.note("lease.requeued", worker=worker.ident,
                              **lease.task.names)
 
-    def _abandon(self, ready: Deque[_Task], backoff: list) -> None:
+    def _abandon(self, ready: Deque[_Task]) -> None:
         """No worker is alive and none may be spawned: record every
-        remaining job as a terminal ``WorkerLost`` failure."""
-        leftovers = list(ready) + [task for _, _, task in sorted(backoff)]
+        remaining job as a ``WorkerLost`` failure."""
+        leftovers = list(ready)
         ready.clear()
-        backoff.clear()
         self.faults.note("workers.exhausted",
                          unleased_deaths=self._unleased_deaths,
                          abandoned=len(leftovers))
@@ -371,17 +350,16 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 task, "WorkerLost",
                 f"no worker left to run this job: {self._unleased_deaths} "
                 f"worker(s) died without a lease (budget "
-                f"{2 * self.spec.jobs})"), retry=False)
+                f"{2 * self.spec.jobs})"))
 
     # -- the watchdog ---------------------------------------------------------
 
-    def _enforce_deadlines(self, ready: Deque[_Task], backoff: list,
-                           now: float) -> None:
+    def _enforce_deadlines(self, ready: Deque[_Task], now: float) -> None:
         """End every worker whose oldest lease overran ``run_timeout``."""
-        timeout = self.spec.resilience.run_timeout
+        timeout = self.spec.run_timeout
         if timeout is None:
             return
         for worker in self._alive():
             if worker.leases and now - worker.leases[0].started > timeout:
-                self._end_worker(worker, "run-timeout", ready, backoff, now,
+                self._end_worker(worker, "run-timeout", ready,
                                  self._timeout_failure(worker.leases[0].task))

@@ -58,9 +58,6 @@ class RunJob:
     time_processes: bool = False
     #: Wall-clock (epoch) submission time; queue wait = start - submit.
     submitted_at: Optional[float] = None
-    #: Which execution attempt this is (0 = first try); the resilience
-    #: layer bumps it on retries and the chaos hooks key off it.
-    attempt: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class CompareJob:
     seed: int
     telemetry: bool = False
     submitted_at: Optional[float] = None
-    attempt: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,6 @@ class TriageJob:
     reason: str
     telemetry: bool = False
     submitted_at: Optional[float] = None
-    attempt: int = 0
 
 
 def write_run_reports(stem: str, result: RunResult) -> None:

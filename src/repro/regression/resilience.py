@@ -5,7 +5,7 @@ many configurations and seeds must *finish with a usable report* even
 when individual runs misbehave.  This module owns the batch's
 bookkeeping and its inline (``jobs=1``) path; the leased worker
 processes that run every other batch live in
-:mod:`repro.regression.distributed` and reuse all of it.  Four layers
+:mod:`repro.regression.distributed` and reuse all of it.  Three layers
 of protection:
 
 1. **Run-level crash isolation** — every run/compare job executes under
@@ -17,15 +17,17 @@ of protection:
    per job; the existing ``max_cycles`` budget only bounds *simulated*
    cycles, not a worker stuck in native code.  A timed-out worker is
    killed and replaced; only its current job is charged.
-3. **Bounded retry with backoff + quarantine** — crashed and timed-out
-   jobs are retried up to ``max_retries`` times with exponential
-   backoff; jobs that fail repeatedly are quarantined (excluded from the
-   batch, listed in the report with their failure history).
-4. **Resume from the result cache** — with a cache configured, every
+3. **Resume from the result cache** — with a cache configured, every
    run is published to it the moment it completes, so an interrupted
    batch (Ctrl-C, OOM, machine crash) resumes by rerunning the same
    command against the same ``--cache-dir``: finished runs are verified
    hits, only the remainder simulates.
+
+A failed job fails once.  A job is a pure function of its coordinates
+(config, test, seed, view, bugs), so running it again in the same batch
+would fail the same way; it is recorded as ``ERROR`` or ``TIMEOUT`` and
+the batch moves on.  Failed runs are never stored, so a rerun against
+the same cache executes exactly the jobs that failed.
 
 The invariant throughout: a fault-free batch produces byte-identical
 report artifacts for any ``jobs=N``, inline or on workers, interrupted
@@ -38,7 +40,7 @@ import dataclasses
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import chaos
 from .parallel import (
@@ -51,13 +53,7 @@ from .parallel import (
     execute_run_job,
     execute_triage_job,
 )
-from .spec import BatchSpec, ResilienceConfig  # noqa: F401 (re-export)
-
-#: Ceiling on a single retry backoff delay.
-_MAX_BACKOFF = 30.0
-
-#: Entry statuses a regression report can now carry.
-STATUSES = ("PASS", "FAIL", "ERROR", "TIMEOUT", "QUARANTINED")
+from .spec import BatchSpec
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +79,6 @@ class RunFailure:
     exc_type: str
     message: str
     traceback_text: str = ""
-    attempt: int = 0
-    quarantined: bool = False
-    #: One line per failed attempt, oldest first (set on the terminal
-    #: failure so the report can show the whole history).
-    history: Tuple[str, ...] = ()
 
     # RunResult-compatible surface for the report assembly path.
     @property
@@ -100,15 +91,15 @@ class RunFailure:
 
     @property
     def status(self) -> str:
-        return "QUARANTINED" if self.quarantined else self.kind
+        return self.kind
 
     def describe(self) -> str:
         return f"{self.kind} {self.exc_type}: {self.message}"
 
     @classmethod
     def from_exception(cls, *, config_name: str, test_name: str, seed: int,
-                       view: str, stage: str, exc: BaseException,
-                       attempt: int) -> "RunFailure":
+                       view: str, stage: str,
+                       exc: BaseException) -> "RunFailure":
         return cls(
             config_name=config_name, test_name=test_name, seed=seed,
             view=view, stage=stage, kind="ERROR",
@@ -116,7 +107,6 @@ class RunFailure:
             traceback_text="".join(
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             ),
-            attempt=attempt,
         )
 
 
@@ -125,14 +115,11 @@ def guarded_execute_run(job: RunJob):
     ``("ok", RunResult)`` or ``("fail", RunFailure)``."""
     try:
         chaos.inject_before_run(job)
-        result = execute_run_job(job)
-        chaos.inject_after_run(job)
-        return ("ok", result)
+        return ("ok", execute_run_job(job))
     except Exception as exc:
         return ("fail", RunFailure.from_exception(
             config_name=job.config.name, test_name=job.test_name,
             seed=job.seed, view=job.view, stage="run", exc=exc,
-            attempt=job.attempt,
         ))
 
 
@@ -145,7 +132,6 @@ def guarded_execute_compare(job: CompareJob):
         return ("fail", RunFailure.from_exception(
             config_name=job.config_name, test_name=job.test_name,
             seed=job.seed, view="compare", stage="compare", exc=exc,
-            attempt=job.attempt,
         ))
 
 
@@ -158,7 +144,6 @@ def guarded_execute_triage(job: TriageJob):
         return ("fail", RunFailure.from_exception(
             config_name=job.config.name, test_name=job.test_name,
             seed=job.seed, view="triage", stage="triage", exc=exc,
-            attempt=job.attempt,
         ))
 
 
@@ -179,12 +164,10 @@ GUARDS = {
 class BatchFaults:
     """What went wrong (and was absorbed) during one batch."""
 
-    retries: int = 0
     crashes: int = 0
     timeouts: int = 0
     compare_failures: int = 0
     triage_failures: int = 0
-    quarantined: List[RunFailure] = field(default_factory=list)
     # Worker accounting (all zero for inline batches).
     worker_deaths: int = 0
     worker_respawns: int = 0
@@ -199,12 +182,10 @@ class BatchFaults:
 
     def counters(self) -> Dict[str, object]:
         return {
-            "retries": self.retries,
             "crashes": self.crashes,
             "timeouts": self.timeouts,
             "compare_failures": self.compare_failures,
             "triage_failures": self.triage_failures,
-            "quarantined": len(self.quarantined),
             "worker_deaths": self.worker_deaths,
             "worker_respawns": self.worker_respawns,
         }
@@ -230,15 +211,14 @@ def run_artifact_paths(job: RunJob) -> Dict[str, str]:
 
 
 class _Task:
-    """One schedulable unit (a run or a comparison) plus its history."""
+    """One schedulable unit: a run, a comparison or a triage."""
 
-    __slots__ = ("kind", "key", "job", "failures")
+    __slots__ = ("kind", "key", "job")
 
     def __init__(self, kind: str, key: tuple, job) -> None:
         self.kind = kind          # "run" | "compare" | "triage"
         self.key = key            # RunKey | EntryKey
         self.job = job
-        self.failures: List[RunFailure] = []
 
     @property
     def names(self) -> Dict[str, object]:
@@ -255,8 +235,8 @@ class _Task:
 
 
 class ResilientBatchExecutor:
-    """Schedules a batch's run/compare jobs with crash isolation,
-    retry/quarantine and the result cache, executing them inline.
+    """Schedules a batch's run/compare jobs with crash isolation and
+    the result cache, executing them inline.
 
     The results feed one deterministic assembly path, so fault-free
     output is byte-identical to the leased-worker subclass at any
@@ -301,22 +281,8 @@ class ResilientBatchExecutor:
 
     # -- shared bookkeeping -------------------------------------------------
 
-    def _job_for_attempt(self, task: _Task):
-        attempt = len(task.failures)
-        changes: Dict[str, object] = {}
-        if task.job.attempt != attempt:
-            changes["attempt"] = attempt
-        if self.telemetry and attempt:
-            changes["submitted_at"] = time.time()
-        if changes:
-            task.job = dataclasses.replace(task.job, **changes)
-        return task.job
-
-    def _register_failure(self, task: _Task, failure: RunFailure,
-                          retry: bool = True) -> Optional[float]:
-        """Record one failed attempt.  Returns the backoff delay before
-        the retry, or ``None`` when the job is terminal (quarantined,
-        out of budget, or ``retry`` is false)."""
+    def _register_failure(self, task: _Task, failure: RunFailure) -> None:
+        """Record ``task``'s one failure: it is terminal."""
         if failure.stage == "compare":
             self.faults.compare_failures += 1
         elif failure.stage == "triage":
@@ -325,39 +291,14 @@ class ResilientBatchExecutor:
             self.faults.timeouts += 1
         else:
             self.faults.crashes += 1
-        task.failures.append(failure)
-        n_failed = len(task.failures)
-        if retry and n_failed <= self.spec.resilience.max_retries:
-            self.faults.retries += 1
-            delay = min(_MAX_BACKOFF,
-                        self.spec.resilience.backoff * (2 ** (n_failed - 1)))
-            self.faults.note("job.retry", **task.names,
-                             attempt=failure.attempt, kind=failure.kind,
-                             error=failure.describe(),
-                             backoff_seconds=round(delay, 3))
-            return delay
-        history = tuple(
-            f"attempt {f.attempt}: {f.describe()}" for f in task.failures
-        )
-        terminal = dataclasses.replace(
-            task.failures[-1],
-            quarantined=n_failed > 1,
-            history=history,
-        )
         if task.kind == "run":
-            self.results[task.key] = terminal
+            self.results[task.key] = failure
         elif task.kind == "compare":
-            self.compare_failures[task.key] = terminal
-        # triage is best-effort: the entry already failed, so a terminal
-        # triage failure only lives in the fault accounting above.
-        if terminal.quarantined:
-            self.faults.quarantined.append(terminal)
-            self.faults.note("job.quarantined", **task.names,
-                             attempts=n_failed, error=terminal.describe())
-        else:
-            self.faults.note("job.failed", **task.names,
-                             kind=terminal.kind, error=terminal.describe())
-        return None
+            self.compare_failures[task.key] = failure
+        # triage is best-effort: the entry already failed, so a failed
+        # triage only lives in the fault accounting above.
+        self.faults.note("job.failed", **task.names, kind=failure.kind,
+                         error=failure.describe())
 
     def _satisfy_from_cache(self, task: _Task, ready) -> bool:
         """Try to complete a run task from the result cache.
@@ -365,8 +306,8 @@ class ResilientBatchExecutor:
         On a verified hit the artifacts are materialized, the result is
         completed exactly as an executed run would be, and (when
         ``ready`` is a queue) the entry's comparison is scheduled.
-        A miss — including a quarantined corrupt entry — returns False
-        and the task executes normally.
+        A miss — including a corrupt entry the cache quarantined —
+        returns False and the task executes normally.
         """
         if self.cache is None or task.kind != "run":
             return False
@@ -385,9 +326,8 @@ class ResilientBatchExecutor:
         if task.kind == "run":
             self.results[task.key] = payload
             if self.cache is not None and not from_cache:
-                entry_path = self.cache.store(
+                self.cache.store(
                     task.job, payload, run_artifact_paths(task.job))
-                chaos.inject_after_cache_store(task.job, entry_path)
         elif task.kind == "triage":
             report, tele = payload
             self.triages[task.key] = report
@@ -398,9 +338,6 @@ class ResilientBatchExecutor:
             self.alignments[task.key] = report
             if tele is not None:
                 self.compare_telemetry[task.key] = tele
-        if task.failures:
-            self.faults.note("job.recovered", **task.names,
-                             attempts=len(task.failures) + 1)
 
     def _compare_task(self, entry_key: EntryKey) -> Optional[_Task]:
         """A compare task for ``entry_key`` if it is due: comparison
@@ -472,11 +409,10 @@ class ResilientBatchExecutor:
             seed=int(names["seed"]), view=str(names["view"]),
             stage=task.kind,
             kind="ERROR", exc_type=exc_type, message=message,
-            attempt=task.job.attempt,
         )
 
     def _timeout_failure(self, task: _Task) -> RunFailure:
-        deadline = self.spec.resilience.run_timeout
+        deadline = self.spec.run_timeout
         return dataclasses.replace(
             self._worker_failure(
                 task, "WatchdogTimeout",
@@ -510,13 +446,8 @@ class ResilientBatchExecutor:
     def _run_task_inline(self, task: _Task) -> None:
         if self._satisfy_from_cache(task, None):
             return
-        fn = GUARDS[task.kind]
-        while True:
-            status, payload = fn(self._job_for_attempt(task))
-            if status == "ok":
-                self._complete(task, payload)
-                return
-            delay = self._register_failure(task, payload)
-            if delay is None:
-                return
-            time.sleep(delay)
+        status, payload = GUARDS[task.kind](task.job)
+        if status == "ok":
+            self._complete(task, payload)
+        else:
+            self._register_failure(task, payload)

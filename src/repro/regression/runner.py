@@ -33,17 +33,14 @@ from .distributed import DistributedBatchExecutor
 from .resilience import RunFailure
 from .spec import BatchSpec
 
-#: Failure-status precedence when an entry carries more than one fault.
-_FAULT_PRIORITY = ("QUARANTINED", "TIMEOUT", "ERROR")
-
 
 @dataclass
 class TestEntry:
     """One (config, test, seed): both view runs plus the comparison.
 
     ``rtl``/``bca`` are normally :class:`~repro.catg.env.RunResult`; when
-    the resilience layer absorbed an infrastructure fault (worker crash,
-    watchdog timeout, quarantine) the affected view holds a
+    the resilience layer absorbed an infrastructure fault (job crash,
+    worker death, watchdog timeout) the affected view holds a
     :class:`~repro.regression.resilience.RunFailure` instead, and a
     comparison that itself failed is recorded in ``compare_failure``.
     """
@@ -84,14 +81,12 @@ class TestEntry:
     @property
     def status(self) -> str:
         """``PASS``/``FAIL`` for fault-free entries (checker verdict),
-        else the most severe fault status."""
+        else the most severe fault status (``TIMEOUT`` over ``ERROR``)."""
         faults = self.failures
         if not faults:
             return "PASS" if self.both_passed else "FAIL"
-        statuses = {failure.status for failure in faults}
-        for status in _FAULT_PRIORITY:
-            if status in statuses:
-                return status
+        if any(failure.timed_out for failure in faults):
+            return "TIMEOUT"
         return "ERROR"
 
     @cached_property
@@ -178,14 +173,6 @@ class ConfigReport:
     def has_faults(self) -> bool:
         return any(entry.has_faults for entry in self.entries)
 
-    def quarantined_failures(self) -> List["RunFailure"]:
-        return [
-            failure
-            for entry in self.entries
-            for failure in entry.failures
-            if failure.quarantined
-        ]
-
     @property
     def signed_off(self) -> bool:
         """The flow's BCA sign-off: everything green, coverage full, every
@@ -215,16 +202,6 @@ class ConfigReport:
         lines.append(f"  min port alignment: {self.min_alignment * 100:.2f}%")
         for entry in self.entries:
             lines.append("  " + entry.summary())
-        quarantined = self.quarantined_failures()
-        if quarantined:
-            lines.append(f"  quarantined: {len(quarantined)} job(s)")
-            for failure in quarantined:
-                lines.append(
-                    f"    {failure.config_name} {failure.test_name} "
-                    f"seed={failure.seed} view={failure.view}"
-                )
-                for item in failure.history:
-                    lines.append(f"      {item}")
         triaged = [entry for entry in self.entries
                    if entry.triage is not None]
         if triaged:

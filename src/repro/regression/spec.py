@@ -32,36 +32,6 @@ class BatchSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Fault-tolerance knobs for one regression batch.
-
-    The default policy is always active: a crashed run yields an
-    ``ERROR`` entry instead of aborting the batch, and a fault-free batch
-    stays byte-identical to an unguarded one.
-    """
-
-    #: Coordinator-side wall-clock deadline per run/compare job
-    #: (seconds); ``None`` disables the watchdog.  Under ``jobs=1`` a
-    #: deadline moves execution into one kill-able worker process.
-    run_timeout: Optional[float] = None
-    #: Retries after the first failed attempt (total attempts = N + 1).
-    max_retries: int = 2
-    #: Base backoff delay; attempt *k* waits ``backoff * 2**(k-1)``.
-    backoff: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.run_timeout is not None and self.run_timeout <= 0:
-            raise BatchSpecError(
-                "run_timeout", f"must be > 0, got {self.run_timeout:g}")
-        if self.max_retries < 0:
-            raise BatchSpecError(
-                "max_retries", f"must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise BatchSpecError(
-                "backoff", f"must be >= 0, got {self.backoff:g}")
-
-
-@dataclass(frozen=True)
 class BatchSpec:
     """Everything one regression batch is asked to do.
 
@@ -93,8 +63,11 @@ class BatchSpec:
     #: Side-channel observability files (metrics, trace, log).  Report
     #: artifacts are byte-identical with or without them.
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: Per-run deadline, retry budget and backoff.
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    #: Wall-clock deadline per run/compare/triage job (seconds); a job
+    #: past it is killed and recorded as ``TIMEOUT``.  ``None`` disables
+    #: the watchdog.  Under ``jobs=1`` a deadline moves execution into
+    #: one kill-able worker process.
+    run_timeout: Optional[float] = None
     #: Append the static coverage-unreachability verdicts to each
     #: per-config report.  Off, every artifact is byte-identical to a
     #: batch without the feature.
@@ -134,6 +107,9 @@ class BatchSpec:
             raise KeyError(f"unknown test cases: {unknown}")
         if self.jobs < 1:
             raise BatchSpecError("jobs", f"must be >= 1, got {self.jobs}")
+        if self.run_timeout is not None and self.run_timeout <= 0:
+            raise BatchSpecError(
+                "run_timeout", f"must be > 0, got {self.run_timeout:g}")
         normalized = {
             "tests": tests,
             "seeds": tuple(self.seeds),

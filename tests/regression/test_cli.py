@@ -180,3 +180,52 @@ def test_regression_cli_rejects_negative_jobs(tmp_path, capsys):
     code = regression_main([str(tmp_path / "cfgs"), "--jobs", "-1"])
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def _closed_stdout_run(args):
+    """Run ``python -m <args>`` with its stdout pipe closed before the
+    child writes anything; return (exit status, stderr text)."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    env.pop("REPRO_CHAOS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m"] + args,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the child has imported anything
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), stderr
+
+
+def test_analyzer_cli_survives_a_closed_pipe(vcd_pair):
+    """``python -m repro.analyzer A B | head -0`` ends quietly, killed
+    by SIGPIPE like any other filter (a shell shows 141)."""
+    import signal
+
+    code, stderr = _closed_stdout_run(
+        ["repro.analyzer", vcd_pair["rtl"], vcd_pair["bca"]])
+    assert "Traceback" not in stderr
+    assert stderr == ""
+    assert code == -signal.SIGPIPE
+
+
+def test_regression_cli_survives_a_closed_pipe(tmp_path):
+    """``python -m repro.regression ... | head -0`` ends quietly: the
+    batch runs on two workers, whose deaths must still raise in the
+    coordinator rather than kill it, and the summary write to the closed
+    pipe ends the output without a traceback."""
+    cfg = NodeConfig(n_initiators=2, n_targets=2, name="clipipe")
+    save_config_dir([cfg], str(tmp_path / "cfgs"))
+    code, stderr = _closed_stdout_run([
+        "repro.regression", str(tmp_path / "cfgs"),
+        "--tests", "t01_sanity_write_read", "--seeds", "1", "--jobs", "2",
+    ])
+    assert "Traceback" not in stderr
+    assert '"batch.complete"' in stderr
+    assert code == 1  # one test alone never reaches full coverage

@@ -2,9 +2,10 @@
 
 The coordinator's contract: a batch run on ``jobs`` forked worker
 processes produces artifacts **byte-identical** to a serial batch, at
-any worker count, under any worker-death schedule, and a worker's death
-is charged to the one job it was running, never to the job it had
-queued.
+any worker count.  A worker's death fails the one job it was running,
+never the job it had queued, and leaves every other artifact as a
+serial batch writes it; a rerun against the same result cache executes
+only the failed job and ends byte-identical to serial.
 
 Faults are injected through the same ``REPRO_CHAOS`` environment hook
 as the in-process tests (:mod:`repro.regression.chaos`); the variable
@@ -21,12 +22,7 @@ import threading
 
 import pytest
 
-from repro.regression import (
-    BatchFaults,
-    BatchSpec,
-    RegressionRunner,
-    ResilienceConfig,
-)
+from repro.regression import BatchFaults, BatchSpec, RegressionRunner
 from repro.regression import distributed
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
@@ -43,20 +39,47 @@ def _configs():
                        protocol_type=ProtocolType.T3, name=CONFIG_NAME)]
 
 
-def _run(workdir, jobs=1, resilience=None, seeds=(1,), metrics=None,
-         log=None):
-    runner = RegressionRunner(_configs(), BatchSpec(
+def _runner(workdir, jobs=1, run_timeout=None, seeds=(1,), metrics=None,
+            log=None, cache_dir=None):
+    return RegressionRunner(_configs(), BatchSpec(
         tests=TESTS, seeds=seeds, workdir=str(workdir),
-        jobs=jobs,
-        resilience=resilience or ResilienceConfig(backoff=0.0),
+        jobs=jobs, run_timeout=run_timeout, cache_dir=cache_dir,
         telemetry=TelemetryConfig(metrics_out=metrics, log_out=log),
     ))
-    return runner.run()
+
+
+def _run(workdir, **kwargs):
+    return _runner(workdir, **kwargs).run()
 
 
 def _snapshot(workdir):
     return {name: (workdir / name).read_bytes()
             for name in sorted(os.listdir(workdir))}
+
+
+def _assert_only_faulted(workdir, ref_snap, faulted):
+    """``workdir`` equals the reference except for the two batch
+    reports, which list the failed entry, and the artifacts of the one
+    failed run ``faulted`` (``<test>__s<seed>__<view>``)."""
+    snap = _snapshot(workdir)
+    missing = set(ref_snap) - set(snap)
+    assert all(name.startswith(f"{CONFIG_NAME}__{faulted}")
+               for name in missing), missing
+    for name, data in snap.items():
+        if name not in (f"{CONFIG_NAME}__report.txt",
+                        "regression_summary.txt"):
+            assert data == ref_snap[name], name
+
+
+def _rerun_matches(workdir, cache_dir, ref, jobs=2):
+    """Rerun the batch against ``cache_dir`` (chaos and patches off): it
+    executes exactly the one job that failed and ends byte-identical to
+    ``ref``."""
+    ref_report, ref_snap = ref
+    runner = _runner(workdir, jobs=jobs, cache_dir=cache_dir)
+    assert runner.run().render() == ref_report.render()
+    assert runner.cache.stats.stores == 1
+    assert _snapshot(workdir) == ref_snap
 
 
 def _faults(metrics_path):
@@ -88,30 +111,34 @@ def test_distributed_matches_serial_byte_identically(tmp_path, clean_ref):
 def test_single_worker_cluster_matches_serial(tmp_path, clean_ref):
     """``jobs=1`` with a deadline runs on one leased worker."""
     ref_report, ref_snap = clean_ref
-    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
-        run_timeout=60.0, backoff=0.0))
+    report = _run(tmp_path / "dist", run_timeout=60.0)
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
 
 
-@pytest.mark.parametrize("mode", [
-    "crash", "exit", "worker-kill", "hang"])
+@pytest.mark.parametrize("mode", ["crash", "exit", "hang"])
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_chaos_recovery_byte_identical_at_any_jobs(
+def test_chaos_fails_once_then_rerun_recovers_at_any_jobs(
         tmp_path, monkeypatch, clean_ref, jobs, mode):
-    """Every fault mode, faulting the first attempt of one run, recovers
-    to the serial artifacts at one, two and four workers.  ``jobs=1``
-    runs on one worker because of the deadline; ``hang`` needs a short
-    deadline to be caught at all."""
-    ref_report, ref_snap = clean_ref
+    """Every fault mode, at one, two and four workers, fails exactly the
+    faulted run (``TIMEOUT`` for a hang, ``ERROR`` otherwise) and leaves
+    every other artifact as serial writes it; a rerun against the same
+    cache recovers the serial artifacts.  ``jobs=1`` runs on one worker
+    because of the deadline; ``hang`` needs a short deadline to be
+    caught at all."""
+    workdir = tmp_path / "dist"
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
-        CHAOS_ENV, f"{mode}:{CONFIG_NAME}:t01_sanity_write_read:1:bca:1")
+        CHAOS_ENV, f"{mode}:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
     run_timeout = 2.0 if mode == "hang" else 60.0
-    report = _run(tmp_path / "dist", jobs=jobs,
-                  resilience=ResilienceConfig(
-                      run_timeout=run_timeout, max_retries=2, backoff=0.0))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
+    report = _run(workdir, jobs=jobs, run_timeout=run_timeout,
+                  cache_dir=cache_dir)
+    statuses = [entry.status for entry in report.configs[0].entries]
+    assert statuses == ["TIMEOUT" if mode == "hang" else "ERROR", "PASS"]
+    _assert_only_faulted(workdir, clean_ref[1],
+                         "t01_sanity_write_read__s1__bca")
+    monkeypatch.delenv(CHAOS_ENV)
+    _rerun_matches(workdir, cache_dir, clean_ref, jobs=jobs)
 
 
 def test_workers_start_no_threads(tmp_path, monkeypatch):
@@ -137,27 +164,31 @@ def test_queued_lease_is_requeued_free_when_its_worker_dies(
         tmp_path, monkeypatch, clean_ref):
     """One worker holds the crashing job and the sibling queued behind
     it.  The ``exit`` kills the worker with both leases out: only the
-    running job is charged, the sibling is requeued at no cost and
-    passes, and the batch ends byte-identical to serial."""
-    ref_report, ref_snap = clean_ref
+    running job fails, the sibling is requeued at no cost and passes,
+    and a rerun against the cache ends byte-identical to serial."""
+    workdir = tmp_path / "dist"
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
-        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
+        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     metrics = tmp_path / "metrics.json"
     log = tmp_path / "run.log.jsonl"
-    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
-        run_timeout=60.0, max_retries=1, backoff=0.0),
-        metrics=str(metrics), log=str(log))
+    report = _run(workdir, run_timeout=60.0, cache_dir=cache_dir,
+                  metrics=str(metrics), log=str(log))
     faults = _faults(metrics)
-    assert faults["retries"] == 1
     assert faults["crashes"] == 1
     assert faults["worker_deaths"] == 1
-    assert all(entry.status == "PASS" for entry in report.configs[0].entries)
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
+    entries = report.configs[0].entries
+    assert entries[0].rtl.exc_type == "WorkerLost"
+    assert entries[0].bca.passed
+    assert [entry.status for entry in entries] == ["ERROR", "PASS"]
+    _assert_only_faulted(workdir, clean_ref[1],
+                         "t01_sanity_write_read__s1__rtl")
     events = [json.loads(line) for line in log.read_text().splitlines()]
     requeued = [(e["test"], e["view"]) for e in events
                 if e["event"] == "lease.requeued"]
     assert requeued == [("t01_sanity_write_read", "bca")]
+    monkeypatch.delenv(CHAOS_ENV)
+    _rerun_matches(workdir, cache_dir, clean_ref, jobs=1)
 
 
 def test_every_worker_dying_still_yields_full_report(
@@ -167,8 +198,7 @@ def test_every_worker_dying_still_yields_full_report(
     can be started the rest are recorded as ``WorkerLost``.  The batch
     ends with every entry reported, never hangs."""
     monkeypatch.setattr(distributed, "_serve", lambda conn: None)
-    report = _run(tmp_path / "dist", jobs=2,
-                  resilience=ResilienceConfig(max_retries=0, backoff=0.0))
+    report = _run(tmp_path / "dist", jobs=2)
     entries = report.configs[0].entries
     assert len(entries) == len(TESTS)
     for entry in entries:
@@ -181,64 +211,72 @@ def test_every_worker_dying_still_yields_full_report(
 # -- worker death and bad replies ---------------------------------------
 
 
-def test_worker_kill_mid_job_recovers_byte_identically(
+def test_worker_death_mid_job_fails_once_then_reruns(
         tmp_path, monkeypatch, clean_ref):
-    """A farm scheduler OOM-kills one worker mid-job (``worker-kill``
-    chaos = ``os._exit(43)`` inside the run): the coordinator sees the
-    dead connection, charges one attempt, re-leases the job on a
-    respawned worker, and the batch ends byte-identical."""
-    ref_report, ref_snap = clean_ref
+    """A farm scheduler OOM-kills one worker mid-job (``exit`` chaos =
+    ``os._exit`` inside the run): the coordinator sees the dead
+    connection, fails that one job, respawns a worker for the rest of
+    the batch, and a rerun against the cache ends byte-identical."""
+    workdir = tmp_path / "dist"
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
-        CHAOS_ENV, f"worker-kill:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
+        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", jobs=2,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0),
+    report = _run(workdir, jobs=2, cache_dir=cache_dir,
                   metrics=str(metrics))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
+    assert [entry.status for entry in report.configs[0].entries] == \
+        ["ERROR", "PASS"]
+    _assert_only_faulted(workdir, clean_ref[1],
+                         "t01_sanity_write_read__s1__rtl")
     faults = _faults(metrics)
     assert faults["worker_deaths"] == 1
-    assert faults["retries"] == 1
+    assert faults["crashes"] == 1
     assert faults["worker_respawns"] == 1
+    monkeypatch.delenv(CHAOS_ENV)
+    _rerun_matches(workdir, cache_dir, clean_ref)
 
 
-def test_result_lost_after_the_work_reexecutes(
+def test_result_lost_after_the_work_fails_once(
         tmp_path, monkeypatch, clean_ref):
     """A worker that dies after executing a job but before replying:
     the work happened, the coordinator never learns.  End-of-file on
-    the pipe charges the lease and the job re-executes elsewhere."""
-    ref_report, ref_snap = clean_ref
+    the pipe fails the lease; the dump it wrote equals the reference,
+    and a rerun re-executes the job and stores its result."""
+    workdir = tmp_path / "dist"
+    cache_dir = str(tmp_path / "cache")
     execute_run = distributed.GUARDS["run"]
 
     def run_then_vanish(job):
         outcome = execute_run(job)
-        if (job.test_name, job.view, job.attempt) == (
-                "t01_sanity_write_read", "bca", 0):
+        if (job.test_name, job.view) == ("t01_sanity_write_read", "bca"):
             os._exit(0)
         return outcome
 
-    # Forked workers inherit the patched table.
-    monkeypatch.setitem(distributed.GUARDS, "run", run_then_vanish)
     metrics = tmp_path / "metrics.json"
     log = tmp_path / "run.log.jsonl"
-    report = _run(tmp_path / "dist", jobs=2,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0),
-                  metrics=str(metrics), log=str(log))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
+    with monkeypatch.context() as patch:
+        # Forked workers inherit the patched table.
+        patch.setitem(distributed.GUARDS, "run", run_then_vanish)
+        report = _run(workdir, jobs=2, cache_dir=cache_dir,
+                      metrics=str(metrics), log=str(log))
+    entries = report.configs[0].entries
+    assert entries[0].bca.exc_type == "WorkerLost"
+    assert [entry.status for entry in entries] == ["ERROR", "PASS"]
+    _assert_only_faulted(workdir, clean_ref[1],
+                         "t01_sanity_write_read__s1__bca")
     faults = _faults(metrics)
     assert faults["worker_deaths"] == 1
-    assert faults["retries"] == 1
+    assert faults["crashes"] == 1
     events = [json.loads(line) for line in log.read_text().splitlines()]
-    recovered = [(e["test"], e["view"], e["attempts"]) for e in events
-                 if e["event"] == "job.recovered"]
-    assert recovered == [("t01_sanity_write_read", "bca", 2)]
+    failed = [(e["test"], e["view"]) for e in events
+              if e["event"] == "job.failed"]
+    assert failed == [("t01_sanity_write_read", "bca")]
+    _rerun_matches(workdir, cache_dir, clean_ref)
 
 
 class _GarblingConn:
-    """A worker's end of the pipe that garbles the reply to the first
-    attempt of ``t01_sanity_write_read``/rtl and passes everything else
-    through."""
+    """A worker's end of the pipe that garbles every reply to
+    ``t01_sanity_write_read``/rtl and passes everything else through."""
 
     def __init__(self, conn, fault):
         self.conn = conn
@@ -252,8 +290,8 @@ class _GarblingConn:
 
     def send(self, reply):
         job = self.job
-        if (job.test_name, getattr(job, "view", None), job.attempt) != (
-                "t01_sanity_write_read", "rtl", 0):
+        if (job.test_name, getattr(job, "view", None)) != (
+                "t01_sanity_write_read", "rtl"):
             self.conn.send(reply)
         elif self.fault == "wrong-job-id":
             # Names the queued lease, not the oldest one.
@@ -270,22 +308,24 @@ def test_reply_is_never_half_trusted(tmp_path, monkeypatch, clean_ref,
                                      fault):
     """A reply naming a job other than the worker's oldest lease, or
     bytes that do not unpickle, drop the worker: only its oldest lease
-    is charged, the queued one is requeued free, and the batch ends
-    byte-identical to serial."""
-    ref_report, ref_snap = clean_ref
+    fails, the queued one is requeued free, and a rerun against the
+    cache ends byte-identical to serial."""
+    workdir = tmp_path / "dist"
+    cache_dir = str(tmp_path / "cache")
     serve = distributed._serve
-    monkeypatch.setattr(distributed, "_serve",
-                        lambda conn: serve(_GarblingConn(conn, fault)))
     metrics = tmp_path / "metrics.json"
     log = tmp_path / "run.log.jsonl"
-    report = _run(tmp_path / "dist", resilience=ResilienceConfig(
-        run_timeout=60.0, max_retries=1, backoff=0.0),
-        metrics=str(metrics), log=str(log))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "dist") == ref_snap
+    with monkeypatch.context() as patch:
+        patch.setattr(distributed, "_serve",
+                      lambda conn: serve(_GarblingConn(conn, fault)))
+        report = _run(workdir, run_timeout=60.0, cache_dir=cache_dir,
+                      metrics=str(metrics), log=str(log))
+    assert [entry.status for entry in report.configs[0].entries] == \
+        ["ERROR", "PASS"]
+    _assert_only_faulted(workdir, clean_ref[1],
+                         "t01_sanity_write_read__s1__rtl")
     faults = _faults(metrics)
     assert faults["worker_deaths"] == 1
-    assert faults["retries"] == 1
     assert faults["crashes"] == 1
     events = [json.loads(line) for line in log.read_text().splitlines()]
     lost = [e["reason"] for e in events if e["event"] == "worker.lost"]
@@ -293,6 +333,7 @@ def test_reply_is_never_half_trusted(tmp_path, monkeypatch, clean_ref,
     requeued = [(e["test"], e["view"]) for e in events
                 if e["event"] == "lease.requeued"]
     assert requeued == [("t01_sanity_write_read", "bca")]
+    _rerun_matches(workdir, cache_dir, clean_ref, jobs=1)
 
 
 # -- CLI ----------------------------------------------------------------

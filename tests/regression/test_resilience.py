@@ -3,16 +3,19 @@
 Every fault here is injected deterministically through the ``REPRO_CHAOS``
 environment hook (:mod:`repro.regression.chaos`); production batches never
 set the variable, so the first tests pin down that the hooks are inert
-without it.  The load-bearing invariant throughout: a batch that recovers
-from a fault (retry, worker replacement, cached rerun) produces artifacts
-*byte-identical* to a batch that never faulted.
+without it.  A job is a pure function of its coordinates, so a failed
+job fails once: it is recorded as ``ERROR``/``TIMEOUT`` and the rest of
+the batch is untouched.  The load-bearing invariant: rerunning the batch
+against the same result cache executes only the failed job and produces
+artifacts *byte-identical* to a batch that never faulted.
 """
 
 import os
 
 import pytest
 
-from repro.regression import BatchSpec, RegressionRunner, ResilienceConfig
+from repro.regression import BatchSpec, RegressionRunner, save_config_dir
+from repro.regression import chaos
 from repro.regression.chaos import (
     CHAOS_ENV,
     ChaosError,
@@ -33,13 +36,15 @@ def _configs():
                        protocol_type=ProtocolType.T3, name=CONFIG_NAME)]
 
 
-def _run(workdir, jobs=1, resilience=None, seeds=(1,), cache_dir=None):
-    runner = RegressionRunner(_configs(), BatchSpec(
+def _runner(workdir, jobs=1, run_timeout=None, seeds=(1,), cache_dir=None):
+    return RegressionRunner(_configs(), BatchSpec(
         tests=TESTS, seeds=seeds, workdir=str(workdir),
-        jobs=jobs, resilience=resilience or ResilienceConfig(),
-        cache_dir=cache_dir,
+        jobs=jobs, run_timeout=run_timeout, cache_dir=cache_dir,
     ))
-    return runner.run()
+
+
+def _run(workdir, **kwargs):
+    return _runner(workdir, **kwargs).run()
 
 
 def _snapshot(workdir):
@@ -48,6 +53,20 @@ def _snapshot(workdir):
         name: (workdir / name).read_bytes()
         for name in sorted(os.listdir(workdir))
     }
+
+
+def _assert_only_faulted(workdir, ref_snap, faulted):
+    """``workdir`` equals the reference except for the two batch
+    reports, which list the failed entry, and the artifacts of the one
+    failed run ``faulted`` (``<test>__s<seed>__<view>``)."""
+    snap = _snapshot(workdir)
+    missing = set(ref_snap) - set(snap)
+    assert all(name.startswith(f"{CONFIG_NAME}__{faulted}")
+               for name in missing), missing
+    for name, data in snap.items():
+        if name not in (f"{CONFIG_NAME}__report.txt",
+                        "regression_summary.txt"):
+            assert data == ref_snap[name], name
 
 
 @pytest.fixture()
@@ -61,22 +80,25 @@ def clean_ref(tmp_path):
 
 
 def test_chaos_spec_grammar():
-    spec = ChaosSpec.parse("crash:cfg:t01:*:rtl:2; hang:*:*:3:bca")
+    spec = ChaosSpec.parse("crash:cfg:t01:*:rtl; hang:*:*:3:bca")
     assert len(spec.rules) == 2
     crash, hang = spec.rules
-    assert crash.matches("cfg", "t01", 7, "rtl", attempt=1)
-    assert not crash.matches("cfg", "t01", 7, "rtl", attempt=2)  # limit
-    assert not crash.matches("other", "t01", 7, "rtl", attempt=0)
-    assert hang.matches("anything", "t99", 3, "bca", attempt=50)
-    assert not hang.matches("anything", "t99", 4, "bca", attempt=0)
+    assert crash.matches("cfg", "t01", 7, "rtl")
+    assert not crash.matches("other", "t01", 7, "rtl")
+    assert hang.matches("anything", "t99", 3, "bca")
+    assert not hang.matches("anything", "t99", 4, "bca")
+    assert ChaosSpec.parse("exit:*:*:*:*").rules[0].mode == "exit"
     with pytest.raises(ChaosError):
         ChaosSpec.parse("crash:only:three")
+    with pytest.raises(ChaosError):  # no LIMIT field: a fault is final
+        ChaosSpec.parse("crash:*:*:*:*:1")
+
+
+@pytest.mark.parametrize("mode", ["sabotage", "net-drop", "worker-kill",
+                                  "truncate-vcd", "cache-corrupt"])
+def test_chaos_rejects_modes_outside_crash_exit_hang(mode):
     with pytest.raises(ChaosError):
-        ChaosSpec.parse("sabotage:*:*:*:*")
-    with pytest.raises(ChaosError):
-        ChaosSpec.parse("crash:*:*:*:*:soon")
-    with pytest.raises(ChaosError):  # no network between forked workers
-        ChaosSpec.parse("net-drop:*:*:*:*")
+        ChaosSpec.parse(f"{mode}:*:*:*:*")
 
 
 def test_chaos_inert_without_env(monkeypatch):
@@ -86,8 +108,7 @@ def test_chaos_inert_without_env(monkeypatch):
     class _Job:
         class config:
             name = "x"
-        test_name, seed, view, attempt = "t", 1, "rtl", 0
-        vcd_path = None
+        test_name, seed, view = "t", 1, "rtl"
 
     inject_before_run(_Job())  # must be a silent no-op
 
@@ -98,7 +119,7 @@ def test_chaos_inert_without_env(monkeypatch):
 def test_worker_crash_still_yields_full_report(tmp_path, monkeypatch):
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
-    report = _run(tmp_path, resilience=ResilienceConfig(max_retries=0))
+    report = _run(tmp_path)
     entries = report.configs[0].entries
     assert len(entries) == len(TESTS)
     assert entries[0].status == "PASS"
@@ -110,89 +131,68 @@ def test_worker_crash_still_yields_full_report(tmp_path, monkeypatch):
     assert "ERROR" in report.configs[0].render()
 
 
-def test_retry_recovers_byte_identically(tmp_path, monkeypatch, clean_ref):
-    ref_report, ref_snap = clean_ref
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
-    report = _run(tmp_path / "faulted",
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "faulted") == ref_snap
+def test_crash_executes_once(tmp_path, monkeypatch):
+    """A deterministic crash is run once and reported as a plain
+    ``ERROR``: no second attempt, no backoff sleep."""
+    calls = []
+    inject = chaos.inject_before_run
 
+    def counting(job):
+        calls.append((job.test_name, job.view))
+        inject(job)
 
-def test_persistent_crash_is_quarantined(tmp_path, monkeypatch):
+    monkeypatch.setattr(chaos, "inject_before_run", counting)
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:rtl")
-    report = _run(tmp_path,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0))
-    entry = report.configs[0].entries[1]
-    assert entry.status == "QUARANTINED"
-    failures = report.configs[0].quarantined_failures()
-    assert len(failures) == 1
-    assert len(failures[0].history) == 3  # 1 attempt + 2 retries
-    rendered = report.configs[0].render()
-    assert "quarantined: 1 job(s)" in rendered
+    report = _run(tmp_path)
+    assert calls.count(("t02_random_uniform", "rtl")) == 1
+    assert len(calls) == 2 * len(TESTS)
+    assert [entry.status for entry in report.configs[0].entries] == \
+        ["PASS", "ERROR"]
+    assert "quarantined" not in report.configs[0].render()
     assert not report.all_signed_off
-
-
-def test_no_retries_means_plain_error(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:rtl")
-    report = _run(tmp_path, resilience=ResilienceConfig(max_retries=0))
-    entry = report.configs[0].entries[1]
-    assert entry.status == "ERROR"  # never retried -> not quarantined
-    assert not report.configs[0].quarantined_failures()
 
 
 # -- deadlines ----------------------------------------------------------
 
 
-def test_hang_times_out_and_quarantines(tmp_path, monkeypatch):
+def test_hang_times_out_once(tmp_path, monkeypatch):
     monkeypatch.setenv(
         CHAOS_ENV, f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
-    report = _run(tmp_path, resilience=ResilienceConfig(
-        run_timeout=0.5, max_retries=1, backoff=0.0))
+    report = _run(tmp_path, run_timeout=0.5)
     entry = report.configs[0].entries[0]
-    assert entry.status == "QUARANTINED"
+    assert entry.status == "TIMEOUT"
     assert entry.bca.timed_out
     assert entry.bca.kind == "TIMEOUT"
     # The un-faulted sibling entry was unaffected.
     assert report.configs[0].entries[1].status == "PASS"
 
 
-def test_timeout_then_retry_recovers(tmp_path, monkeypatch, clean_ref):
-    ref_report, ref_snap = clean_ref
-    monkeypatch.setenv(
-        CHAOS_ENV, f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
-    report = _run(tmp_path / "faulted", resilience=ResilienceConfig(
-        run_timeout=0.5, max_retries=1, backoff=0.0))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "faulted") == ref_snap
-
-
 # -- worker deaths under leases ----------------------------------------
 
 
-def test_lease_hard_death_recovers_byte_identically(
-        tmp_path, monkeypatch, clean_ref):
+def test_worker_death_fails_only_its_job(tmp_path, monkeypatch, clean_ref):
+    """A worker that dies mid-job (``exit`` = ``os._exit`` inside the
+    run) fails that one job; every other run's artifacts equal the
+    serial reference, and a rerun against the same cache executes only
+    the failed job and ends byte-identical."""
     ref_report, ref_snap = clean_ref
-    monkeypatch.setenv(
-        CHAOS_ENV, f"exit:{CONFIG_NAME}:t02_random_uniform:1:rtl:1")
-    report = _run(tmp_path / "faulted", jobs=2,
-                  resilience=ResilienceConfig(max_retries=2, backoff=0.0))
-    assert report.render() == ref_report.render()
-    assert _snapshot(tmp_path / "faulted") == ref_snap
-
-
-def test_lease_crash_mid_batch_report_complete(tmp_path, monkeypatch):
+    workdir = tmp_path / "faulted"
+    cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
         CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
-    report = _run(tmp_path, jobs=2,
-                  resilience=ResilienceConfig(max_retries=1, backoff=0.0))
+    report = _run(workdir, jobs=2, cache_dir=cache_dir)
     entries = report.configs[0].entries
     assert len(entries) == len(TESTS)
-    assert entries[0].status == "QUARANTINED"
+    assert entries[0].status == "ERROR"
+    assert entries[0].bca.exc_type == "WorkerLost"
     assert entries[1].status == "PASS"
+    _assert_only_faulted(workdir, ref_snap, "t01_sanity_write_read__s1__bca")
+    monkeypatch.delenv(CHAOS_ENV)
+    runner = _runner(workdir, jobs=2, cache_dir=cache_dir)
+    assert runner.run().render() == ref_report.render()
+    assert runner.cache.stats.stores == 1
+    assert _snapshot(workdir) == ref_snap
 
 
 def test_scheduler_charged_triage_counts_as_triage_failure():
@@ -225,16 +225,15 @@ def test_resume_is_byte_identical_and_replay_proof(
     cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
-    first = _run(workdir, resilience=ResilienceConfig(max_retries=0),
-                 cache_dir=cache_dir)
+    first = _run(workdir, cache_dir=cache_dir)
     assert first.configs[0].entries[1].status == "ERROR"
     # Rerun with chaos now set to crash every *already cached* t01 run:
     # if the rerun re-executed any of them, the batch would fail again.
     monkeypatch.setenv(
         CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:*:*")
-    resumed = _run(workdir, resilience=ResilienceConfig(max_retries=0),
-                   cache_dir=cache_dir)
-    assert resumed.render() == ref_report.render()
+    runner = _runner(workdir, cache_dir=cache_dir)
+    assert runner.run().render() == ref_report.render()
+    assert runner.cache.stats.stores == 1
     assert _snapshot(workdir) == ref_snap
 
 
@@ -252,21 +251,42 @@ def test_resume_rejects_stale_artifacts(tmp_path, monkeypatch, clean_ref):
     assert _snapshot(workdir) == ref_snap
 
 
-def test_cli_rejects_removed_journal_flags(tmp_path, capsys):
-    for flag in (["--journal", str(tmp_path / "j.jsonl")], ["--resume"]):
-        with pytest.raises(SystemExit) as excinfo:
-            regression_main([str(tmp_path)] + flag)
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+def test_cli_faulted_cached_batch_prints_the_resume_hint(
+        tmp_path, monkeypatch, capsys):
+    """A batch that ends with a failed entry names the rerun that
+    retries it, when it has a cache to rerun against."""
+    save_config_dir(_configs(), str(tmp_path / "cfgs"))
+    monkeypatch.setenv(
+        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    base = [str(tmp_path / "cfgs"), "--tests", "t01_sanity_write_read",
+            "--seeds", "1"]
+    cache_dir = str(tmp_path / "cache")
+    assert regression_main(base + ["--cache-dir", cache_dir]) == 1
+    err = capsys.readouterr().err
+    assert (f"faulted: 1 of 1 entries failed to run; rerun with "
+            f"--cache-dir {cache_dir} to resume") in err
+    assert regression_main(base) == 1
+    assert "faulted:" not in capsys.readouterr().err
 
 
-def test_cli_rejects_negative_retry_backoff(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [
+    ["--journal", "j.jsonl"], ["--resume"],
+    ["--max-retries", "2"], ["--retry-backoff", "0.25"],
+], ids=lambda flag: flag[0])
+def test_cli_rejects_removed_journal_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        regression_main([str(tmp_path)] + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_rejects_nonpositive_run_timeout(tmp_path, capsys, value):
     # Checked before the config dir is read: the directory is missing.
-    rc = regression_main([str(tmp_path / "missing"),
-                          "--retry-backoff", "-1"])
+    rc = regression_main([str(tmp_path / "missing"), "--run-timeout", value])
     assert rc == 2
-    assert ("--retry-backoff must be >= 0, got -1"
-            in capsys.readouterr().err)
+    assert f"--run-timeout must be > 0, got {value}" \
+        in capsys.readouterr().err
 
 
 # -- artifact atomicity -------------------------------------------------
@@ -293,8 +313,8 @@ def test_no_temp_leftovers_after_faulted_batch(tmp_path, monkeypatch):
     from repro.ioutil import TMP_SUFFIX
 
     monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
-    _run(tmp_path, resilience=ResilienceConfig(max_retries=1, backoff=0.0))
+        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    _run(tmp_path)
     assert not [n for n in os.listdir(tmp_path) if n.endswith(TMP_SUFFIX)]
 
 

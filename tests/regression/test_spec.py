@@ -19,7 +19,6 @@ from repro.regression import (
     CommonVerificationFlow,
     FlowState,
     RegressionRunner,
-    ResilienceConfig,
     TESTCASES,
     save_config_dir,
 )
@@ -89,17 +88,14 @@ def test_spec_normalizes_and_rejects_values():
         with pytest.raises(BatchSpecError) as excinfo:
             BatchSpec(jobs=jobs)
         assert excinfo.value.field == "jobs"
+    assert BatchSpec(run_timeout=0.5).run_timeout == 0.5
 
 
-@pytest.mark.parametrize("kwargs, field", [
-    (dict(run_timeout=0), "run_timeout"),
-    (dict(max_retries=-1), "max_retries"),
-    (dict(backoff=-0.5), "backoff"),
-])
-def test_resilience_config_checks_its_own_values(kwargs, field):
+@pytest.mark.parametrize("run_timeout", [0, -0.5])
+def test_spec_rejects_nonpositive_run_timeout(run_timeout):
     with pytest.raises(BatchSpecError) as excinfo:
-        ResilienceConfig(**kwargs)
-    assert excinfo.value.field == field
+        BatchSpec(run_timeout=run_timeout)
+    assert excinfo.value.field == "run_timeout"
 
 
 def test_replace_revalidates(tmp_path):
