@@ -62,7 +62,6 @@ proportional to the *semantic* size of an edit:
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 import sys
@@ -81,6 +80,7 @@ from typing import (
 )
 
 from ..cache.store import DESIGN_ROOTS, SOURCE_SCHEMA, design_source_hash
+from ..digest import sha256
 from ..ioutil import atomic_write
 
 #: Schema tag of the design fingerprint manifest; manifests from an
@@ -310,13 +310,13 @@ def _summary_key_prefix(module_path: str = __file__):
     summary)."""
     with open(module_path, "rb") as handle:
         this = handle.read()
-    prefix = hashlib.sha256()
+    prefix = sha256()
     for part in (SOURCE_SCHEMA.encode("utf-8"),
                  sys.version.encode("utf-8"), this):
         prefix.update(part)
         prefix.update(b"\0")
     return prefix, {"schema": SOURCE_SCHEMA, "python": sys.version,
-                    "impact_sha256": hashlib.sha256(this).hexdigest()}
+                    "impact_sha256": sha256(this).hexdigest()}
 
 
 class _SourceSummaries:
@@ -359,7 +359,7 @@ class _SourceSummaries:
             if self.store is not None:
                 self.store.store_source(key, summary.to_dict(), dict(
                     self._key_inputs,
-                    source_sha256=hashlib.sha256(raw).hexdigest()))
+                    source_sha256=sha256(raw).hexdigest()))
         return summary
 
     def body(self, info) -> Tuple[str, Optional[str], Optional[str]]:
@@ -490,7 +490,7 @@ def process_fingerprint(info, sources: Optional[_SourceSummaries] = None
     }, sort_keys=True)
     return ProcessFingerprint(
         name=info.name, kind=info.kind, mode=mode,
-        digest=hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        digest=sha256(payload.encode("utf-8")).hexdigest(),
         reason=reason, reads=reads, writes=writes,
     )
 
@@ -541,7 +541,7 @@ def environment_digest(
     sources = sources or _SourceSummaries()
     package_dir = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    digest = hashlib.sha256()
+    digest = sha256()
     n_files = 0
     n_elided = 0
     diagnostics: List[str] = []
@@ -616,7 +616,7 @@ class DesignFingerprints:
                 (name, fp.digest) for name, fp in self.processes.items()
             ),
         }, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -652,7 +652,7 @@ def _config_digest(config) -> str:
     # elaboration materializes the default map onto the config, so a
     # resolved and an unresolved copy must fingerprint identically.
     config.resolved_map
-    return hashlib.sha256(config.to_text().encode("utf-8")).hexdigest()
+    return sha256(config.to_text().encode("utf-8")).hexdigest()
 
 
 def design_fingerprints(config, view: str,

@@ -13,7 +13,8 @@ from .._lazy import lazy_exports
 #: Environment variable naming a default cache root for the regression
 #: CLI (``--cache-dir`` overrides it, ``--no-cache`` ignores it).  Defined
 #: here, not in :mod:`~repro.cache.store`, so the CLI can read it without
-#: loading the store (and ``hashlib``/OpenSSL) into a batch with no cache.
+#: loading the store (and its ``pickle``, ``zlib`` and digest modules)
+#: into a batch with no cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {

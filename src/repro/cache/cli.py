@@ -4,8 +4,8 @@ The one command today is ``explain``: print every component of a cache
 entry's key so invalidation is diagnosable instead of opaque — the
 design key the entry was stored under (cone-scoped, or the
 whole-design fallback for a design with an opaque process),
-the configuration text digest, test, seed, view, bug set and
-arbitration-checker flag, plus the entry's integrity verdict.  For a
+the configuration text digest, test, seed, view and bug set, plus
+the entry's integrity verdict.  For a
 run entry the verdict covers its artifact blobs too: each must exist
 under the store's ``blobs/`` and hash to the digest it is named by, and
 a missing or corrupt blob is named.  The store root is the one the
@@ -39,6 +39,7 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
+from ..digest import file_sha256
 from . import CACHE_DIR_ENV
 from .store import (
     CACHE_SCHEMA,
@@ -47,7 +48,6 @@ from .store import (
     blob_path,
     design_source_hash,
     entry_path,
-    file_sha256,
     source_path,
 )
 
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every key component of one cache entry",
         description="Print every component of a cache entry's key "
                     "(design key, config digest, test, seed, "
-                    "view, bugs, checker flag) and verify its "
-                    "integrity.",
+                    "view, bugs) and verify its integrity.",
     )
     explain.add_argument(
         "entry",

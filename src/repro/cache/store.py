@@ -12,9 +12,8 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
   the environment residual plus the fingerprints of the design's
   processes, or :func:`design_source_hash` when a process is opaque),
   the canonical configuration text, the test name, the seed, the view,
-  the injected BCA bug set (BCA view only — the RTL view never sees
-  bugs, so its entries stay shared across bug experiments) and the
-  arbitration-checker flag.
+  and the injected BCA bug set (BCA view only — the RTL view never
+  sees bugs, so its entries stay shared across bug experiments).
 
 * **Integrity verification on every read.**  Each entry carries the
   SHA-256 digest of its own canonical body, and names each artifact by
@@ -50,7 +49,6 @@ from __future__ import annotations
 import base64
 import contextlib
 import copy
-import hashlib
 import json
 import os
 import pickle
@@ -59,6 +57,8 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..digest import file_sha256, sha256
 
 #: Schema tag of every entry file; entries from an incompatible schema
 #: (v1 embedded its artifacts) are quarantined, not misread.
@@ -103,7 +103,7 @@ def design_source_hash(roots: Sequence[str] = DESIGN_ROOTS) -> str:
     if roots == DESIGN_ROOTS and _DESIGN_HASH is not None:
         return _DESIGN_HASH
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    digest = hashlib.sha256()
+    digest = sha256()
     for root in roots:
         root_dir = os.path.join(package_dir, root)
         for dirpath, dirnames, filenames in os.walk(root_dir):
@@ -148,7 +148,7 @@ def cache_key(job, design: str) -> str:
         # bug experiments.
         "bugs": sorted(job.bugs) if job.view == "bca" else [],
     }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def entry_path(root: str, key: str) -> str:
@@ -222,11 +222,6 @@ def _decode_field(text: str) -> bytes:
     return zlib.decompress(base64.b64decode(text))
 
 
-def file_sha256(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 def _temp_name(directory: str) -> str:
     """A fresh temp path in ``directory``, unique across processes and
     hosts sharing the store, for a link that must not exist yet."""
@@ -248,13 +243,13 @@ def _link_or_copy(src: str, dest: str) -> str:
             data = handle.read()
         with open(dest, "xb") as handle:
             handle.write(data)
-        return hashlib.sha256(data).hexdigest()
+        return sha256(data).hexdigest()
     return file_sha256(dest)
 
 
 def _entry_digest(body: Dict[str, object]) -> str:
     canonical = json.dumps(body, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()
+    return sha256(canonical).hexdigest()
 
 
 class ResultCache:
@@ -345,7 +340,7 @@ class ResultCache:
             },
             "key_inputs": {
                 "design": design,
-                "config_sha256": hashlib.sha256(
+                "config_sha256": sha256(
                     job.config.to_text().encode("utf-8")).hexdigest(),
                 "test": job.test_name,
                 "seed": job.seed,

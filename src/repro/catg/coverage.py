@@ -38,6 +38,15 @@ class CoverGroup:
         if not self.bins:
             raise ValueError(f"cover group {name!r} has no bins")
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling (a cache hit, a worker's result) builds fresh
+        # strings; interning them again keeps the one-string-per-name
+        # sharing across every model a batch retains.
+        state["name"] = sys.intern(state["name"])
+        state["bins"] = {sys.intern(b): count
+                         for b, count in state["bins"].items()}
+        self.__dict__.update(state)
+
     def sample(self, bin_name: str) -> None:
         """Hit a bin; samples outside the defined space are ignored
         (illegal values are the checkers' business, not coverage's)."""
@@ -69,6 +78,11 @@ class CoverageModel:
 
     def __init__(self, groups: Iterable[CoverGroup]):
         self.groups: Dict[str, CoverGroup] = {g.name: g for g in groups}
+
+    def __setstate__(self, state: dict) -> None:
+        state["groups"] = {sys.intern(name): group
+                           for name, group in state["groups"].items()}
+        self.__dict__.update(state)
 
     def __getitem__(self, name: str) -> CoverGroup:
         return self.groups[name]

@@ -3,8 +3,8 @@
 The store's contract has three legs, each pinned here:
 
 * **Addressing** — the key is a pure function of what determines a run
-  (design sources, config, test, seed, view, BCA bug set, checker
-  flags) and of nothing else (artifact paths, telemetry).
+  (design sources, config, test, seed, view, BCA bug set) and of
+  nothing else (artifact paths, telemetry).
 * **Integrity** — an entry that fails verification (torn, corrupt,
   poisoned, mis-addressed) is never served: it is quarantined with a
   structured diagnostic and the run re-executes.
@@ -93,6 +93,15 @@ def test_key_is_stable_and_coordinate_sensitive():
     assert cache_key(
         _job(config=_config(name="other")), design=DESIGN) != base
     assert cache_key(_job(), design="e" * 64) != base
+
+
+def test_key_is_pinned_to_its_composition_and_digest():
+    """Computed once with ``hashlib.sha256``: a change to what the key
+    covers, to its JSON form or to the digest backend fails here."""
+    job = _job(view="bca", bugs=frozenset({"src-tag-truncation",
+                                           "lru-recency-stuck"}))
+    assert cache_key(job, design="0" * 64) == (
+        "231a46c52924d894b565344d1b87eabd123f81e3ba1ba936681dc6f3c969e991")
 
 
 def test_key_ignores_execution_details():

@@ -1,5 +1,7 @@
 """Unit tests for the functional coverage model."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,25 @@ def test_node_coverage_space_depends_only_on_config():
     sig_a = tuple(sorted(build_node_coverage(cfg).groups))
     sig_b = tuple(sorted(build_node_coverage(cfg).groups))
     assert sig_a == sig_b
+
+
+def test_unpickled_models_share_every_name_with_a_built_one():
+    """A cache hit unpickles its run's model; its group and bin names
+    must be the very strings a simulated run's model holds, so two
+    loaded models (each the same as the built one) share them too."""
+    cfg = NodeConfig(n_initiators=2, n_targets=3)
+    built = build_node_coverage(cfg)
+    loaded = [pickle.loads(pickle.dumps(build_node_coverage(cfg),
+                                        protocol=4))
+              for _ in range(2)]
+    for model in loaded:
+        assert list(model.groups) == list(built.groups)
+        for name, built_name in zip(model.groups, built.groups):
+            group = model[name]
+            assert name is built_name and group.name is built_name
+            assert list(group.bins) == list(built[name].bins)
+            for mine, theirs in zip(group.bins, built[name].bins):
+                assert mine is theirs, (name, mine)
 
 
 def test_node_coverage_t3_has_ordering_group():

@@ -3,12 +3,14 @@
 A serial batch with no cache never touches the result store, forks no
 worker and runs neither the converter testbench, the fast BCA model,
 the past flow, the sign-off flow nor the dataflow tier of the static
-checker (UNR, cone diff, agreement), so none of them (nor
-OpenSSL's ``_hashlib``, which the store's ``hashlib`` loads) may be in
-``sys.modules`` when it exits.  The same batch with ``--jobs 2`` and
-with a cold and a warm ``--cache-dir`` must print and write the same
-bytes, and those batches do load ``multiprocessing`` or the store, which
-shows the probe sees a module when it is there.
+checker (UNR, cone diff, agreement), so none of them (nor ``hashlib``)
+may be in ``sys.modules`` when it exits.  The same batch with
+``--jobs 2``, with a cold ``--cache-dir`` (serial and ``--jobs 2``) and
+with a warm one must print and write the same bytes, and those batches
+do load ``multiprocessing`` or the store, which shows the probe sees a
+module when it is there.  No batch loads ``hashlib`` or OpenSSL's
+``_hashlib``: the store hashes with CPython's builtin SHA-256
+(:mod:`repro.digest`).
 
 Each batch is a subprocess (``python -S``, so no ``.pth`` hook of the
 interpreter's site adds modules of its own) that records the names in
@@ -34,6 +36,7 @@ REPO_SRC = os.path.abspath(
 #: Modules a serial batch without a cache must not load.
 UNUSED = (
     "_hashlib",
+    "hashlib",
     "repro.cache.store",
     "multiprocessing",
     "repro.bca.fast",
@@ -103,7 +106,12 @@ def batches(tmp_path_factory):
         "jobs2": _batch(root, "jobs2", "--jobs", "2"),
         "cold": _batch(root, "cold", "--cache-dir", cache),
         "warm": _batch(root, "warm", "--cache-dir", cache),
+        "cold_jobs2": _batch(root, "cold_jobs2", "--jobs", "2",
+                             "--cache-dir", os.path.join(root, "cache2")),
     }
+
+#: The batches that run with a result cache.
+CACHED = ("cold", "warm", "cold_jobs2")
 
 
 def test_serial_batch_without_cache_loads_no_unused_module(batches):
@@ -114,21 +122,22 @@ def test_serial_batch_without_cache_loads_no_unused_module(batches):
 
 def test_probe_sees_the_modules_other_batches_load(batches):
     assert "multiprocessing" in batches["jobs2"][0]
-    for name in ("cold", "warm"):
-        assert {"repro.cache.store", "_hashlib"} <= batches[name][0]
+    for name in CACHED:
+        assert "repro.cache.store" in batches[name][0]
+        assert not {"hashlib", "_hashlib"} & batches[name][0], name
 
 
 #: The orchestration layers that ``DESIGN_ROOTS`` leaves out (its
 #: comment names them), plus the helper modules every layer shares.
 ORCHESTRATION = {"regression", "telemetry", "triage", "analysis", "lint",
-                 "analyzer", "cache", "_lazy", "ioutil"}
+                 "analyzer", "cache", "_lazy", "digest", "ioutil"}
 
 
 def test_cached_batch_keys_on_exactly_the_design_it_runs(batches):
     """Every ``repro`` package a cached batch imports either keys the
     cache or cannot change a simulated cycle, and every key root is
     code the batch runs."""
-    for name in ("cold", "warm"):
+    for name in CACHED:
         packages = {module.split(".")[1] for module in batches[name][0]
                     if module.startswith("repro.")}
         assert sorted(packages - set(DESIGN_ROOTS) - ORCHESTRATION) == []
@@ -138,7 +147,7 @@ def test_cached_batch_keys_on_exactly_the_design_it_runs(batches):
 def test_every_batch_prints_and_writes_the_same_bytes(batches):
     _, stdout, snapshot = batches["serial"]
     assert "Regression: 1 configurations, 2 runs" in stdout
-    for name in ("jobs2", "cold", "warm"):
+    for name in ("jobs2", *CACHED):
         assert batches[name][1] == stdout, name
         assert batches[name][2] == snapshot, name
 
