@@ -1,9 +1,8 @@
 """Telemetry overhead guard.
 
 The observability layer promises near-zero cost: disabled telemetry is
-shared no-op singletons, and *enabled* telemetry only touches per-phase
-spans, one counter bulk-increment per run and buffered log records —
-never the per-cycle hot path.  This bench times the same RTL regression
+one shared no-op bundle, and *enabled* telemetry only touches per-phase
+spans and buffered log records — never the per-cycle hot path.  This bench times the same RTL regression
 run through ``execute_run_job`` (the real batch-engine path) with and
 without telemetry recording and asserts the enabled overhead stays under
 ~5%.  Results land in ``.bench_build/BENCH_telemetry_overhead.json``

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..telemetry import ALIGNMENT_BUCKETS, NULL_TELEMETRY, Telemetry
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..vcd import VcdFile, VcdParseError, parse_vcd
 from .extract import PORT_SIGNALS, ExtractionError, discover_ports
 
@@ -56,6 +56,10 @@ class AlignmentReport:
 
     ports: Dict[str, PortAlignment]
     total_cycles: int
+    #: The two dumps were byte-identical, so every port was aligned
+    #: without expanding a series.  Which path ran, not what it found:
+    #: equality ignores it.
+    identical: bool = field(default=False, compare=False)
 
     @property
     def min_rate(self) -> float:
@@ -109,6 +113,20 @@ def _parse_dump(source: Union[str, VcdFile]) -> VcdFile:
         ) from exc
 
 
+def parse_dumps(
+    a: Union[str, VcdFile],
+    b: Union[str, VcdFile],
+    telemetry: Optional[Telemetry] = None,
+) -> Tuple[VcdFile, VcdFile]:
+    """Both dumps of a pair parsed, under one ``analyzer.parse`` span;
+    a pair already parsed passes through untimed."""
+    if not isinstance(a, str) and not isinstance(b, str):
+        return a, b
+    tele = telemetry if telemetry is not None else NULL_TELEMETRY
+    with tele.span("analyzer.parse"):
+        return _parse_dump(a), _parse_dump(b)
+
+
 def compare_vcds(
     a: Union[str, VcdFile],
     b: Union[str, VcdFile],
@@ -122,14 +140,11 @@ def compare_vcds(
     dump but not both raise :class:`ExtractionError` — that means the two
     testbenches were *not* identical, which the flow forbids.
 
-    ``telemetry`` optionally records parse/align spans, a per-port
-    alignment-rate histogram and the ``analyzer.identical_pairs`` count;
-    ``None`` costs nothing.
+    ``telemetry`` optionally records parse/align spans; ``None`` costs
+    nothing.
     """
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tele.span("analyzer.parse"):
-        vcd_a = _parse_dump(a)
-        vcd_b = _parse_dump(b)
+    vcd_a, vcd_b = parse_dumps(a, b, tele)
     ports_a = set(discover_ports(vcd_a))
     ports_b = set(discover_ports(vcd_b))
     if scopes is None:
@@ -180,11 +195,4 @@ def compare_vcds(
             report_ports[scope] = PortAlignment(
                 scope, total, aligned, first_divergence, mismatches
             )
-    if identical:
-        tele.registry.counter("analyzer.identical_pairs").inc()
-    if tele.enabled:
-        hist = tele.registry.histogram(
-            "analyzer.port_alignment_rate", buckets=ALIGNMENT_BUCKETS)
-        for port in report_ports.values():
-            hist.observe(port.rate)
-    return AlignmentReport(report_ports, total)
+    return AlignmentReport(report_ports, total, identical)

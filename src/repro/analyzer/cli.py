@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from ..vcd import VcdParseError
-from .align import SIGNOFF_THRESHOLD, compare_vcds
+from .align import SIGNOFF_THRESHOLD, compare_vcds, parse_dumps
 from .diff import diff_transactions
 from .extract import ExtractionError
 from .waveview import render_divergence
@@ -72,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-out", metavar="FILE", default=None,
-        help="write parse/align timings and the per-port alignment-rate "
-             "histogram as JSON (side-channel; stdout is unchanged)",
+        help="write parse/align timings, the identical-pair count and "
+             "the per-port alignment-rate histogram as JSON "
+             "(side-channel; stdout is unchanged)",
     )
     parser.add_argument(
         "--trace-out", metavar="FILE", default=None,
@@ -82,11 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _export_telemetry(args, telemetry) -> None:
-    """Write the analyzer's side-channel metrics/trace files."""
+def _export_telemetry(args, telemetry, report) -> None:
+    """Write the analyzer's side-channel metrics/trace files; the counts
+    and the rate histogram are derived from ``report``."""
     import json
 
-    from ..telemetry import assign_lanes, span_seconds, write_chrome_trace
+    from ..ioutil import atomic_write
+    from ..telemetry import (
+        alignment_histogram,
+        assign_lanes,
+        span_seconds,
+        write_chrome_trace,
+    )
 
     if args.metrics_out:
         payload = {
@@ -96,9 +104,13 @@ def _export_telemetry(args, telemetry) -> None:
                 for name, seconds in sorted(
                     span_seconds(telemetry.trace.events).items())
             },
+            "counters": (
+                {"analyzer.identical_pairs": 1} if report.identical else {}),
+            "histograms": {
+                "analyzer.port_alignment_rate": alignment_histogram([report]),
+            },
         }
-        payload.update(telemetry.registry.snapshot())
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+        with atomic_write(args.metrics_out) as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")
     if args.trace_out:
@@ -127,13 +139,14 @@ def _run_coordinates(rtl_vcd: str, bca_vcd: str):
     return "adhoc", "adhoc", 0
 
 
-def _first_divergence_report(args, scoreboard_diverged: bool) -> int:
+def _first_divergence_report(args, dumps, scoreboard_diverged: bool) -> int:
     """The ``--first-divergence``/``--triage-out`` path: lockstep-walk
-    the dumps, optionally rank cone suspects and write the triage
-    artifact.  Returns an exit status (0 aligned, 1 diverged, 2 error)."""
+    the parsed ``dumps``, optionally rank cone suspects and write the
+    triage artifact.  Returns an exit status (0 aligned, 1 diverged, 2
+    error)."""
     from ..triage import find_first_divergence
 
-    scan = find_first_divergence(args.rtl_vcd, args.bca_vcd)
+    scan = find_first_divergence(*dumps)
     print(scan.summary())
     if scan.only_in_a or scan.only_in_b:
         print(f"  view-private signals skipped: "
@@ -148,28 +161,28 @@ def _first_divergence_report(args, scoreboard_diverged: bool) -> int:
 
         with open(args.config, "r", encoding="utf-8") as handle:
             config = NodeConfig.from_text(handle.read())
+    suspects = None
     if scan.first is not None and config is not None:
         from ..triage import rank_suspects
-        from ..vcd import parse_vcd
 
         suspects = rank_suspects(
-            config, scan.first.signal, scan.first.cycle,
-            trace=parse_vcd(args.bca_vcd),
+            config, scan.first.signal, scan.first.cycle, trace=dumps[1],
         )
         if suspects.suspects:
             print("suspects, cone-ranked:")
             for pos, suspect in enumerate(suspects.suspects[:8], 1):
                 print(f"  {pos}. {suspect.describe()}")
     if args.triage_out:
-        from ..triage import triage_entry
+        from ..triage import build_triage
 
         cfg_name, test, seed = _run_coordinates(args.rtl_vcd, args.bca_vcd)
         if config is None:
             print("error: --triage-out needs --config FILE (the node's "
                   "*.cfg) for suspect ranking", file=sys.stderr)
             return 2
-        report = triage_entry(
-            config, test, seed, args.rtl_vcd, args.bca_vcd,
+        report = build_triage(
+            config, test, seed, dumps, scan, suspects,
+            paths=(args.rtl_vcd, args.bca_vcd),
             reason="manual", out_path=args.triage_out,
         )
         print(f"triage written: {args.triage_out} "
@@ -184,31 +197,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     telemetry = None
     if args.metrics_out or args.trace_out:
-        from ..telemetry import MetricRegistry, Telemetry, TraceCollector
+        from ..telemetry import Telemetry, TraceCollector
 
-        telemetry = Telemetry(registry=MetricRegistry(),
-                              trace=TraceCollector())
+        telemetry = Telemetry(trace=TraceCollector())
     try:
-        report = compare_vcds(args.rtl_vcd, args.bca_vcd, scopes=args.ports,
+        # Each dump is parsed once; every view below reads these files.
+        dumps = parse_dumps(args.rtl_vcd, args.bca_vcd, telemetry)
+        report = compare_vcds(*dumps, scopes=args.ports,
                               telemetry=telemetry)
     except (ExtractionError, VcdParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if telemetry is not None:
-        _export_telemetry(args, telemetry)
+        _export_telemetry(args, telemetry, report)
     print(report.render(), end="")
     if args.diff:
         try:
-            diff = diff_transactions(args.rtl_vcd, args.bca_vcd,
-                                     scopes=args.ports)
+            diff = diff_transactions(*dumps, scopes=args.ports)
         except (ExtractionError, VcdParseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(diff.render(), end="")
     if args.wave:
         for name in sorted(report.ports):
-            wave = render_divergence(args.rtl_vcd, args.bca_vcd,
-                                     report.ports[name])
+            wave = render_divergence(*dumps, report.ports[name])
             if wave:
                 print(wave, end="")
     ports_diverged = any(
@@ -225,7 +237,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               "--first-divergence over a fuller signal set)")
     if args.first_divergence or args.triage_out:
         try:
-            status = _first_divergence_report(args, args.scoreboard_failed)
+            status = _first_divergence_report(
+                args, dumps, args.scoreboard_failed)
         except (ExtractionError, VcdParseError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -106,8 +106,9 @@ class VerificationEnv:
         If set, dump a VCD of the whole testbench for the bus analyzer.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle; phase spans
-        (elaborate/run/finalize) and kernel counters are recorded into
-        it.  ``None`` (the default) costs nothing.
+        (elaborate/run/finalize) and the timeout log record go into it.
+        ``None`` (the default) costs nothing.  Kernel counters ride on
+        ``RunResult.kernel_stats`` either way.
     time_processes:
         Opt in to per-process cumulative wall-time accounting in the
         kernel (reported via ``RunResult.process_seconds``).
@@ -286,8 +287,6 @@ class VerificationEnv:
         kernel_stats = self.sim.stats_snapshot()
         if self._writer is not None:
             kernel_stats["vcd_bytes"] = self._writer.bytes_written
-        if tele.enabled:
-            tele.registry.inc_many(kernel_stats.items(), prefix="kernel.")
         return RunResult(
             config_name=self.config.name,
             view=self.view,

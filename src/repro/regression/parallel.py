@@ -51,10 +51,10 @@ class RunJob:
     vcd_path: Optional[str]
     report_stem: Optional[str]
     bugs: FrozenSet[str]
-    #: Record per-run telemetry (spans, kernel counters, structured log
-    #: records) and attach it to the returned RunResult.
+    #: Record per-run telemetry (phase spans, structured log records)
+    #: and attach it to the returned RunResult.
     telemetry: bool = False
-    #: Also enable kernel per-process wall-time accounting.
+    #: Enable kernel per-process wall-time accounting.
     time_processes: bool = False
     #: Wall-clock (epoch) submission time; queue wait = start - submit.
     submitted_at: Optional[float] = None
@@ -110,26 +110,16 @@ def execute_run_job(job: RunJob) -> RunResult:
     serial path puts them.  Runs in a worker process under ``jobs=N`` and
     inline under ``jobs=1`` — identical code either way.
 
-    With ``job.telemetry`` a :class:`~repro.telemetry.RunRecorder` built
-    in *this* process (a worker or the parent) records phase spans,
-    kernel counters and structured log records; the picklable payload
-    rides back on ``result.telemetry``.  Artifact bytes are identical
-    either way.
+    A :class:`~repro.telemetry.RunRecorder` built in *this* process (a
+    worker or the parent) records phase spans and structured log
+    records when ``job.telemetry`` is set; its picklable payload (or
+    ``None``) rides back on ``result.telemetry``.  Artifact bytes are
+    identical either way.
     """
-    if not job.telemetry:
-        test = build_test(job.test_name, job.config, job.seed)
-        result = run_test(
-            job.config, test, view=job.view,
-            bugs=job.bugs if job.view == "bca" else (),
-            vcd_path=job.vcd_path,
-        )
-        if job.report_stem:
-            write_run_reports(job.report_stem, result)
-        return result
     recorder = RunRecorder(
         {"config": job.config.name, "test": job.test_name,
          "seed": job.seed, "view": job.view},
-        submitted_at=job.submitted_at,
+        submitted_at=job.submitted_at, enabled=job.telemetry,
     )
     ctx = recorder.context
     with recorder.span("generate", **ctx):
@@ -159,13 +149,12 @@ def execute_run_job(job: RunJob) -> RunResult:
 def execute_compare_job(
     job: CompareJob,
 ) -> Tuple[AlignmentReport, Optional[RunTelemetry]]:
-    """Run one bus-accurate comparison, optionally recording telemetry."""
-    if not job.telemetry:
-        return compare_vcds(job.rtl_vcd, job.bca_vcd), None
+    """Run one bus-accurate comparison; the telemetry payload is
+    ``None`` unless ``job.telemetry`` is set."""
     recorder = RunRecorder(
         {"config": job.config_name, "test": job.test_name,
          "seed": job.seed, "view": "compare"},
-        submitted_at=job.submitted_at,
+        submitted_at=job.submitted_at, enabled=job.telemetry,
     )
     with recorder.span("compare", **recorder.context):
         report = compare_vcds(
@@ -183,25 +172,18 @@ def execute_compare_job(
 def execute_triage_job(job: TriageJob) -> Tuple[
     "TriageReport", Optional[RunTelemetry]
 ]:
-    """Triage one failed entry, optionally recording telemetry.
+    """Triage one failed entry; the telemetry payload is ``None``
+    unless ``job.telemetry`` is set.
 
-    The triage span, the ``triage.first_divergence_cycle`` /
-    ``triage.suspect_count`` counters and the ``triage.complete`` log
-    record ride back on the picklable telemetry payload.
+    The triage spans and the ``triage.complete`` log record ride back
+    on the picklable telemetry payload.
     """
     from ..triage import triage_entry
 
-    if not job.telemetry:
-        report = triage_entry(
-            job.config, job.test_name, job.seed,
-            job.rtl_vcd, job.bca_vcd,
-            bugs=job.bugs, reason=job.reason, out_path=job.out_path,
-        )
-        return report, None
     recorder = RunRecorder(
         {"config": job.config.name, "test": job.test_name,
          "seed": job.seed, "view": "triage"},
-        submitted_at=job.submitted_at,
+        submitted_at=job.submitted_at, enabled=job.telemetry,
     )
     with recorder.span("triage", **recorder.context):
         report = triage_entry(

@@ -1,10 +1,10 @@
-"""Structured (JSON-lines) run logging with bound context.
+"""Structured (JSON-lines) run logging with a fixed context.
 
 Every record is one JSON object per line: ``{"event": ..., "ts": ...,
-<bound context>, <record fields>}``.  Loggers *bind* context —
-``logger.bind(config="a", test="t01", seed=1, view="rtl")`` — so every
-record emitted inside a run carries the full ``(config, test, seed,
-view)`` coordinates without the call sites repeating them.
+<context>, <record fields>}``.  A logger built with
+``context={"config": "a", "test": "t01", "seed": 1, "view": "rtl"}``
+stamps those coordinates on every record emitted inside a run without
+the call sites repeating them.
 
 Three sink modes:
 
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, TextIO
 
 
 class RunLogger:
-    """JSON-lines logger with bound context and pluggable sink."""
+    """JSON-lines logger with a fixed context and pluggable sink."""
 
     def __init__(
         self,
@@ -53,20 +53,8 @@ class RunLogger:
         self._context = dict(context or {})
         self._clock = _clock
 
-    def bind(self, **context: object) -> "RunLogger":
-        """A child logger sharing this sink with merged context."""
-        child = RunLogger.__new__(RunLogger)
-        child.enabled = self.enabled
-        child._stream = self._stream
-        child._own_stream = False
-        child.records = self.records
-        child._buffering = self._buffering
-        child._context = {**self._context, **context}
-        child._clock = self._clock
-        return child
-
     def log(self, event: str, **fields: object) -> None:
-        """Emit one record carrying the bound context."""
+        """Emit one record carrying the logger's context."""
         if not self.enabled:
             return
         record: Dict[str, object] = {

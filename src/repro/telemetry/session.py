@@ -2,10 +2,10 @@
 
 Four pieces:
 
-* :class:`Telemetry` — the facade instrumented code takes: a metric
-  registry, a trace collector and a run logger, each individually a
-  no-op when disabled.  :data:`NULL_TELEMETRY` is the all-disabled
-  default, so hot paths call ``telemetry.span(...)`` unconditionally.
+* :class:`Telemetry` — the facade instrumented code takes: a trace
+  collector and a run logger, each individually a no-op when disabled.
+  :data:`NULL_TELEMETRY` is the all-disabled default, so hot paths call
+  ``telemetry.span(...)`` unconditionally.
 * :class:`TelemetryConfig` — what the user asked for on the CLI
   (``--metrics-out``, ``--trace-out``, ``--log-json``,
   ``--time-processes``).
@@ -13,23 +13,26 @@ Four pieces:
   in whichever process executes the run (a pool worker under
   ``jobs=N``, the parent under ``jobs=1``).  Its :meth:`payload` is a
   picklable :class:`RunTelemetry` shipped back across the process
-  boundary.
+  boundary; a disabled recorder hands out :data:`NULL_TELEMETRY` and
+  no payload.
 * :class:`BatchTelemetry` — parent-side aggregator: times the batch,
   collects every run/compare payload, and exports the side-channel
-  files.  Telemetry NEVER writes to stdout and never touches the report
-  artifacts — byte-identity between instrumented and plain runs is an
-  invariant the tests pin down.
+  files.  Counts and rates in the metrics file are derived from the
+  batch's results (kernel stats, alignment and triage reports), never
+  recorded a second time.  Telemetry NEVER writes to stdout and never
+  touches the report artifacts — byte-identity between instrumented
+  and plain runs is an invariant the tests pin down.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ioutil import TMP_SUFFIX, atomic_write
-from .metrics import MetricRegistry, NULL_REGISTRY, merge_histogram_snapshots
 from .runlog import NULL_LOG, RunLogger
 from .trace import (
     NULL_TRACE,
@@ -43,30 +46,54 @@ from .trace import (
 PHASE_NAMES = ("generate", "elaborate", "run", "finalize", "report",
                "compare", "triage")
 
-#: Bucket bounds for the per-port alignment-rate histogram.
+#: Bucket bounds (inclusive upper bounds, plus one overflow bucket) of
+#: the per-port alignment-rate histogram.
 ALIGNMENT_BUCKETS = (0.5, 0.9, 0.95, 0.99, 0.999, 1.0)
 
 #: Version tag written into every metrics file.
 METRICS_SCHEMA = "repro.telemetry/metrics/v1"
 
 
-class Telemetry:
-    """Registry + tracer + logger bundle; each part no-op when disabled."""
+def alignment_histogram(alignments: Iterable) -> Dict[str, object]:
+    """The ``analyzer.port_alignment_rate`` histogram: one observation
+    per port ``rate`` of each :class:`~repro.analyzer.AlignmentReport`,
+    bucketed by :data:`ALIGNMENT_BUCKETS` (``bisect_left``, so a rate
+    equal to a bound lands in that bound's bucket).  ``sum`` adds each
+    comparison's ports first and then the comparisons, in order."""
+    counts = [0] * (len(ALIGNMENT_BUCKETS) + 1)
+    rates: List[float] = []
+    total = 0.0
+    for alignment in alignments:
+        subtotal = 0.0
+        for port in alignment.ports.values():
+            rate = port.rate
+            subtotal += rate
+            counts[bisect_left(ALIGNMENT_BUCKETS, rate)] += 1
+            rates.append(rate)
+        total += subtotal
+    return {
+        "count": len(rates),
+        "sum": total,
+        "min": min(rates) if rates else None,
+        "max": max(rates) if rates else None,
+        "bounds": list(ALIGNMENT_BUCKETS),
+        "counts": counts,
+    }
 
-    __slots__ = ("registry", "trace", "log", "enabled")
+
+class Telemetry:
+    """Tracer + logger bundle; each part no-op when disabled."""
+
+    __slots__ = ("trace", "log", "enabled")
 
     def __init__(
         self,
-        registry: Optional[MetricRegistry] = None,
         trace: Optional[TraceCollector] = None,
         log: Optional[RunLogger] = None,
     ) -> None:
-        self.registry = registry if registry is not None else NULL_REGISTRY
         self.trace = trace if trace is not None else NULL_TRACE
         self.log = log if log is not None else NULL_LOG
-        self.enabled = (
-            self.registry.enabled or self.trace.enabled or self.log.enabled
-        )
+        self.enabled = self.trace.enabled or self.log.enabled
 
     def span(self, name: str, **args: object):
         return self.trace.span(name, **args)
@@ -115,9 +142,6 @@ class RunTelemetry:
     finished_at: float
     queue_wait_seconds: float
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    counters: Dict[str, int] = field(default_factory=dict)
-    histograms: Dict[str, dict] = field(default_factory=dict)
-    process_seconds: Dict[str, List[float]] = field(default_factory=dict)
     events: List[dict] = field(default_factory=list)
     records: List[dict] = field(default_factory=list)
 
@@ -127,29 +151,36 @@ class RunTelemetry:
 
 
 class RunRecorder:
-    """Records one run (or one comparison) in the executing process."""
+    """Records one run, comparison or triage in the executing process.
+
+    A disabled recorder hands out :data:`NULL_TELEMETRY` and its
+    :meth:`payload` is ``None``, so the job bodies that use it have one
+    shape with telemetry on or off.
+    """
 
     def __init__(
         self,
         context: Dict[str, object],
         submitted_at: Optional[float] = None,
+        enabled: bool = True,
     ) -> None:
         self.context = dict(context)
         self.submitted_at = submitted_at
         self.started_at = time.time()
         self.telemetry = Telemetry(
-            registry=MetricRegistry(),
             trace=TraceCollector(),
             log=RunLogger(buffer=True, context=self.context),
-        )
+        ) if enabled else NULL_TELEMETRY
 
     def span(self, name: str, **args: object):
         return self.telemetry.span(name, **args)
 
-    def payload(self) -> RunTelemetry:
-        """Freeze everything recorded so far into a picklable value."""
+    def payload(self) -> Optional[RunTelemetry]:
+        """Freeze everything recorded so far into a picklable value
+        (``None`` when disabled)."""
+        if not self.telemetry.enabled:
+            return None
         finished = time.time()
-        snapshot = self.telemetry.registry.snapshot()
         phases = {
             name: seconds
             for name, seconds in span_seconds(self.telemetry.trace.events).items()
@@ -165,8 +196,6 @@ class RunRecorder:
             finished_at=finished,
             queue_wait_seconds=queue_wait,
             phase_seconds=phases,
-            counters=snapshot["counters"],
-            histograms=snapshot["histograms"],
             events=self.telemetry.trace.events,
             records=self.telemetry.log.records,
         )
@@ -279,13 +308,11 @@ class BatchTelemetry:
                 payload = triage_telemetry.get(key)
                 if payload is not None:
                     events.extend(payload.events)
-            tmp = self.config.trace_out + TMP_SUFFIX
             write_chrome_trace(
-                tmp, events,
+                self.config.trace_out, events,
                 lanes=assign_lanes(events, main_pid=self.trace.pid),
                 process_name="repro regression batch",
             )
-            os.replace(tmp, self.config.trace_out)
         if self.config.log_out:
             self._write_log(
                 report, wall, run_keys, entry_keys, payloads,
@@ -391,7 +418,7 @@ class BatchTelemetry:
                     phase_totals[name] = phase_totals.get(name, 0.0) + seconds
             runs.append(entry)
         compares: List[dict] = []
-        histograms: Dict[str, dict] = {}
+        compared = []
         for key in entry_keys:
             ci, test, seed = key
             payload = compare_telemetry.get(key)
@@ -400,6 +427,7 @@ class BatchTelemetry:
                 continue
             entry = {"config": configs[ci].name, "test": test, "seed": seed}
             if alignment is not None:
+                compared.append(alignment)
                 entry["min_rate"] = round(alignment.min_rate, 6)
                 entry["overall_rate"] = round(alignment.overall_rate, 6)
             if payload is not None:
@@ -408,12 +436,10 @@ class BatchTelemetry:
                     payload.queue_wait_seconds, 6)
                 for name, seconds in payload.phase_seconds.items():
                     phase_totals[name] = phase_totals.get(name, 0.0) + seconds
-                for name, snap in payload.histograms.items():
-                    merge_histogram_snapshots(
-                        histograms.setdefault(name, {}), snap)
-                if payload.counters:
-                    # e.g. analyzer.identical_pairs: which path it took
-                    entry["counters"] = dict(sorted(payload.counters.items()))
+            if alignment is not None and alignment.identical:
+                # Which path the comparison took: byte-identical dumps
+                # are aligned without expanding a series.
+                entry["counters"] = {"analyzer.identical_pairs": 1}
             compares.append(entry)
         triage_rows: List[dict] = []
         for key in entry_keys:
@@ -454,7 +480,10 @@ class BatchTelemetry:
             },
             "runs": runs,
             "compares": compares,
-            "histograms": histograms,
+            "histograms": {
+                "analyzer.port_alignment_rate":
+                    alignment_histogram(compared),
+            } if compared else {},
         }
         if faults is not None:
             payload_out["batch"]["faults"] = faults.counters()
@@ -470,14 +499,14 @@ class BatchTelemetry:
             # batches and triage-disabled batches export byte-identical
             # metrics files.
             payload_out["triages"] = triage_rows
-            counters: Dict[str, int] = {}
-            for payload in triage_telemetry.values():
-                for name, value in payload.counters.items():
-                    if name.startswith("triage."):
-                        counters[name] = counters.get(name, 0) + value
-            if counters:
-                payload_out["batch"]["triage_counters"] = dict(
-                    sorted(counters.items()))
+            counters = {"triage.suspect_count": sum(
+                row["suspect_count"] for row in triage_rows)}
+            cycles = [row["first_divergence_cycle"] for row in triage_rows
+                      if row["first_divergence_cycle"] is not None]
+            if cycles:
+                counters["triage.first_divergence_cycle"] = sum(cycles)
+            payload_out["batch"]["triage_counters"] = dict(
+                sorted(counters.items()))
         with atomic_write(self.config.metrics_out) as handle:
             json.dump(payload_out, handle, indent=1)
             handle.write("\n")

@@ -23,6 +23,8 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..ioutil import atomic_write
+
 
 class _NullSpan:
     """Reusable no-op context manager for disabled collectors."""
@@ -61,7 +63,7 @@ class _Span:
 
 
 class TraceCollector:
-    """Records spans and instant events for one process.
+    """Records spans for one process.
 
     ``clock`` returns seconds; the default (``time.time``) is shared
     across processes, which is what makes worker lanes comparable.
@@ -82,21 +84,6 @@ class TraceCollector:
             return NULL_SPAN
         return _Span(self, name, args or None)
 
-    def instant(self, name: str, **args: object) -> None:
-        """A zero-duration marker event."""
-        if not self.enabled:
-            return
-        event = {
-            "name": name,
-            "ph": "i",
-            "ts": int(self._clock() * 1e6),
-            "pid": self.pid,
-            "s": "t",
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
     def _record(self, span: _Span, end: float) -> None:
         event = {
             "name": span.name,
@@ -115,11 +102,9 @@ NULL_TRACE = TraceCollector(enabled=False)
 
 
 def span_seconds(events: Sequence[dict]) -> Dict[str, float]:
-    """Total duration per span name, in seconds (instants excluded)."""
+    """Total duration per span name, in seconds."""
     totals: Dict[str, float] = {}
     for event in events:
-        if event.get("ph") != "X":
-            continue
         name = event["name"]
         totals[name] = totals.get(name, 0.0) + event.get("dur", 0) / 1e6
     return totals
@@ -151,12 +136,14 @@ def assign_lanes(events: Sequence[dict],
     return lanes
 
 
-def chrome_trace_payload(
+def write_chrome_trace(
+    path: str,
     events: Sequence[dict],
     lanes: Optional[Dict[int, Tuple[int, str]]] = None,
     process_name: str = "repro",
-) -> dict:
-    """Build the ``chrome://tracing`` / Perfetto JSON object."""
+) -> None:
+    """Write a trace file loadable by chrome://tracing and Perfetto,
+    atomically, with each recording pid remapped onto its lane."""
     if lanes is None:
         lanes = assign_lanes(events)
     out: List[dict] = [{
@@ -175,17 +162,7 @@ def chrome_trace_payload(
         mapped["pid"] = 1
         mapped["tid"] = tid
         out.append(mapped)
-    return {"traceEvents": out, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(
-    path: str,
-    events: Sequence[dict],
-    lanes: Optional[Dict[int, Tuple[int, str]]] = None,
-    process_name: str = "repro",
-) -> None:
-    """Write a trace file loadable by chrome://tracing and Perfetto."""
-    payload = chrome_trace_payload(events, lanes, process_name)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    with atomic_write(path) as handle:
+        json.dump({"traceEvents": out, "displayTimeUnit": "ms"}, handle,
+                  indent=1)
         handle.write("\n")

@@ -25,6 +25,7 @@ from .report import (
     VERDICT_LOCALIZED,
     VERDICT_NOT_PIN_VISIBLE,
     TriageReport,
+    build_triage,
     load_triage,
     triage_entry,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "rank_suspects",
     "TriageReport",
     "triage_entry",
+    "build_triage",
     "load_triage",
     "TRIAGE_SCHEMA",
     "TRIAGE_SCHEMA_VERSION",

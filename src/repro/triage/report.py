@@ -220,22 +220,13 @@ def triage_entry(
     """Triage one failing entry from its two dumps.
 
     Walks the dumps to the first divergence, ranks the BCA processes
-    that can influence it, renders the cone wave excerpt, and (when
-    ``out_path`` is given) writes the ``triage.json`` artifact
-    atomically.  ``telemetry`` optionally records the triage span and
-    the ``triage.*`` counters.
+    that can influence it, and hands both to :func:`build_triage`.
+    ``telemetry`` optionally records the scan and ranking spans and the
+    ``triage.complete`` log record.
     """
     from ..telemetry import NULL_TELEMETRY
 
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
-    # Materialize the lazy address-map default before rendering the
-    # config text: a config that already elaborated in this process
-    # prints the map, a freshly unpickled one would not, and the
-    # artifact must be byte-identical for serial and pooled batches.
-    config.resolved_map
-    rtl_path = rtl_vcd if isinstance(rtl_vcd, str) else None
-    bca_path = bca_vcd if isinstance(bca_vcd, str) else None
-    base = os.path.dirname(out_path) if out_path else None
     with tele.span("triage.scan", config=config.name, test=test_name,
                    seed=seed):
         parsed_rtl = parse_vcd(rtl_vcd) if isinstance(rtl_vcd, str) \
@@ -243,6 +234,55 @@ def triage_entry(
         parsed_bca = parse_vcd(bca_vcd) if isinstance(bca_vcd, str) \
             else bca_vcd
         scan = find_first_divergence(parsed_rtl, parsed_bca)
+    suspects = None
+    if scan.first is not None:
+        with tele.span("triage.suspects", signal=scan.first.signal):
+            suspects = rank_suspects(
+                config, scan.first.signal, scan.first.cycle, view="bca",
+                trace=parsed_bca,
+            )
+    paths = (rtl_vcd, bca_vcd) \
+        if isinstance(rtl_vcd, str) and isinstance(bca_vcd, str) else None
+    report = build_triage(
+        config, test_name, seed, (parsed_rtl, parsed_bca), scan, suspects,
+        paths=paths, bugs=bugs, reason=reason, out_path=out_path,
+    )
+    tele.log.log(
+        "triage.complete",
+        config=config.name, test=test_name, seed=seed,
+        verdict=report.verdict, signal=report.signal,
+        cycle=report.cycle, suspects=len(report.suspects),
+    )
+    return report
+
+
+def build_triage(
+    config: NodeConfig,
+    test_name: str,
+    seed: int,
+    dumps: Tuple[VcdFile, VcdFile],
+    scan: DivergenceScan,
+    suspects: Optional[SuspectReport],
+    *,
+    paths: Optional[Tuple[str, str]] = None,
+    bugs: Sequence[str] = (),
+    reason: str = REASON_MANUAL,
+    out_path: Optional[str] = None,
+) -> TriageReport:
+    """The triage report of a pair already scanned and ranked.
+
+    ``dumps`` are the parsed (rtl, bca) files ``scan`` walked;
+    ``suspects`` ranks the cone of ``scan.first`` (``None`` when the
+    dumps never diverge).  ``paths`` name the dump files for the
+    analyzer replay command.  With ``out_path`` the ``triage.json``
+    artifact is written atomically.
+    """
+    # Materialize the lazy address-map default before rendering the
+    # config text: a config that already elaborated in this process
+    # prints the map, a freshly unpickled one would not, and the
+    # artifact must be byte-identical for serial and pooled batches.
+    config.resolved_map
+    base = os.path.dirname(out_path) if out_path else None
     report = TriageReport(
         config_name=config.name,
         test_name=test_name,
@@ -270,27 +310,22 @@ def triage_entry(
         report.window_start = max(0, first.cycle - WAVE_WINDOW)
         report.window_end = min(scan.total_cycles - 1,
                                 first.cycle + WAVE_WINDOW)
-        with tele.span("triage.suspects", signal=first.signal):
-            suspect_report = rank_suspects(
-                config, first.signal, first.cycle, view="bca",
-                trace=parsed_bca,
-            )
-        report.suspects = [s.to_dict() for s in suspect_report.suspects]
-        report.cone_complete = suspect_report.complete
-        wave_signals = _wave_signals(scan, suspect_report)
+        report.suspects = [s.to_dict() for s in suspects.suspects]
+        report.cone_complete = suspects.complete
+        wave_signals = _wave_signals(scan, suspects)
         report.cone_signals = tuple(wave_signals)
         from ..analyzer.waveview import render_signals_wave
 
         report.wave = render_signals_wave(
-            parsed_rtl, parsed_bca, wave_signals, first.cycle,
+            dumps[0], dumps[1], wave_signals, first.cycle,
             window=WAVE_WINDOW,
             title=f"cone of {first.signal}",
         )
     repro: Dict[str, str] = {}
-    if rtl_path and bca_path:
+    if paths:
         repro["analyzer"] = (
-            f"python -m repro.analyzer {_relative(rtl_path, base)} "
-            f"{_relative(bca_path, base)} --first-divergence"
+            f"python -m repro.analyzer {_relative(paths[0], base)} "
+            f"{_relative(paths[1], base)} --first-divergence"
         )
     bug_flags = f" --bugs {' '.join(sorted(bugs))}" if bugs else ""
     repro["regression"] = (
@@ -298,18 +333,6 @@ def triage_entry(
         f"--tests {test_name} --seeds {seed}{bug_flags} --triage"
     )
     report.repro = repro
-    if tele.enabled:
-        tele.registry.counter("triage.suspect_count").inc(
-            len(report.suspects))
-        if report.cycle is not None:
-            tele.registry.counter("triage.first_divergence_cycle").inc(
-                report.cycle)
-        tele.log.log(
-            "triage.complete",
-            config=config.name, test=test_name, seed=seed,
-            verdict=report.verdict, signal=report.signal,
-            cycle=report.cycle, suspects=len(report.suspects),
-        )
     if out_path:
         with atomic_write(out_path) as handle:
             handle.write(report.to_json())

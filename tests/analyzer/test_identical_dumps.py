@@ -11,7 +11,6 @@ from repro.analyzer import ExtractionError, compare_vcds
 from repro.catg import run_test
 from repro.regression.testcases import build_test
 from repro.stbus import ArbitrationPolicy, NodeConfig
-from repro.telemetry import MetricRegistry, Telemetry
 from repro.vcd import parse_vcd
 from repro.vcd.parser import _parse_tokens
 
@@ -64,19 +63,15 @@ def test_identical_dumps_keep_the_missing_signal_error(clean_pair):
 
 def test_identical_pairs_are_counted(clean_pair, tmp_path):
     rtl, bca = clean_pair
-    registry = MetricRegistry()
-    compare_vcds(rtl, bca, telemetry=Telemetry(registry=registry))
-    assert registry.snapshot()["counters"] == {"analyzer.identical_pairs": 1}
-    registry = MetricRegistry()
+    assert compare_vcds(rtl, bca).identical
     # One byte apart: the header's $date text.
     other = tmp_path / "other.vcd"
     with open(bca, encoding="ascii") as handle:
         other.write_text(handle.read().replace("repro common", "repro Common"),
                          encoding="ascii")
-    report = compare_vcds(rtl, str(other), telemetry=Telemetry(
-        registry=registry))
+    report = compare_vcds(rtl, str(other))
     assert report.signed_off
-    assert "analyzer.identical_pairs" not in registry.snapshot()["counters"]
+    assert not report.identical
 
 
 def test_identical_corrupt_pair_names_the_first_file(clean_pair, tmp_path):

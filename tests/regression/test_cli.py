@@ -215,6 +215,46 @@ def test_analyzer_cli_survives_a_closed_pipe(vcd_pair):
     assert code == -signal.SIGPIPE
 
 
+def test_telemetry_cli_survives_a_closed_pipe(tmp_path):
+    """``python -m repro.telemetry summarize FILE | head -0`` ends
+    quietly, killed by SIGPIPE."""
+    import json
+    import signal
+
+    from repro.telemetry import METRICS_SCHEMA
+
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"schema": METRICS_SCHEMA, "batch": {}}))
+    code, stderr = _closed_stdout_run(
+        ["repro.telemetry", "summarize", str(metrics)])
+    assert stderr == ""
+    assert code == -signal.SIGPIPE
+
+
+def test_cache_cli_survives_a_closed_pipe(tmp_path):
+    """``python -m repro.cache explain ENTRY | head -0`` ends quietly,
+    killed by SIGPIPE."""
+    import signal
+
+    from repro.analysis.impact import ImpactIndex
+    from repro.cache import ResultCache
+    from repro.regression.parallel import RunJob, execute_run_job
+    from repro.regression.resilience import run_artifact_paths
+
+    stem = str(tmp_path / "entry__rtl")
+    job = RunJob(config=NodeConfig(n_initiators=1, n_targets=1,
+                                   name="clicache"),
+                 test_name="t01_sanity_write_read", seed=1, view="rtl",
+                 vcd_path=stem + ".vcd", report_stem=stem,
+                 bugs=frozenset())
+    index = ImpactIndex([job.config], views=("rtl",))
+    cache = ResultCache(str(tmp_path / "cache"), index.resolver())
+    entry = cache.store(job, execute_run_job(job), run_artifact_paths(job))
+    code, stderr = _closed_stdout_run(["repro.cache", "explain", entry])
+    assert stderr == ""
+    assert code == -signal.SIGPIPE
+
+
 def test_regression_cli_survives_a_closed_pipe(tmp_path):
     """``python -m repro.regression ... | head -0`` ends quietly: the
     batch runs on two workers, whose deaths must still raise in the
@@ -229,3 +269,39 @@ def test_regression_cli_survives_a_closed_pipe(tmp_path):
     assert "Traceback" not in stderr
     assert '"batch.complete"' in stderr
     assert code == 1  # one test alone never reaches full coverage
+
+
+def test_analyzer_metrics_out_derives_counts_from_the_report(vcd_pair,
+                                                             tmp_path,
+                                                             capsys):
+    """``--metrics-out`` reads the identical-pair count and the rate
+    histogram off the alignment report, written atomically; stdout is
+    the same as without it."""
+    import json
+
+    from repro.analyzer import compare_vcds
+
+    analyzer_main([vcd_pair["rtl"], vcd_pair["bad"]])
+    plain = capsys.readouterr().out
+    metrics = tmp_path / "metrics.json"
+    analyzer_main([vcd_pair["rtl"], vcd_pair["bad"],
+                   "--metrics-out", str(metrics)])
+    assert capsys.readouterr().out == plain
+    payload = json.loads(metrics.read_text())
+    assert list(payload) == ["schema", "span_seconds", "counters",
+                             "histograms"]
+    assert set(payload["span_seconds"]) == {"analyzer.parse",
+                                            "analyzer.align"}
+    assert payload["counters"] == {}
+    report = compare_vcds(vcd_pair["rtl"], vcd_pair["bad"])
+    hist = payload["histograms"]["analyzer.port_alignment_rate"]
+    assert hist["count"] == len(report.ports)
+    assert hist["min"] == report.min_rate < 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+
+    analyzer_main([vcd_pair["rtl"], vcd_pair["bca"],
+                   "--metrics-out", str(metrics)])
+    capsys.readouterr()
+    payload = json.loads(metrics.read_text())
+    assert payload["counters"] == {"analyzer.identical_pairs": 1}
+    assert payload["histograms"]["analyzer.port_alignment_rate"]["min"] == 1.0

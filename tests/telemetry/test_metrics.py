@@ -1,157 +1,71 @@
-"""Metric registry: instruments, snapshots and the zero-cost null mode."""
+"""The metrics rollup's derived histogram and the disabled telemetry path.
 
-import pytest
+Counts and rates are derived from the reports a batch already holds, so
+the only metric code left is :func:`~repro.telemetry.alignment_histogram`;
+the disabled path is the shared no-op bundle every job body uses when
+telemetry is off.
+"""
 
+from repro.analyzer import AlignmentReport, PortAlignment
 from repro.telemetry import (
-    MetricError,
-    MetricRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    merge_histogram_snapshots,
+    ALIGNMENT_BUCKETS,
+    NULL_LOG,
+    NULL_TELEMETRY,
+    NULL_TRACE,
+    RunRecorder,
+    alignment_histogram,
 )
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.trace import NULL_SPAN
 
 
-def test_counter_accumulates():
-    reg = MetricRegistry()
-    reg.counter("kernel.cycles").inc()
-    reg.counter("kernel.cycles").inc(41)
-    assert reg.counter("kernel.cycles").value == 42
-
-
-def test_counter_is_memoized():
-    reg = MetricRegistry()
-    assert reg.counter("a") is reg.counter("a")
-
-
-def test_gauge_last_value_wins():
-    reg = MetricRegistry()
-    reg.gauge("queue.depth").set(3)
-    reg.gauge("queue.depth").set(1.5)
-    assert reg.gauge("queue.depth").value == 1.5
+def _report(*rates):
+    """An alignment report whose ports have the given (aligned, total)
+    cycle counts."""
+    ports = {
+        f"tb.p{index}": PortAlignment(f"tb.p{index}", total, aligned, None)
+        for index, (aligned, total) in enumerate(rates)
+    }
+    return AlignmentReport(ports, max(t for _, t in rates))
 
 
 def test_histogram_buckets_and_stats():
-    hist = Histogram("h", buckets=(0.5, 0.9, 1.0))
-    for value in (0.2, 0.5, 0.95, 1.0, 1.0):
-        hist.observe(value)
-    snap = hist.snapshot()
-    assert snap["count"] == 5
-    assert snap["min"] == 0.2
-    assert snap["max"] == 1.0
-    assert snap["bounds"] == [0.5, 0.9, 1.0]
-    # bisect_left: 0.2,0.5 <= 0.5 | nothing in (0.5,0.9] | 0.95,1.0,1.0
-    assert snap["counts"] == [2, 0, 3, 0]
-    assert snap["sum"] == pytest.approx(3.65)
+    # rates 0.2, 0.5, 0.95, 1.0, 1.0 over two comparisons
+    hist = alignment_histogram([_report((1, 5), (1, 2)),
+                                _report((19, 20), (4, 4), (7, 7))])
+    assert hist["count"] == 5
+    assert hist["min"] == 0.2
+    assert hist["max"] == 1.0
+    assert hist["bounds"] == list(ALIGNMENT_BUCKETS)
+    # bisect_left on (0.5, 0.9, 0.95, 0.99, 0.999, 1.0): a rate equal to
+    # a bound lands in that bound's bucket; nothing reaches the overflow.
+    assert hist["counts"] == [2, 0, 1, 0, 0, 2, 0]
+    # each comparison's ports are summed first, then the comparisons
+    assert hist["sum"] == (0.0 + 0.2 + 0.5) + (0.0 + 0.95 + 1.0 + 1.0)
 
 
-def test_histogram_rejects_unsorted_buckets():
-    with pytest.raises(MetricError):
-        Histogram("h", buckets=(1.0, 0.5))
+def test_histogram_of_no_ports_is_empty():
+    hist = alignment_histogram([AlignmentReport({}, 0)])
+    assert hist["count"] == 0
+    assert hist["min"] is None and hist["max"] is None
+    assert hist["counts"] == [0] * (len(ALIGNMENT_BUCKETS) + 1)
 
 
-def test_histogram_bucket_conflict_detected():
-    reg = MetricRegistry()
-    reg.histogram("h", buckets=(0.5, 1.0))
-    with pytest.raises(MetricError):
-        reg.histogram("h", buckets=(0.9, 1.0))
+# -- the disabled path: shared no-op singletons, no state, no payload ------
 
 
-def test_name_reuse_across_kinds_rejected():
-    reg = MetricRegistry()
-    reg.counter("x")
-    with pytest.raises(MetricError):
-        reg.gauge("x")
-    with pytest.raises(MetricError):
-        reg.histogram("x")
+def test_null_telemetry_is_inert():
+    assert not NULL_TELEMETRY.enabled
+    assert NULL_TELEMETRY.trace is NULL_TRACE
+    assert NULL_TELEMETRY.log is NULL_LOG
+    assert NULL_TELEMETRY.span("anything", key="value") is NULL_SPAN
+    NULL_TELEMETRY.log.log("anything", much=True)
+    assert NULL_TRACE.events == [] and NULL_LOG.records == []
 
 
-def test_inc_many_with_prefix():
-    reg = MetricRegistry()
-    reg.inc_many({"cycles": 10, "deltas": 3}.items(), prefix="kernel.")
-    snap = reg.snapshot()
-    assert snap["counters"] == {"kernel.cycles": 10, "kernel.deltas": 3}
+def test_disabled_recorder_hands_out_the_null_bundle():
+    recorder = RunRecorder({"config": "c", "view": "rtl"}, enabled=False)
+    assert recorder.telemetry is NULL_TELEMETRY
+    with recorder.span("generate", **recorder.context):
+        recorder.telemetry.log.log("run.complete", passed=True)
+    assert recorder.payload() is None
 
-
-def test_snapshot_is_sorted_and_json_able():
-    import json
-
-    reg = MetricRegistry()
-    reg.counter("b").inc(2)
-    reg.counter("a").inc(1)
-    reg.gauge("g").set(0.5)
-    reg.histogram("h", buckets=(1.0,)).observe(0.3)
-    snap = reg.snapshot()
-    assert list(snap["counters"]) == ["a", "b"]
-    json.dumps(snap)  # must not raise
-
-
-def test_merge_histogram_snapshots():
-    a = Histogram("h", buckets=(0.5, 1.0))
-    b = Histogram("h", buckets=(0.5, 1.0))
-    a.observe(0.2)
-    a.observe(0.7)
-    b.observe(0.9)
-    b.observe(1.5)
-    merged = {}
-    merge_histogram_snapshots(merged, a.snapshot())
-    merge_histogram_snapshots(merged, b.snapshot())
-    assert merged["count"] == 4
-    assert merged["min"] == 0.2
-    assert merged["max"] == 1.5
-    assert merged["counts"] == [1, 2, 1]
-    # merging must not alias the source snapshot's lists
-    a_snap = a.snapshot()
-    merged2 = {}
-    merge_histogram_snapshots(merged2, a_snap)
-    merge_histogram_snapshots(merged2, b.snapshot())
-    assert a_snap["counts"] == [1, 1, 0]
-
-
-def test_merge_rejects_mismatched_bounds():
-    a = Histogram("h", buckets=(0.5,))
-    b = Histogram("h", buckets=(0.9,))
-    a.observe(0.1)
-    b.observe(0.1)
-    merged = {}
-    merge_histogram_snapshots(merged, a.snapshot())
-    with pytest.raises(MetricError):
-        merge_histogram_snapshots(merged, b.snapshot())
-
-
-# -- the disabled path: shared no-op singletons, no state, no growth -------
-
-
-def test_disabled_registry_hands_out_shared_singletons():
-    reg = MetricRegistry(enabled=False)
-    assert reg.counter("anything") is NULL_COUNTER
-    assert reg.gauge("anything") is NULL_GAUGE
-    assert reg.histogram("anything", buckets=(1.0,)) is NULL_HISTOGRAM
-    # every name maps to the same object: no per-name allocation
-    assert reg.counter("a") is reg.counter("b")
-
-
-def test_null_instruments_ignore_everything():
-    NULL_COUNTER.inc()
-    NULL_COUNTER.inc(1000)
-    NULL_GAUGE.set(42.0)
-    NULL_HISTOGRAM.observe(0.5)
-    assert NULL_COUNTER.value == 0
-    assert NULL_GAUGE.value == 0.0
-    assert NULL_HISTOGRAM.count == 0
-    assert NULL_HISTOGRAM.snapshot() == {}
-
-
-def test_disabled_registry_accumulates_no_state():
-    reg = MetricRegistry(enabled=False)
-    for index in range(100):
-        reg.counter(f"c{index}").inc()
-        reg.inc_many([(f"k{index}", 1)])
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_null_registry_is_disabled():
-    assert not NULL_REGISTRY.enabled
-    assert NULL_REGISTRY.counter("x") is NULL_COUNTER

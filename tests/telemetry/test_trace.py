@@ -6,7 +6,6 @@ from repro.telemetry import (
     NULL_TRACE,
     TraceCollector,
     assign_lanes,
-    chrome_trace_payload,
     span_seconds,
     write_chrome_trace,
 )
@@ -62,21 +61,12 @@ def test_nested_spans_record_inner_first():
     assert outer["ts"] + outer["dur"] >= inner["ts"] + inner["dur"]
 
 
-def test_instant_event():
-    trace = TraceCollector(clock=FakeClock(), pid=9)
-    trace.instant("marker", detail="x")
-    (event,) = trace.events
-    assert event["ph"] == "i"
-    assert event["args"] == {"detail": "x"}
-
-
 def test_disabled_collector_shares_null_span_and_records_nothing():
     trace = TraceCollector(enabled=False)
     span = trace.span("anything", key="value")
     assert span is NULL_SPAN
     with span:
         pass
-    trace.instant("marker")
     assert trace.events == []
     assert NULL_TRACE.span("x") is NULL_SPAN
 
@@ -89,7 +79,6 @@ def test_span_seconds_totals_by_name():
         pass
     with trace.span("report"):
         pass
-    trace.instant("ignored")
     totals = span_seconds(trace.events)
     assert totals == {"run": 1.0, "report": 0.5}
 
@@ -108,16 +97,17 @@ def test_assign_lanes_orders_workers_by_first_event():
     assert lanes[333] == (3, "worker-2")
 
 
-def test_chrome_trace_payload_remaps_pids_to_lanes():
+def test_chrome_trace_payload_remaps_pids_to_lanes(tmp_path):
     events = [
         {"name": "job", "ph": "X", "ts": 10, "dur": 5, "pid": 111},
         {"name": "batch", "ph": "X", "ts": 0, "dur": 20, "pid": 999},
     ]
-    payload = chrome_trace_payload(
-        events, lanes=assign_lanes(events, main_pid=999),
+    path = tmp_path / "trace.json"
+    write_chrome_trace(
+        str(path), events, lanes=assign_lanes(events, main_pid=999),
         process_name="test batch",
     )
-    out = payload["traceEvents"]
+    out = json.loads(path.read_text())["traceEvents"]
     meta = [e for e in out if e["ph"] == "M"]
     assert meta[0]["args"] == {"name": "test batch"}
     thread_names = {e["tid"]: e["args"]["name"] for e in meta[1:]}
@@ -143,3 +133,20 @@ def test_write_chrome_trace_round_trips(tmp_path):
     assert "process_name" in names
     assert "thread_name" in names
     assert "phase" in names
+    # written through a sibling temp file, none left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
+
+
+def test_write_chrome_trace_keeps_the_old_file_on_failure(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text("old\n")
+    unserializable = [{"name": "x", "ph": "X", "ts": 0, "dur": 1,
+                       "pid": 1, "args": {"obj": object()}}]
+    try:
+        write_chrome_trace(str(path), unserializable)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("an unserializable event must raise")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]

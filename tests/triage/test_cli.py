@@ -144,3 +144,63 @@ def test_regression_cli_triage_needs_compare(tmp_path, capsys):
         "--no-compare", "--triage"]) == 2
     err = capsys.readouterr().err
     assert "--triage" in err
+
+
+def _count_calls(monkeypatch, func):
+    """Route every loaded ``repro`` module's reference to ``func``
+    through a counter; returns the list each call appends to."""
+    import sys
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_every_view_reads_one_parse_of_each_dump(buggy_pair, tmp_path,
+                                                  capsys, monkeypatch):
+    """``--diff --wave --first-divergence --triage-out`` parses each
+    dump once, walks them to the first divergence once and ranks the
+    suspects once; the artifact is the one ``triage_entry`` writes."""
+    import repro.analyzer.cli  # noqa: F401 - bind every parse_vcd name
+    import repro.analyzer.diff  # noqa: F401
+    import repro.analyzer.waveview  # noqa: F401
+    from repro.triage import (
+        find_first_divergence,
+        rank_suspects,
+        triage_entry,
+    )
+    from repro.vcd import parse_vcd
+
+    args = [buggy_pair["rtl"], buggy_pair["bca"], "--diff", "--wave",
+            "--first-divergence", "--config", buggy_pair["cfg"]]
+    analyzer_main(args)
+    reference_out = capsys.readouterr().out
+    parses = _count_calls(monkeypatch, parse_vcd)
+    scans = _count_calls(monkeypatch, find_first_divergence)
+    rankings = _count_calls(monkeypatch, rank_suspects)
+    out_path = str(tmp_path / "cli.triage.json")
+    code = analyzer_main(args + ["--triage-out", out_path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert (len(parses), len(scans), len(rankings)) == (2, 1, 1)
+    assert out.startswith(reference_out.rsplit("verdict:", 1)[0])
+    assert "Transaction-level diff:" in out
+    assert "divergences marked '*'" in out
+    monkeypatch.undo()
+    ref_path = str(tmp_path / "entry.triage.json")
+    triage_entry(
+        NodeConfig.from_text(open(buggy_pair["cfg"]).read()),
+        "t06_lru_fairness", 2, buggy_pair["rtl"], buggy_pair["bca"],
+        reason="manual", out_path=ref_path,
+    )
+    with open(out_path) as got, open(ref_path) as want:
+        assert got.read() == want.read()

@@ -206,3 +206,73 @@ def test_metrics_rollup_has_no_triage_keys_when_clean(tmp_path):
     payload = json.load(open(metrics))
     assert "triages" not in payload
     assert "triage_counters" not in payload["batch"]
+
+
+def test_metrics_rollup_on_a_diverging_batch(tmp_path, capsys):
+    """The rollup's derived keys on a seeded-bug ``--triage`` batch: the
+    histogram is the comparisons' port rates bucketed, only identical
+    pairs carry the ``counters`` key, and ``triage_counters`` sums the
+    triage rows."""
+    from bisect import bisect_left
+
+    from repro.analyzer import compare_vcds
+    from repro.regression import save_config_dir
+    from repro.regression.cli import main as regression_main
+
+    configs = [NodeConfig(**BUGGY),
+               NodeConfig(n_initiators=2, n_targets=1, name="clean")]
+    tests = [TEST, "t01_sanity_write_read"]
+    save_config_dir(configs, str(tmp_path / "cfgs"))
+    workdir = tmp_path / "wd"
+    metrics = tmp_path / "metrics.json"
+    code = regression_main([
+        str(tmp_path / "cfgs"), "--workdir", str(workdir),
+        "--tests", *tests, "--seeds", "2", "--bugs", BUG,
+        "--triage", "--metrics-out", str(metrics),
+    ])
+    capsys.readouterr()
+    assert code == 1
+    payload = json.loads(metrics.read_text())
+
+    alignments = [
+        compare_vcds(*(str(workdir / f"{cfg.name}__{test}__s2__{view}.vcd")
+                       for view in ("rtl", "bca")))
+        for cfg in configs for test in tests
+    ]
+    hist = payload["histograms"]["analyzer.port_alignment_rate"]
+    rates = [port.rate for a in alignments for port in a.ports.values()]
+    counts = [0] * (len(hist["bounds"]) + 1)
+    for rate in rates:
+        counts[bisect_left(hist["bounds"], rate)] += 1
+    assert hist["counts"] == counts
+    assert (hist["count"], hist["min"], hist["max"]) == \
+        (len(rates), min(rates), max(rates))
+    total = 0.0
+    for alignment in alignments:
+        subtotal = 0.0
+        for port in alignment.ports.values():
+            subtotal += port.rate
+        total += subtotal
+    assert hist["sum"] == total
+    assert min(rates) < 1.0 and max(rates) == 1.0
+
+    compares = payload["compares"]
+    assert [(c["config"], c["test"]) for c in compares] == \
+        [(cfg.name, test) for cfg in configs for test in tests]
+    diverged = [c for c in compares if c["min_rate"] < 1.0]
+    assert diverged
+    for entry in diverged:
+        assert "counters" not in entry
+    for entry in compares:
+        if entry["config"] == "clean":
+            assert entry["counters"] == {"analyzer.identical_pairs": 1}
+
+    rows = payload["triages"]
+    assert len(rows) == len(diverged)
+    cycles = [row["first_divergence_cycle"] for row in rows
+              if row["first_divergence_cycle"] is not None]
+    assert cycles
+    assert payload["batch"]["triage_counters"] == {
+        "triage.first_divergence_cycle": sum(cycles),
+        "triage.suspect_count": sum(row["suspect_count"] for row in rows),
+    }
