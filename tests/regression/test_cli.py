@@ -67,6 +67,70 @@ def test_analyzer_cli_bad_inputs(vcd_pair, capsys):
                           "--threshold", "2.0"]) == 2
 
 
+def _analyzer_side_files(tmp_path, rtl, bca, capsys):
+    """Run the analyzer CLI on ``rtl``/``bca`` with and without
+    ``--metrics-out``/``--trace-out``; return (exit status, metrics,
+    trace events) after checking that stdout is the same both ways."""
+    import json
+
+    code = analyzer_main([rtl, bca])
+    plain = capsys.readouterr().out
+    metrics, trace = tmp_path / "metrics.json", tmp_path / "trace.json"
+    assert analyzer_main([rtl, bca, "--metrics-out", str(metrics),
+                          "--trace-out", str(trace)]) == code
+    assert capsys.readouterr().out == plain
+    # both files written in place, no temp file left behind
+    assert sorted(os.listdir(tmp_path)) == ["metrics.json", "trace.json"]
+    return (code, json.loads(metrics.read_text()),
+            json.loads(trace.read_text())["traceEvents"])
+
+
+def test_analyzer_cli_metrics_out_on_an_identical_pair(vcd_pair, tmp_path,
+                                                       capsys):
+    from repro.analyzer import compare_vcds
+    from repro.telemetry import alignment_histogram
+
+    code, metrics, _ = _analyzer_side_files(
+        tmp_path, vcd_pair["rtl"], vcd_pair["bca"], capsys)
+    assert code == 0
+    # no always-empty gauges section
+    assert list(metrics) == ["schema", "span_seconds", "counters",
+                             "histograms"]
+    assert metrics["counters"] == {"analyzer.identical_pairs": 1}
+    hist = metrics["histograms"]["analyzer.port_alignment_rate"]
+    assert hist == alignment_histogram(
+        [compare_vcds(vcd_pair["rtl"], vcd_pair["bca"])])
+    assert hist["min"] == hist["max"] == 1.0
+
+
+def test_analyzer_cli_metrics_out_on_a_diverging_pair(vcd_pair, tmp_path,
+                                                      capsys):
+    from repro.analyzer import compare_vcds
+    from repro.telemetry import alignment_histogram
+
+    code, metrics, _ = _analyzer_side_files(
+        tmp_path, vcd_pair["rtl"], vcd_pair["bad"], capsys)
+    assert code == 1
+    assert metrics["counters"] == {}
+    report = compare_vcds(vcd_pair["rtl"], vcd_pair["bad"])
+    hist = metrics["histograms"]["analyzer.port_alignment_rate"]
+    assert hist == alignment_histogram([report])
+    assert hist["count"] == len(report.ports)
+    assert hist["min"] == report.min_rate < 1.0
+
+
+def test_analyzer_cli_trace_out_spans_parse_and_align(vcd_pair, tmp_path,
+                                                      capsys):
+    _, metrics, events = _analyzer_side_files(
+        tmp_path, vcd_pair["rtl"], vcd_pair["bad"], capsys)
+    spans = [event for event in events if event["ph"] == "X"]
+    names = {event["name"] for event in spans}
+    assert names == {"analyzer.parse", "analyzer.align"}
+    # the metrics file's span totals cover the same spans
+    assert set(metrics["span_seconds"]) == names
+    assert all(event["dur"] >= 0 for event in spans)
+
+
 def test_regression_cli_green_run(tmp_path, capsys):
     cfg = NodeConfig(n_initiators=2, n_targets=2, name="clirun")
     save_config_dir([cfg], str(tmp_path / "cfgs"))
@@ -270,38 +334,3 @@ def test_regression_cli_survives_a_closed_pipe(tmp_path):
     assert '"batch.complete"' in stderr
     assert code == 1  # one test alone never reaches full coverage
 
-
-def test_analyzer_metrics_out_derives_counts_from_the_report(vcd_pair,
-                                                             tmp_path,
-                                                             capsys):
-    """``--metrics-out`` reads the identical-pair count and the rate
-    histogram off the alignment report, written atomically; stdout is
-    the same as without it."""
-    import json
-
-    from repro.analyzer import compare_vcds
-
-    analyzer_main([vcd_pair["rtl"], vcd_pair["bad"]])
-    plain = capsys.readouterr().out
-    metrics = tmp_path / "metrics.json"
-    analyzer_main([vcd_pair["rtl"], vcd_pair["bad"],
-                   "--metrics-out", str(metrics)])
-    assert capsys.readouterr().out == plain
-    payload = json.loads(metrics.read_text())
-    assert list(payload) == ["schema", "span_seconds", "counters",
-                             "histograms"]
-    assert set(payload["span_seconds"]) == {"analyzer.parse",
-                                            "analyzer.align"}
-    assert payload["counters"] == {}
-    report = compare_vcds(vcd_pair["rtl"], vcd_pair["bad"])
-    hist = payload["histograms"]["analyzer.port_alignment_rate"]
-    assert hist["count"] == len(report.ports)
-    assert hist["min"] == report.min_rate < 1.0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
-
-    analyzer_main([vcd_pair["rtl"], vcd_pair["bca"],
-                   "--metrics-out", str(metrics)])
-    capsys.readouterr()
-    payload = json.loads(metrics.read_text())
-    assert payload["counters"] == {"analyzer.identical_pairs": 1}
-    assert payload["histograms"]["analyzer.port_alignment_rate"]["min"] == 1.0

@@ -21,7 +21,7 @@ def test_stream_sink_emits_one_json_object_per_line():
     assert first == {"event": "batch.start", "ts": 1234.5, "jobs": 2}
 
 
-def test_context_lands_in_every_record():
+def test_bound_context_lands_in_every_record():
     stream = io.StringIO()
     logger = RunLogger(stream=stream, _clock=_fixed_clock,
                        context={"config": "cfg_a", "test": "t01",
