@@ -3,31 +3,33 @@
 :func:`check_agreement` runs in every :func:`repro.analysis.analyze_config`
 that analyzes both views; its :class:`AgreementReport` hangs off the
 configuration report under the ``agreement`` key.  Two complementary
-engines drive *bare* dual harnesses (the two node views instantiated on
-identical port bundles, no BFMs, no checkers):
+engines compare the two node views pin by pin:
 
 **Pointwise comb enumeration.**  The node's combinational outputs —
 request grants, response grants, programming ack/rdata — are functions
-of the current pin values and the node state.  From reset, each cone's
-stimulus axes are enumerated on both simulators and the settled outputs
-compared.  The axes are representative per-port stimulus states (one
-address per decode class, a few handshake variants), not every value
-of every pin, so agreement holds on those points only.  When a cone's
-point count exceeds :data:`DOMAIN_BUDGET` the cone is skipped with an
-explicit ``agreement-domain-too-large`` diagnostic — never silently.
+of the current pin values and the node state.  On a *bare* harness per
+view (the node on its port bundles, nothing else), each cone's stimulus
+axes are enumerated from reset and the settled outputs compared.  The
+axes are representative per-port stimulus states (one address per
+decode class, a few handshake variants), not every value of every pin,
+so agreement holds on those points only.  When a cone's point count
+exceeds :data:`DOMAIN_BUDGET` the cone is skipped with an explicit
+``agreement-domain-too-large`` diagnostic — never silently.
 
 **Bounded lockstep execution.**  Sequential behaviour (datapath
 routing, response matching, arbitration state evolution, chunk locks,
 programming-port side effects, decode and path-blocked errors) is
-compared on a deterministic, configuration-derived scenario set: both
-views receive byte-identical external stimulus — packet streams, an
-always-ready echo responder that reflects observed src/tid back,
-programming-port writes — and every node-driven interface pin is
-compared every settled cycle.  The scenarios are chosen so that each
-entry of the injectable BCA bug registry falls inside the compared
-behaviour on at least one matrix configuration (sub-word stores,
->4-initiator source tags, chunk-locked contention, LRU recency,
-programming-port reprogramming).
+compared on a deterministic, configuration-derived scenario set.  Each
+scenario is a :class:`~repro.catg.sequence.TestProgram` run on one
+:class:`~repro.catg.env.VerificationEnv` per view — the same BFMs,
+memory targets, programming master, monitors, checkers and scoreboard
+the regression uses — and the two environments are stepped together
+until both are drained, plus the program's drain cycles.  Every
+node-driven interface pin is compared every settled cycle.  The
+scenarios are chosen so that each entry of the injectable BCA bug
+registry falls inside the compared behaviour on at least one matrix
+configuration (sub-word stores, >4-initiator source tags, chunk-locked
+contention, LRU recency, programming-port reprogramming).
 
 A mismatch from either engine carries a concrete witness: the stimulus
 assignment (comb) or the scenario/cycle/pin triple (lockstep).
@@ -40,22 +42,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bca.node import BcaNode
+from ..catg.env import VerificationEnv
+from ..catg.sequence import ProgOp, TestProgram
 from ..kernel.module import Module
 from ..kernel.signal import Signal
 from ..kernel.simulator import Simulator
 from ..lint.diagnostics import Finding, Severity
 from ..rtl.node import RtlNode
-from ..stbus import (
-    NodeConfig,
-    Opcode,
-    StbusPort,
-    T1_READ,
-    T1_WRITE,
-    Transaction,
-    Type1Port,
-    build_request_cells,
-    build_response_cells,
-)
+from ..stbus import NodeConfig, Opcode, StbusPort, Transaction, Type1Port
 from .unr import coverage_gaps
 
 __all__ = [
@@ -77,8 +71,6 @@ _INIT_OUTPUTS = ("gnt", "r_req", "r_opc", "r_data", "r_eop", "r_src",
                  "r_tid")
 _TARG_OUTPUTS = ("req", "add", "opc", "data", "be", "eop", "lck", "tid",
                  "src", "pri", "r_gnt")
-
-_RESPONSE_LATENCY = 2
 
 
 @dataclass
@@ -129,7 +121,8 @@ class PortAgreement:
 # ---------------------------------------------------------------------------
 
 class _Harness:
-    """One bare view: node + port bundles, no environment components."""
+    """One bare view for the comb engine: node + port bundles, no
+    environment components."""
 
     def __init__(self, config: NodeConfig, view: str,
                  bugs: Iterable[str] = ()):
@@ -156,16 +149,7 @@ class _Harness:
                                self.targ_ports, prog_port=self.prog_port,
                                parent=self.top, bugs=bugs)
         self.sim.elaborate()
-        self.pins: Dict[str, Signal] = {}
-        for port in self.init_ports + self.targ_ports:
-            for sig in port.signals():
-                self.pins[sig.name] = sig
-        if self.prog_port is not None:
-            for sig in (self.prog_port.req, self.prog_port.ack,
-                        self.prog_port.opc, self.prog_port.add,
-                        self.prog_port.wdata, self.prog_port.rdata,
-                        self.prog_port.be):
-                self.pins[sig.name] = sig
+        self.pins = _pins(self)
 
     def settle(self) -> None:
         # External drives (writer None) sit in the commit queue; _settle
@@ -175,6 +159,21 @@ class _Harness:
 
     def drive(self, name: str, value: int) -> None:
         self.pins[name].drive(value)
+
+
+def _pins(bench) -> Dict[str, Signal]:
+    """Every interface pin of ``bench`` — a bare :class:`_Harness` or a
+    :class:`~repro.catg.env.VerificationEnv` — by signal name."""
+    pins: Dict[str, Signal] = {}
+    for port in bench.init_ports + bench.targ_ports:
+        for sig in port.signals():
+            pins[sig.name] = sig
+    prog = bench.prog_port
+    if prog is not None:
+        for sig in (prog.req, prog.ack, prog.opc, prog.add, prog.wdata,
+                    prog.rdata, prog.be):
+            pins[sig.name] = sig
+    return pins
 
 
 def _output_pins(config: NodeConfig) -> List[Tuple[str, str]]:
@@ -386,24 +385,31 @@ def _run_comb_engine(
 # lockstep scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Scenario:
-    name: str
-    #: initiator -> (start cycle, packet list); each packet is a cell list.
-    traffic: Dict[int, Tuple[int, List[list]]] = field(default_factory=dict)
-    #: (kind, address, wdata) programming operations, run back-to-back.
-    prog_ops: List[Tuple[int, int, int]] = field(default_factory=list)
-    max_cycles: int = 150
-
-
-def _packet(config: NodeConfig, opcode: Opcode, address: int,
-            initiator: int, *, lck: int = 0, tid: int = 0) -> List[list]:
+def _txn(opcode: Opcode, address: int, initiator: int, *,
+         lck: int = 0) -> Transaction:
     data = b""
     if opcode.kind.carries_request_data:
         data = bytes((address + 11 * k) & 0xFF for k in range(opcode.size))
-    txn = Transaction(opcode=opcode, address=address, data=data,
-                      tid=tid, lck=lck, initiator=initiator)
-    return build_request_cells(txn, config.bus_bytes, config.protocol_type)
+    return Transaction(opcode, address, data=data, lck=lck,
+                       initiator=initiator)
+
+
+def _test(config: NodeConfig, name: str,
+          traffic: Dict[int, Tuple[int, List[Transaction]]],
+          prog_ops: Sequence[ProgOp] = ()) -> TestProgram:
+    """One scenario as a test program: each initiator sends its
+    transactions back to back from its start cycle; every target answers
+    after two cycles."""
+    programs = []
+    for i in range(config.n_initiators):
+        start, txns = traffic.get(i, (0, []))
+        programs.append([(txn, start if k == 0 else 0)
+                         for k, txn in enumerate(txns)])
+    return TestProgram(
+        name=name, seed=0, programs=programs,
+        target_latencies=[2] * config.n_targets,
+        prog_ops=list(prog_ops), max_cycles=150, drain_cycles=4,
+    )
 
 
 def _first_region(config: NodeConfig, initiator: int):
@@ -413,38 +419,34 @@ def _first_region(config: NodeConfig, initiator: int):
     return None
 
 
-def _scenarios(config: NodeConfig) -> List[_Scenario]:
-    scenarios: List[_Scenario] = []
+def _scenarios(config: NodeConfig) -> List[TestProgram]:
+    scenarios: List[TestProgram] = []
     bus = config.bus_bytes
     load = Opcode.load(bus)
     store = Opcode.store(bus)
     amap = config.resolved_map
 
     # 1. Solo sweep: one initiator visits every decode class.
-    packets: List[list] = []
+    txns: List[Transaction] = []
     for region in amap.regions:
         if not config.path_allowed(0, region.target):
             continue
-        packets.append(_packet(config, load, region.base, 0, tid=1))
-        packets.append(_packet(config, store, region.base, 0, tid=2))
+        txns.append(_txn(load, region.base, 0))
+        txns.append(_txn(store, region.base, 0))
     gaps = coverage_gaps(amap)
     if gaps:
         addr = gaps[0][0]
-        packets.append(
-            _packet(config, load, addr - (addr % bus), 0, tid=3)
-        )
-    if packets:
-        scenarios.append(_Scenario("solo-sweep", traffic={0: (0, packets)}))
+        txns.append(_txn(load, addr - (addr % bus), 0))
+    if txns:
+        scenarios.append(_test(config, "solo-sweep", {0: (0, txns)}))
 
     # 2. Sub-word, bus-unaligned store/load (the lane-placement class).
     region = _first_region(config, 0)
     if bus > 1 and region is not None:
-        byte_op_s = Opcode.store(1)
-        byte_op_l = Opcode.load(1)
         addr = region.base + 1
-        scenarios.append(_Scenario("subword-unaligned", traffic={0: (0, [
-            _packet(config, byte_op_s, addr, 0, tid=4),
-            _packet(config, byte_op_l, addr, 0, tid=5),
+        scenarios.append(_test(config, "subword-unaligned", {0: (0, [
+            _txn(Opcode.store(1), addr, 0),
+            _txn(Opcode.load(1), addr, 0),
         ])}))
 
     # 3. Contention: every allowed initiator hammers one shared target.
@@ -458,9 +460,8 @@ def _scenarios(config: NodeConfig) -> List[_Scenario]:
     if shared is not None:
         t, allowed = shared
         base = amap.region_of(t).base
-        scenarios.append(_Scenario("contention", traffic={
-            i: (0, [_packet(config, load, base, i, tid=1),
-                    _packet(config, load, base, i, tid=2)])
+        scenarios.append(_test(config, "contention", {
+            i: (0, [_txn(load, base, i), _txn(load, base, i)])
             for i in allowed
         }))
 
@@ -470,12 +471,9 @@ def _scenarios(config: NodeConfig) -> List[_Scenario]:
         # the contender; the contender starts a cycle later (the locked
         # packet must win its first grant) and requests continuously.
         lo, hi = allowed[0], allowed[-1]
-        scenarios.append(_Scenario("chunk-lock", traffic={
-            hi: (0, [_packet(config, load, base, hi, lck=1, tid=1),
-                     _packet(config, load, base, hi, tid=2)]),
-            lo: (1, [_packet(config, load, base, lo, tid=3),
-                     _packet(config, load, base, lo, tid=4),
-                     _packet(config, load, base, lo, tid=5)]),
+        scenarios.append(_test(config, "chunk-lock", {
+            hi: (0, [_txn(load, base, hi, lck=1), _txn(load, base, hi)]),
+            lo: (1, [_txn(load, base, lo) for _ in range(3)]),
         }))
 
     # 5. Source sweep: every initiator's tag crosses the node.
@@ -483,165 +481,55 @@ def _scenarios(config: NodeConfig) -> List[_Scenario]:
     for i in range(config.n_initiators):
         region = _first_region(config, i)
         if region is not None:
-            traffic[i] = (2 * i, [_packet(config, load, region.base, i,
-                                          tid=i & 0xFF)])
+            traffic[i] = (2 * i, [_txn(load, region.base, i)])
     if traffic:
-        scenarios.append(_Scenario("src-sweep", traffic=traffic))
+        scenarios.append(_test(config, "src-sweep", traffic))
 
     # 6. Reprogram-then-contend: arbitration parameters flip first.
     if config.has_programming_port and shared is not None:
         t, allowed = shared
         base = amap.region_of(t).base
-        prog_ops = [(T1_WRITE, 0, 1), (T1_WRITE, 4 * allowed[-1], 9),
-                    (T1_READ, 0, 0)]
-        scenarios.append(_Scenario("prog-then-contend", prog_ops=prog_ops,
-                                   traffic={
-            i: (8, [_packet(config, load, base, i, tid=1),
-                    _packet(config, load, base, i, tid=2)])
+        prog_ops = [ProgOp(0, 0, 1), ProgOp(0, allowed[-1], 9),
+                    ProgOp(0, 0, 0, is_write=False)]
+        scenarios.append(_test(config, "prog-then-contend", {
+            i: (8, [_txn(load, base, i), _txn(load, base, i)])
             for i in allowed
-        }))
+        }, prog_ops))
 
     # 7. Blocked paths: a load and a store to every region the sender
     # has no path to, which both views must answer with an error.
     traffic = {}
     for i in range(config.n_initiators):
-        packets = []
+        txns = []
         for region in amap.regions:
             if not config.path_allowed(i, region.target):
-                packets.append(_packet(config, load, region.base, i, tid=6))
-                packets.append(_packet(config, store, region.base, i,
-                                       tid=7))
-        if packets:
-            traffic[i] = (0, packets)
+                txns.append(_txn(load, region.base, i))
+                txns.append(_txn(store, region.base, i))
+        if txns:
+            traffic[i] = (0, txns)
     if traffic:
-        scenarios.append(_Scenario("blocked-paths", traffic=traffic))
+        scenarios.append(_test(config, "blocked-paths", traffic))
     return scenarios
 
 
-class _ViewDriver:
-    """Deterministic external world for one view of one scenario.
-
-    All decisions are functions of the scenario and the pins *observed*
-    on this view, so both views see byte-identical stimulus up to their
-    first behavioural divergence — which is exactly what the per-cycle
-    pin comparison reports.
-    """
-
-    def __init__(self, harness: _Harness, scenario: _Scenario,
-                 config: NodeConfig):
-        self.h = harness
-        self.config = config
-        self.traffic = {
-            i: [start, [list(p) for p in packets], 0]
-            for i, (start, packets) in scenario.traffic.items()
-        }
-        self.prog_ops = list(scenario.prog_ops)
-        self.responses: Dict[int, List[list]] = {
-            t: [] for t in range(config.n_targets)
-        }
-        self.collect: Dict[int, List] = {
-            t: [] for t in range(config.n_targets)
-        }
-
-    def apply(self, cycle: int) -> None:
-        for i, port in enumerate(self.h.init_ports):
-            port.r_gnt.drive(1)
-            state = self.traffic.get(i)
-            if state and state[1] and cycle >= state[0]:
-                port.drive_request(state[1][0][state[2]])
-            else:
-                port.idle_request()
-        for t, port in enumerate(self.h.targ_ports):
-            port.gnt.drive(1)
-            queue = self.responses[t]
-            if queue and queue[0][0] <= cycle:
-                port.drive_response(queue[0][1][queue[0][2]])
-            else:
-                port.idle_response()
-        if self.h.prog_port is not None:
-            port = self.h.prog_port
-            if self.prog_ops:
-                kind, addr, wdata = self.prog_ops[0]
-                port.req.drive(1)
-                port.opc.drive(kind)
-                port.add.drive(addr)
-                port.wdata.drive(wdata & port.wdata.mask)
-                port.be.drive(port.be.mask)
-            else:
-                port.req.drive(0)
-
-    def _respond(self, t: int, cells: List, cycle: int) -> None:
-        first = cells[0]
-        opcode = Opcode.decode(first.opc)
-        data = b""
-        if opcode.kind.carries_response_data:
-            data = bytes((first.add + 17 * k) & 0xFF
-                         for k in range(opcode.size))
-        resp = build_response_cells(
-            opcode, self.config.bus_bytes, self.config.protocol_type,
-            data=data, src=first.src, tid=first.tid, address=first.add,
-        )
-        self.responses[t].append([cycle + _RESPONSE_LATENCY, resp, 0])
-
-    def update(self, cycle: int) -> None:
-        for i, port in enumerate(self.h.init_ports):
-            state = self.traffic.get(i)
-            if (state and state[1] and cycle >= state[0]
-                    and port.request_fired):
-                state[2] += 1
-                if state[2] >= len(state[1][0]):
-                    state[1].pop(0)
-                    state[2] = 0
-        for t, port in enumerate(self.h.targ_ports):
-            if port.req.value and port.gnt.value:
-                cell = port.request_cell()
-                self.collect[t].append(cell)
-                if cell.eop:
-                    self._respond(t, self.collect[t], cycle)
-                    self.collect[t] = []
-            queue = self.responses[t]
-            if (queue and queue[0][0] <= cycle
-                    and port.r_req.value and port.r_gnt.value):
-                queue[0][2] += 1
-                if queue[0][2] >= len(queue[0][1]):
-                    queue.pop(0)
-        if self.h.prog_port is not None and self.prog_ops:
-            port = self.h.prog_port
-            if port.req.value and port.ack.value:
-                self.prog_ops.pop(0)
-
-    @property
-    def quiescent(self) -> bool:
-        """Nothing left to send or answer, and no packet awaits a
-        response — including the decode and path-blocked errors the
-        node answers itself."""
-        dut = self.h.dut
-        return (not self.prog_ops
-                and all(not s[1] for s in self.traffic.values())
-                and all(not q for q in self.responses.values())
-                and all(not c for c in self.collect.values())
-                and not any(dut.outstanding_count(i)
-                            for i in range(self.config.n_initiators)))
-
-
-def _lockstep_cycles(drivers: Sequence[_ViewDriver], max_cycles: int):
-    """Run the drivers' views together, yielding each settled cycle;
-    stop once every driver has been quiescent for four cycles."""
-    drained = 0
-    for cycle in range(max_cycles):
-        for driver in drivers:
-            driver.apply(cycle)
-            driver.h.settle()
+def _step_together(envs: Sequence[VerificationEnv], test: TestProgram):
+    """Elaborate the envs and step them together, yielding each settled
+    cycle, until all are drained (or ``max_cycles``), then for the
+    program's ``drain_cycles`` — the end rule of ``VerificationEnv.run``."""
+    for env in envs:
+        env.sim.elaborate()
+    cycle = 0
+    while cycle < test.max_cycles:
+        for env in envs:
+            env.sim.step()
         yield cycle
-        for driver in drivers:
-            driver.update(cycle)
-            driver.h.sim.step()
-        if all(d.quiescent for d in drivers):
-            drained += 1
-            if drained >= 4:
-                return
-        else:
-            drained = 0
+        cycle += 1
+        if all(env.drained for env in envs):
+            break
+    for cycle in range(cycle, cycle + test.drain_cycles):
+        for env in envs:
+            env.sim.step()
+        yield cycle
 
 
 def _run_lockstep_engine(
@@ -650,18 +538,21 @@ def _run_lockstep_engine(
     ports: Dict[str, PortAgreement],
 ) -> None:
     outputs = _output_pins(config)
-    for scenario in _scenarios(config):
-        rtl = _Harness(config, "rtl")
-        bca = _Harness(config, "bca", bugs=bca_bugs)
-        drivers = (_ViewDriver(rtl, scenario, config),
-                   _ViewDriver(bca, scenario, config))
+    # Each view runs its own copy of every program: the environment
+    # annotates the transactions it sends.
+    for rtl_test, bca_test in zip(_scenarios(config), _scenarios(config)):
+        rtl = VerificationEnv(config, "rtl")
+        bca = VerificationEnv(config, "bca", bugs=bca_bugs)
+        rtl.load_test(rtl_test)
+        bca.load_test(bca_test)
+        rtl_pins, bca_pins = _pins(rtl), _pins(bca)
         for port in ports.values():
-            port.scenarios.append(scenario.name)
-        for cycle in _lockstep_cycles(drivers, scenario.max_cycles):
+            port.scenarios.append(rtl_test.name)
+        for cycle in _step_together((rtl, bca), rtl_test):
             mismatch = None
             for port_name, pin in outputs:
-                r = rtl.pins[pin].value
-                b = bca.pins[pin].value
+                r = rtl_pins[pin].value
+                b = bca_pins[pin].value
                 if r != b:
                     mismatch = (port_name, pin, r, b)
                     break
@@ -674,13 +565,16 @@ def _run_lockstep_engine(
                 if port.witness is None:
                     port.witness = {
                         "engine": "lockstep",
-                        "scenario": scenario.name,
+                        "scenario": rtl_test.name,
                         "cycle": cycle,
                         "signal": pin,
                         "rtl": r,
                         "bca": b,
                     }
                 break
+        # Release the designs before the next scenario builds its own.
+        rtl.sim.finish()
+        bca.sim.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,10 @@ class VerificationEnv:
             self.prog_master.load_schedule(test.prog_ops)
         self._test = test
 
-    def _drained(self) -> bool:
+    @property
+    def drained(self) -> bool:
+        """Every program sent and every packet answered: the end rule of
+        :meth:`run`, after which the test's ``drain_cycles`` still run."""
         if not all(bfm.done for bfm in self.bfms):
             return False
         if self.prog_master is not None and not self.prog_master.done:
@@ -259,30 +262,37 @@ class VerificationEnv:
         ctx = {"config": self.config.name, "view": self.view,
                "test": test.name, "seed": test.seed}
         started = time.perf_counter()
-        with tele.span("elaborate", **ctx):
-            self.sim.elaborate()
-        timed_out = False
-        executed = 0
-        with tele.span("run", **ctx):
-            while executed < test.max_cycles:
-                self.sim.step()
-                executed += 1
-                if self._drained():
-                    break
-            else:
-                timed_out = True
-                self.report.error(
-                    "TIMEOUT", "env", self.sim.now,
-                    f"test did not drain within {test.max_cycles} cycles",
-                )
-                tele.log.log("run.timeout", max_cycles=test.max_cycles)
-            for _ in range(test.drain_cycles):
-                self.sim.step()
-        with tele.span("finalize", **ctx):
-            for checker in self.checkers:
-                checker.finalize()
-            self.scoreboard.finalize(self.sim.now)
-            self.sim.finish()
+        try:
+            with tele.span("elaborate", **ctx):
+                self.sim.elaborate()
+            timed_out = False
+            executed = 0
+            with tele.span("run", **ctx):
+                while executed < test.max_cycles:
+                    self.sim.step()
+                    executed += 1
+                    if self.drained:
+                        break
+                else:
+                    timed_out = True
+                    self.report.error(
+                        "TIMEOUT", "env", self.sim.now,
+                        f"test did not drain within {test.max_cycles} cycles",
+                    )
+                    tele.log.log("run.timeout", max_cycles=test.max_cycles)
+                for _ in range(test.drain_cycles):
+                    self.sim.step()
+            with tele.span("finalize", **ctx):
+                for checker in self.checkers:
+                    checker.finalize()
+                self.scoreboard.finalize(self.sim.now)
+                self.sim.finish()
+        except BaseException:
+            # A process raised: drop the half-written dump, so the
+            # failed run leaves neither a temp file nor an open handle.
+            if self._writer is not None:
+                self._writer.abort()
+            raise
         wall = time.perf_counter() - started
         kernel_stats = self.sim.stats_snapshot()
         if self._writer is not None:

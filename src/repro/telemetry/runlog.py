@@ -6,12 +6,12 @@ Every record is one JSON object per line: ``{"event": ..., "ts": ...,
 stamps those coordinates on every record emitted inside a run without
 the call sites repeating them.
 
-Three sink modes:
+Two sink modes:
 
 * ``stream`` — write lines to an open text stream (e.g. ``sys.stderr``;
   never stdout: report artifacts must stay byte-identical with and
-  without telemetry),
-* ``path`` — append lines to a file the logger owns,
+  without telemetry; the batch's ``--log-json`` file is a stream that
+  :func:`repro.ioutil.atomic_write` stages),
 * ``buffer=True`` — collect records in memory; worker processes use this
   and ship ``records`` (plain dicts, picklable) back for the parent to
   replay in deterministic batch order via :meth:`write_record`.
@@ -32,22 +32,13 @@ class RunLogger:
     def __init__(
         self,
         stream: Optional[TextIO] = None,
-        path: Optional[str] = None,
         buffer: bool = False,
         context: Optional[Dict[str, object]] = None,
         enabled: bool = True,
         _clock=time.time,
     ) -> None:
-        if stream is not None and path is not None:
-            raise ValueError("pass either stream or path, not both")
-        self.enabled = enabled and (
-            stream is not None or path is not None or buffer
-        )
+        self.enabled = enabled and (stream is not None or buffer)
         self._stream = stream
-        self._own_stream = False
-        if path is not None and self.enabled:
-            self._stream = open(path, "w", encoding="utf-8")
-            self._own_stream = True
         self.records: List[dict] = []
         self._buffering = buffer
         self._context = dict(context or {})
@@ -72,11 +63,6 @@ class RunLogger:
             self.records.append(record)
         if self._stream is not None:
             self._stream.write(json.dumps(record) + "\n")
-
-    def close(self) -> None:
-        if self._own_stream and self._stream is not None:
-            self._stream.close()
-            self._stream = None
 
 
 #: Shared disabled logger: the default for instrumented code paths.

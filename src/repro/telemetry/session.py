@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..ioutil import TMP_SUFFIX, atomic_write
+from ..ioutil import atomic_write
 from .runlog import NULL_LOG, RunLogger
 from .trace import (
     NULL_TRACE,
@@ -515,9 +515,8 @@ class BatchTelemetry:
                    compare_telemetry, configs, tests, seeds,
                    faults=None, triage_telemetry=None,
                    cache=None) -> None:
-        tmp = self.config.log_out + TMP_SUFFIX
-        logger = RunLogger(path=tmp)
-        try:
+        with atomic_write(self.config.log_out) as handle:
+            logger = RunLogger(stream=handle)
             logger.log(
                 "batch.start",
                 configs=[c.name for c in configs],
@@ -553,6 +552,3 @@ class BatchTelemetry:
                 jobs=self.jobs,
                 all_signed_off=report.all_signed_off,
             )
-        finally:
-            logger.close()
-        os.replace(tmp, self.config.log_out)

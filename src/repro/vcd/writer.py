@@ -12,6 +12,7 @@ sections so third-party viewers show the same hierarchy the testbench has.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 from typing import Dict, List, Optional, Sequence, Set, TextIO, Union
@@ -150,6 +151,18 @@ class VcdWriter(Tracer):
             os.replace(self._final_path + TMP_SUFFIX, self._final_path)
         else:
             self._out.flush()
+
+    def abort(self) -> None:
+        """Stop without finishing the dump: close the stream and, when the
+        writer owns the file, remove its temp file (the final path is
+        never written).  A no-op after :meth:`finish`."""
+        if self._finished:
+            return
+        self._finished = True
+        if self._own_stream:
+            self._out.close()
+            with contextlib.suppress(OSError):
+                os.remove(self._final_path + TMP_SUFFIX)
 
     # -- internals ---------------------------------------------------------
 

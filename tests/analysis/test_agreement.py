@@ -14,13 +14,12 @@ from repro.analysis import agreement
 from repro.analysis.agreement import (
     AGREED,
     MISMATCH,
-    _Harness,
-    _lockstep_cycles,
     _scenarios,
-    _ViewDriver,
+    _step_together,
     check_agreement,
 )
 from repro.bca import ALL_BUGS
+from repro.catg.env import VerificationEnv
 from repro.regression.configs import configuration_matrix
 from repro.stbus import R_OPC_ERROR, NodeConfig
 
@@ -54,17 +53,19 @@ def test_small_matrix_agrees(config):
     )
 
 
-#: bug -> a matrix configuration where the defect is observable.
+#: bug -> (a matrix configuration where the defect is observable, the
+#: lockstep scenario that first witnesses it there).
 BUG_CONFIGS = {
-    "lru-recency-stuck": _first(
+    "lru-recency-stuck": (_first(
         lambda c: "lru" in c.name and c.n_initiators == 3
-    ),
-    "subword-lane-misplacement": MATRIX[0],
-    "src-tag-truncation": _first(lambda c: c.n_initiators == 8),
-    "chunk-lock-ignored": MATRIX[0],
-    "prog-update-stale": _first(
+    ), "contention"),
+    "subword-lane-misplacement": (MATRIX[0], "subword-unaligned"),
+    "src-tag-truncation": (_first(lambda c: c.n_initiators == 8),
+                           "contention"),
+    "chunk-lock-ignored": (MATRIX[0], "chunk-lock"),
+    "prog-update-stale": (_first(
         lambda c: c.has_programming_port and "programmable" in c.name
-    ),
+    ), "prog-then-contend"),
 }
 
 
@@ -74,7 +75,7 @@ def test_every_registered_bug_has_a_detection_config():
 
 @pytest.mark.parametrize("bug", sorted(BUG_CONFIGS))
 def test_registered_bug_is_detected_statically(bug):
-    config = BUG_CONFIGS[bug]
+    config, scenario = BUG_CONFIGS[bug]
     report = check_agreement(config, bca_bugs=(bug,))
     assert not report.agreed, (
         f"{bug} on {config.name} survived the agreement check"
@@ -83,7 +84,8 @@ def test_registered_bug_is_detected_statically(bug):
     assert mismatched
     witness = mismatched[0].witness
     assert witness is not None
-    assert witness["engine"] in ("lockstep", "comb")
+    assert witness["engine"] == "lockstep"
+    assert witness["scenario"] == scenario
     assert "signal" in witness
     findings = [f for f in report.findings if f.rule == "xview-function"]
     assert findings and all(f.severity.value == "error" for f in findings)
@@ -154,22 +156,27 @@ def test_only_partial_crossbars_get_the_blocked_path_scenario():
         assert ("blocked-paths" in names) == (config in BLOCKED), config.name
 
 
+def _env(config, view, test):
+    env = VerificationEnv(config, view)
+    env.load_test(test)
+    return env
+
+
 @pytest.mark.parametrize("config", BLOCKED, ids=[c.name for c in BLOCKED])
 @pytest.mark.parametrize("view", ["rtl", "bca"])
 def test_blocked_path_scenario_drives_error_responses(config, view):
     """init1 has no path to targ0: its load and store there are decoded
     but blocked, and the node answers each with an error response."""
-    scenario = next(s for s in _scenarios(config)
-                    if s.name == "blocked-paths")
-    driver = _ViewDriver(_Harness(config, view), scenario, config)
-    port = driver.h.init_ports[1]
+    test = next(s for s in _scenarios(config) if s.name == "blocked-paths")
+    env = _env(config, view, test)
+    port = env.init_ports[1]
     errors = [
         port.r_tid.value
-        for _ in _lockstep_cycles((driver,), scenario.max_cycles)
+        for _ in _step_together((env,), test)
         if port.r_req.value and port.r_gnt.value
         and port.r_opc.value & R_OPC_ERROR
     ]
-    assert errors == [6, 7]  # the load's tid, then the store's
+    assert errors == [0, 1]  # the load's tid, then the store's
 
 
 @pytest.mark.parametrize("config", [NodeConfig()] + MATRIX,
@@ -177,12 +184,11 @@ def test_blocked_path_scenario_drives_error_responses(config, view):
 def test_lockstep_scenarios_end_with_no_outstanding_packet(config):
     """A scenario runs until both nodes have answered every packet,
     including the error responses a node makes itself."""
-    for scenario in _scenarios(config):
-        drivers = [_ViewDriver(_Harness(config, view), scenario, config)
-                   for view in ("rtl", "bca")]
-        for _ in _lockstep_cycles(drivers, scenario.max_cycles):
+    for rtl_test, bca_test in zip(_scenarios(config), _scenarios(config)):
+        envs = [_env(config, "rtl", rtl_test), _env(config, "bca", bca_test)]
+        for _ in _step_together(envs, rtl_test):
             pass
-        for driver in drivers:
-            left = [driver.h.dut.outstanding_count(i)
+        for env in envs:
+            left = [env.dut.outstanding_count(i)
                     for i in range(config.n_initiators)]
-            assert not any(left), (scenario.name, driver.h.view, left)
+            assert not any(left), (rtl_test.name, env.view, left)

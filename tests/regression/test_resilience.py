@@ -318,6 +318,30 @@ def test_no_temp_leftovers_after_faulted_batch(tmp_path, monkeypatch):
     assert not [n for n in os.listdir(tmp_path) if n.endswith(TMP_SUFFIX)]
 
 
+def test_run_raising_mid_simulation_leaves_no_temp_vcd(tmp_path,
+                                                       monkeypatch):
+    """A process that raises after the VCD is open fails its run, and
+    the run removes the half-written dump with its handle closed."""
+    from repro.catg.bfm import InitiatorBfm
+    from repro.ioutil import TMP_SUFFIX
+
+    calls = []
+    clk = InitiatorBfm._clk
+
+    def failing(self):
+        calls.append(1)
+        if len(calls) == 21:
+            raise RuntimeError("bfm failed mid-run")
+        clk(self)
+
+    monkeypatch.setattr(InitiatorBfm, "_clk", failing)
+    report = _run(tmp_path)
+    entries = report.configs[0].entries
+    assert entries[0].status == "ERROR"
+    assert "bfm failed mid-run" in entries[0].rtl.message
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(TMP_SUFFIX)]
+
+
 # -- analyzer robustness ------------------------------------------------
 
 

@@ -16,7 +16,9 @@ import pytest
 from repro.regression import BatchSpec, RegressionRunner
 from repro.regression.flow import CommonVerificationFlow
 from repro.stbus import NodeConfig
+from repro.ioutil import TMP_SUFFIX
 from repro.telemetry import METRICS_SCHEMA, PHASE_NAMES, TelemetryConfig
+from repro.telemetry.session import BatchTelemetry
 from repro.telemetry.cli import main as telemetry_main
 
 TESTS = ["t01_sanity_write_read", "t02_random_uniform"]
@@ -273,3 +275,22 @@ def test_disabled_telemetry_records_nothing_extra(tmp_path):
     assert entry.rtl.telemetry is None
     assert entry.rtl.process_seconds == {}
     assert sorted(os.listdir(tmp_path)) == ["work"]
+
+
+def test_failed_log_replay_keeps_the_old_log(tmp_path):
+    """A record that fails to replay aborts the log export: the previous
+    log stays as it was and no temp file is left beside it."""
+    class Unreplayable:
+        @property
+        def records(self):
+            raise RuntimeError("replay failed")
+
+    log = tmp_path / "run.log.jsonl"
+    log.write_text("old log\n")
+    tele = BatchTelemetry(TelemetryConfig(log_out=str(log)))
+    key = (0, "t01_sanity_write_read", 1, "rtl")
+    with pytest.raises(RuntimeError, match="replay failed"):
+        tele._write_log(None, 0.0, [key], [], {key: Unreplayable()}, {},
+                        [_config()], ["t01_sanity_write_read"], [1])
+    assert log.read_text() == "old log\n"
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(TMP_SUFFIX)]

@@ -3,6 +3,7 @@
 import io
 import json
 
+from repro.ioutil import atomic_write
 from repro.telemetry import NULL_LOG, RunLogger
 
 
@@ -37,11 +38,10 @@ def test_bound_context_lands_in_every_record():
     assert "passed" not in first
 
 
-def test_path_sink_owns_its_file(tmp_path):
+def test_stream_sink_fills_an_atomically_written_file(tmp_path):
     path = str(tmp_path / "run.log.jsonl")
-    logger = RunLogger(path=path, _clock=_fixed_clock)
-    logger.log("event.one")
-    logger.close()
+    with atomic_write(path) as handle:
+        RunLogger(stream=handle, _clock=_fixed_clock).log("event.one")
     with open(path, "r", encoding="utf-8") as handle:
         records = [json.loads(line) for line in handle]
     assert [r["event"] for r in records] == ["event.one"]
