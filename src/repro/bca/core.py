@@ -139,6 +139,10 @@ class BcaCore:
         self._resp_lock: List[Optional[int]] = [None] * n_resp_q
         # Per-initiator transaction state.
         self._open_packet: List[Optional[int]] = [None] * n_init  # route
+        # The address of each initiator's last decoded head and where it
+        # goes: a head waiting for its grant is decoded once.
+        self._head_add: List[Optional[int]] = [None] * n_init
+        self._head_dest: List[int] = [ERROR_TARGET] * n_init
         self._in_flight: List[List[PacketRecord]] = [[] for _ in range(n_init)]
         self._err_resp: List[List[Tuple[RespCell, int]]] = [
             [] for _ in range(n_init)
@@ -164,6 +168,13 @@ class BcaCore:
     def _error_slot(self, initiator: int) -> int:
         n_targ = self.config.n_targets
         return n_targ + initiator if self.shared else n_targ
+
+    def _decode(self, initiator: int, add: int) -> int:
+        """``config.route`` of a head at ``add``, once per head."""
+        if self._head_add[initiator] != add:
+            self._head_add[initiator] = add
+            self._head_dest[initiator] = self.config.route(initiator, add)
+        return self._head_dest[initiator]
 
     def _may_open_packet(self, initiator: int, target: int) -> bool:
         records = self._in_flight[initiator]
@@ -194,7 +205,6 @@ class BcaCore:
         requests nothing; ``targ_ready[t]`` says whether target ``t``
         takes the request cell presented to it.
         """
-        route = self.config.route
         grants = [0] * len(adds)
         # One pass over the initiators: each one's eligibility, bucketed
         # by request queue in ascending index order.
@@ -204,7 +214,7 @@ class BcaCore:
                 continue
             dest = self._open_packet[i]
             if dest is None:
-                dest = route(i, add)
+                dest = self._decode(i, add)
                 if not self._may_open_packet(i, dest):
                     continue
             if dest == ERROR_TARGET:
@@ -252,6 +262,8 @@ class BcaCore:
             for i, pending in enumerate(self._err_resp)
             if pending and pending[0][1] <= now
         ]
+        if not requesters:
+            return r_gnts, err_pops
         # One pass over them, bucketed by response queue.
         eligible: List[List[Tuple[int, int]]] = [[] for _ in self._resp_q]
         for slot, dest, source in requesters:
@@ -319,7 +331,7 @@ class BcaCore:
             self.stats["req_cells"] += 1
             target = self._open_packet[i]
             if target is None:
-                target = self._open_packet[i] = cfg.route(i, cell.add)
+                target = self._open_packet[i] = self._decode(i, cell.add)
             if target == ERROR_TARGET:
                 if cell.eop:
                     self._absorb_error_packet(i, cell, now)
@@ -360,7 +372,7 @@ class BcaCore:
                 continue
             dest = self._open_packet[i]
             if dest is None:
-                dest = cfg.route(i, add)
+                dest = self._decode(i, add)
             if dest != ERROR_TARGET:
                 waiting[0 if self.shared else dest].append(i)
         for arbiter, requesting in zip(self._arb, waiting):
@@ -374,7 +386,8 @@ class BcaCore:
         src = initiator
         if BUG_SRC_TRUNCATION in self.bugs:
             src = initiator & 0b11
-        fwd = replace(cell, src=src)
+        fwd = Cell(cell.add, cell.opc, cell.data, cell.be, cell.eop,
+                   cell.lck, cell.tid, src, cell.pri)
         if BUG_SUBWORD_LANES in self.bugs:
             offset = fwd.add % self.config.bus_bytes
             if offset:

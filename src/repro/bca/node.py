@@ -22,10 +22,12 @@ flow).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..kernel import Module, Simulator
-from ..stbus import NodeConfig, StbusPort, T1_WRITE, Type1Port
+from ..kernel import Module, Simulator, drive_changes
+from ..stbus import (
+    Cell, NodeConfig, RespCell, StbusPort, T1_WRITE, Type1Port,
+)
 from .core import BcaCore
 
 
@@ -64,11 +66,20 @@ class BcaNode(Module):
         # grant signal is high.
         self._targ_gnt = [port.gnt for port in self.targ_ports]
         self._init_r_gnt = [port.r_gnt for port in self.init_ports]
+        self._targ_r_gnt = [port.r_gnt for port in self.targ_ports]
 
         self._tick = self.signal("tick")
         self._err_pop = [
             self.signal(f"err_pop{i}") for i in range(config.n_initiators)
         ]
+        # Each comb process is the sole writer of its outputs and drives
+        # only the ones that change: the pins, and the values it drove
+        # last (None until its first activation drives them all).
+        self._gnt_pins = [port.gnt for port in self.init_ports]
+        self._gnt_held: Optional[List[int]] = None
+        self._r_gnt_pins = self._targ_r_gnt + self._err_pop
+        self._r_gnt_held: Optional[List[int]] = None
+        self._prog_held: Optional[Tuple[int, int]] = None
 
         pin_universe = [
             sig for port in self.init_ports + self.targ_ports
@@ -117,8 +128,9 @@ class BcaNode(Module):
 
     def _compute_grants(self) -> None:
         grants = self.core.request_grants(self._requests(), self._targ_gnt)
-        for port, gnt in zip(self.init_ports, grants):
-            port.gnt.drive(gnt)
+        if grants != self._gnt_held:
+            self._gnt_held = drive_changes(self._gnt_pins, grants,
+                                           self._gnt_held)
 
     def _compute_response_grants(self) -> None:
         r_srcs = [
@@ -127,17 +139,19 @@ class BcaNode(Module):
         ]
         r_gnts, err_pops = self.core.response_grants(
             self.sim.now, r_srcs, self._init_r_gnt)
-        for port, r_gnt in zip(self.targ_ports, r_gnts):
-            port.r_gnt.drive(r_gnt)
-        for sig, pop in zip(self._err_pop, err_pops):
-            sig.drive(pop)
+        values = r_gnts + err_pops
+        if values != self._r_gnt_held:
+            self._r_gnt_held = drive_changes(self._r_gnt_pins, values,
+                                             self._r_gnt_held)
 
     def _prog_comb(self) -> None:
         port = self.prog_port
         assert port is not None
-        port.ack.drive(port.req.value)
-        port.rdata.drive(self.core.prog_read(port.add.value)
-                         & port.rdata.mask)
+        values = (port.req.value,
+                  self.core.prog_read(port.add.value) & port.rdata.mask)
+        if values != self._prog_held:
+            self._prog_held = drive_changes((port.ack, port.rdata), values,
+                                            self._prog_held)
 
     # ------------------------------------------------------------------
     # clocked: the transaction engine's edge
@@ -145,20 +159,29 @@ class BcaNode(Module):
 
     def _on_clock(self) -> None:
         # What transferred during the previous cycle?
+        adds: List[Optional[int]] = []
+        req_cells: List[Optional[Cell]] = []
+        for port in self.init_ports:
+            if port.req._value:
+                adds.append(port.add._value)
+                req_cells.append(
+                    port.request_cell() if port.gnt._value else None)
+            else:
+                adds.append(None)
+                req_cells.append(None)
         self.core.edge(
             self.sim.now,
-            self._requests(),
-            [port.request_cell() if port.request_fired else None
-             for port in self.init_ports],
-            [port.response_cell() if port.response_fired else None
-             for port in self.targ_ports],
-            [sig.value for sig in self._err_pop],
+            adds,
+            req_cells,
+            [port.response_cell() if port.r_req._value and port.r_gnt._value
+             else None for port in self.targ_ports],
+            [sig._value for sig in self._err_pop],
             self._targ_gnt,
             self._init_r_gnt,
         )
         self._prog_clock()
         self._drive_outputs()
-        self._tick.drive(self._tick.value ^ 1)
+        self._tick.drive(self._tick._value ^ 1)
 
     def _prog_clock(self) -> None:
         port = self.prog_port
@@ -171,20 +194,18 @@ class BcaNode(Module):
         self.core.prog_write(port.add.value, port.wdata.value)
 
     def _drive_outputs(self) -> None:
-        visible = {
-            item.target: item for item in self.core.req_heads
-            if item is not None
-        }
-        for t, port in enumerate(self.targ_ports):
-            item = visible.get(t)
-            port.present_request(None if item is None else item.cell)
-        visible_resp = {
-            item.dest: item for item in self.core.resp_heads
-            if item is not None
-        }
-        for i, port in enumerate(self.init_ports):
-            item = visible_resp.get(i)
-            port.present_response(None if item is None else item.cell)
+        cells: List[Optional[Cell]] = [None] * len(self.targ_ports)
+        for item in self.core.req_heads:
+            if item is not None:
+                cells[item.target] = item.cell
+        for port, cell in zip(self.targ_ports, cells):
+            port.present_request(cell)
+        r_cells: List[Optional[RespCell]] = [None] * len(self.init_ports)
+        for item in self.core.resp_heads:
+            if item is not None:
+                r_cells[item.dest] = item.cell
+        for port, r_cell in zip(self.init_ports, r_cells):
+            port.present_response(r_cell)
 
     # ------------------------------------------------------------------
     # introspection

@@ -16,10 +16,10 @@ the standalone BCA mode (:mod:`repro.bca.fast`) drives directly, so both
 BCA drivers see the same stimulus.
 
 The request pins are registered outputs the BFM alone drives, and a
-signal keeps its committed value until its next drive.  So the BFM drives
-the bundle only when the presented cell changes (a new cell, or the move
-to or from idle) and holds it otherwise; the pins read the same on every
-cycle as if it re-drove them.
+signal keeps its committed value until its next drive.  So the BFM
+presents through the port's hold (:meth:`StbusPort.present_request`),
+which drives only the pins whose value changes; the pins read the same
+on every cycle as if it re-drove them.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from ..stbus import (
     Transaction,
     build_request_cells,
 )
-
-#: ``_presented`` before the first activation: nothing driven yet.
-_UNDRIVEN = object()
-
 
 class RequestSequencer:
     """The initiator BFM's request side, without pins.
@@ -130,17 +126,16 @@ class InitiatorBfm(Module, RequestSequencer):
         Module.__init__(self, sim, name, parent)
         RequestSequencer.__init__(self, program, port.bus_bytes, protocol)
         self.port = port
-        #: The cell on the request pins (None: idle), or _UNDRIVEN.
-        self._presented: object = _UNDRIVEN
         self.response_packets: List[List] = []
         self._resp_assembly: List = []
         self.clocked(
             self._clk,
             reads=[port.req, port.gnt, port.r_gnt] + port.response_signals(),
             writes=port.request_signals() + [port.r_gnt],
-            # src/r_gnt are driven once, on the first activation, and
-            # held at that constant; declaring the tie-off lets the
-            # static analysis treat them as proven constants.
+            # src (0 in every BFM cell) and r_gnt are driven on the first
+            # activation and held at that constant; declaring the
+            # tie-off lets the static analysis treat them as proven
+            # constants.
             tie_offs={port.src: 0, port.r_gnt: 1},
         )
 
@@ -156,34 +151,8 @@ class InitiatorBfm(Module, RequestSequencer):
                 self._resp_assembly = []
         # Consume the grant observed during the previous cycle.
         self.advance(port.req._value and port.gnt._value)
-        # Present the current cell (registered outputs, held between
-        # changes).
-        cell = self.presented()
-        if cell is not self._presented:
-            self._drive_request(cell)
-            if self._presented is _UNDRIVEN:
-                port.src.drive(0)  # meaningful only on the node's target side
-                port.r_gnt.drive(1)  # the BFM always absorbs response cells
-            self._presented = cell
-
-    def _drive_request(self, cell: Optional[Cell]) -> None:
-        """Drive every request pin but ``src`` with ``cell`` (None: idle)."""
-        port = self.port
-        if cell is None:
-            port.idle_request()
-            port.add.drive(0)
-            port.opc.drive(0)
-            port.data.drive(0)
-            port.be.drive(0)
-            port.tid.drive(0)
-            port.pri.drive(0)
-            return
-        port.req.drive(1)
-        port.add.drive(cell.add)
-        port.opc.drive(cell.opc)
-        port.data.drive(cell.data)
-        port.be.drive(cell.be)
-        port.eop.drive(cell.eop)
-        port.lck.drive(cell.lck)
-        port.tid.drive(cell.tid)
-        port.pri.drive(cell.pri)
+        # Present the current cell: registered outputs, driven only where
+        # they change.
+        port.present_request(self.presented())
+        if not port.r_gnt._next:
+            port.r_gnt.drive(1)  # the BFM always absorbs response cells

@@ -127,31 +127,41 @@ class ProtocolChecker(Module):
 
     def sample(self, sample: PortSample) -> None:
         """Check one cycle, given the sample the monitor read."""
-        port = self.port
         req, gnt, r_req = sample.req, sample.gnt, sample.r_req
-        if self._held_req is not None:
+        if not req and not r_req and self._held_req is None \
+                and self._held_resp is None:
+            return  # an idle port binds nothing and transfers nothing
+        port = self.port
+        # A channel's fields are read once, when a held cycle is compared
+        # or a new one is held.
+        held = self._held_req
+        fields = _request_fields(port) \
+            if req and (held is not None or not gnt) else None
+        if held is not None:
             if not req:
                 self._fail("REQ_DROPPED",
                            "req deasserted before grant")
-            elif _request_fields(port) != self._held_req:
+            elif fields != held:
                 self._fail("REQ_UNSTABLE",
                            "request fields changed while ungranted")
         if sample.cell is not None:
             self._check_request_cell(sample.cell)
-        self._held_req = _request_fields(port) if req and not gnt else None
+        self._held_req = fields if req and not gnt else None
 
-        if self._held_resp is not None:
+        held = self._held_resp
+        r_gnt = sample.r_gnt
+        fields = _response_fields(port) \
+            if r_req and (held is not None or not r_gnt) else None
+        if held is not None:
             if not r_req:
                 self._fail("RESP_DROPPED",
                            "r_req deasserted before grant")
-            elif _response_fields(port) != self._held_resp:
+            elif fields != held:
                 self._fail("RESP_UNSTABLE",
                            "response fields changed while ungranted")
         if sample.r_cell is not None:
             self._check_response_cell(sample.r_cell)
-        self._held_resp = (
-            _response_fields(port) if r_req and not sample.r_gnt else None
-        )
+        self._held_resp = fields if r_req and not r_gnt else None
 
     # -- request packet rules ---------------------------------------------------
 

@@ -142,37 +142,44 @@ class PortMonitor(Module):
         self._sample_subs.append(callback)
 
     def _clk(self) -> None:
-        cycle = self.sim.now - 1  # the cycle whose values we sampled
+        # The values sampled are those of the cycle before this edge.  An
+        # idle channel publishes its handshake bits and nothing else: no
+        # head to decode, no cell to build.
         port = self.port
         sample = self.sample
         sample.req = req = port.req._value
         sample.gnt = gnt = port.gnt._value
-        if req and not self._req_cells and self._route is not None \
-                and port.add._value != self._dest_add:
-            # A new head decodes once; an open packet keeps its first
-            # cell's destination.
-            self._dest_add = port.add._value
-            self._dest = self._route(self.index, self._dest_add)
-        sample.dest = self._dest if req else None
-        sample.cell = cell = port.request_cell() if req and gnt else None
-        if cell is not None:
-            if not self._req_cells:
-                self._req_start = cycle
-            self._req_cells.append(cell)
-            if cell.eop:
-                obs = ObservedRequest(
-                    port.name, self.role, self.index,
-                    self._req_cells, self._req_start, cycle, sample.dest,
-                )
-                self._req_cells = []
-                self.requests.append(obs)
-                for callback in self._req_subs:
-                    callback(obs)
+        if not req:
+            sample.dest = sample.cell = None
+        else:
+            if not self._req_cells and self._route is not None \
+                    and port.add._value != self._dest_add:
+                # A new head decodes once; an open packet keeps its
+                # first cell's destination.
+                self._dest_add = port.add._value
+                self._dest = self._route(self.index, self._dest_add)
+            sample.dest = self._dest
+            sample.cell = cell = port.request_cell() if gnt else None
+            if cell is not None:
+                cycle = self.sim.now - 1
+                if not self._req_cells:
+                    self._req_start = cycle
+                self._req_cells.append(cell)
+                if cell.eop:
+                    obs = ObservedRequest(
+                        port.name, self.role, self.index,
+                        self._req_cells, self._req_start, cycle, self._dest,
+                    )
+                    self._req_cells = []
+                    self.requests.append(obs)
+                    for callback in self._req_subs:
+                        callback(obs)
         sample.r_req = r_req = port.r_req._value
         sample.r_gnt = r_gnt = port.r_gnt._value
         sample.r_cell = r_cell = \
             port.response_cell() if r_req and r_gnt else None
         if r_cell is not None:
+            cycle = self.sim.now - 1
             if not self._resp_cells:
                 self._resp_start = cycle
             self._resp_cells.append(r_cell)

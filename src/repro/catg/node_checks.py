@@ -77,6 +77,7 @@ class ArbitrationChecker(Module):
         self._flights: List[List[Tuple[int, int]]] = [
             [] for _ in range(config.n_initiators)
         ]
+        self._no_grants = [0] * config.n_initiators
         self.checked_cycles = 0
         on_every_sample([*init_monitors, *targ_monitors], self._check)
         if prog_checker is not None:
@@ -139,58 +140,53 @@ class ArbitrationChecker(Module):
     # -- per-cycle: predict, compare, then update state ------------------------
 
     def _check(self) -> None:
-        cycle = self.sim.now - 1
         dests = [sample.dest for sample in self._init]
-        expected = self._expected_grants(dests)
-        for i, sample in enumerate(self._init):
-            actual = sample.gnt
-            if actual != expected[i]:
-                kind = "unexpected grant to" if actual else "missing grant for"
-                self.report.error(
-                    "ARB_POLICY", self.name, cycle,
-                    f"{kind} initiator {i} "
-                    f"(policy {self.config.arbitration.value})",
-                )
+        # With no initiator requesting, the reference grants nothing.
+        expected = self._no_grants if dests.count(None) == len(dests) \
+            else self._expected_grants(dests)
         self.checked_cycles += 1
-        self._update_state(dests)
-
-    def _update_state(self, dests: List[Optional[int]]) -> None:
+        shared = self.shared
         # Cells leaving toward targets free pipe slots.
         for t, sample in enumerate(self._targ):
             if sample.cell is not None:
-                self._occupancy[self._domain(t)] -= 1
-        # Granted request cells.
+                self._occupancy[0 if shared else t] -= 1
+        # One walk over the initiators: compare the grant with the
+        # prediction, then apply the granted request cell, the response
+        # retiring (it releases credit) and the request the arbiters age.
+        # A packet keeps its first cell's destination, so a grant changes
+        # no requester's domain.
+        waiting: List[List[int]] = [[] for _ in self._arb]
         for i, sample in enumerate(self._init):
-            cell = sample.cell
-            if cell is None:
-                continue
+            if sample.gnt != expected[i]:
+                kind = "unexpected grant to" if sample.gnt \
+                    else "missing grant for"
+                self.report.error(
+                    "ARB_POLICY", self.name, self.sim.now - 1,
+                    f"{kind} initiator {i} "
+                    f"(policy {self.config.arbitration.value})",
+                )
             target = dests[i]
-            self._open[i] = not cell.eop
-            if cell.eop:
-                self._flights[i].append((target, cell.tid))
-            if target == ERROR_TARGET:
-                continue
-            domain = self._domain(target)
-            self._occupancy[domain] += 1
-            self._arb[domain].on_grant_cycle(i)
-            if cell.eop:
-                self._busy[domain] = None
-                self._chunk[domain] = i if cell.lck else None
-                self._arb[domain].on_packet_end(i)
-            else:
-                self._busy[domain] = i
-        # Responses retiring at initiator ports release credit.
-        for i, sample in enumerate(self._init):
+            cell = sample.cell
+            if cell is not None:
+                self._open[i] = not cell.eop
+                if cell.eop:
+                    self._flights[i].append((target, cell.tid))
+                if target != ERROR_TARGET:
+                    domain = 0 if shared else target
+                    self._occupancy[domain] += 1
+                    self._arb[domain].on_grant_cycle(i)
+                    if cell.eop:
+                        self._busy[domain] = None
+                        self._chunk[domain] = i if cell.lck else None
+                        self._arb[domain].on_packet_end(i)
+                    else:
+                        self._busy[domain] = i
             r_cell = sample.r_cell
             if r_cell is not None and r_cell.r_eop:
                 self._retire(i, r_cell.r_tid)
+            if target is not None and target != ERROR_TARGET:
+                waiting[0 if shared else target].append(i)
         # Per-cycle arbiter ageing (identical rule to the specification).
-        # A packet keeps its first cell's destination, so the grants
-        # above change no requester's domain.
-        waiting: List[List[int]] = [[] for _ in self._arb]
-        for i, dest in enumerate(dests):
-            if dest is not None and dest != ERROR_TARGET:
-                waiting[self._domain(dest)].append(i)
         for arbiter, requesting in zip(self._arb, waiting):
             arbiter.tick(requesting)
 

@@ -7,11 +7,14 @@ this master to reprogram priorities mid-test.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..kernel import Module, Simulator
+from ..kernel import Module, Simulator, drive_changes
 from ..stbus import T1_IDLE, T1_READ, T1_WRITE, Type1Port
 from .sequence import ProgOp
+
+#: The command pins of an idle master.
+_IDLE = (0, T1_IDLE, 0, 0, 0)
 
 
 class ProgrammingMaster(Module):
@@ -32,10 +35,14 @@ class ProgrammingMaster(Module):
         self._active: Optional[ProgOp] = None
         self.completed: List[ProgOp] = []
         self.read_values: List[int] = []
+        #: req, opc, add, wdata, be: the pins _clk drives, and the
+        #: values it drove last (None: not yet driven).
+        self._pins = (port.req, port.opc, port.add, port.wdata, port.be)
+        self._held: Optional[Tuple[int, ...]] = None
         self.clocked(
             self._clk,
             reads=[port.req, port.ack, port.rdata],
-            writes=[port.req, port.opc, port.add, port.wdata, port.be],
+            writes=self._pins,
         )
 
     def load_schedule(self, schedule: Sequence[ProgOp]) -> None:
@@ -58,14 +65,12 @@ class ProgrammingMaster(Module):
             self._idx += 1
         if self._active is not None:
             op = self._active
-            port.req.drive(1)
-            port.opc.drive(T1_WRITE if op.is_write else T1_READ)
-            port.add.drive((op.index * 4) & port.add.mask)
-            port.wdata.drive(op.value & port.wdata.mask)
-            port.be.drive(port.be.mask)
+            values = (1, T1_WRITE if op.is_write else T1_READ,
+                      (op.index * 4) & port.add.mask,
+                      op.value & port.wdata.mask, port.be.mask)
         else:
-            port.req.drive(0)
-            port.opc.drive(T1_IDLE)
-            port.add.drive(0)
-            port.wdata.drive(0)
-            port.be.drive(0)
+            values = _IDLE
+        # The command pins are registered and this process's alone:
+        # drive only the ones that change.
+        if values != self._held:
+            self._held = drive_changes(self._pins, values, self._held)

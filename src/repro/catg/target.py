@@ -215,6 +215,8 @@ class TargetHarness(Module, MemoryTarget):
                               jitter, capacity, seed, error_rate)
         self.port = port
         self._tick = self.signal("tick")
+        #: The value _gnt_comb last drove on gnt (None: not yet driven).
+        self._gnt_held: Optional[int] = None
         self.clocked(
             self._clk,
             reads=port.signals() + [self._tick],
@@ -225,7 +227,12 @@ class TargetHarness(Module, MemoryTarget):
     # -- processes -----------------------------------------------------------
 
     def _gnt_comb(self) -> None:
-        self.port.gnt.drive(1 if self.gnt() else 0)
+        # This process alone drives gnt, so it drives it only when the
+        # value changes; the first activation (nothing held) always does.
+        gnt = 1 if self.gnt() else 0
+        if gnt != self._gnt_held:
+            self._gnt_held = gnt
+            self.port.gnt.drive(gnt)
 
     def _clk(self) -> None:
         port = self.port

@@ -6,6 +6,7 @@ Public API:
 - :class:`Simulator` — single-clock scheduler with delta-cycle settling
 - :class:`Module` — hierarchical container for signals and processes
 - :class:`Tracer` — per-cycle waveform observer interface
+- :func:`drive_changes` — a sole writer's drive of only the pins that change
 """
 
 from .signal import (
@@ -13,6 +14,7 @@ from .signal import (
     Signal,
     SignalError,
     WidthError,
+    drive_changes,
     multiple_driver_message,
 )
 from .simulator import (
@@ -41,5 +43,6 @@ __all__ = [
     "Module",
     "MAX_DELTAS",
     "multiple_driver_message",
+    "drive_changes",
     "delta_overflow_message",
 ]

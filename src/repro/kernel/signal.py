@@ -71,6 +71,27 @@ def multiple_driver_message(
     )
 
 
+def drive_changes(signals, values, held):
+    """Drive each of ``signals`` whose value in ``values`` differs from
+    ``held``, the values this sole writer drove last (every one when
+    ``held`` is None), and return ``values``, the new held values.
+
+    A pin keeps its value until its next drive, so a re-drive of the
+    held value would only schedule a commit that changes nothing.  The
+    caller is the pin's one writer: a second, undeclared writer of a
+    held pin can miss its :class:`MultipleDriverError`, which the lint
+    pass's declared-writer ``multi-driver`` rule still catches.
+    """
+    if held is None:
+        for sig, value in zip(signals, values):
+            sig.drive(value)
+    else:
+        for sig, value, old in zip(signals, values, held):
+            if value != old:
+                sig.drive(value)
+    return values
+
+
 class Signal:
     """A named, fixed-width, 2-state wire with deferred-commit semantics.
 

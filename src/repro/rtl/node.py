@@ -40,10 +40,10 @@ Microarchitecture summary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import Module, Simulator
+from ..kernel import Module, Simulator, drive_changes
 from ..stbus import (
     ERROR_TARGET,
     Architecture,
@@ -178,6 +178,10 @@ class RtlNode(Module):
 
         # -- per-initiator protocol state ---------------------------------------
         self._route: List[Optional[int]] = [None] * n_init
+        # The address of each initiator's last decoded head and where it
+        # goes: a head waiting for its grant is decoded once.
+        self._head_add: List[Optional[int]] = [None] * n_init
+        self._head_dest: List[int] = [ERROR_TARGET] * n_init
         self._outstanding: List[List[_Outstanding]] = [[] for _ in range(n_init)]
         self._err_queue: List[List[Tuple[RespCell, int]]] = [
             [] for _ in range(n_init)
@@ -189,6 +193,15 @@ class RtlNode(Module):
         # -- internal signals ------------------------------------------------------
         self._tick = self.signal("tick")
         self._err_pop = [self.signal(f"err_pop{i}") for i in range(n_init)]
+        # Each comb process is the sole writer of its outputs and drives
+        # only the ones that change: the pins, and the values it drove
+        # last (None until its first activation drives them all).
+        self._gnt_pins = [port.gnt for port in self.init_ports]
+        self._gnt_held: Optional[List[int]] = None
+        self._r_gnt_pins = [port.r_gnt for port in self.targ_ports] \
+            + self._err_pop
+        self._r_gnt_held: Optional[List[int]] = None
+        self._prog_held: Optional[Tuple[int, int]] = None
 
         # -- processes ---------------------------------------------------------------
         pin_universe = [
@@ -259,14 +272,12 @@ class RtlNode(Module):
     # request-side eligibility (pure; used by both comb and clocked code)
     # ------------------------------------------------------------------
 
-    def _head_target(self, initiator: int) -> Optional[int]:
-        """Where initiator's current request cell is headed (None if idle)."""
-        port = self.init_ports[initiator]
-        if not port.req.value:
-            return None
-        if self._route[initiator] is not None:
-            return self._route[initiator]
-        return self.config.route(initiator, port.add.value)
+    def _decode(self, initiator: int, add: int) -> int:
+        """``config.route`` of a head at ``add``, once per head."""
+        if self._head_add[initiator] != add:
+            self._head_add[initiator] = add
+            self._head_dest[initiator] = self.config.route(initiator, add)
+        return self._head_dest[initiator]
 
     def _ordering_ok(self, initiator: int, target: int) -> bool:
         """May initiator open a new packet toward ``target``?"""
@@ -286,12 +297,16 @@ class RtlNode(Module):
         """
         domains: List[List[int]] = [[] for _ in self.req_pipes]
         errors: List[int] = []
-        for i in range(self.config.n_initiators):
-            target = self._head_target(i)
+        for i, port in enumerate(self.init_ports):
+            if not port.req.value:
+                continue
+            # An open packet keeps its route; a new head is decoded and
+            # must respect the ordering rule.
+            target = self._route[i]
             if target is None:
-                continue
-            if self._route[i] is None and not self._ordering_ok(i, target):
-                continue
+                target = self._decode(i, port.add.value)
+                if not self._ordering_ok(i, target):
+                    continue
             if target == ERROR_TARGET:
                 errors.append(i)
             else:
@@ -331,8 +346,9 @@ class RtlNode(Module):
         # Error-engine grants (always ready; disjoint from domain grants).
         for i in errors:
             grants[i] = 1
-        for i, port in enumerate(self.init_ports):
-            port.gnt.drive(grants[i])
+        if grants != self._gnt_held:
+            self._gnt_held = drive_changes(self._gnt_pins, grants,
+                                           self._gnt_held)
 
     def _resp_candidates(self) -> List[List[Tuple[int, int]]]:
         """Each response domain's eligible (requester_slot, dest_initiator)
@@ -408,17 +424,19 @@ class RtlNode(Module):
             else:
                 dest = dict(candidates)[winner]
                 err_pops[dest] = 1
-        for t, port in enumerate(self.targ_ports):
-            port.r_gnt.drive(r_gnts[t])
-        for i, sig in enumerate(self._err_pop):
-            sig.drive(err_pops[i])
+        values = r_gnts + err_pops
+        if values != self._r_gnt_held:
+            self._r_gnt_held = drive_changes(self._r_gnt_pins, values,
+                                             self._r_gnt_held)
 
     def _prog_comb(self) -> None:
         port = self.prog_port
         assert port is not None
-        port.ack.drive(port.req.value)
         idx = (port.add.value >> 2) % max(1, len(self._prog_regs))
-        port.rdata.drive(self._prog_regs[idx] & port.rdata.mask)
+        values = (port.req.value, self._prog_regs[idx] & port.rdata.mask)
+        if values != self._prog_held:
+            self._prog_held = drive_changes((port.ack, port.rdata), values,
+                                            self._prog_held)
 
     # ------------------------------------------------------------------
     # clocked datapath
@@ -426,55 +444,43 @@ class RtlNode(Module):
 
     def _clk_proc(self) -> None:
         cfg = self.config
-        # 1. Observe what transferred during the previous cycle.
-        fired_req: List[Optional[Cell]] = []
-        for port in self.init_ports:
-            fired_req.append(
-                port.request_cell() if port.request_fired else None
-            )
+        # 1. Observe which pipe outputs were consumed during the previous
+        #    cycle (the steps below change no pipe before they advance).
         fired_out = [self._domain_output_fired(d)
                      for d in range(len(self.req_pipes))]
-        fired_resp_in: List[Optional[RespCell]] = []
-        for port in self.targ_ports:
-            fired_resp_in.append(
-                port.response_cell() if port.response_fired else None
-            )
-        resp_out_fired = []
-        for domain, pipe in enumerate(self.resp_pipes):
+        delivered: List[Optional[_RespFlit]] = []
+        for pipe in self.resp_pipes:
             flit = pipe.output
-            resp_out_fired.append(
-                bool(
-                    flit is not None
-                    and self.init_ports[flit.dest].response_fired
-                )
-            )
-        fired_resp_out_flits: List[Optional[_RespFlit]] = [
-            self.resp_pipes[d].output if resp_out_fired[d] else None
-            for d in range(len(self.resp_pipes))
-        ]
-        err_pops = [bool(sig.value) for sig in self._err_pop]
+            if flit is not None:
+                port = self.init_ports[flit.dest]
+                if not (port.r_req._value and port.r_gnt._value):
+                    flit = None
+            delivered.append(flit)
 
-        # 2. Route freshly accepted request cells and update protocol state.
+        # 2. Route freshly accepted request cells and update protocol
+        #    state.  A cell leaves toward its target carrying its
+        #    initiator in ``src``.
         loads: Dict[int, _ReqFlit] = {}  # domain -> flit
-        for i, cell in enumerate(fired_req):
-            if cell is None:
+        for i, port in enumerate(self.init_ports):
+            if not (port.req._value and port.gnt._value):
                 continue
+            cell = Cell(port.add._value, port.opc._value, port.data._value,
+                        port.be._value, port.eop._value, port.lck._value,
+                        port.tid._value, i, port.pri._value)
             self.stats["req_cells"] += 1
-            if self._route[i] is None:
-                self._route[i] = self.config.route(i, cell.add)
             target = self._route[i]
+            if target is None:
+                target = self._route[i] = self._decode(i, cell.add)
             if target != ERROR_TARGET:
                 domain = self._domain_of(target)
-                flit = _ReqFlit(replace(cell, src=i), i, target)
-                loads[domain] = flit
+                loads[domain] = _ReqFlit(cell, i, target)
                 self.req_arbiters[domain].on_grant_cycle(i)
                 if cell.eop:
                     self._finish_request_packet(i, target, cell)
                 else:
                     self._in_packet[domain] = i
-            else:
-                if cell.eop:
-                    self._finish_request_packet(i, ERROR_TARGET, cell)
+            elif cell.eop:
+                self._finish_request_packet(i, ERROR_TARGET, cell)
 
         # 3. Advance request pipes.
         for domain, pipe in enumerate(self.req_pipes):
@@ -483,9 +489,10 @@ class RtlNode(Module):
         # 4. Admit response cells (targets and error engines) and advance
         #    the response pipes.
         resp_loads: Dict[int, _RespFlit] = {}
-        for t, cell in enumerate(fired_resp_in):
-            if cell is None:
+        for t, port in enumerate(self.targ_ports):
+            if not (port.r_req._value and port.r_gnt._value):
                 continue
+            cell = port.response_cell()
             self.stats["resp_cells"] += 1
             dest = cell.r_src
             if dest >= cfg.n_initiators:
@@ -498,8 +505,8 @@ class RtlNode(Module):
                 self.resp_arbiters[domain].on_packet_end(t)
             else:
                 self._resp_in_packet[domain] = t
-        for i, popped in enumerate(err_pops):
-            if not popped:
+        for i, popped in enumerate(self._err_pop):
+            if not popped._value:
                 continue
             cell, _avail = self._err_queue[i].pop(0)
             domain = self._resp_domain_of(i)
@@ -511,19 +518,24 @@ class RtlNode(Module):
             else:
                 self._resp_in_packet[domain] = slot
         for domain, pipe in enumerate(self.resp_pipes):
-            pipe.advance(resp_out_fired[domain], resp_loads.get(domain))
+            pipe.advance(delivered[domain] is not None,
+                         resp_loads.get(domain))
 
         # 5. Retire responses delivered to initiators.
-        for flit in fired_resp_out_flits:
-            if flit is None or not flit.cell.r_eop:
-                continue
-            self._retire_outstanding(flit)
+        for flit in delivered:
+            if flit is not None and flit.cell.r_eop:
+                self._retire_outstanding(flit)
 
-        # 6. Per-cycle arbiter ageing.
+        # 6. Per-cycle arbiter ageing: the requests presented before this
+        #    edge, with the routes after it.
         waiting: List[List[int]] = [[] for _ in self.req_arbiters]
-        for i in range(cfg.n_initiators):
-            target = self._head_target(i)
-            if target is not None and target != ERROR_TARGET:
+        for i, port in enumerate(self.init_ports):
+            if not port.req._value:
+                continue
+            target = self._route[i]
+            if target is None:
+                target = self._decode(i, port.add._value)
+            if target != ERROR_TARGET:
                 waiting[self._domain_of(target)].append(i)
         for arbiter, requesting in zip(self.req_arbiters, waiting):
             arbiter.tick(requesting)
@@ -534,7 +546,7 @@ class RtlNode(Module):
         # 8. Drive registered outputs.
         self._drive_request_outputs()
         self._drive_response_outputs()
-        self._tick.drive(self._tick.value ^ 1)
+        self._tick.drive(self._tick._value ^ 1)
 
     # -- clocked helpers ------------------------------------------------------
 
@@ -621,24 +633,22 @@ class RtlNode(Module):
                 arbiter.set_budget(idx, max(1, value))
 
     def _drive_request_outputs(self) -> None:
-        heads: Dict[int, _ReqFlit] = {}
+        cells: List[Optional[Cell]] = [None] * len(self.targ_ports)
         for pipe in self.req_pipes:
             flit = pipe.output
             if flit is not None:
-                heads[flit.target] = flit
-        for t, port in enumerate(self.targ_ports):
-            flit = heads.get(t)
-            port.present_request(None if flit is None else flit.cell)
+                cells[flit.target] = flit.cell
+        for port, cell in zip(self.targ_ports, cells):
+            port.present_request(cell)
 
     def _drive_response_outputs(self) -> None:
-        heads: Dict[int, _RespFlit] = {}
+        cells: List[Optional[RespCell]] = [None] * len(self.init_ports)
         for pipe in self.resp_pipes:
             flit = pipe.output
             if flit is not None:
-                heads[flit.dest] = flit
-        for i, port in enumerate(self.init_ports):
-            flit = heads.get(i)
-            port.present_response(None if flit is None else flit.cell)
+                cells[flit.dest] = flit.cell
+        for port, cell in zip(self.init_ports, cells):
+            port.present_response(cell)
 
     # ------------------------------------------------------------------
     # introspection (tests, checkers, reports)

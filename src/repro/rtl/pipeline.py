@@ -25,7 +25,8 @@ T = TypeVar("T")
 class Pipe(Generic[T]):
     """``depth`` register stages with bubble collapsing.
 
-    Call pattern per clock edge (from a clocked process):
+    A stage holds its payload, or None when it is empty (a payload is
+    never None).  Call pattern per clock edge (from a clocked process):
 
     1. Read :attr:`output` / :attr:`output_valid` — these reflect the
        value presented on the port *during the previous cycle*.
@@ -37,25 +38,22 @@ class Pipe(Generic[T]):
         if depth < 1:
             raise ValueError("pipe depth must be >= 1")
         self.depth = depth
-        self._valid: List[bool] = [False] * depth
         self._data: List[Optional[T]] = [None] * depth
+        self._count = 0  # occupied stages
+        #: Payload at the output stage (None when not valid).
+        self.output: Optional[T] = None
 
     @property
     def output_valid(self) -> bool:
-        return self._valid[-1]
-
-    @property
-    def output(self) -> Optional[T]:
-        """Payload at the output stage (None when not valid)."""
-        return self._data[-1] if self._valid[-1] else None
+        return self.output is not None
 
     @property
     def occupancy(self) -> int:
-        return sum(self._valid)
+        return self._count
 
     def can_accept(self, output_fired: bool) -> bool:
         """The combinational ready chain seen by the grant logic."""
-        return output_fired or self.occupancy < self.depth
+        return output_fired or self._count < self.depth
 
     def advance(self, output_fired: bool, load: Optional[T] = None) -> None:
         """One clock edge: pop the consumed output, shift, load stage 0.
@@ -64,28 +62,31 @@ class Pipe(Generic[T]):
         the pre-edge cycle (the grant logic guarantees this); violating it
         raises ``OverflowError`` to catch node bugs early.
         """
+        data = self._data
         if output_fired:
-            if not self._valid[-1]:
+            if data[-1] is None:
                 raise RuntimeError("output consumed while pipe output invalid")
-            self._valid[-1] = False
-            self._data[-1] = None
+            data[-1] = None
+            self._count -= 1
+        elif not self._count and load is None:
+            return  # empty, and it stays empty
         # Shift from the output backwards so a cell moves at most one stage.
         for stage in range(self.depth - 1, 0, -1):
-            if not self._valid[stage] and self._valid[stage - 1]:
-                self._valid[stage] = True
-                self._data[stage] = self._data[stage - 1]
-                self._valid[stage - 1] = False
-                self._data[stage - 1] = None
+            if data[stage] is None and data[stage - 1] is not None:
+                data[stage] = data[stage - 1]
+                data[stage - 1] = None
         if load is not None:
-            if self._valid[0]:
+            if data[0] is not None:
                 raise OverflowError("pipe stage 0 loaded while occupied")
-            self._valid[0] = True
-            self._data[0] = load
+            data[0] = load
+            self._count += 1
+        self.output = data[-1]
 
     def flush(self) -> None:
-        self._valid = [False] * self.depth
         self._data = [None] * self.depth
+        self._count = 0
+        self.output = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cells = ["#" if v else "." for v in self._valid]
+        cells = ["." if item is None else "#" for item in self._data]
         return f"Pipe[{''.join(cells)}]"

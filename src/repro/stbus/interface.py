@@ -35,6 +35,7 @@ A cell transfers on a clock edge where ``req & gnt`` (respectively
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional
 
 from ..kernel import Module, Signal
@@ -73,6 +74,25 @@ RESPONSE_FIELDS = (
 #: What a bundle hold presents before its first drive: nothing yet.
 _UNDRIVEN = object()
 
+#: A cell's pin values after ``req``/``r_req``, in pin order.
+_request_values = attrgetter(*(name for name, _ in REQUEST_FIELDS))
+_response_values = attrgetter(*(name for name, _ in RESPONSE_FIELDS))
+
+
+def _present(cell, first: bool, pins, idle, values) -> None:
+    """Move one channel to ``cell`` (None: idle, every pin 0), driving
+    the pins whose pending value differs, or every pin when ``first``.
+    ``pins`` are the handshake pin then the fields ``values(cell)``
+    reads; ``idle`` is the order idle drives them in."""
+    if cell is None:
+        for sig in idle:
+            if first or sig._next:
+                sig.drive(0)
+    else:
+        for sig, value in zip(pins, (1, *values(cell))):
+            if first or sig._next != value:
+                sig.drive(value)
+
 
 class StbusPort:
     """Type II/III signal bundle scoped as ``<module>.<name>.*``."""
@@ -105,9 +125,18 @@ class StbusPort:
         #: The cell on each channel's pins (None: idle), or _UNDRIVEN.
         self._request_held: object = _UNDRIVEN
         self._response_held: object = _UNDRIVEN
-        # Idle zeroes every pin of a channel, handshake pins first.  The
-        # drive order is the commit order, and that sets the order in
+        # A cell drives its channel's pins in field order and idle zeroes
+        # them handshake pins first, each in the order of a full drive.
+        # The drive order is the commit order, and that sets the order in
         # which the changed pins wake combinational processes.
+        self._request_pins = (
+            self.req, self.add, self.opc, self.data, self.be, self.eop,
+            self.lck, self.tid, self.src, self.pri,
+        )
+        self._response_pins = (
+            self.r_req, self.r_opc, self.r_data, self.r_eop, self.r_src,
+            self.r_tid,
+        )
         self._request_idle = (
             self.req, self.eop, self.lck, self.add, self.opc, self.data,
             self.be, self.tid, self.src, self.pri,
@@ -129,27 +158,19 @@ class StbusPort:
         return bool(self.r_req.value and self.r_gnt.value)
 
     def request_cell(self) -> Cell:
-        """Snapshot the request-channel fields as a :class:`Cell`."""
-        return Cell(
-            add=self.add.value,
-            opc=self.opc.value,
-            data=self.data.value,
-            be=self.be.value,
-            eop=self.eop.value,
-            lck=self.lck.value,
-            tid=self.tid.value,
-            src=self.src.value,
-            pri=self.pri.value,
-        )
+        """Snapshot the request-channel fields as a :class:`Cell`.
+
+        Clocked observers call it, so it reads the committed values
+        directly (in field order), never through the dry run's hooks.
+        """
+        return Cell(self.add._value, self.opc._value, self.data._value,
+                    self.be._value, self.eop._value, self.lck._value,
+                    self.tid._value, self.src._value, self.pri._value)
 
     def response_cell(self) -> RespCell:
-        return RespCell(
-            r_opc=self.r_opc.value,
-            r_data=self.r_data.value,
-            r_eop=self.r_eop.value,
-            r_src=self.r_src.value,
-            r_tid=self.r_tid.value,
-        )
+        return RespCell(self.r_opc._value, self.r_data._value,
+                        self.r_eop._value, self.r_src._value,
+                        self.r_tid._value)
 
     # -- driving helpers (used by BFMs and the node's output stages) ----------
 
@@ -186,31 +207,26 @@ class StbusPort:
 
     def present_request(self, cell: Optional[Cell]) -> None:
         """Present ``cell`` on the request pins, or idle (every request pin
-        0) for None, unless the pins already present that cell object.
+        0) for None, driving only the pins whose value changes.
 
-        The pins are registered, so a skipped re-drive leaves every value
-        where it was.  Only the one process that owns this channel may
-        call it: the hold remembers the last cell, not who drove it.
+        The pins are registered, so a skipped drive leaves every value
+        where it was; the first presentation drives every pin.  Only the
+        one process that owns this channel may call it: the hold trusts
+        that each pin's pending value is its own last drive.
         """
-        if cell is self._request_held:
-            return
-        self._request_held = cell
-        if cell is None:
-            for sig in self._request_idle:
-                sig.drive(0)
-        else:
-            self.drive_request(cell)
+        held = self._request_held
+        if cell is not held:
+            self._request_held = cell
+            _present(cell, held is _UNDRIVEN, self._request_pins,
+                     self._request_idle, _request_values)
 
     def present_response(self, cell: Optional[RespCell]) -> None:
         """The response-channel twin of :meth:`present_request`."""
-        if cell is self._response_held:
-            return
-        self._response_held = cell
-        if cell is None:
-            for sig in self._response_idle:
-                sig.drive(0)
-        else:
-            self.drive_response(cell)
+        held = self._response_held
+        if cell is not held:
+            self._response_held = cell
+            _present(cell, held is _UNDRIVEN, self._response_pins,
+                     self._response_idle, _response_values)
 
     def signals(self) -> List[Signal]:
         """All bundle signals (the analyzer's per-port comparison set)."""
@@ -228,17 +244,11 @@ class StbusPort:
         an initiator BFM, or the node's target-side output stage.  Used by
         the static lint pass's clocked write/read declarations.
         """
-        return [
-            self.req, self.add, self.opc, self.data, self.be,
-            self.eop, self.lck, self.tid, self.src, self.pri,
-        ]
+        return list(self._request_pins)
 
     def response_signals(self) -> List[Signal]:
         """Response-channel fields owned by the responding side (not r_gnt)."""
-        return [
-            self.r_req, self.r_opc, self.r_data, self.r_eop,
-            self.r_src, self.r_tid,
-        ]
+        return list(self._response_pins)
 
 
 #: Type I command encodings (limited command set).

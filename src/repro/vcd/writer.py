@@ -15,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from typing import Dict, List, Optional, Sequence, Set, TextIO, Union
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple, Union,
+)
 
 from ..ioutil import TMP_SUFFIX
 from ..kernel.signal import Signal
@@ -41,12 +43,6 @@ def make_identifier(index: int) -> str:
         chars.append(chr(_ID_FIRST + index % _ID_RANGE))
         index //= _ID_RANGE
     return "".join(chars)
-
-
-def _format_value(value: int, width: int, ident: str) -> str:
-    if width == 1:
-        return f"{value & 1}{ident}"
-    return f"b{value:b} {ident}"
 
 
 class _ScopeNode:
@@ -94,12 +90,16 @@ class VcdWriter(Tracer):
             if isinstance(target, str) else target
         )
         self.timescale_ns = timescale_ns
+        # Everything per signal is kept by declaration rank, the order
+        # changes are emitted in.  A one-bit signal's two change lines
+        # (``0!``, ``1!``) are made once; a vector's line is ``b``, the
+        # value in binary, then its tail (`` "``).
         self._signals: List[Signal] = []
-        self._order: Dict[Signal, int] = {}
-        # Last-emitted value per signal, keyed by the Signal object
-        # itself (identity hash): the per-sample loop then skips the
-        # ``vcd_id`` attribute load and string hash on every candidate.
-        self._last: Dict[Signal, int] = {}
+        self._rank: Dict[Signal, int] = {}
+        self._bit_lines: List[Optional[Tuple[str, str]]] = []
+        self._tails: List[str] = []
+        #: Last-emitted value per rank (None until the header dumps it).
+        self._last: List[Optional[int]] = []
         self._header_written = False
         self._finished = False
         #: Characters flushed to the stream so far (the output is ASCII,
@@ -115,12 +115,20 @@ class VcdWriter(Tracer):
     def declare(self, signal: Signal) -> None:
         if self._header_written:
             raise RuntimeError("cannot declare signals after the first sample")
-        signal.vcd_id = make_identifier(len(self._signals))
-        self._order[signal] = len(self._signals)
+        rank = len(self._signals)
+        signal.vcd_id = ident = make_identifier(rank)
+        self._rank[signal] = rank
         self._signals.append(signal)
+        if signal.width == 1:
+            self._bit_lines.append((f"0{ident}", f"1{ident}"))
+            self._tails.append("")
+        else:
+            self._bit_lines.append(None)
+            self._tails.append(f" {ident}")
+        self._last.append(None)
 
     def sample(self, cycle: int, signals: Sequence[Signal]) -> None:
-        self._sample_from(cycle, self._signals)
+        self._emit(cycle, range(len(self._signals)))
 
     def sample_changes(
         self,
@@ -132,11 +140,9 @@ class VcdWriter(Tracer):
         cycle are inspected.  Emission stays in declaration order, so the
         bytes are identical to a full :meth:`sample` scan."""
         if len(changed) == len(self._signals):
-            self._sample_from(cycle, self._signals)
-            return
-        order = self._order
-        subset = sorted(order.keys() & changed, key=order.__getitem__)
-        self._sample_from(cycle, subset)
+            self._emit(cycle, range(len(self._signals)))
+        else:
+            self._emit(cycle, sorted(map(self._rank.__getitem__, changed)))
 
     def finish(self, cycle: int) -> None:
         if self._finished:
@@ -166,18 +172,23 @@ class VcdWriter(Tracer):
 
     # -- internals ---------------------------------------------------------
 
-    def _sample_from(self, cycle: int, candidates: Sequence[Signal]) -> None:
+    def _emit(self, cycle: int, ranks: Iterable[int]) -> None:
+        """Write the changes among the signals of ``ranks`` (ascending)."""
         if not self._header_written:
             self._write_header()
         # One string per sampled cycle: the timestamp line (filled in
         # below), then one line per change.
         lines: List[str] = [""]
-        last = self._last
-        for sig in candidates:
-            value = sig._value
-            if last.get(sig) != value:
-                last[sig] = value
-                lines.append(_format_value(value, sig.width, sig.vcd_id))
+        append = lines.append
+        signals, last = self._signals, self._last
+        bit_lines, tails = self._bit_lines, self._tails
+        for rank in ranks:
+            value = signals[rank]._value
+            if last[rank] != value:
+                last[rank] = value
+                bit = bit_lines[rank]
+                append(bit[value] if bit is not None
+                       else f"b{value:b}{tails[rank]}")
         if len(lines) > 1 or cycle == 0:
             lines[0] = f"#{cycle * self.timescale_ns}"
             lines.append("")
@@ -214,9 +225,11 @@ class VcdWriter(Tracer):
         w(header.getvalue())
         w("$enddefinitions $end\n")
         w("$dumpvars\n")
-        for sig in self._signals:
-            self._last[sig] = sig._value
-            w(_format_value(sig._value, sig.width, sig.vcd_id) + "\n")
+        for rank, sig in enumerate(self._signals):
+            self._last[rank] = value = sig._value
+            bit = self._bit_lines[rank]
+            w((bit[value] if bit is not None
+               else f"b{value:b}{self._tails[rank]}") + "\n")
         w("$end\n")
 
 
