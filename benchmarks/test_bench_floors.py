@@ -83,7 +83,6 @@ def _cached_batch(workdir, cache_dir, metrics):
     """One stock batch against ``cache_dir``; its cache counters and wall
     seconds."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("REPRO_CHAOS", None)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "repro.regression", str(E2E / "configs"),

@@ -371,11 +371,12 @@ def _run_comb_engine(
         # Park both harnesses back at all-idle before the next cone.
         for harness in (rtl, bca):
             for port_obj in harness.init_ports:
-                port_obj.idle_request()
-                port_obj.r_gnt.drive(0)
+                for sig in (port_obj.req, port_obj.eop, port_obj.lck,
+                            port_obj.r_gnt):
+                    sig.drive(0)
             for port_obj in harness.targ_ports:
-                port_obj.gnt.drive(0)
-                port_obj.idle_response()
+                for sig in (port_obj.gnt, port_obj.r_req, port_obj.r_eop):
+                    sig.drive(0)
             if harness.prog_port is not None:
                 harness.prog_port.req.drive(0)
             harness.settle()

@@ -47,10 +47,9 @@ class _Packet:
 class _Streamer:
     """Plays queued packets onto a port side under a fired() handshake."""
 
-    def __init__(self, drive: Callable, idle: Callable, fired: Callable):
+    def __init__(self, present: Callable, fired: Callable):
         self._queue: List[_Packet] = []
-        self._drive = drive
-        self._idle = idle
+        self._present = present
         self._fired = fired
 
     def push(self, cells: List) -> None:
@@ -60,10 +59,7 @@ class _Streamer:
         if self._queue and self._fired():
             if self._queue[0].advance():
                 self._queue.pop(0)
-        if self._queue:
-            self._drive(self._queue[0].current)
-        else:
-            self._idle()
+        self._present(self._queue[0].current if self._queue else None)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -114,13 +110,9 @@ class BcaBridge(Module):
         self._held: Dict[int, List[RespCell]] = {}
 
         self._down_stream = _Streamer(
-            self.down.drive_request, self._idle_down_request,
-            lambda: self.down.request_fired,
-        )
+            self.down.present_request, lambda: self.down.request_fired)
         self._up_stream = _Streamer(
-            self.up.drive_response, self._idle_up_response,
-            lambda: self.up.response_fired,
-        )
+            self.up.present_response, lambda: self.up.response_fired)
         self._tick = self.signal("tick")
         self.clocked(
             self._on_clock,
@@ -134,27 +126,6 @@ class BcaBridge(Module):
             + [self._tick],
         )
         self.comb(self._accept_comb, [self._tick, up_port.req])
-
-    # -- pin idlers ----------------------------------------------------------
-
-    def _idle_down_request(self) -> None:
-        down = self.down
-        down.idle_request()
-        down.add.drive(0)
-        down.opc.drive(0)
-        down.data.drive(0)
-        down.be.drive(0)
-        down.tid.drive(0)
-        down.src.drive(0)
-        down.pri.drive(0)
-
-    def _idle_up_response(self) -> None:
-        up = self.up
-        up.idle_response()
-        up.r_opc.drive(0)
-        up.r_data.drive(0)
-        up.r_src.drive(0)
-        up.r_tid.drive(0)
 
     # -- combinational ---------------------------------------------------------
 

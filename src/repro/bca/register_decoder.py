@@ -94,14 +94,9 @@ class BcaRegisterDecoder(Module):
             if self._cursor >= len(self._pending[0][0]):
                 self._pending.pop(0)
                 self._cursor = 0
-        if self._pending and self._pending[0][1] <= now:
-            port.drive_response(self._pending[0][0][self._cursor])
-        else:
-            port.idle_response()
-            port.r_opc.drive(0)
-            port.r_data.drive(0)
-            port.r_src.drive(0)
-            port.r_tid.drive(0)
+        port.present_response(
+            self._pending[0][0][self._cursor]
+            if self._pending and self._pending[0][1] <= now else None)
         self._tick.drive(self._tick.value ^ 1)
 
     def _perform(self, cells: List[Cell]) -> List[RespCell]:

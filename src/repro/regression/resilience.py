@@ -31,7 +31,10 @@ the same cache executes exactly the jobs that failed.
 
 The invariant throughout: a fault-free batch produces byte-identical
 report artifacts for any ``jobs=N``, inline or on workers, interrupted
-and rerun or not.
+and rerun or not.  The module has no fault hook of its own: the guard
+looks ``execute_run_job`` up in this module on every call, so a test
+that replaces that global faults the runs it chooses, inline and on
+forked workers alike.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from . import chaos
 from .parallel import (
     CompareJob,
     EntryKey,
@@ -114,7 +116,6 @@ def guarded_execute_run(job: RunJob):
     """Worker-side run wrapper: never raises, returns a tagged outcome
     ``("ok", RunResult)`` or ``("fail", RunFailure)``."""
     try:
-        chaos.inject_before_run(job)
         return ("ok", execute_run_job(job))
     except Exception as exc:
         return ("fail", RunFailure.from_exception(

@@ -171,17 +171,8 @@ class RtlBridge(Module):
         if not self._req_cells and self._req_queue:
             self._req_cells = self._req_queue.pop(0)
             self._req_idx = 0
-        if self._req_cells:
-            down.drive_request(self._req_cells[self._req_idx])
-        else:
-            down.idle_request()
-            down.add.drive(0)
-            down.opc.drive(0)
-            down.data.drive(0)
-            down.be.drive(0)
-            down.tid.drive(0)
-            down.src.drive(0)
-            down.pri.drive(0)
+        down.present_request(
+            self._req_cells[self._req_idx] if self._req_cells else None)
 
     def _absorb_downstream_response(self) -> None:
         if not self.down.response_fired:
@@ -237,14 +228,8 @@ class RtlBridge(Module):
         if not self._resp_cells and self._resp_queue:
             self._resp_cells = self._resp_queue.pop(0)
             self._resp_idx = 0
-        if self._resp_cells:
-            up.drive_response(self._resp_cells[self._resp_idx])
-        else:
-            up.idle_response()
-            up.r_opc.drive(0)
-            up.r_data.drive(0)
-            up.r_src.drive(0)
-            up.r_tid.drive(0)
+        up.present_response(
+            self._resp_cells[self._resp_idx] if self._resp_cells else None)
 
 
 class RtlSizeConverter(RtlBridge):

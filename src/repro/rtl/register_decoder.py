@@ -107,14 +107,8 @@ class RtlRegisterDecoder(Module):
         if not self._resp and self._jobs and self._jobs[0][1] <= now:
             self._resp = self._jobs.pop(0)[0]
             self._resp_idx = 0
-        if self._resp:
-            port.drive_response(self._resp[self._resp_idx])
-        else:
-            port.idle_response()
-            port.r_opc.drive(0)
-            port.r_data.drive(0)
-            port.r_src.drive(0)
-            port.r_tid.drive(0)
+        port.present_response(
+            self._resp[self._resp_idx] if self._resp else None)
         self._tick.drive(self._tick.value ^ 1)
 
     def _execute(self, cells: List[Cell]) -> List[RespCell]:

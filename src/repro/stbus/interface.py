@@ -172,37 +172,6 @@ class StbusPort:
                         self.r_eop._value, self.r_src._value,
                         self.r_tid._value)
 
-    # -- driving helpers (used by BFMs and the node's output stages) ----------
-
-    def drive_request(self, cell: Cell) -> None:
-        self.req.drive(1)
-        self.add.drive(cell.add)
-        self.opc.drive(cell.opc)
-        self.data.drive(cell.data)
-        self.be.drive(cell.be)
-        self.eop.drive(cell.eop)
-        self.lck.drive(cell.lck)
-        self.tid.drive(cell.tid)
-        self.src.drive(cell.src)
-        self.pri.drive(cell.pri)
-
-    def idle_request(self) -> None:
-        self.req.drive(0)
-        self.eop.drive(0)
-        self.lck.drive(0)
-
-    def drive_response(self, cell: RespCell) -> None:
-        self.r_req.drive(1)
-        self.r_opc.drive(cell.r_opc)
-        self.r_data.drive(cell.r_data)
-        self.r_eop.drive(cell.r_eop)
-        self.r_src.drive(cell.r_src)
-        self.r_tid.drive(cell.r_tid)
-
-    def idle_response(self) -> None:
-        self.r_req.drive(0)
-        self.r_eop.drive(0)
-
     # -- held bundles (registered outputs, driven only on a change) ----------
 
     def present_request(self, cell: Optional[Cell]) -> None:

@@ -18,8 +18,9 @@ The store's contract has three legs, each pinned here:
 
 The end-to-end law — a warm cache means a second identical batch
 executes **zero** simulation jobs — is proven by re-running under a
-crash-everything chaos spec: any run that actually executed would
-crash, so a passing byte-identical batch is a zero-execution batch.
+crash-everything chaos spec (:mod:`tests.chaos`): any run that actually
+executed would crash, so a passing byte-identical batch is a
+zero-execution batch.
 """
 
 import dataclasses
@@ -41,7 +42,6 @@ from repro.cache import (
 )
 from repro.cache.store import _entry_digest
 from repro.regression import BatchSpec, RegressionRunner
-from repro.regression.chaos import CHAOS_ENV
 from repro.regression.parallel import RunJob, execute_run_job
 from repro.regression.resilience import run_artifact_paths
 from repro.stbus import NodeConfig, ProtocolType
@@ -509,12 +509,12 @@ def _snapshot(workdir):
 
 
 def test_repeat_cached_batch_into_one_workdir_leaves_no_temp_file(
-        tmp_path, monkeypatch):
+        tmp_path, chaos):
     """Rerunning a fully cached batch into the workdir it already served
     finds every artifact already linked to its blob: the tree stays
     byte-identical and no temp name is left behind."""
     _batch(tmp_path / "work", tmp_path / "cache")
-    monkeypatch.setenv(CHAOS_ENV, "crash:*:*:*:*")
+    chaos.set("crash:*:*:*:*")
     _, first = _batch(tmp_path / "warm", tmp_path / "cache")
     tree = {path: open(path, "rb").read()
             for path in _tree_files(tmp_path / "warm")}
@@ -530,13 +530,13 @@ def test_repeat_cached_batch_into_one_workdir_leaves_no_temp_file(
 
 
 def test_second_identical_batch_executes_zero_sim_jobs(
-        tmp_path, monkeypatch):
+        tmp_path, chaos):
     report, runner = _batch(tmp_path / "cold", tmp_path / "cache")
     assert runner.cache.stats.stores == 2
     cold = _snapshot(tmp_path / "cold")
     # Any simulation that executes now crashes — so a passing, byte-
     # identical second batch is a zero-execution batch.
-    monkeypatch.setenv(CHAOS_ENV, "crash:*:*:*:*")
+    chaos.set("crash:*:*:*:*")
     warm_report, warm_runner = _batch(tmp_path / "warm", tmp_path / "cache")
     assert warm_runner.cache.stats.counters() == {
         "hits": 2, "misses": 0, "stores": 0,

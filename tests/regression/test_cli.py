@@ -256,7 +256,6 @@ def _closed_stdout_run(args):
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    env.pop("REPRO_CHAOS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m"] + args,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,

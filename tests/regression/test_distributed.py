@@ -7,12 +7,13 @@ never the job it had queued, and leaves every other artifact as a
 serial batch writes it; a rerun against the same result cache executes
 only the failed job and ends byte-identical to serial.
 
-Faults are injected through the same ``REPRO_CHAOS`` environment hook
-as the in-process tests (:mod:`repro.regression.chaos`); the variable
-crosses the process boundary to the forked workers, which is exactly
-how a farm scheduler's kill shows up — from outside the coordinator.
-Faults the hook cannot express, a reply lost or garbled after the work,
-are monkeypatched into the worker loop, which forked workers inherit.
+Faults are injected through the same ``chaos`` fixture as the
+in-process tests (:mod:`tests.chaos`): it wraps the run-job entry point
+in the coordinator, and the forked workers inherit the wrapper, so a
+fault fires inside a worker, which is exactly how a farm scheduler's
+kill shows up — from outside the coordinator.  Faults the spec cannot
+express, a reply lost or garbled after the work, are monkeypatched into
+the worker loop, which forked workers inherit too.
 """
 
 import json
@@ -24,7 +25,6 @@ import pytest
 
 from repro.regression import BatchFaults, BatchSpec, RegressionRunner
 from repro.regression import distributed
-from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
 from repro.regression.configs import save_config_dir
 from repro.stbus import NodeConfig, ProtocolType
@@ -119,7 +119,7 @@ def test_single_worker_cluster_matches_serial(tmp_path, clean_ref):
 @pytest.mark.parametrize("mode", ["crash", "exit", "hang"])
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_chaos_fails_once_then_rerun_recovers_at_any_jobs(
-        tmp_path, monkeypatch, clean_ref, jobs, mode):
+        tmp_path, chaos, clean_ref, jobs, mode):
     """Every fault mode, at one, two and four workers, fails exactly the
     faulted run (``TIMEOUT`` for a hang, ``ERROR`` otherwise) and leaves
     every other artifact as serial writes it; a rerun against the same
@@ -128,8 +128,7 @@ def test_chaos_fails_once_then_rerun_recovers_at_any_jobs(
     caught at all."""
     workdir = tmp_path / "dist"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(
-        CHAOS_ENV, f"{mode}:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
+    chaos.set(f"{mode}:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
     run_timeout = 2.0 if mode == "hang" else 60.0
     report = _run(workdir, jobs=jobs, run_timeout=run_timeout,
                   cache_dir=cache_dir)
@@ -137,7 +136,7 @@ def test_chaos_fails_once_then_rerun_recovers_at_any_jobs(
     assert statuses == ["TIMEOUT" if mode == "hang" else "ERROR", "PASS"]
     _assert_only_faulted(workdir, clean_ref[1],
                          "t01_sanity_write_read__s1__bca")
-    monkeypatch.delenv(CHAOS_ENV)
+    chaos.set()
     _rerun_matches(workdir, cache_dir, clean_ref, jobs=jobs)
 
 
@@ -161,15 +160,14 @@ def test_workers_start_no_threads(tmp_path, monkeypatch):
 
 
 def test_queued_lease_is_requeued_free_when_its_worker_dies(
-        tmp_path, monkeypatch, clean_ref):
+        tmp_path, chaos, clean_ref):
     """One worker holds the crashing job and the sibling queued behind
     it.  The ``exit`` kills the worker with both leases out: only the
     running job fails, the sibling is requeued at no cost and passes,
     and a rerun against the cache ends byte-identical to serial."""
     workdir = tmp_path / "dist"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(
-        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    chaos.set(f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     metrics = tmp_path / "metrics.json"
     log = tmp_path / "run.log.jsonl"
     report = _run(workdir, run_timeout=60.0, cache_dir=cache_dir,
@@ -187,7 +185,7 @@ def test_queued_lease_is_requeued_free_when_its_worker_dies(
     requeued = [(e["test"], e["view"]) for e in events
                 if e["event"] == "lease.requeued"]
     assert requeued == [("t01_sanity_write_read", "bca")]
-    monkeypatch.delenv(CHAOS_ENV)
+    chaos.set()
     _rerun_matches(workdir, cache_dir, clean_ref, jobs=1)
 
 
@@ -212,15 +210,14 @@ def test_every_worker_dying_still_yields_full_report(
 
 
 def test_worker_death_mid_job_fails_once_then_reruns(
-        tmp_path, monkeypatch, clean_ref):
+        tmp_path, chaos, clean_ref):
     """A farm scheduler OOM-kills one worker mid-job (``exit`` chaos =
     ``os._exit`` inside the run): the coordinator sees the dead
     connection, fails that one job, respawns a worker for the rest of
     the batch, and a rerun against the cache ends byte-identical."""
     workdir = tmp_path / "dist"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(
-        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    chaos.set(f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     metrics = tmp_path / "metrics.json"
     report = _run(workdir, jobs=2, cache_dir=cache_dir,
                   metrics=str(metrics))
@@ -232,7 +229,7 @@ def test_worker_death_mid_job_fails_once_then_reruns(
     assert faults["worker_deaths"] == 1
     assert faults["crashes"] == 1
     assert faults["worker_respawns"] == 1
-    monkeypatch.delenv(CHAOS_ENV)
+    chaos.set()
     _rerun_matches(workdir, cache_dir, clean_ref)
 
 
@@ -399,12 +396,11 @@ def test_cli_jobs_metrics_count_the_workers(tmp_path, capsys):
     assert set(batch["faults"]) == set(BatchFaults().counters())
 
 
-def test_cli_sigterm_aborts_like_sigint(tmp_path, capsys, monkeypatch):
+def test_cli_sigterm_aborts_like_sigint(tmp_path, capsys, chaos):
     """A farm scheduler evicts with SIGTERM: same clean abort as Ctrl-C
     — exit 130 and a resume hint naming the cache directory."""
     save_config_dir(_configs(), str(tmp_path / "cfgs"))
-    monkeypatch.setenv(
-        CHAOS_ENV, f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    chaos.set(f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     timer = threading.Timer(
         1.0, os.kill, (os.getpid(), signal.SIGTERM))
     timer.start()

@@ -25,7 +25,6 @@ import pytest
 
 from repro.cache.store import DESIGN_ROOTS
 from repro.catg.env import run_test
-from repro.regression.chaos import CHAOS_ENV
 from repro.regression.configs import save_config_dir
 from repro.regression.testcases import build_test
 from repro.stbus import NodeConfig
@@ -79,7 +78,6 @@ def _batch(root, name, *extra):
     workdir snapshot)."""
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     env.pop("REPRO_CACHE_DIR", None)
-    env.pop(CHAOS_ENV, None)
     modules = os.path.join(root, f"{name}.modules")
     workdir = os.path.join(root, name)
     proc = subprocess.run(

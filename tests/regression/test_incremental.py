@@ -35,13 +35,13 @@ import pytest
 from repro.analysis import impact as impact_mod
 from repro.analysis.impact import MODE_OPAQUE, ImpactIndex
 from repro.cache import design_source_hash
-from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
 from repro.regression.configs import save_config_dir
 from repro.stbus import NodeConfig, ProtocolType
 
-REPO_SRC = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", ".."))
+REPO_SRC = os.path.join(REPO_ROOT, "src")
 
 CLOCK_MARKER = "def _on_clock(self) -> None:"
 
@@ -81,13 +81,13 @@ def _edit_bca_clock(src, insert):
 def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
                chaos=None):
     env = dict(os.environ)
-    env["PYTHONPATH"] = src
+    # The copied tree provides ``repro``; the checkout, the chaos helper.
+    env["PYTHONPATH"] = os.pathsep.join([src, REPO_ROOT])
     env.pop("REPRO_CACHE_DIR", None)
-    env.pop(CHAOS_ENV, None)
-    if chaos is not None:
-        env[CHAOS_ENV] = chaos
+    entry = ["repro.regression"] if chaos is None \
+        else ["tests.chaos", chaos]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.regression", str(cfg_dir),
+        [sys.executable, "-m", *entry, str(cfg_dir),
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),

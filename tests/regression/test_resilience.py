@@ -1,11 +1,13 @@
 """Fault-tolerance tests for the regression batch engine.
 
-Every fault here is injected deterministically through the ``REPRO_CHAOS``
-environment hook (:mod:`repro.regression.chaos`); production batches never
-set the variable, so the first tests pin down that the hooks are inert
-without it.  A job is a pure function of its coordinates, so a failed
-job fails once: it is recorded as ``ERROR``/``TIMEOUT`` and the rest of
-the batch is untouched.  The load-bearing invariant: rerunning the batch
+Every fault here is injected deterministically by the test helper
+:mod:`tests.chaos`, whose ``chaos`` fixture wraps the run-job entry
+point from the test side.  The product has no fault hook, so the first
+tests pin down the spec grammar, that an unset helper is inert, and
+that the product ignores a ``REPRO_CHAOS`` variable in its environment.
+A job is a pure function of its coordinates, so a failed job fails
+once: it is recorded as ``ERROR``/``TIMEOUT`` and the rest of the batch
+is untouched.  The load-bearing invariant: rerunning the batch
 against the same result cache executes only the failed job and produces
 artifacts *byte-identical* to a batch that never faulted.
 """
@@ -15,17 +17,11 @@ import os
 import pytest
 
 from repro.regression import BatchSpec, RegressionRunner, save_config_dir
-from repro.regression import chaos
-from repro.regression.chaos import (
-    CHAOS_ENV,
-    ChaosError,
-    ChaosSpec,
-    inject_before_run,
-)
 from repro.regression.cli import main as regression_main
 from repro.regression.parallel import TriageJob
 from repro.regression.resilience import ResilientBatchExecutor, _Task
 from repro.stbus import NodeConfig, ProtocolType
+from tests.chaos import ChaosError, ChaosSpec
 
 TESTS = ["t01_sanity_write_read", "t02_random_uniform"]
 CONFIG_NAME = "rsl_cfg"
@@ -101,24 +97,42 @@ def test_chaos_rejects_modes_outside_crash_exit_hang(mode):
         ChaosSpec.parse(f"{mode}:*:*:*:*")
 
 
-def test_chaos_inert_without_env(monkeypatch):
-    monkeypatch.delenv(CHAOS_ENV, raising=False)
-    assert ChaosSpec.from_env().rules == ()
+def test_chaos_inert_without_env(chaos):
+    assert chaos.spec.rules == ()
 
     class _Job:
         class config:
             name = "x"
         test_name, seed, view = "t", 1, "rtl"
 
-    inject_before_run(_Job())  # must be a silent no-op
+    chaos.inject(_Job())  # must be a silent no-op
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_product_ignores_the_chaos_variable(tmp_path, monkeypatch, capsys,
+                                            jobs):
+    """With no helper installed, a crash-everything ``REPRO_CHAOS`` in
+    the environment changes nothing: inline and on two workers, the
+    batch passes byte-identical to a clean run."""
+    save_config_dir(_configs(), str(tmp_path / "cfgs"))
+
+    def batch(label):
+        code = regression_main([
+            str(tmp_path / "cfgs"), "--workdir", str(tmp_path / label),
+            "--tests"] + TESTS + ["--seeds", "1", "--jobs", jobs])
+        return code, capsys.readouterr().out, _snapshot(tmp_path / label)
+
+    clean = batch("clean")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:*:*:*:*")
+    assert batch("env") == clean
+    assert "ERROR" not in clean[1]
 
 
 # -- crash isolation ----------------------------------------------------
 
 
-def test_worker_crash_still_yields_full_report(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
+def test_worker_crash_still_yields_full_report(tmp_path, chaos):
+    chaos.set(f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
     report = _run(tmp_path)
     entries = report.configs[0].entries
     assert len(entries) == len(TESTS)
@@ -131,19 +145,18 @@ def test_worker_crash_still_yields_full_report(tmp_path, monkeypatch):
     assert "ERROR" in report.configs[0].render()
 
 
-def test_crash_executes_once(tmp_path, monkeypatch):
+def test_crash_executes_once(tmp_path, monkeypatch, chaos):
     """A deterministic crash is run once and reported as a plain
     ``ERROR``: no second attempt, no backoff sleep."""
     calls = []
-    inject = chaos.inject_before_run
+    inject = chaos.inject
 
     def counting(job):
         calls.append((job.test_name, job.view))
         inject(job)
 
-    monkeypatch.setattr(chaos, "inject_before_run", counting)
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:rtl")
+    monkeypatch.setattr(chaos, "inject", counting)
+    chaos.set(f"crash:{CONFIG_NAME}:t02_random_uniform:1:rtl")
     report = _run(tmp_path)
     assert calls.count(("t02_random_uniform", "rtl")) == 1
     assert len(calls) == 2 * len(TESTS)
@@ -156,9 +169,8 @@ def test_crash_executes_once(tmp_path, monkeypatch):
 # -- deadlines ----------------------------------------------------------
 
 
-def test_hang_times_out_once(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        CHAOS_ENV, f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
+def test_hang_times_out_once(tmp_path, chaos):
+    chaos.set(f"hang:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
     report = _run(tmp_path, run_timeout=0.5)
     entry = report.configs[0].entries[0]
     assert entry.status == "TIMEOUT"
@@ -171,7 +183,7 @@ def test_hang_times_out_once(tmp_path, monkeypatch):
 # -- worker deaths under leases ----------------------------------------
 
 
-def test_worker_death_fails_only_its_job(tmp_path, monkeypatch, clean_ref):
+def test_worker_death_fails_only_its_job(tmp_path, chaos, clean_ref):
     """A worker that dies mid-job (``exit`` = ``os._exit`` inside the
     run) fails that one job; every other run's artifacts equal the
     serial reference, and a rerun against the same cache executes only
@@ -179,8 +191,7 @@ def test_worker_death_fails_only_its_job(tmp_path, monkeypatch, clean_ref):
     ref_report, ref_snap = clean_ref
     workdir = tmp_path / "faulted"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(
-        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
+    chaos.set(f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
     report = _run(workdir, jobs=2, cache_dir=cache_dir)
     entries = report.configs[0].entries
     assert len(entries) == len(TESTS)
@@ -188,7 +199,7 @@ def test_worker_death_fails_only_its_job(tmp_path, monkeypatch, clean_ref):
     assert entries[0].bca.exc_type == "WorkerLost"
     assert entries[1].status == "PASS"
     _assert_only_faulted(workdir, ref_snap, "t01_sanity_write_read__s1__bca")
-    monkeypatch.delenv(CHAOS_ENV)
+    chaos.set()
     runner = _runner(workdir, jobs=2, cache_dir=cache_dir)
     assert runner.run().render() == ref_report.render()
     assert runner.cache.stats.stores == 1
@@ -219,29 +230,26 @@ def test_scheduler_charged_triage_counts_as_triage_failure():
 
 
 def test_resume_is_byte_identical_and_replay_proof(
-        tmp_path, monkeypatch, clean_ref):
+        tmp_path, chaos, clean_ref):
     ref_report, ref_snap = clean_ref
     workdir = tmp_path / "faulted"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
+    chaos.set(f"crash:{CONFIG_NAME}:t02_random_uniform:1:bca")
     first = _run(workdir, cache_dir=cache_dir)
     assert first.configs[0].entries[1].status == "ERROR"
     # Rerun with chaos now set to crash every *already cached* t01 run:
     # if the rerun re-executed any of them, the batch would fail again.
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:*:*")
+    chaos.set(f"crash:{CONFIG_NAME}:t01_sanity_write_read:*:*")
     runner = _runner(workdir, cache_dir=cache_dir)
     assert runner.run().render() == ref_report.render()
     assert runner.cache.stats.stores == 1
     assert _snapshot(workdir) == ref_snap
 
 
-def test_resume_rejects_stale_artifacts(tmp_path, monkeypatch, clean_ref):
+def test_resume_rejects_stale_artifacts(tmp_path, clean_ref):
     _, ref_snap = clean_ref
     workdir = tmp_path / "run"
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.delenv(CHAOS_ENV, raising=False)
     _run(workdir, cache_dir=cache_dir)
     vcd = workdir / f"{CONFIG_NAME}__t01_sanity_write_read__s1__rtl.vcd"
     vcd.write_bytes(vcd.read_bytes() + b"tampered\n")
@@ -252,12 +260,11 @@ def test_resume_rejects_stale_artifacts(tmp_path, monkeypatch, clean_ref):
 
 
 def test_cli_faulted_cached_batch_prints_the_resume_hint(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, chaos, capsys):
     """A batch that ends with a failed entry names the rerun that
     retries it, when it has a cache to rerun against."""
     save_config_dir(_configs(), str(tmp_path / "cfgs"))
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    chaos.set(f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     base = [str(tmp_path / "cfgs"), "--tests", "t01_sanity_write_read",
             "--seeds", "1"]
     cache_dir = str(tmp_path / "cache")
@@ -309,11 +316,10 @@ def test_vcd_writer_is_atomic(tmp_path):
     assert not (tmp_path / ("dump.vcd" + TMP_SUFFIX)).exists()
 
 
-def test_no_temp_leftovers_after_faulted_batch(tmp_path, monkeypatch):
+def test_no_temp_leftovers_after_faulted_batch(tmp_path, chaos):
     from repro.ioutil import TMP_SUFFIX
 
-    monkeypatch.setenv(
-        CHAOS_ENV, f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
+    chaos.set(f"crash:{CONFIG_NAME}:t01_sanity_write_read:1:rtl")
     _run(tmp_path)
     assert not [n for n in os.listdir(tmp_path) if n.endswith(TMP_SUFFIX)]
 

@@ -1,16 +1,18 @@
 """StbusPort holds each channel's bundle between changes."""
 
 import functools
+from random import Random
 
 import pytest
 
 from repro.bca.node import BcaNode
 from repro.catg import run_test
 from repro.catg.bfm import InitiatorBfm
+from repro.catg.converter_env import ConverterEnv, bridge_random_program
 from repro.catg.env import VerificationEnv
 from repro.catg.prog import ProgrammingMaster
 from repro.catg.target import TargetHarness
-from repro.kernel import Module, Simulator
+from repro.kernel import Module, Simulator, Tracer
 from repro.regression.testcases import build_test
 from repro.rtl.node import RtlNode
 from repro.stbus import (
@@ -167,3 +169,54 @@ def test_comb_processes_observe_every_output_in_elaboration(view):
         for target in env.targets
     })
     assert writes == expected
+
+
+#: Kernel counters of ``ConverterEnv(kind, view)`` on
+#: ``bridge_random_program(Random(1), 40, 4)``, equal in both views.
+CONVERTER_COUNTS = {
+    "size": {"cycles": 917, "delta_iterations": 965,
+             "process_activations": 6419, "signal_commits": 6425,
+             "signal_toggles": 4610},
+    "type": {"cycles": 302, "delta_iterations": 312,
+             "process_activations": 2114, "signal_commits": 2985,
+             "signal_toggles": 2364},
+}
+
+
+class _Values(Tracer):
+    """Every signal's value after each cycle."""
+
+    def __init__(self):
+        self.rows = []
+
+    def declare(self, signal):
+        pass
+
+    def sample(self, cycle, signals):
+        self.rows.append(tuple(sig.value for sig in signals))
+
+
+@pytest.mark.parametrize("view", ["rtl", "bca"])
+@pytest.mark.parametrize("kind", ["size", "type"])
+def test_converter_hold_drops_only_no_op_commits(monkeypatch, kind, view):
+    """The bridges present their channels through the port holds: every
+    signal of the converter testbench has the same value on every cycle
+    as when every pin is re-driven each cycle, with the same cycles,
+    deltas, activations and toggles."""
+
+    def run():
+        env = ConverterEnv(kind, view)
+        values = _Values()
+        env.sim.add_tracer(values)
+        assert env.run(bridge_random_program(Random(1), 40, 4)).passed
+        return values.rows, env.sim.stats_snapshot()
+
+    held_rows, held = run()
+    assert held == CONVERTER_COUNTS[kind]
+    _turn_off_holds(monkeypatch)
+    full_rows, full = run()
+    assert held_rows == full_rows
+    for counter in ("process_activations", "signal_toggles",
+                    "delta_iterations", "cycles"):
+        assert held[counter] == full[counter], counter
+    assert held["signal_commits"] < full["signal_commits"]
