@@ -1,9 +1,11 @@
 """The static checker: one pass of rules over elaborated designs.
 
 Rules come in two tiers (:mod:`~repro.analysis.rules`, the one
-registry): the *structural* rules of :mod:`repro.lint` (one signal, one
-process at a time) and the *dataflow* rules, which reason about flows —
-ordering races, clock-domain crossings and tie-off conflicts
+registry): the *structural* rules of :mod:`~repro.analysis.structural`
+(one signal, one process at a time, over the
+:class:`~repro.analysis.graph.DesignGraph` of an elaborated simulator)
+and the *dataflow* rules, which reason about flows — ordering races,
+clock-domain crossings and tie-off conflicts
 (:mod:`~repro.analysis.rules` itself) — over these engines:
 
 * :mod:`~repro.analysis.dataflow` — signal-level dataflow graph with
@@ -25,16 +27,20 @@ ordering races, clock-domain crossings and tie-off conflicts
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
   cone-scoped design keys every cached regression batch keys on;
-* :mod:`~repro.analysis.waivers` — the waiver file dialect.
+* :mod:`~repro.analysis.waivers` — the waiver file dialect, over the
+  :class:`~repro.analysis.diagnostics.Finding` every rule reports;
+* :mod:`~repro.analysis.demo` — a design with one defect per structural
+  rule.
 
 CLI: ``python -m repro.analysis`` (text/JSON) and
 ``python -m repro.analysis impact`` (fingerprint manifests and
 change-impact reports).  :func:`~repro.analysis.runner.analyze_config`
 runs every rule by default; given only the structural tier
-(``repro.lint.lint_config``, the regression's default gate) it builds
-no dataflow graph, derives no constants and loads none of the UNR,
-cone or agreement modules.  The regression tool exposes the UNR half
-as the opt-in ``--unr`` annotation.
+(:func:`repro.lint.lint_config`, the regression's default gate) it
+builds no dataflow graph, derives no constants and loads none of the
+UNR, cone or agreement modules.  Nothing in this package imports
+:mod:`repro.lint`.  The regression tool exposes the UNR half as the
+opt-in ``--unr`` annotation.
 
 Only :mod:`~repro.analysis.waivers` is imported eagerly — it is a leaf
 module.  Everything else resolves on first use through
@@ -55,6 +61,8 @@ from .waivers import (
 SCHEMA_VERSION = 1
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "diagnostics": ("Finding", "Severity"),
+    "graph": ("DesignGraph",),
     "dataflow": ("DataflowGraph", "ConeReport", "interface_cones"),
     "constants": ("ConstantFacts", "ValueRange", "derive_constants"),
     "rules": ("AnalysisContext", "Rule", "RULES", "DEFAULT_RULES",

@@ -47,9 +47,9 @@ from ..catg.sequence import ProgOp, TestProgram
 from ..kernel.module import Module
 from ..kernel.signal import Signal
 from ..kernel.simulator import Simulator
-from ..lint.diagnostics import Finding, Severity
 from ..rtl.node import RtlNode
 from ..stbus import NodeConfig, Opcode, StbusPort, Transaction, Type1Port
+from .diagnostics import Finding, Severity
 from .unr import coverage_gaps
 
 __all__ = [

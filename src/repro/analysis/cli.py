@@ -39,7 +39,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..kernel import Simulator
-from ..lint.diagnostics import Severity
+from .diagnostics import Severity
 from .rules import RULES, resolve_rules
 from .runner import ConfigAnalysisReport, analyze_config, analyze_simulator
 from .waivers import Waiver, WaiverError, load_waiver_file
@@ -245,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError("--view and --inject-bug apply to node "
                                  "configurations only")
             if args.demo:
-                from ..lint.demo import build_defective_design
+                from .demo import build_defective_design
                 sim = build_defective_design()
                 design_name = "lint-demo"
             else:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..kernel import Signal
-from ..lint.graph import DesignGraph
+from .graph import DesignGraph
 
 
 @dataclass(frozen=True)

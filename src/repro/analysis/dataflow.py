@@ -1,8 +1,8 @@
 """Signal-level dataflow graph with cones of influence.
 
-Built on top of :class:`repro.lint.graph.DesignGraph`, which indexes the
-*process*-level facts (who wakes, who writes, who reads).  This module
-projects those facts down to signal->signal edges:
+Built on top of :class:`repro.analysis.graph.DesignGraph`, which indexes
+the *process*-level facts (who wakes, who writes, who reads).  This
+module projects those facts down to signal->signal edges:
 
     src --[process P]--> dst   iff   P reads src and writes dst
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..kernel import ProcessInfo, Signal
-from ..lint.graph import DesignGraph
+from .graph import DesignGraph
 
 
 class DataflowGraph:

@@ -663,7 +663,7 @@ def design_fingerprints(config, view: str,
     the impact closure can run fan-out cones without re-elaborating.
     """
     from ..catg.env import VerificationEnv
-    from ..lint.graph import DesignGraph
+    from .graph import DesignGraph
 
     env = VerificationEnv(config, view=view)
     graph = DesignGraph.from_simulator(env.sim)
@@ -767,7 +767,7 @@ class ImpactIndex:
     per-file source summaries, so a batch re-parses only the files that
     changed since the store last saw them; keys, manifests and the
     environment digest are the same with or without it.  ``keep_graphs``
-    keeps each design's :class:`~repro.lint.graph.DesignGraph` in
+    keeps each design's :class:`~repro.analysis.graph.DesignGraph` in
     :attr:`graphs` for :func:`diff_manifests`' fan-out cones; otherwise
     each design's simulator is finished and dropped as soon as it is
     fingerprinted, so refcounting frees it.
@@ -988,7 +988,7 @@ class ImpactReport:
 def affected_signal_cone(graph, process_names: Iterable[str]
                          ) -> Tuple[str, ...]:
     """Fan-out closure of the named processes' writes over ``graph``
-    (a :class:`~repro.lint.graph.DesignGraph`): the written signals
+    (a :class:`~repro.analysis.graph.DesignGraph`): the written signals
     plus everything they can transitively influence."""
     from .dataflow import DataflowGraph
 

@@ -3,8 +3,9 @@
 Rules come in two tiers:
 
 * **structural** — local design rules over the
-  :class:`~repro.lint.graph.DesignGraph` alone (:mod:`repro.lint.rules`):
-  cheap enough to gate every regression batch;
+  :class:`~repro.analysis.graph.DesignGraph` alone
+  (:mod:`~repro.analysis.structural`): cheap enough to gate every
+  regression batch;
 * **dataflow** — rules that also need the signal dataflow graph or the
   constant facts, defined here.
 
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..lint import rules as structural
-from ..lint.diagnostics import Finding, Severity
-from ..lint.graph import DesignGraph
+from . import structural
+from .diagnostics import Finding, Severity
+from .graph import DesignGraph
 
 if TYPE_CHECKING:  # built on first use only
     from .constants import ConstantFacts

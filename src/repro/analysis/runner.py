@@ -12,8 +12,8 @@ checks run is the ``rules`` argument (default: every rule):
   (sharpened by the first view's constant facts) and, with both views,
   the port-cone diff and the per-port RTL/BCA agreement check.
 
-``repro.lint.lint_config`` is the structural tier; the regression gate
-adds the dataflow tier when its spec asks for it.
+:func:`repro.lint.lint_config` is the structural tier; the regression
+gate adds the dataflow tier when its spec asks for it.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..kernel import Simulator
-from ..lint.diagnostics import Finding, Severity
-from ..lint.graph import DesignGraph
-from ..lint.rules import check_xview_interface
 from ..stbus import NodeConfig
-from . import rules as registry  # read per call: see repro.lint
+from .diagnostics import Finding, Severity
+from .graph import DesignGraph
+from .rules import DATAFLOW, DEFAULT_RULES, STRUCTURAL, AnalysisContext, Rule
+from .structural import check_xview_interface
 from .waivers import Waiver, apply_waivers
 
 if TYPE_CHECKING:  # loaded only when the dataflow tier runs
     from .agreement import AgreementReport
-    from .rules import AnalysisContext, Rule
     from .unr import UnrReport
 
 
@@ -124,7 +123,7 @@ def _analyze_context(
     waivers: Sequence[Waiver],
 ) -> AnalysisReport:
     report = AnalysisReport(design=design, n_signals=len(ctx.graph.signals))
-    if any(rule.tier == registry.DATAFLOW for rule in rules):
+    if any(rule.tier == DATAFLOW for rule in rules):
         report.n_edges = ctx.dataflow.n_edges
         report.n_constants = len(ctx.constants)
         report.complete = ctx.dataflow.complete
@@ -148,9 +147,9 @@ def analyze_simulator(
     elaborated yet, so even designs that could not run (combinational
     loops, driver conflicts) produce a report instead of an exception.
     """
-    ctx = registry.AnalysisContext(DesignGraph.from_simulator(sim))
+    ctx = AnalysisContext(DesignGraph.from_simulator(sim))
     return _analyze_context(
-        ctx, design, registry.DEFAULT_RULES if rules is None else rules,
+        ctx, design, DEFAULT_RULES if rules is None else rules,
         waivers)
 
 
@@ -266,25 +265,25 @@ def analyze_config(
     """
     from ..catg.env import VerificationEnv  # local import: avoid cycle
 
-    rules = registry.DEFAULT_RULES if rules is None else tuple(rules)
+    rules = DEFAULT_RULES if rules is None else tuple(rules)
     tiers = {rule.tier for rule in rules}
     result = ConfigAnalysisReport(config_name=config.name)
     owned = contexts is None
     contexts = {} if owned else contexts
     for view in views:
         if view not in contexts:
-            contexts[view] = registry.AnalysisContext(
+            contexts[view] = AnalysisContext(
                 DesignGraph.from_simulator(
                     VerificationEnv(config, view=view).sim))
         result.views[view] = _analyze_context(
             contexts[view], f"{config.name}/{view}", rules, waivers)
     both = "rtl" in contexts and "bca" in contexts
 
-    if registry.STRUCTURAL in tiers and both:
+    if STRUCTURAL in tiers and both:
         result.cross_view += check_xview_interface(
             contexts["rtl"].graph, contexts["bca"].graph)
         result.cross_checks.append("interface")
-    if registry.DATAFLOW in tiers:
+    if DATAFLOW in tiers:
         from .unr import analyze_unreachability
 
         result.unr = analyze_unreachability(

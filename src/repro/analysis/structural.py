@@ -1,8 +1,8 @@
 """The structural design rules.
 
 Each rule is a pure function of an analysis context (it reads only
-``ctx.graph``, the :class:`~repro.lint.graph.DesignGraph`) returning
-:class:`~repro.lint.diagnostics.Finding` objects;
+``ctx.graph``, the :class:`~repro.analysis.graph.DesignGraph`) returning
+:class:`~repro.analysis.diagnostics.Finding` objects;
 :func:`check_xview_interface` compares the design graphs of two views.
 The registry in :mod:`repro.analysis.rules` gives each check its id,
 severity and tier, beside the dataflow rules.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..kernel import Signal
-from ..kernel.signal import MultipleDriverError, WidthError
+from ..kernel.signal import MultipleDriverError
 from ..kernel.simulator import DeltaOverflowError
 from .diagnostics import Finding, Severity
 from .graph import DesignGraph
@@ -293,18 +293,6 @@ def check_width_mismatch(ctx) -> List[Finding]:
                     ),
                     signal=sig.name,
                     hint=f"declare {sig.name} wide enough for its values",
-                )
-            )
-    # Width errors harvested from processes but not seen by the write hook
-    # (cannot happen through Signal.drive; kept for completeness).
-    for info, exc in graph.sim.elaboration_errors:
-        if isinstance(exc, WidthError) and not graph.sim.width_events:
-            findings.append(
-                Finding(
-                    rule="width-mismatch",
-                    severity=Severity.ERROR,
-                    message=f"width violation while elaborating: {exc}",
-                    process=info.name if info else None,
                 )
             )
     return findings

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..catg.coverage import _LEN_BINS, build_node_coverage
-from ..lint.diagnostics import Finding, Severity
 from ..stbus import NodeConfig, Opcode, ProtocolType, all_opcodes
 from .constants import ConstantFacts
+from .diagnostics import Finding, Severity
 
 REACHABLE = "REACHABLE"
 UNREACHABLE = "UNREACHABLE"

@@ -6,8 +6,9 @@ line; the regression's ``--lint-waivers`` and the analysis CLI's
 leaf: it imports nothing from the rest of the package.
 
 Matching is duck-typed: anything with ``rule`` and ``location``
-attributes (``repro.lint.diagnostics.Finding``) can be waived.  Waived findings stay in reports — flagged, but excluded
-from the error counts that gate the flows.
+attributes (``repro.analysis.diagnostics.Finding``) can be waived.
+Waived findings stay in reports — flagged, but excluded from the error
+counts that gate the flows.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..lint.diagnostics import Finding, Severity
+from .diagnostics import Finding, Severity
 from .dataflow import DataflowGraph, interface_cones
 
 

@@ -13,9 +13,9 @@ cell).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..kernel import Module, Simulator
+from ..kernel import Module, Simulator, drive_changes
 from ..stbus import (
     Cell,
     Opcode,
@@ -125,13 +125,18 @@ class BcaBridge(Module):
             + up_port.response_signals()
             + [self._tick],
         )
+        self._gnt_pins = (up_port.gnt, down_port.r_gnt)
+        #: The (gnt, r_gnt) _accept_comb last drove (None: not yet driven).
+        self._gnt_held: Optional[Tuple[int, int]] = None
         self.comb(self._accept_comb, [self._tick, up_port.req])
 
     # -- combinational ---------------------------------------------------------
 
     def _accept_comb(self) -> None:
-        self.up.gnt.drive(1 if len(self._down_stream) < self.queue_depth else 0)
-        self.down.r_gnt.drive(1)
+        values = (1 if len(self._down_stream) < self.queue_depth else 0, 1)
+        if values != self._gnt_held:
+            self._gnt_held = drive_changes(self._gnt_pins, values,
+                                           self._gnt_held)
 
     # -- transaction engine -------------------------------------------------------
 

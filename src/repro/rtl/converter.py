@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..kernel import Module, Simulator
+from ..kernel import Module, Simulator, drive_changes
 from ..stbus import (
     Cell,
     Opcode,
@@ -105,16 +105,21 @@ class RtlBridge(Module):
             + up_port.response_signals()
             + [self._tick],
         )
+        self._gnt_pins = (up_port.gnt, down_port.r_gnt)
+        #: The (gnt, r_gnt) _gnt_comb last drove (None: not yet driven).
+        self._gnt_held: Optional[Tuple[int, int]] = None
         self.comb(self._gnt_comb, [self._tick, up_port.req, down_port.r_req])
 
     # -- combinational accept logic -------------------------------------------
 
     def _gnt_comb(self) -> None:
         in_flight = len(self._req_queue) + (1 if self._req_cells else 0)
-        self.up.gnt.drive(1 if in_flight < self.queue_depth else 0)
         # Responses are always accepted: each matches a forwarded request,
         # so the buffering is already bounded by the outstanding count.
-        self.down.r_gnt.drive(1)
+        values = (1 if in_flight < self.queue_depth else 0, 1)
+        if values != self._gnt_held:
+            self._gnt_held = drive_changes(self._gnt_pins, values,
+                                           self._gnt_held)
 
     # -- clocked engine ----------------------------------------------------------
 

@@ -5,7 +5,7 @@ question is "which process of the compared model must be wrong".  The
 static dataflow graph already knows which signals can influence the
 diverging one (:meth:`~repro.analysis.dataflow.DataflowGraph.fan_in_cone`)
 and which processes write each signal
-(:attr:`~repro.lint.graph.DesignGraph.known_writers`); intersecting the
+(:attr:`~repro.analysis.graph.DesignGraph.known_writers`); intersecting the
 two shrinks the whole model down to the handful of processes that can
 possibly have produced the wrong value.
 
@@ -133,7 +133,7 @@ def rank_suspects(
     """
     from ..analysis.dataflow import DataflowGraph
     from ..catg.env import VerificationEnv
-    from ..lint.graph import DesignGraph
+    from ..analysis.graph import DesignGraph
 
     env = VerificationEnv(config, view=view)
     graph = DesignGraph.from_simulator(env.sim)

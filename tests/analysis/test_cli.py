@@ -210,7 +210,7 @@ def test_list_rules(capsys):
 def test_conflicting_sources_is_a_usage_error(capsys):
     assert main(["--stock", "--matrix"]) == 2
     assert main(["--demo", "--matrix"]) == 2
-    assert main(["--demo", "--design", "repro.lint.demo:x"]) == 2
+    assert main(["--demo", "--design", "repro.analysis.demo:x"]) == 2
     assert main(["--demo", "--view", "rtl"]) == 2
 
 
@@ -265,9 +265,9 @@ def test_rule_selection(capsys):
 
 
 def test_design_loading(capsys):
-    assert main(["--design", "repro.lint.demo:build_defective_design"]) == 1
+    assert main(["--design", "repro.analysis.demo:build_defective_design"]) == 1
     assert main(["--design", "not-a-spec"]) == 2
-    assert main(["--design", "repro.lint.demo:missing_attr"]) == 2
+    assert main(["--design", "repro.analysis.demo:missing_attr"]) == 2
 
 
 def test_waiver_file(tmp_path, capsys):
@@ -381,8 +381,8 @@ def test_info_notes_do_not_make_a_report_unclean():
     visible in the findings without failing the report."""
     from types import SimpleNamespace
 
+    from repro.analysis import Finding, Severity
     from repro.analysis.runner import AnalysisReport, ConfigAnalysisReport
-    from repro.lint import Finding, Severity
 
     def finding(severity, waived=False):
         return Finding(rule="r", severity=severity, message="m",

@@ -4,9 +4,9 @@ import pytest
 
 from repro.analysis import constants
 from repro.analysis.constants import ValueRange, derive_constants
+from repro.analysis.graph import DesignGraph
 from repro.analysis.runner import analyze_config
 from repro.kernel import Module, Simulator
-from repro.lint.graph import DesignGraph
 from repro.stbus import NodeConfig
 
 

@@ -1,8 +1,8 @@
 """Dataflow graph construction and cone-of-influence queries."""
 
 from repro.analysis.dataflow import ConeReport, DataflowGraph, interface_cones
+from repro.analysis.graph import DesignGraph
 from repro.kernel import Module, Simulator
-from repro.lint.graph import DesignGraph
 
 
 def _pipeline_design():

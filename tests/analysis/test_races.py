@@ -1,10 +1,10 @@
 """Race, tie-off-conflict and CDC rule tests."""
 
+from repro.analysis.diagnostics import Severity
+from repro.analysis.graph import DesignGraph
 from repro.analysis.rules import AnalysisContext, resolve_rules
 from repro.analysis.runner import analyze_simulator
 from repro.kernel import Module, Simulator
-from repro.lint.diagnostics import Severity
-from repro.lint.graph import DesignGraph
 
 import pytest
 

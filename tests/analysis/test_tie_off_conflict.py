@@ -6,9 +6,9 @@ driver: ``multi-driver`` (structural) and ``race-delta-overwrite``
 (dataflow) already report it as errors, so tie-off-conflict stays silent there.
 """
 
+from repro.analysis.diagnostics import Severity
 from repro.analysis.runner import analyze_simulator
 from repro.kernel import Module, Simulator
-from repro.lint.diagnostics import Severity
 
 
 def _findings(sim, rule):

@@ -147,8 +147,8 @@ def test_constants_sharpen_programming_verdict():
     # With an elaborated environment, the blocking net comes from the
     # constant engine rather than the configuration-level argument.
     from repro.analysis.constants import derive_constants
+    from repro.analysis.graph import DesignGraph
     from repro.catg.env import VerificationEnv
-    from repro.lint.graph import DesignGraph
 
     config = NodeConfig()
     env = VerificationEnv(config, view="rtl")

@@ -15,8 +15,8 @@ def test_schema_versions_agree():
     """One schema version stamps the per-view and the per-config
     reports of both tiers."""
     import repro.analysis as analysis
+    from repro.analysis.demo import build_defective_design
     from repro.lint import lint_config
-    from repro.lint.demo import build_defective_design
     from repro.stbus import NodeConfig
 
     config = lint_config(NodeConfig()).to_dict()
@@ -46,7 +46,7 @@ def test_parse_rejects_single_token_line():
 
 
 def test_one_file_waives_both_tools(tmp_path):
-    from repro.lint.diagnostics import Finding, Severity
+    from repro.analysis.diagnostics import Finding, Severity
 
     path = tmp_path / "waivers.txt"
     path.write_text(

@@ -1,10 +1,10 @@
 """Cross-view cone equivalence between the RTL and BCA environments."""
 
 from repro.analysis.dataflow import DataflowGraph
+from repro.analysis.diagnostics import Severity
+from repro.analysis.graph import DesignGraph
 from repro.analysis.xview import cone_equivalence_findings
 from repro.kernel import Module, Simulator
-from repro.lint.diagnostics import Severity
-from repro.lint.graph import DesignGraph
 
 
 def _view(wire_b_into_out: bool, declare: bool = True):

@@ -5,13 +5,14 @@ import pytest
 
 from repro.analysis import (
     STRUCTURAL_RULES,
+    DesignGraph,
+    Severity,
     WaiverError,
     analyze_simulator,
     parse_waivers,
 )
+from repro.analysis.demo import build_defective_design
 from repro.kernel import Module, Simulator
-from repro.lint import DesignGraph, Severity
-from repro.lint.demo import build_defective_design
 
 
 def lint_simulator(sim, design="design", waivers=()):

@@ -11,8 +11,12 @@ import pytest
 
 import repro.lint
 import repro.regression.resilience as resilience
-from repro.analysis import ConfigAnalysisReport, apply_waivers
-from repro.lint import Finding, Severity
+from repro.analysis import (
+    ConfigAnalysisReport,
+    Finding,
+    Severity,
+    apply_waivers,
+)
 from repro.regression import (
     BatchSpec,
     BatchSpecError,

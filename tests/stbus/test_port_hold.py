@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from repro.bca.converter import BcaBridge
 from repro.bca.node import BcaNode
 from repro.catg import run_test
 from repro.catg.bfm import InitiatorBfm
@@ -14,6 +15,7 @@ from repro.catg.prog import ProgrammingMaster
 from repro.catg.target import TargetHarness
 from repro.kernel import Module, Simulator, Tracer
 from repro.regression.testcases import build_test
+from repro.rtl.converter import RtlBridge
 from repro.rtl.node import RtlNode
 from repro.stbus import (
     ArbitrationPolicy,
@@ -70,6 +72,8 @@ HOLDS = (
     (BcaNode, "_prog_comb", "_prog_held"),
     (TargetHarness, "_gnt_comb", "_gnt_held"),
     (ProgrammingMaster, "_clk", "_held"),
+    (RtlBridge, "_gnt_comb", "_gnt_held"),
+    (BcaBridge, "_accept_comb", "_gnt_held"),
 )
 
 #: Two workloads: out-of-order traffic on a crossbar, and priority
@@ -88,7 +92,8 @@ def _turn_off_holds(monkeypatch):
     """Make every holding writer re-drive all its pins on every call, as
     before the holds: the port bundles, the BFM's ``r_gnt``, the
     target's ``gnt``, both views' ``gnt``, ``r_gnt``, ``err_pop`` and
-    programming-port outputs, and the programming master's command."""
+    programming-port outputs, the programming master's command, and the
+    bridges' ``gnt`` and ``r_gnt``."""
     for name in ("present_request", "present_response"):
         attr = "_request_held" if name == "present_request" \
             else "_response_held"
@@ -175,10 +180,10 @@ def test_comb_processes_observe_every_output_in_elaboration(view):
 #: ``bridge_random_program(Random(1), 40, 4)``, equal in both views.
 CONVERTER_COUNTS = {
     "size": {"cycles": 917, "delta_iterations": 965,
-             "process_activations": 6419, "signal_commits": 6425,
+             "process_activations": 6419, "signal_commits": 4637,
              "signal_toggles": 4610},
     "type": {"cycles": 302, "delta_iterations": 312,
-             "process_activations": 2114, "signal_commits": 2985,
+             "process_activations": 2114, "signal_commits": 2391,
              "signal_toggles": 2364},
 }
 

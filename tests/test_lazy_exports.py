@@ -92,3 +92,42 @@ def test_module_entry_point_help_exits_zero(entry):
         env=dict(os.environ, PYTHONPATH=REPO_SRC))
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+#: The static checker's modules; the gate module ``repro.lint`` calls
+#: into them, never the other way round.
+ANALYSIS_MODULES = ("repro.analysis",) + tuple(
+    f"repro.analysis.{name}" for name in (
+        "rules", "runner", "dataflow", "constants", "unr", "xview",
+        "agreement", "impact", "cli", "structural", "graph", "diagnostics",
+        "demo"))
+
+
+@pytest.mark.parametrize("module", ANALYSIS_MODULES)
+def test_the_static_checker_never_loads_the_gate_module(module):
+    code = (f"import sys, {module}\n"
+            "lint = sorted(name for name in sys.modules\n"
+            "              if name.startswith('repro.lint'))\n"
+            "assert lint == [], lint\n")
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=REPO_SRC), timeout=60)
+
+
+def test_the_gate_module_holds_only_lint_config():
+    import repro.lint
+
+    assert not hasattr(repro.lint, "__path__")  # a module, no package
+    assert repro.lint.__all__ == ["lint_config"]
+    assert [name for name in vars(repro.lint)
+            if not name.startswith("_")] == ["lint_config"]
+
+
+def test_the_static_checker_exports_its_base_types():
+    import repro.analysis
+    from repro.analysis import diagnostics, graph
+
+    assert {"DesignGraph", "Finding", "Severity"} <= set(
+        repro.analysis.__all__)
+    assert repro.analysis.DesignGraph is graph.DesignGraph
+    assert repro.analysis.Finding is diagnostics.Finding
+    assert repro.analysis.Severity is diagnostics.Severity

@@ -37,8 +37,8 @@ def test_declarations_keep_every_rule_armed():
     """Every shipped env has clocked processes and declares their
     reads/writes, so undriven-input and dead-net run for real (they
     disable themselves otherwise)."""
+    from repro.analysis.graph import DesignGraph
     from repro.catg.env import VerificationEnv
-    from repro.lint.graph import DesignGraph
 
     for config in MATRIX:
         for view in ("rtl", "bca"):
