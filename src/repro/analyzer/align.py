@@ -60,6 +60,10 @@ class AlignmentReport:
     #: without expanding a series.  Which path ran, not what it found:
     #: equality ignores it.
     identical: bool = field(default=False, compare=False)
+    #: The comparison job's :class:`~repro.telemetry.RunTelemetry`
+    #: payload, when the batch recorded one.
+    telemetry: Optional[object] = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def min_rate(self) -> float:

@@ -5,7 +5,7 @@ inline — ``jobs > 1``, or ``jobs == 1`` with a ``run_timeout`` — on
 ``jobs`` local worker processes.  Each worker is forked with
 ``multiprocessing``'s ``fork`` context and talks to the coordinator
 over its own duplex ``multiprocessing.Pipe()``: the coordinator sends
-``(job_id, kind, job)``, the worker replies ``(job_id, outcome)``, and
+``(job_id, job)``, the worker replies ``(job_id, outcome)``, and
 both ends pickle through ``Connection.send``/``recv``.  Workers are
 forked, not spawned, for two reasons: they start with the coordinator's
 modules already imported (a fresh interpreter pays ~0.2 s of imports
@@ -61,7 +61,13 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from .resilience import GUARDS, ResilientBatchExecutor, RunFailure, _Task
+from .resilience import (
+    BatchFaults,
+    ResilientBatchExecutor,
+    RunFailure,
+    _Task,
+    guarded_execute,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -107,10 +113,10 @@ def _serve(conn: Connection) -> None:
     try:
         while True:
             try:
-                job_id, kind, job = conn.recv()
+                job_id, job = conn.recv()
             except (EOFError, OSError):
                 return
-            outcome = GUARDS[kind](job)
+            outcome = guarded_execute(job)
             try:
                 conn.send((job_id, outcome))
             except OSError:
@@ -146,14 +152,14 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
     a ``run_timeout`` runs inline through the base class.
     """
 
-    def __init__(self, jobs_by_key, spec, **kwargs) -> None:
-        super().__init__(jobs_by_key, spec, **kwargs)
+    def __init__(self, entries, jobs_by_key, spec, **kwargs) -> None:
+        super().__init__(entries, jobs_by_key, spec, **kwargs)
         self._workers: List[_Worker] = []
         self._job_seq = 0
         #: Workers that died holding no lease; bounded by 2 × jobs.
         self._unleased_deaths = 0
 
-    def execute(self):
+    def execute(self) -> BatchFaults:
         if self.spec.jobs == 1 and self.spec.run_timeout is None:
             return super().execute()
         try:
@@ -162,7 +168,7 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             self._teardown(grace=0.0)
             raise
         self._teardown(grace=_EXIT_GRACE)
-        return self._outcome()
+        return self.faults
 
     # -- worker lifecycle -----------------------------------------------------
 
@@ -235,7 +241,7 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         from multiprocessing.connection import wait  # see the docstring
 
         ready: Deque[_Task] = deque(
-            _Task("run", key, job) for key, job in self.jobs_by_key.items())
+            _Task(key[:3], job) for key, job in self.jobs_by_key.items())
         while True:
             now = time.monotonic()
             self._enforce_deadlines(ready, now)
@@ -267,11 +273,15 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             self._job_seq += 1
             lease = _Lease(self._job_seq, task)
             try:
-                worker.conn.send((lease.job_id, task.kind, task.job))
+                worker.conn.send((lease.job_id, task.job))
             except OSError:
-                # Never reached the worker: free requeue.
+                # The worker died before this job reached it (a job
+                # already leased to it can end it that fast): a free
+                # requeue, logged like any other.
                 ready.appendleft(task)
                 self._end_worker(worker, "send-failed", ready)
+                self.faults.note("lease.requeued", worker=worker.ident,
+                                 **task.names)
                 continue
             if not worker.leases:
                 lease.started = now
@@ -305,7 +315,7 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         if status == "ok":
             self._complete(task, payload)
             if task.kind == "run":
-                compare = self._compare_task(task.key[:3])
+                compare = self._compare_task(task.key)
                 if compare is not None:
                     ready.append(compare)
             elif task.kind == "compare":
@@ -327,8 +337,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             return
         oldest = leases[0].task
         if failure is None:
-            failure = self._worker_failure(
-                oldest, "WorkerLost",
+            failure = RunFailure.of(
+                oldest.job, "WorkerLost",
                 f"worker {worker.ident} was lost ({reason}) while "
                 "executing this job")
         self._register_failure(oldest, failure)
@@ -346,8 +356,8 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                          unleased_deaths=self._unleased_deaths,
                          abandoned=len(leftovers))
         for task in leftovers:
-            self._register_failure(task, self._worker_failure(
-                task, "WorkerLost",
+            self._register_failure(task, RunFailure.of(
+                task.job, "WorkerLost",
                 f"no worker left to run this job: {self._unleased_deaths} "
                 f"worker(s) died without a lease (budget "
                 f"{2 * self.spec.jobs})"))

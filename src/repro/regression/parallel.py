@@ -16,8 +16,10 @@ coverage merge, sign-off verdict, rendered text) is byte-identical for
 ``jobs=1`` and ``jobs=N``.
 
 Everything that crosses the process boundary is a plain picklable value:
-a :class:`RunJob` in, a :class:`~repro.catg.env.RunResult` (or
-:class:`~repro.analyzer.AlignmentReport`) out.  Workers rebuild the test
+a job in, one result out — a :class:`~repro.catg.env.RunResult`, an
+:class:`~repro.analyzer.AlignmentReport` or a
+:class:`~repro.triage.TriageReport`, each carrying its own telemetry
+payload.  Workers rebuild the test
 program locally instead of shipping it, exactly as the serial path does.
 """
 
@@ -31,7 +33,7 @@ from ..analyzer import AlignmentReport, compare_vcds
 from ..catg.env import RunResult, run_test
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
-from ..telemetry import RunRecorder, RunTelemetry
+from ..telemetry import RunRecorder
 from .testcases import build_test
 
 #: (config index, test name, seed) — one regression entry (both views).
@@ -59,6 +61,15 @@ class RunJob:
     #: Wall-clock (epoch) submission time; queue wait = start - submit.
     submitted_at: Optional[float] = None
 
+    #: Which of the three job kinds this is (a class attribute, not a
+    #: field, so it never crosses the pipe).
+    kind = "run"
+
+    @property
+    def coordinates(self) -> Tuple[str, str, int, str]:
+        """(config, test, seed, view): where the job sits in the batch."""
+        return (self.config.name, self.test_name, self.seed, self.view)
+
 
 @dataclass(frozen=True)
 class CompareJob:
@@ -71,6 +82,12 @@ class CompareJob:
     seed: int
     telemetry: bool = False
     submitted_at: Optional[float] = None
+
+    kind = "compare"
+
+    @property
+    def coordinates(self) -> Tuple[str, str, int, str]:
+        return (self.config_name, self.test_name, self.seed, self.kind)
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,12 @@ class TriageJob:
     reason: str
     telemetry: bool = False
     submitted_at: Optional[float] = None
+
+    kind = "triage"
+
+    @property
+    def coordinates(self) -> Tuple[str, str, int, str]:
+        return (self.config.name, self.test_name, self.seed, self.kind)
 
 
 def write_run_reports(stem: str, result: RunResult) -> None:
@@ -146,11 +169,9 @@ def execute_run_job(job: RunJob) -> RunResult:
     return result
 
 
-def execute_compare_job(
-    job: CompareJob,
-) -> Tuple[AlignmentReport, Optional[RunTelemetry]]:
-    """Run one bus-accurate comparison; the telemetry payload is
-    ``None`` unless ``job.telemetry`` is set."""
+def execute_compare_job(job: CompareJob) -> AlignmentReport:
+    """Run one bus-accurate comparison; its telemetry payload (``None``
+    unless ``job.telemetry`` is set) rides on ``report.telemetry``."""
     recorder = RunRecorder(
         {"config": job.config_name, "test": job.test_name,
          "seed": job.seed, "view": "compare"},
@@ -166,18 +187,14 @@ def execute_compare_job(
         signed_off=report.signed_off,
         cycles=report.total_cycles,
     )
-    return report, recorder.payload()
+    report.telemetry = recorder.payload()
+    return report
 
 
-def execute_triage_job(job: TriageJob) -> Tuple[
-    "TriageReport", Optional[RunTelemetry]
-]:
-    """Triage one failed entry; the telemetry payload is ``None``
-    unless ``job.telemetry`` is set.
-
-    The triage spans and the ``triage.complete`` log record ride back
-    on the picklable telemetry payload.
-    """
+def execute_triage_job(job: TriageJob) -> "TriageReport":
+    """Triage one failed entry; its telemetry payload (``None`` unless
+    ``job.telemetry`` is set) rides on ``report.telemetry``, triage
+    spans and the ``triage.complete`` log record included."""
     from ..triage import triage_entry
 
     recorder = RunRecorder(
@@ -192,7 +209,8 @@ def execute_triage_job(job: TriageJob) -> Tuple[
             bugs=job.bugs, reason=job.reason, out_path=job.out_path,
             telemetry=recorder.telemetry,
         )
-    return report, recorder.payload()
+    report.telemetry = recorder.payload()
+    return report
 
 
 def default_jobs() -> int:

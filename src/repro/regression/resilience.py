@@ -8,11 +8,11 @@ processes that run every other batch live in
 :mod:`repro.regression.distributed` and reuse all of it.  Three layers
 of protection:
 
-1. **Run-level crash isolation** — every run/compare job executes under
-   a guard that converts any exception (including a truncated or corrupt
-   VCD discovered in the compare stage) into a structured, picklable
-   :class:`RunFailure` carried into the report instead of aborting the
-   batch.
+1. **Job-level crash isolation** — every run, compare and triage job
+   executes under one guard that converts any exception (including a
+   truncated or corrupt VCD discovered in the compare stage) into a
+   structured, picklable :class:`RunFailure` carried into the report
+   instead of aborting the batch.
 2. **Wall-clock deadlines** — the coordinator enforces ``run_timeout``
    per job; the existing ``max_cycles`` budget only bounds *simulated*
    cycles, not a worker stuck in native code.  A timed-out worker is
@@ -39,7 +39,6 @@ forked workers alike.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -64,10 +63,11 @@ from .spec import BatchSpec
 
 @dataclass(frozen=True)
 class RunFailure:
-    """A failed run or comparison, reduced to plain picklable values.
+    """A failed run, comparison or triage, reduced to plain picklable
+    values.
 
-    Instances stand in for :class:`~repro.catg.env.RunResult` (or an
-    alignment report) in the batch results, so the assembly path can
+    Instances stand in for a :class:`~repro.catg.env.RunResult` (or an
+    alignment report) on the batch's entries, so the assembly path can
     render a complete report with the affected entries marked instead of
     losing the whole batch to one raw traceback.
     """
@@ -99,62 +99,42 @@ class RunFailure:
         return f"{self.kind} {self.exc_type}: {self.message}"
 
     @classmethod
-    def from_exception(cls, *, config_name: str, test_name: str, seed: int,
-                       view: str, stage: str,
-                       exc: BaseException) -> "RunFailure":
-        return cls(
-            config_name=config_name, test_name=test_name, seed=seed,
-            view=view, stage=stage, kind="ERROR",
-            exc_type=type(exc).__name__, message=str(exc) or repr(exc),
+    def of(cls, job, exc_type: str, message: str, *, kind: str = "ERROR",
+           traceback_text: str = "") -> "RunFailure":
+        """A failure of ``job`` (a run, compare or triage job) at its
+        coordinates."""
+        return cls(*job.coordinates, stage=job.kind, kind=kind,
+                   exc_type=exc_type, message=message,
+                   traceback_text=traceback_text)
+
+    @classmethod
+    def from_exception(cls, job, exc: BaseException) -> "RunFailure":
+        return cls.of(
+            job, type(exc).__name__, str(exc) or repr(exc),
             traceback_text="".join(
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             ),
         )
 
 
-def guarded_execute_run(job: RunJob):
-    """Worker-side run wrapper: never raises, returns a tagged outcome
-    ``("ok", RunResult)`` or ``("fail", RunFailure)``."""
+def guarded_execute(job):
+    """Execute one job of any kind, inline or on a worker, never
+    raising: ``("ok", result)`` or ``("fail", RunFailure)``.  A corrupt
+    or truncated VCD fails its comparison, and a crashed triage leaves
+    its already failed entry untriaged, instead of ending the batch.
+
+    The table is built on every call, so the entry points are looked up
+    in this module each time: a test that replaces one of them here
+    reaches the inline path and every worker forked after it."""
+    execute = {
+        "run": execute_run_job,
+        "compare": execute_compare_job,
+        "triage": execute_triage_job,
+    }[job.kind]
     try:
-        return ("ok", execute_run_job(job))
+        return ("ok", execute(job))
     except Exception as exc:
-        return ("fail", RunFailure.from_exception(
-            config_name=job.config.name, test_name=job.test_name,
-            seed=job.seed, view=job.view, stage="run", exc=exc,
-        ))
-
-
-def guarded_execute_compare(job: CompareJob):
-    """Worker-side compare wrapper; corrupt/truncated VCDs surface as a
-    structured failure, not a traceback."""
-    try:
-        return ("ok", execute_compare_job(job))
-    except Exception as exc:
-        return ("fail", RunFailure.from_exception(
-            config_name=job.config_name, test_name=job.test_name,
-            seed=job.seed, view="compare", stage="compare", exc=exc,
-        ))
-
-
-def guarded_execute_triage(job: TriageJob):
-    """Worker-side triage wrapper; a triage crash must never take down a
-    batch whose entry already failed — it degrades to an untriaged FAIL."""
-    try:
-        return ("ok", execute_triage_job(job))
-    except Exception as exc:
-        return ("fail", RunFailure.from_exception(
-            config_name=job.config.name, test_name=job.test_name,
-            seed=job.seed, view="triage", stage="triage", exc=exc,
-        ))
-
-
-#: The guarded wrapper that executes each task kind, inline or on a
-#: worker.
-GUARDS = {
-    "run": guarded_execute_run,
-    "compare": guarded_execute_compare,
-    "triage": guarded_execute_triage,
-}
+        return ("fail", RunFailure.from_exception(job, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -212,46 +192,46 @@ def run_artifact_paths(job: RunJob) -> Dict[str, str]:
 
 
 class _Task:
-    """One schedulable unit: a run, a comparison or a triage."""
+    """One schedulable unit: a run, a comparison or a triage of the
+    entry ``key``."""
 
-    __slots__ = ("kind", "key", "job")
+    __slots__ = ("key", "job")
 
-    def __init__(self, kind: str, key: tuple, job) -> None:
-        self.kind = kind          # "run" | "compare" | "triage"
-        self.key = key            # RunKey | EntryKey
+    def __init__(self, key: EntryKey, job) -> None:
+        self.key = key
         self.job = job
 
     @property
+    def kind(self) -> str:
+        return self.job.kind      # "run" | "compare" | "triage"
+
+    @property
     def names(self) -> Dict[str, object]:
-        if self.kind == "run":
-            return {"config": self.job.config.name,
-                    "test": self.job.test_name, "seed": self.job.seed,
-                    "view": self.job.view}
-        if self.kind == "triage":
-            return {"config": self.job.config.name,
-                    "test": self.job.test_name, "seed": self.job.seed,
-                    "view": "triage"}
-        return {"config": self.job.config_name, "test": self.job.test_name,
-                "seed": self.job.seed, "view": "compare"}
+        return dict(zip(("config", "test", "seed", "view"),
+                        self.job.coordinates))
 
 
 class ResilientBatchExecutor:
-    """Schedules a batch's run/compare jobs with crash isolation and
-    the result cache, executing them inline.
+    """Schedules a batch's run/compare/triage jobs with crash isolation
+    and the result cache, executing them inline.
 
-    The results feed one deterministic assembly path, so fault-free
-    output is byte-identical to the leased-worker subclass at any
-    ``jobs``.
+    ``entries`` maps each (config index, test, seed) to its record, in
+    batch order; every job's result or failure lands on its entry's
+    record (``rtl``/``bca``, ``alignment`` or ``compare_failure``,
+    ``triage``), so fault-free records are byte-identical to the
+    leased-worker subclass at any ``jobs``.
     """
 
     def __init__(
         self,
+        entries: Dict[EntryKey, object],
         jobs_by_key: Dict[RunKey, RunJob],
         spec: BatchSpec,
         *,
         triage_paths: Optional[Dict[EntryKey, str]] = None,
         cache=None,
     ) -> None:
+        self.entries = entries
         self.jobs_by_key = jobs_by_key
         self.spec = spec
         self.telemetry = spec.telemetry.enabled
@@ -260,25 +240,12 @@ class ResilientBatchExecutor:
         #: fresh result is published back to it.
         self.cache = cache
         self.faults = BatchFaults()
-        self.results: Dict[RunKey, object] = {}
-        self.alignments: Dict[EntryKey, object] = {}
-        self.compare_failures: Dict[EntryKey, RunFailure] = {}
-        self.compare_telemetry: Dict[EntryKey, object] = {}
         # Failure triage rides behind the comparisons: entries that
         # failed (checkers or alignment) get a TriageJob, everything
         # else is untouched — a fault-free batch never schedules one.
         self.triage_paths = dict(triage_paths or {})
-        self.triages: Dict[EntryKey, object] = {}
-        self.triage_telemetry: Dict[EntryKey, object] = {}
-        self._triaged = set()
-        self._entry_order: List[EntryKey] = []
-        seen = set()
-        for key in jobs_by_key:
-            entry_key = key[:3]
-            if entry_key not in seen:
-                seen.add(entry_key)
-                self._entry_order.append(entry_key)
         self._compared = set()
+        self._triaged = set()
 
     # -- shared bookkeeping -------------------------------------------------
 
@@ -293,9 +260,9 @@ class ResilientBatchExecutor:
         else:
             self.faults.crashes += 1
         if task.kind == "run":
-            self.results[task.key] = failure
+            setattr(self.entries[task.key], task.job.view, failure)
         elif task.kind == "compare":
-            self.compare_failures[task.key] = failure
+            self.entries[task.key].compare_failure = failure
         # triage is best-effort: the entry already failed, so a failed
         # triage only lives in the fault accounting above.
         self.faults.note("job.failed", **task.names, kind=failure.kind,
@@ -317,28 +284,22 @@ class ResilientBatchExecutor:
             return False
         self._complete(task, result, from_cache=True)
         if ready is not None:
-            compare = self._compare_task(task.key[:3])
+            compare = self._compare_task(task.key)
             if compare is not None:
                 ready.append(compare)
         return True
 
-    def _complete(self, task: _Task, payload,
+    def _complete(self, task: _Task, result,
                   from_cache: bool = False) -> None:
         if task.kind == "run":
-            self.results[task.key] = payload
+            setattr(self.entries[task.key], task.job.view, result)
             if self.cache is not None and not from_cache:
                 self.cache.store(
-                    task.job, payload, run_artifact_paths(task.job))
-        elif task.kind == "triage":
-            report, tele = payload
-            self.triages[task.key] = report
-            if tele is not None:
-                self.triage_telemetry[task.key] = tele
+                    task.job, result, run_artifact_paths(task.job))
+        elif task.kind == "compare":
+            self.entries[task.key].alignment = result
         else:
-            report, tele = payload
-            self.alignments[task.key] = report
-            if tele is not None:
-                self.compare_telemetry[task.key] = tele
+            self.entries[task.key].triage = result
 
     def _compare_task(self, entry_key: EntryKey) -> Optional[_Task]:
         """A compare task for ``entry_key`` if it is due: comparison
@@ -346,12 +307,12 @@ class ResilientBatchExecutor:
         compared."""
         if not self.spec.compare or entry_key in self._compared:
             return None
-        rtl = self.results.get(entry_key + ("rtl",))
-        bca = self.results.get(entry_key + ("bca",))
-        if isinstance(rtl, RunFailure) or isinstance(bca, RunFailure):
+        entry = self.entries[entry_key]
+        if isinstance(entry.rtl, RunFailure) \
+                or isinstance(entry.bca, RunFailure):
             self._compared.add(entry_key)
             return None
-        if rtl is None or bca is None:
+        if entry.rtl is None or entry.bca is None:
             return None
         rtl_job = self.jobs_by_key[entry_key + ("rtl",)]
         bca_job = self.jobs_by_key[entry_key + ("bca",)]
@@ -362,7 +323,7 @@ class ResilientBatchExecutor:
             seed=entry_key[2], telemetry=self.telemetry,
             submitted_at=time.time() if self.telemetry else None,
         )
-        return _Task("compare", entry_key, job)
+        return _Task(entry_key, job)
 
     def _triage_task(self, entry_key: EntryKey) -> Optional[_Task]:
         """A triage task for ``entry_key`` if it is due: triage enabled,
@@ -370,17 +331,16 @@ class ResilientBatchExecutor:
         yet triaged."""
         if not self.spec.triage or entry_key in self._triaged:
             return None
-        alignment = self.alignments.get(entry_key)
-        if alignment is None:
+        entry = self.entries[entry_key]
+        if entry.alignment is None:
             return None
-        rtl = self.results.get(entry_key + ("rtl",))
-        bca = self.results.get(entry_key + ("bca",))
+        rtl, bca = entry.rtl, entry.bca
         if (rtl is None or bca is None or isinstance(rtl, RunFailure)
                 or isinstance(bca, RunFailure)):
             self._triaged.add(entry_key)
             return None
         checkers_failed = not (rtl.passed and bca.passed)
-        if not checkers_failed and alignment.signed_off:
+        if not checkers_failed and entry.alignment.signed_off:
             self._triaged.add(entry_key)
             return None
         rtl_job = self.jobs_by_key[entry_key + ("rtl",)]
@@ -397,57 +357,37 @@ class ResilientBatchExecutor:
             telemetry=self.telemetry,
             submitted_at=time.time() if self.telemetry else None,
         )
-        return _Task("triage", entry_key, job)
-
-    def _worker_failure(self, task: _Task, exc_type: str,
-                        message: str) -> RunFailure:
-        """A failure charged to ``task`` by the scheduler itself (its
-        worker died, overran its deadline or returned garbage) rather
-        than raised by the job."""
-        names = task.names
-        return RunFailure(
-            config_name=str(names["config"]), test_name=str(names["test"]),
-            seed=int(names["seed"]), view=str(names["view"]),
-            stage=task.kind,
-            kind="ERROR", exc_type=exc_type, message=message,
-        )
+        return _Task(entry_key, job)
 
     def _timeout_failure(self, task: _Task) -> RunFailure:
-        deadline = self.spec.run_timeout
-        return dataclasses.replace(
-            self._worker_failure(
-                task, "WatchdogTimeout",
-                f"exceeded the run deadline of {deadline}s and was killed"),
-            kind="TIMEOUT")
+        return RunFailure.of(
+            task.job, "WatchdogTimeout",
+            f"exceeded the run deadline of {self.spec.run_timeout}s and "
+            "was killed", kind="TIMEOUT")
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self):
-        """Run the batch inline, one job after another, in this process.
+    def execute(self) -> BatchFaults:
+        """Run the batch inline, one job after another, in this process,
+        and return what went wrong; the results are on the entries.
         :class:`~repro.regression.distributed.DistributedBatchExecutor`
         overrides this with leased worker processes."""
-        for entry_key in self._entry_order:
+        for entry_key in self.entries:
             for view in ("rtl", "bca"):
-                key = entry_key + (view,)
-                self._run_task_inline(
-                    _Task("run", key, self.jobs_by_key[key]))
+                self._run_task_inline(_Task(
+                    entry_key, self.jobs_by_key[entry_key + (view,)]))
             task = self._compare_task(entry_key)
             if task is not None:
                 self._run_task_inline(task)
             task = self._triage_task(entry_key)
             if task is not None:
                 self._run_task_inline(task)
-        return self._outcome()
-
-    def _outcome(self):
-        return (self.results, self.alignments, self.compare_telemetry,
-                self.compare_failures, self.triages, self.triage_telemetry,
-                self.faults)
+        return self.faults
 
     def _run_task_inline(self, task: _Task) -> None:
         if self._satisfy_from_cache(task, None):
             return
-        status, payload = GUARDS[task.kind](task.job)
+        status, payload = guarded_execute(task.job)
         if status == "ok":
             self._complete(task, payload)
         else:

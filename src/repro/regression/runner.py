@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..analyzer import AlignmentReport
 from ..catg.coverage import CoverageModel, build_node_coverage
@@ -30,6 +30,7 @@ from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry
 from .distributed import DistributedBatchExecutor
+from .parallel import EntryKey, RunJob
 from .resilience import RunFailure
 from .spec import BatchSpec
 
@@ -38,9 +39,11 @@ from .spec import BatchSpec
 class TestEntry:
     """One (config, test, seed): both view runs plus the comparison.
 
-    ``rtl``/``bca`` are normally :class:`~repro.catg.env.RunResult`; when
-    the resilience layer absorbed an infrastructure fault (job crash,
-    worker death, watchdog timeout) the affected view holds a
+    The runner makes one empty record per entry and the executor fills
+    it in as the entry's jobs complete.  ``rtl``/``bca`` are normally
+    :class:`~repro.catg.env.RunResult`; when the resilience layer
+    absorbed an infrastructure fault (job crash, worker death, watchdog
+    timeout) the affected view holds a
     :class:`~repro.regression.resilience.RunFailure` instead, and a
     comparison that itself failed is recorded in ``compare_failure``.
     """
@@ -48,8 +51,8 @@ class TestEntry:
     config_name: str
     test_name: str
     seed: int
-    rtl: RunResult
-    bca: RunResult
+    rtl: Optional[RunResult] = None
+    bca: Optional[RunResult] = None
     alignment: Optional[AlignmentReport] = None
     compare_failure: Optional[RunFailure] = None
     #: Auto-triage payload (:class:`~repro.triage.TriageReport`) attached
@@ -110,19 +113,6 @@ class TestEntry:
         return "ok" if view.passed else "FAIL"
 
     def summary(self) -> str:
-        if not self.has_faults:
-            align = (
-                f" align={self.alignment.min_rate * 100:.2f}%"
-                if self.alignment is not None else ""
-            )
-            status = "PASS" if self.both_passed else "FAIL"
-            return (
-                f"{status} {self.config_name} {self.test_name} "
-                f"seed={self.seed}"
-                f" rtl={'ok' if self.rtl.passed else 'FAIL'}"
-                f" bca={'ok' if self.bca.passed else 'FAIL'}"
-                f" cov_eq={'yes' if self.coverage_equal else 'NO'}{align}"
-            )
         parts = [
             f"{self.status} {self.config_name} {self.test_name} "
             f"seed={self.seed}",
@@ -320,90 +310,68 @@ class RegressionRunner:
 
     # -- paths ---------------------------------------------------------------
 
-    def _vcd_path(self, config: NodeConfig, test: str, seed: int,
-                  view: str) -> Optional[str]:
+    def _stem(self, config: NodeConfig, test: str, seed: int,
+              suffix: str) -> Optional[str]:
+        """``WORKDIR/{config}__{test}__s{seed}__{suffix}``, or None
+        without a workdir."""
         if not self.spec.workdir:
             return None
         return os.path.join(
-            self.spec.workdir, f"{config.name}__{test}__s{seed}__{view}.vcd"
-        )
-
-    def _report_stem(self, config: NodeConfig, test: str, seed: int,
-                     view: str) -> Optional[str]:
-        if not self.spec.workdir:
-            return None
-        return os.path.join(
-            self.spec.workdir, f"{config.name}__{test}__s{seed}__{view}"
-        )
-
-    def _triage_path(self, config: NodeConfig, test: str,
-                     seed: int) -> Optional[str]:
-        if not self.spec.workdir:
-            return None
-        return os.path.join(
-            self.spec.workdir, f"{config.name}__{test}__s{seed}__triage.json"
-        )
-
-    def _triage_paths(self) -> Dict[Tuple[int, str, int], str]:
-        if not self.spec.triage:
-            return {}
-        return {
-            (ci, test_name, seed): self._triage_path(
-                self.configs[ci], test_name, seed)
-            for ci, test_name, seed in self._entry_keys()
-        }
+            self.spec.workdir, f"{config.name}__{test}__s{seed}__{suffix}")
 
     # -- execution --------------------------------------------------------------
     #
-    # The batch is a flat list of independent (config, test, seed, view)
-    # run jobs plus one optional comparison per (config, test, seed).
-    # Serial and parallel modes execute the *same* jobs through the same
-    # worker function (repro.regression.parallel.execute_run_job); only
-    # the scheduling differs.  Assembly back into ConfigReports is a
-    # single deterministic code path, so the report text, the coverage
-    # merge order and every artifact are byte-identical for any ``jobs``.
+    # The batch is one record per (config, test, seed) entry, filled in
+    # by two independent run jobs (one per view), an optional comparison
+    # and, for a failed entry, an optional triage.  Serial and parallel
+    # modes execute the *same* jobs through the same guard
+    # (repro.regression.resilience.guarded_execute); only the scheduling
+    # differs.  Assembly groups the records by configuration in batch
+    # order, so the report text, the coverage merge order and every
+    # artifact are byte-identical for any ``jobs``.
 
     def _make_job(self, config: NodeConfig, test_name: str, seed: int,
-                  view: str) -> "RunJob":
-        from .parallel import RunJob
-
+                  view: str) -> RunJob:
         telemetry = self.spec.telemetry.enabled
+        stem = self._stem(config, test_name, seed, view)
         return RunJob(
             config=config,
             test_name=test_name,
             seed=seed,
             view=view,
-            vcd_path=self._vcd_path(config, test_name, seed, view),
-            report_stem=self._report_stem(config, test_name, seed, view),
+            vcd_path=stem + ".vcd" if stem else None,
+            report_stem=stem,
             bugs=self.spec.bca_bugs,
             telemetry=telemetry,
             time_processes=telemetry and self.spec.telemetry.time_processes,
             submitted_at=time.time() if telemetry else None,
         )
 
-    def _entry_keys(self) -> List[Tuple[int, str, int]]:
-        """Every (config index, test, seed) in deterministic batch order."""
-        return [
-            (ci, test_name, seed)
-            for ci in range(len(self.configs))
+    def _entries(self) -> Dict[EntryKey, TestEntry]:
+        """One empty record per (config index, test, seed), in the
+        batch order every stage follows."""
+        return {
+            (ci, test_name, seed): TestEntry(config.name, test_name, seed)
+            for ci, config in enumerate(self.configs)
             for test_name in self.spec.tests
             for seed in self.spec.seeds
-        ]
-
-    def _build_jobs(self):
-        """Every run job of the batch, in deterministic serial order
-        (entry by entry, rtl before bca)."""
-        return {
-            (ci, test_name, seed, view):
-                self._make_job(self.configs[ci], test_name, seed, view)
-            for ci, test_name, seed in self._entry_keys()
-            for view in ("rtl", "bca")
         }
 
-    def _execute(self, batch):
+    def _execute(self, batch, entries: Dict[EntryKey, TestEntry]):
         """Run the whole batch through the resilient executor (inline
-        for ``jobs=1``, leased worker processes otherwise)."""
-        jobs_by_key = self._build_jobs()
+        for ``jobs=1``, leased worker processes otherwise), filling in
+        ``entries``; returns the batch's fault accounting."""
+        jobs_by_key = {
+            (ci, test_name, seed, view):
+                self._make_job(self.configs[ci], test_name, seed, view)
+            for ci, test_name, seed in entries
+            for view in ("rtl", "bca")
+        }
+        triage_paths = {
+            (ci, test_name, seed):
+                self._stem(self.configs[ci], test_name, seed, "triage.json")
+            for ci, test_name, seed in entries
+        } if self.spec.triage else {}
         if self.spec.cache_dir:
             from ..analysis.impact import ImpactIndex
             from ..cache import ResultCache
@@ -419,38 +387,26 @@ class RegressionRunner:
         else:
             self.cache = None
         executor = DistributedBatchExecutor(
-            jobs_by_key,
-            self.spec,
-            triage_paths=self._triage_paths(),
-            cache=self.cache,
+            entries, jobs_by_key, self.spec,
+            triage_paths=triage_paths, cache=self.cache,
         )
         return executor.execute()
 
-    def _assemble(self, results, alignments, compare_failures=None,
-                  triages=None) -> RegressionReport:
-        compare_failures = compare_failures or {}
-        triages = triages or {}
-        report = RegressionReport()
-        for ci, config in enumerate(self.configs):
-            config_report = ConfigReport(config)
+    def _assemble(self,
+                  entries: Dict[EntryKey, TestEntry]) -> RegressionReport:
+        report = RegressionReport([ConfigReport(config)
+                                   for config in self.configs])
+        for (ci, _, _), entry in entries.items():
+            report.configs[ci].entries.append(entry)
+        for config_report in report.configs:
+            config = config_report.config
             config_report.rtl_coverage = build_node_coverage(config)
             config_report.bca_coverage = build_node_coverage(config)
-            for test_name in self.spec.tests:
-                for seed in self.spec.seeds:
-                    entry = TestEntry(
-                        config.name, test_name, seed,
-                        results[(ci, test_name, seed, "rtl")],
-                        results[(ci, test_name, seed, "bca")],
-                        alignment=alignments.get((ci, test_name, seed)),
-                        compare_failure=compare_failures.get(
-                            (ci, test_name, seed)),
-                        triage=triages.get((ci, test_name, seed)),
-                    )
-                    config_report.entries.append(entry)
-                    if not isinstance(entry.rtl, RunFailure):
-                        config_report.rtl_coverage.merge(entry.rtl.coverage)
-                    if not isinstance(entry.bca, RunFailure):
-                        config_report.bca_coverage.merge(entry.bca.coverage)
+            for entry in config_report.entries:
+                if not isinstance(entry.rtl, RunFailure):
+                    config_report.rtl_coverage.merge(entry.rtl.coverage)
+                if not isinstance(entry.bca, RunFailure):
+                    config_report.bca_coverage.merge(entry.bca.coverage)
             if self.spec.workdir:
                 path = os.path.join(
                     self.spec.workdir, f"{config.name}__report.txt"
@@ -462,7 +418,6 @@ class RegressionRunner:
                     if self.spec.unr:
                         handle.write("\n")
                         handle.write(self._unr_annotation(config_report))
-            report.configs.append(config_report)
         return report
 
     @staticmethod
@@ -497,23 +452,17 @@ class RegressionRunner:
 
     def run(self) -> RegressionReport:
         spec = self.spec
-        batch = BatchTelemetry(spec.telemetry, jobs=spec.jobs)
+        batch = BatchTelemetry(spec)
+        entries = self._entries()
         with batch.span("batch.execute", jobs=spec.jobs):
-            (results, alignments, compare_telemetry, compare_failures,
-             triages, triage_telemetry, faults) = self._execute(batch)
+            faults = self._execute(batch, entries)
         with batch.span("batch.assemble"):
-            report = self._assemble(results, alignments, compare_failures,
-                                    triages)
+            report = self._assemble(entries)
         report.wall_seconds = batch.stop()
         if spec.workdir:
             path = os.path.join(spec.workdir, "regression_summary.txt")
             with atomic_write(path) as handle:
                 handle.write(report.render())
-        batch.export(
-            report=report, results=results, alignments=alignments,
-            compare_telemetry=compare_telemetry, configs=self.configs,
-            tests=spec.tests, seeds=spec.seeds, faults=faults,
-            triages=triages, triage_telemetry=triage_telemetry,
-            cache=self.cache, impact=self.impact,
-        )
+        batch.export(report, faults=faults, cache=self.cache,
+                     impact=self.impact)
         return report

@@ -15,11 +15,12 @@ Four pieces:
   picklable :class:`RunTelemetry` shipped back across the process
   boundary; a disabled recorder hands out :data:`NULL_TELEMETRY` and
   no payload.
-* :class:`BatchTelemetry` — parent-side aggregator: times the batch,
-  collects every run/compare payload, and exports the side-channel
-  files.  Counts and rates in the metrics file are derived from the
-  batch's results (kernel stats, alignment and triage reports), never
-  recorded a second time.  Telemetry NEVER writes to stdout and never
+* :class:`BatchTelemetry` — parent-side aggregator: times the batch
+  and exports the side-channel files from the batch's report, whose
+  entries carry every job's result with its payload attached
+  (:func:`job_results` walks them).  Counts and rates in the metrics
+  file are derived from the batch's results (kernel stats, alignment
+  and triage reports), never recorded a second time.  Telemetry NEVER writes to stdout and never
   touches the report artifacts — byte-identity between instrumented
   and plain runs is an invariant the tests pin down.
 """
@@ -30,7 +31,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ioutil import atomic_write
 from .runlog import NULL_LOG, RunLogger
@@ -201,19 +202,39 @@ class RunRecorder:
         )
 
 
+def job_results(report) -> Iterator[Tuple[object, str, object,
+                                           Optional[RunTelemetry]]]:
+    """Every job result on ``report``'s entries, as ``(entry, field,
+    result, payload)`` in the side files' record order: every run
+    (``rtl`` then ``bca`` per entry), then every comparison
+    (``alignment``), then every triage (``triage``).  ``payload`` is the
+    telemetry the job attached to its result (``None`` without one, and
+    for a failed run)."""
+    entries = [entry for config in report.configs
+               for entry in config.entries]
+    for fields in (("rtl", "bca"), ("alignment",), ("triage",)):
+        for entry in entries:
+            for name in fields:
+                result = getattr(entry, name)
+                if result is not None:
+                    yield (entry, name, result,
+                           getattr(result, "telemetry", None))
+
+
 class BatchTelemetry:
     """Parent-side batch timing, aggregation and file export.
 
+    Built from the batch's :class:`~repro.regression.spec.BatchSpec`
+    (its ``telemetry`` config, ``tests``, ``seeds`` and ``jobs``).
     Always times the batch (two ``perf_counter`` calls) so
     ``RegressionReport.wall_seconds`` keeps working; everything else is
     inert unless the config enables an output.
     """
 
-    def __init__(self, config: Optional[TelemetryConfig], *,
-                 jobs: int = 1) -> None:
-        self.config = config if config is not None else TelemetryConfig()
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.config = spec.telemetry
         self.enabled = self.config.enabled
-        self.jobs = jobs
         self.trace = TraceCollector(enabled=self.enabled)
         self._wall_start = time.perf_counter()
         self._wall_seconds: Optional[float] = None
@@ -229,23 +250,12 @@ class BatchTelemetry:
 
     # -- export ------------------------------------------------------------
 
-    def export(
-        self,
-        *,
-        report,
-        results: Dict[Tuple[int, str, int, str], object],
-        alignments: Dict[Tuple[int, str, int], object],
-        compare_telemetry: Dict[Tuple[int, str, int], RunTelemetry],
-        configs,
-        tests,
-        seeds,
-        faults=None,
-        triages=None,
-        triage_telemetry=None,
-        cache=None,
-        impact=None,
-    ) -> None:
-        """Write metrics/trace/log side-channel files (no-op if disabled).
+    def export(self, report, *, faults=None, cache=None,
+               impact=None) -> None:
+        """Write metrics/trace/log side-channel files (no-op if disabled)
+        from ``report``, a
+        :class:`~repro.regression.runner.RegressionReport` whose entries
+        carry every job's result and telemetry payload.
 
         ``faults`` is the batch's
         :class:`~repro.regression.resilience.BatchFaults` accounting (or
@@ -264,79 +274,33 @@ class BatchTelemetry:
         cache event stream).  Cache-less batches pass nothing and
         export byte-identical metrics files.
 
-        ``triages`` maps entry keys to
-        :class:`~repro.triage.TriageReport` payloads for the entries that
-        failed and were auto-triaged; ``triage_telemetry`` carries their
-        per-triage :class:`RunTelemetry`.  Both are keyed like
-        ``alignments``.  Batches without failures pass nothing and the
-        exported files stay byte-identical to a triage-less build.
+        Triage rows appear only for entries that failed and were
+        auto-triaged, so batches without failures export files
+        byte-identical to a triage-less build.
         """
         if not self.enabled:
             return
-        triages = triages or {}
-        triage_telemetry = triage_telemetry or {}
         wall = self.stop()
-        run_keys = [
-            (ci, test, seed, view)
-            for ci in range(len(configs))
-            for test in tests
-            for seed in seeds
-            for view in ("rtl", "bca")
-        ]
-        entry_keys = [key[:3] for key in run_keys[::2]]
-        payloads = {
-            key: getattr(results[key], "telemetry", None)
-            for key in run_keys if key in results
-        }
+        results = list(job_results(report))
+        payloads = [payload for *_, payload in results if payload is not None]
         if self.config.metrics_out:
-            self._write_metrics(
-                report, wall, run_keys, entry_keys, results, payloads,
-                alignments, compare_telemetry, configs, faults,
-                triages, triage_telemetry, cache, impact,
-            )
+            self._write_metrics(report, wall, results, payloads, faults,
+                                cache, impact)
         if self.config.trace_out:
             events = list(self.trace.events)
-            for key in run_keys:
-                payload = payloads.get(key)
-                if payload is not None:
-                    events.extend(payload.events)
-            for key in entry_keys:
-                payload = compare_telemetry.get(key)
-                if payload is not None:
-                    events.extend(payload.events)
-            for key in entry_keys:
-                payload = triage_telemetry.get(key)
-                if payload is not None:
-                    events.extend(payload.events)
+            for payload in payloads:
+                events.extend(payload.events)
             write_chrome_trace(
                 self.config.trace_out, events,
                 lanes=assign_lanes(events, main_pid=self.trace.pid),
                 process_name="repro regression batch",
             )
         if self.config.log_out:
-            self._write_log(
-                report, wall, run_keys, entry_keys, payloads,
-                compare_telemetry, configs, tests, seeds, faults,
-                triage_telemetry, cache,
-            )
+            self._write_log(report, wall, payloads, faults, cache)
 
-    def _worker_lanes(
-        self,
-        payloads: Dict[Tuple[int, str, int, str], Optional[RunTelemetry]],
-        compare_telemetry: Dict[Tuple[int, str, int], RunTelemetry],
-        wall: float,
-        triage_telemetry: Optional[
-            Dict[Tuple[int, str, int], RunTelemetry]] = None,
-    ) -> Dict[str, dict]:
+    def _worker_lanes(self, payloads, wall: float) -> Dict[str, dict]:
         lanes: Dict[int, dict] = {}
-        all_payloads = (
-            list(payloads.values())
-            + list(compare_telemetry.values())
-            + list((triage_telemetry or {}).values())
-        )
-        for payload in all_payloads:
-            if payload is None:
-                continue
+        for payload in payloads:
             lane = lanes.setdefault(payload.pid, {
                 "pid": payload.pid, "n_jobs": 0, "busy_seconds": 0.0,
                 "first_start": payload.started_at,
@@ -361,122 +325,93 @@ class BatchTelemetry:
                 lane["busy_seconds"] / wall, 4) if wall > 0 else 0.0
         return named
 
-    def _write_metrics(self, report, wall, run_keys, entry_keys, results,
-                       payloads, alignments, compare_telemetry,
-                       configs, faults=None, triages=None,
-                       triage_telemetry=None, cache=None,
-                       impact=None) -> None:
+    def _write_metrics(self, report, wall, results, payloads, faults,
+                       cache, impact) -> None:
         import json
-
-        triages = triages or {}
-        triage_telemetry = triage_telemetry or {}
 
         kernel_totals: Dict[str, int] = {}
         phase_totals: Dict[str, float] = {}
         runs: List[dict] = []
-        for key in run_keys:
-            ci, test, seed, view = key
-            result = results.get(key)
-            if result is None:
-                continue
-            if not hasattr(result, "kernel_stats"):
-                # A RunFailure stand-in from the resilience layer: the
-                # run never completed, so there is nothing to roll up.
-                runs.append({
-                    "config": configs[ci].name, "test": test, "seed": seed,
-                    "view": view, "status": result.status,
-                    "error": result.describe(),
-                })
-                continue
-            for name, value in result.kernel_stats.items():
-                kernel_totals[name] = kernel_totals.get(name, 0) + value
-            payload = payloads.get(key)
-            entry = {
-                "config": configs[ci].name,
-                "test": test,
-                "seed": seed,
-                "view": view,
-                "passed": result.passed,
-                "cycles": result.cycles,
-                "wall_seconds": round(result.wall_seconds, 6),
-                "kernel": dict(result.kernel_stats),
-            }
-            if result.process_seconds:
-                entry["process_seconds"] = {
-                    name: [calls, round(seconds, 6)]
-                    for name, (calls, seconds)
-                    in sorted(result.process_seconds.items())
-                }
-            if payload is not None:
-                entry["queue_wait_seconds"] = round(
-                    payload.queue_wait_seconds, 6)
-                entry["phase_seconds"] = {
-                    name: round(seconds, 6)
-                    for name, seconds in sorted(payload.phase_seconds.items())
-                }
-                for name, seconds in payload.phase_seconds.items():
-                    phase_totals[name] = phase_totals.get(name, 0.0) + seconds
-            runs.append(entry)
         compares: List[dict] = []
         compared = []
-        for key in entry_keys:
-            ci, test, seed = key
-            payload = compare_telemetry.get(key)
-            alignment = alignments.get(key)
-            if payload is None and alignment is None:
-                continue
-            entry = {"config": configs[ci].name, "test": test, "seed": seed}
-            if alignment is not None:
-                compared.append(alignment)
-                entry["min_rate"] = round(alignment.min_rate, 6)
-                entry["overall_rate"] = round(alignment.overall_rate, 6)
-            if payload is not None:
-                entry["seconds"] = round(payload.busy_seconds, 6)
-                entry["queue_wait_seconds"] = round(
-                    payload.queue_wait_seconds, 6)
-                for name, seconds in payload.phase_seconds.items():
-                    phase_totals[name] = phase_totals.get(name, 0.0) + seconds
-            if alignment is not None and alignment.identical:
-                # Which path the comparison took: byte-identical dumps
-                # are aligned without expanding a series.
-                entry["counters"] = {"analyzer.identical_pairs": 1}
-            compares.append(entry)
         triage_rows: List[dict] = []
-        for key in entry_keys:
-            triage = triages.get(key)
-            if triage is None:
-                continue
-            ci, test, seed = key
-            entry = {
-                "config": configs[ci].name, "test": test, "seed": seed,
-                "reason": triage.reason,
-                "verdict": triage.verdict,
-                "first_divergence_signal": triage.signal,
-                "first_divergence_cycle": triage.cycle,
-                "suspect_count": len(triage.suspects),
-                "top_suspect": triage.top_suspect,
-            }
-            payload = triage_telemetry.get(key)
+        for entry, name, result, payload in results:
+            row = {"config": entry.config_name, "test": entry.test_name,
+                   "seed": entry.seed}
             if payload is not None:
-                entry["seconds"] = round(payload.busy_seconds, 6)
-                for name, seconds in payload.phase_seconds.items():
-                    phase_totals[name] = phase_totals.get(name, 0.0) + seconds
-            triage_rows.append(entry)
+                for phase, seconds in payload.phase_seconds.items():
+                    phase_totals[phase] = (
+                        phase_totals.get(phase, 0.0) + seconds)
+            if name == "alignment":
+                compared.append(result)
+                row["min_rate"] = round(result.min_rate, 6)
+                row["overall_rate"] = round(result.overall_rate, 6)
+                if payload is not None:
+                    row["seconds"] = round(payload.busy_seconds, 6)
+                    row["queue_wait_seconds"] = round(
+                        payload.queue_wait_seconds, 6)
+                if result.identical:
+                    # Which path the comparison took: byte-identical
+                    # dumps are aligned without expanding a series.
+                    row["counters"] = {"analyzer.identical_pairs": 1}
+                compares.append(row)
+            elif name == "triage":
+                row.update({
+                    "reason": result.reason,
+                    "verdict": result.verdict,
+                    "first_divergence_signal": result.signal,
+                    "first_divergence_cycle": result.cycle,
+                    "suspect_count": len(result.suspects),
+                    "top_suspect": result.top_suspect,
+                })
+                if payload is not None:
+                    row["seconds"] = round(payload.busy_seconds, 6)
+                triage_rows.append(row)
+            elif not hasattr(result, "kernel_stats"):
+                # A RunFailure stand-in from the resilience layer: the
+                # run never completed, so there is nothing to roll up.
+                row.update(view=name, status=result.status,
+                           error=result.describe())
+                runs.append(row)
+            else:
+                for counter, value in result.kernel_stats.items():
+                    kernel_totals[counter] = (
+                        kernel_totals.get(counter, 0) + value)
+                row.update({
+                    "view": name,
+                    "passed": result.passed,
+                    "cycles": result.cycles,
+                    "wall_seconds": round(result.wall_seconds, 6),
+                    "kernel": dict(result.kernel_stats),
+                })
+                if result.process_seconds:
+                    row["process_seconds"] = {
+                        process: [calls, round(seconds, 6)]
+                        for process, (calls, seconds)
+                        in sorted(result.process_seconds.items())
+                    }
+                if payload is not None:
+                    row["queue_wait_seconds"] = round(
+                        payload.queue_wait_seconds, 6)
+                    row["phase_seconds"] = {
+                        phase: round(seconds, 6) for phase, seconds
+                        in sorted(payload.phase_seconds.items())
+                    }
+                runs.append(row)
         payload_out = {
             "schema": METRICS_SCHEMA,
             "batch": {
                 "wall_seconds": round(wall, 6),
-                "jobs": self.jobs,
+                "jobs": self.spec.jobs,
                 "n_runs": report.n_runs,
-                "n_configs": len(configs),
+                "n_configs": len(report.configs),
                 "all_signed_off": report.all_signed_off,
                 "kernel_totals": dict(sorted(kernel_totals.items())),
                 "phase_totals": {
                     name: round(seconds, 6)
                     for name, seconds in sorted(phase_totals.items())
                 },
-                "workers": self._worker_lanes(
-                    payloads, compare_telemetry, wall, triage_telemetry),
+                "workers": self._worker_lanes(payloads, wall),
             },
             "runs": runs,
             "compares": compares,
@@ -511,34 +446,19 @@ class BatchTelemetry:
             json.dump(payload_out, handle, indent=1)
             handle.write("\n")
 
-    def _write_log(self, report, wall, run_keys, entry_keys, payloads,
-                   compare_telemetry, configs, tests, seeds,
-                   faults=None, triage_telemetry=None,
-                   cache=None) -> None:
+    def _write_log(self, report, wall, payloads, faults, cache) -> None:
         with atomic_write(self.config.log_out) as handle:
             logger = RunLogger(stream=handle)
             logger.log(
                 "batch.start",
-                configs=[c.name for c in configs],
-                tests=list(tests),
-                seeds=list(seeds),
-                jobs=self.jobs,
+                configs=[config.config.name for config in report.configs],
+                tests=list(self.spec.tests),
+                seeds=list(self.spec.seeds),
+                jobs=self.spec.jobs,
             )
-            for key in run_keys:
-                payload = payloads.get(key)
-                if payload is not None:
-                    for record in payload.records:
-                        logger.write_record(record)
-            for key in entry_keys:
-                payload = compare_telemetry.get(key)
-                if payload is not None:
-                    for record in payload.records:
-                        logger.write_record(record)
-            for key in entry_keys:
-                payload = (triage_telemetry or {}).get(key)
-                if payload is not None:
-                    for record in payload.records:
-                        logger.write_record(record)
+            for payload in payloads:
+                for record in payload.records:
+                    logger.write_record(record)
             if faults is not None:
                 for event in faults.events:
                     logger.write_record(dict(event))
@@ -549,6 +469,6 @@ class BatchTelemetry:
                 "batch.complete",
                 n_runs=report.n_runs,
                 wall_seconds=round(wall, 6),
-                jobs=self.jobs,
+                jobs=self.spec.jobs,
                 all_signed_off=report.all_signed_off,
             )

@@ -84,6 +84,10 @@ class TriageReport:
     wave: str = ""
     schema: str = TRIAGE_SCHEMA
     schema_version: int = TRIAGE_SCHEMA_VERSION
+    #: The triage job's :class:`~repro.telemetry.RunTelemetry` payload,
+    #: when the batch recorded one; never part of ``triage.json``.
+    telemetry: Optional[object] = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def localized(self) -> bool:

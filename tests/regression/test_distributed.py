@@ -24,7 +24,7 @@ import threading
 import pytest
 
 from repro.regression import BatchFaults, BatchSpec, RegressionRunner
-from repro.regression import distributed
+from repro.regression import distributed, resilience
 from repro.regression.cli import main as regression_main
 from repro.regression.configs import save_config_dir
 from repro.stbus import NodeConfig, ProtocolType
@@ -143,7 +143,7 @@ def test_chaos_fails_once_then_rerun_recovers_at_any_jobs(
 def test_workers_start_no_threads(tmp_path, monkeypatch):
     """A worker is a plain receive/execute/reply loop: while it executes
     a job, its thread is the only one."""
-    execute_run = distributed.GUARDS["run"]
+    execute_run = resilience.execute_run_job
     counts = tmp_path / "threads.txt"
 
     def run_and_count(job):
@@ -151,7 +151,7 @@ def test_workers_start_no_threads(tmp_path, monkeypatch):
             handle.write(f"{threading.active_count()}\n")
         return execute_run(job)
 
-    monkeypatch.setitem(distributed.GUARDS, "run", run_and_count)
+    monkeypatch.setattr(resilience, "execute_run_job", run_and_count)
     _run(tmp_path / "dist", jobs=2)
     assert counts.read_text().split() == ["1"] * (2 * len(TESTS))
 
@@ -241,7 +241,7 @@ def test_result_lost_after_the_work_fails_once(
     and a rerun re-executes the job and stores its result."""
     workdir = tmp_path / "dist"
     cache_dir = str(tmp_path / "cache")
-    execute_run = distributed.GUARDS["run"]
+    execute_run = resilience.execute_run_job
 
     def run_then_vanish(job):
         outcome = execute_run(job)
@@ -252,8 +252,8 @@ def test_result_lost_after_the_work_fails_once(
     metrics = tmp_path / "metrics.json"
     log = tmp_path / "run.log.jsonl"
     with monkeypatch.context() as patch:
-        # Forked workers inherit the patched table.
-        patch.setitem(distributed.GUARDS, "run", run_then_vanish)
+        # Forked workers inherit the patched entry point.
+        patch.setattr(resilience, "execute_run_job", run_then_vanish)
         report = _run(workdir, jobs=2, cache_dir=cache_dir,
                       metrics=str(metrics), log=str(log))
     entries = report.configs[0].entries
@@ -282,7 +282,7 @@ class _GarblingConn:
 
     def recv(self):
         message = self.conn.recv()
-        self.job = message[2]
+        self.job = message[1]
         return message
 
     def send(self, reply):

@@ -19,7 +19,11 @@ import pytest
 from repro.regression import BatchSpec, RegressionRunner, save_config_dir
 from repro.regression.cli import main as regression_main
 from repro.regression.parallel import TriageJob
-from repro.regression.resilience import ResilientBatchExecutor, _Task
+from repro.regression.resilience import (
+    ResilientBatchExecutor,
+    RunFailure,
+    _Task,
+)
 from repro.stbus import NodeConfig, ProtocolType
 from tests.chaos import ChaosError, ChaosSpec
 
@@ -210,14 +214,14 @@ def test_scheduler_charged_triage_counts_as_triage_failure():
     """A triage job whose worker dies or overruns its deadline is a
     triage failure, not a compare failure."""
     executor = ResilientBatchExecutor(
-        {}, BatchSpec(jobs=2, workdir="unused", triage=True))
-    task = _Task("triage", (CONFIG_NAME, "t01_sanity_write_read", 1),
+        {}, {}, BatchSpec(jobs=2, workdir="unused", triage=True))
+    task = _Task((CONFIG_NAME, "t01_sanity_write_read", 1),
                  TriageJob(config=_configs()[0],
                            test_name="t01_sanity_write_read", seed=1,
                            rtl_vcd="rtl.vcd", bca_vcd="bca.vcd",
                            out_path=None, bugs=frozenset(),
                            reason="checkers-failed"))
-    for failure in (executor._worker_failure(task, "WorkerLost", "lost"),
+    for failure in (RunFailure.of(task.job, "WorkerLost", "lost"),
                     executor._timeout_failure(task)):
         assert failure.stage == "triage"
         executor._register_failure(task, failure)

@@ -10,6 +10,7 @@ a run without any telemetry flags.
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -287,10 +288,16 @@ def test_failed_log_replay_keeps_the_old_log(tmp_path):
 
     log = tmp_path / "run.log.jsonl"
     log.write_text("old log\n")
-    tele = BatchTelemetry(TelemetryConfig(log_out=str(log)))
-    key = (0, "t01_sanity_write_read", 1, "rtl")
+    tele = BatchTelemetry(BatchSpec(
+        tests=["t01_sanity_write_read"],
+        telemetry=TelemetryConfig(log_out=str(log))))
+    entry = SimpleNamespace(
+        rtl=SimpleNamespace(telemetry=Unreplayable()), bca=None,
+        alignment=None, triage=None)
+    report = SimpleNamespace(
+        configs=[SimpleNamespace(config=_config(), entries=[entry])],
+        n_runs=1, all_signed_off=False)
     with pytest.raises(RuntimeError, match="replay failed"):
-        tele._write_log(None, 0.0, [key], [], {key: Unreplayable()}, {},
-                        [_config()], ["t01_sanity_write_read"], [1])
+        tele.export(report)
     assert log.read_text() == "old log\n"
     assert not [p for p in os.listdir(tmp_path) if p.endswith(TMP_SUFFIX)]

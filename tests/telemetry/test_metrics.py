@@ -12,6 +12,7 @@ import json
 from types import SimpleNamespace
 
 from repro.analyzer import AlignmentReport, PortAlignment
+from repro.regression import BatchSpec
 from repro.telemetry import (
     ALIGNMENT_BUCKETS,
     BatchTelemetry,
@@ -82,24 +83,32 @@ def test_disabled_recorder_hands_out_the_null_bundle():
 
 
 def _export(tmp_path, *, results=(), alignments=None, triages=None):
-    """Export a one-config, one-seed batch's metrics file from stand-in
-    results and return it parsed.  ``results`` lists one
-    (test, view, result) triple per run."""
-    config = SimpleNamespace(name="cfg")
+    """Export a one-config, one-seed batch's metrics file from a
+    stand-in report and return it parsed.  ``results`` lists one
+    (test, view, result) triple per run; ``alignments`` and
+    ``triages`` map entry keys to reports."""
+    alignments = alignments or {}
+    triages = triages or {}
+    runs = {(test, view): result for test, view, result in results}
     tests = sorted({test for test, _, _ in results}
-                   | {key[1] for key in (alignments or {})}
-                   | {key[1] for key in (triages or {})})
+                   | {key[1] for key in alignments}
+                   | {key[1] for key in triages})
+    entries = [
+        SimpleNamespace(
+            config_name="cfg", test_name=test, seed=1,
+            rtl=runs.get((test, "rtl")), bca=runs.get((test, "bca")),
+            alignment=alignments.get((0, test, 1)),
+            triage=triages.get((0, test, 1)),
+        )
+        for test in tests
+    ]
     path = tmp_path / "metrics.json"
-    batch = BatchTelemetry(TelemetryConfig(metrics_out=str(path)))
-    batch.export(
-        report=SimpleNamespace(n_runs=len(results), all_signed_off=False),
-        results={(0, test, 1, view): result
-                 for test, view, result in results},
-        alignments=alignments or {},
-        compare_telemetry={},
-        configs=[config], tests=tests, seeds=[1],
-        triages=triages,
-    )
+    batch = BatchTelemetry(
+        BatchSpec(telemetry=TelemetryConfig(metrics_out=str(path))))
+    batch.export(SimpleNamespace(
+        configs=[SimpleNamespace(entries=entries)],
+        n_runs=len(results), all_signed_off=False,
+    ))
     return json.loads(path.read_text())
 
 
