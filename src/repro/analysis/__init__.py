@@ -20,9 +20,9 @@ clock-domain crossings and tie-off conflicts
   a rule that cannot decide its bin, and no shipped rule emits it;
 * :mod:`~repro.analysis.xview` — cross-view cone-equivalence check (RTL
   vs BCA cones per STBus port);
-* :mod:`~repro.analysis.agreement` — per-port RTL/BCA agreement on bare
-  dual harnesses (comb-cone enumeration from reset plus bounded
-  lockstep): a bounded check with a witness on mismatch, not a proof;
+* :mod:`~repro.analysis.agreement` — per-port RTL/BCA agreement by
+  bounded lockstep of one verification environment per view: a bounded
+  check with a witness on mismatch, not a proof;
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the

@@ -2,66 +2,46 @@
 
 :func:`check_agreement` runs in every :func:`repro.analysis.analyze_config`
 that analyzes both views; its :class:`AgreementReport` hangs off the
-configuration report under the ``agreement`` key.  Two complementary
-engines compare the two node views pin by pin:
+configuration report under the ``agreement`` key.  It compares the two
+node views pin by pin by **bounded lockstep execution** on a
+deterministic, configuration-derived scenario set.
 
-**Pointwise comb enumeration.**  The node's combinational outputs —
-request grants, response grants, programming ack/rdata — are functions
-of the current pin values and the node state.  On a *bare* harness per
-view (the node on its port bundles, nothing else), each cone's stimulus
-axes are enumerated from reset and the settled outputs compared.  The
-axes are representative per-port stimulus states (one address per
-decode class, a few handshake variants), not every value of every pin,
-so agreement holds on those points only.  When a cone's point count
-exceeds :data:`DOMAIN_BUDGET` the cone is skipped with an explicit
-``agreement-domain-too-large`` diagnostic — never silently.
-
-**Bounded lockstep execution.**  Sequential behaviour (datapath
-routing, response matching, arbitration state evolution, chunk locks,
-programming-port side effects, decode and path-blocked errors) is
-compared on a deterministic, configuration-derived scenario set.  Each
-scenario is a :class:`~repro.catg.sequence.TestProgram` run on one
+Each scenario is a :class:`~repro.catg.sequence.TestProgram` run on one
 :class:`~repro.catg.env.VerificationEnv` per view — the same BFMs,
 memory targets, programming master, monitors, checkers and scoreboard
 the regression uses — and the two environments are stepped together
 until both are drained, plus the program's drain cycles.  Every
-node-driven interface pin is compared every settled cycle.  The
-scenarios are chosen so that each entry of the injectable BCA bug
-registry falls inside the compared behaviour on at least one matrix
-configuration (sub-word stores, >4-initiator source tags, chunk-locked
-contention, LRU recency, programming-port reprogramming).
+node-driven interface pin (request and response grants, datapath
+routing, response matching, arbitration state evolution, chunk locks,
+programming-port side effects, decode and path-blocked errors) is
+compared every settled cycle.  The scenarios are chosen so that each
+entry of the injectable BCA bug registry falls inside the compared
+behaviour on at least one matrix configuration (sub-word stores,
+>4-initiator source tags, chunk-locked contention, LRU recency,
+programming-port reprogramming).
 
-A mismatch from either engine carries a concrete witness: the stimulus
-assignment (comb) or the scenario/cycle/pin triple (lockstep).
+Agreement therefore holds over the cycles and scenarios each port
+reports, and no further.  A mismatch carries a concrete witness: the
+scenario, cycle and pin where the views first differ, with both values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bca.node import BcaNode
 from ..catg.env import VerificationEnv
 from ..catg.sequence import ProgOp, TestProgram
-from ..kernel.module import Module
 from ..kernel.signal import Signal
-from ..kernel.simulator import Simulator
-from ..rtl.node import RtlNode
-from ..stbus import NodeConfig, Opcode, StbusPort, Transaction, Type1Port
+from ..stbus import NodeConfig, Opcode, Transaction
 from .diagnostics import Finding, Severity
 from .unr import coverage_gaps
 
 __all__ = [
     "AgreementReport",
-    "DOMAIN_BUDGET",
     "PortAgreement",
     "check_agreement",
 ]
-
-#: Maximum number of enumeration points per comb cone before the engine
-#: logs ``agreement-domain-too-large`` and leaves the cone to lockstep.
-DOMAIN_BUDGET = 8192
 
 AGREED = "AGREED"
 MISMATCH = "MISMATCH"
@@ -75,28 +55,21 @@ _TARG_OUTPUTS = ("req", "add", "opc", "data", "be", "eop", "lck", "tid",
 
 @dataclass
 class PortAgreement:
-    """Combined functional verdict for one interface port."""
+    """Lockstep verdict for one interface port."""
 
     port: str
     verdict: str = AGREED
-    comb_points: int = 0
-    comb_skipped: Optional[str] = None
     lockstep_cycles: int = 0
     scenarios: List[str] = field(default_factory=list)
     witness: Optional[Dict[str, object]] = None
 
     def render(self) -> str:
-        # A MISMATCH port's witness names the engine that disagreed, so
-        # neither engine claims agreement there.
+        # A MISMATCH port claims no agreement: its cycles were checked,
+        # and the witness shows where the views parted.
         outcome = "agreed" if self.verdict == AGREED else "checked"
-        bits = [f"{self.port}: {self.verdict}"]
-        if self.comb_skipped:
-            bits.append(f"comb skipped: {self.comb_skipped}")
-        elif self.comb_points:
-            bits.append(f"comb {outcome} on {self.comb_points} point(s) "
-                        "from reset")
-        bits.append(f"lockstep {outcome} over {self.lockstep_cycles} "
-                    f"cycle(s), {len(self.scenarios)} scenario(s)")
+        bits = [f"{self.port}: {self.verdict}",
+                f"lockstep {outcome} over {self.lockstep_cycles} "
+                f"cycle(s), {len(self.scenarios)} scenario(s)"]
         if self.witness is not None:
             bits.append(f"witness: {self.witness}")
         return " — ".join(bits)
@@ -105,70 +78,21 @@ class PortAgreement:
         out: Dict[str, object] = {
             "port": self.port,
             "verdict": self.verdict,
-            "comb_points": self.comb_points,
             "lockstep_cycles": self.lockstep_cycles,
             "scenarios": list(self.scenarios),
         }
-        if self.comb_skipped is not None:
-            out["comb_skipped"] = self.comb_skipped
         if self.witness is not None:
             out["witness"] = self.witness
         return out
 
 
-# ---------------------------------------------------------------------------
-# harness
-# ---------------------------------------------------------------------------
-
-class _Harness:
-    """One bare view for the comb engine: node + port bundles, no
-    environment components."""
-
-    def __init__(self, config: NodeConfig, view: str,
-                 bugs: Iterable[str] = ()):
-        self.view = view
-        self.sim = Simulator()
-        self.top = Module(self.sim, "tb")
-        width = config.data_width_bits
-        self.init_ports = [
-            StbusPort(self.top, f"init{i}", width)
-            for i in range(config.n_initiators)
-        ]
-        self.targ_ports = [
-            StbusPort(self.top, f"targ{t}", width)
-            for t in range(config.n_targets)
-        ]
-        self.prog_port = (Type1Port(self.top, "prog")
-                          if config.has_programming_port else None)
-        if view == "rtl":
-            self.dut = RtlNode(self.sim, "dut", config, self.init_ports,
-                               self.targ_ports, prog_port=self.prog_port,
-                               parent=self.top)
-        else:
-            self.dut = BcaNode(self.sim, "dut", config, self.init_ports,
-                               self.targ_ports, prog_port=self.prog_port,
-                               parent=self.top, bugs=bugs)
-        self.sim.elaborate()
-        self.pins = _pins(self)
-
-    def settle(self) -> None:
-        # External drives (writer None) sit in the commit queue; _settle
-        # commits them, reports the changes, and runs the delta loop —
-        # poke() would commit silently without waking comb sensitivity.
-        self.sim._settle()
-
-    def drive(self, name: str, value: int) -> None:
-        self.pins[name].drive(value)
-
-
-def _pins(bench) -> Dict[str, Signal]:
-    """Every interface pin of ``bench`` — a bare :class:`_Harness` or a
-    :class:`~repro.catg.env.VerificationEnv` — by signal name."""
+def _pins(env: VerificationEnv) -> Dict[str, Signal]:
+    """Every interface pin of ``env`` by signal name."""
     pins: Dict[str, Signal] = {}
-    for port in bench.init_ports + bench.targ_ports:
+    for port in env.init_ports + env.targ_ports:
         for sig in port.signals():
             pins[sig.name] = sig
-    prog = bench.prog_port
+    prog = env.prog_port
     if prog is not None:
         for sig in (prog.req, prog.ack, prog.opc, prog.add, prog.wdata,
                     prog.rdata, prog.be):
@@ -193,193 +117,6 @@ def _output_pins(config: NodeConfig) -> List[Tuple[str, str]]:
 
 def _port_of(name: str) -> str:
     return name.split(".")[1]
-
-
-# ---------------------------------------------------------------------------
-# comb cone enumeration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Cone:
-    """One comb enumeration problem: stimulus axes and watched outputs."""
-
-    name: str
-    # Each axis: (signal name, candidate values) — or a joint axis of
-    # several signals enumerated together as tuples of (name, value).
-    axes: List[List[Tuple[Tuple[str, int], ...]]]
-    outputs: List[str]
-
-    @property
-    def domain_size(self) -> int:
-        size = 1
-        for axis in self.axes:
-            size *= len(axis)
-        return size
-
-    def points(self):
-        for combo in itertools.product(*self.axes):
-            env: Dict[str, int] = {}
-            for group in combo:
-                env.update(dict(group))
-            yield env
-
-
-def _request_axis(config: NodeConfig, i: int, addresses: List[int],
-                  variants: bool) -> List[Tuple[Tuple[str, int], ...]]:
-    """Joint stimulus states for one initiator's request channel."""
-    p = f"tb.init{i}"
-    opc = Opcode.load(config.bus_bytes).encode()
-    states = [(
-        (f"{p}.req", 0), (f"{p}.add", 0), (f"{p}.opc", 0),
-        (f"{p}.eop", 0), (f"{p}.lck", 0), (f"{p}.pri", 0),
-    )]
-    for addr in addresses:
-        states.append((
-            (f"{p}.req", 1), (f"{p}.add", addr), (f"{p}.opc", opc),
-            (f"{p}.eop", 1), (f"{p}.lck", 0), (f"{p}.pri", 0),
-        ))
-    if variants and addresses:
-        addr = addresses[0]
-        # mid-packet (eop low) and chunk-locked final cells
-        states.append((
-            (f"{p}.req", 1), (f"{p}.add", addr), (f"{p}.opc", opc),
-            (f"{p}.eop", 0), (f"{p}.lck", 0), (f"{p}.pri", 0),
-        ))
-        states.append((
-            (f"{p}.req", 1), (f"{p}.add", addr), (f"{p}.opc", opc),
-            (f"{p}.eop", 1), (f"{p}.lck", 1), (f"{p}.pri", 0),
-        ))
-    return states
-
-
-def _response_axis(config: NodeConfig, t: int,
-                   variants: bool) -> List[Tuple[Tuple[str, int], ...]]:
-    p = f"tb.targ{t}"
-    states = [((f"{p}.r_req", 0), (f"{p}.r_src", 0), (f"{p}.r_eop", 0))]
-    for src in range(config.n_initiators):
-        states.append((
-            (f"{p}.r_req", 1), (f"{p}.r_src", src), (f"{p}.r_eop", 1),
-        ))
-    if variants:
-        states.append((
-            (f"{p}.r_req", 1), (f"{p}.r_src", 0), (f"{p}.r_eop", 0),
-        ))
-    return states
-
-
-def _decode_addresses(config: NodeConfig) -> List[int]:
-    """One representative per decode class: region bases + first gap."""
-    addresses = [r.base for r in config.resolved_map.regions[:4]]
-    gaps = coverage_gaps(config.resolved_map)
-    if gaps:
-        start = gaps[0][0]
-        addresses.append(start - (start % config.bus_bytes))
-    return addresses
-
-
-def _build_cones(config: NodeConfig) -> List[_Cone]:
-    addresses = _decode_addresses(config)
-    cones = []
-    gnt_axis = [
-        tuple((f"tb.targ{t}.gnt", v) for t in range(config.n_targets))
-        for v in (1, 0)
-    ]
-    cones.append(_Cone(
-        name="request-grant",
-        axes=[gnt_axis] + [
-            _request_axis(config, i, addresses, variants=(i == 0))
-            for i in range(config.n_initiators)
-        ],
-        outputs=[f"tb.init{i}.gnt" for i in range(config.n_initiators)],
-    ))
-    rgnt_axis = [
-        tuple((f"tb.init{i}.r_gnt", v) for i in range(config.n_initiators))
-        for v in (1, 0)
-    ]
-    cones.append(_Cone(
-        name="response-grant",
-        axes=[rgnt_axis] + [
-            _response_axis(config, t, variants=(t == 0))
-            for t in range(config.n_targets)
-        ],
-        outputs=[f"tb.targ{t}.r_gnt" for t in range(config.n_targets)],
-    ))
-    if config.has_programming_port:
-        n_regs = max(1, config.n_initiators)
-        addr_axis = [(("tb.prog.add", 4 * i),)
-                     for i in range(min(n_regs + 1, 8))]
-        cones.append(_Cone(
-            name="programming",
-            axes=[[(("tb.prog.req", 0),), (("tb.prog.req", 1),)],
-                  addr_axis],
-            outputs=["tb.prog.ack", "tb.prog.rdata"],
-        ))
-    return cones
-
-
-def _run_comb_engine(
-    config: NodeConfig,
-    rtl: _Harness,
-    bca: _Harness,
-    ports: Dict[str, PortAgreement],
-    findings: List[Finding],
-) -> None:
-    for cone in _build_cones(config):
-        cone_ports = sorted({_port_of(o) for o in cone.outputs})
-        if cone.domain_size > DOMAIN_BUDGET:
-            reason = (
-                f"{cone.name} cone domain has {cone.domain_size} points "
-                f"(budget {DOMAIN_BUDGET}); relying on lockstep for these "
-                "pins"
-            )
-            for port in cone_ports:
-                ports[port].comb_skipped = reason
-            findings.append(Finding(
-                rule="agreement-domain-too-large",
-                severity=Severity.INFO,
-                message=f"{config.name}: {reason}",
-                process=f"xview:{cone.name}",
-                hint="the lockstep scenarios still compare these pins; "
-                     "the comb points of this cone are not enumerated",
-            ))
-            continue
-        for env in cone.points():
-            for name, value in env.items():
-                rtl.drive(name, value)
-                bca.drive(name, value)
-            rtl.settle()
-            bca.settle()
-            values = {
-                "rtl": {o: rtl.pins[o].value for o in cone.outputs},
-                "bca": {o: bca.pins[o].value for o in cone.outputs},
-            }
-            for port in cone_ports:
-                ports[port].comb_points += 1
-            for output in cone.outputs:
-                if values["rtl"][output] != values["bca"][output]:
-                    port = ports[_port_of(output)]
-                    if port.witness is None:
-                        port.witness = {
-                            "engine": "comb",
-                            "cone": cone.name,
-                            "signal": output,
-                            "rtl": values["rtl"][output],
-                            "bca": values["bca"][output],
-                            "inputs": {k: env[k] for k in sorted(env)},
-                        }
-                    port.verdict = MISMATCH
-        # Park both harnesses back at all-idle before the next cone.
-        for harness in (rtl, bca):
-            for port_obj in harness.init_ports:
-                for sig in (port_obj.req, port_obj.eop, port_obj.lck,
-                            port_obj.r_gnt):
-                    sig.drive(0)
-            for port_obj in harness.targ_ports:
-                for sig in (port_obj.gnt, port_obj.r_req, port_obj.r_eop):
-                    sig.drive(0)
-            if harness.prog_port is not None:
-                harness.prog_port.req.drive(0)
-            harness.settle()
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +346,6 @@ class AgreementReport:
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
-            "budget": DOMAIN_BUDGET,
             "agreed": self.agreed,
             "ports": [p.to_dict() for p in self.ports],
             "findings": [f.to_dict() for f in self.findings],
@@ -626,11 +362,10 @@ def check_agreement(
 ) -> AgreementReport:
     """Check per-port RTL/BCA agreement (or find a witness).
 
-    ``bca_bugs`` injects registered defects into the BCA harness so the
-    detection of the bug registry can itself be checked; an empty tuple
-    checks the shipped models.  A MISMATCH port contributes an
-    ``xview-function`` ERROR finding with its witness; a skipped comb
-    cone contributes the ``agreement-domain-too-large`` INFO diagnostic.
+    ``bca_bugs`` injects registered defects into the BCA environment so
+    the detection of the bug registry can itself be checked; an empty
+    tuple checks the shipped models.  A MISMATCH port contributes an
+    ``xview-function`` ERROR finding with its witness.
     """
     ports: Dict[str, PortAgreement] = {}
     for i in range(config.n_initiators):
@@ -640,25 +375,21 @@ def check_agreement(
     if config.has_programming_port:
         ports["prog"] = PortAgreement(port="prog")
 
-    findings: List[Finding] = []
-    rtl = _Harness(config, "rtl")
-    bca = _Harness(config, "bca", bugs=bca_bugs)
-    _run_comb_engine(config, rtl, bca, ports, findings)
     _run_lockstep_engine(config, bca_bugs, ports)
-
-    for port in ports.values():
-        if port.verdict == MISMATCH:
-            findings.append(Finding(
-                rule="xview-function",
-                severity=Severity.ERROR,
-                message=(
-                    f"{config.name}: port {port.port} computes different "
-                    f"functions in RTL and BCA — witness {port.witness}"
-                ),
-                process=f"xview:{port.port}",
-                hint="the two views disagree on observable behaviour; "
-                     "diff the node models at the witness cycle",
-            ))
+    findings = [
+        Finding(
+            rule="xview-function",
+            severity=Severity.ERROR,
+            message=(
+                f"{config.name}: port {port.port} computes different "
+                f"functions in RTL and BCA — witness {port.witness}"
+            ),
+            process=f"xview:{port.port}",
+            hint="the two views disagree on observable behaviour; "
+                 "diff the node models at the witness cycle",
+        )
+        for port in ports.values() if port.verdict == MISMATCH
+    ]
     return AgreementReport(
         config_name=config.name,
         bca_bugs=sorted(bca_bugs),

@@ -175,12 +175,9 @@ _CONFIG_CHECKS = (
      "identical."),
     ("xview-function", "dataflow", "error",
      "RTL and BCA must compute the same function per port",
-     "Functional check: pointwise comb enumeration plus bounded lockstep "
-     "execution must agree on every node-driven pin."),
-    ("agreement-domain-too-large", "dataflow", "info",
-     "a comb cone exceeded the agreement check's enumeration budget",
-     "The cone's input domain was larger than the budget; its pins are "
-     "covered by the lockstep engine instead."),
+     "Functional check: bounded lockstep execution of both views in the "
+     "regression's verification environment must agree on every "
+     "node-driven pin, every cycle of every scenario."),
     ("unr-model-unreachable", "dataflow", "error",
      "a coverage-model bin must not be statically unreachable",
      "An in-model coverage bin proven unreachable means 100% coverage is "

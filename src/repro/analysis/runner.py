@@ -258,7 +258,7 @@ def analyze_config(
 
     ``rules`` (default: every rule) also picks the config-level checks
     (see the module docstring).  ``bca_bugs`` injects registered defects
-    into the agreement check's BCA harness so the detection of the bug
+    into the agreement check's BCA environment so the detection of the bug
     registry can itself be checked.  Passes given one ``contexts`` dict
     share one build per view: the first fills it in, and the caller
     finishes the designs (:func:`release_contexts`).

@@ -1,16 +1,18 @@
 """Per-port RTL/BCA agreement: clean checks and bug detection.
 
-Two engines back the per-port verdicts: enumeration of representative
-comb-cone stimulus points from reset (skipped with an honest diagnostic
-past the budget) and deterministic lockstep execution of targeted
-scenarios on both views.  The shipped models must be AGREED on every
-port; every registered injectable BCA bug must be caught statically on
-a configuration where it is architecturally observable.
+Deterministic lockstep execution of targeted scenarios, on one
+verification environment per view, backs the per-port verdicts.  The
+shipped models must be AGREED on every port; every registered
+injectable BCA bug must be caught statically on a configuration where
+it is architecturally observable, with the first witness that the
+golden bug x matrix table records for it.
 """
+
+import json
+import os
 
 import pytest
 
-from repro.analysis import agreement
 from repro.analysis.agreement import (
     AGREED,
     MISMATCH,
@@ -23,6 +25,10 @@ from repro.catg.env import VerificationEnv
 from repro.regression.configs import configuration_matrix
 from repro.stbus import R_OPC_ERROR, NodeConfig
 
+BUG_MATRIX = os.path.join(
+    os.path.dirname(__file__), os.pardir, "golden",
+    "agreement_bug_matrix.json",
+)
 MATRIX = configuration_matrix()
 SMALL = configuration_matrix(small=True)
 
@@ -37,8 +43,7 @@ def test_stock_node_agrees_on_every_port():
     assert ports
     assert all(p.verdict == AGREED for p in ports)
     assert not [f for f in findings if f.rule == "xview-function"]
-    # Both engines actually ran: enumeration points and lockstep cycles.
-    assert any(p.comb_points > 0 for p in ports)
+    # The lockstep engine actually ran on every port.
     assert all(p.lockstep_cycles > 0 for p in ports)
     assert all(p.scenarios for p in ports)
 
@@ -53,19 +58,28 @@ def test_small_matrix_agrees(config):
     )
 
 
+def _witness(scenario, cycle, signal, rtl, bca):
+    return {"engine": "lockstep", "scenario": scenario, "cycle": cycle,
+            "signal": signal, "rtl": rtl, "bca": bca}
+
+
 #: bug -> (a matrix configuration where the defect is observable, the
-#: lockstep scenario that first witnesses it there).
+#: first witness the lockstep engine gives there).
 BUG_CONFIGS = {
     "lru-recency-stuck": (_first(
         lambda c: "lru" in c.name and c.n_initiators == 3
-    ), "contention"),
-    "subword-lane-misplacement": (MATRIX[0], "subword-unaligned"),
-    "src-tag-truncation": (_first(lambda c: c.n_initiators == 8),
-                           "contention"),
-    "chunk-lock-ignored": (MATRIX[0], "chunk-lock"),
+    ), _witness("contention", 1, "tb.init0.gnt", 0, 1)),
+    "subword-lane-misplacement": (
+        MATRIX[0],
+        _witness("subword-unaligned", 1, "tb.targ0.data", 256, 1)),
+    "src-tag-truncation": (
+        _first(lambda c: c.n_initiators == 8),
+        _witness("contention", 5, "tb.targ0.src", 4, 0)),
+    "chunk-lock-ignored": (
+        MATRIX[0], _witness("chunk-lock", 1, "tb.init0.gnt", 0, 1)),
     "prog-update-stale": (_first(
         lambda c: c.has_programming_port and "programmable" in c.name
-    ), "prog-then-contend"),
+    ), _witness("prog-then-contend", 8, "tb.init0.gnt", 0, 1)),
 }
 
 
@@ -75,55 +89,47 @@ def test_every_registered_bug_has_a_detection_config():
 
 @pytest.mark.parametrize("bug", sorted(BUG_CONFIGS))
 def test_registered_bug_is_detected_statically(bug):
-    config, scenario = BUG_CONFIGS[bug]
+    config, witness = BUG_CONFIGS[bug]
     report = check_agreement(config, bca_bugs=(bug,))
     assert not report.agreed, (
         f"{bug} on {config.name} survived the agreement check"
     )
     mismatched = [p for p in report.ports if p.verdict == MISMATCH]
     assert mismatched
-    witness = mismatched[0].witness
-    assert witness is not None
-    assert witness["engine"] == "lockstep"
-    assert witness["scenario"] == scenario
-    assert "signal" in witness
+    assert mismatched[0].witness == witness
     findings = [f for f in report.findings if f.rule == "xview-function"]
     assert findings and all(f.severity.value == "error" for f in findings)
     assert report.bca_bugs == [bug]
 
 
-def test_budget_overflow_degrades_honestly(monkeypatch):
-    """A tiny budget skips every cone with a diagnostic instead of a
-    false verdict; the lockstep engine still checks the ports."""
-    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
-    report = check_agreement(NodeConfig())
-    assert report.agreed
-    skips = [f for f in report.findings
-             if f.rule == "agreement-domain-too-large"]
-    assert skips
-    assert all(f.severity.value == "info" for f in skips)
-    assert any(p.comb_skipped for p in report.ports)
-    assert all(p.comb_points == 0 for p in report.ports)
+def _bug_matrix(bug):
+    """config name -> the first mismatched port and its witness, for
+    every matrix configuration on which ``bug`` is caught."""
+    caught = {}
+    for config in MATRIX:
+        report = check_agreement(config, bca_bugs=(bug,))
+        port = next((p for p in report.ports if p.verdict == MISMATCH),
+                    None)
+        if port is not None:
+            caught[config.name] = {"port": port.port,
+                                   "witness": port.witness}
+    return caught
 
 
-def test_skipped_comb_cone_claims_no_comb_agreement(monkeypatch):
-    """A port whose comb cone was skipped says so and claims only the
-    lockstep agreement that backs it."""
-    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
-    report = check_agreement(NodeConfig())
-    for port in report.ports:
-        text = port.render()
-        assert "comb agreed" not in text
-        assert "comb skipped: " in text
-        assert "lockstep agreed over " in text
+@pytest.mark.parametrize("bug", sorted(ALL_BUGS))
+def test_bug_matrix_matches_golden(bug):
+    """Each registered bug is caught on the same matrix configurations,
+    with the same first witness, as the golden table records."""
+    with open(BUG_MATRIX) as handle:
+        golden = json.load(handle)
+    assert set(golden) == set(ALL_BUGS)
+    assert _bug_matrix(bug) == golden[bug]
 
 
 def test_agreed_port_renders_its_evidence():
     ports = check_agreement(NodeConfig()).ports
     text = ports[0].render()
     assert text.startswith(f"{ports[0].port}: AGREED")
-    assert f"comb agreed on {ports[0].comb_points} point(s) from reset" \
-        in text
     assert (f"lockstep agreed over {ports[0].lockstep_cycles} cycle(s), "
             f"{len(ports[0].scenarios)} scenario(s)") in text
 
@@ -192,3 +198,11 @@ def test_lockstep_scenarios_end_with_no_outstanding_packet(config):
             left = [env.dut.outstanding_count(i)
                     for i in range(config.n_initiators)]
             assert not any(left), (rtl_test.name, env.view, left)
+
+
+if __name__ == "__main__":
+    # Re-record the bug x matrix golden after an intended detection change.
+    with open(BUG_MATRIX, "w") as handle:
+        json.dump({bug: _bug_matrix(bug) for bug in sorted(ALL_BUGS)},
+                  handle, indent=1, sort_keys=True)
+        handle.write("\n")

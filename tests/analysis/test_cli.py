@@ -4,7 +4,7 @@ node configuration.
 
 The golden file pins the complete ``--stock`` JSON output: the UNR
 verdicts (exact interval proofs, with the structured witness vectors)
-and the per-port agreement verdicts with their comb/lockstep evidence.
+and the per-port agreement verdicts with their lockstep evidence.
 Any engine change that shifts a verdict, a witness or the serialization
 fails here first.
 """
@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.analysis import agreement, analyze_config
+from repro.analysis import analyze_config
 from repro.analysis.cli import main
 from repro.regression.configs import configuration_matrix, save_config_dir
 from repro.stbus import AddressMap, NodeConfig, Region
@@ -183,26 +183,25 @@ def test_unknown_bug_name_is_a_usage_error(capsys):
     assert "needs both views" in capsys.readouterr().err
 
 
-def test_agreement_findings_respect_waivers(monkeypatch, capsys):
+def test_agreement_findings_respect_waivers(capsys):
     """The shared waiver dialect applies to agreement findings too."""
-    monkeypatch.setattr(agreement, "DOMAIN_BUDGET", 2)
-    assert main(["--stock", "--waive", "agreement-domain-too-large:*",
-                 "--format", "json"]) == 0
+    assert main(["--stock", "--inject-bug", "subword-lane-misplacement",
+                 "--waive", "xview-function:*", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     agreed = data["configs"][0]["agreement"]
-    skips = [f for f in agreed["findings"]
-             if f["rule"] == "agreement-domain-too-large"]
-    assert skips and all(f["waived"] for f in skips)
+    mismatches = [f for f in agreed["findings"]
+                  if f["rule"] == "xview-function"]
+    assert mismatches and all(f["waived"] for f in mismatches)
 
 
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("race-delta-overwrite", "tie-off-conflict", "cdc-crossing",
-                 "xview-cone", "xview-function", "agreement-domain-too-large",
-                 "unr-model-unreachable", "comb-loop", "multi-driver",
-                 "undriven-input", "dead-net", "width-mismatch",
-                 "incomplete-sensitivity", "xview-interface"):
+                 "xview-cone", "xview-function", "unr-model-unreachable",
+                 "comb-loop", "multi-driver", "undriven-input", "dead-net",
+                 "width-mismatch", "incomplete-sensitivity",
+                 "xview-interface"):
         assert rule in out
     assert "comb-loop                  structural error" in out
 
