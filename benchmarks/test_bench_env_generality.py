@@ -84,12 +84,12 @@ def test_e6_env_component_count_scales_with_ports(benchmark):
     assert fig6.prog_master is not None  # Figure 6's programming initiator
 
 
-def test_e6_catg_covers_converter_duts(benchmark):
+def test_e6_catg_covers_converter_duts(benchmark, tmp_path):
     """CATG is "aimed to test component[s] having STBus interfaces" — the
-    same architecture (BFM/monitors/checkers/scoreboard/coverage) also
-    wraps the converter DUTs, in both views."""
-    import random
-
+    same :class:`~repro.catg.env.VerificationEnv` (BFM/monitors/checkers,
+    run loop, end rule, VCD dump) also wraps the converter DUTs, in both
+    views, and their dumps are bus-identical across the views."""
+    from repro.analyzer.align import compare_vcds
     from repro.catg import ConverterEnv, bridge_random_program
 
     def experiment():
@@ -100,23 +100,35 @@ def test_e6_catg_covers_converter_duts(benchmark):
             ("type", dict(up_protocol=ProtocolType.T2)),
             ("type", dict(up_protocol=ProtocolType.T3)),
         ]
-        for kind, kwargs in cases:
+        for case, (kind, kwargs) in enumerate(cases):
+            results = {}
             for view in ("rtl", "bca"):
-                env = ConverterEnv(kind, view=view, **kwargs)
-                program = bridge_random_program(
-                    random.Random(11), 15, env.up_port.bus_bytes
+                env = ConverterEnv(
+                    kind, view=view,
+                    vcd_path=str(tmp_path / f"case{case}.{view}.vcd"),
+                    **kwargs,
                 )
-                result = env.run(program)
-                rows.append((kind, kwargs, view, result.passed,
-                             result.coverage.percent))
+                env.load_test(
+                    bridge_random_program(11, 15, env.up_port.bus_bytes))
+                results[view] = env.run()
+            alignment = compare_vcds(results["rtl"].vcd_path,
+                                     results["bca"].vcd_path)
+            rows.append((kind, kwargs, results, alignment.identical))
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     print()
-    for kind, kwargs, view, passed, coverage in rows:
+    for kind, kwargs, results, identical in rows:
         label = f"{kind}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
-        print(f"[E6] {label:<42} {view:<4} "
-              f"{'PASS' if passed else 'FAIL'} cov={coverage:.0f}%")
-        assert passed
+        for view, result in results.items():
+            print(f"[E6] {label:<42} {view:<4} "
+                  f"{'PASS' if result.passed else 'FAIL'} "
+                  f"cov={result.coverage.percent:.0f}% "
+                  f"cycles={result.cycles}")
+            assert result.passed, (label, view)
+        print(f"[E6] {label:<42} rtl/bca dumps "
+              f"{'identical' if identical else 'DIFFER'}")
+        assert identical, label
     print("[E6] the generic architecture also verifies the converter "
-          "components — no per-DUT testbench rewrite")
+          "components, with bus-identical RTL/BCA dumps — no per-DUT "
+          "testbench rewrite")

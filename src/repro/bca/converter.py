@@ -109,10 +109,12 @@ class BcaBridge(Module):
         self._deliver_next = 0
         self._held: Dict[int, List[RespCell]] = {}
 
+        # The handshakes close over the ports, not ``self``: a bridge
+        # holding a closure over itself would outlive its run as a cycle.
         self._down_stream = _Streamer(
-            self.down.present_request, lambda: self.down.request_fired)
+            down_port.present_request, lambda: down_port.request_fired)
         self._up_stream = _Streamer(
-            self.up.present_response, lambda: self.up.response_fired)
+            up_port.present_response, lambda: up_port.response_fired)
         self._tick = self.signal("tick")
         self.clocked(
             self._on_clock,

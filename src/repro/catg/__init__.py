@@ -25,7 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "prog": ("ProgrammingMaster",),
     "env": ("VerificationEnv", "RunResult", "run_test", "VIEWS"),
     "code_coverage": ("CodeCoverage", "CodeCoverageReport"),
-    "converter_env": ("ConverterEnv", "ConverterRunResult",
-                      "BridgeScoreboard", "bridge_random_program",
-                      "build_bridge_coverage"),
+    "converter_env": ("ConverterEnv", "BridgeScoreboard",
+                      "bridge_random_program", "build_bridge_coverage"),
 })

@@ -1,23 +1,24 @@
 """Verification environment for converter DUTs.
 
 Section 4: CATG is "aimed to test component[s] having STBus interfaces" —
-not only the node.  This module instantiates the Fig. 2 architecture
-around a size or type converter: BFM upstream, memory harness downstream,
-monitors and protocol checkers on both ports (each speaking its own
-width/protocol), plus a *transformation-aware* scoreboard that predicts
-the downstream packet by repacking the upstream one (and vice versa for
-responses), including the converter's tid remapping.
+not only the node.  :class:`ConverterEnv` instantiates the shared Fig. 2
+environment (:class:`~repro.catg.env.VerificationEnv`) around a size or
+type converter: BFM upstream, memory harness downstream, monitors and
+protocol checkers on both ports (each speaking its own width/protocol).
+Only what differs per DUT lives here: the converter's constructor, a
+*transformation-aware* scoreboard that predicts the downstream packet by
+repacking the upstream one (and vice versa for responses), including the
+converter's tid remapping, and the bridge coverage model.  Loading,
+running, ending and reporting a test, VCD dump included, are the shared
+environment's.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bca import BcaSizeConverter, BcaTypeConverter
-from ..kernel import Module, Simulator
 from ..rtl import RtlSizeConverter, RtlTypeConverter
 from ..stbus import (
     Opcode,
@@ -29,10 +30,11 @@ from ..stbus import (
 )
 from ..stbus.repack import RepackError, repack_request, repack_response
 from .bfm import InitiatorBfm
-from .checker import ProtocolChecker
 from .coverage import CoverGroup, CoverageModel
+from .env import VerificationEnv
 from .monitor import ObservedRequest, ObservedResponse, PortMonitor
 from .report import VerificationReport
+from .sequence import DEFAULT_MIX, _SIZES, TestProgram, pick_kind
 from .target import TargetHarness
 
 
@@ -51,6 +53,35 @@ def build_bridge_coverage(up_bytes: int, down_bytes: int) -> CoverageModel:
     if up_bytes > 1:
         groups.append(CoverGroup("be", ["full", "partial"]))
     return CoverageModel(groups)
+
+
+class BridgeCoverageCollector:
+    """Samples a converter's upstream traffic into its coverage model."""
+
+    def __init__(self, up_bytes: int, down_bytes: int):
+        self.model = build_bridge_coverage(up_bytes, down_bytes)
+        self._full_be = (1 << up_bytes) - 1
+
+    def connect(self, up_monitor: PortMonitor) -> None:
+        up_monitor.on_request(self._on_request)
+        up_monitor.on_response(self._on_response)
+
+    def _on_request(self, obs: ObservedRequest) -> None:
+        try:
+            opcode = Opcode.decode(obs.opc)
+        except OpcodeError:
+            return
+        model = self.model
+        model["opcode"].sample(str(opcode))
+        model["up_len"].sample(str(len(obs.cells)))
+        model["direction"].sample("request")
+        if "be" in model.groups:
+            full = all(cell.be == self._full_be for cell in obs.cells)
+            model["be"].sample("full" if full else "partial")
+
+    def _on_response(self, obs: ObservedResponse) -> None:
+        self.model["direction"].sample("response")
+        self.model["response"].sample("error" if obs.is_error else "ok")
 
 
 class BridgeScoreboard:
@@ -87,6 +118,13 @@ class BridgeScoreboard:
 
     def _fail(self, rule: str, cycle: int, message: str) -> None:
         self.report.error(rule, self.name, cycle, message)
+
+    @property
+    def idle(self) -> bool:
+        """Every forwarded packet seen downstream and every response
+        delivered upstream."""
+        return not (self._expected_down or self._forwarded
+                    or self._expected_up)
 
     def connect(self, up_monitor: PortMonitor,
                 down_monitor: PortMonitor) -> None:
@@ -175,47 +213,30 @@ class BridgeScoreboard:
                        "upstream")
 
 
-@dataclass
-class ConverterRunResult:
-    """Outcome of one converter verification run."""
+class ConverterEnv(VerificationEnv):
+    """Fig. 2 testbench instantiated around a converter DUT.
 
-    view: str
-    kind: str
-    passed: bool
-    timed_out: bool
-    cycles: int
-    report: VerificationReport
-    coverage: CoverageModel
-    wall_seconds: float
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.kind}/{self.view} cycles={self.cycles} "
-            f"cov={self.coverage.percent:.1f}% "
-            f"violations={len(self.report.violations)}"
-        )
-
-
-class ConverterEnv:
-    """Fig. 2 testbench instantiated around a converter DUT."""
+    ``kind`` is ``"size"`` or ``"type"``.  A run is ``load_test`` of a
+    one-initiator, one-target :class:`~repro.catg.sequence.TestProgram`
+    (:func:`bridge_random_program`), then ``run``; the run ends when the
+    BFM is done and the scoreboard expects nothing.
+    """
 
     def __init__(
         self,
-        kind: str,  # "size" or "type"
+        kind: str,
         view: str = "rtl",
         up_width: int = 32,
         down_width: int = 8,
         up_protocol: ProtocolType = ProtocolType.T2,
         down_protocol: Optional[ProtocolType] = None,
-        target_latency: int = 2,
         target_error_rate: float = 0.0,
         dut_cls=None,
+        vcd_path: Optional[str] = None,
     ):
         if kind not in ("size", "type"):
             raise ValueError("kind must be 'size' or 'type'")
-        if view not in ("rtl", "bca"):
-            raise ValueError("view must be 'rtl' or 'bca'")
+        self._open(f"{kind}conv", view, vcd_path)
         if kind == "size":
             down_protocol = up_protocol
         elif down_protocol is None:
@@ -223,11 +244,6 @@ class ConverterEnv:
                 if up_protocol is ProtocolType.T2 else ProtocolType.T2
         if kind == "type":
             down_width = up_width
-        self.kind = kind
-        self.view = view
-        self.sim = Simulator()
-        self.top = Module(self.sim, "ctb")
-        self.report = VerificationReport(name=f"{kind}conv/{view}")
         self.up_port = StbusPort(self.top, "up", up_width)
         self.down_port = StbusPort(self.top, "down", down_width)
         if dut_cls is None:
@@ -243,99 +259,36 @@ class ConverterEnv:
         else:
             self.dut = dut_cls(self.sim, "dut", self.up_port, self.down_port,
                                up_protocol, down_protocol, parent=self.top)
-        self.bfm = InitiatorBfm(self.sim, "bfm", self.up_port, up_protocol,
-                                parent=self.top)
-        self.memory = TargetHarness(self.sim, "mem", self.down_port,
-                                    down_protocol, latency=target_latency,
-                                    seed=0xBEEF,
-                                    error_rate=target_error_rate,
-                                    parent=self.top)
-        self.up_monitor = PortMonitor(self.sim, "mon_up", self.up_port,
-                                      "initiator", 0, parent=self.top)
-        self.down_monitor = PortMonitor(self.sim, "mon_down", self.down_port,
-                                        "target", 0, parent=self.top)
-        self.checkers = [
-            ProtocolChecker(self.sim, "chk_up", self.up_monitor,
-                            up_protocol, self.report, parent=self.top),
-            ProtocolChecker(self.sim, "chk_down", self.down_monitor,
-                            down_protocol, self.report, parent=self.top),
-        ]
+        self.bfms = [InitiatorBfm(self.sim, "bfm", self.up_port, up_protocol,
+                                  parent=self.top)]
+        self.targets = [TargetHarness(self.sim, "mem", self.down_port,
+                                      down_protocol, seed=0xBEEF,
+                                      error_rate=target_error_rate,
+                                      parent=self.top)]
+        up_monitor = self._watch("up", "initiator", 0, self.up_port,
+                                 up_protocol)
+        down_monitor = self._watch("down", "target", 0, self.down_port,
+                                   down_protocol)
+        up_bytes = self.up_port.bus_bytes
+        down_bytes = self.down_port.bus_bytes
         self.scoreboard = BridgeScoreboard(
-            self.up_port.bus_bytes, self.down_port.bus_bytes,
-            up_protocol, down_protocol, self.report,
+            up_bytes, down_bytes, up_protocol, down_protocol, self.report,
         )
-        self.scoreboard.connect(self.up_monitor, self.down_monitor)
-        self.coverage = build_bridge_coverage(
-            self.up_port.bus_bytes, self.down_port.bus_bytes
-        )
-        self.up_monitor.on_request(self._sample_request)
-        self.up_monitor.on_response(self._sample_response)
-
-    # -- coverage sampling ------------------------------------------------------
-
-    def _sample_request(self, obs: ObservedRequest) -> None:
-        try:
-            opcode = Opcode.decode(obs.opc)
-        except OpcodeError:
-            return
-        self.coverage["opcode"].sample(str(opcode))
-        self.coverage["up_len"].sample(str(len(obs.cells)))
-        self.coverage["direction"].sample("request")
-        if "be" in self.coverage.groups:
-            full = all(
-                cell.be == (1 << self.up_port.bus_bytes) - 1
-                for cell in obs.cells
-            )
-            self.coverage["be"].sample("full" if full else "partial")
-
-    def _sample_response(self, obs: ObservedResponse) -> None:
-        self.coverage["direction"].sample("response")
-        self.coverage["response"].sample("error" if obs.is_error else "ok")
-
-    # -- running -------------------------------------------------------------------
-
-    def run(self, program: Sequence[Tuple[Transaction, int]],
-            max_cycles: int = 10000, drain: int = 20) -> ConverterRunResult:
-        started = time.perf_counter()
-        self.bfm.load_program(program)
-        self.sim.elaborate()
-        timed_out = True
-        n = len(program)
-        for _ in range(max_cycles):
-            self.sim.step()
-            if self.bfm.done and len(self.bfm.response_packets) >= n:
-                timed_out = False
-                break
-        if timed_out:
-            self.report.error("TIMEOUT", "env", self.sim.now,
-                              f"run did not drain in {max_cycles} cycles")
-        self.sim.run(drain)
-        for checker in self.checkers:
-            checker.finalize()
-        self.scoreboard.finalize(self.sim.now)
-        self.sim.finish()
-        return ConverterRunResult(
-            view=self.view,
-            kind=self.kind,
-            passed=self.report.passed and not timed_out,
-            timed_out=timed_out,
-            cycles=self.sim.now,
-            report=self.report,
-            coverage=self.coverage,
-            wall_seconds=time.perf_counter() - started,
-        )
+        self.scoreboard.connect(up_monitor, down_monitor)
+        self.coverage = BridgeCoverageCollector(up_bytes, down_bytes)
+        self.coverage.connect(up_monitor)
 
 
 def bridge_random_program(
-    rng: random.Random,
+    seed: int,
     n_transactions: int,
     up_bytes: int,
     window: int = 0x1000,
     gap_range: Tuple[int, int] = (0, 2),
-) -> List[Tuple[Transaction, int]]:
-    """Constrained-random traffic for a converter DUT (single master)."""
-    from .sequence import DEFAULT_MIX, _SIZES, pick_kind
-
+) -> TestProgram:
+    """Constrained-random traffic for a converter DUT: one master's
+    program against one memory target of latency 2."""
+    rng = random.Random(seed)
     program = []
     for _ in range(n_transactions):
         kind = pick_kind(rng, DEFAULT_MIX)
@@ -348,4 +301,5 @@ def bridge_random_program(
                         pri=rng.randrange(16)),
             rng.randint(*gap_range),
         ))
-    return program
+    return TestProgram("bridge_random", seed, [program], target_latencies=[2],
+                       max_cycles=10000, drain_cycles=20)

@@ -8,9 +8,13 @@ each DUT."
 
 :class:`VerificationEnv` builds exactly that around either design view of
 the node — the *same* environment code for both, which is the paper's
-contribution.  A :class:`RunResult` corresponds to the per-(test, seed)
-"verification report and functional coverage one" the regression tool
-emits, plus the optional VCD for bus-accurate comparison.
+contribution.  Its shell, per-port eVC stacks, run loop and end rule are
+shared with every other STBus component: a DUT's environment only builds
+its ports, DUT, scoreboard and coverage collector
+(:class:`~repro.catg.converter_env.ConverterEnv` for the converters).  A
+:class:`RunResult` corresponds to the per-(test, seed) "verification
+report and functional coverage one" the regression tool emits, plus the
+optional VCD for bus-accurate comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Dict, List, Optional
 from ..bca.node import BcaNode
 from ..kernel import Module, Simulator
 from ..rtl.node import RtlNode
-from ..stbus import NodeConfig, StbusPort, Type1Port
+from ..stbus import NodeConfig, ProtocolType, StbusPort, Type1Port
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..vcd import VcdWriter
 from .bfm import InitiatorBfm
@@ -112,6 +116,13 @@ class VerificationEnv:
     time_processes:
         Opt in to per-process cumulative wall-time accounting in the
         kernel (reported via ``RunResult.process_seconds``).
+
+    Another DUT's environment subclasses this one with its own
+    constructor only: it opens the shell (:meth:`_open`), builds its
+    ports, DUT, ``bfms``, ``targets``, a ``scoreboard`` with ``idle`` and
+    ``finalize`` and a ``coverage`` collector with a ``model``, and
+    watches each port (:meth:`_watch`).  Loading, running and ending a
+    test are the same for every DUT.
     """
 
     def __init__(
@@ -124,24 +135,10 @@ class VerificationEnv:
         telemetry: Optional[Telemetry] = None,
         time_processes: bool = False,
     ):
-        if view not in VIEWS:
-            raise ValueError(f"view must be one of {VIEWS}")
+        self._open(config.name, view, vcd_path, telemetry, time_processes)
         if bugs and view != "bca":
             raise ValueError("bug injection applies to the BCA view only")
         self.config = config
-        self.view = view
-        self.vcd_path = vcd_path
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.sim = Simulator()
-        if time_processes:
-            self.sim.enable_process_timing()
-        self.top = Module(self.sim, "tb")
-        self.report = VerificationReport(name=f"{config.name}/{view}")
-        if vcd_path:
-            self._writer: Optional[VcdWriter] = VcdWriter(vcd_path)
-            self.sim.add_tracer(self._writer)
-        else:
-            self._writer = None
 
         width = config.data_width_bits
         self.init_ports = [
@@ -174,27 +171,15 @@ class VerificationEnv:
                           seed=0xC0DE + t, parent=self.top)
             for t in range(config.n_targets)
         ]
-        self.prog_master = (
-            ProgrammingMaster(self.sim, "prog_master", self.prog_port,
-                              parent=self.top)
-            if self.prog_port is not None else None
-        )
+        if self.prog_port is not None:
+            self.prog_master = ProgrammingMaster(
+                self.sim, "prog_master", self.prog_port, parent=self.top)
 
-        self.monitors: List[PortMonitor] = []
-        self.checkers: List[ProtocolChecker] = []
-        ports = [("init", "initiator", i, port)
-                 for i, port in enumerate(self.init_ports)]
-        ports += [("targ", "target", t, port)
-                  for t, port in enumerate(self.targ_ports)]
-        for prefix, role, index, port in ports:
-            route = config.route if role == "initiator" else None
-            monitor = PortMonitor(self.sim, f"mon_{prefix}{index}", port,
-                                  role, index, route=route, parent=self.top)
-            self.monitors.append(monitor)
-            self.checkers.append(
-                ProtocolChecker(self.sim, f"chk_{prefix}{index}", monitor,
-                                protocol, self.report, parent=self.top)
-            )
+        for i, port in enumerate(self.init_ports):
+            self._watch(f"init{i}", "initiator", i, port, protocol,
+                        route=config.route)
+        for t, port in enumerate(self.targ_ports):
+            self._watch(f"targ{t}", "target", t, port, protocol)
 
         self.t1_checker = (
             Type1Checker(self.sim, "chk_prog", self.prog_port, self.report,
@@ -215,18 +200,59 @@ class VerificationEnv:
             )
             if with_arbitration_checker else None
         )
+
+    # -- the shared shell -------------------------------------------------------
+
+    def _open(self, name: str, view: str, vcd_path: Optional[str],
+              telemetry: Optional[Telemetry] = None,
+              time_processes: bool = False) -> None:
+        """Simulator, top module, report and optional VCD writer, with
+        the port helpers' empty lists and no programming master.  ``name``
+        labels the report and the ``RunResult`` (the node's config name,
+        a converter's ``sizeconv``/``typeconv``)."""
+        if view not in VIEWS:
+            raise ValueError(f"view must be one of {VIEWS}")
+        self.name = name
+        self.view = view
+        self.vcd_path = vcd_path
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.sim = Simulator()
+        if time_processes:
+            self.sim.enable_process_timing()
+        self.top = Module(self.sim, "tb")
+        self.report = VerificationReport(name=f"{name}/{view}")
+        if vcd_path:
+            self._writer: Optional[VcdWriter] = VcdWriter(vcd_path)
+            self.sim.add_tracer(self._writer)
+        else:
+            self._writer = None
+        self.prog_master: Optional[ProgrammingMaster] = None
+        self.monitors: List[PortMonitor] = []
+        self.checkers: List[ProtocolChecker] = []
         self._test: Optional[TestProgram] = None
+
+    def _watch(self, label: str, role: str, index: int, port: StbusPort,
+               protocol: ProtocolType, route=None) -> PortMonitor:
+        """One port's eVC stack: a monitor and its protocol checker."""
+        monitor = PortMonitor(self.sim, f"mon_{label}", port, role, index,
+                              route=route, parent=self.top)
+        self.monitors.append(monitor)
+        self.checkers.append(
+            ProtocolChecker(self.sim, f"chk_{label}", monitor, protocol,
+                            self.report, parent=self.top)
+        )
+        return monitor
 
     # -- test loading and execution ---------------------------------------------
 
     def load_test(self, test: TestProgram) -> None:
-        if len(test.programs) != self.config.n_initiators:
+        if len(test.programs) != len(self.bfms):
             raise ValueError("test program count != number of initiators")
-        if len(test.target_latencies) != self.config.n_targets:
+        if len(test.target_latencies) != len(self.targets):
             raise ValueError("target latency count != number of targets")
         for bfm, program in zip(self.bfms, test.programs):
             bfm.load_program(program)
-        jitters = test.target_jitters or [0] * self.config.n_targets
+        jitters = test.target_jitters or [0] * len(self.targets)
         for harness, latency, jitter in zip(
             self.targets, test.target_latencies, jitters
         ):
@@ -249,9 +275,7 @@ class VerificationEnv:
             return False
         if self.prog_master is not None and not self.prog_master.done:
             return False
-        if any(records for records in self.scoreboard._in_flight.values()):
-            return False
-        return not any(self.scoreboard._crossing.values())
+        return self.scoreboard.idle
 
     def run(self) -> RunResult:
         """Execute the loaded test to completion (or timeout)."""
@@ -259,7 +283,7 @@ class VerificationEnv:
             raise RuntimeError("load_test() before run()")
         test = self._test
         tele = self.telemetry
-        ctx = {"config": self.config.name, "view": self.view,
+        ctx = {"config": self.name, "view": self.view,
                "test": test.name, "seed": test.seed}
         started = time.perf_counter()
         try:
@@ -298,7 +322,7 @@ class VerificationEnv:
         if self._writer is not None:
             kernel_stats["vcd_bytes"] = self._writer.bytes_written
         return RunResult(
-            config_name=self.config.name,
+            config_name=self.name,
             view=self.view,
             test_name=test.name,
             seed=test.seed,

@@ -118,6 +118,12 @@ class Scoreboard:
     def _fail(self, rule: str, cycle: int, message: str) -> None:
         self.report.error(rule, self.name, cycle, message)
 
+    @property
+    def idle(self) -> bool:
+        """No packet crossing the node and none awaiting its response."""
+        return not any(self._in_flight.values()) \
+            and not any(self._crossing.values())
+
     # ------------------------------------------------------------------
     # initiator-side request: predict routing
     # ------------------------------------------------------------------

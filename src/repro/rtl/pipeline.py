@@ -28,8 +28,8 @@ class Pipe(Generic[T]):
     A stage holds its payload, or None when it is empty (a payload is
     never None).  Call pattern per clock edge (from a clocked process):
 
-    1. Read :attr:`output` / :attr:`output_valid` — these reflect the
-       value presented on the port *during the previous cycle*.
+    1. Read :attr:`output` (None: not valid) — it reflects the value
+       presented on the port *during the previous cycle*.
     2. Call :meth:`advance` with whether the output was consumed and the
        optional newly accepted payload.
     """
@@ -42,14 +42,6 @@ class Pipe(Generic[T]):
         self._count = 0  # occupied stages
         #: Payload at the output stage (None when not valid).
         self.output: Optional[T] = None
-
-    @property
-    def output_valid(self) -> bool:
-        return self.output is not None
-
-    @property
-    def occupancy(self) -> int:
-        return self._count
 
     def can_accept(self, output_fired: bool) -> bool:
         """The combinational ready chain seen by the grant logic."""
@@ -81,12 +73,3 @@ class Pipe(Generic[T]):
             data[0] = load
             self._count += 1
         self.output = data[-1]
-
-    def flush(self) -> None:
-        self._data = [None] * self.depth
-        self._count = 0
-        self.output = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cells = ["." if item is None else "#" for item in self._data]
-        return f"Pipe[{''.join(cells)}]"

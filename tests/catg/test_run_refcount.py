@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from repro.catg.converter_env import ConverterEnv, bridge_random_program
 from repro.catg.env import VerificationEnv
 from repro.regression.configs import load_config_dir
 from repro.regression.testcases import build_test
@@ -40,5 +41,27 @@ def test_finished_run_leaves_no_cyclic_garbage(tmp_path, view):
             assert dut_ref() is None, config.name
             assert gc.collect() == 0, config.name
             assert result.passed and result.kernel_stats["vcd_bytes"] > 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("view", ["rtl", "bca"])
+@pytest.mark.parametrize("kind", ["size", "type"])
+def test_finished_converter_run_leaves_no_cyclic_garbage(tmp_path, kind,
+                                                         view):
+    gc.collect()
+    gc.disable()
+    try:
+        env = ConverterEnv(kind, view=view,
+                           vcd_path=str(tmp_path / f"{kind}.{view}.vcd"))
+        env.load_test(bridge_random_program(1, 10, env.up_port.bus_bytes))
+        sim_ref = weakref.ref(env.sim)
+        dut_ref = weakref.ref(env.dut)
+        result = env.run()
+        del env
+        assert sim_ref() is None
+        assert dut_ref() is None
+        assert gc.collect() == 0
+        assert result.passed and result.kernel_stats["vcd_bytes"] > 0
     finally:
         gc.enable()

@@ -177,7 +177,7 @@ def test_comb_processes_observe_every_output_in_elaboration(view):
 
 
 #: Kernel counters of ``ConverterEnv(kind, view)`` on
-#: ``bridge_random_program(Random(1), 40, 4)``, equal in both views.
+#: ``bridge_random_program(1, 40, 4)``, equal in both views.
 CONVERTER_COUNTS = {
     "size": {"cycles": 917, "delta_iterations": 965,
              "process_activations": 6419, "signal_commits": 4637,
@@ -213,7 +213,8 @@ def test_converter_hold_drops_only_no_op_commits(monkeypatch, kind, view):
         env = ConverterEnv(kind, view)
         values = _Values()
         env.sim.add_tracer(values)
-        assert env.run(bridge_random_program(Random(1), 40, 4)).passed
+        env.load_test(bridge_random_program(1, 40, 4))
+        assert env.run().passed
         return values.rows, env.sim.stats_snapshot()
 
     held_rows, held = run()
