@@ -64,7 +64,7 @@ def test_e2_five_bugs_old_vs_new_flow(benchmark):
         print(f"{row['bug']:<30} "
               f"{'FOUND' if row['old_flow_found'] else 'missed':<10} "
               f"{'FOUND' if row['new_flow_found'] else 'missed':<10} "
-              f"{row['first_test'] or '-'}: {', '.join(row['rules'][:3])}")
+              f"{row['first_test'] or '-'}: {', '.join(row['rules'])}")
     old_total = sum(r["old_flow_found"] for r in rows)
     new_total = sum(r["new_flow_found"] for r in rows)
     print(f"[E2] paper: old flow 0/5, common environment 5/5")

@@ -24,18 +24,18 @@ clock-domain crossings and tie-off conflicts
   bounded lockstep of one verification environment per view: a bounded
   check with a witness on mismatch, not a proof;
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
-  per-process semantic fingerprints, the schema-versioned design
-  fingerprint manifest + differ, fan-out-cone change closure, and the
-  cone-scoped design keys every cached regression batch keys on;
+  per-process semantic fingerprints, the cone-scoped design keys every
+  cached regression batch keys on, and the schema-versioned design
+  fingerprint manifest each cached batch keeps in its store and diffs
+  to say why a miss re-ran;
 * :mod:`~repro.analysis.waivers` — the waiver file dialect, over the
   :class:`~repro.analysis.diagnostics.Finding` every rule reports;
 * :mod:`~repro.analysis.demo` — a design with one defect per structural
   rule.
 
-CLI: ``python -m repro.analysis`` (text/JSON) and
-``python -m repro.analysis impact`` (fingerprint manifests and
-change-impact reports).  :func:`~repro.analysis.runner.analyze_config`
-runs every rule by default; given only the structural tier
+CLI: ``python -m repro.analysis`` (text/JSON).
+:func:`~repro.analysis.runner.analyze_config` runs every rule by
+default; given only the structural tier
 (:func:`repro.lint.lint_config`, the regression's default gate) it
 builds no dataflow graph, derives no constants and loads none of the
 UNR, cone or agreement modules.  Nothing in this package imports
@@ -73,9 +73,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "runner": ("AnalysisReport", "ConfigAnalysisReport", "analyze_simulator",
                "analyze_config"),
     "impact": ("MANIFEST_SCHEMA", "DesignManifest", "DesignFingerprints",
-               "ProcessFingerprint", "ImpactIndex", "ImpactReport",
-               "ManifestError", "build_manifest", "design_fingerprints",
-               "diff_manifests", "process_fingerprint"),
+               "ProcessFingerprint", "ImpactIndex", "ManifestError",
+               "design_fingerprints", "diff_manifests",
+               "process_fingerprint"),
 })
 __all__ += ["SCHEMA_VERSION", "Waiver", "WaiverError", "parse_waivers",
             "apply_waivers", "load_waiver_file"]

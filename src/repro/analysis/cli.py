@@ -19,9 +19,6 @@ Examples::
     python -m repro.analysis --demo
     python -m repro.analysis --design mypkg.mydesign:build
 
-    # change-impact analysis against a fingerprint baseline
-    python -m repro.analysis impact --matrix --baseline baseline.json
-
 Waiver files hold one ``<rule-glob> <location-glob> [# reason]`` per
 line.
 
@@ -206,13 +203,6 @@ def _gate(has_errors: bool, has_warnings: bool, strict: bool) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "impact":
-        # Change-impact analysis is a distinct sub-tool with its own
-        # argument surface (manifests in/out rather than rule gating).
-        from .impact_cli import main as impact_main
-
-        return impact_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
 

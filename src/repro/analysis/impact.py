@@ -38,15 +38,11 @@ proportional to the *semantic* size of an edit:
   parse is hashed raw.
 
 * **The design fingerprint manifest** (schema-versioned, one record per
-  (config, view)) snapshots the fingerprints so two checkouts can be
-  diffed: :func:`diff_manifests` maps a baseline/current pair to the
-  set of semantically-changed processes per design.
-
-* **Change-impact closure.**  Changed processes are pushed through the
-  dataflow graph's fan-out cones (RTL and BCA independently) to the
-  set of affected signals; every (config, view) — and therefore every
-  (config, test, seed, view) cache entry — is classified affected or
-  provably unaffected.
+  (config, view)) snapshots the fingerprints.  Every cached batch keeps
+  its own in the store (``manifest.json``) and diffs the next batch's
+  against it: :func:`diff_manifests` says per design why its entries
+  miss (the changed processes, the environment, the config text or a
+  fallback), and each miss of the next batch carries that reason.
 
 * **Cone-scoped cache keys.**  :class:`ImpactIndex` hands the result
   cache a per-job design key: the environment residual hash plus the
@@ -74,7 +70,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -657,11 +652,8 @@ def _config_digest(config) -> str:
 
 def design_fingerprints(config, view: str,
                         sources: Optional[_SourceSummaries] = None):
-    """Build one design and fingerprint it.
-
-    Returns ``(DesignFingerprints, DesignGraph)`` — the graph is kept so
-    the impact closure can run fan-out cones without re-elaborating.
-    """
+    """Build one design and fingerprint it.  The design's simulator is
+    finished before returning, so refcounting frees it."""
     from ..catg.env import VerificationEnv
     from .graph import DesignGraph
 
@@ -682,7 +674,8 @@ def design_fingerprints(config, view: str,
         if count:
             name = f"{name}#{count}"
         fingerprints.processes[name] = fp
-    return fingerprints, graph
+    env.sim.finish()
+    return fingerprints
 
 
 @dataclass
@@ -713,8 +706,7 @@ class DesignManifest:
         schema = data.get("schema")
         if schema != MANIFEST_SCHEMA:
             raise ManifestError(
-                f"manifest schema {schema!r} is not {MANIFEST_SCHEMA!r}; "
-                "rebuild the baseline with this checkout")
+                f"manifest schema {schema!r} is not {MANIFEST_SCHEMA!r}")
         try:
             return cls(
                 design_hash=str(data["design_hash"]),
@@ -725,7 +717,7 @@ class DesignManifest:
                     for label, design in data["designs"].items()
                 },
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest: {exc}")
 
     def write(self, path: str) -> None:
@@ -743,10 +735,6 @@ class DesignManifest:
         except ValueError as exc:
             raise ManifestError(f"manifest {path!r} is not JSON: {exc}")
         return cls.from_dict(data)
-
-    @property
-    def n_processes(self) -> int:
-        return sum(len(d.processes) for d in self.designs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -766,33 +754,24 @@ class ImpactIndex:
     ``store`` (a :class:`~repro.cache.ResultCache`) serves and keeps the
     per-file source summaries, so a batch re-parses only the files that
     changed since the store last saw them; keys, manifests and the
-    environment digest are the same with or without it.  ``keep_graphs``
-    keeps each design's :class:`~repro.analysis.graph.DesignGraph` in
-    :attr:`graphs` for :func:`diff_manifests`' fan-out cones; otherwise
-    each design's simulator is finished and dropped as soon as it is
-    fingerprinted, so refcounting frees it.
+    environment digest are the same with or without it.  Each design's
+    simulator is finished and dropped as soon as it is fingerprinted,
+    so refcounting frees it.
     """
 
     def __init__(self, configs: Sequence,
                  views: Sequence[str] = DEFAULT_VIEWS,
-                 store=None, keep_graphs: bool = False) -> None:
+                 store=None) -> None:
         self.views = tuple(views)
         self.designs: Dict[str, DesignFingerprints] = {}
-        self.graphs: Dict[str, object] = {}
         self.whole_design = design_source_hash()
         sources = _SourceSummaries(store)  # shared by all designs
         for config in configs:
             for view in self.views:
                 label = _design_label(config.name, view)
-                if label in self.designs:
-                    continue
-                fingerprints, graph = design_fingerprints(
-                    config, view, sources)
-                self.designs[label] = fingerprints
-                if keep_graphs:
-                    self.graphs[label] = graph
-                else:
-                    graph.sim.finish()
+                if label not in self.designs:
+                    self.designs[label] = design_fingerprints(
+                        config, view, sources)
         self.environment = environment_digest(sources=sources)
         self._keys: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []
@@ -845,6 +824,22 @@ class ImpactIndex:
 
         return resolve
 
+    def changes_since(self, path: str) -> Callable:
+        """Per-job resolver for :class:`repro.cache.ResultCache`: why the
+        job's design moved since the manifest stored at ``path``
+        (:func:`diff_manifests`), or ``None``.  A missing, torn or
+        foreign manifest is outside input: it names no change."""
+        try:
+            reasons = diff_manifests(DesignManifest.read(path),
+                                     self.manifest())
+        except ManifestError:
+            reasons = {}
+
+        def change(job) -> Optional[str]:
+            return reasons.get(_design_label(job.config.name, job.view))
+
+        return change
+
     def manifest(self) -> DesignManifest:
         return DesignManifest(
             design_hash=self.whole_design,
@@ -853,223 +848,51 @@ class ImpactIndex:
         )
 
 
-def build_manifest(configs: Sequence,
-                   views: Sequence[str] = DEFAULT_VIEWS) -> DesignManifest:
-    """Fingerprint ``configs`` under the current sources."""
-    return ImpactIndex(configs, views=views).manifest()
-
-
 # ---------------------------------------------------------------------------
-# Manifest differ + change-impact closure
+# Manifest differ
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DesignImpact:
-    """Impact classification for one (config, view) design.
+def diff_manifests(baseline: DesignManifest,
+                   current: DesignManifest) -> Dict[str, Optional[str]]:
+    """Why each design of ``current`` misses the entries stored under
+    ``baseline``: ``{design label: reason}``, checked in this order:
 
-    ``affected`` means the design's cache entries must re-execute;
-    ``reason`` says why (or ``"unchanged"``).  For process-level
-    changes, ``affected_signals`` is the union of the changed
-    processes' fan-out cones — the signals a re-run can legitimately
-    change.
+    * ``environment-changed`` — non-process design code changed;
+    * ``fallback: <why>`` — either side keys on the whole-design hash;
+    * ``config-changed`` — the configuration text changed;
+    * ``cone-changed: <process, ...>`` — these processes were added,
+      removed or semantically edited.
+
+    ``None`` means there is nothing to attribute a miss to: the design's
+    fingerprints did not move, or ``baseline`` lacks the design.
     """
-
-    config_name: str
-    view: str
-    affected: bool
-    reason: str
-    changed_processes: Tuple[str, ...] = ()
-    affected_signals: Tuple[str, ...] = ()
-
-    @property
-    def label(self) -> str:
-        return _design_label(self.config_name, self.view)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "config": self.config_name,
-            "view": self.view,
-            "affected": self.affected,
-            "reason": self.reason,
-            "changed_processes": list(self.changed_processes),
-            "affected_signals": list(self.affected_signals),
-        }
-
-
-@dataclass
-class ImpactReport:
-    """What changed between two manifests and what must re-run."""
-
-    baseline_design_hash: str
-    current_design_hash: str
-    environment_changed: bool
-    designs: List[DesignImpact] = field(default_factory=list)
-
-    @property
-    def affected(self) -> List[DesignImpact]:
-        return [d for d in self.designs if d.affected]
-
-    @property
-    def unaffected(self) -> List[DesignImpact]:
-        return [d for d in self.designs if not d.affected]
-
-    @property
-    def changed_processes(self) -> Tuple[str, ...]:
-        out: Set[str] = set()
-        for design in self.designs:
-            out.update(design.changed_processes)
-        return tuple(sorted(out))
-
-    @property
-    def rerun_fraction(self) -> float:
-        if not self.designs:
-            return 0.0
-        return len(self.affected) / len(self.designs)
-
-    def to_dict(self) -> Dict[str, object]:
-        from . import SCHEMA_VERSION
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "baseline_design_hash": self.baseline_design_hash,
-            "current_design_hash": self.current_design_hash,
-            "environment_changed": self.environment_changed,
-            "changed_processes": list(self.changed_processes),
-            "n_designs": len(self.designs),
-            "n_affected": len(self.affected),
-            "rerun_fraction": round(self.rerun_fraction, 4),
-            "designs": [d.to_dict() for d in self.designs],
-        }
-
-    def render(self) -> str:
-        lines = [
-            "Change impact: "
-            f"{len(self.affected)}/{len(self.designs)} design(s) affected "
-            f"({self.rerun_fraction * 100:.1f}% predicted re-run)",
-        ]
-        if self.environment_changed:
-            lines.append(
-                "  environment changed (non-process design code): every "
-                "entry re-runs")
-        changed = self.changed_processes
-        if changed:
-            lines.append(f"  changed processes ({len(changed)}):")
-            for name in changed:
-                lines.append(f"    {name}")
-        for design in self.designs:
-            if not design.affected:
-                continue
-            lines.append(
-                f"  AFFECTED {design.label}: {design.reason}")
-            if design.changed_processes:
-                lines.append(
-                    "    processes: "
-                    + ", ".join(design.changed_processes))
-            if design.affected_signals:
-                shown = design.affected_signals[:8]
-                suffix = (
-                    f" (+{len(design.affected_signals) - len(shown)} more)"
-                    if len(design.affected_signals) > len(shown) else ""
-                )
-                lines.append(
-                    "    fan-out cone: " + ", ".join(shown) + suffix)
-        unaffected = self.unaffected
-        if unaffected:
-            lines.append(
-                f"  provably unaffected ({len(unaffected)}): "
-                + ", ".join(d.label for d in unaffected))
-        lines.append(
-            "  predicted re-run set: every (test, seed) of the affected "
-            "designs; all other cache entries stay warm")
-        return "\n".join(lines) + "\n"
-
-
-def affected_signal_cone(graph, process_names: Iterable[str]
-                         ) -> Tuple[str, ...]:
-    """Fan-out closure of the named processes' writes over ``graph``
-    (a :class:`~repro.analysis.graph.DesignGraph`): the written signals
-    plus everything they can transitively influence."""
-    from .dataflow import DataflowGraph
-
-    dataflow = DataflowGraph(graph)
-    by_name = {sig.name: sig for sig in graph.signals}
-    wanted = set(process_names)
-    affected: Set[str] = set()
-    for info in list(graph.comb) + list(graph.clocked):
-        if info.name not in wanted:
-            continue
-        _, writes = _dataflow_sets(info)
-        for name in writes:
-            affected.add(name)
-            sig = by_name.get(name)
-            if sig is not None:
-                affected.update(
-                    s.name for s in dataflow.fan_out_cone(sig))
-    return tuple(sorted(affected))
-
-
-def diff_manifests(
-    baseline: DesignManifest,
-    current: DesignManifest,
-    graphs: Optional[Dict[str, object]] = None,
-) -> ImpactReport:
-    """Classify every design of two manifests as affected or provably
-    unaffected.  Every uncertain case (schema'd fallback, missing
-    design, environment change) classifies as affected — the differ
-    never guesses a design safe."""
     env_changed = (
         baseline.environment.digest != current.environment.digest)
-    report = ImpactReport(
-        baseline_design_hash=baseline.design_hash,
-        current_design_hash=current.design_hash,
-        environment_changed=env_changed,
-    )
-    for label in sorted(set(baseline.designs) | set(current.designs)):
-        base = baseline.designs.get(label)
-        cur = current.designs.get(label)
-        anchor = cur if cur is not None else base
-        design = dict(config_name=anchor.config_name, view=anchor.view)
-        reason = _forced_rerun_reason(base, cur, env_changed)
-        if reason is not None:
-            report.designs.append(
-                DesignImpact(**design, affected=True, reason=reason))
-            continue
-        changed = sorted(
-            set(base.processes) ^ set(cur.processes)
-            | {
-                name for name in set(base.processes) & set(cur.processes)
-                if base.processes[name].digest != cur.processes[name].digest
-            }
-        )
-        if not changed:
-            report.designs.append(
-                DesignImpact(**design, affected=False, reason="unchanged"))
-            continue
-        graph = (graphs or {}).get(label)
-        report.designs.append(DesignImpact(
-            **design, affected=True,
-            reason=f"{len(changed)} semantically-changed process(es)",
-            changed_processes=tuple(changed),
-            affected_signals=(affected_signal_cone(graph, changed)
-                              if graph is not None else ()),
-        ))
-    return report
+    return {
+        label: _rerun_reason(baseline.designs.get(label), design,
+                             env_changed)
+        for label, design in current.designs.items()
+    }
 
 
-def _forced_rerun_reason(base: Optional[DesignFingerprints],
-                         cur: Optional[DesignFingerprints],
-                         env_changed: bool) -> Optional[str]:
-    """Why a design re-runs whatever its process digests say, if so."""
+def _rerun_reason(base: Optional[DesignFingerprints],
+                  cur: DesignFingerprints,
+                  env_changed: bool) -> Optional[str]:
     if base is None:
-        return "design added since baseline"
-    if cur is None:
-        return "design removed since baseline"
+        return None
     if env_changed:
-        return "environment changed (non-process design code)"
+        return "environment-changed"
     fallback = base.fallback_reason or cur.fallback_reason
     if fallback is not None:
-        return f"conservative fallback ({fallback})"
+        return f"fallback: {fallback}"
     if base.config_digest != cur.config_digest:
-        return "configuration text changed"
-    return None
+        return "config-changed"
+    changed = sorted(
+        set(base.processes) ^ set(cur.processes)
+        | {
+            name for name in set(base.processes) & set(cur.processes)
+            if base.processes[name].digest != cur.processes[name].digest
+        }
+    )
+    return "cone-changed: " + ", ".join(changed) if changed else None

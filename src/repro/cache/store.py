@@ -262,11 +262,14 @@ class ResultCache:
         <root>/sources/<key[:2]>/<key>.json   one source summary per file
         <root>/quarantine/<key>.json          rejected entries (+ .diag.json)
         <root>/quarantine/<sha>               blobs that failed their hash
+        <root>/manifest.json                  the last batch's fingerprints
 
     Source summaries are the impact index's per-file parse results
     (:meth:`load_source` / :meth:`store_source`).  They are verified,
     published and quarantined like run entries but never counted in
-    :attr:`stats`, which describes runs only.
+    :attr:`stats`, which describes runs only.  The manifest is not an
+    entry either: the batch that used the store last replaced it, and
+    the next one diffs against it to say why a miss re-ran.
 
     Thread-compatibility: one instance is used from the coordinating
     process only; concurrent *processes* sharing the same root are safe
@@ -281,6 +284,10 @@ class ResultCache:
         #: <repro.analysis.impact.ImpactIndex.resolver>`); a cache that
         #: serves only source summaries needs none.
         self.design_key = design_key
+        #: ``job -> why its design moved`` since the batch that wrote
+        #: :attr:`manifest_path`, or ``None``
+        #: (:meth:`~repro.analysis.impact.ImpactIndex.changes_since`).
+        self.design_change: Optional[Callable[..., Optional[str]]] = None
         self.stats = CacheStats()
         #: Structured events (hit/miss/store/quarantine) for the
         #: telemetry run log; drained by the batch exporter.
@@ -299,6 +306,10 @@ class ResultCache:
 
     def _quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
+
+    @property
+    def manifest_path(self) -> str:
+        return os.path.join(self.root, "manifest.json")
 
     # -- write --------------------------------------------------------------
 
@@ -564,9 +575,13 @@ class ResultCache:
         return entry, None, None
 
     def _miss(self, key: str, job, reason: str = "no-entry") -> None:
-        """Count and log one miss, with attribution: ``no-entry`` (cold
-        or key changed), ``insufficient-artifacts``, ``missing-blob``,
-        or ``quarantined:<verify reason>``."""
+        """Count and log one miss, with attribution: for a key nothing
+        is stored under, why the job's design moved
+        (:attr:`design_change`), else ``no-entry``;
+        ``insufficient-artifacts``, ``missing-blob``, or
+        ``quarantined:<verify reason>``."""
+        if reason == "no-entry" and self.design_change is not None:
+            reason = self.design_change(job) or reason
         self.stats.misses += 1
         self.events.append({
             "event": "cache.miss", "key": key, "reason": reason,

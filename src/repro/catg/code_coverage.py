@@ -157,16 +157,20 @@ def _analyze_file(path: str) -> FileCoverage:
 
     Only statements inside function bodies count: module- and class-level
     code runs at import time, before any test starts tracing, so counting
-    it would understate how well the tests exercise the model.
+    it would understate how well the tests exercise the model.  A
+    function's leading docstring never executes, so it does not count
+    either.
     """
     with open(path, "r", encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     cov = FileCoverage(path)
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    functions = [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    docstrings = {func.body[0] for func in functions
+                  if ast.get_docstring(func, clean=False) is not None}
+    for func in functions:
         for node in ast.walk(func):
-            if node is func:
+            if node is func or node in docstrings:
                 continue
             if isinstance(node, _STATEMENT_NODES):
                 cov.statement_lines.add(node.lineno)

@@ -273,7 +273,8 @@ class RegressionRunner:
         self.cache = None
         #: The cache's design-key index (see
         #: :mod:`repro.analysis.impact`), built per :meth:`run` so its
-        #: fingerprints reflect the current sources.
+        #: fingerprints reflect the current sources; its manifest
+        #: replaces the store's ``manifest.json`` when the batch ends.
         self.impact = None
         if spec.workdir:
             os.makedirs(spec.workdir, exist_ok=True)
@@ -380,6 +381,9 @@ class RegressionRunner:
             with batch.span("impact.index", configs=len(self.configs)):
                 # Unchanged source files are summarized from the cache.
                 self.impact = ImpactIndex(self.configs, store=self.cache)
+                # A miss names what moved since the last cached batch.
+                self.cache.design_change = self.impact.changes_since(
+                    self.cache.manifest_path)
             self.cache.design_key = self.impact.resolver()
             # The per-design key decisions ride the cache's event stream
             # into the telemetry run log.
@@ -458,6 +462,9 @@ class RegressionRunner:
             faults = self._execute(batch, entries)
         with batch.span("batch.assemble"):
             report = self._assemble(entries)
+        if self.cache is not None:
+            # What the next cached batch diffs its misses against.
+            self.impact.manifest().write(self.cache.manifest_path)
         report.wall_seconds = batch.stop()
         if spec.workdir:
             path = os.path.join(spec.workdir, "regression_summary.txt")

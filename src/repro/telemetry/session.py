@@ -202,6 +202,19 @@ class RunRecorder:
         )
 
 
+def _cache_outcomes(cache) -> Dict[Tuple[str, str, int, str], str]:
+    """``hit`` or ``miss: <reason>`` per run the cache looked up, by
+    (config, test, seed, view), from its event stream."""
+    outcomes = {}
+    for event in cache.events:
+        if event["event"] in ("cache.hit", "cache.miss"):
+            outcomes[(event["config"], event["test"], event["seed"],
+                      event["view"])] = (
+                "hit" if event["event"] == "cache.hit"
+                else f"miss: {event['reason']}")
+    return outcomes
+
+
 def job_results(report) -> Iterator[Tuple[object, str, object,
                                            Optional[RunTelemetry]]]:
     """Every job result on ``report``'s entries, as ``(entry, field,
@@ -264,8 +277,9 @@ class BatchTelemetry:
 
         ``cache`` is the batch's :class:`~repro.cache.ResultCache` (or
         ``None``): its hit/miss/store/verify counters land in the
-        metrics ``batch.cache`` section and its structured events
-        (including quarantine diagnostics) in the run log.
+        metrics ``batch.cache`` section, each run row says ``cache``:
+        ``hit`` or ``miss: <reason>``, and its structured events
+        (including quarantine diagnostics) go to the run log.
 
         ``impact`` is the cached batch's
         :class:`~repro.analysis.impact.ImpactIndex` (or ``None``): its
@@ -335,6 +349,7 @@ class BatchTelemetry:
         compares: List[dict] = []
         compared = []
         triage_rows: List[dict] = []
+        served = _cache_outcomes(cache) if cache is not None else None
         for entry, name, result, payload in results:
             row = {"config": entry.config_name, "test": entry.test_name,
                    "seed": entry.seed}
@@ -398,6 +413,9 @@ class BatchTelemetry:
                         in sorted(payload.phase_seconds.items())
                     }
                 runs.append(row)
+            if served is not None and name in ("rtl", "bca"):
+                row["cache"] = served.get(
+                    (entry.config_name, entry.test_name, entry.seed, name))
         payload_out = {
             "schema": METRICS_SCHEMA,
             "batch": {

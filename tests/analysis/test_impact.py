@@ -1,6 +1,5 @@
 """Tests for the change-impact machinery: environment residual hash,
-manifest round-trip, differ classification, fan-out closure, index keys
-and the ``python -m repro.analysis impact`` CLI."""
+manifest round-trip, the differ's miss reasons and index keys."""
 
 import ast
 import copy
@@ -16,11 +15,9 @@ from repro.analysis.impact import (
     ImpactIndex,
     ManifestError,
     ProcessFingerprint,
-    build_manifest,
     diff_manifests,
     environment_digest,
 )
-from repro.analysis.impact_cli import main as impact_main
 from repro.cache.store import DESIGN_ROOTS, design_source_hash
 from repro.catg.env import VerificationEnv
 from repro.regression.configs import configuration_matrix
@@ -213,7 +210,7 @@ def test_env_digest_hashes_unparsable_files_raw(tmp_path):
 
 @pytest.fixture(scope="module")
 def stock_index():
-    return ImpactIndex([NodeConfig(name="node")], keep_graphs=True)
+    return ImpactIndex([NodeConfig(name="node")])
 
 
 def test_manifest_round_trip(tmp_path, stock_index):
@@ -224,9 +221,8 @@ def test_manifest_round_trip(tmp_path, stock_index):
     assert loaded.design_hash == manifest.design_hash
     assert loaded.environment.digest == manifest.environment.digest
     assert set(loaded.designs) == set(manifest.designs)
-    report = diff_manifests(manifest, loaded)
-    assert not report.affected
-    assert len(report.unaffected) == 2
+    assert diff_manifests(manifest, loaded) == {
+        "node::bca": None, "node::rtl": None}
 
 
 def test_manifest_schema_is_enforced(tmp_path, stock_index):
@@ -239,6 +235,24 @@ def test_manifest_schema_is_enforced(tmp_path, stock_index):
         DesignManifest.read(path)
     with pytest.raises(ManifestError):
         DesignManifest.read(os.path.join(str(tmp_path), "missing.json"))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data.update(designs=[]),
+    lambda data: data["designs"]["node::rtl"].update(processes=[]),
+    lambda data: data.update(environment=[]),
+], ids=["designs-list", "processes-list", "environment-list"])
+def test_malformed_manifest_is_a_manifest_error(tmp_path, stock_index,
+                                                damage):
+    """A cached batch reads the store's manifest as outside input: any
+    malformed body is a ``ManifestError``, which the batch ignores."""
+    path = os.path.join(str(tmp_path), "manifest.json")
+    stock_index.manifest().write(path)
+    data = json.load(open(path))
+    damage(data)
+    json.dump(data, open(path, "w"))
+    with pytest.raises(ManifestError):
+        DesignManifest.read(path)
 
 
 def _mutated(manifest, label, process_suffix):
@@ -258,48 +272,37 @@ def _mutated(manifest, label, process_suffix):
 def test_differ_classifies_process_change_with_cone(stock_index):
     manifest = stock_index.manifest()
     edited = _mutated(manifest, "node::bca", "_on_clock")
-    report = diff_manifests(manifest, edited, graphs=stock_index.graphs)
-    assert [d.label for d in report.affected] == ["node::bca"]
-    assert [d.label for d in report.unaffected] == ["node::rtl"]
-    (impact,) = report.affected
-    assert impact.reason == "1 semantically-changed process(es)"
-    assert impact.changed_processes == ("tb.dut._on_clock",)
-    # The clocked process writes reach downstream state: a non-empty
-    # fan-out cone of concrete signal names.
-    assert impact.affected_signals
-    assert all(isinstance(s, str) for s in impact.affected_signals)
-    assert 0 < report.rerun_fraction < 1
+    assert diff_manifests(manifest, edited) == {
+        "node::bca": "cone-changed: tb.dut._on_clock", "node::rtl": None}
 
 
 def test_differ_classifies_environment_change(stock_index):
     manifest = stock_index.manifest()
     edited = copy.deepcopy(manifest)
     object.__setattr__(edited.environment, "digest", "f" * 64)
-    report = diff_manifests(manifest, edited)
-    assert report.environment_changed
-    assert len(report.affected) == 2 and not report.unaffected
-    assert all("environment" in d.reason for d in report.affected)
+    assert diff_manifests(manifest, edited) == {
+        "node::bca": "environment-changed",
+        "node::rtl": "environment-changed"}
 
 
 def test_differ_classifies_config_change(stock_index):
     manifest = stock_index.manifest()
     edited = copy.deepcopy(manifest)
     edited.designs["node::rtl"].config_digest = "0" * 64
-    report = diff_manifests(manifest, edited)
-    assert [d.label for d in report.affected] == ["node::rtl"]
-    assert "configuration" in report.affected[0].reason
+    assert diff_manifests(manifest, edited) == {
+        "node::bca": None, "node::rtl": "config-changed"}
 
 
 def test_differ_classifies_added_and_removed(stock_index):
+    """A design the stored manifest lacks has no reason to give (its
+    misses read ``no-entry``); one the current batch lacks is not
+    asked about."""
     manifest = stock_index.manifest()
     pruned = copy.deepcopy(manifest)
     del pruned.designs["node::bca"]
-    report = diff_manifests(pruned, manifest)
-    added = [d for d in report.affected if "added" in d.reason]
-    assert [d.label for d in added] == ["node::bca"]
-    report = diff_manifests(manifest, pruned)
-    removed = [d for d in report.affected if "removed" in d.reason]
-    assert [d.label for d in removed] == ["node::bca"]
+    assert diff_manifests(pruned, manifest) == {
+        "node::bca": None, "node::rtl": None}
+    assert diff_manifests(manifest, pruned) == {"node::rtl": None}
 
 
 def _opaque_design():
@@ -327,25 +330,10 @@ def test_differ_treats_fallback_as_affected(stock_index):
     manifest = stock_index.manifest()
     edited = copy.deepcopy(manifest)
     edited.designs["node::bca"] = _opaque_design()
-    report = diff_manifests(manifest, edited)
-    affected = {d.label: d for d in report.affected}
-    assert "node::bca" in affected
-    assert "conservative fallback" in affected["node::bca"].reason
-    assert "node::rtl" in {d.label for d in report.unaffected}
-
-
-def test_report_render_and_json(stock_index):
-    manifest = stock_index.manifest()
-    edited = _mutated(manifest, "node::bca", "_on_clock")
-    report = diff_manifests(manifest, edited, graphs=stock_index.graphs)
-    text = report.render()
-    assert "1/2 design(s) affected" in text
-    assert "tb.dut._on_clock" in text
-    assert "fan-out cone" in text
-    payload = report.to_dict()
-    assert payload["schema_version"] == 1
-    assert payload["n_affected"] == 1
-    json.dumps(payload)  # JSON-serializable throughout
+    assert diff_manifests(manifest, edited) == {
+        "node::bca": "fallback: opaque-process: unrecoverable source "
+                     "for tb.dut._mystery",
+        "node::rtl": None}
 
 
 # -- the index -------------------------------------------------------------
@@ -433,73 +421,3 @@ def test_index_resolver_and_counters(stock_index):
     assert all(e["mode"] == "cone" for e in stock_index.events)
     # Every shipped process fingerprints on the top rung.
     assert all(e["degraded"] == [] for e in stock_index.events)
-
-
-def test_build_manifest_convenience():
-    manifest = build_manifest([NodeConfig(name="node")], views=("rtl",))
-    assert set(manifest.designs) == {"node::rtl"}
-    assert manifest.design_hash == design_source_hash()
-
-
-# -- the CLI ---------------------------------------------------------------
-
-
-def test_cli_write_then_self_diff(tmp_path, capsys):
-    path = os.path.join(str(tmp_path), "baseline.json")
-    assert impact_main(["--stock", "--write", path]) == 0
-    out = capsys.readouterr().out
-    assert "wrote manifest" in out and "2 design(s)" in out
-    assert impact_main(["--stock", "--baseline", path]) == 0
-    out = capsys.readouterr().out
-    assert "0/2 design(s) affected" in out
-    assert "provably unaffected" in out
-
-
-def test_cli_detects_change_and_exits_nonzero(tmp_path, capsys):
-    path = os.path.join(str(tmp_path), "baseline.json")
-    assert impact_main(["--stock", "--write", path]) == 0
-    capsys.readouterr()
-    data = json.load(open(path))
-    for fp in data["designs"]["node::bca"]["processes"].values():
-        fp["digest"] = "0" * 64
-        break
-    json.dump(data, open(path, "w"))
-    assert impact_main(["--stock", "--baseline", path]) == 1
-    assert "AFFECTED node::bca" in capsys.readouterr().out
-
-
-def test_cli_json_format(tmp_path, capsys):
-    path = os.path.join(str(tmp_path), "baseline.json")
-    assert impact_main(
-        ["--stock", "--write", path, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 1
-    assert payload["n_designs"] == 2
-    assert impact_main(
-        ["--stock", "--baseline", path, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["n_affected"] == 0
-    assert payload["counters"]["impact.designs"] == 2
-
-
-def test_cli_usage_errors(tmp_path, capsys):
-    # Nothing to do
-    assert impact_main(["--stock"]) == 2
-    assert "nothing to do" in capsys.readouterr().err
-    # Conflicting sources
-    assert impact_main(
-        ["--stock", "--matrix", "--write", "x.json"]) == 2
-    capsys.readouterr()
-    # Unreadable/wrong-schema baseline
-    path = os.path.join(str(tmp_path), "bad.json")
-    json.dump({"schema": "nope"}, open(path, "w"))
-    assert impact_main(["--stock", "--baseline", path]) == 2
-    assert "schema" in capsys.readouterr().err
-
-
-def test_cli_dispatch_through_analysis_main(tmp_path, capsys):
-    from repro.analysis.cli import main as analysis_main
-
-    path = os.path.join(str(tmp_path), "baseline.json")
-    assert analysis_main(["impact", "--stock", "--write", path]) == 0
-    assert os.path.exists(path)

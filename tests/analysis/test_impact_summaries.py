@@ -24,7 +24,12 @@ import sys
 import pytest
 
 from repro.analysis import impact
-from repro.analysis.impact import ImpactIndex, environment_digest
+from repro.analysis.graph import DesignGraph
+from repro.analysis.impact import (
+    DesignFingerprints,
+    ImpactIndex,
+    environment_digest,
+)
 from repro.cache import CacheStats, ResultCache
 from repro.cache.store import _encode_field, _entry_digest
 from repro.regression.configs import load_config_dir
@@ -245,6 +250,10 @@ def test_damaged_summary_is_quarantined_and_recomputed(
 
 
 def test_batch_index_keeps_no_design_graph():
-    assert ImpactIndex([NodeConfig()]).graphs == {}
-    kept = ImpactIndex([NodeConfig()], keep_graphs=True)
-    assert sorted(kept.graphs) == ["node::bca", "node::rtl"]
+    """Each design's graph is dropped once it is fingerprinted; only the
+    fingerprints stay."""
+    index = ImpactIndex([NodeConfig()])
+    assert not any(isinstance(value, DesignGraph)
+                   for value in vars(index).values())
+    assert all(isinstance(design, DesignFingerprints)
+               for design in index.designs.values())

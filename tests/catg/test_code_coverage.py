@@ -1,5 +1,6 @@
 """Code coverage collector tests (the RTL-only metric)."""
 
+import importlib.util
 import os
 
 from repro.catg import CodeCoverage, run_test
@@ -61,3 +62,27 @@ def test_custom_predicate():
         run_test(cfg, build_test("t01_sanity_write_read", cfg, 1))
     report = tracer.report()
     assert set(os.path.basename(p) for p in report.files) == {"pipeline.py"}
+
+
+def test_docstring_is_not_a_missed_line(tmp_path):
+    """Python never executes a function's docstring, so a function run
+    end to end covers all of its lines."""
+    path = str(tmp_path / "documented.py")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(
+            "def documented(x):\n"
+            "    \"\"\"Double ``x``.\n"
+            "\n"
+            "    A docstring over several lines.\n"
+            "    \"\"\"\n"
+            "    y = 2 * x\n"
+            "    return y\n")
+    spec = importlib.util.spec_from_file_location("documented", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with CodeCoverage(predicate=lambda p: p == path) as tracer:
+        assert module.documented(3) == 6
+    cov = tracer.report().files[path]
+    assert cov.missed_lines() == []
+    assert cov.line_percent == 100.0
+    assert cov.statement_percent == 100.0

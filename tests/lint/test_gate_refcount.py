@@ -38,4 +38,3 @@ def test_impact_index_leaves_no_cyclic_garbage():
     configs = load_config_dir(BENCH_CONFIGS)
     index = _no_cyclic_garbage_after(lambda: ImpactIndex(configs))
     assert index.counters()["impact.designs"] == 2 * len(configs)
-    assert not index.graphs

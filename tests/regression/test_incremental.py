@@ -16,7 +16,13 @@ contract under test:
   design to the monolithic source hash with a structured diagnostic —
   conservative, never stale;
 * every cached batch's metrics carry the ``batch.impact`` counters,
-  and the retired ``--incremental`` flag is a usage error.
+  and the retired ``--incremental`` flag is a usage error;
+* each cached batch leaves its fingerprint manifest in the store and
+  the next one says why each run missed: ``cone-changed`` naming the
+  edited process in the ``cache.miss`` log record and in the metrics
+  row's ``cache`` field (``hit`` for the rest), ``no-entry`` where the
+  stored manifest has nothing to say — serially and on two workers, and
+  a corrupt or foreign manifest changes nothing else.
 
 The edit tests run real subprocess batches against a *copy* of the
 package tree, because a source edit cannot be applied to an
@@ -78,8 +84,10 @@ def _edit_bca_clock(src, insert):
             CLOCK_MARKER, CLOCK_MARKER + "\n" + insert, 1))
 
 
-def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
-               chaos=None):
+def _invoke(src, cfg_dir, workdir, cache_dir, metrics, chaos=None,
+            jobs=1):
+    """One batch through the CLI; its run log goes next to ``metrics``
+    (:func:`_log_path`).  Returns the finished process."""
     env = dict(os.environ)
     # The copied tree provides ``repro``; the checkout, the chaos helper.
     env["PYTHONPATH"] = os.pathsep.join([src, REPO_ROOT])
@@ -91,14 +99,42 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--metrics-out", str(metrics)],
+         "--jobs", str(jobs), "--metrics-out", str(metrics),
+         "--log-json", _log_path(metrics)],
         capture_output=True, text=True, env=env)
     # Exit 1 is the expected not-signed-off verdict for this deliberately
     # tiny batch (one test, one seed, coverage far below threshold);
     # anything else is a real failure.  A chaos crash lands here too.
     assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    return proc
+
+
+def _run_batch(src, cfg_dir, workdir, cache_dir, metrics, chaos=None,
+               jobs=1):
+    _invoke(src, cfg_dir, workdir, cache_dir, metrics, chaos, jobs)
     with open(metrics, "r", encoding="utf-8") as handle:
         return json.load(handle)["batch"]
+
+
+def _log_path(metrics):
+    return os.path.splitext(str(metrics))[0] + ".jsonl"
+
+
+def _cache_column(metrics):
+    """``(config, view) -> "hit" | "miss: <reason>"``: the ``cache``
+    field of every run row of the metrics file (one test, one seed)."""
+    with open(metrics, "r", encoding="utf-8") as handle:
+        runs = json.load(handle)["runs"]
+    return {(run["config"], run["view"]): run["cache"] for run in runs}
+
+
+def _logged_misses(metrics):
+    """``(config, view) -> reason`` of every ``cache.miss`` record of
+    the batch's run log."""
+    with open(_log_path(metrics), "r", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    return {(record["config"], record["view"]): record["reason"]
+            for record in records if record["event"] == "cache.miss"}
 
 
 def _snapshot(workdir, prefix=""):
@@ -144,6 +180,12 @@ def test_comment_only_edit_executes_zero_sim_jobs(tmp_path, cfg_dir):
         "verify_failures": 0, "quarantined": 0,
     }
     assert _snapshot(tmp_path / "warm") == _snapshot(tmp_path / "cold")
+    assert _cache_column(tmp_path / "cold.json") == {
+        ("incr_cfg", "rtl"): "miss: no-entry",
+        ("incr_cfg", "bca"): "miss: no-entry"}
+    assert _cache_column(tmp_path / "warm.json") == {
+        ("incr_cfg", "rtl"): "hit", ("incr_cfg", "bca"): "hit"}
+    assert _logged_misses(tmp_path / "warm.json") == {}
     # The index re-summarized only the edited bca/node.py; every other
     # source came from the cache.
     files = (cold["impact"]["impact.source_hits"]
@@ -174,6 +216,11 @@ def test_entries_of_one_config_hit_in_a_batch_of_two(tmp_path, cfg_dir):
     assert warm["impact"]["impact.cone_keys"] == 4
     assert (_snapshot(tmp_path / "warm", "incr_cfg__")
             == _snapshot(tmp_path / "cold", "incr_cfg__"))
+    # The A-only batch's manifest has nothing to say about B.
+    assert _cache_column(tmp_path / "warm.json") == {
+        ("incr_cfg", "rtl"): "hit", ("incr_cfg", "bca"): "hit",
+        ("incr_prog", "rtl"): "miss: no-entry",
+        ("incr_prog", "bca"): "miss: no-entry"}
 
 
 def test_cached_batch_metrics_carry_impact_counters(tmp_path, cfg_dir):
@@ -207,6 +254,12 @@ def test_single_process_edit_reruns_only_its_cone(tmp_path, cfg_dir):
         "hits": 1, "misses": 1, "stores": 1,
         "verify_failures": 0, "quarantined": 0,
     }
+    # The miss names the edited process, in the log and the metrics.
+    reason = "cone-changed: tb.dut._on_clock"
+    assert _logged_misses(tmp_path / "warm.json") == {
+        ("incr_cfg", "bca"): reason}
+    assert _cache_column(tmp_path / "warm.json") == {
+        ("incr_cfg", "rtl"): "hit", ("incr_cfg", "bca"): "miss: " + reason}
     # Soundness: the selective re-run is byte-identical to a full cold
     # re-run of the edited tree into a fresh cache.
     full = _run_batch(src, cfg_dir, tmp_path / "full",
@@ -215,19 +268,70 @@ def test_single_process_edit_reruns_only_its_cone(tmp_path, cfg_dir):
     assert _snapshot(tmp_path / "warm") == _snapshot(tmp_path / "full")
 
 
+def test_miss_reasons_are_equal_serially_and_on_two_workers(tmp_path):
+    both = tmp_path / "cfg_both"
+    save_config_dir([_config(), _programmable_config()], str(both))
+    src = _copy_tree(tmp_path / "pkg")
+    _run_batch(src, both, tmp_path / "cold", tmp_path / "cache",
+               tmp_path / "cold.json")
+    shutil.copytree(str(tmp_path / "cache"), str(tmp_path / "cache2"))
+    _edit_bca_clock(src, "        _impact_probe = 0")
+    _run_batch(src, both, tmp_path / "serial", tmp_path / "cache",
+               tmp_path / "serial.json")
+    _run_batch(src, both, tmp_path / "pooled", tmp_path / "cache2",
+               tmp_path / "pooled.json", jobs=2)
+    miss = "miss: cone-changed: tb.dut._on_clock"
+    want = {("incr_cfg", "rtl"): "hit", ("incr_cfg", "bca"): miss,
+            ("incr_prog", "rtl"): "hit", ("incr_prog", "bca"): miss}
+    assert _cache_column(tmp_path / "serial.json") == want
+    assert _cache_column(tmp_path / "pooled.json") == want
+    assert (_logged_misses(tmp_path / "serial.json")
+            == _logged_misses(tmp_path / "pooled.json"))
+
+
+@pytest.mark.parametrize("damage", ["torn", "foreign-schema"])
+def test_unreadable_manifest_only_degrades_the_reasons(tmp_path, cfg_dir,
+                                                       damage):
+    """The store's manifest is outside input: a torn one, or one from
+    another schema, leaves every artifact, the summary and the exit
+    code as a clean cold batch has them, and is rewritten."""
+    clean = _invoke(REPO_SRC, cfg_dir, tmp_path / "clean",
+                    tmp_path / "cache", tmp_path / "clean.json")
+    good = (tmp_path / "cache" / "manifest.json").read_bytes()
+    data = json.loads(good)
+    # Were it read, this manifest would blame every miss on the
+    # environment.
+    data["environment"]["digest"] = "f" * 64
+    if damage == "torn":
+        text = json.dumps(data)[:-40]
+    else:
+        data["schema"] = "repro.analysis/impact-manifest/v0"
+        text = json.dumps(data)
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "manifest.json").write_text(text)
+    damaged = _invoke(REPO_SRC, cfg_dir, tmp_path / "damaged",
+                      tmp_path / "other", tmp_path / "damaged.json")
+    assert ((damaged.returncode, damaged.stdout)
+            == (clean.returncode, clean.stdout))
+    assert _snapshot(tmp_path / "damaged") == _snapshot(tmp_path / "clean")
+    assert _logged_misses(tmp_path / "damaged.json") == {
+        ("incr_cfg", "rtl"): "no-entry", ("incr_cfg", "bca"): "no-entry"}
+    assert (tmp_path / "other" / "manifest.json").read_bytes() == good
+
+
 def test_opaque_process_degrades_to_whole_design(monkeypatch):
     """One unrecoverable process body widens that design's key to the
     monolithic source hash and leaves a structured diagnostic."""
     real = impact_mod.design_fingerprints
 
     def doctored(config, view, *args):
-        fingerprints, graph = real(config, view, *args)
+        fingerprints = real(config, view, *args)
         if view == "bca":
             name = sorted(fingerprints.processes)[0]
             fingerprints.processes[name] = dataclasses.replace(
                 fingerprints.processes[name], mode=MODE_OPAQUE,
                 digest=None, reason="source unavailable")
-        return fingerprints, graph
+        return fingerprints
 
     monkeypatch.setattr(impact_mod, "design_fingerprints", doctored)
     index = ImpactIndex([_config()])
